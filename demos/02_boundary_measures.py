@@ -34,8 +34,8 @@ table = {}
 for w in ball(F2, 5):
     if len(w) == 0:
         continue
-    first = w.letters[0]
-    skew = {1: 0.4, -1: 0.2, 2: 0.25, -2: 0.15}[first]
+    first = str(w)[0]
+    skew = {"a": 0.4, "A": 0.2, "b": 0.25, "B": 0.15}[first]
     table[w] = skew / 3 ** (len(w) - 1)
 seed = CylinderMeasure(table, 2, 5)
 

@@ -47,5 +47,7 @@ for n in (2, 8, 32):
     nb = certify_norm(avg, 1)
     print(f"  n = {n:2d}: upper {nb.upper:.4f}  (2/sqrt(n) = {2/math.sqrt(n):.4f},"
           f" via {nb.upper_method})")
-# the conjugates freely generate, so the layer inequality in the subgroup
-# basis certifies the O(1/sqrt(n)) decay that drives everything in demo 04
+# the conjugates freely generate and their cylinder sets are disjoint, so
+# both certificates give 2 ||c||_2 = 2/sqrt(n), the O(1/sqrt(n)) decay that
+# drives everything in demo 04; the tie goes to the disjoint-cylinder
+# estimate, which needs no graph fold

@@ -20,6 +20,7 @@ from .freegroup import (
     conjugate,
     cyclic_reduction,
     free_basis_decomposition,
+    inverse_letters,
     multiply,
     reduce_letters,
     word_from_str,

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, log, sqrt
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ContextMismatchError, MalformedInputError, ResourceLimitError
-from .freegroup import Word, free_basis_decomposition
+from .freegroup import Word, free_basis_decomposition, inverse_letters, sparse_product
 
 DEFAULT_SUPPORT_CAP = 5_000_000
 ZERO_DROP_THRESHOLD = 1e-15
@@ -117,21 +117,11 @@ class AlgebraElement:
 def convolve(
     x: AlgebraElement, y: AlgebraElement, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> AlgebraElement:
-    """Ring product: coeffs(w) = sum over u v = w of x(u) y(v).
-
-    Accumulation runs in sorted key order on both factors so results are
-    bit-stable run to run.
-    """
+    """Ring product: coeffs(w) = sum over u v = w of x(u) y(v)."""
     x._check(y)
-    out: dict[Word, complex] = {}
-    for u, cu in sorted(x.coeffs.items(), key=lambda p: p[0].sort_key()):
-        for v, cv in sorted(y.coeffs.items(), key=lambda p: p[0].sort_key()):
-            w = u * v
-            out[w] = out.get(w, 0) + cu * cv
-            if len(out) > support_cap:
-                raise ResourceLimitError(
-                    "convolution support exceeds the cap", support_cap
-                )
+    out = sparse_product(
+        x.coeffs, y.coeffs, x.rank, support_cap, "convolution support exceeds the cap"
+    )
     return AlgebraElement(out, x.rank)
 
 
@@ -372,6 +362,17 @@ def _layer_bound(pairs: Iterable[tuple[int, complex]]) -> float:
     return sum((n + 1) * sqrt(mass) for n, mass in layers.items())
 
 
+def _splits(m: int) -> Iterator[int]:
+    """1..m, nearest (m + 1) // 2 first and the smaller one first on ties."""
+    mid = (m + 1) // 2
+    yield mid
+    for d in range(1, m):
+        if mid - d >= 1:
+            yield mid - d
+        if mid + d <= m:
+            yield mid + d
+
+
 def _disjoint_cylinder_bound(words: list[Word], coeffs: list[complex]) -> float | None:
     """Averaging estimate: if pairwise disjoint prefix sets F_k satisfy
     t_k (complement of F_k) inside F_k, then ||sum c_k lambda_{t_k}|| <= 2 ||c||_2.
@@ -381,35 +382,36 @@ def _disjoint_cylinder_bound(words: list[Word], coeffs: list[complex]) -> float 
     split per word so the F's are pairwise disjoint, and returns None if it
     cannot.
     """
+    # the chosen prefixes as a trie: letter -> subtrie, with the key None
+    # marking the end of a chosen prefix
+    trie: dict = {}
 
-    def prefixes(t: Word, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        head = t.letters[:j]
-        tail_inv = tuple(-c for c in reversed(t.letters[j - 1 :]))
-        return head, tail_inv
+    def clashes(p: tuple[int, ...]) -> bool:
+        # p is comparable with a chosen q iff q is a prefix of p or p of q
+        node = trie
+        for c in p:
+            if None in node:
+                return True
+            node = node.get(c)
+            if node is None:
+                return False
+        return True
 
-    def comparable(p: tuple, q: tuple) -> bool:
-        m = min(len(p), len(q))
-        return p[:m] == q[:m]
+    def choose(p: tuple[int, ...]) -> None:
+        node = trie
+        for c in p:
+            node = node.setdefault(c, {})
+        node[None] = True
 
-    chosen: list[tuple[tuple, tuple]] = []
     for t in words:
-        m = len(t)
-        mid = (m + 1) // 2
-        order = sorted(range(1, m + 1), key=lambda j: (abs(j - mid), j))
-        placed = False
-        for j in order:
-            head, tail_inv = prefixes(t, j)
-            clashes = any(
-                comparable(new, old)
-                for new in (head, tail_inv)
-                for pair in chosen
-                for old in pair
-            )
-            if not clashes:
-                chosen.append((head, tail_inv))
-                placed = True
+        for j in _splits(len(t)):
+            head = t.letters[:j]
+            tail_inv = inverse_letters(t.letters[j - 1 :])
+            if not clashes(head) and not clashes(tail_inv):
+                choose(head)
+                choose(tail_inv)
                 break
-        if not placed:
+        else:
             return None
     return 2.0 * sqrt(sum(abs(c) ** 2 for c in coeffs))
 
@@ -442,16 +444,23 @@ def _upper_bound_tagged(x: AlgebraElement) -> tuple[float, str]:
     if rest:
         words = [w for w, _ in rest]
         coeffs = [c for _, c in rest]
-        dec = free_basis_decomposition(words)
-        if len(dec.basis) == len(words):
-            # the support freely generates: it is itself a free basis
-            sub = c_e + 2.0 * sqrt(sum(abs(c) ** 2 for c in coeffs))
-            candidates.append((sub, "free-support"))
-        else:
-            lens = [len(rw) for rw in dec.rewritten]
-            sub = c_e + _layer_bound(zip(lens, coeffs))
-            candidates.append((sub, "subgroup-layers"))
         disjoint = _disjoint_cylinder_bound(words, coeffs)
+        best_other = min(p[0] for p in candidates)
+        if disjoint is not None:
+            best_other = min(best_other, c_e + disjoint)
+        # the fold gives free-support, equal to this, or subgroup-layers,
+        # which is no smaller (every layer weight n + 1 is at least 2), so it
+        # runs only when it can beat the other candidates
+        free_support = c_e + 2.0 * sqrt(sum(abs(c) ** 2 for c in coeffs))
+        if best_other > free_support:
+            dec = free_basis_decomposition(words)
+            if len(dec.basis) == len(words):
+                # the support freely generates: it is itself a free basis
+                candidates.append((free_support, "free-support"))
+            else:
+                lens = [len(rw) for rw in dec.rewritten]
+                sub = c_e + _layer_bound(zip(lens, coeffs))
+                candidates.append((sub, "subgroup-layers"))
         if disjoint is not None:
             candidates.append((c_e + disjoint, "disjoint-cylinders"))
     bound, tag = min(candidates, key=lambda p: p[0])

@@ -35,7 +35,7 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, axis_prefix, ball
+from .freegroup import FreeGroupContext, Word, axis_prefix, ball, inverse_letters
 from .walks import GroupMeasure, PathSample, convolve_measures
 
 CONSISTENCY_TOL = 1e-9
@@ -79,8 +79,7 @@ class CylinderMeasure:
         raise AttributeError("CylinderMeasure is immutable")
 
     def _validate(self):
-        ctx = FreeGroupContext(self.rank)
-        level1 = [w for w in ball(ctx, 1) if not w.is_identity()]
+        level1 = FreeGroupContext(self.rank).generators()
         s = sum(float(self.masses.get(w, 0)) for w in level1)
         if abs(s - 1.0) > CONSISTENCY_TOL:
             raise MalformedInputError(f"level-1 masses sum to {s}, not 1")
@@ -88,20 +87,14 @@ class CylinderMeasure:
             if float(m) < -CONSISTENCY_TOL:
                 raise MalformedInputError(f"negative mass {m} at {w}")
             if len(w) < self.depth:
-                kids = sum(float(self.masses.get(w * s_, 0)) for s_ in self._children(w))
+                back = inverse_letters(w.letters[-1:])
+                kids = sum(
+                    float(self.masses.get(w * s_, 0)) for s_ in level1 if s_.letters != back
+                )
                 if abs(kids - float(m)) > CONSISTENCY_TOL:
                     raise MalformedInputError(
                         f"consistency fails at {w}: {m} vs children {kids}"
                     )
-
-    def _children(self, w: Word) -> list[Word]:
-        last = w.letters[-1]
-        return [
-            Word((c,), self.rank, _reduced=True)
-            for i in range(1, self.rank + 1)
-            for c in (i, -i)
-            if c != -last
-        ]
 
     def mass(self, w: Word):
         """Mass of the cylinder [w]; the identity denotes the whole boundary."""
@@ -172,14 +165,13 @@ def _mass_recipe(g: Word, w: Word) -> tuple[bool, Word]:
     if c == len(gl):
         if len(wl) > len(gl):
             return False, Word(wl[len(gl):], rank, _reduced=True)
-        return True, Word((-gl[-1],), rank, _reduced=True)
+        return True, Word(inverse_letters(gl[-1:]), rank, _reduced=True)
     if c == len(wl):
-        g2 = gl[len(wl):]
-        q = tuple(-x for x in reversed(g2)) + (-wl[-1],)
-        return True, Word(q, rank, _reduced=True)
+        # g = w g2 and s = the last letter of w: the key is g2^-1 s^-1
+        return True, Word(inverse_letters(gl[len(wl) - 1 :]), rank, _reduced=True)
     # reduce(g^-1 w): the junction after stripping the common prefix cannot
     # cancel (the letters at position c differ)
-    key = tuple(-x for x in reversed(gl[c:])) + wl[c:]
+    key = inverse_letters(gl[c:]) + wl[c:]
     return False, Word(key, rank, _reduced=True)
 
 
@@ -258,19 +250,20 @@ def _extend_uniform(nu: CylinderMeasure, new_depth: int) -> CylinderMeasure:
     if new_depth <= nu.depth:
         return nu
     k = nu.rank
+    gens = FreeGroupContext(k).generators()
     table = dict(nu.masses)
     frontier = [(w, m) for w, m in nu.masses.items() if len(w) == nu.depth]
     for _ in range(new_depth - nu.depth):
         nxt = []
         for w, m in frontier:
             share = m / float(2 * k - 1) if not isinstance(m, Fraction) else m / (2 * k - 1)
-            for s in range(1, k + 1):
-                for c in (s, -s):
-                    if c == -w.letters[-1]:
-                        continue
-                    cw = Word(w.letters + (c,), k, _reduced=True)
-                    table[cw] = share
-                    nxt.append((cw, share))
+            back = inverse_letters(w.letters[-1:])
+            for s in gens:
+                if s.letters == back:
+                    continue
+                cw = Word(w.letters + s.letters, k, _reduced=True)
+                table[cw] = share
+                nxt.append((cw, share))
         frontier = nxt
     return CylinderMeasure(table, k, new_depth, nu.tail_uniform_from, validate=False)
 
@@ -357,40 +350,32 @@ def solve_stationary(
     for j, w in enumerate(words_tail):
         index_ext[w] = len(words_W) + j
 
-    # compiled transfer operator: new[w] = sum_g p_g (comp + sign * ext[idx])
+    # compiled transfer operator: new[w] = sum_g p_g (const + sign * vec[idx])
     atoms = [(g, float(p)) for g, p in sorted(mu.masses.items(), key=lambda x: x[0].sort_key())]
-    gathers = []
-    for g, p in atoms:
-        idx = np.empty(len(words_W), dtype=np.int64)
-        sign = np.empty(len(words_W), dtype=np.float64)
-        const = np.empty(len(words_W), dtype=np.float64)
-        for i, w in enumerate(words_W):
-            comp, key = _mass_recipe(g, w)
-            if key.is_identity():
-                idx[i], sign[i], const[i] = 0, 0.0, 1.0
-            else:
-                idx[i] = index_ext[key]
-                sign[i] = -1.0 if comp else 1.0
-                const[i] = 1.0 if comp else 0.0
-        gathers.append((p, idx, sign, const))
 
-    # certified-residual recipes: words up to W - L read the raw table only
+    def compile_transfer(words: list[Word], index: dict[Word, int]) -> list[tuple]:
+        gathers = []
+        for g, p in atoms:
+            idx = np.empty(len(words), dtype=np.int64)
+            sign = np.empty(len(words), dtype=np.float64)
+            const = np.empty(len(words), dtype=np.float64)
+            for i, w in enumerate(words):
+                comp, key = _mass_recipe(g, w)
+                if key.is_identity():
+                    idx[i], sign[i], const[i] = 0, 0.0, 1.0
+                else:
+                    idx[i] = index[key]
+                    sign[i] = -1.0 if comp else 1.0
+                    const[i] = 1.0 if comp else 0.0
+            gathers.append((p, idx, sign, const))
+        return gathers
+
+    # the iteration reads the extended vector; the certified residual, over
+    # words up to W - L, reads the raw table only
+    gathers = compile_transfer(words_W, index_ext)
     words_res = [w for w in ball(ctx, W - L) if not w.is_identity()]
     res_self = np.array([index_W[w] for w in words_res], dtype=np.int64)
-    res_gathers = []
-    for g, p in atoms:
-        idx = np.empty(len(words_res), dtype=np.int64)
-        sign = np.empty(len(words_res), dtype=np.float64)
-        const = np.empty(len(words_res), dtype=np.float64)
-        for i, w in enumerate(words_res):
-            comp, key = _mass_recipe(g, w)
-            if key.is_identity():
-                idx[i], sign[i], const[i] = 0, 0.0, 1.0
-            else:
-                idx[i] = index_W[key]
-                sign[i] = -1.0 if comp else 1.0
-                const[i] = 1.0 if comp else 0.0
-        res_gathers.append((p, idx, sign, const))
+    res_gathers = compile_transfer(words_res, index_W)
 
     if seed_measure is None:
         seed = uniform_boundary_measure(ctx, W)

@@ -616,7 +616,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out-dir", type=str, default=".")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed-override", type=int, default=None)
         for flag, (key, conv) in _INLINE_FLAGS.items():
             p.add_argument(f"--{flag.replace('_', '-')}", dest=f"cfg_{key}",
@@ -634,8 +633,6 @@ def main(argv: list[str] | None = None) -> int:
         print("verified" if ok else "verification failed")
         return EXIT_OK if ok else EXIT_INCONCLUSIVE
     try:
-        if args.threads < 1:
-            raise ConfigError("/threads", "must be >= 1")
         if args.config is not None:
             config = json.loads(Path(args.config).read_text())
             if not isinstance(config, dict):

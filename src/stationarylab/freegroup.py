@@ -1,8 +1,12 @@
 """Exact arithmetic in finitely generated free groups.
 
-Letters are packed signed integers: +i is the i-th generator, -i its inverse
-(1-based, i <= rank).  Words are immutable, always freely reduced, and ordered
-length-first then lexicographically with a < a^-1 < b < b^-1 < ...
+Letters are order codes 0 .. 2*rank - 1 in the order a, a^-1, b, b^-1, ...:
+generator i (1-based) is code 2(i - 1), its inverse is code 2(i - 1) + 1, and
+the inverse of any code c is c ^ 1.  Words are immutable, always freely
+reduced, and ordered length-first then lexicographically by code, which is
+a < a^-1 < b < b^-1 < ...  Only this module does arithmetic on codes; other
+modules take single letters from FreeGroupContext.generators() and inverses
+from Word.inverse() or inverse_letters().
 
 String form (used by every CLI flag, JSON config, and CSV cell): generators are
 'a'..'z' by index, inverses the corresponding uppercase letters, and the
@@ -12,17 +16,19 @@ identity is the one-character string "1"; e.g. "abAB" = a b a^-1 b^-1.
 from __future__ import annotations
 
 import string
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import (
     ContextMismatchError,
     MalformedInputError,
+    ResourceLimitError,
     UndefinedAxisError,
 )
+
+T = TypeVar("T")
 
 
 class Generator(NamedTuple):
@@ -33,25 +39,42 @@ class Generator(NamedTuple):
 
     @property
     def code(self) -> int:
-        return self.index * self.sign
+        if self.sign not in (1, -1):
+            raise MalformedInputError(f"sign must be +-1, got {self.sign}")
+        return 2 * (self.index - 1) + (0 if self.sign > 0 else 1)
 
     @staticmethod
     def from_code(code: int) -> "Generator":
-        return Generator(abs(code), 1 if code > 0 else -1)
+        return Generator(code // 2 + 1, -1 if code & 1 else 1)
 
 
-def _letter_order(code: int) -> int:
-    # a < a^-1 < b < b^-1 < ...
-    return 2 * (abs(code) - 1) + (0 if code > 0 else 1)
+# the string form indexed by letter code: "aAbB..."
+_CHARS = "".join(ch + ch.upper() for ch in string.ascii_lowercase)
+_CODE_OF_CHAR = {ch: code for code, ch in enumerate(_CHARS)}
+_invert = (1).__xor__
+
+
+def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
+    """Letters of the inverse word: the reversed sequence of inverse letters."""
+    return tuple(map(_invert, reversed(letters)))
+
+
+def _product_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of the product of two reduced words: cancel at the junction."""
+    i, j, n = len(a), 0, len(b)
+    while i and j < n and a[i - 1] == b[j] ^ 1:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
 
 
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a letter sequence (cancel adjacent g g^-1 pairs)."""
     stack: list[int] = []
     for c in letters:
-        if c == 0:
-            raise MalformedInputError("letter code 0 is not a generator")
-        if stack and stack[-1] == -c:
+        if c < 0:
+            raise MalformedInputError(f"letter code {c} is not a generator")
+        if stack and stack[-1] == c ^ 1:
             stack.pop()
         else:
             stack.append(c)
@@ -64,13 +87,19 @@ class Word:
     __slots__ = ("letters", "rank", "_hash")
 
     def __init__(self, letters: Iterable[int], rank: int, _reduced: bool = False):
-        lt = tuple(letters) if _reduced else reduce_letters(letters)
-        for c in lt:
-            if abs(c) > rank:
-                raise MalformedInputError(f"letter {c} out of range for rank {rank}")
-        object.__setattr__(self, "letters", lt)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_hash", hash((rank, lt)))
+        # _reduced=True promises reduced codes below 2 * rank, as in letters
+        # taken from words of the same rank
+        if _reduced:
+            lt = tuple(letters)
+        else:
+            lt = reduce_letters(letters)
+            if lt and max(lt) >= 2 * rank:
+                raise MalformedInputError(
+                    f"letter {max(lt)} out of range for rank {rank}"
+                )
+        _set_letters(self, lt)
+        _set_rank(self, rank)
+        _set_hash(self, hash((rank, lt)))
 
     def __setattr__(self, *args):
         raise AttributeError("Word is immutable")
@@ -89,7 +118,7 @@ class Word:
         )
 
     def sort_key(self):
-        return (len(self.letters), tuple(_letter_order(c) for c in self.letters))
+        return (len(self.letters), self.letters)
 
     def __lt__(self, other: "Word") -> bool:
         return self.sort_key() < other.sort_key()
@@ -101,15 +130,10 @@ class Word:
             raise ContextMismatchError(
                 f"rank mismatch: {self.rank} vs {other.rank}"
             )
-        a, b = self.letters, other.letters
-        i, j = len(a), 0
-        while i > 0 and j < len(b) and a[i - 1] == -b[j]:
-            i -= 1
-            j += 1
-        return Word(a[:i] + b[j:], self.rank, _reduced=True)
+        return _word(_product_letters(self.letters, other.letters), self.rank)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-c for c in reversed(self.letters)), self.rank, _reduced=True)
+        return _word(inverse_letters(self.letters), self.rank)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -127,14 +151,25 @@ class Word:
             return "1"
         if self.rank > 26:
             raise MalformedInputError("string form supports rank <= 26")
-        out = []
-        for c in self.letters:
-            ch = string.ascii_lowercase[abs(c) - 1]
-            out.append(ch if c > 0 else ch.upper())
-        return "".join(out)
+        return "".join([_CHARS[c] for c in self.letters])
 
     def __repr__(self) -> str:
         return f"Word('{self}', rank={self.rank})"
+
+
+# the slot setters bypass Word.__setattr__, which refuses every assignment
+_set_letters = Word.letters.__set__
+_set_rank = Word.rank.__set__
+_set_hash = Word._hash.__set__
+
+
+def _word(letters: tuple[int, ...], rank: int) -> Word:
+    """Word(letters, rank, _reduced=True) for a tuple, without the call overhead."""
+    w = object.__new__(Word)
+    _set_letters(w, letters)
+    _set_rank(w, rank)
+    _set_hash(w, hash((rank, letters)))
+    return w
 
 
 @dataclass(frozen=True)
@@ -156,7 +191,7 @@ class FreeGroupContext:
             raise MalformedInputError(f"generator index {index} out of rank {self.rank}")
         if sign not in (1, -1):
             raise MalformedInputError(f"sign must be +-1, got {sign}")
-        return Word((index * sign,), self.rank, _reduced=True)
+        return Word((Generator(index, sign).code,), self.rank, _reduced=True)
 
     def generators(self) -> list[Word]:
         """All 2*rank single-letter words in the fixed order a, a^-1, b, b^-1, ..."""
@@ -191,15 +226,43 @@ def word_from_str(s: str, rank: int) -> Word:
     """Parse the serialization format: 'abA' etc., '1' for the identity."""
     if s == "1":
         return Word((), rank, _reduced=True)
-    codes = []
-    for ch in s:
-        if ch in string.ascii_lowercase:
-            codes.append(string.ascii_lowercase.index(ch) + 1)
-        elif ch in string.ascii_uppercase:
-            codes.append(-(string.ascii_uppercase.index(ch) + 1))
-        else:
-            raise MalformedInputError(f"bad character {ch!r} in word {s!r}")
+    try:
+        codes = [_CODE_OF_CHAR[ch] for ch in s]
+    except KeyError as exc:
+        raise MalformedInputError(f"bad character {exc.args[0]!r} in word {s!r}") from None
     return Word(codes, rank)
+
+
+def _by_word(item):
+    return item[0].sort_key()
+
+
+def sparse_product(
+    x: Mapping[Word, T],
+    y: Mapping[Word, T],
+    rank: int,
+    support_cap: int,
+    cap_message: str,
+) -> dict[Word, T]:
+    """out(w) = sum over u v = w of x(u) y(v), for finitely supported tables
+    over the words of one rank.
+
+    Both tables are sorted once into length-lex word order and the sum runs
+    over u, then v, in that order, so results are bit-stable run to run.
+    Raises ResourceLimitError(cap_message) once the support passes the cap.
+    """
+    xs = sorted(x.items(), key=_by_word)
+    ys = [(v.letters, cv) for v, cv in sorted(y.items(), key=_by_word)]
+    out: dict[tuple[int, ...], T] = {}  # keyed by letters until the end
+    get = out.get
+    for u, cu in xs:
+        a = u.letters
+        for b, cv in ys:
+            w = _product_letters(a, b)
+            out[w] = get(w, 0) + cu * cv
+            if len(out) > support_cap:
+                raise ResourceLimitError(cap_message, support_cap)
+    return {_word(w, rank): c for w, c in out.items()}
 
 
 def multiply(u: Word, v: Word) -> Word:
@@ -217,20 +280,17 @@ def ball(context: FreeGroupContext, radius: int) -> Iterator[Word]:
     if radius < 0:
         raise MalformedInputError(f"radius must be >= 0, got {radius}")
     yield context.identity
-    codes = sorted(
-        (i * s for i in range(1, context.rank + 1) for s in (1, -1)),
-        key=_letter_order,
-    )
+    codes = range(2 * context.rank)
     layer = [()]
     for _ in range(radius):
         nxt = []
         for tail in layer:
             for c in codes:
-                if tail and tail[-1] == -c:
+                if tail and tail[-1] == c ^ 1:
                     continue
                 nxt.append(tail + (c,))
         for lt in nxt:
-            yield Word(lt, context.rank, _reduced=True)
+            yield _word(lt, context.rank)
         layer = nxt
 
 
@@ -238,12 +298,12 @@ def cyclic_reduction(g: Word) -> tuple[Word, Word]:
     """Split g = w c w^-1 with c cyclically reduced; returns (w, c)."""
     lt = g.letters
     i, j = 0, len(lt)
-    while j - i >= 2 and lt[i] == -lt[j - 1]:
+    while j - i >= 2 and lt[i] == lt[j - 1] ^ 1:
         i += 1
         j -= 1
     return (
-        Word(lt[:i], g.rank, _reduced=True),
-        Word(lt[i:j], g.rank, _reduced=True),
+        _word(lt[:i], g.rank),
+        _word(lt[i:j], g.rank),
     )
 
 
@@ -261,7 +321,7 @@ def axis_prefix(g: Word, depth: int) -> Word:
     out = list(w.letters[:depth])
     while len(out) < depth:
         out.extend(c.letters[: depth - len(out)])
-    return Word(tuple(out), g.rank, _reduced=True)
+    return _word(tuple(out), g.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +405,8 @@ class FiniteQuotient:
             )
         out = np.eye(self.dim, dtype=complex)
         for c in w.letters:
-            U = self._images[abs(c) - 1]
-            out = out @ (U if c > 0 else U.conj().T)
+            U = self._images[c >> 1]
+            out = out @ (U.conj().T if c & 1 else U)
         return out
 
 
@@ -374,19 +434,24 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
     non-tree edges of a spanning tree form a free basis of the subgroup the
     words generate, and tracing each loop through the graph rewrites it over
     that basis.
+
+    The graph stays folded after each loop is added: a loop first follows
+    existing edges from the base for its longest prefix and, backwards from
+    the base, for its longest remaining suffix, so new vertices are made only
+    for the middle, and any folds its closing edge forces are made at once.
+    Folding is confluent, so the graph, the basis and the rewrites do not
+    depend on the order of the words.
     """
     words = list(words)
     if not words:
         return FreeBasisDecomposition([], [])
     rank = words[0].rank
 
-    parent: list[int] = []
-    adj: list[dict[int, int]] = []
-
-    def new_vertex() -> int:
-        parent.append(len(parent))
-        adj.append({})
-        return len(parent) - 1
+    # union-find over vertices; adj[v] maps a letter to the far end of the
+    # edge leaving v with that label (a stale vertex id, resolved by find)
+    parent: list[int] = [0]
+    adj: list[dict[int, int]] = [{}]
+    pending: list[tuple[int, int, int]] = []  # edges to attach: (from, label, to)
 
     def find(x: int) -> int:
         root = x
@@ -396,20 +461,7 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
             parent[x], x = root, parent[x]
         return root
 
-    base = new_vertex()
-    pending: deque[tuple[int, int, int]] = deque()
-    for w in words:
-        prev = base
-        n = len(w.letters)
-        for j, c in enumerate(w.letters):
-            nxt = base if j == n - 1 else new_vertex()
-            pending.append((prev, c, nxt))
-            prev = nxt
-
     def merge(x: int, y: int) -> None:
-        x, y = find(x), find(y)
-        if x == y:
-            return
         if len(adj[x]) < len(adj[y]):
             x, y = y, x
         parent[y] = x
@@ -418,81 +470,87 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
         for lab, t in moved.items():
             pending.append((x, lab, t))
 
-    while pending:
-        u, lab, v = pending.popleft()
-        u, v = find(u), find(v)
-        cur = adj[u].get(lab)
-        if cur is None:
-            adj[u][lab] = v
-            pending.append((v, -lab, u))
+    def fold() -> None:
+        while pending:
+            u, lab, v = pending.pop()
+            u, v = find(u), find(v)
+            cur = adj[u].get(lab)
+            if cur is None:
+                adj[u][lab] = v
+                pending.append((v, lab ^ 1, u))
+            else:
+                cur = find(cur)
+                adj[u][lab] = cur
+                if cur != v:
+                    merge(cur, v)
+
+    for w in words:
+        lt = w.letters
+        n = len(lt)
+        start = find(0)
+        v, i = start, 0
+        while i < n and lt[i] in adj[v]:
+            v = find(adj[v][lt[i]])
+            i += 1
+        u, j = start, n
+        while j > i and lt[j - 1] ^ 1 in adj[u]:
+            u = find(adj[u][lt[j - 1] ^ 1])
+            j -= 1
+        if i == j:
+            if u != v:
+                merge(u, v)
         else:
-            cur = find(cur)
-            adj[u][lab] = cur
-            if cur != v:
-                merge(cur, v)
+            # fresh vertices for lt[i + 1 .. j - 1]; only the closing edge
+            # into u can meet an existing edge
+            for c in lt[i : j - 1]:
+                x = len(parent)
+                parent.append(x)
+                adj.append({c ^ 1: v})
+                adj[v][c] = x
+                v = x
+            pending.append((v, lt[j - 1], u))
+        fold()
 
-    root = find(base)
+    # spanning tree by BFS in letter order from the base; the readout visits
+    # vertices in BFS order, so it depends on the folded graph only
+    root = find(0)
+    tree = {root: None}  # vertex -> (parent vertex, label read)
+    path = {root: ()}  # vertex -> letters of its tree path from the root
+    order = [root]
+    for u in order:
+        adj[u] = {lab: find(t) for lab, t in sorted(adj[u].items())}
+        for lab, v in adj[u].items():
+            if v not in tree:
+                tree[v] = (u, lab)
+                path[v] = path[u] + (lab,)
+                order.append(v)
 
-    # spanning tree by BFS in deterministic label order
-    tree_parent: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, label read)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for lab in sorted(adj[u], key=_letter_order):
-            v = find(adj[u][lab])
-            if v not in seen:
-                seen.add(v)
-                tree_parent[v] = (u, lab)
-                queue.append(v)
-
-    def path_from_root(v: int) -> tuple[int, ...]:
-        out: list[int] = []
-        while v != root:
-            p, lab = tree_parent[v]
-            out.append(lab)
-            v = p
-        return tuple(reversed(out))
-
-    # non-tree edges, one orientation each, in a deterministic order
-    tree_edges = set()
-    for v, (p, lab) in tree_parent.items():
-        tree_edges.add((p, lab, v))
-        tree_edges.add((v, -lab, p))
-    basis_index: dict[tuple[int, int, int], int] = {}
+    # non-tree edges, one orientation each, in BFS-then-letter order;
+    # step[u][lab] is the signed basis number read along the edge u -lab->
+    # (absent on tree edges)
+    step: dict[int, dict[int, int]] = {u: {} for u in order}
     basis_words: list[Word] = []
-    for u in sorted(seen):
-        for lab in sorted(adj[u], key=_letter_order):
-            v = find(adj[u][lab])
-            e = (u, lab, v)
-            if e in tree_edges or (v, -lab, u) in basis_index or e in basis_index:
+    for u in order:
+        for lab, v in adj[u].items():
+            if lab in step[u] or tree[v] == (u, lab) or tree[u] == (v, lab ^ 1):
                 continue
-            basis_index[e] = len(basis_words)
-            basis_words.append(
-                Word(
-                    path_from_root(u) + (lab,) + tuple(-c for c in reversed(path_from_root(v))),
-                    rank,
-                )
-            )
+            # reduced as written: the graph is folded and the edge is not a
+            # tree edge, so neither junction cancels
+            basis_words.append(_word(path[u] + (lab,) + inverse_letters(path[v]), rank))
+            step[u][lab] = len(basis_words)
+            step[v][lab ^ 1] = -len(basis_words)
 
     rewritten = []
     for w in words:
         v = root
         out: list[int] = []
         for c in w.letters:
-            t = find(adj[v][c])
-            e = (v, c, t)
-            if e in basis_index:
-                s = basis_index[e] + 1
-            elif (t, -c, v) in basis_index:
-                s = -(basis_index[(t, -c, v)] + 1)
-            else:
-                s = 0  # tree edge
+            s = step[v].get(c)
             if s:
                 if out and out[-1] == -s:
                     out.pop()
                 else:
                     out.append(s)
-            v = t
+            v = adj[v][c]
         rewritten.append(tuple(out))
     return FreeBasisDecomposition(basis_words, rewritten)

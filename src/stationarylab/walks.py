@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .freegroup import Word
+from .freegroup import FreeGroupContext, Word, sparse_product
 
 MASS_TOLERANCE = 1e-12
 GENERATING_CLOSURE_CAP = 1_000_000
@@ -122,11 +122,7 @@ class GroupMeasure:
                                 "semigroup closure exceeds the cap", closure_cap
                             )
             frontier = new
-        targets = [
-            Word((c,), self.rank, _reduced=True)
-            for i in range(1, self.rank + 1)
-            for c in (i, -i)
-        ]
+        targets = FreeGroupContext(self.rank).generators()
         result = all(t in closure for t in targets)
         object.__setattr__(self, "_generating", result)
         return result
@@ -148,10 +144,7 @@ class GroupMeasure:
 def uniform_generator_measure(rank: int) -> GroupMeasure:
     """The simple random walk law: uniform on the 2*rank single-letter words."""
     p = Fraction(1, 2 * rank)
-    return GroupMeasure(
-        {Word((c,), rank, _reduced=True): p for i in range(1, rank + 1) for c in (i, -i)},
-        rank,
-    )
+    return GroupMeasure({s: p for s in FreeGroupContext(rank).generators()}, rank)
 
 
 def convolve_measures(
@@ -160,13 +153,9 @@ def convolve_measures(
     """(mu * nu)(w) = sum over u v = w of mu(u) nu(v)."""
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {nu.rank}")
-    out: dict[Word, object] = {}
-    for u, pu in sorted(mu.masses.items(), key=lambda x: x[0].sort_key()):
-        for v, pv in sorted(nu.masses.items(), key=lambda x: x[0].sort_key()):
-            w = u * v
-            out[w] = out.get(w, 0) + pu * pv
-            if len(out) > support_cap:
-                raise ResourceLimitError("measure support exceeds the cap", support_cap)
+    out = sparse_product(
+        mu.masses, nu.masses, mu.rank, support_cap, "measure support exceeds the cap"
+    )
     return GroupMeasure(out, mu.rank)
 
 

@@ -68,7 +68,7 @@ def test_criterion_2_solve_recovers_uniform():
     for w in ball(F2, 5):
         if not len(w):
             continue
-        base = {1: 0.4, -1: 0.2, 2: 0.25, -2: 0.15}[w.letters[0]]
+        base = {"a": 0.4, "A": 0.2, "b": 0.25, "B": 0.15}[str(w)[0]]
         table[w] = base / 3 ** (len(w) - 1)
     seed = CylinderMeasure(table, 2, 5)
     t0 = time.perf_counter()

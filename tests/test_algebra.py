@@ -4,6 +4,9 @@ import pytest
 
 from stationarylab.algebra import (
     AlgebraElement,
+    _disjoint_cylinder_bound,
+    _layer_bound,
+    _upper_bound_tagged,
     adjoint_action,
     canonical_trace,
     certify_norm,
@@ -14,7 +17,13 @@ from stationarylab.algebra import (
     normalize,
 )
 from stationarylab.errors import ContextMismatchError, ResourceLimitError
-from stationarylab.freegroup import FreeGroupContext, ball, conjugate
+from stationarylab.freegroup import (
+    FreeGroupContext,
+    Word,
+    ball,
+    conjugate,
+    free_basis_decomposition,
+)
 from stationarylab.walks import rng_from_seed
 
 F1 = FreeGroupContext(1)
@@ -290,3 +299,99 @@ class TestNormBounds:
         y = adjoint_action(g, x)
         for n in (1, 2, 4):
             assert abs(norm_lower_bound(y, n) - norm_lower_bound(x, n)) < 1e-12
+
+
+def upper_bound_oracle(x):
+    """Minimum of all four upper-bound candidates, with the fold always run."""
+    e = FreeGroupContext(x.rank).identity
+    c_e = abs(x.coeffs.get(e, 0))
+    rest = sorted(
+        ((w, c) for w, c in x.coeffs.items() if not w.is_identity()),
+        key=lambda p: p[0].sort_key(),
+    )
+    candidates = [x.l1(), _layer_bound((len(w), c) for w, c in x.coeffs.items())]
+    if rest:
+        words = [w for w, _ in rest]
+        coeffs = [c for _, c in rest]
+        dec = free_basis_decomposition(words)
+        if len(dec.basis) == len(words):
+            candidates.append(c_e + 2.0 * math.sqrt(sum(abs(c) ** 2 for c in coeffs)))
+        else:
+            lens = [len(rw) for rw in dec.rewritten]
+            candidates.append(c_e + _layer_bound(zip(lens, coeffs)))
+        disjoint = _disjoint_cylinder_bound(words, coeffs)
+        if disjoint is not None:
+            candidates.append(c_e + disjoint)
+    return min(candidates)
+
+
+class TestUpperBoundFoldSkip:
+    def elements(self):
+        rng = rng_from_seed(32)
+        for _ in range(60):
+            yield random_element(rng, 2, 3, int(rng.integers(1, 10)))
+        a, b = F2.word("a"), F2.word("b")
+        words = [w for w in ball(F2, 3) if not w.is_identity()]
+        for _ in range(60):
+            g = words[int(rng.integers(0, len(words)))]
+            w = words[int(rng.integers(0, len(words)))]
+            n = int(rng.integers(2, 10))
+            # conjugates by powers of w: a free support unless w commutes with g
+            hs = [w**k for k in range(1, n + 1)]
+            # conjugates by short random words, with g and its inverse both
+            # in the support, which then is not free
+            hs_random = [words[int(i)] for i in rng.integers(0, len(words), size=n)]
+            for conjugators, extra in ((hs, {}), (hs_random, {g.inverse(): 0.3})):
+                table = dict(extra)
+                for h in conjugators:
+                    u = conjugate(g, h)
+                    table[u] = table.get(u, 0) + 1 / n
+                table[F2.identity] = float(rng.standard_normal()) * 0.2
+                yield AlgebraElement(table, 2)
+        yield AlgebraElement({conjugate(a, b**k): 0.125 for k in range(1, 9)}, 2)
+
+    def test_equals_minimum_with_fold_always_run(self):
+        folds_needed = 0
+        for x in self.elements():
+            oracle = upper_bound_oracle(x)
+            assert norm_upper_bound(x) == oracle
+            folds_needed += _upper_bound_tagged(x)[1] in ("free-support", "subgroup-layers")
+        # the family reaches the fold as well as the skip
+        assert folds_needed > 0
+
+
+def disjoint_cylinder_oracle(words, coeffs):
+    """The greedy split choice, scanning every earlier chosen prefix."""
+
+    def comparable(p, q):
+        m = min(len(p), len(q))
+        return p[:m] == q[:m]
+
+    chosen = []
+    for t in words:
+        m = len(t)
+        mid = (m + 1) // 2
+        for j in sorted(range(1, m + 1), key=lambda j: (abs(j - mid), j)):
+            head = t.letters[:j]
+            tail_inv = Word(t.letters[j - 1 :], t.rank).inverse().letters
+            if not any(comparable(p, q) for p in (head, tail_inv) for q in chosen):
+                chosen += [head, tail_inv]
+                break
+        else:
+            return None
+    return 2.0 * math.sqrt(sum(abs(c) ** 2 for c in coeffs))
+
+
+def test_disjoint_cylinder_bound_matches_pairwise_scan():
+    rng = rng_from_seed(33)
+    words = [w for w in ball(F2, 4) if not w.is_identity()]
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        picks = sorted({int(i) for i in rng.integers(0, len(words), size=n)})
+        support = [words[i] for i in picks]
+        coeffs = [complex(rng.standard_normal()) for _ in support]
+        expected = disjoint_cylinder_oracle(support, coeffs)
+        assert _disjoint_cylinder_bound(support, coeffs) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from stationarylab.errors import (
@@ -8,12 +10,14 @@ from stationarylab.errors import (
 from stationarylab.freegroup import (
     FiniteQuotient,
     FreeGroupContext,
+    Generator,
     Word,
     axis_prefix,
     ball,
     conjugate,
     cyclic_reduction,
     free_basis_decomposition,
+    inverse_letters,
     multiply,
     reduce_letters,
     word_from_str,
@@ -24,11 +28,16 @@ F2 = FreeGroupContext(2)
 F3 = FreeGroupContext(3)
 
 
+def inverse_pair(x, y):
+    gx, gy = Generator.from_code(x), Generator.from_code(y)
+    return gx.index == gy.index and gx.sign == -gy.sign
+
+
 def one_pass_cancel(letters):
     out = []
     i = 0
     while i < len(letters):
-        if i + 1 < len(letters) and letters[i] == -letters[i + 1]:
+        if i + 1 < len(letters) and inverse_pair(letters[i], letters[i + 1]):
             i += 2
         else:
             out.append(letters[i])
@@ -47,20 +56,21 @@ def reduce_oracle(letters):
 
 
 def random_word(rng, rank, length):
-    codes = [i * s for i in range(1, rank + 1) for s in (1, -1)]
+    codes = [Generator(i, s).code for i in range(1, rank + 1) for s in (1, -1)]
     return Word([codes[int(j)] for j in rng.integers(0, len(codes), size=length)], rank)
 
 
 class TestReduce:
     def test_simple_cancellation(self):
-        assert F2.reduce([1, -1]).is_identity()
+        assert F2.reduce([Generator(1, 1), Generator(1, -1)]).is_identity()
 
     def test_inner_cancellation(self):
-        assert F2.reduce([1, 2, -2, 1]) == F2.word("aa")
+        a, b, B = Generator(1, 1), Generator(2, 1), Generator(2, -1)
+        assert F2.reduce([a, b, B, a]) == F2.word("aa")
 
     def test_matches_fixpoint_oracle(self):
         rng = rng_from_seed(11)
-        codes = [1, -1, 2, -2]
+        codes = [Generator(i, s).code for i in (1, 2) for s in (1, -1)]
         for _ in range(500):
             raw = [codes[int(i)] for i in rng.integers(0, 4, size=20)]
             assert F2.reduce(raw).letters == reduce_oracle(raw)
@@ -73,9 +83,11 @@ class TestReduce:
 
     def test_out_of_rank_letter_rejected(self):
         with pytest.raises(MalformedInputError):
-            F2.reduce([1, 3])
+            F2.reduce([0, 4])
         with pytest.raises(MalformedInputError):
-            F2.reduce([0])
+            F2.reduce([-1])
+        with pytest.raises(MalformedInputError):
+            F2.reduce([Generator(1, 0)])
 
 
 class TestMultiply:
@@ -254,3 +266,136 @@ class TestFreeBasis:
     def test_ambient_generators(self):
         dec = free_basis_decomposition([F2.word(s) for s in ("a", "b")])
         assert sorted(str(w) for w in dec.basis) == ["a", "b"]
+
+
+class TestWordKernel:
+    def test_ball_hashes_distinct(self):
+        words = list(ball(F2, 8))
+        assert len({hash(w) for w in words}) == len(words) == F2.ball_size(8)
+
+    def test_sort_key_matches_string_oracle(self):
+        rng = rng_from_seed(19)
+        words = list(ball(F2, 5))
+        shuffled = [words[int(i)] for i in rng.permutation(len(words))]
+
+        def oracle_key(s):
+            letters = "" if s == "1" else s
+            return (len(letters), ["aAbB".index(ch) for ch in letters])
+
+        expected = sorted((str(w) for w in shuffled), key=oracle_key)
+        assert [str(w) for w in sorted(shuffled, key=Word.sort_key)] == expected
+
+    def test_generator_codes_roundtrip(self):
+        for i in range(1, 4):
+            for s in (1, -1):
+                g = Generator(i, s)
+                assert Generator.from_code(g.code) == g
+                assert F3.reduce([g]) == F3.generator(i, s)
+
+
+def reference_fold(words):
+    """Stallings fold of the whole wedge of loops at once, read off with a
+    spanning tree by BFS in letter order from the base.
+
+    Returns the basis size and the length of each word rewritten over the
+    non-tree edges.
+    """
+    parent, adj = [], []
+
+    def new_vertex():
+        parent.append(len(parent))
+        adj.append({})
+        return len(parent) - 1
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def inv(c):
+        return inverse_letters((c,))[0]
+
+    base = new_vertex()
+    pending = deque()
+    for w in words:
+        prev = base
+        for j, c in enumerate(w.letters):
+            nxt = base if j == len(w) - 1 else new_vertex()
+            pending.append((prev, c, nxt))
+            prev = nxt
+    while pending:
+        u, c, v = pending.popleft()
+        u, v = find(u), find(v)
+        cur = adj[u].get(c)
+        if cur is None:
+            adj[u][c] = v
+            pending.append((v, inv(c), u))
+        elif find(cur) != v:
+            x, y = find(cur), v
+            parent[y] = x
+            for lab, t in adj[y].items():
+                pending.append((x, lab, t))
+            adj[y] = {}
+
+    root = find(base)
+    tree = {root: None}
+    queue = deque([root])
+    n_edges = 0
+    while queue:
+        u = queue.popleft()
+        n_edges += len(adj[u])
+        for c in sorted(adj[u]):
+            v = find(adj[u][c])
+            if v not in tree:
+                tree[v] = (u, c)
+                queue.append(v)
+    basis_size = n_edges // 2 - len(tree) + 1
+
+    lengths = []
+    for w in words:
+        v, out = root, []
+        for c in w.letters:
+            t = find(adj[v][c])
+            if tree[t] != (v, c) and tree[v] != (t, inv(c)):
+                # a non-tree edge, named by its orientation-free endpoints
+                edge = min((v, c, t), (t, inv(c), v))
+                step = (edge, edge == (v, c, t))
+                if out and out[-1] == (edge, not step[1]):
+                    out.pop()
+                else:
+                    out.append(step)
+            v = t
+        lengths.append(len(out))
+    return basis_size, lengths
+
+
+class TestFoldAgainstReference:
+    def families(self):
+        rng = rng_from_seed(20)
+        for _ in range(150):
+            words = [random_word(rng, 2, int(rng.integers(1, 9))) for _ in range(6)]
+            yield [w for w in words if not w.is_identity()]
+        for _ in range(40):
+            w = random_word(rng, 2, int(rng.integers(1, 5)))
+            s = random_word(rng, 2, int(rng.integers(1, 5)))
+            n = int(rng.integers(2, 10))
+            yield [w ** (-k) * s * w**k for k in range(1, n + 1)]
+
+    def test_matches_reference_and_rebuilds_words(self):
+        for words in self.families():
+            if not words:
+                continue
+            dec = free_basis_decomposition(words)
+            basis_size, lengths = reference_fold(words)
+            assert len(dec.basis) == basis_size
+            assert [len(rw) for rw in dec.rewritten] == lengths
+            # the folded graph, and so the readout, ignores the word order
+            again = free_basis_decomposition(words[::-1])
+            assert again.basis == dec.basis
+            assert again.rewritten == dec.rewritten[::-1]
+            for w, rw in zip(words, dec.rewritten):
+                out = F2.identity
+                for s in rw:
+                    bw = dec.basis[abs(s) - 1]
+                    out = out * (bw if s > 0 else bw.inverse())
+                assert out == w
