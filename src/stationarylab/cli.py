@@ -5,6 +5,9 @@ operation, seeds are explicit, outputs are CSV files plus a manifest tying
 every output to its config hash and an anchor string naming the certified
 quantity.  Re-running the same config produces byte-identical outputs.
 
+One table, EXPERIMENTS, holds each experiment's runner, anchor and keys; it
+validates configs and generates the flags of each subcommand.
+
 Exit codes: 0 success, 2 config error, 3 precondition, 4 resource limit,
 5 inconclusive.
 """
@@ -14,13 +17,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .boundary import (
 from .errors import (
     ConstructionError,
     InconclusiveError,
+    MalformedInputError,
     PreconditionError,
     ResourceLimitError,
     StationaryLabError,
@@ -67,7 +73,8 @@ class ConfigError(StationaryLabError, ValueError):
     """Schema violation; carries a JSON-pointer-ish path of the offending field."""
 
     def __init__(self, pointer: str, message: str):
-        super().__init__(f"config error at {pointer}: {message}")
+        where = f" at {pointer}" if pointer else ""
+        super().__init__(f"config error{where}: {message}")
         self.pointer = pointer
 
 
@@ -77,79 +84,145 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_INCONCLUSIVE = 5
 
-SEEDED_EXPERIMENTS = {"conditional", "bnd-map", "srs-escape", "pdf-check"}
-
-ANCHORS = {
-    "cesaro": "certified brackets on the Cesaro-averaged convolution distance to the trace",
-    "powers": "certified norm bound on the conjugation average of a translation unitary",
-    "build-mu": "staged averaging law with per-level and final certified convolution bounds",
-    "boundary-solve": "stationary cylinder measure with certified residual",
-    "conditional": "top cylinder mass of path translates of a boundary measure",
-    "bnd-map": "stable boundary prefixes of sampled random-walk paths",
-    "fix-mass": "certified upper bounds on the boundary mass of axis endpoint pairs",
-    "srs-escape": "conjugation-walk escape statistics for cyclic subgroups",
-    "pdf-check": "Gram positivity of subgroup-sample positive definite functions",
-    "fdstates": "stationary density matrices of a finite-quotient convolution channel",
-    "norm": "certified two-sided bracket on the reduced norm",
-}
+# Checked in order: the first class an error is an instance of gives its code.
+EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    ((PreconditionError, UnresolvedBoundaryError), EXIT_PRECONDITION),
+    (ResourceLimitError, EXIT_RESOURCE),
+    ((InconclusiveError, ConstructionError), EXIT_INCONCLUSIVE),
+    (StationaryLabError, EXIT_PRECONDITION),
+)
 
 
 # ---------------------------------------------------------------------------
-# config loading helpers
+# config value types: each parses a raw JSON value under the config's rank
+# and raises ValueError, TypeError, LookupError or OverflowError on a bad value
 # ---------------------------------------------------------------------------
 
 
-def _require(config: dict, key: str, kind, pointer: str):
-    if key not in config:
-        raise ConfigError(f"{pointer}/{key}", "missing required field")
-    value = config[key]
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{pointer}/{key}", "expected an integer")
-    if not isinstance(value, kind):
-        raise ConfigError(f"{pointer}/{key}", f"expected {kind.__name__}")
+def _int(value, rank: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
     return value
 
 
-def _load_measure(config: dict, rank: int, pointer: str) -> GroupMeasure:
-    spec = config.get("mu", "uniform-generators")
-    if spec in ("uniform-generators", "uniform"):
+def _positive_float(value, rank: int) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ValueError(f"expected a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _word(value, rank: int):
+    if not isinstance(value, str):
+        raise ValueError(f"expected a word string, got {value!r}")
+    return word_from_str(value, rank)
+
+
+def _words(value, rank: int) -> list:
+    """'ballR' (every word of length <= R) or a nonempty list of word strings."""
+    if isinstance(value, str) and value.startswith("ball") and value[4:].isdigit():
+        return list(ball(FreeGroupContext(rank), int(value[4:])))
+    if isinstance(value, list) and value:
+        return [_word(s, rank) for s in value]
+    raise ValueError(f"expected 'ballR' or a list of words, got {value!r}")
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read JSON file {path!r}: {exc}") from exc
+
+
+def _of_rank(obj, rank: int):
+    if obj.rank != rank:
+        raise ValueError(f"context {obj.rank} does not match rank {rank}")
+    return obj
+
+
+def _measure(value, rank: int) -> GroupMeasure:
+    """'uniform-generators' (or 'uniform'), a measure object, or a file holding one."""
+    if value in ("uniform-generators", "uniform"):
         return uniform_generator_measure(rank)
-    if isinstance(spec, str):
-        path = Path(spec)
-        if not path.exists():
-            raise ConfigError(f"{pointer}/mu", f"file {spec} does not exist")
-        spec = json.loads(path.read_text())
-    try:
-        return measure_from_json(spec)
-    except StationaryLabError as exc:
-        raise ConfigError(f"{pointer}/mu", str(exc)) from exc
+    return _of_rank(measure_from_json(_read_json(value) if isinstance(value, str) else value),
+                    rank)
 
 
-def _load_element(config: dict, rank: int, pointer: str) -> AlgebraElement:
-    spec = config.get("element")
-    if spec is None:
-        raise ConfigError(f"{pointer}/element", "missing required field")
-    if isinstance(spec, str):
-        path = Path(spec)
-        if path.exists():
-            spec = json.loads(path.read_text())
-        else:
-            # a bare word string means the corresponding translation unitary
-            return AlgebraElement.delta(word_from_str(spec, rank))
-    try:
-        return element_from_json(spec)
-    except StationaryLabError as exc:
-        raise ConfigError(f"{pointer}/element", str(exc)) from exc
+def _element(value, rank: int) -> AlgebraElement:
+    """A word (its translation unitary), an element object, or a file holding one.
+
+    A string that parses as a word is that word; only other strings are paths.
+    """
+    if isinstance(value, str):
+        try:
+            return AlgebraElement.delta(word_from_str(value, rank))
+        except MalformedInputError as exc:
+            if not os.path.isfile(value):
+                raise ValueError(f"{value!r} is neither a word of rank {rank} nor a file") from exc
+            value = _read_json(value)
+    return _of_rank(element_from_json(value), rank)
 
 
-def _family_elements(spec, rank: int, pointer: str) -> list[AlgebraElement]:
-    ctx = FreeGroupContext(rank)
-    if isinstance(spec, str) and spec.startswith("ball"):
-        radius = int(spec[4:])
-        return [AlgebraElement.delta(w) for w in ball(ctx, radius)]
-    if isinstance(spec, list):
-        return [AlgebraElement.delta(word_from_str(s, rank)) for s in spec]
-    raise ConfigError(f"{pointer}/family", "expected 'ballR' or a list of words")
+def _rep(value, rank: int) -> FiniteQuotient:
+    """'s3-regular', {"perms": [[...], ...], "regular": bool}, or a file holding the object."""
+    if value == "s3-regular":
+        return FiniteQuotient.regular_from_permutations(rank, [(1, 0, 2), (1, 2, 0)])
+    if isinstance(value, str):
+        value = _read_json(value)
+    if not (isinstance(value, dict) and isinstance(value.get("perms"), list)
+            and isinstance(value.get("regular", False), bool)):
+        raise ValueError('expected "s3-regular" or {"perms": [[...], ...], "regular": bool}')
+    perms = [tuple(p) for p in value["perms"]]
+    if value.get("regular", False):
+        return FiniteQuotient.regular_from_permutations(rank, perms)
+    return FiniteQuotient.from_permutations(rank, perms)
+
+
+def _strategy(value, rank: int) -> str:
+    if value not in ("geometric", "random"):
+        raise ValueError(f"expected 'geometric' or 'random', got {value!r}")
+    return value
+
+
+class Key(NamedTuple):
+    """One config key: its type (a parser of the raw JSON value under the
+    config's rank), its default (None: the key is required), and the least
+    value an int may take."""
+
+    name: str
+    parse: Callable[[object, int], object]
+    default: object = None
+    low: int | None = None
+
+
+# argparse converters of the flag values; every other type takes a string
+FLAG_TYPES = {_int: int, _positive_float: float}
+
+# Shared keys. RANK comes first in every experiment: the other types read it.
+RANK = Key("rank", _int, 2, low=1)
+MU = Key("mu", _measure, "uniform-generators")
+SEED = Key("seed", _int, low=0)
+
+
+def _validate(config: dict, keys: tuple[Key, ...]) -> dict:
+    """The value of every key, parsed from `config` or its default."""
+    names = [key.name for key in keys]
+    for name in config:
+        if name != "experiment" and name not in names:
+            raise ConfigError(f"/{name}", f"unknown key; the keys are {', '.join(names)}")
+    values = {}
+    for key in keys:
+        if key.name not in config and key.default is None:
+            raise ConfigError(f"/{key.name}", "missing required key")
+        raw = config[key.name] if key.name in config else key.default
+        try:
+            value = key.parse(raw, values.get("rank"))
+        except (ValueError, TypeError, LookupError, OverflowError) as exc:
+            raise ConfigError(f"/{key.name}", str(exc)) from exc
+        if key.low is not None and value < key.low:
+            raise ConfigError(f"/{key.name}", f"must be >= {key.low}, got {value}")
+        values[key.name] = value
+    return values
 
 
 def _fmt(value) -> str:
@@ -180,72 +253,51 @@ def _write_csv(path: Path, anchor: str, header: list[str], rows: list[list]) -> 
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _write_json(path: Path, data: dict) -> None:
+    _write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns {filename: (header, rows)} plus extra json
+# experiment runners: each takes the validated key values, the output
+# directory and its anchor, and returns the files it wrote
 # ---------------------------------------------------------------------------
 
 
-def _run_cesaro(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    n_max = _require(config, "n_max", int, "")
-    mu = _load_measure(config, rank, "")
-    a = _load_element(config, rank, "")
-    report = cesaro_test(a, mu, n_max, moments=int(config.get("moments", 1)))
+def _run_cesaro(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    report = cesaro_test(cfg["element"], cfg["mu"], cfg["n_max"], moments=cfg["moments"])
     rows = [[r.n, r.lower, r.upper, r.upper_method] for r in report.rows]
-    path = out / config.get("out", "cesaro.csv")
-    _write_csv(path, ANCHORS["cesaro"], ["n", "lower", "upper", "upper_method"], rows)
+    path = out / "cesaro.csv"
+    _write_csv(path, anchor, ["n", "lower", "upper", "upper_method"], rows)
     summary = out / "cesaro_summary.json"
-    _write_atomic(
-        summary,
-        json.dumps(
-            {"verdict": report.verdict, "generating": report.generating,
-             "partial": report.partial},
-            indent=2, sort_keys=True,
-        ) + "\n",
-    )
+    _write_json(summary, {"verdict": report.verdict, "generating": report.generating,
+                          "partial": report.partial})
     return [path, summary]
 
 
-def _run_powers(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    g = word_from_str(_require(config, "g", str, ""), rank)
-    eps = float(_require(config, "eps", (int, float), ""))
-    strategy = config.get("strategy", "geometric")
-    cert = powers_search(
-        g, eps, strategy=strategy, budget=int(config.get("budget", 64)),
-        seed=int(config.get("seed", 0)),
-    )
+def _run_powers(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    cert = powers_search(cfg["g"], cfg["eps"], strategy=cfg["strategy"], budget=cfg["budget"],
+                         seed=cfg["seed"])
     rows = [[k + 1, str(h)] for k, h in enumerate(cert.conjugators)]
-    path = out / config.get("out", "powers.csv")
-    _write_csv(path, ANCHORS["powers"], ["k", "conjugator"], rows)
+    path = out / "powers.csv"
+    _write_csv(path, anchor, ["k", "conjugator"], rows)
     summary = out / "powers_summary.json"
-    _write_atomic(
-        summary,
-        json.dumps(
-            {"target": cert.target, "n": cert.n, "upper_bound": cert.upper_bound,
-             "epsilon": cert.epsilon, "success": cert.success,
-             "strategy": cert.strategy},
-            indent=2, sort_keys=True,
-        ) + "\n",
-    )
+    _write_json(summary, {"target": cert.target, "n": cert.n, "upper_bound": cert.upper_bound,
+                          "epsilon": cert.epsilon, "success": cert.success,
+                          "strategy": cert.strategy})
     if not cert.success:
         raise InconclusiveError(
-            f"no certificate below {eps}; best bound {cert.upper_bound:.6f}"
+            f"no certificate below {cfg['eps']}; best bound {cert.upper_bound:.6f}"
         )
     return [path, summary]
 
 
-def _run_build_mu(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    levels = _require(config, "levels", int, "")
-    family = _family_elements(config.get("family", "ball1"), rank, "")
-    build = build_c_star_simple_measure(
-        family, levels, budget=int(config.get("budget", 128))
-    )
+def _run_build_mu(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    family = [AlgebraElement.delta(w) for w in cfg["family"]]
+    build = build_c_star_simple_measure(family, cfg["levels"], budget=cfg["budget"])
     cert_rows = [
         [c.level, c.constraint_id, c.upper_bound, c.epsilon]
         for c in build.level_certificates
@@ -255,160 +307,102 @@ def _run_build_mu(config: dict, out: Path) -> list[Path]:
         for c in build.final_checks
     ]
     p1 = out / "build_levels.csv"
-    _write_csv(p1, ANCHORS["build-mu"], ["level", "constraint", "upper_bound", "epsilon"], cert_rows)
+    _write_csv(p1, anchor, ["level", "constraint", "upper_bound", "epsilon"], cert_rows)
     p2 = out / "build_final.csv"
-    _write_csv(p2, ANCHORS["build-mu"], ["j", "n_j", "element", "upper_bound", "threshold"], final_rows)
+    _write_csv(p2, anchor, ["j", "n_j", "element", "upper_bound", "threshold"], final_rows)
     p3 = out / "mu.json"
-    _write_atomic(p3, json.dumps(measure_to_json(build.measure), indent=2, sort_keys=True) + "\n")
+    _write_json(p3, measure_to_json(build.measure))
     if not build.all_verified:
         raise InconclusiveError("a recorded certificate fails its inequality")
     return [p1, p2, p3]
 
 
-def _run_boundary_solve(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    depth = _require(config, "depth", int, "")
-    mu = _load_measure(config, rank, "")
-    sol = solve_stationary(
-        mu, depth, tol=float(config.get("tol", 1e-12)),
-        max_iter=int(config.get("max_iter", 200)),
-    )
-    path = out / config.get("out", "stationary.csv")
-    _write_csv(path, ANCHORS["boundary-solve"], ["word", "depth", "mass"],
+def _run_boundary_solve(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    sol = solve_stationary(cfg["mu"], cfg["depth"], tol=cfg["tol"], max_iter=cfg["max_iter"])
+    path = out / "stationary.csv"
+    _write_csv(path, anchor, ["word", "depth", "mass"],
                [list(r) for r in cylinder_csv_rows(sol.measure)])
     summary = out / "stationary_summary.json"
-    _write_atomic(
-        summary,
-        json.dumps(
-            {"residual": sol.residual, "iterations": sol.iterations,
-             "hitting_agrees": sol.hitting_agrees,
-             "hitting_level1": {str(w): q for w, q in (sol.hitting_level1 or {}).items()}},
-            indent=2, sort_keys=True,
-        ) + "\n",
-    )
+    hitting = {str(w): q for w, q in (sol.hitting_level1 or {}).items()}
+    _write_json(summary, {"residual": sol.residual, "iterations": sol.iterations,
+                          "hitting_agrees": sol.hitting_agrees, "hitting_level1": hitting})
     return [path, summary]
 
 
-def _run_conditional(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    n = _require(config, "n", int, "")
-    paths = _require(config, "paths", int, "")
-    seed = _require(config, "seed", int, "")
-    depth = int(config.get("nu_depth", 6))
-    out_depth = int(config.get("out_depth", 1))
-    ctx = FreeGroupContext(rank)
-    mu = _load_measure(config, rank, "")
-    nu = uniform_boundary_measure(ctx, depth)
+def _run_conditional(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    n, seed = cfg["n"], cfg["seed"]
+    nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]), cfg["nu_depth"])
     rows = []
-    for i in range(paths):
-        om = sample_path(mu, n, seed=seed + i)
+    for i in range(cfg["paths"]):
+        om = sample_path(cfg["mu"], n, seed=seed + i)
         for step in range(n + 1):
-            cm = conditional_measure(nu, om, step, depth=out_depth)
+            cm = conditional_measure(nu, om, step, depth=cfg["out_depth"])
             rows.append([seed + i, step, len(cm.position), cm.top_mass])
-    path = out / config.get("out", "conditional.csv")
-    _write_csv(path, ANCHORS["conditional"],
-               ["path_seed", "n", "position_length", "top_mass"], rows)
+    path = out / "conditional.csv"
+    _write_csv(path, anchor, ["path_seed", "n", "position_length", "top_mass"], rows)
     return [path]
 
 
-def _run_bnd_map(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    length = _require(config, "length", int, "")
-    paths = _require(config, "paths", int, "")
-    seed = _require(config, "seed", int, "")
-    mu = _load_measure(config, rank, "")
+def _run_bnd_map(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    seed = cfg["seed"]
     rows = []
-    for i in range(paths):
-        om = sample_path(mu, length, seed=seed + i)
+    for i in range(cfg["paths"]):
+        om = sample_path(cfg["mu"], cfg["length"], seed=seed + i)
         try:
             bp = boundary_map(om)
             rows.append([seed + i, bp.resolved_depth, str(bp.prefix)])
         except UnresolvedBoundaryError:
             rows.append([seed + i, 0, "1"])
-    path = out / config.get("out", "bndmap.csv")
-    _write_csv(path, ANCHORS["bnd-map"], ["path_seed", "resolved_depth", "prefix"], rows)
+    path = out / "bndmap.csv"
+    _write_csv(path, anchor, ["path_seed", "resolved_depth", "prefix"], rows)
     return [path]
 
 
-def _run_fix_mass(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    depth = _require(config, "depth", int, "")
-    ctx = FreeGroupContext(rank)
-    gens_spec = config.get("gens", "ball2")
-    if isinstance(gens_spec, str) and gens_spec.startswith("ball"):
-        gens = [g for g in ball(ctx, int(gens_spec[4:])) if not g.is_identity()]
-    else:
-        gens = [word_from_str(s, rank) for s in gens_spec]
-    mu = _load_measure(config, rank, "")
-    nu = uniform_boundary_measure(ctx, min(depth, 8))
-    report = freeness_report(mu, nu, gens, depth,
-                             threshold=float(config.get("threshold", 1e-3)))
+def _run_fix_mass(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    depth = cfg["depth"]
+    nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]), min(depth, 8))
+    # freeness_report skips the identity, which a 'ballR' family contains
+    report = freeness_report(cfg["mu"], nu, cfg["gens"], depth, threshold=cfg["threshold"])
     rows = [[r.word, r.upper_bound, r.depth] for r in report.rows]
-    path = out / config.get("out", "fixmass.csv")
-    _write_csv(path, ANCHORS["fix-mass"], ["word", "upper_bound", "depth"], rows)
+    path = out / "fixmass.csv"
+    _write_csv(path, anchor, ["word", "upper_bound", "depth"], rows)
     summary = out / "fixmass_summary.json"
-    _write_atomic(
-        summary,
-        json.dumps(
-            {"verdict": report.verdict, "residual": report.stationarity_residual,
-             "threshold": report.threshold},
-            indent=2, sort_keys=True,
-        ) + "\n",
-    )
+    _write_json(summary, {"verdict": report.verdict, "residual": report.stationarity_residual,
+                          "threshold": report.threshold})
     return [path, summary]
 
 
-def _run_srs_escape(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    steps = _require(config, "steps", int, "")
-    trials = _require(config, "trials", int, "")
-    seed = _require(config, "seed", int, "")
-    start = CyclicSubgroup(word_from_str(config.get("start", "a"), rank))
-    mu = _load_measure(config, rank, "")
-    report = srs_escape_experiment(
-        mu, start, steps, trials, seed=seed,
-        threshold_len=int(config.get("threshold_len", 10)),
-    )
+def _run_srs_escape(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    report = srs_escape_experiment(cfg["mu"], CyclicSubgroup(cfg["start"]), cfg["steps"],
+                                   cfg["trials"], seed=cfg["seed"],
+                                   threshold_len=cfg["threshold_len"])
     rows = [
         [r.step, r.median_root_len, r.q25, r.q75, r.frac_beyond_threshold]
         for r in report.rows
     ]
-    path = out / config.get("out", "escape.csv")
-    _write_csv(path, ANCHORS["srs-escape"],
-               ["step", "median_root_len", "q25", "q75", "frac_beyond_T"], rows)
+    path = out / "escape.csv"
+    _write_csv(path, anchor, ["step", "median_root_len", "q25", "q75", "frac_beyond_T"], rows)
     summary = out / "escape_summary.json"
-    _write_atomic(
-        summary,
-        json.dumps(
-            {"verdict": report.verdict, "final_pdf_at": report.final_pdf_at,
-             "threshold_len": report.threshold_len, "trials": report.trials},
-            indent=2, sort_keys=True,
-        ) + "\n",
-    )
+    _write_json(summary, {"verdict": report.verdict, "final_pdf_at": report.final_pdf_at,
+                          "threshold_len": report.threshold_len, "trials": report.trials})
     return [path, summary]
 
 
-def _run_pdf_check(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    n_measures = _require(config, "measures", int, "")
-    n_tuples = _require(config, "tuples", int, "")
-    seed = _require(config, "seed", int, "")
-    tuple_len = int(config.get("tuple_len", 5))
-    radius = int(config.get("radius", 4))
-    sample_size = int(config.get("sample_size", 8))
-    ctx = FreeGroupContext(rank)
+def _run_pdf_check(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    radius, sample_size, tuple_len = cfg["radius"], cfg["sample_size"], cfg["tuple_len"]
+    ctx = FreeGroupContext(cfg["rank"])
     roots = [w for w in ball(ctx, 3)]
     tuple_pool = [w for w in ball(ctx, radius // 2)]
-    rng = rng_from_seed(seed)
+    rng = rng_from_seed(cfg["seed"])
     rows = []
     phi_rows = []
-    for mi in range(n_measures):
+    for mi in range(cfg["measures"]):
         picks = rng.integers(0, len(roots), size=sample_size)
         subs = [CyclicSubgroup(roots[int(i)]) for i in picks]
         weights = [1.0 / sample_size] * sample_size
         phi = pdf_from_subgroup_sample(subs, weights, radius)
         tuples = []
-        for _ in range(n_tuples):
+        for _ in range(cfg["tuples"]):
             idx = rng.integers(0, len(tuple_pool), size=tuple_len)
             tuples.append([tuple_pool[int(i)] for i in idx])
         rep = psd_check(phi, tuples)
@@ -416,58 +410,32 @@ def _run_pdf_check(config: dict, out: Path) -> list[Path]:
             rows.append([mi, ti, eig])
         if mi == 0:
             phi_rows = [[str(w), phi.values[w]] for w in sorted(phi.values, key=lambda w: w.sort_key())]
-    path = out / config.get("out", "pdfcheck.csv")
-    _write_csv(path, ANCHORS["pdf-check"], ["measure", "tuple", "min_eigenvalue"], rows)
+    path = out / "pdfcheck.csv"
+    _write_csv(path, anchor, ["measure", "tuple", "min_eigenvalue"], rows)
     dump = out / "pdf_dump.csv"
-    _write_csv(dump, ANCHORS["pdf-check"], ["word", "phi"], phi_rows)
+    _write_csv(dump, anchor, ["word", "phi"], phi_rows)
     worst = min(r[2] for r in rows) if rows else 0.0
     if worst < -1e-9:
         raise InconclusiveError(f"a Gram matrix dipped to {worst}")
     return [path, dump]
 
 
-def _run_fdstates(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    rep_spec = config.get("rep", "s3-regular")
-    if rep_spec == "s3-regular":
-        rep = FiniteQuotient.regular_from_permutations(rank, [(1, 0, 2), (1, 2, 0)])
-    elif isinstance(rep_spec, str):
-        path_ = Path(rep_spec)
-        if not path_.exists():
-            raise ConfigError("/rep", f"file {rep_spec} does not exist")
-        data = json.loads(path_.read_text())
-        perms = [tuple(p) for p in data["perms"]]
-        if data.get("regular", False):
-            rep = FiniteQuotient.regular_from_permutations(rank, perms)
-        else:
-            rep = FiniteQuotient.from_permutations(rank, perms)
-    else:
-        perms = [tuple(p) for p in rep_spec["perms"]]
-        rep = (
-            FiniteQuotient.regular_from_permutations(rank, perms)
-            if rep_spec.get("regular", False)
-            else FiniteQuotient.from_permutations(rank, perms)
-        )
-    mu = _load_measure(config, rank, "")
-    states = finite_dim_stationary_states(rep, mu)
+def _run_fdstates(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    states = finite_dim_stationary_states(cfg["rep"], cfg["mu"])
     rows = []
     for i, st in enumerate(states):
         eigs = np.linalg.eigvalsh(st.matrix)
         rows.append([i, float(eigs[0]), float(np.trace(st.matrix).real), st.psd_adjustment])
-    path = out / config.get("out", "fdstates.csv")
-    _write_csv(path, ANCHORS["fdstates"],
-               ["state", "min_eigenvalue", "trace", "psd_adjustment"], rows)
+    path = out / "fdstates.csv"
+    _write_csv(path, anchor, ["state", "min_eigenvalue", "trace", "psd_adjustment"], rows)
     return [path]
 
 
-def _run_norm(config: dict, out: Path) -> list[Path]:
-    rank = _require(config, "rank", int, "")
-    n_moments = int(config.get("n_moments", 8))
-    x = _load_element(config, rank, "")
-    bracket = certify_norm(x, n_moments)
-    path = out / config.get("out", "norm.csv")
+def _run_norm(cfg: dict, out: Path, anchor: str) -> list[Path]:
+    bracket = certify_norm(cfg["element"], cfg["n_moments"])
+    path = out / "norm.csv"
     _write_csv(
-        path, ANCHORS["norm"],
+        path, anchor,
         ["lower", "upper", "moments_used", "lower_method", "upper_method"],
         [[bracket.lower, bracket.upper, bracket.moments_used,
           bracket.lower_method, bracket.upper_method]],
@@ -475,18 +443,78 @@ def _run_norm(config: dict, out: Path) -> list[Path]:
     return [path]
 
 
-RUNNERS = {
-    "cesaro": _run_cesaro,
-    "powers": _run_powers,
-    "build-mu": _run_build_mu,
-    "boundary-solve": _run_boundary_solve,
-    "conditional": _run_conditional,
-    "bnd-map": _run_bnd_map,
-    "fix-mass": _run_fix_mass,
-    "srs-escape": _run_srs_escape,
-    "pdf-check": _run_pdf_check,
-    "fdstates": _run_fdstates,
-    "norm": _run_norm,
+class Experiment(NamedTuple):
+    run: Callable[[dict, Path, str], list[Path]]
+    anchor: str
+    keys: tuple[Key, ...]
+
+
+EXPERIMENTS = {
+    "cesaro": Experiment(
+        _run_cesaro,
+        "certified brackets on the Cesaro-averaged convolution distance to the trace",
+        (RANK, Key("n_max", _int, low=0), Key("element", _element), MU,
+         Key("moments", _int, 1, low=1)),
+    ),
+    "powers": Experiment(
+        _run_powers,
+        "certified norm bound on the conjugation average of a translation unitary",
+        (RANK, Key("g", _word), Key("eps", _positive_float),
+         Key("strategy", _strategy, "geometric"), Key("budget", _int, 64, low=0),
+         Key("seed", _int, 0, low=0)),
+    ),
+    "build-mu": Experiment(
+        _run_build_mu,
+        "staged averaging law with per-level and final certified convolution bounds",
+        (RANK, Key("levels", _int, low=1), Key("family", _words, "ball1"),
+         Key("budget", _int, 128, low=0)),
+    ),
+    "boundary-solve": Experiment(
+        _run_boundary_solve,
+        "stationary cylinder measure with certified residual",
+        (RANK, Key("depth", _int, low=1), MU, Key("tol", _positive_float, 1e-12),
+         Key("max_iter", _int, 200, low=1)),
+    ),
+    "conditional": Experiment(
+        _run_conditional,
+        "top cylinder mass of path translates of a boundary measure",
+        (RANK, Key("n", _int, low=0), Key("paths", _int, low=0), SEED,
+         Key("nu_depth", _int, 6, low=1), Key("out_depth", _int, 1, low=1), MU),
+    ),
+    "bnd-map": Experiment(
+        _run_bnd_map,
+        "stable boundary prefixes of sampled random-walk paths",
+        (RANK, Key("length", _int, low=0), Key("paths", _int, low=0), SEED, MU),
+    ),
+    "fix-mass": Experiment(
+        _run_fix_mass,
+        "certified upper bounds on the boundary mass of axis endpoint pairs",
+        (RANK, Key("depth", _int, low=1), Key("gens", _words, "ball2"), MU,
+         Key("threshold", _positive_float, 1e-3)),
+    ),
+    "srs-escape": Experiment(
+        _run_srs_escape,
+        "conjugation-walk escape statistics for cyclic subgroups",
+        (RANK, Key("steps", _int, low=0), Key("trials", _int, low=1), SEED,
+         Key("start", _word, "a"), MU, Key("threshold_len", _int, 10, low=0)),
+    ),
+    "pdf-check": Experiment(
+        _run_pdf_check,
+        "Gram positivity of subgroup-sample positive definite functions",
+        (RANK, Key("measures", _int, low=0), Key("tuples", _int, low=0), SEED,
+         Key("tuple_len", _int, 5, low=1), Key("radius", _int, 4, low=0),
+         Key("sample_size", _int, 8, low=1)),
+    ),
+    "fdstates": Experiment(
+        _run_fdstates,
+        "stationary density matrices of a finite-quotient convolution channel",
+        (RANK, Key("rep", _rep, "s3-regular"), MU),
+    ),
+    "norm": Experiment(
+        _run_norm,
+        "certified two-sided bracket on the reduced norm",
+        (RANK, Key("n_moments", _int, 8, low=1), Key("element", _element)),
+    ),
 }
 
 
@@ -505,14 +533,7 @@ class RunManifest:
     wall_clock_s: float
 
     def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config_sha256": self.config_sha256,
-            "version": self.version,
-            "anchor": self.anchor,
-            "outputs": self.outputs,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        return asdict(self)
 
 
 def config_hash(config: dict) -> str:
@@ -521,37 +542,47 @@ def config_hash(config: dict) -> str:
 
 
 def run(config: dict, out_dir: str | Path) -> RunManifest:
-    """Validate the config, dispatch the experiment, write outputs + manifest."""
+    """Validate the config, dispatch the experiment, write outputs + manifest.
+
+    `config` is not modified, so the manifest hashes it as given.
+    """
     if not isinstance(config, dict):
         raise ConfigError("", "config must be a JSON object")
-    kind = config.get("experiment")
-    if kind not in RUNNERS:
+    kind = config["experiment"] if "experiment" in config else None
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ConfigError("/experiment", f"unknown experiment {kind!r}")
-    if kind in SEEDED_EXPERIMENTS and "seed" not in config:
-        raise ConfigError("/seed", "stochastic experiments require an explicit seed")
+    experiment = EXPERIMENTS[kind]
+    values = _validate(config, experiment.keys)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    paths = RUNNERS[kind](config, out)
+    paths = experiment.run(values, out, experiment.anchor)
     wall = time.perf_counter() - t0
     manifest = RunManifest(
         experiment=kind,
         config_sha256=config_hash(config),
         version=__version__,
-        anchor=ANCHORS[kind],
+        anchor=experiment.anchor,
         outputs={p.name: _sha256(p) for p in paths},
         wall_clock_s=wall,
     )
-    _write_atomic(
-        out / "manifest.json", json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out / "manifest.json", manifest.to_json())
     return manifest
 
 
 def verify(manifest_path: str | Path, out_dir: str | Path | None = None) -> bool:
-    """Recompute output checksums against the manifest; version must match."""
+    """Recompute output checksums against the manifest; version must match.
+
+    A manifest that cannot be read, or is not an object with an outputs
+    table, raises ConfigError.
+    """
     manifest_path = Path(manifest_path)
-    data = json.loads(manifest_path.read_text())
+    try:
+        data = _read_json(str(manifest_path))
+    except ValueError as exc:
+        raise ConfigError("--manifest", str(exc)) from exc
+    if not (isinstance(data, dict) and isinstance(data.get("outputs"), dict)):
+        raise ConfigError("--manifest", f"{manifest_path} is not an object with an outputs table")
     base = Path(out_dir) if out_dir is not None else manifest_path.parent
     if data.get("version") != __version__:
         print(
@@ -559,7 +590,7 @@ def verify(manifest_path: str | Path, out_dir: str | Path | None = None) -> bool
             file=sys.stderr,
         )
         return False
-    for name, digest in data.get("outputs", {}).items():
+    for name, digest in data["outputs"].items():
         path = base / name
         if not path.exists():
             print(f"missing output: {name}", file=sys.stderr)
@@ -575,36 +606,6 @@ def verify(manifest_path: str | Path, out_dir: str | Path | None = None) -> bool
 # ---------------------------------------------------------------------------
 
 
-_INLINE_FLAGS = {
-    # flag name -> (config key, converter)
-    "mu": ("mu", str),
-    "element": ("element", str),
-    "n_max": ("n_max", int),
-    "g": ("g", str),
-    "eps": ("eps", float),
-    "strategy": ("strategy", str),
-    "budget": ("budget", int),
-    "family": ("family", str),
-    "levels": ("levels", int),
-    "depth": ("depth", int),
-    "tol": ("tol", float),
-    "max_iter": ("max_iter", int),
-    "n": ("n", int),
-    "paths": ("paths", int),
-    "length": ("length", int),
-    "steps": ("steps", int),
-    "trials": ("trials", int),
-    "start": ("start", str),
-    "measures": ("measures", int),
-    "tuples": ("tuples", int),
-    "rep": ("rep", str),
-    "n_moments": ("n_moments", int),
-    "seed": ("seed", int),
-    "rank": ("rank", int),
-    "out": ("out", str),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stationary-lab",
@@ -612,66 +613,63 @@ def _build_parser() -> argparse.ArgumentParser:
         "brackets on free groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out-dir", type=str, default=".")
-        p.add_argument("--seed-override", type=int, default=None)
-        for flag, (key, conv) in _INLINE_FLAGS.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=f"cfg_{key}",
-                           type=conv, default=None)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.anchor, description=experiment.anchor)
+        p.add_argument("--config", help="JSON config; flags given with it must agree with it")
+        p.add_argument("--out-dir", default=".")
+        for key in experiment.keys:
+            bound = "" if key.low is None else f">= {key.low}; "
+            default = "required" if key.default is None else f"default {key.default}"
+            p.add_argument("--" + key.name.replace("_", "-"), dest=key.name, type=FLAG_TYPES.get(key.parse, str),
+                           metavar=key.parse.__name__.strip("_").upper(),
+                           help=bound + default)
+        if SEED.name in (key.name for key in experiment.keys):
+            p.add_argument("--seed-override", type=int,
+                           help="seed to use when neither the config nor --seed sets one")
     v = sub.add_parser("verify")
     v.add_argument("--manifest", type=str, required=True)
     v.add_argument("--out-dir", type=str, default=None)
     return parser
 
 
+def _config_from_args(args: argparse.Namespace) -> dict:
+    """The --config file (or an empty config) with the inline flags merged in."""
+    config = {"experiment": args.command}
+    if args.config is not None:
+        try:
+            config = _read_json(args.config)
+        except ValueError as exc:
+            raise ConfigError("", str(exc)) from exc
+        if not isinstance(config, dict):
+            raise ConfigError("", "config must be a JSON object")
+        config.setdefault("experiment", args.command)
+        if config["experiment"] != args.command:
+            raise ConfigError("/experiment", "config disagrees with subcommand")
+    for key in EXPERIMENTS[args.command].keys:
+        value = getattr(args, key.name)
+        if value is not None and config.setdefault(key.name, value) != value:
+            raise ConfigError(f"/{key.name}", f"the flag's {value!r} disagrees with the "
+                                              f"config's {config[key.name]!r}")
+    if getattr(args, "seed_override", None) is not None:
+        if "seed" in config:
+            raise ConfigError("/seed", "--seed-override refused: the config pins its seed")
+        config["seed"] = args.seed_override
+    return config
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        ok = verify(args.manifest, args.out_dir)
-        print("verified" if ok else "verification failed")
-        return EXIT_OK if ok else EXIT_INCONCLUSIVE
     try:
-        if args.config is not None:
-            config = json.loads(Path(args.config).read_text())
-            if not isinstance(config, dict):
-                raise ConfigError("", "config must be a JSON object")
-            config.setdefault("experiment", args.command)
-            if config["experiment"] != args.command:
-                raise ConfigError("/experiment", "config disagrees with subcommand")
-            if args.seed_override is not None:
-                if "seed" in config:
-                    raise ConfigError(
-                        "/seed", "--seed-override refused: the config pins its seed"
-                    )
-                config["seed"] = args.seed_override
-        else:
-            config = {"experiment": args.command, "rank": 2}
-            for _, (key, _conv) in _INLINE_FLAGS.items():
-                value = getattr(args, f"cfg_{key}", None)
-                if value is not None:
-                    config[key] = value
-            if args.seed_override is not None:
-                config.setdefault("seed", args.seed_override)
-        manifest = run(config, args.out_dir)
+        if args.command == "verify":
+            ok = verify(args.manifest, args.out_dir)
+            print("verified" if ok else "verification failed")
+            return EXIT_OK if ok else EXIT_INCONCLUSIVE
+        manifest = run(_config_from_args(args), args.out_dir)
         print(json.dumps(manifest.to_json(), indent=2, sort_keys=True))
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (PreconditionError, UnresolvedBoundaryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (InconclusiveError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except StationaryLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -182,44 +182,45 @@ def powers_search(
     if epsilon <= 0:
         raise PreconditionError(f"epsilon must be positive, got {epsilon}")
     x = AlgebraElement.delta(g)
-    rank = x.rank
-    best: tuple[float, tuple[Word, ...], int] | None = None
     if strategy == "geometric":
-        bases = [w for w in _geometric_base_candidates(rank) if not _commutes(w, g)]
-        for n in range(1, budget + 1):
-            for w in bases:
-                hs = tuple(w**k for k in range(1, n + 1))
-                u = norm_upper_bound(_averaged_element(x, hs))
-                if best is None or u < best[0]:
-                    best = (u, hs, n)
-                if u < epsilon:
-                    return PowersCertificate(
-                        target=str(g), conjugators=hs, upper_bound=u,
-                        epsilon=epsilon, success=True, strategy=strategy, n=n,
-                    )
+        tuples = _geometric_tuples(g, budget)
     elif strategy == "random":
-        ctx = FreeGroupContext(rank)
-        pool = [w for w in ball(ctx, 4) if not w.is_identity()]
-        rng = rng_from_seed(seed)
-        for trial in range(budget):
-            n = 2 ** min(trial // 4 + 1, 6)
-            picks = rng.integers(0, len(pool), size=n)
-            hs = tuple(pool[int(i)] for i in picks)
-            u = norm_upper_bound(_averaged_element(x, hs))
-            if best is None or u < best[0]:
-                best = (u, hs, n)
-            if u < epsilon:
-                return PowersCertificate(
-                    target=str(g), conjugators=hs, upper_bound=u,
-                    epsilon=epsilon, success=True, strategy=strategy, n=n,
-                )
+        tuples = _random_tuples(g.rank, budget, seed)
     else:
         raise MalformedInputError(f"unknown strategy {strategy!r}")
+    best: tuple[float, tuple[Word, ...], int] | None = None
+    for hs, n in tuples:
+        u = norm_upper_bound(_averaged_element(x, hs))
+        if best is None or u < best[0]:
+            best = (u, hs, n)
+        if u < epsilon:
+            return PowersCertificate(
+                target=str(g), conjugators=hs, upper_bound=u,
+                epsilon=epsilon, success=True, strategy=strategy, n=n,
+            )
     u, hs, n = best if best is not None else (float("inf"), (), 0)
     return PowersCertificate(
         target=str(g), conjugators=hs, upper_bound=u,
         epsilon=epsilon, success=False, strategy=strategy, n=n,
     )
+
+
+def _geometric_tuples(g: Word, budget: int):
+    """(w, w^2, ..., w^n) for n = 1..budget and, per n, each base w not commuting with g."""
+    bases = [w for w in _geometric_base_candidates(g.rank) if not _commutes(w, g)]
+    for n in range(1, budget + 1):
+        for w in bases:
+            yield tuple(w**k for k in range(1, n + 1)), n
+
+
+def _random_tuples(rank: int, budget: int, seed: int):
+    """budget seeded tuples from the radius-4 ball; sizes double every 4 trials, 2 to 64."""
+    pool = [w for w in ball(FreeGroupContext(rank), 4) if not w.is_identity()]
+    rng = rng_from_seed(seed)
+    for trial in range(budget):
+        n = 2 ** min(trial // 4 + 1, 6)
+        picks = rng.integers(0, len(pool), size=n)
+        yield tuple(pool[int(i)] for i in picks), n
 
 
 def verify_powers_certificate(cert: PowersCertificate, g: Word) -> float:

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stationarylab.algebra import AlgebraElement
-from stationarylab.cli import ConfigError, config_hash, main, run, verify
+from stationarylab.cli import EXPERIMENTS, ConfigError, config_hash, main, run, verify
 from stationarylab.freegroup import FreeGroupContext
 from stationarylab.serialize import (
     element_from_json,
@@ -153,3 +160,196 @@ class TestMainExitCodes:
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0].startswith("# anchor: ")
             assert "," in lines[1]
+
+
+def _main(argv, capsys):
+    """Exit code and stderr of one CLI call; argparse errors exit through SystemExit."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().err
+
+
+def _assert_one_error_line(err: str, fragment: str) -> None:
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1, err
+    assert fragment in lines[0], err
+
+
+# One small, fast, valid config per experiment; rank is left to its default.
+TINY = {
+    "cesaro": {"n_max": 1, "element": "a"},
+    "powers": {"g": "a", "eps": 1.5, "budget": 1},
+    "build-mu": {"levels": 1, "family": ["ab"], "budget": 32},
+    "boundary-solve": {"depth": 2},
+    "conditional": {"n": 2, "paths": 1, "seed": 0, "nu_depth": 2},
+    "bnd-map": {"length": 5, "paths": 1, "seed": 0},
+    "fix-mass": {"depth": 2, "gens": "ball1"},
+    "srs-escape": {"steps": 2, "trials": 1, "seed": 0},
+    "pdf-check": {"measures": 1, "tuples": 1, "seed": 0, "sample_size": 2},
+    "fdstates": {},
+    "norm": {"element": "a", "n_moments": 2},
+}
+
+# Values each key type rejects: wrong JSON types, malformed or out-of-rank
+# contents, and (for floats) values out of range.
+WRONG = {
+    "_int": ["3", True, 2.5, 2.0, [1], {"n": 1}, None],
+    "_positive_float": ["0.5", True, [0.5], {"x": 1.0}, None, float("nan"), float("inf"),
+                        0.0, -1.0, 10**400],
+    "_word": [5, True, 1.5, ["a"], {"a": 1}, None, "a?b", "zz"],
+    "_words": [5, True, 1.5, {"a": 1}, None, "ballx", "ball", "ab", [], [5], ["zz"]],
+    "_measure": [5, True, 1.5, [], None, "no-such-file.json", "x" * 5000, {"context": 2},
+                 {"context": 3, "atoms": [{"word": "c", "p": 1}]},
+                 {"context": 2, "atoms": [{"word": "a", "p": "x"}]}],
+    "_element": [5, True, 1.5, [], None, "zz", "a" * 5000 + "?", "no/such.json", {"terms": []},
+                 {"context": 3, "terms": [{"word": "a", "re": 1.0}]}],
+    "_rep": [5, True, 1.5, [], None, "no-such.json", {"perms": [[0, 1]]}, {"regular": True},
+             {"perms": [[1, 0, 2], [1, 2, 0]], "regular": "yes"},
+             {"perms": [[5, 0, 1], [0, 1, 2]]}],
+    "_strategy": ["annealing", 5, None, ["random"]],
+}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_tiny_config_runs_and_is_not_modified(self, name, tmp_path):
+        cfg = {"experiment": name, **TINY[name]}
+        given = json.loads(json.dumps(cfg))
+        manifest = run(cfg, tmp_path)
+        assert cfg == given
+        assert manifest.config_sha256 == config_hash(given)
+        assert verify(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_help_lists_exactly_the_experiment_keys(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^\s+(?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M))
+        keys = {key.name for key in EXPERIMENTS[name].keys}
+        expected = {"--help", "--config", "--out-dir"} | {
+            "--" + k.replace("_", "-") for k in keys
+        }
+        if "seed" in keys:
+            expected.add("--seed-override")
+        assert listed == expected
+
+    def test_flags_merge_into_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": "norm", "element": "a"}))
+        rc, _ = _main(["norm", "--config", str(cfg), "--element", "a", "--n-moments", "3",
+                       "--out-dir", str(tmp_path / "o")], capsys)
+        assert rc == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        merged = {"experiment": "norm", "element": "a", "n_moments": 3}
+        assert manifest["config_sha256"] == config_hash(merged)
+
+    def test_word_resolves_before_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ab").write_text("not json")
+        rc, err = _main(["norm", "--element", "ab", "--n-moments", "2", "--out-dir", "o"],
+                        capsys)
+        assert rc == 0, err
+        lower, upper = (tmp_path / "o" / "norm.csv").read_text().splitlines()[2].split(",")[:2]
+        assert float(lower) == float(upper) == 1.0
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]", '{"version": "0.1.0"}'],
+                             ids=["missing", "malformed", "not-an-object", "no-outputs"])
+    def test_verify_bad_manifest_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        if text is not None:
+            path.write_text(text)
+        rc, err = _main(["verify", "--manifest", str(path)], capsys)
+        assert rc == 2
+        _assert_one_error_line(err, "m.json")
+
+
+# Inputs that ended in a traceback, a misrouted exit code or a silently
+# ignored value: (subcommand and flags, config written to c.json or raw file
+# text, the fragment the error line must name).
+DEFECTS = {
+    "malformed-config": (["norm", "--config", "{c}"], "{not json", "c.json"),
+    "missing-config": (["norm", "--config", "{tmp}/nope.json"], None, "nope.json"),
+    "n_moments-string": (["norm", "--config", "{c}"], {"element": "a", "n_moments": "x"},
+                         "/n_moments"),
+    "rep-without-perms": (["fdstates", "--config", "{c}"], {"rep": {"regular": True}}, "/rep"),
+    "family-ballx": (["build-mu", "--config", "{c}"], {"levels": 1, "family": "ballx"},
+                     "/family"),
+    "gens-int": (["fix-mass", "--config", "{c}"], {"depth": 2, "gens": 5}, "/gens"),
+    "sample_size-0": (["pdf-check", "--config", "{c}"],
+                      {"measures": 1, "tuples": 1, "seed": 0, "sample_size": 0}, "/sample_size"),
+    "trials-0": (["srs-escape", "--config", "{c}"], {"steps": 2, "trials": 0, "seed": 0},
+                 "/trials"),
+    "element-zz": (["norm", "--element", "zz"], None, "/element"),
+    "foreign-flags": (["cesaro", "--paths", "9", "--tuples", "3"], None, "--paths"),
+    "flag-disagrees": (["norm", "--config", "{c}", "--n-moments", "64"],
+                       {"element": "a", "n_moments": 2}, "/n_moments"),
+    "typo-key": (["norm", "--config", "{c}"], {"element": "a", "nmoments": 64}, "/nmoments"),
+    "element-context-3": (["norm", "--config", "{c}"],
+                          {"rank": 2, "element": {"context": 3,
+                                                  "terms": [{"word": "a", "re": 1.0}]}},
+                          "/element"),
+    "out-escapes": (["norm", "--config", "{c}"], {"element": "a", "out": "../x.csv"}, "/out"),
+    "out-manifest": (["norm", "--config", "{c}"], {"element": "a", "out": "manifest.json"},
+                     "/out"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFECTS))
+def test_defect_exits_2_naming_the_key(case, tmp_path, capsys):
+    argv, config, fragment = DEFECTS[case]
+    path = tmp_path / "c.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    argv = [a.format(c=path, tmp=tmp_path) for a in argv]
+    rc, err = _main(argv + ["--out-dir", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    _assert_one_error_line(err, fragment)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@st.composite
+def _broken_configs(draw):
+    """A tiny valid config with one key given a rejected value, or an unknown key added,
+    or a required key removed; returns the config and the key the error must name."""
+    name = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    cfg = {"experiment": name, **TINY[name]}
+    keys = EXPERIMENTS[name].keys
+    mutation = draw(st.sampled_from(["wrong", "low", "unknown", "missing"]))
+    if mutation == "unknown":
+        names = {key.name for key in keys} | {"experiment"}
+        bad = draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10)
+                   .filter(lambda k: k not in names))
+        cfg[bad] = draw(st.sampled_from([1, "a", None]))
+        return cfg, bad
+    if mutation == "missing":
+        required = [key.name for key in keys if key.default is None]
+        if required:
+            bad = draw(st.sampled_from(required))
+            del cfg[bad]
+            return cfg, bad
+    bounded = [key for key in keys if key.low is not None]
+    if mutation == "low" and bounded:
+        key = draw(st.sampled_from(bounded))
+        cfg[key.name] = key.low - draw(st.integers(1, 5))
+        return cfg, key.name
+    key = draw(st.sampled_from(keys))
+    cfg[key.name] = draw(st.sampled_from(WRONG[key.parse.__name__]))
+    return cfg, key.name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_broken_configs())
+def test_fuzz_broken_config_exits_2(case):
+    cfg, key = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([cfg["experiment"], "--config", str(path), "--out-dir", tmp])
+        assert rc == 2
+        _assert_one_error_line(err.getvalue(), f"/{key}")
