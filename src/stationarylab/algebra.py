@@ -18,7 +18,14 @@ from math import exp, log, sqrt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ContextMismatchError, MalformedInputError, ResourceLimitError
-from .freegroup import Word, free_basis_decomposition, inverse_letters, sparse_product
+from .freegroup import (
+    Word,
+    free_basis_decomposition,
+    inverse_letters,
+    length_lex,
+    letter_product,
+    sparse_product,
+)
 
 DEFAULT_SUPPORT_CAP = 5_000_000
 ZERO_DROP_THRESHOLD = 1e-15
@@ -160,24 +167,28 @@ def normalize(x: AlgebraElement, threshold: float = ZERO_DROP_THRESHOLD) -> Alge
 # ---------------------------------------------------------------------------
 
 
-def _radial_profile(x: AlgebraElement):
-    """Per-length coefficient if x is constant on full spheres, else None."""
-    if not x.coeffs:
+def _radial_profile(y: dict[tuple[int, ...], complex], rank: int):
+    """Per-length coefficient if the letter table y is constant on full
+    spheres, else None."""
+    if not y:
         return [0]
-    by_len: dict[int, list] = {}
-    for w, c in x.coeffs.items():
-        by_len.setdefault(len(w), []).append(c)
-    k = x.rank
-    top = max(by_len)
-    prof = [0] * (top + 1)
-    for n, vals in by_len.items():
-        sphere = 1 if n == 0 else 2 * k * (2 * k - 1) ** (n - 1)
-        if len(vals) != sphere:
+    first: dict[int, complex] = {}
+    sizes: dict[int, int] = {}
+    for w, c in y.items():
+        n = len(w)
+        if n not in first:
+            first[n], sizes[n] = c, 1
+        elif c != first[n]:
             return None
-        first = vals[0]
-        if any(v != first for v in vals[1:]):
+        else:
+            sizes[n] += 1
+    q = 2 * rank - 1
+    for n, size in sizes.items():
+        if size != (1 if n == 0 else (q + 1) * q ** (n - 1)):
             return None
-        prof[n] = first
+    prof = [0] * (max(first) + 1)
+    for n, c in first.items():
+        prof[n] = c
     return prof
 
 
@@ -291,11 +302,42 @@ def _bounds_from_moments(moments, max_m: int) -> tuple[float, int]:
     return best, best_m
 
 
+def _product(a: dict, b: dict, support_cap: int) -> dict:
+    """Letter table of the ring product a b, zero coefficients dropped as
+    AlgebraElement drops them."""
+    out = letter_product(a, b, support_cap, "convolution support exceeds the cap")
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _pairing(a: dict, b: dict, b_by_inverse: dict | None = None) -> complex:
+    """tau0 of the product a b: the sum of a(w) b(w^-1) over the words w of
+    a in length-lex order.  b_by_inverse, when given, is b keyed by inverse
+    words and saves inverting each w."""
+    items = length_lex(a)
+    if b_by_inverse is None:
+        get = b.get
+        return sum(c * get(inverse_letters(w), 0) for w, c in items)
+    get = b_by_inverse.get
+    return sum(c * get(w, 0) for w, c in items)
+
+
+class MomentBound(float):
+    """A trace-moment lower bound that carries `order`, the highest moment
+    order at most the requested one that was computed."""
+
+    __slots__ = ("order",)
+
+    def __new__(cls, bound: float, order: int):
+        self = super().__new__(cls, bound)
+        self.order = order
+        return self
+
+
 def norm_lower_bound(
     x: AlgebraElement,
     n_moments: int,
     support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> float:
+) -> MomentBound:
     """Certified lower bound for the reduced norm of x from trace moments.
 
     Bounds used: tau0(y^m)^(1/2m) and sqrt(tau0(y^(m+1))/tau0(y^m)) for
@@ -305,48 +347,56 @@ def norm_lower_bound(
     formed by repeated squaring under the support cap, which yields the moment
     orders 2^j, 2^(j+1), 2^(j+1)+1 from each stored power.  Nondecreasing in
     n_moments; stops early (reporting the bound achieved) if squaring would
-    exceed the cap.
+    exceed the cap.  The result is a MomentBound, whose `order` is then
+    below n_moments.
+
+    Powers of y are letter tables (letter tuple -> coefficient), never
+    AlgebraElements, and every sum runs in length-lex order.
     """
     if n_moments < 1:
         raise MalformedInputError(f"n_moments must be >= 1, got {n_moments}")
     if not x.coeffs:
-        return 0.0
-    y = convolve(involution(x), x, support_cap)
+        return MomentBound(0.0, n_moments)
+    xl = {w.letters: c for w, c in x.coeffs.items()}
+    y = _product({inverse_letters(w): c.conjugate() for w, c in xl.items()}, xl, support_cap)
 
-    profile = _radial_profile(y)
+    profile = _radial_profile(y, x.rank)
     if profile is not None:
         vals, _ = _radial_moments(profile, x.rank, n_moments + 1)
         moments = {m + 1: vals[m] for m in range(len(vals))}
-        return _bounds_from_moments(moments, n_moments)[0]
+        return MomentBound(_bounds_from_moments(moments, n_moments)[0], n_moments)
 
-    moments: dict[int, complex] = {1: canonical_trace(y)}
+    moments: dict[int, complex] = {1: y.get((), 0j)}
     z = y
     m_z = 1
     while True:
         # z = y^m_z; the pairing sum gives tau0(y^(2 m_z)) without forming it
-        moments[2 * m_z] = sum(
-            c * z.coeffs.get(w.inverse(), 0)
-            for w, c in sorted(z.coeffs.items(), key=lambda p: p[0].sort_key())
-        )
-        if 2 * m_z <= n_moments:
+        pair_follows = 2 * m_z <= n_moments
+        # an inverse-keyed copy of z pays off only when the y z pairing reads
+        # it too; for the z z pairing alone it would only add the memory of
+        # a second z
+        z_inv = {inverse_letters(w): c for w, c in z.items()} if pair_follows else None
+        moments[2 * m_z] = _pairing(z, z, z_inv)
+        if pair_follows:
             # the ratio bound at order 2 m_z also needs tau0(y^(2 m_z + 1))
             try:
-                t = convolve(y, z, support_cap)
-                moments[2 * m_z + 1] = sum(
-                    c * z.coeffs.get(w.inverse(), 0)
-                    for w, c in sorted(t.coeffs.items(), key=lambda p: p[0].sort_key())
-                )
+                t = _product(y, z, support_cap)
             except ResourceLimitError:
                 break
+            moments[2 * m_z + 1] = _pairing(t, z, z_inv)
         if 2 * m_z >= n_moments:
             break
-        try:
-            z = convolve(z, z, support_cap)
-        except ResourceLimitError:
-            break
+        if m_z == 1:
+            z = t  # y^2, formed just above as y z
+        else:
+            try:
+                z = _product(z, z, support_cap)
+            except ResourceLimitError:
+                break
         m_z *= 2
-        moments[m_z] = canonical_trace(z)
-    return _bounds_from_moments(moments, n_moments)[0]
+        moments[m_z] = z.get((), 0j)
+    achieved = max(m for m in moments if m <= n_moments)
+    return MomentBound(_bounds_from_moments(moments, n_moments)[0], achieved)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +519,11 @@ def _upper_bound_tagged(x: AlgebraElement) -> tuple[float, str]:
 
 @dataclass(frozen=True)
 class NormBracket:
-    """Certified two-sided bracket on the reduced norm of one element."""
+    """Certified two-sided bracket on the reduced norm of one element.
+
+    moments_used is the highest trace-moment order <= the requested one that
+    was computed; it falls short of the request when the support cap binds.
+    """
 
     lower: float
     upper: float
@@ -496,11 +550,11 @@ def certify_norm(
     """Two-sided certified bracket on the reduced norm of x."""
     lower = norm_lower_bound(x, n_moments, support_cap)
     upper, tag = _upper_bound_tagged(x)
-    lower = min(lower, upper)  # guard float dust on exactly-tight brackets
     return NormBracket(
-        lower=lower,
+        # min guards float dust on exactly-tight brackets
+        lower=min(float(lower), upper),
         upper=upper,
-        moments_used=n_moments,
+        moments_used=lower.order,
         lower_method="trace-moments",
         upper_method=tag,
     )

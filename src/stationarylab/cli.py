@@ -46,7 +46,7 @@ from .errors import (
     StationaryLabError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FiniteQuotient, FreeGroupContext, ball, word_from_str
+from .freegroup import MAX_STRING_RANK, FiniteQuotient, FreeGroupContext, ball, word_from_str
 from .serialize import (
     cylinder_csv_rows,
     element_from_json,
@@ -187,19 +187,22 @@ def _strategy(value, rank: int) -> str:
 class Key(NamedTuple):
     """One config key: its type (a parser of the raw JSON value under the
     config's rank), its default (None: the key is required), and the least
-    value an int may take."""
+    and the greatest value an int may take."""
 
     name: str
     parse: Callable[[object, int], object]
     default: object = None
     low: int | None = None
+    high: int | None = None
 
 
 # argparse converters of the flag values; every other type takes a string
 FLAG_TYPES = {_int: int, _positive_float: float}
 
 # Shared keys. RANK comes first in every experiment: the other types read it.
-RANK = Key("rank", _int, 2, low=1)
+# Words are written in the string form, which spells at most MAX_STRING_RANK
+# generators.
+RANK = Key("rank", _int, 2, low=1, high=MAX_STRING_RANK)
 MU = Key("mu", _measure, "uniform-generators")
 SEED = Key("seed", _int, low=0)
 
@@ -221,6 +224,8 @@ def _validate(config: dict, keys: tuple[Key, ...]) -> dict:
             raise ConfigError(f"/{key.name}", str(exc)) from exc
         if key.low is not None and value < key.low:
             raise ConfigError(f"/{key.name}", f"must be >= {key.low}, got {value}")
+        if key.high is not None and value > key.high:
+            raise ConfigError(f"/{key.name}", f"must be <= {key.high}, got {value}")
         values[key.name] = value
     return values
 
@@ -618,7 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config; flags given with it must agree with it")
         p.add_argument("--out-dir", default=".")
         for key in experiment.keys:
-            bound = "" if key.low is None else f">= {key.low}; "
+            bound = "".join(f"{op} {v}; " for op, v in ((">=", key.low), ("<=", key.high))
+                            if v is not None)
             default = "required" if key.default is None else f"default {key.default}"
             p.add_argument("--" + key.name.replace("_", "-"), dest=key.name, type=FLAG_TYPES.get(key.parse, str),
                            metavar=key.parse.__name__.strip("_").upper(),

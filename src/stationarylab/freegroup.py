@@ -51,12 +51,13 @@ class Generator(NamedTuple):
 # the string form indexed by letter code: "aAbB..."
 _CHARS = "".join(ch + ch.upper() for ch in string.ascii_lowercase)
 _CODE_OF_CHAR = {ch: code for code, ch in enumerate(_CHARS)}
-_invert = (1).__xor__
+# the highest rank the string form can spell: one lowercase letter a generator
+MAX_STRING_RANK = len(string.ascii_lowercase)
 
 
 def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
     """Letters of the inverse word: the reversed sequence of inverse letters."""
-    return tuple(map(_invert, reversed(letters)))
+    return tuple([c ^ 1 for c in reversed(letters)])
 
 
 def _product_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -149,8 +150,8 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        if self.rank > 26:
-            raise MalformedInputError("string form supports rank <= 26")
+        if self.rank > MAX_STRING_RANK:
+            raise MalformedInputError(f"string form supports rank <= {MAX_STRING_RANK}")
         return "".join([_CHARS[c] for c in self.letters])
 
     def __repr__(self) -> str:
@@ -233,8 +234,36 @@ def word_from_str(s: str, rank: int) -> Word:
     return Word(codes, rank)
 
 
-def _by_word(item):
-    return item[0].sort_key()
+def length_lex(table: Mapping[tuple[int, ...], T]) -> list[tuple[tuple[int, ...], T]]:
+    """Items of a table keyed by letter tuples, in length-lex word order."""
+    keys = sorted(table)
+    keys.sort(key=len)
+    return [(w, table[w]) for w in keys]
+
+
+def letter_product(
+    x: Mapping[tuple[int, ...], T],
+    y: Mapping[tuple[int, ...], T],
+    support_cap: int,
+    cap_message: str,
+) -> dict[tuple[int, ...], T]:
+    """out(w) = sum over u v = w of x(u) y(v), for finitely supported tables
+    keyed by the letters of reduced words.
+
+    Both tables are sorted once into length-lex word order and the sum runs
+    over u, then v, in that order, so results are bit-stable run to run.
+    Raises ResourceLimitError(cap_message) once the support passes the cap.
+    """
+    ys = length_lex(y)
+    out: dict[tuple[int, ...], T] = {}
+    get = out.get
+    for a, cu in length_lex(x):
+        for b, cv in ys:
+            w = _product_letters(a, b)
+            out[w] = get(w, 0) + cu * cv
+            if len(out) > support_cap:
+                raise ResourceLimitError(cap_message, support_cap)
+    return out
 
 
 def sparse_product(
@@ -244,24 +273,13 @@ def sparse_product(
     support_cap: int,
     cap_message: str,
 ) -> dict[Word, T]:
-    """out(w) = sum over u v = w of x(u) y(v), for finitely supported tables
-    over the words of one rank.
-
-    Both tables are sorted once into length-lex word order and the sum runs
-    over u, then v, in that order, so results are bit-stable run to run.
-    Raises ResourceLimitError(cap_message) once the support passes the cap.
-    """
-    xs = sorted(x.items(), key=_by_word)
-    ys = [(v.letters, cv) for v, cv in sorted(y.items(), key=_by_word)]
-    out: dict[tuple[int, ...], T] = {}  # keyed by letters until the end
-    get = out.get
-    for u, cu in xs:
-        a = u.letters
-        for b, cv in ys:
-            w = _product_letters(a, b)
-            out[w] = get(w, 0) + cu * cv
-            if len(out) > support_cap:
-                raise ResourceLimitError(cap_message, support_cap)
+    """letter_product over tables keyed by the words of one rank."""
+    out = letter_product(
+        {u.letters: c for u, c in x.items()},
+        {v.letters: c for v, c in y.items()},
+        support_cap,
+        cap_message,
+    )
     return {_word(w, rank): c for w, c in out.items()}
 
 

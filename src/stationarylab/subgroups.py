@@ -334,11 +334,12 @@ def freeness_report(
     """Tabulate certified upper bounds on nu(Fix(g)) for each g.
 
     The bound for g is the mass of the two axis cylinders at the given depth.
-    The verdict is "essentially free at depth d" when every bound is below
-    the threshold; the bounds are also assembled as an upper envelope of the
-    fixed-point pdf g -> nu(Fix(g)), which for an essentially free action is
-    the indicator of the identity.  The stationarity precondition on nu is
-    certified on cylinders up to residual_depth.
+    The verdict is "essentially free at depth d" when there is a non-identity
+    word and every bound is below the threshold; the bounds are also
+    assembled as an upper envelope of the fixed-point pdf g -> nu(Fix(g)),
+    which for an essentially free action is the indicator of the identity.
+    The stationarity precondition on nu is certified on cylinders up to
+    residual_depth.
     """
     max_res_depth = (
         nu.depth - mu.max_support_length() if nu.tail_uniform_from is None else nu.depth
@@ -352,12 +353,12 @@ def freeness_report(
         fm = fix_mass(g, nu, depth=depth)
         rows.append(FreenessRow(word=str(g), upper_bound=fm.upper, depth=fm.depth))
         pdf_upper[str(g)] = fm.upper
-    ok = all(r.upper_bound < threshold for r in rows)
-    verdict = (
-        f"essentially free at depth {depth} (all bounds < {threshold})"
-        if ok
-        else "inconclusive: some fixed-point bound exceeds the threshold"
-    )
+    if not rows:
+        verdict = "inconclusive: no non-identity word to test"
+    elif all(r.upper_bound < threshold for r in rows):
+        verdict = f"essentially free at depth {depth} (all bounds < {threshold})"
+    else:
+        verdict = "inconclusive: some fixed-point bound exceeds the threshold"
     return FreenessReport(
         rows=tuple(rows),
         depth=depth,

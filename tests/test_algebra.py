@@ -4,6 +4,7 @@ import pytest
 
 from stationarylab.algebra import (
     AlgebraElement,
+    _bounds_from_moments,
     _disjoint_cylinder_bound,
     _layer_bound,
     _upper_bound_tagged,
@@ -395,3 +396,92 @@ def test_disjoint_cylinder_bound_matches_pairwise_scan():
         assert _disjoint_cylinder_bound(support, coeffs) == expected
         outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def word_table_moment_engine(x, n_moments, support_cap):
+    """Reference for the non-radial moment engine: every power of y = x*x an
+    AlgebraElement from convolve, pairings summed over Word keys sorted by
+    Word.sort_key with Word.inverse() lookups, and y y formed twice.  Returns
+    the bound and the highest order <= n_moments computed."""
+
+    def pairing(a, b):
+        return sum(c * b.coeffs.get(w.inverse(), 0)
+                   for w, c in sorted(a.coeffs.items(), key=lambda p: p[0].sort_key()))
+
+    y = convolve(involution(x), x, support_cap)
+    moments = {1: canonical_trace(y)}
+    z = y
+    m_z = 1
+    while True:
+        moments[2 * m_z] = pairing(z, z)
+        if 2 * m_z <= n_moments:
+            try:
+                t = convolve(y, z, support_cap)
+            except ResourceLimitError:
+                break
+            moments[2 * m_z + 1] = pairing(t, z)
+        if 2 * m_z >= n_moments:
+            break
+        try:
+            z = convolve(z, z, support_cap)
+        except ResourceLimitError:
+            break
+        m_z *= 2
+        moments[m_z] = canonical_trace(z)
+    achieved = max(m for m in moments if m <= n_moments)
+    return _bounds_from_moments(moments, n_moments)[0], achieved
+
+
+def non_radial_elements(rng):
+    """Seeded elements of 2 to 5 terms whose y = x*x is not radial: Gaussian
+    complex coefficients, and small integer ones whose powers cancel exactly
+    to zero coefficients."""
+    out = []
+    while len(out) < 24:
+        rank = int(rng.integers(1, 4))
+        x = random_element(rng, rank, 2, int(rng.integers(2, 6)))
+        if len(x) < 2:
+            continue  # a single term gives the radial y = |c|^2 lambda_e
+        if len(out) % 2:
+            ints = (1, -1, 2, 1j)
+            x = AlgebraElement(
+                {w: ints[int(rng.integers(0, 4))] for w in x.coeffs}, rank)
+        out.append(x)
+    return out
+
+
+class TestLetterTableMomentEngine:
+    def test_bit_identical_to_word_table_engine(self):
+        rng = rng_from_seed(44)
+        short = 0
+        for x in non_radial_elements(rng):
+            for n in (1, 2, 3, 5, 8):
+                for cap in (5000, 200, 60, 25):
+                    expected = word_table_moment_engine(x, n, cap)
+                    bound = norm_lower_bound(x, n, cap)
+                    assert (bound, bound.order) == expected
+                    short += expected[1] < n
+        # the cap binds partway through on many of these
+        assert short > 20
+
+    def test_achieved_order_under_a_binding_cap(self):
+        x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
+        # y has 7 terms, y^2 31, y^3 127 and y^4 511: a cap of 200 stops at
+        # the squaring that would form y^4, after tau0(y^5) came from y^3 y^2
+        assert certify_norm(x, 8).moments_used == 8
+        capped = certify_norm(x, 8, support_cap=200)
+        assert capped.moments_used == 5
+        assert capped.lower == norm_lower_bound(x, 5) < certify_norm(x, 8).lower
+        assert certify_norm(x, 8, support_cap=60).moments_used == 4
+        assert certify_norm(x, 8, support_cap=10).moments_used == 2
+        # a radial y gets every order exactly, whatever the cap
+        radial = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
+        assert certify_norm(radial, 64, support_cap=20).moments_used == 64
+
+    def test_exact_zeros_do_not_count_against_the_cap(self):
+        # y = 3 - a^2 - a^-2: its a and a^-1 terms cancel exactly; kept, they
+        # would give y y 9 terms instead of 5 and stop it at a cap of 6
+        x = AlgebraElement({F2.identity: 1, F2.word("a"): 1, F2.word("A"): -1}, 2)
+        bound = norm_lower_bound(x, 8, 6)
+        assert (bound, bound.order) == word_table_moment_engine(x, 8, 6)
+        assert bound.order == 4

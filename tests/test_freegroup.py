@@ -5,6 +5,7 @@ import pytest
 from stationarylab.errors import (
     ContextMismatchError,
     MalformedInputError,
+    ResourceLimitError,
     UndefinedAxisError,
 )
 from stationarylab.freegroup import (
@@ -18,8 +19,11 @@ from stationarylab.freegroup import (
     cyclic_reduction,
     free_basis_decomposition,
     inverse_letters,
+    length_lex,
+    letter_product,
     multiply,
     reduce_letters,
+    sparse_product,
     word_from_str,
 )
 from stationarylab.walks import rng_from_seed
@@ -284,6 +288,40 @@ class TestWordKernel:
 
         expected = sorted((str(w) for w in shuffled), key=oracle_key)
         assert [str(w) for w in sorted(shuffled, key=Word.sort_key)] == expected
+
+    def test_sparse_product_and_letter_product_against_word_loop(self):
+        # the sum over u, then v, in Word.sort_key order, on Word objects:
+        # same keys, same coefficient bits, same insertion order, same cap
+        def word_loop(x, y, cap):
+            out = {}
+            for u, cu in sorted(x.items(), key=lambda p: p[0].sort_key()):
+                for v, cv in sorted(y.items(), key=lambda p: p[0].sort_key()):
+                    w = u * v
+                    out[w] = out.get(w, 0) + cu * cv
+                    if len(out) > cap:
+                        raise ResourceLimitError("cap", cap)
+            return out
+
+        rng = rng_from_seed(47)
+        for rank in (1, 2, 3):
+            words = list(ball(FreeGroupContext(rank), 3))
+            for _ in range(15):
+                x, y = ({words[int(i)]: complex(*rng.standard_normal(2))
+                         for i in rng.integers(0, len(words), size=int(rng.integers(1, 20)))}
+                        for _ in range(2))
+                letters_x = {u.letters: c for u, c in x.items()}
+                letters_y = {v.letters: c for v, c in y.items()}
+                assert length_lex(letters_x) == [
+                    (u.letters, c) for u, c in sorted(x.items(), key=lambda p: p[0].sort_key())]
+                expected = list(word_loop(x, y, 10**6).items())
+                assert list(sparse_product(x, y, rank, 10**6, "cap").items()) == expected
+                assert list(letter_product(letters_x, letters_y, 10**6, "cap").items()) == [
+                    (w.letters, c) for w, c in expected]
+                cap = len(expected) - 1
+                for product in (lambda: sparse_product(x, y, rank, cap, "cap"),
+                                lambda: letter_product(letters_x, letters_y, cap, "cap")):
+                    with pytest.raises(ResourceLimitError):
+                        product()
 
     def test_generator_codes_roundtrip(self):
         for i in range(1, 4):

@@ -295,6 +295,13 @@ DEFECTS = {
     "out-escapes": (["norm", "--config", "{c}"], {"element": "a", "out": "../x.csv"}, "/out"),
     "out-manifest": (["norm", "--config", "{c}"], {"element": "a", "out": "manifest.json"},
                      "/out"),
+    # the string form spells at most 26 generators
+    "rank-27-fix-mass": (["fix-mass", "--rank", "27", "--depth", "1", "--gens", "ball1"], None,
+                         "/rank"),
+    "rank-27-bnd-map": (["bnd-map", "--rank", "27", "--length", "5", "--paths", "1",
+                         "--seed", "0"], None, "/rank"),
+    "rank-27-boundary-solve": (["boundary-solve", "--rank", "27", "--depth", "1"], None,
+                               "/rank"),
 }
 
 
@@ -309,6 +316,17 @@ def test_defect_exits_2_naming_the_key(case, tmp_path, capsys):
     assert rc == 2
     _assert_one_error_line(err, fragment)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("gens", ["ball0", ["1"]], ids=["ball0", "identity-list"])
+def test_fix_mass_without_a_non_identity_word_is_inconclusive(gens, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"depth": 2, "gens": gens}))
+    rc, err = _main(["fix-mass", "--config", str(path), "--out-dir", str(tmp_path / "o")],
+                    capsys)
+    assert rc == 0, err
+    summary = json.loads((tmp_path / "o" / "fixmass_summary.json").read_text())
+    assert summary["verdict"] == "inconclusive: no non-identity word to test"
 
 
 @st.composite
