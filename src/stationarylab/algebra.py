@@ -323,7 +323,8 @@ def _pairing(a: dict, b: dict, b_by_inverse: dict | None = None) -> complex:
 
 class MomentBound(float):
     """A trace-moment lower bound that carries `order`, the highest moment
-    order at most the requested one that was computed."""
+    order at most the requested one that was computed.  Arithmetic on it
+    gives a plain float."""
 
     __slots__ = ("order",)
 
@@ -331,6 +332,10 @@ class MomentBound(float):
         self = super().__new__(cls, bound)
         self.order = order
         return self
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which needs the order too
+        return float(self), self.order
 
 
 def norm_lower_bound(
@@ -350,15 +355,15 @@ def norm_lower_bound(
     exceed the cap.  The result is a MomentBound, whose `order` is then
     below n_moments.
 
-    Powers of y are letter tables (letter tuple -> coefficient), never
-    AlgebraElements, and every sum runs in length-lex order.
+    y comes from convolve; its powers are letter tables (letter tuple ->
+    coefficient), never AlgebraElements, and every sum runs in length-lex
+    order.
     """
     if n_moments < 1:
         raise MalformedInputError(f"n_moments must be >= 1, got {n_moments}")
     if not x.coeffs:
         return MomentBound(0.0, n_moments)
-    xl = {w.letters: c for w, c in x.coeffs.items()}
-    y = _product({inverse_letters(w): c.conjugate() for w, c in xl.items()}, xl, support_cap)
+    y = {w.letters: c for w, c in convolve(involution(x), x, support_cap).coeffs.items()}
 
     profile = _radial_profile(y, x.rank)
     if profile is not None:

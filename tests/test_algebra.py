@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -485,3 +487,10 @@ class TestLetterTableMomentEngine:
         bound = norm_lower_bound(x, 8, 6)
         assert (bound, bound.order) == word_table_moment_engine(x, 8, 6)
         assert bound.order == 4
+
+    def test_bound_survives_copy_and_pickle(self):
+        x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
+        bound = norm_lower_bound(x, 8, 200)
+        for twin in (copy.copy(bound), copy.deepcopy(bound),
+                     pickle.loads(pickle.dumps(bound))):
+            assert (twin, twin.order) == (bound, 5)
