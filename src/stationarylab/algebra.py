@@ -321,21 +321,29 @@ def _pairing(a: dict, b: dict, b_by_inverse: dict | None = None) -> complex:
     return sum(c * get(w, 0) for w, c in items)
 
 
-class MomentBound(float):
-    """A trace-moment lower bound that carries `order`, the highest moment
-    order at most the requested one that was computed.  Arithmetic on it
-    gives a plain float."""
+class _TaggedFloat(float):
+    """A float that carries one tag, in the slot named by the subclass's
+    `_tag`.  Arithmetic on it gives a plain float."""
 
-    __slots__ = ("order",)
+    __slots__ = ()
+    _tag: str
 
-    def __new__(cls, bound: float, order: int):
-        self = super().__new__(cls, bound)
-        self.order = order
+    def __new__(cls, value: float, tag):
+        self = super().__new__(cls, value)
+        setattr(self, cls._tag, tag)
         return self
 
     def __getnewargs__(self):
-        # pickle and copy rebuild through __new__, which needs the order too
-        return float(self), self.order
+        # pickle and copy rebuild through __new__, which needs the tag too
+        return float(self), getattr(self, self._tag)
+
+
+class MomentBound(_TaggedFloat):
+    """A trace-moment lower bound that carries `order`, the highest moment
+    order at most the requested one that was computed."""
+
+    __slots__ = ("order",)
+    _tag = "order"
 
 
 def norm_lower_bound(
@@ -471,21 +479,26 @@ def _disjoint_cylinder_bound(words: list[Word], coeffs: list[complex]) -> float 
     return 2.0 * sqrt(sum(abs(c) ** 2 for c in coeffs))
 
 
-def norm_upper_bound(x: AlgebraElement) -> float:
+class UpperBound(_TaggedFloat):
+    """A certified upper bound that carries `method`, the tag of the
+    candidate that gave it."""
+
+    __slots__ = ("method",)
+    _tag = "method"
+
+
+def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     """Certified upper bound for the reduced norm of x.
 
     Minimum of: the l1 norm; the layer inequality sum (n+1) ||x_n||_2 in
     ambient word length; the same inequality after rewriting the support over
     a free basis of the subgroup it generates (isometric inclusion of reduced
     subgroup algebras); and, when available, the disjoint-cylinder averaging
-    estimate |x(e)| + 2 ||x restricted off e||_2.
+    estimate |x(e)| + 2 ||x restricted off e||_2.  The result is an
+    UpperBound whose `method` names the winning candidate ("zero" for x = 0).
     """
-    return _upper_bound_tagged(x)[0]
-
-
-def _upper_bound_tagged(x: AlgebraElement) -> tuple[float, str]:
     if not x.coeffs:
-        return 0.0, "zero"
+        return UpperBound(0.0, "zero")
     e = Word((), x.rank, _reduced=True)
     c_e = abs(x.coeffs.get(e, 0))
     rest = sorted(
@@ -519,7 +532,7 @@ def _upper_bound_tagged(x: AlgebraElement) -> tuple[float, str]:
         if disjoint is not None:
             candidates.append((c_e + disjoint, "disjoint-cylinders"))
     bound, tag = min(candidates, key=lambda p: p[0])
-    return float(bound), tag
+    return UpperBound(bound, tag)
 
 
 @dataclass(frozen=True)
@@ -554,12 +567,12 @@ def certify_norm(
 ) -> NormBracket:
     """Two-sided certified bracket on the reduced norm of x."""
     lower = norm_lower_bound(x, n_moments, support_cap)
-    upper, tag = _upper_bound_tagged(x)
+    upper = norm_upper_bound(x)
     return NormBracket(
         # min guards float dust on exactly-tight brackets
-        lower=min(float(lower), upper),
-        upper=upper,
+        lower=min(float(lower), float(upper)),
+        upper=float(upper),
         moments_used=lower.order,
         lower_method="trace-moments",
-        upper_method=tag,
+        upper_method=upper.method,
     )

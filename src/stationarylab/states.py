@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .freegroup import FiniteQuotient, FreeGroupContext, Word, ball, conjugate
+from .freegroup import FiniteQuotient, FreeGroupContext, Word, ball
 from .walks import (
     GroupMeasure,
     cesaro_measure,
@@ -141,14 +141,26 @@ class PowersCertificate:
 
 
 def _averaged_element(x: AlgebraElement, conjugators: Sequence[Word]) -> AlgebraElement:
-    """(1/n) sum_k Ad_{h_k^-1}(x)  (for x = lambda_g this is the Powers average)."""
+    """(1/n) sum_k Ad_{h_k^-1}(x)  (for x = lambda_g this is the Powers average).
+
+    The terms are summed into one table, conjugator by conjugator, and a sum
+    that becomes exactly 0 leaves the table at once, so key order and bits
+    are those of adding the n conjugated elements one after another.
+    """
     n = len(conjugators)
-    out = AlgebraElement.zero(x.rank)
+    terms = [(w, c / n) for w, c in x.coeffs.items()]
+    terms = [(w, c) for w, c in terms if c != 0]
+    out: dict[Word, complex] = {}
     for h in conjugators:
-        out = out + AlgebraElement(
-            {conjugate(w, h): c / n for w, c in x.coeffs.items()}, x.rank
-        )
-    return out
+        hinv = h.inverse()
+        for w, c in terms:
+            target = (hinv * w) * h
+            total = out.get(target, 0) + c
+            if total == 0:
+                del out[target]
+            else:
+                out[target] = total
+    return AlgebraElement(out, x.rank)
 
 
 def _commutes(u: Word, v: Word) -> bool:
@@ -210,7 +222,15 @@ def _geometric_tuples(g: Word, budget: int):
     bases = [w for w in _geometric_base_candidates(g.rank) if not _commutes(w, g)]
     for n in range(1, budget + 1):
         for w in bases:
-            yield tuple(w**k for k in range(1, n + 1)), n
+            yield _power_tuple(w, n), n
+
+
+def _power_tuple(w: Word, n: int) -> tuple[Word, ...]:
+    """(w, w^2, ..., w^n), each power the previous one times w."""
+    powers = [w]
+    while len(powers) < n:
+        powers.append(powers[-1] * w)
+    return tuple(powers)
 
 
 def _random_tuples(rank: int, budget: int, seed: int):
@@ -302,7 +322,7 @@ def _multi_element_powers(
         n *= 2
     for n in sizes:
         for w in bases:
-            hs = tuple(w**k for k in range(1, n + 1))
+            hs = _power_tuple(w, n)
             certs = []
             worst = 0.0
             for cid, x in centered:

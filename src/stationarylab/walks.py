@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -150,13 +151,30 @@ def uniform_generator_measure(rank: int) -> GroupMeasure:
 def convolve_measures(
     mu: GroupMeasure, nu: GroupMeasure, support_cap: int = 10_000_000
 ) -> GroupMeasure:
-    """(mu * nu)(w) = sum over u v = w of mu(u) nu(v)."""
+    """(mu * nu)(w) = sum over u v = w of mu(u) nu(v).
+
+    Exact laws multiply as integer numerator tables over their common
+    denominators, so the masses are the same Fractions with one gcd per
+    output word instead of one per pair.
+    """
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {nu.rank}")
-    out = sparse_product(
-        mu.masses, nu.masses, mu.rank, support_cap, "measure support exceeds the cap"
-    )
-    return GroupMeasure(out, mu.rank)
+    cap_message = "measure support exceeds the cap"
+    if not (mu.exact and nu.exact):
+        out = sparse_product(mu.masses, nu.masses, mu.rank, support_cap, cap_message)
+        return GroupMeasure(out, mu.rank)
+    d_mu, num_mu = _numerators(mu)
+    d_nu, num_nu = _numerators(nu)
+    out = sparse_product(num_mu, num_nu, mu.rank, support_cap, cap_message)
+    d = d_mu * d_nu
+    return GroupMeasure({w: Fraction(n, d) for w, n in out.items()}, mu.rank)
+
+
+def _numerators(mu: GroupMeasure) -> tuple[int, dict[Word, int]]:
+    """The common denominator D of an exact law's masses and the integer
+    numerators p * D, in the law's order."""
+    d = lcm(*[p.denominator for p in mu.masses.values()])
+    return d, {w: p.numerator * (d // p.denominator) for w, p in mu.masses.items()}
 
 
 def measure_power(mu: GroupMeasure, n: int, support_cap: int = 10_000_000) -> GroupMeasure:
@@ -235,24 +253,33 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     """The convolution action on algebra elements under the inner action:
     mu * a = sum_g mu(g) Ad_{g^-1}(a).  Preserves the canonical trace.
 
-    For exact laws the per-word accumulation runs in rational arithmetic and
-    rounds once at the end, so coefficients that cancel, cancel exactly.
+    For exact laws the per-word sums are exact: masses are integer numerators
+    over their common denominator D, the coefficient parts are integers over
+    one power of two 2^K, and each sum of products rounds once, through a
+    correctly rounded int / int division.  Coefficients that cancel, cancel
+    exactly.
     """
     if mu.rank != a.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
     atoms = sorted(mu.masses.items(), key=lambda x: x[0].sort_key())
     if mu.exact:
-        acc_re: dict[Word, Fraction] = {}
-        acc_im: dict[Word, Fraction] = {}
-        for g, p in atoms:
-            ginv = g.inverse()
-            for w, c in a.coeffs.items():
+        d, num = _numerators(mu)
+        ratios = {w: (c.real.as_integer_ratio(), c.imag.as_integer_ratio())
+                  for w, c in a.coeffs.items()}
+        two_k = max((q for pair in ratios.values() for _, q in pair), default=1)
+        parts = [(w, re * (two_k // q_re), im * (two_k // q_im))
+                 for w, ((re, q_re), (im, q_im)) in ratios.items()]
+        acc_re: dict[Word, int] = {}
+        acc_im: dict[Word, int] = {}
+        for g, _ in atoms:
+            ginv, n_g = g.inverse(), num[g]
+            for w, re, im in parts:
                 target = (ginv * w) * g
-                acc_re[target] = acc_re.get(target, Fraction(0)) + p * Fraction(c.real)
-                acc_im[target] = acc_im.get(target, Fraction(0)) + p * Fraction(c.imag)
+                acc_re[target] = acc_re.get(target, 0) + n_g * re
+                acc_im[target] = acc_im.get(target, 0) + n_g * im
+        d *= two_k
         return AlgebraElement(
-            {w: complex(float(acc_re[w]), float(acc_im[w])) for w in acc_re},
-            a.rank,
+            {w: complex(acc_re[w] / d, acc_im[w] / d) for w in acc_re}, a.rank
         )
     out: dict[Word, complex] = {}
     for g, p in atoms:

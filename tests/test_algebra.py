@@ -9,7 +9,6 @@ from stationarylab.algebra import (
     _bounds_from_moments,
     _disjoint_cylinder_bound,
     _layer_bound,
-    _upper_bound_tagged,
     adjoint_action,
     canonical_trace,
     certify_norm,
@@ -358,9 +357,21 @@ class TestUpperBoundFoldSkip:
         for x in self.elements():
             oracle = upper_bound_oracle(x)
             assert norm_upper_bound(x) == oracle
-            folds_needed += _upper_bound_tagged(x)[1] in ("free-support", "subgroup-layers")
+            folds_needed += norm_upper_bound(x).method in ("free-support", "subgroup-layers")
         # the family reaches the fold as well as the skip
         assert folds_needed > 0
+
+    def test_bracket_takes_bound_and_tag_from_norm_upper_bound(self):
+        methods = set()
+        for x in self.elements():
+            bound = norm_upper_bound(x)
+            bracket = certify_norm(x, 2)
+            assert type(bracket.upper) is float
+            assert (bracket.upper, bracket.upper_method) == (bound, bound.method)
+            methods.add(bound.method)
+        assert {"l1", "disjoint-cylinders"} <= methods
+        zero = norm_upper_bound(AlgebraElement.zero(2))
+        assert (zero, zero.method) == (0.0, "zero")
 
 
 def disjoint_cylinder_oracle(words, coeffs):
@@ -490,7 +501,13 @@ class TestLetterTableMomentEngine:
 
     def test_bound_survives_copy_and_pickle(self):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
-        bound = norm_lower_bound(x, 8, 200)
-        for twin in (copy.copy(bound), copy.deepcopy(bound),
-                     pickle.loads(pickle.dumps(bound))):
-            assert (twin, twin.order) == (bound, 5)
+        # MomentBound and UpperBound share their copy and pickle support;
+        # sphere2 is bounded by its one layer, 3 sqrt(12), below its l1 norm 12
+        sphere2 = AlgebraElement({w: 1.0 for w in ball(F2, 2) if len(w) == 2}, 2)
+        lower, upper = norm_lower_bound(x, 8, 200), norm_upper_bound(sphere2)
+        for bound, tag, value in ((lower, "order", 5), (upper, "method", "ambient-layers")):
+            for twin in (copy.copy(bound), copy.deepcopy(bound),
+                         pickle.loads(pickle.dumps(bound))):
+                assert type(twin) is type(bound)
+                assert (twin, getattr(twin, tag)) == (bound, value)
+            assert type(bound + 1.0) is float

@@ -7,7 +7,7 @@ import pytest
 from stationarylab.algebra import AlgebraElement, canonical_trace, norm_upper_bound
 from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import PreconditionError
-from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, ball
+from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, ball, conjugate
 from stationarylab.states import (
     build_c_star_simple_measure,
     cesaro_test,
@@ -18,11 +18,16 @@ from stationarylab.states import (
     verify_powers_certificate,
     _averaged_element,
     _convolution_channel,
+    _geometric_base_candidates,
+    _geometric_tuples,
+    _multi_element_powers,
+    _power_tuple,
     _herm_to_real,
 )
 from stationarylab.walks import (
     GroupMeasure,
     measure_convolve_element,
+    rng_from_seed,
     uniform_generator_measure,
 )
 
@@ -97,6 +102,81 @@ class TestPowersSearch:
         assert not cert.success
         assert cert.upper_bound > 1e-6
         assert cert.conjugators  # best tuple retained
+
+
+def running_sums(x, conjugators):
+    """The Powers average as n conjugated elements added one after another:
+    the sum after each conjugator."""
+    n = len(conjugators)
+    out = AlgebraElement.zero(x.rank)
+    for h in conjugators:
+        out = out + AlgebraElement(
+            {conjugate(w, h): c / n for w, c in x.coeffs.items()}, x.rank
+        )
+        yield out
+
+
+def averaged_oracle(x, conjugators):
+    return list(running_sums(x, conjugators))[-1]
+
+
+def _bits(x):
+    """(word, real bits, imaginary bits) per term in key order."""
+    return [(str(w), c.real.hex(), c.imag.hex()) for w, c in x.coeffs.items()]
+
+
+class TestPowersAveraging:
+    def test_cancelled_key_is_dropped_and_added_again(self):
+        # h = 1 puts +1/3 on b, h = a puts -1/3 there (A(abA)a = b): the sum
+        # is exactly 0 and b leaves; the second h = 1 adds it back at the end
+        x = AlgebraElement({F2.word("b"): 1.0, F2.word("abA"): -1.0}, 2)
+        hs = (F2.identity, F2.word("a"), F2.identity)
+        got = _averaged_element(x, hs)
+        assert [str(w) for w in got.coeffs] == ["abA", "Aba", "b"]
+        assert _bits(got) == _bits(averaged_oracle(x, hs))
+
+    def test_negative_zero_parts_take_the_bits_of_repeated_addition(self):
+        x = AlgebraElement({F2.word("a"): complex(-0.0, 1.0), F2.word("b"): complex(0.5, -0.0)}, 2)
+        hs = (F2.word("b"), F2.word("ab"))
+        assert _bits(_averaged_element(x, hs)) == _bits(averaged_oracle(x, hs))
+
+    def test_matches_repeated_addition_on_random_elements(self):
+        # x is a signed sum of conjugates of one word by short conjugators and
+        # the tuples draw from the same conjugators with repeats, so running
+        # sums cancel to exactly 0 and come back
+        rng = rng_from_seed(51)
+        short = list(ball(F2, 1))
+        cancels = 0
+        for _ in range(60):
+            base = F2.word(["a", "b", "ab", "aB"][int(rng.integers(0, 4))])
+            x = AlgebraElement({conjugate(base, short[int(i)]): complex(int(rng.integers(-2, 3)),
+                                                                        int(rng.integers(-1, 2)))
+                                for i in rng.integers(0, len(short), size=4)}, 2)
+            hs = tuple(short[int(i)] for i in rng.integers(0, len(short), size=int(rng.integers(1, 7))))
+            assert _bits(_averaged_element(x, hs)) == _bits(averaged_oracle(x, hs))
+            prev = set()
+            for partial in running_sums(x, hs):
+                cancels += bool(prev - set(partial.coeffs))
+                prev = set(partial.coeffs)
+        assert cancels > 0
+
+    def test_geometric_tuples_are_successive_powers(self):
+        g = F2.word("ab")
+        bases = [w for w in _geometric_base_candidates(2) if w * g != g * w]
+        want = [(tuple(w**k for k in range(1, n + 1)), n)
+                for n in range(1, 7) for w in bases]
+        assert list(_geometric_tuples(g, 6)) == want
+
+    def test_power_tuple_is_successive_powers(self):
+        for w in (F2.word("b"), F2.word("aB"), F2.word("abA")):
+            for n in (1, 2, 5, 16):
+                assert _power_tuple(w, n) == tuple(w**k for k in range(1, n + 1))
+
+    def test_multi_element_tuple_is_geometric(self):
+        x = AlgebraElement.delta(F2.word("a"))
+        hs, certs, worst = _multi_element_powers([("a", x)], 0.75, 16)
+        assert worst < 0.75 and certs
+        assert hs == tuple(hs[0] ** k for k in range(1, len(hs) + 1))
 
 
 class TestBuilder:

@@ -213,3 +213,124 @@ class TestDecaySchedule:
         assert Fraction(3, 4) ** 5 < Fraction(1, 4)
         assert Fraction(3, 4) ** 4 >= Fraction(1, 4)
         assert decay_schedule(2)[1] == 5
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the Fraction loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _by_length_lex(table):
+    return sorted(table.items(), key=lambda item: item[0].sort_key())
+
+
+def convolve_oracle(mu, nu):
+    """mu * nu with one Fraction (or float) multiply and add per pair, u then
+    v in length-lex order: the sum and insertion order of the exact kernel."""
+    out = {}
+    for u, p in _by_length_lex(mu.masses):
+        for v, q in _by_length_lex(nu.masses):
+            w = u * v
+            out[w] = out.get(w, 0) + p * q
+    return out
+
+
+def element_oracle(mu, a):
+    """mu * a summed in Fractions per word and rounded once (exact laws), or
+    summed in floats (other laws), in the kernel's loop order."""
+    if mu.exact:
+        acc_re, acc_im = {}, {}
+        for g, p in _by_length_lex(mu.masses):
+            for w, c in a.coeffs.items():
+                target = conjugate(w, g)
+                acc_re[target] = acc_re.get(target, Fraction(0)) + p * Fraction(c.real)
+                acc_im[target] = acc_im.get(target, Fraction(0)) + p * Fraction(c.imag)
+        out = {w: complex(float(acc_re[w]), float(acc_im[w])) for w in acc_re}
+    else:
+        out = {}
+        for g, p in _by_length_lex(mu.masses):
+            for w, c in a.coeffs.items():
+                target = conjugate(w, g)
+                out[target] = out.get(target, 0) + float(p) * c
+    return [(w, c) for w, c in out.items() if c != 0]
+
+
+def _mass_bits(items):
+    """(word, type, value) per atom; floats by their hex form."""
+    return [(str(w), type(p).__name__, p.hex() if isinstance(p, float) else p)
+            for w, p in items]
+
+
+def _coeff_bits(items):
+    """(word, real bits, imaginary bits) per term, so -0.0 differs from 0.0."""
+    return [(str(w), c.real.hex(), c.imag.hex()) for w, c in items]
+
+
+def _law(atoms):
+    return GroupMeasure({F2.word(w): p for w, p in atoms.items()}, 2)
+
+
+# denominators 3, 7, 6 and 14: their least common multiple 42 is none of them
+COPRIME = _law({"1": Fraction(1, 3), "a": Fraction(1, 7), "bA": Fraction(1, 6),
+                "B": Fraction(5, 14)})
+SEVENTHS = _law({"B": Fraction(2, 7), "ab": Fraction(5, 7)})
+FLOAT_LAW = _law({"a": 0.1, "b": 0.2, "AB": 0.7})
+MIXED_LAW = _law({"1": Fraction(1, 3), "b": 0.25, "ba": Fraction(1, 6), "A": 0.25})
+
+
+class TestIntegerKernels:
+    def test_coprime_denominators_convolve_to_the_fraction_sums(self):
+        for mu, nu in ((COPRIME, COPRIME), (COPRIME, SEVENTHS), (SEVENTHS, COPRIME), (MU, COPRIME)):
+            got = convolve_measures(mu, nu)
+            assert _mass_bits(got.masses.items()) == _mass_bits(convolve_oracle(mu, nu).items())
+            assert sum(got.masses.values()) == 1
+
+    def test_coprime_powers_match_the_fraction_loop(self):
+        power = GroupMeasure.dirac(F2.identity)
+        oracle = power
+        for _ in range(4):
+            power = convolve_measures(power, COPRIME)
+            oracle = GroupMeasure(convolve_oracle(oracle, COPRIME), 2)
+            assert _mass_bits(power.masses.items()) == _mass_bits(oracle.masses.items())
+
+    @pytest.mark.parametrize("mu, nu", [(FLOAT_LAW, FLOAT_LAW), (MIXED_LAW, MIXED_LAW),
+                                        (COPRIME, FLOAT_LAW), (MIXED_LAW, SEVENTHS)],
+                             ids=["float", "mixed", "exact-float", "mixed-exact"])
+    def test_float_and_mixed_laws_keep_the_float_sums(self, mu, nu):
+        got = convolve_measures(mu, nu)
+        assert not got.exact
+        assert _mass_bits(got.masses.items()) == _mass_bits(convolve_oracle(mu, nu).items())
+
+    @pytest.mark.parametrize("coeffs", [
+        {"a": 5e-324, "b": complex(2.5e-310, -7e-320), "ab": 1.0},
+        {"a": complex(-0.0, 0.75), "B": complex(0.5, -0.0), "1": -0.0 + 0.3j},
+        {"a": 1.7e308, "b": complex(-1.5e308, 1e308), "1": 3e-300},
+        {"a": 0.3j, "ab": -1.1j, "bb": 1e-17j},
+    ], ids=["subnormal", "negative-zero", "near-max", "imaginary"])
+    @pytest.mark.parametrize("mu", [COPRIME, SEVENTHS, MU, FLOAT_LAW, MIXED_LAW],
+                             ids=["coprime", "sevenths", "simple", "float", "mixed"])
+    def test_element_action_matches_the_fraction_loop_bit_for_bit(self, coeffs, mu):
+        a = AlgebraElement({F2.word(w): c for w, c in coeffs.items()}, 2)
+        got = measure_convolve_element(mu, a)
+        assert _coeff_bits(got.coeffs.items()) == _coeff_bits(element_oracle(mu, a))
+
+    def test_cancelling_coefficient_is_dropped(self):
+        # with g = 1 the b term gets 1/3 * 2, with g = a the aBA term gets
+        # 2/3 * -1 at A(abA)a = b: the sum is exactly 0, so b leaves the support
+        mu = _law({"1": Fraction(1, 3), "a": Fraction(2, 3)})
+        a = AlgebraElement({F2.word("b"): 2.0, F2.word("abA"): -1.0}, 2)
+        got = measure_convolve_element(mu, a)
+        assert F2.word("b") not in got.coeffs
+        assert _coeff_bits(got.coeffs.items()) == _coeff_bits(element_oracle(mu, a))
+        assert [str(w) for w in got.coeffs] == ["abA", "Aba"]
+
+    def test_non_finite_coefficients_raise_as_before(self):
+        for c, error in ((float("inf"), OverflowError), (complex(1.0, float("nan")), ValueError)):
+            a = AlgebraElement({F2.word("a"): c}, 2)
+            with pytest.raises(error):
+                element_oracle(COPRIME, a)
+            with pytest.raises(error):
+                measure_convolve_element(COPRIME, a)
+
+    def test_empty_element(self):
+        assert measure_convolve_element(COPRIME, AlgebraElement.zero(2)) == AlgebraElement.zero(2)
