@@ -20,11 +20,11 @@ from typing import Iterable, Iterator, Mapping
 from .errors import ContextMismatchError, MalformedInputError, ResourceLimitError
 from .freegroup import (
     Word,
+    _product_letters,
     free_basis_decomposition,
     inverse_letters,
     length_lex,
     letter_product,
-    sparse_product,
 )
 
 DEFAULT_SUPPORT_CAP = 5_000_000
@@ -34,6 +34,8 @@ ZERO_DROP_THRESHOLD = 1e-15
 class AlgebraElement:
     """Finitely supported complex coefficient table over reduced words.
 
+    `coeffs` maps the letters of each support word to its coefficient.  The
+    constructor checks a Word-keyed mapping; accessors speak Words.
     Immutable.  No automatic dropping of small coefficients happens inside
     arithmetic; call :func:`normalize` explicitly to prune.
     """
@@ -44,21 +46,16 @@ class AlgebraElement:
         table = {}
         for w, c in coeffs.items():
             if w.rank != rank:
-                raise ContextMismatchError(
-                    f"word rank {w.rank} in element of rank {rank}"
-                )
-            c = complex(c)
-            if c != 0:
-                table[w] = c
-        object.__setattr__(self, "coeffs", table)
-        object.__setattr__(self, "rank", rank)
+                raise ContextMismatchError(f"word rank {w.rank} in element of rank {rank}")
+            table[w.letters] = complex(c)
+        _fill(self, table, rank)
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
 
     @staticmethod
     def zero(rank: int) -> "AlgebraElement":
-        return AlgebraElement({}, rank)
+        return _element({}, rank)
 
     @staticmethod
     def delta(w: Word, coeff: complex = 1.0) -> "AlgebraElement":
@@ -67,10 +64,14 @@ class AlgebraElement:
 
     @staticmethod
     def unit(rank: int) -> "AlgebraElement":
-        return AlgebraElement({Word((), rank, _reduced=True): 1.0}, rank)
+        return _element({(): 1 + 0j}, rank)
+
+    def terms(self) -> list[tuple[Word, complex]]:
+        """(word, coefficient) pairs in length-lex word order."""
+        return [(Word(w, self.rank, _reduced=True), c) for w, c in length_lex(self.coeffs)]
 
     def support(self) -> list[Word]:
-        return sorted(self.coeffs, key=Word.sort_key)
+        return [w for w, _ in self.terms()]
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -87,22 +88,24 @@ class AlgebraElement:
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) + c
-        return AlgebraElement(out, self.rank)
+        return _element(out, self.rank)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) - c
-        return AlgebraElement(out, self.rank)
+        return _element(out, self.rank)
 
     def __rmul__(self, scalar: complex) -> "AlgebraElement":
-        return AlgebraElement({w: scalar * c for w, c in self.coeffs.items()}, self.rank)
+        s = complex(scalar)
+        return _element({w: s * c for w, c in self.coeffs.items()}, self.rank)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return convolve(self, other)
-        return AlgebraElement({w: c * other for w, c in self.coeffs.items()}, self.rank)
+        s = complex(other)
+        return _element({w: c * s for w, c in self.coeffs.items()}, self.rank)
 
     def l1(self) -> float:
         return sum(abs(c) for c in self.coeffs.values())
@@ -115,10 +118,27 @@ class AlgebraElement:
             raise ContextMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"{w}: {c:.4g}" for w, c in sorted(
-            self.coeffs.items(), key=lambda p: p[0].sort_key())[:6])
+        terms = ", ".join(f"{w}: {c:.4g}" for w, c in self.terms()[:6])
         more = "..." if len(self.coeffs) > 6 else ""
         return f"AlgebraElement({{{terms}{more}}}, rank={self.rank})"
+
+
+def _fill(x: AlgebraElement, table: dict[tuple[int, ...], complex], rank: int) -> None:
+    object.__setattr__(x, "coeffs", {w: c for w, c in table.items() if c != 0})
+    object.__setattr__(x, "rank", rank)
+
+
+def _element(table: dict[tuple[int, ...], complex], rank: int) -> AlgebraElement:
+    """The element of a letter table of complex coefficients, unchecked."""
+    x = object.__new__(AlgebraElement)
+    _fill(x, table, rank)
+    return x
+
+
+def _product(x: AlgebraElement, y: AlgebraElement, support_cap: int) -> AlgebraElement:
+    """convolve without the rank check."""
+    out = letter_product(x.coeffs, y.coeffs, support_cap, "convolution support exceeds the cap")
+    return _element(out, x.rank)
 
 
 def convolve(
@@ -126,40 +146,33 @@ def convolve(
 ) -> AlgebraElement:
     """Ring product: coeffs(w) = sum over u v = w of x(u) y(v)."""
     x._check(y)
-    out = sparse_product(
-        x.coeffs, y.coeffs, x.rank, support_cap, "convolution support exceeds the cap"
-    )
-    return AlgebraElement(out, x.rank)
+    return _product(x, y, support_cap)
 
 
 def involution(x: AlgebraElement) -> AlgebraElement:
     """Adjoint: coeffs(w) = conj(x(w^-1))."""
-    return AlgebraElement(
-        {w.inverse(): c.conjugate() for w, c in x.coeffs.items()}, x.rank
-    )
+    return _element({inverse_letters(w): c.conjugate() for w, c in x.coeffs.items()}, x.rank)
 
 
 def canonical_trace(x: AlgebraElement) -> complex:
     """Coefficient at the identity."""
-    e = Word((), x.rank, _reduced=True)
-    return x.coeffs.get(e, 0j)
+    return x.coeffs.get((), 0j)
 
 
 def adjoint_action(g: Word, x: AlgebraElement) -> AlgebraElement:
     """Inner automorphism: Ad_g(lambda_h) = lambda_{g h g^-1}."""
     if g.rank != x.rank:
         raise ContextMismatchError(f"rank mismatch: {g.rank} vs {x.rank}")
-    ginv = g.inverse()
-    return AlgebraElement(
-        {(g * w) * ginv: c for w, c in x.coeffs.items()}, x.rank
+    gl, ginv = g.letters, inverse_letters(g.letters)
+    return _element(
+        {_product_letters(_product_letters(gl, w), ginv): c for w, c in x.coeffs.items()},
+        x.rank,
     )
 
 
 def normalize(x: AlgebraElement, threshold: float = ZERO_DROP_THRESHOLD) -> AlgebraElement:
     """Drop coefficients of modulus below the threshold."""
-    return AlgebraElement(
-        {w: c for w, c in x.coeffs.items() if abs(c) >= threshold}, x.rank
-    )
+    return _element({w: c for w, c in x.coeffs.items() if abs(c) >= threshold}, x.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +315,6 @@ def _bounds_from_moments(moments, max_m: int) -> tuple[float, int]:
     return best, best_m
 
 
-def _product(a: dict, b: dict, support_cap: int) -> dict:
-    """Letter table of the ring product a b, zero coefficients dropped as
-    AlgebraElement drops them."""
-    out = letter_product(a, b, support_cap, "convolution support exceeds the cap")
-    return {w: c for w, c in out.items() if c != 0}
-
-
 def _pairing(a: dict, b: dict, b_by_inverse: dict | None = None) -> complex:
     """tau0 of the product a b: the sum of a(w) b(w^-1) over the words w of
     a in length-lex order.  b_by_inverse, when given, is b keyed by inverse
@@ -363,23 +369,22 @@ def norm_lower_bound(
     exceed the cap.  The result is a MomentBound, whose `order` is then
     below n_moments.
 
-    y comes from convolve; its powers are letter tables (letter tuple ->
-    coefficient), never AlgebraElements, and every sum runs in length-lex
-    order.
+    y comes from convolve and its powers from the same letter_product kernel
+    without the rank check; every sum runs in length-lex order.
     """
     if n_moments < 1:
         raise MalformedInputError(f"n_moments must be >= 1, got {n_moments}")
     if not x.coeffs:
         return MomentBound(0.0, n_moments)
-    y = {w.letters: c for w, c in convolve(involution(x), x, support_cap).coeffs.items()}
+    y = convolve(involution(x), x, support_cap)
 
-    profile = _radial_profile(y, x.rank)
+    profile = _radial_profile(y.coeffs, x.rank)
     if profile is not None:
         vals, _ = _radial_moments(profile, x.rank, n_moments + 1)
         moments = {m + 1: vals[m] for m in range(len(vals))}
         return MomentBound(_bounds_from_moments(moments, n_moments)[0], n_moments)
 
-    moments: dict[int, complex] = {1: y.get((), 0j)}
+    moments: dict[int, complex] = {1: canonical_trace(y)}
     z = y
     m_z = 1
     while True:
@@ -388,15 +393,15 @@ def norm_lower_bound(
         # an inverse-keyed copy of z pays off only when the y z pairing reads
         # it too; for the z z pairing alone it would only add the memory of
         # a second z
-        z_inv = {inverse_letters(w): c for w, c in z.items()} if pair_follows else None
-        moments[2 * m_z] = _pairing(z, z, z_inv)
+        z_inv = {inverse_letters(w): c for w, c in z.coeffs.items()} if pair_follows else None
+        moments[2 * m_z] = _pairing(z.coeffs, z.coeffs, z_inv)
         if pair_follows:
             # the ratio bound at order 2 m_z also needs tau0(y^(2 m_z + 1))
             try:
                 t = _product(y, z, support_cap)
             except ResourceLimitError:
                 break
-            moments[2 * m_z + 1] = _pairing(t, z, z_inv)
+            moments[2 * m_z + 1] = _pairing(t.coeffs, z.coeffs, z_inv)
         if 2 * m_z >= n_moments:
             break
         if m_z == 1:
@@ -407,7 +412,7 @@ def norm_lower_bound(
             except ResourceLimitError:
                 break
         m_z *= 2
-        moments[m_z] = z.get((), 0j)
+        moments[m_z] = canonical_trace(z)
     achieved = max(m for m in moments if m <= n_moments)
     return MomentBound(_bounds_from_moments(moments, n_moments)[0], achieved)
 
@@ -436,14 +441,16 @@ def _splits(m: int) -> Iterator[int]:
             yield mid + d
 
 
-def _disjoint_cylinder_bound(words: list[Word], coeffs: list[complex]) -> float | None:
+def _disjoint_cylinder_bound(
+    words: list[tuple[int, ...]], coeffs: list[complex]
+) -> float | None:
     """Averaging estimate: if pairwise disjoint prefix sets F_k satisfy
     t_k (complement of F_k) inside F_k, then ||sum c_k lambda_{t_k}|| <= 2 ||c||_2.
 
-    For a reduced word t with letters t_1..t_m and any split 1 <= j <= m, the
-    set F = [head_j] u [(t_j..t_m)^-1] works; the check below greedily picks a
-    split per word so the F's are pairwise disjoint, and returns None if it
-    cannot.
+    For a reduced word t with letters t_1..t_m (the words come as letter
+    tuples) and any split 1 <= j <= m, the set F = [head_j] u [(t_j..t_m)^-1]
+    works; the check below greedily picks a split per word so the F's are
+    pairwise disjoint, and returns None if it cannot.
     """
     # the chosen prefixes as a trie: letter -> subtrie, with the key None
     # marking the end of a chosen prefix
@@ -468,8 +475,8 @@ def _disjoint_cylinder_bound(words: list[Word], coeffs: list[complex]) -> float 
 
     for t in words:
         for j in _splits(len(t)):
-            head = t.letters[:j]
-            tail_inv = inverse_letters(t.letters[j - 1 :])
+            head = t[:j]
+            tail_inv = inverse_letters(t[j - 1 :])
             if not clashes(head) and not clashes(tail_inv):
                 choose(head)
                 choose(tail_inv)
@@ -499,12 +506,8 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     """
     if not x.coeffs:
         return UpperBound(0.0, "zero")
-    e = Word((), x.rank, _reduced=True)
-    c_e = abs(x.coeffs.get(e, 0))
-    rest = sorted(
-        ((w, c) for w, c in x.coeffs.items() if not w.is_identity()),
-        key=lambda p: p[0].sort_key(),
-    )
+    c_e = abs(x.coeffs.get((), 0))
+    rest = [(w, c) for w, c in length_lex(x.coeffs) if w]
     candidates = [(x.l1(), "l1")]
     candidates.append(
         (_layer_bound((len(w), c) for w, c in x.coeffs.items()), "ambient-layers")
@@ -521,7 +524,9 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
         # runs only when it can beat the other candidates
         free_support = c_e + 2.0 * sqrt(sum(abs(c) ** 2 for c in coeffs))
         if best_other > free_support:
-            dec = free_basis_decomposition(words)
+            dec = free_basis_decomposition(
+                [Word(w, x.rank, _reduced=True) for w in words]
+            )
             if len(dec.basis) == len(words):
                 # the support freely generates: it is itself a free basis
                 candidates.append((free_support, "free-support"))

@@ -223,7 +223,7 @@ def stationarity_residual(
     if depth < 1:
         raise DepthUnderflowError(required_depth=L + 1, available_depth=nu.depth)
     ctx = FreeGroupContext(nu.rank)
-    atoms = sorted(mu.masses.items(), key=lambda x: x[0].sort_key())
+    atoms = mu.atoms()
     worst = 0
     for w in ball(ctx, depth):
         if w.is_identity():
@@ -288,10 +288,10 @@ def first_letter_hitting(mu: GroupMeasure) -> dict[Word, float] | None:
     the walk is not certifiably transient (denominator ~ 0) or the support
     contains longer words.
     """
-    supp = mu.support()
+    p = {w: float(m) for w, m in mu.atoms()}
+    supp = list(p)
     if any(len(w) != 1 for w in supp):
         return None
-    p = {w: float(mu.masses[w]) for w in supp}
     u = {w: 0.0 for w in supp}
     converged = False
     for _ in range(100_000):
@@ -351,7 +351,7 @@ def solve_stationary(
         index_ext[w] = len(words_W) + j
 
     # compiled transfer operator: new[w] = sum_g p_g (const + sign * vec[idx])
-    atoms = [(g, float(p)) for g, p in sorted(mu.masses.items(), key=lambda x: x[0].sort_key())]
+    atoms = [(g, float(p)) for g, p in mu.atoms()]
 
     def compile_transfer(words: list[Word], index: dict[Word, int]) -> list[tuple]:
         gathers = []
@@ -550,16 +550,24 @@ def poisson_map(
         for w, cf in terms:
             acc += complex(cf) * float(_translated_mass(g, w, nu))
         values[g] = acc
-    L = mu.max_support_length()
-    res = 0.0
-    if radius >= L:
-        atoms = sorted(mu.masses.items(), key=lambda x: x[0].sort_key())
-        for g in ball(ctx, radius - L):
-            avg = sum(float(p) * values[g * h] for h, p in atoms)
-            res = max(res, abs(values[g] - avg))
+    res = _harmonicity_residual(values, mu, ctx, radius - mu.max_support_length())
     return HarmonicFunction(
         values=values, radius=radius, rank=nu.rank, harmonicity_residual=res
     )
+
+
+def _harmonicity_residual(
+    values: dict[Word, complex], mu: GroupMeasure, ctx: FreeGroupContext, inner_radius: int
+) -> float:
+    """max |values(g) - sum_h mu(h) values(g h)| over the ball of the inner radius,
+    where one averaging step stays inside the table; 0 if that radius is < 0."""
+    res = 0.0
+    if inner_radius >= 0:
+        atoms = mu.atoms()
+        for g in ball(ctx, inner_radius):
+            avg = sum(float(p) * values[g * h] for h, p in atoms)
+            res = max(res, abs(values[g] - avg))
+    return res
 
 
 @dataclass(frozen=True)
@@ -607,7 +615,7 @@ def harmonic_multiply(
     power = mu
     values: dict[Word, complex] = {}
     for n in range(1, n_max + 1):
-        atoms = sorted(power.masses.items(), key=lambda x: x[0].sort_key())
+        atoms = power.atoms()
         values = {}
         for g in eval_words:
             values[g] = sum(
@@ -619,18 +627,11 @@ def harmonic_multiply(
         if n < n_max:
             power = convolve_measures(power, mu)
     # the approximant is only asymptotically harmonic; record its residual
-    # (over the sub-ball where one averaging step stays inside the table)
-    res = 0.0
-    if out_radius >= L:
-        mu_atoms = sorted(mu.masses.items(), key=lambda x: x[0].sort_key())
-        for g in ball(ctx, out_radius - L):
-            avg = sum(float(p) * values[g * h] for h, p in mu_atoms)
-            res = max(res, abs(values[g] - avg))
     func = HarmonicFunction(
         values=values,
         radius=out_radius,
         rank=f1.rank,
-        harmonicity_residual=res,
+        harmonicity_residual=_harmonicity_residual(values, mu, ctx, out_radius - L),
     )
     return HarmonicProduct(function=func, n_used=n_max, cauchy_diffs=tuple(diffs))
 

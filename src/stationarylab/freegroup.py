@@ -11,6 +11,11 @@ from Word.inverse() or inverse_letters().
 String form (used by every CLI flag, JSON config, and CSV cell): generators are
 'a'..'z' by index, inverses the corresponding uppercase letters, and the
 identity is the one-character string "1"; e.g. "abAB" = a b a^-1 b^-1.
+
+Algebra elements and group laws are tables keyed by letter tuples (the
+`letters` of reduced words), multiplied by letter_product.  Word is the parse
+and print form, taken by public constructors and returned by accessors; the
+boundary and subgroup code works on Words throughout.
 """
 
 from __future__ import annotations
@@ -264,23 +269,6 @@ def letter_product(
             if len(out) > support_cap:
                 raise ResourceLimitError(cap_message, support_cap)
     return out
-
-
-def sparse_product(
-    x: Mapping[Word, T],
-    y: Mapping[Word, T],
-    rank: int,
-    support_cap: int,
-    cap_message: str,
-) -> dict[Word, T]:
-    """letter_product over tables keyed by the words of one rank."""
-    out = letter_product(
-        {u.letters: c for u, c in x.items()},
-        {v.letters: c for v, c in y.items()},
-        support_cap,
-        cap_message,
-    )
-    return {_word(w, rank): c for w, c in out.items()}
 
 
 def multiply(u: Word, v: Word) -> Word:

@@ -20,7 +20,7 @@ from .walks import GroupMeasure
 
 def measure_to_json(mu: GroupMeasure) -> dict:
     atoms = []
-    for w, p in sorted(mu.masses.items(), key=lambda x: x[0].sort_key()):
+    for w, p in mu.atoms():
         atoms.append(
             {"word": str(w), "p": str(p) if isinstance(p, Fraction) else float(p)}
         )
@@ -43,7 +43,7 @@ def measure_from_json(data: dict) -> GroupMeasure:
 
 def element_to_json(x: AlgebraElement) -> dict:
     terms = []
-    for w, c in sorted(x.coeffs.items(), key=lambda p: p[0].sort_key()):
+    for w, c in x.terms():
         terms.append({"word": str(w), "re": c.real, "im": c.imag})
     return {"context": x.rank, "terms": terms}
 
@@ -64,6 +64,7 @@ def element_from_json(data: dict) -> AlgebraElement:
 
 def cylinder_csv_rows(nu: CylinderMeasure) -> list[tuple[str, int, str]]:
     rows = []
-    for w, m in sorted(nu.masses.items(), key=lambda p: p[0].sort_key()):
+    for w in sorted(nu.masses, key=Word.sort_key):
+        m = nu.masses[w]
         rows.append((str(w), len(w), str(m) if isinstance(m, Fraction) else repr(float(m))))
     return rows

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    _element,
     certify_norm,
     canonical_trace,
     norm_upper_bound,
@@ -30,9 +31,11 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .freegroup import FiniteQuotient, FreeGroupContext, Word, ball
+from .freegroup import FiniteQuotient, FreeGroupContext, Word, ball, inverse_letters
+from .freegroup import _product_letters
 from .walks import (
     GroupMeasure,
+    _measure,
     cesaro_measure,
     convolve_measures,
     decay_schedule,
@@ -150,21 +153,22 @@ def _averaged_element(x: AlgebraElement, conjugators: Sequence[Word]) -> Algebra
     n = len(conjugators)
     terms = [(w, c / n) for w, c in x.coeffs.items()]
     terms = [(w, c) for w, c in terms if c != 0]
-    out: dict[Word, complex] = {}
+    out: dict[tuple[int, ...], complex] = {}
     for h in conjugators:
-        hinv = h.inverse()
+        hl, hinv = h.letters, inverse_letters(h.letters)
         for w, c in terms:
-            target = (hinv * w) * h
+            target = _product_letters(_product_letters(hinv, w), hl)
             total = out.get(target, 0) + c
             if total == 0:
                 del out[target]
             else:
                 out[target] = total
-    return AlgebraElement(out, x.rank)
+    return _element(out, x.rank)
 
 
-def _commutes(u: Word, v: Word) -> bool:
-    return u * v == v * u
+def _commutes(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """Whether the words with these letters commute."""
+    return _product_letters(u, v) == _product_letters(v, u)
 
 
 def _geometric_base_candidates(rank: int, max_len: int = 3):
@@ -219,7 +223,7 @@ def powers_search(
 
 def _geometric_tuples(g: Word, budget: int):
     """(w, w^2, ..., w^n) for n = 1..budget and, per n, each base w not commuting with g."""
-    bases = [w for w in _geometric_base_candidates(g.rank) if not _commutes(w, g)]
+    bases = [w for w in _geometric_base_candidates(g.rank) if not _commutes(w.letters, g.letters)]
     for n in range(1, budget + 1):
         for w in bases:
             yield _power_tuple(w, n), n
@@ -305,22 +309,17 @@ def _multi_element_powers(
     """
     rank = constraints[0][1].rank
     e = Word((), rank, _reduced=True)
-    supports = {w for _, x in constraints for w in x.support() if not w.is_identity()}
+    supports = {w for _, x in constraints for w in x.coeffs if w}
     bases = [
         w
         for w in _geometric_base_candidates(rank)
-        if all(not _commutes(w, s) for s in supports)
+        if all(not _commutes(w.letters, s) for s in supports)
     ]
     centered = [
         (cid, x - AlgebraElement.delta(e, canonical_trace(x))) for cid, x in constraints
     ]
-    best_u, best = float("inf"), None
-    sizes = []
-    n = 1
-    while n <= budget:
-        sizes.append(n)
-        n *= 2
-    for n in sizes:
+    best_u = float("inf")
+    for n in (2**j for j in range(budget.bit_length())):
         for w in bases:
             hs = _power_tuple(w, n)
             certs = []
@@ -331,8 +330,7 @@ def _multi_element_powers(
                 worst = max(worst, u)
                 if worst >= epsilon:
                     break
-            if worst < best_u:
-                best_u, best = worst, (hs, certs)
+            best_u = min(best_u, worst)
             if worst < epsilon:
                 return (
                     hs,
@@ -409,11 +407,11 @@ def build_c_star_simple_measure(
 
     weights = [Fraction(1, 2**l) for l in range(1, levels + 1)]
     weights[-1] = weights[-1] + Fraction(1, 2**levels)  # fold the tail
-    mixture: dict[Word, Fraction] = {}
+    mixture: dict[tuple[int, ...], Fraction] = {}
     for wgt, m in zip(weights, level_measures):
         for w, p in m.masses.items():
             mixture[w] = mixture.get(w, Fraction(0)) + wgt * p
-    mu = GroupMeasure(mixture, rank)
+    mu = _measure(mixture, rank)
 
     final_checks: list[FinalCheck] = []
     power = GroupMeasure.dirac(e)
@@ -472,7 +470,7 @@ def _convolution_channel(rep: FiniteQuotient, mu: GroupMeasure):
     """rho -> sum_g mu(g) U_g rho U_g^*, as a matrix on vec(rho)."""
     m = rep.dim
     out = np.zeros((m * m, m * m), dtype=complex)
-    for g, p in sorted(mu.masses.items(), key=lambda x: x[0].sort_key()):
+    for g, p in mu.atoms():
         U = rep.evaluate(g)
         out += float(p) * np.kron(U, U.conj())
     return out
@@ -578,11 +576,7 @@ def crossed_product_state(
     identity key meaning the constant 1); the state integrates the identity
     coefficient against nu and kills every other term.
     """
-    e = None
-    for g in f_terms:
-        if g.is_identity():
-            e = g
-            break
+    e = next((g for g in f_terms if g.is_identity()), None)
     if e is None:
         return 0j
     acc = 0j

@@ -15,14 +15,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _element
 from .errors import (
     ContextMismatchError,
     MalformedInputError,
     PreconditionError,
     ResourceLimitError,
 )
-from .freegroup import FreeGroupContext, Word, sparse_product
+from .freegroup import FreeGroupContext, Word, inverse_letters, length_lex, letter_product
+from .freegroup import _product_letters
 
 MASS_TOLERANCE = 1e-12
 GENERATING_CLOSURE_CAP = 1_000_000
@@ -35,20 +36,15 @@ def rng_from_seed(*seed_parts: int) -> np.random.Generator:
 
 def _as_mass(value):
     """Exact Fractions for rational inputs (int, Fraction, 'p/q' string), else float."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    return float(value)
+    return Fraction(value) if isinstance(value, (Fraction, int, str)) else float(value)
 
 
 class GroupMeasure:
     """A finitely supported probability measure on F_rank.
 
-    Masses are exact Fractions when every input is rational, floats otherwise.
-    Immutable.
+    `masses` maps the letters of each support word to its mass: exact
+    Fractions when every input is rational, floats otherwise.  The
+    constructor checks a Word-keyed mapping; accessors speak Words.  Immutable.
     """
 
     __slots__ = ("masses", "rank", "_generating")
@@ -61,14 +57,8 @@ class GroupMeasure:
             p = _as_mass(p)
             if p < 0:
                 raise MalformedInputError(f"negative mass {p} at {w}")
-            if p > 0:
-                table[w] = table.get(w, 0) + p
-        total = sum(table.values())
-        if abs(float(total) - 1.0) > MASS_TOLERANCE:
-            raise MalformedInputError(f"masses sum to {float(total)}, not 1")
-        object.__setattr__(self, "masses", table)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_generating", None)
+            table[w.letters] = p
+        _fill(self, table, rank)
 
     def __setattr__(self, *a):
         raise AttributeError("GroupMeasure is immutable")
@@ -83,11 +73,17 @@ class GroupMeasure:
     def dirac(w: Word) -> "GroupMeasure":
         return GroupMeasure({w: Fraction(1)}, w.rank)
 
+    def atoms(self) -> list[tuple[Word, object]]:
+        """(word, mass) pairs in length-lex word order."""
+        return [(Word(w, self.rank, _reduced=True), p) for w, p in length_lex(self.masses)]
+
     def support(self) -> list[Word]:
-        return sorted(self.masses, key=Word.sort_key)
+        return [w for w, _ in self.atoms()]
 
     def mass(self, w: Word):
-        return self.masses.get(w, 0)
+        if w.rank != self.rank:
+            raise ContextMismatchError(f"word rank {w.rank} vs measure rank {self.rank}")
+        return self.masses.get(w.letters, 0)
 
     def max_support_length(self) -> int:
         return max((len(w) for w in self.masses), default=0)
@@ -106,7 +102,7 @@ class GroupMeasure:
         """
         if self._generating is not None:
             return self._generating
-        supp = [w for w in self.support() if not w.is_identity()]
+        supp = [w for w, _ in length_lex(self.masses) if w]
         radius = 2 * self.max_support_length() + 2
         closure = set(supp)
         frontier = list(supp)
@@ -114,7 +110,7 @@ class GroupMeasure:
             new = []
             for u in frontier:
                 for s in supp:
-                    v = u * s
+                    v = _product_letters(u, s)
                     if len(v) <= radius and v not in closure:
                         closure.add(v)
                         new.append(v)
@@ -124,7 +120,7 @@ class GroupMeasure:
                             )
             frontier = new
         targets = FreeGroupContext(self.rank).generators()
-        result = all(t in closure for t in targets)
+        result = all(t.letters in closure for t in targets)
         object.__setattr__(self, "_generating", result)
         return result
 
@@ -136,10 +132,25 @@ class GroupMeasure:
         )
 
     def __repr__(self) -> str:
-        atoms = ", ".join(
-            f"{w}: {p}" for w, p in sorted(self.masses.items(), key=lambda x: x[0].sort_key())[:6]
-        )
+        atoms = ", ".join(f"{w}: {p}" for w, p in self.atoms()[:6])
         return f"GroupMeasure({{{atoms}{'...' if len(self.masses) > 6 else ''}}})"
+
+
+def _fill(mu: GroupMeasure, table: dict[tuple[int, ...], object], rank: int) -> None:
+    table = {w: p for w, p in table.items() if p > 0}
+    total = sum(table.values())
+    if abs(float(total) - 1.0) > MASS_TOLERANCE:
+        raise MalformedInputError(f"masses sum to {float(total)}, not 1")
+    object.__setattr__(mu, "masses", table)
+    object.__setattr__(mu, "rank", rank)
+    object.__setattr__(mu, "_generating", None)
+
+
+def _measure(table: dict[tuple[int, ...], object], rank: int) -> GroupMeasure:
+    """The law of a letter table of masses >= 0, checked only for summing to 1."""
+    mu = object.__new__(GroupMeasure)
+    _fill(mu, table, rank)
+    return mu
 
 
 def uniform_generator_measure(rank: int) -> GroupMeasure:
@@ -161,16 +172,15 @@ def convolve_measures(
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {nu.rank}")
     cap_message = "measure support exceeds the cap"
     if not (mu.exact and nu.exact):
-        out = sparse_product(mu.masses, nu.masses, mu.rank, support_cap, cap_message)
-        return GroupMeasure(out, mu.rank)
+        return _measure(letter_product(mu.masses, nu.masses, support_cap, cap_message), mu.rank)
     d_mu, num_mu = _numerators(mu)
     d_nu, num_nu = _numerators(nu)
-    out = sparse_product(num_mu, num_nu, mu.rank, support_cap, cap_message)
+    out = letter_product(num_mu, num_nu, support_cap, cap_message)
     d = d_mu * d_nu
-    return GroupMeasure({w: Fraction(n, d) for w, n in out.items()}, mu.rank)
+    return _measure({w: Fraction(n, d) for w, n in out.items()}, mu.rank)
 
 
-def _numerators(mu: GroupMeasure) -> tuple[int, dict[Word, int]]:
+def _numerators(mu: GroupMeasure) -> tuple[int, dict[tuple[int, ...], int]]:
     """The common denominator D of an exact law's masses and the integer
     numerators p * D, in the law's order."""
     d = lcm(*[p.denominator for p in mu.masses.values()])
@@ -181,7 +191,7 @@ def measure_power(mu: GroupMeasure, n: int, support_cap: int = 10_000_000) -> Gr
     """n-th convolution power; mu^0 is the Dirac mass at the identity."""
     if n < 0:
         raise MalformedInputError(f"power must be >= 0, got {n}")
-    out = GroupMeasure.dirac(Word((), mu.rank, _reduced=True))
+    out = _measure({(): Fraction(1)}, mu.rank)
     for _ in range(n):
         out = convolve_measures(out, mu, support_cap)
     return out
@@ -191,8 +201,8 @@ def cesaro_measure(mu: GroupMeasure, n: int, support_cap: int = 10_000_000) -> G
     """(1/n) sum_{k=0}^{n-1} mu^k."""
     if n < 1:
         raise MalformedInputError(f"n must be >= 1, got {n}")
-    acc: dict[Word, object] = {}
-    power = GroupMeasure.dirac(Word((), mu.rank, _reduced=True))
+    acc: dict[tuple[int, ...], object] = {}
+    power = _measure({(): Fraction(1)}, mu.rank)
     for k in range(n):
         if k > 0:
             power = convolve_measures(power, mu, support_cap)
@@ -201,7 +211,7 @@ def cesaro_measure(mu: GroupMeasure, n: int, support_cap: int = 10_000_000) -> G
         if len(acc) > support_cap:
             raise ResourceLimitError("Cesaro support exceeds the cap", support_cap)
     inv_n = Fraction(1, n)
-    return GroupMeasure({w: p * inv_n for w, p in acc.items()}, mu.rank)
+    return _measure({w: p * inv_n for w, p in acc.items()}, mu.rank)
 
 
 @dataclass(frozen=True)
@@ -225,13 +235,13 @@ def sample_increments(mu: GroupMeasure, length: int, seed: int) -> tuple[Word, .
     length-lex order, using the Philox generator keyed by the seed."""
     if length < 0:
         raise MalformedInputError(f"length must be >= 0, got {length}")
-    support = mu.support()
-    cdf = np.cumsum([float(mu.masses[w]) for w in support])
+    atoms = mu.atoms()
+    cdf = np.cumsum([float(p) for _, p in atoms])
     cdf[-1] = 1.0
     rng = rng_from_seed(seed)
     draws = rng.random(length)
     idx = np.searchsorted(cdf, draws, side="right")
-    return tuple(support[int(i)] for i in idx)
+    return tuple(atoms[int(i)][0] for i in idx)
 
 
 def sample_path(mu: GroupMeasure, length: int, seed: int) -> PathSample:
@@ -261,7 +271,7 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     """
     if mu.rank != a.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
-    atoms = sorted(mu.masses.items(), key=lambda x: x[0].sort_key())
+    atoms = length_lex(mu.masses)
     if mu.exact:
         d, num = _numerators(mu)
         ratios = {w: (c.real.as_integer_ratio(), c.imag.as_integer_ratio())
@@ -269,25 +279,25 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
         two_k = max((q for pair in ratios.values() for _, q in pair), default=1)
         parts = [(w, re * (two_k // q_re), im * (two_k // q_im))
                  for w, ((re, q_re), (im, q_im)) in ratios.items()]
-        acc_re: dict[Word, int] = {}
-        acc_im: dict[Word, int] = {}
+        acc_re: dict[tuple[int, ...], int] = {}
+        acc_im: dict[tuple[int, ...], int] = {}
         for g, _ in atoms:
-            ginv, n_g = g.inverse(), num[g]
+            ginv, n_g = inverse_letters(g), num[g]
             for w, re, im in parts:
-                target = (ginv * w) * g
+                target = _product_letters(_product_letters(ginv, w), g)
                 acc_re[target] = acc_re.get(target, 0) + n_g * re
                 acc_im[target] = acc_im.get(target, 0) + n_g * im
         d *= two_k
-        return AlgebraElement(
+        return _element(
             {w: complex(acc_re[w] / d, acc_im[w] / d) for w in acc_re}, a.rank
         )
-    out: dict[Word, complex] = {}
+    out: dict[tuple[int, ...], complex] = {}
     for g, p in atoms:
-        ginv = g.inverse()
+        ginv = inverse_letters(g)
         for w, c in a.coeffs.items():
-            target = (ginv * w) * g
+            target = _product_letters(_product_letters(ginv, w), g)
             out[target] = out.get(target, 0) + float(p) * c
-    return AlgebraElement(out, a.rank)
+    return _element(out, a.rank)
 
 
 def decay_schedule(k_max: int) -> list[int]:

@@ -23,7 +23,6 @@ from stationarylab.freegroup import (
     letter_product,
     multiply,
     reduce_letters,
-    sparse_product,
     word_from_str,
 )
 from stationarylab.walks import rng_from_seed
@@ -289,7 +288,7 @@ class TestWordKernel:
         expected = sorted((str(w) for w in shuffled), key=oracle_key)
         assert [str(w) for w in sorted(shuffled, key=Word.sort_key)] == expected
 
-    def test_sparse_product_and_letter_product_against_word_loop(self):
+    def test_letter_product_against_word_loop(self):
         # the sum over u, then v, in Word.sort_key order, on Word objects:
         # same keys, same coefficient bits, same insertion order, same cap
         def word_loop(x, y, cap):
@@ -314,14 +313,10 @@ class TestWordKernel:
                 assert length_lex(letters_x) == [
                     (u.letters, c) for u, c in sorted(x.items(), key=lambda p: p[0].sort_key())]
                 expected = list(word_loop(x, y, 10**6).items())
-                assert list(sparse_product(x, y, rank, 10**6, "cap").items()) == expected
                 assert list(letter_product(letters_x, letters_y, 10**6, "cap").items()) == [
                     (w.letters, c) for w, c in expected]
-                cap = len(expected) - 1
-                for product in (lambda: sparse_product(x, y, rank, cap, "cap"),
-                                lambda: letter_product(letters_x, letters_y, cap, "cap")):
-                    with pytest.raises(ResourceLimitError):
-                        product()
+                with pytest.raises(ResourceLimitError):
+                    letter_product(letters_x, letters_y, len(expected) - 1, "cap")
 
     def test_generator_codes_roundtrip(self):
         for i in range(1, 4):

@@ -7,7 +7,7 @@ import pytest
 from stationarylab.algebra import AlgebraElement, canonical_trace, norm_upper_bound
 from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import PreconditionError
-from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, ball, conjugate
+from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, Word, ball, conjugate
 from stationarylab.states import (
     build_c_star_simple_measure,
     cesaro_test,
@@ -111,7 +111,7 @@ def running_sums(x, conjugators):
     out = AlgebraElement.zero(x.rank)
     for h in conjugators:
         out = out + AlgebraElement(
-            {conjugate(w, h): c / n for w, c in x.coeffs.items()}, x.rank
+            {conjugate(Word(w, x.rank), h): c / n for w, c in x.coeffs.items()}, x.rank
         )
         yield out
 
@@ -122,7 +122,7 @@ def averaged_oracle(x, conjugators):
 
 def _bits(x):
     """(word, real bits, imaginary bits) per term in key order."""
-    return [(str(w), c.real.hex(), c.imag.hex()) for w, c in x.coeffs.items()]
+    return [(str(Word(w, x.rank)), c.real.hex(), c.imag.hex()) for w, c in x.coeffs.items()]
 
 
 class TestPowersAveraging:
@@ -132,7 +132,7 @@ class TestPowersAveraging:
         x = AlgebraElement({F2.word("b"): 1.0, F2.word("abA"): -1.0}, 2)
         hs = (F2.identity, F2.word("a"), F2.identity)
         got = _averaged_element(x, hs)
-        assert [str(w) for w in got.coeffs] == ["abA", "Aba", "b"]
+        assert [str(Word(w, 2)) for w in got.coeffs] == ["abA", "Aba", "b"]
         assert _bits(got) == _bits(averaged_oracle(x, hs))
 
     def test_negative_zero_parts_take_the_bits_of_repeated_addition(self):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from stationarylab.algebra import AlgebraElement, canonical_trace
-from stationarylab.errors import MalformedInputError
-from stationarylab.freegroup import FreeGroupContext, ball, conjugate
+from stationarylab.errors import ContextMismatchError, MalformedInputError
+from stationarylab.freegroup import FreeGroupContext, Word, ball, conjugate
 from stationarylab.walks import (
     GroupMeasure,
+    _measure,
     cesaro_measure,
     convolve_measures,
     decay_schedule,
@@ -25,12 +26,19 @@ MU = uniform_generator_measure(2)
 
 class TestGroupMeasure:
     def test_mass_normalization_enforced(self):
+        for masses in ({"a": Fraction(1, 3)}, {"a": 0.5, "b": 0.4},
+                       {"a": "1/2", "b": "1/2", "ab": "1/1000"}):
+            with pytest.raises(MalformedInputError):
+                GroupMeasure({F2.word(w): p for w, p in masses.items()}, 2)
+        # laws built inside the package keep the check
         with pytest.raises(MalformedInputError):
-            GroupMeasure({F2.word("a"): Fraction(1, 3)}, 2)
+            _measure({(0,): Fraction(1, 2)}, 2)
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(MalformedInputError):
-            GroupMeasure({F2.word("a"): Fraction(3, 2), F2.word("b"): -0.5}, 2)
+        # the second law sums to 1 without its negative atom
+        for masses in ({"a": Fraction(3, 2), "b": -0.5}, {"a": 1, "b": "-1/2"}):
+            with pytest.raises(MalformedInputError):
+                GroupMeasure({F2.word(w): p for w, p in masses.items()}, 2)
 
     def test_exact_mode(self):
         assert MU.exact
@@ -44,6 +52,30 @@ class TestGroupMeasure:
             {F2.word("a"): Fraction(1, 2), F2.word("b"): Fraction(1, 2)}, 2
         )
         assert not one_sided.is_generating()
+
+
+class TestWordKeyedConstructors:
+    """The public constructors take Word-keyed mappings and check their rank;
+    the tables they build are keyed by letter tuples."""
+
+    F3 = FreeGroupContext(3)
+
+    def test_words_of_another_rank_are_refused(self):
+        with pytest.raises(ContextMismatchError):
+            AlgebraElement({self.F3.word("a"): 1.0}, 2)
+        with pytest.raises(ContextMismatchError):
+            GroupMeasure({self.F3.word("a"): 1}, 2)
+        with pytest.raises(ContextMismatchError):
+            MU.mass(self.F3.word("a"))
+
+    def test_tables_are_keyed_by_letters(self):
+        x = AlgebraElement({F2.word("ab"): 2, F2.word("B"): 0.0, F2.identity: 1j}, 2)
+        assert x.coeffs == {(0, 2): 2 + 0j, (): 1j}
+        assert x.support() == [F2.identity, F2.word("ab")]
+        mu = GroupMeasure({F2.word("Ab"): "1/4", F2.word("a"): Fraction(3, 4)}, 2)
+        assert mu.masses == {(1, 2): Fraction(1, 4), (0,): Fraction(3, 4)}
+        assert mu.atoms() == [(F2.word("a"), Fraction(3, 4)), (F2.word("Ab"), Fraction(1, 4))]
+        assert mu.mass(F2.word("Ab")) == Fraction(1, 4)
 
 
 class TestConvolution:
@@ -221,7 +253,7 @@ class TestDecaySchedule:
 
 
 def _by_length_lex(table):
-    return sorted(table.items(), key=lambda item: item[0].sort_key())
+    return sorted(table.items(), key=lambda item: Word(item[0], 2).sort_key())
 
 
 def convolve_oracle(mu, nu):
@@ -230,7 +262,7 @@ def convolve_oracle(mu, nu):
     out = {}
     for u, p in _by_length_lex(mu.masses):
         for v, q in _by_length_lex(nu.masses):
-            w = u * v
+            w = (Word(u, 2) * Word(v, 2)).letters
             out[w] = out.get(w, 0) + p * q
     return out
 
@@ -242,7 +274,7 @@ def element_oracle(mu, a):
         acc_re, acc_im = {}, {}
         for g, p in _by_length_lex(mu.masses):
             for w, c in a.coeffs.items():
-                target = conjugate(w, g)
+                target = conjugate(Word(w, 2), Word(g, 2)).letters
                 acc_re[target] = acc_re.get(target, Fraction(0)) + p * Fraction(c.real)
                 acc_im[target] = acc_im.get(target, Fraction(0)) + p * Fraction(c.imag)
         out = {w: complex(float(acc_re[w]), float(acc_im[w])) for w in acc_re}
@@ -250,7 +282,7 @@ def element_oracle(mu, a):
         out = {}
         for g, p in _by_length_lex(mu.masses):
             for w, c in a.coeffs.items():
-                target = conjugate(w, g)
+                target = conjugate(Word(w, 2), Word(g, 2)).letters
                 out[target] = out.get(target, 0) + float(p) * c
     return [(w, c) for w, c in out.items() if c != 0]
 
@@ -290,7 +322,8 @@ class TestIntegerKernels:
         oracle = power
         for _ in range(4):
             power = convolve_measures(power, COPRIME)
-            oracle = GroupMeasure(convolve_oracle(oracle, COPRIME), 2)
+            oracle = GroupMeasure(
+                {Word(w, 2): p for w, p in convolve_oracle(oracle, COPRIME).items()}, 2)
             assert _mass_bits(power.masses.items()) == _mass_bits(oracle.masses.items())
 
     @pytest.mark.parametrize("mu, nu", [(FLOAT_LAW, FLOAT_LAW), (MIXED_LAW, MIXED_LAW),
@@ -320,9 +353,9 @@ class TestIntegerKernels:
         mu = _law({"1": Fraction(1, 3), "a": Fraction(2, 3)})
         a = AlgebraElement({F2.word("b"): 2.0, F2.word("abA"): -1.0}, 2)
         got = measure_convolve_element(mu, a)
-        assert F2.word("b") not in got.coeffs
+        assert F2.word("b").letters not in got.coeffs
         assert _coeff_bits(got.coeffs.items()) == _coeff_bits(element_oracle(mu, a))
-        assert [str(w) for w in got.coeffs] == ["abA", "Aba"]
+        assert [str(Word(w, 2)) for w in got.coeffs] == ["abA", "Aba"]
 
     def test_non_finite_coefficients_raise_as_before(self):
         for c, error in ((float("inf"), OverflowError), (complex(1.0, float("nan")), ValueError)):
