@@ -35,19 +35,21 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, axis_prefix, ball, inverse_letters
+from .freegroup import FreeGroupContext, Word, _word, axis_prefix, ball, ball_letters
+from .freegroup import inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample, convolve_measures
 
 CONSISTENCY_TOL = 1e-9
-DIRAC_TOP_MASS = 0.99  # fixed reporting threshold for "the translate looks Dirac"
 
 
 class CylinderMeasure:
     """Mass table over cylinders of depth 1..depth; immutable.
 
-    `tail_uniform_from`: if not None, child masses split uniformly
-    (1/(2k-1) each) at every level >= that value, so cylinders of any depth
-    are evaluable by extending the deepest stored level.  None means strict.
+    `masses` maps the letters of each cylinder's base word to its mass; the
+    constructor checks a Word-keyed mapping.  `tail_uniform_from`: if not
+    None, child masses split uniformly (1/(2k-1) each) at every level >= that
+    value, so cylinders of any depth are evaluable by extending the deepest
+    stored level.  None means strict.
     """
 
     __slots__ = ("rank", "depth", "masses", "tail_uniform_from")
@@ -58,67 +60,68 @@ class CylinderMeasure:
         rank: int,
         depth: int,
         tail_uniform_from: int | None = None,
-        validate: bool = True,
     ):
         if depth < 1:
             raise MalformedInputError(f"depth must be >= 1, got {depth}")
-        table = dict(masses)
-        for w in table:
+        table = {}
+        for w, m in masses.items():
             if w.rank != rank:
                 raise ContextMismatchError(f"word rank {w.rank} in measure of rank {rank}")
             if not 1 <= len(w) <= depth:
                 raise MalformedInputError(f"cylinder {w} outside depth range 1..{depth}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "masses", table)
-        object.__setattr__(self, "tail_uniform_from", tail_uniform_from)
-        if validate:
-            self._validate()
+            table[w.letters] = m
+        _fill(self, table, rank, depth, tail_uniform_from)
+        self._validate()
 
     def __setattr__(self, *a):
         raise AttributeError("CylinderMeasure is immutable")
 
     def _validate(self):
-        level1 = FreeGroupContext(self.rank).generators()
+        level1 = [s.letters for s in FreeGroupContext(self.rank).generators()]
         s = sum(float(self.masses.get(w, 0)) for w in level1)
         if abs(s - 1.0) > CONSISTENCY_TOL:
             raise MalformedInputError(f"level-1 masses sum to {s}, not 1")
         for w, m in self.masses.items():
             if float(m) < -CONSISTENCY_TOL:
-                raise MalformedInputError(f"negative mass {m} at {w}")
+                raise MalformedInputError(f"negative mass {m} at {_word(w, self.rank)}")
             if len(w) < self.depth:
-                back = inverse_letters(w.letters[-1:])
-                kids = sum(
-                    float(self.masses.get(w * s_, 0)) for s_ in level1 if s_.letters != back
-                )
+                back = inverse_letters(w[-1:])
+                kids = sum(float(self.masses.get(w + s_, 0)) for s_ in level1 if s_ != back)
                 if abs(kids - float(m)) > CONSISTENCY_TOL:
                     raise MalformedInputError(
-                        f"consistency fails at {w}: {m} vs children {kids}"
+                        f"consistency fails at {_word(w, self.rank)}: {m} vs children {kids}"
                     )
 
     def mass(self, w: Word):
         """Mass of the cylinder [w]; the identity denotes the whole boundary."""
         if w.rank != self.rank:
             raise ContextMismatchError(f"word rank {w.rank} vs measure rank {self.rank}")
+        return self._mass(w.letters)
+
+    def _mass(self, w: tuple[int, ...]):
         n = len(w)
         if n == 0:
             return 1
         if n <= self.depth:
             return self.masses.get(w, 0)
         if self.tail_uniform_from is not None and self.depth >= self.tail_uniform_from:
-            base = self.masses.get(Word(w.letters[: self.depth], self.rank, _reduced=True), 0)
+            base = self.masses.get(w[: self.depth], 0)
             extra = n - self.depth
             if isinstance(base, Fraction):
                 return base / (2 * self.rank - 1) ** extra
             return base / float((2 * self.rank - 1) ** extra)
         raise DepthUnderflowError(required_depth=n, available_depth=self.depth)
 
+    def cylinders(self) -> list[tuple[Word, object]]:
+        """(base word, mass) pairs of the stored table in length-lex word order."""
+        return [(_word(w, self.rank), m) for w, m in length_lex(self.masses)]
+
     def level_items(self, n: int):
-        ctx = FreeGroupContext(self.rank)
-        return [(w, self.mass(w)) for w in ball(ctx, n) if len(w) == n]
+        rank = self.rank
+        return [(_word(w, rank), self._mass(w)) for w in ball_letters(rank, n) if len(w) == n]
 
     def top_mass(self) -> float:
-        return max(float(self.mass(w)) for w, _ in self.level_items(1))
+        return max(float(self._mass(w)) for w in ball_letters(self.rank, 1) if w)
 
     def truncate(self, depth: int) -> "CylinderMeasure":
         if depth > self.depth:
@@ -127,7 +130,7 @@ class CylinderMeasure:
         tail = self.tail_uniform_from
         if tail is not None and tail > depth:
             tail = None
-        return CylinderMeasure(table, self.rank, depth, tail, validate=False)
+        return _cylinders(table, self.rank, depth, tail)
 
     def __repr__(self) -> str:
         return (
@@ -138,47 +141,55 @@ class CylinderMeasure:
         )
 
 
+def _fill(nu: CylinderMeasure, table: dict, rank: int, depth: int, tail: int | None) -> None:
+    for name, value in zip(CylinderMeasure.__slots__, (rank, depth, table, tail)):
+        object.__setattr__(nu, name, value)
+
+
+def _cylinders(table: dict, rank: int, depth: int, tail: int | None) -> CylinderMeasure:
+    """The measure of a letter table that a kernel built; unchecked."""
+    nu = object.__new__(CylinderMeasure)
+    _fill(nu, table, rank, depth, tail)
+    return nu
+
+
 def uniform_boundary_measure(context: FreeGroupContext, depth: int) -> CylinderMeasure:
     """nu[w] = 1 / (2k (2k-1)^(|w|-1)), exact; evaluable at every depth."""
     if depth < 1:
         raise MalformedInputError(f"depth must be >= 1, got {depth}")
     k = context.rank
-    table = {}
-    for w in ball(context, depth):
-        n = len(w)
-        if n == 0:
-            continue
-        table[w] = Fraction(1, 2 * k * (2 * k - 1) ** (n - 1))
-    return CylinderMeasure(table, k, depth, tail_uniform_from=1)
+    table = {
+        w: Fraction(1, 2 * k * (2 * k - 1) ** (len(w) - 1)) for w in ball_letters(k, depth) if w
+    }
+    nu = _cylinders(table, k, depth, tail=1)
+    nu._validate()
+    return nu
 
 
-def _mass_recipe(g: Word, w: Word) -> tuple[bool, Word]:
+def _mass_recipe(g: tuple[int, ...], w: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
     """Symbolic form of (g nu)[w]: (complement?, key) meaning nu[key] or 1 - nu[key]."""
-    rank = g.rank
-    if g.is_identity() or w.is_identity():
+    if not g or not w:
         return False, w
-    gl, wl = g.letters, w.letters
     c = 0
-    m = min(len(gl), len(wl))
-    while c < m and gl[c] == wl[c]:
+    m = min(len(g), len(w))
+    while c < m and g[c] == w[c]:
         c += 1
-    if c == len(gl):
-        if len(wl) > len(gl):
-            return False, Word(wl[len(gl):], rank, _reduced=True)
-        return True, Word(inverse_letters(gl[-1:]), rank, _reduced=True)
-    if c == len(wl):
+    if c == len(g):
+        if len(w) > len(g):
+            return False, w[len(g):]
+        return True, inverse_letters(g[-1:])
+    if c == len(w):
         # g = w g2 and s = the last letter of w: the key is g2^-1 s^-1
-        return True, Word(inverse_letters(gl[len(wl) - 1 :]), rank, _reduced=True)
+        return True, inverse_letters(g[len(w) - 1 :])
     # reduce(g^-1 w): the junction after stripping the common prefix cannot
     # cancel (the letters at position c differ)
-    key = inverse_letters(gl[c:]) + wl[c:]
-    return False, Word(key, rank, _reduced=True)
+    return False, inverse_letters(g[c:]) + w[c:]
 
 
-def _translated_mass(g: Word, w: Word, nu: CylinderMeasure):
+def _translated_mass(g: tuple[int, ...], w: tuple[int, ...], nu: CylinderMeasure):
     """(g nu)[w] = nu(g^-1 [w]) by the exact preimage decomposition."""
     comp, key = _mass_recipe(g, w)
-    return 1 - nu.mass(key) if comp else nu.mass(key)
+    return 1 - nu._mass(key) if comp else nu._mass(key)
 
 
 def translate(g: Word, nu: CylinderMeasure, out_depth: int | None = None) -> CylinderMeasure:
@@ -199,16 +210,14 @@ def translate(g: Word, nu: CylinderMeasure, out_depth: int | None = None) -> Cyl
         raise DepthUnderflowError(
             required_depth=len(g) + max(out_depth, 1), available_depth=nu.depth
         )
-    ctx = FreeGroupContext(nu.rank)
-    table = {
-        w: _translated_mass(g, w, nu) for w in ball(ctx, out_depth) if not w.is_identity()
-    }
+    gl = g.letters
+    table = {w: _translated_mass(gl, w, nu) for w in ball_letters(nu.rank, out_depth) if w}
     tail_out = None
     if tail_in is not None:
         tail_out = len(g) + tail_in
         if tail_out > out_depth:
             tail_out = None
-    return CylinderMeasure(table, nu.rank, out_depth, tail_out, validate=False)
+    return _cylinders(table, nu.rank, out_depth, tail_out)
 
 
 def stationarity_residual(
@@ -222,25 +231,22 @@ def stationarity_residual(
         depth = nu.depth - L if nu.tail_uniform_from is None else nu.depth
     if depth < 1:
         raise DepthUnderflowError(required_depth=L + 1, available_depth=nu.depth)
-    ctx = FreeGroupContext(nu.rank)
-    atoms = mu.atoms()
+    atoms = length_lex(mu.masses)
     worst = 0
-    for w in ball(ctx, depth):
-        if w.is_identity():
-            continue
-        acc = sum(p * _translated_mass(g, w, nu) for g, p in atoms)
-        diff = abs(acc - nu.mass(w))
-        if diff > worst:
-            worst = diff
+    for w in ball_letters(nu.rank, depth):
+        if w:
+            acc = sum(p * _translated_mass(g, w, nu) for g, p in atoms)
+            worst = max(worst, abs(acc - nu._mass(w)))
     return float(worst)
 
 
 def total_variation(nu1: CylinderMeasure, nu2: CylinderMeasure, depth: int) -> float:
     """Half the l1 distance between the two mass tables at the given level."""
-    ctx = FreeGroupContext(nu1.rank)
+    if nu1.rank != nu2.rank:
+        raise ContextMismatchError(f"measure rank {nu1.rank} vs {nu2.rank}")
     return 0.5 * sum(
-        abs(float(nu1.mass(w)) - float(nu2.mass(w)))
-        for w in ball(ctx, depth)
+        abs(float(nu1._mass(w)) - float(nu2._mass(w)))
+        for w in ball_letters(nu1.rank, depth)
         if len(w) == depth
     )
 
@@ -250,22 +256,21 @@ def _extend_uniform(nu: CylinderMeasure, new_depth: int) -> CylinderMeasure:
     if new_depth <= nu.depth:
         return nu
     k = nu.rank
-    gens = FreeGroupContext(k).generators()
+    gens = [s.letters for s in FreeGroupContext(k).generators()]
     table = dict(nu.masses)
     frontier = [(w, m) for w, m in nu.masses.items() if len(w) == nu.depth]
     for _ in range(new_depth - nu.depth):
         nxt = []
         for w, m in frontier:
             share = m / float(2 * k - 1) if not isinstance(m, Fraction) else m / (2 * k - 1)
-            back = inverse_letters(w.letters[-1:])
+            back = inverse_letters(w[-1:])
             for s in gens:
-                if s.letters == back:
+                if s == back:
                     continue
-                cw = Word(w.letters + s.letters, k, _reduced=True)
-                table[cw] = share
-                nxt.append((cw, share))
+                table[w + s] = share
+                nxt.append((w + s, share))
         frontier = nxt
-    return CylinderMeasure(table, k, new_depth, nu.tail_uniform_from, validate=False)
+    return _cylinders(table, k, new_depth, nu.tail_uniform_from)
 
 
 @dataclass(frozen=True)
@@ -330,60 +335,48 @@ def solve_stationary(
     """
     if not mu.is_generating():
         raise PreconditionError("the law must generate F_k as a semigroup")
-    ctx = FreeGroupContext(mu.rank)
+    if seed_measure is not None and seed_measure.rank != mu.rank:
+        raise ContextMismatchError(f"seed rank {seed_measure.rank} vs law rank {mu.rank}")
+    rank = mu.rank
     L = max(mu.max_support_length(), 1)
     W = depth + 2 * L
-    q = 2 * mu.rank - 1
+    q = 2 * rank - 1
 
-    words_W = [w for w in ball(ctx, W) if not w.is_identity()]
+    words_W = [w for w in ball_letters(rank, W) if w]
     index_W = {w: i for i, w in enumerate(words_W)}
-    words_tail = [w for w in ball(ctx, W + L) if len(w) > W]
+    words_tail = [w for w in ball_letters(rank, W + L) if len(w) > W]
     # extended vector = [current table, uniform-split tail]
-    tail_parent = np.array(
-        [index_W[Word(w.letters[:W], mu.rank, _reduced=True)] for w in words_tail],
-        dtype=np.int64,
-    )
-    tail_factor = np.array(
-        [1.0 / q ** (len(w) - W) for w in words_tail], dtype=np.float64
-    )
-    index_ext = dict(index_W)
-    for j, w in enumerate(words_tail):
-        index_ext[w] = len(words_W) + j
+    tail_parent = np.array([index_W[w[:W]] for w in words_tail], dtype=np.int64)
+    tail_factor = np.array([1.0 / q ** (len(w) - W) for w in words_tail], dtype=np.float64)
+    index_ext = {w: i for i, w in enumerate(words_W + words_tail)}
 
-    # compiled transfer operator: new[w] = sum_g p_g (const + sign * vec[idx])
-    atoms = [(g, float(p)) for g, p in mu.atoms()]
+    # compiled transfer operator: new[w] = sum_g p_g (const + sign * vec[idx]);
+    # the words exclude the identity, so no key is the identity either
+    atoms = [(g, float(p)) for g, p in length_lex(mu.masses)]
 
-    def compile_transfer(words: list[Word], index: dict[Word, int]) -> list[tuple]:
+    def compile_transfer(words: list[tuple[int, ...]], index: dict) -> list[tuple]:
         gathers = []
         for g, p in atoms:
-            idx = np.empty(len(words), dtype=np.int64)
-            sign = np.empty(len(words), dtype=np.float64)
-            const = np.empty(len(words), dtype=np.float64)
-            for i, w in enumerate(words):
-                comp, key = _mass_recipe(g, w)
-                if key.is_identity():
-                    idx[i], sign[i], const[i] = 0, 0.0, 1.0
-                else:
-                    idx[i] = index[key]
-                    sign[i] = -1.0 if comp else 1.0
-                    const[i] = 1.0 if comp else 0.0
-            gathers.append((p, idx, sign, const))
+            recipes = [_mass_recipe(g, w) for w in words]
+            comp = np.array([c for c, _ in recipes], dtype=bool)
+            idx = np.array([index[key] for _, key in recipes], dtype=np.int64)
+            gathers.append((p, idx, np.where(comp, -1.0, 1.0), comp.astype(np.float64)))
         return gathers
 
     # the iteration reads the extended vector; the certified residual, over
     # words up to W - L, reads the raw table only
     gathers = compile_transfer(words_W, index_ext)
-    words_res = [w for w in ball(ctx, W - L) if not w.is_identity()]
+    words_res = [w for w in ball_letters(rank, W - L) if w]
     res_self = np.array([index_W[w] for w in words_res], dtype=np.int64)
     res_gathers = compile_transfer(words_res, index_W)
 
     if seed_measure is None:
-        seed = uniform_boundary_measure(ctx, W)
+        seed = uniform_boundary_measure(FreeGroupContext(rank), W)
     else:
         seed = seed_measure
         if seed.depth < W:
             seed = _extend_uniform(seed, W)
-    vec = np.array([float(seed.mass(w)) for w in words_W], dtype=np.float64)
+    vec = np.array([float(seed._mass(w)) for w in words_W], dtype=np.float64)
 
     def apply_transfer(v: np.ndarray) -> np.ndarray:
         ext = np.concatenate([v, v[tail_parent] * tail_factor])
@@ -409,9 +402,7 @@ def solve_stationary(
         raise ConvergenceError(
             f"no convergence within {max_iter} iterations", last_residual=residual
         )
-    nu = CylinderMeasure(
-        dict(zip(words_W, vec.tolist())), mu.rank, W, validate=False
-    )
+    nu = _cylinders(dict(zip(words_W, vec.tolist())), rank, W, None)
     hitting = first_letter_hitting(mu)
     agrees = None
     if hitting is not None:
@@ -440,10 +431,6 @@ class ConditionalMeasure:
     measure: CylinderMeasure
     top_mass: float
     position: Word
-
-    @property
-    def looks_dirac(self) -> bool:
-        return self.top_mass > DIRAC_TOP_MASS
 
 
 def conditional_measure(
@@ -483,8 +470,7 @@ def boundary_map(omega: PathSample) -> BoundaryPoint:
     lcp = 0
     while lcp < limit and all(t[lcp] == first[lcp] for t in tail):
         lcp += 1
-    rank = omega.positions[0].rank
-    prefix = Word(first[:lcp], rank, _reduced=True)
+    prefix = _word(first[:lcp], omega.positions[0].rank)
     if lcp == 0:
         raise UnresolvedBoundaryError(
             "no stable prefix in the final third of the path", partial_prefix=prefix
@@ -543,12 +529,12 @@ def poisson_map(
     if not f:
         raise MalformedInputError("empty cylinder function")
     ctx = FreeGroupContext(nu.rank)
-    terms = sorted(f.items(), key=lambda p: p[0].sort_key())
+    terms = length_lex({w.letters: complex(cf) for w, cf in f.items()})
     values: dict[Word, complex] = {}
     for g in ball(ctx, radius):
         acc = 0j
         for w, cf in terms:
-            acc += complex(cf) * float(_translated_mass(g, w, nu))
+            acc += cf * float(_translated_mass(g.letters, w, nu))
         values[g] = acc
     res = _harmonicity_residual(values, mu, ctx, radius - mu.max_support_length())
     return HarmonicFunction(

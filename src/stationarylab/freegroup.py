@@ -12,10 +12,10 @@ String form (used by every CLI flag, JSON config, and CSV cell): generators are
 'a'..'z' by index, inverses the corresponding uppercase letters, and the
 identity is the one-character string "1"; e.g. "abAB" = a b a^-1 b^-1.
 
-Algebra elements and group laws are tables keyed by letter tuples (the
-`letters` of reduced words), multiplied by letter_product.  Word is the parse
-and print form, taken by public constructors and returned by accessors; the
-boundary and subgroup code works on Words throughout.
+Algebra elements, group laws and cylinder measures are tables keyed by letter
+tuples (the `letters` of reduced words), multiplied by letter_product and
+enumerated by ball_letters.  Word is the parse and print form, taken by
+public constructors and returned by accessors.
 """
 
 from __future__ import annotations
@@ -216,9 +216,6 @@ class FreeGroupContext:
         codes = [c.code if isinstance(c, Generator) else c for c in letters]
         return Word(codes, self.rank)
 
-    def ball(self, radius: int) -> Iterator[Word]:
-        return ball(self, radius)
-
     def sphere_size(self, n: int) -> int:
         if n == 0:
             return 1
@@ -278,39 +275,44 @@ def multiply(u: Word, v: Word) -> Word:
 
 def conjugate(g: Word, h: Word) -> Word:
     """h^-1 g h."""
-    return h.inverse() * g * h
+    if g.rank != h.rank:
+        raise ContextMismatchError(f"rank mismatch: {g.rank} vs {h.rank}")
+    hl = h.letters
+    return _word(_product_letters(_product_letters(inverse_letters(hl), g.letters), hl), g.rank)
+
+
+def ball_letters(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
+    """Letters of every reduced word of length <= radius, once each, in length-lex order."""
+    if radius < 0:
+        raise MalformedInputError(f"radius must be >= 0, got {radius}")
+    yield ()
+    codes = range(2 * rank)
+    layer = [()]
+    for _ in range(radius):
+        layer = [tail + (c,) for tail in layer for c in codes if not tail or tail[-1] != c ^ 1]
+        yield from layer
 
 
 def ball(context: FreeGroupContext, radius: int) -> Iterator[Word]:
     """Yield every reduced word of length <= radius once, in length-lex order."""
-    if radius < 0:
-        raise MalformedInputError(f"radius must be >= 0, got {radius}")
-    yield context.identity
-    codes = range(2 * context.rank)
-    layer = [()]
-    for _ in range(radius):
-        nxt = []
-        for tail in layer:
-            for c in codes:
-                if tail and tail[-1] == c ^ 1:
-                    continue
-                nxt.append(tail + (c,))
-        for lt in nxt:
-            yield _word(lt, context.rank)
-        layer = nxt
+    rank = context.rank
+    return (_word(lt, rank) for lt in ball_letters(rank, radius))
+
+
+def _cyclic_split(letters: tuple[int, ...]) -> int:
+    """The length of w in the reduced word w c w^-1 with c cyclically reduced."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == letters[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    return i
 
 
 def cyclic_reduction(g: Word) -> tuple[Word, Word]:
     """Split g = w c w^-1 with c cyclically reduced; returns (w, c)."""
     lt = g.letters
-    i, j = 0, len(lt)
-    while j - i >= 2 and lt[i] == lt[j - 1] ^ 1:
-        i += 1
-        j -= 1
-    return (
-        _word(lt[:i], g.rank),
-        _word(lt[i:j], g.rank),
-    )
+    i = _cyclic_split(lt)
+    return _word(lt[:i], g.rank), _word(lt[i : len(lt) - i], g.rank)
 
 
 def axis_prefix(g: Word, depth: int) -> Word:
@@ -323,10 +325,12 @@ def axis_prefix(g: Word, depth: int) -> Word:
         raise UndefinedAxisError("the identity fixes no boundary axis")
     if depth < 0:
         raise MalformedInputError(f"depth must be >= 0, got {depth}")
-    w, c = cyclic_reduction(g)
-    out = list(w.letters[:depth])
+    lt = g.letters
+    i = _cyclic_split(lt)
+    out = list(lt[: min(i, depth)])
+    c = lt[i : len(lt) - i]
     while len(out) < depth:
-        out.extend(c.letters[: depth - len(out)])
+        out.extend(c[: depth - len(out)])
     return _word(tuple(out), g.rank)
 
 

@@ -63,8 +63,7 @@ def element_from_json(data: dict) -> AlgebraElement:
 
 
 def cylinder_csv_rows(nu: CylinderMeasure) -> list[tuple[str, int, str]]:
-    rows = []
-    for w in sorted(nu.masses, key=Word.sort_key):
-        m = nu.masses[w]
-        rows.append((str(w), len(w), str(m) if isinstance(m, Fraction) else repr(float(m))))
-    return rows
+    return [
+        (str(w), len(w), str(m) if isinstance(m, Fraction) else repr(float(m)))
+        for w, m in nu.cylinders()
+    ]

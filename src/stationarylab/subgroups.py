@@ -21,8 +21,9 @@ from .errors import (
     MalformedInputError,
     PreconditionError,
 )
-from .freegroup import FreeGroupContext, Word, ball, conjugate, cyclic_reduction
-from .walks import GroupMeasure, sample_path
+from .freegroup import FreeGroupContext, Word, _cyclic_split, _product_letters, _word, ball
+from .freegroup import conjugate, inverse_letters, length_lex
+from .walks import GroupMeasure, sample_increments
 
 PSD_EIGENVALUE_TOL = -1e-9
 FREENESS_THRESHOLD = 1e-3
@@ -32,20 +33,17 @@ def primitive_root(w: Word) -> Word:
     """The unique primitive u (up to inversion) with w a positive power of u.
 
     Cyclically reduce w = v c v^-1, find the shortest letter-period u0 of c
-    (cyclically reduced powers are letter-periodic), and return v u0 v^-1.
+    (cyclically reduced powers are letter-periodic), and return v u0 v^-1,
+    which is reduced as written.
     """
-    if w.is_identity():
-        return w
-    v, c = cyclic_reduction(w)
+    lt = w.letters
+    i = _cyclic_split(lt)
+    c = lt[i : len(lt) - i]
     n = len(c)
-    letters = c.letters
     for d in range(1, n + 1):
-        if n % d:
-            continue
-        if letters == letters[:d] * (n // d):
-            u0 = Word(letters[:d], w.rank, _reduced=True)
-            return (v * u0) * v.inverse()
-    raise AssertionError("unreachable: every word is a power of itself")
+        if n % d == 0 and c == c[:d] * (n // d):
+            return _word(lt[: i + d] + lt[len(lt) - i :], w.rank)
+    return w  # the identity
 
 
 class CyclicSubgroup:
@@ -58,9 +56,12 @@ class CyclicSubgroup:
     __slots__ = ("root",)
 
     def __init__(self, root: Word):
-        r = primitive_root(root)
-        ri = r.inverse()
-        object.__setattr__(self, "root", r if r.sort_key() <= ri.sort_key() else ri)
+        self._orient(primitive_root(root))
+
+    def _orient(self, root: Word) -> None:
+        """Store the primitive root or its inverse, whichever is length-lex smaller."""
+        inv = inverse_letters(root.letters)
+        object.__setattr__(self, "root", root if root.letters <= inv else _word(inv, root.rank))
 
     def __setattr__(self, *a):
         raise AttributeError("CyclicSubgroup is immutable")
@@ -73,23 +74,28 @@ class CyclicSubgroup:
         return self.root.is_identity()
 
     def contains(self, g: Word) -> bool:
-        """Exact membership: g is a power of the root."""
+        """Exact membership: g is a power of the root.  With root = v c v^-1 (c
+        cyclically reduced), the powers v c^n v^-1 are reduced as written."""
         if g.rank != self.root.rank:
             raise ContextMismatchError(f"rank {g.rank} vs subgroup rank {self.root.rank}")
         if g.is_identity():
             return True
         if self.is_trivial():
             return False
-        p = self.root
-        while len(p) <= len(g):
-            if p == g or p == g.inverse():
-                return True
-            p = p * self.root
-        return False
+        r, gl = self.root.letters, g.letters
+        i = _cyclic_split(r)
+        c = r[i : len(r) - i]
+        n = (len(gl) - 2 * i) // len(c)
+        if n < 1 or gl[:i] != r[:i] or gl[len(gl) - i :] != r[len(r) - i :]:
+            return False
+        mid = gl[i : len(gl) - i]
+        return mid == c * n or mid == inverse_letters(c) * n
 
     def conjugated_by(self, h: Word) -> "CyclicSubgroup":
-        """h^-1 <root> h."""
-        return CyclicSubgroup(conjugate(self.root, h))
+        """h^-1 <root> h; a conjugate of a primitive root is primitive."""
+        out = object.__new__(CyclicSubgroup)
+        out._orient(conjugate(self.root, h))
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CyclicSubgroup) and self.root == other.root
@@ -112,9 +118,8 @@ class SubgroupChain:
     def simulate(
         mu: GroupMeasure, start: CyclicSubgroup, steps: int, seed: int
     ) -> "SubgroupChain":
-        path = sample_path(mu, steps, seed)
         states = [start]
-        for g in path.increments:
+        for g in sample_increments(mu, steps, seed):
             states.append(states[-1].conjugated_by(g))
         return SubgroupChain(seed=seed, states=tuple(states))
 
@@ -183,22 +188,27 @@ class PsdReport:
 def psd_check(phi: PositiveDefiniteFn, tuples: Sequence[Sequence[Word]]) -> PsdReport:
     """Form the Gram matrix [phi(g_i g_j^-1)] for each tuple and bound its
     spectrum below; raises coverage-error listing any product outside the ball."""
-    missing = []
-    for tup in tuples:
-        for gi in tup:
-            for gj in tup:
-                if (gi * gj.inverse()) not in phi.values:
-                    missing.append(gi * gj.inverse())
-    if missing:
-        raise CoverageError(sorted(set(missing), key=Word.sort_key))
+    values = {w.letters: v for w, v in phi.values.items()}
+    missing: dict[tuple[int, ...], None] = {}
     eigs = []
     for tup in tuples:
-        n = len(tup)
-        G = np.empty((n, n))
-        for i, gi in enumerate(tup):
-            for j, gj in enumerate(tup):
-                G[i, j] = phi.values[gi * gj.inverse()]
-        eigs.append(float(np.linalg.eigvalsh(G)[0]))
+        if any(g.rank != phi.rank for g in tup):
+            raise ContextMismatchError(f"a word of the tuple is not of rank {phi.rank}")
+        letters = [g.letters for g in tup]
+        invs = [inverse_letters(g) for g in letters]
+        G = np.empty((len(tup), len(tup)))
+        for i, gi in enumerate(letters):
+            for j, gj_inv in enumerate(invs):
+                p = _product_letters(gi, gj_inv)
+                v = values.get(p)
+                if v is None:
+                    missing[p] = None
+                else:
+                    G[i, j] = v
+        if not missing:
+            eigs.append(float(np.linalg.eigvalsh(G)[0]))
+    if missing:
+        raise CoverageError([_word(w, phi.rank) for w, _ in length_lex(missing)])
     return PsdReport(
         min_eigenvalues=tuple(eigs),
         passed=all(e >= PSD_EIGENVALUE_TOL for e in eigs),
@@ -252,6 +262,7 @@ def srs_escape_experiment(
     """
     if not mu.is_generating():
         raise PreconditionError("the law must generate F_k as a semigroup")
+    words = pdf_words if pdf_words is not None else FreeGroupContext(mu.rank).generators()
     if start.is_trivial():
         verdict = "degenerate (trivial subgroup is conjugation-fixed)"
         rows = tuple(
@@ -259,7 +270,6 @@ def srs_escape_experiment(
                       frac_beyond_threshold=0.0)
             for t in range(steps + 1)
         )
-        words = pdf_words if pdf_words is not None else FreeGroupContext(mu.rank).generators()
         return EscapeReport(
             rows=rows, verdict=verdict, threshold_len=threshold_len, trials=trials,
             final_pdf_at={str(w): (1.0 if w.is_identity() else 0.0) for w in words},
@@ -286,7 +296,6 @@ def srs_escape_experiment(
     slope = (med_end - med_half) / max(steps - half, 1)
     escaping = med_end >= med_half + 0.25 * (steps - half) and med_end > threshold_len
     verdict = "escaping" if escaping else f"not escaping (slope {slope:.3f})"
-    words = pdf_words if pdf_words is not None else FreeGroupContext(mu.rank).generators()
     final = [c.states[steps] for c in chains]
     final_pdf = {
         str(w): float(np.mean([sub.contains(w) for sub in final])) for w in words

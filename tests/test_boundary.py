@@ -20,7 +20,9 @@ from stationarylab.boundary import (
     uniform_boundary_measure,
 )
 from stationarylab.errors import (
+    ContextMismatchError,
     DepthUnderflowError,
+    MalformedInputError,
     PartialResultError,
     PreconditionError,
     UnresolvedBoundaryError,
@@ -50,7 +52,7 @@ class TestUniformMeasure:
             assert sum(m for _, m in NU.level_items(n)) == 1
 
     def test_consistency(self):
-        for w, m in NU.masses.items():
+        for w, m in NU.cylinders():
             if len(w) < NU.depth:
                 kids = sum(
                     NU.mass(F2.word(str(w) + "") * s)
@@ -64,9 +66,45 @@ class TestUniformMeasure:
         assert NU.mass(w) == Fraction(1, 4 * 3**9)
 
     def test_strict_measure_raises_beyond_depth(self):
-        strict = CylinderMeasure(dict(NU.masses), 2, 6)
+        strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
         with pytest.raises(DepthUnderflowError):
             strict.mass(F2.word("a" * 7))
+
+
+class TestConstructorChecks:
+    def test_table_is_keyed_by_letters(self):
+        assert NU.masses[F2.word("ab").letters] == Fraction(1, 12)
+        assert all(isinstance(w, tuple) for w in NU.masses)
+        assert dict(NU.cylinders()) == {w: NU.mass(w) for w in ball(F2, 6) if len(w)}
+
+    def test_round_trip_through_words(self):
+        copy = CylinderMeasure(dict(NU.cylinders()), 2, 6, tail_uniform_from=1)
+        assert copy.masses == NU.masses
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda t: t.update({FreeGroupContext(3).word("a"): 0.25}), ContextMismatchError),
+            (lambda t: t.update({F2.word("abab"): 0.0}), MalformedInputError),
+            (lambda t: t.update({F2.identity: 1.0}), MalformedInputError),
+            (lambda t: t.update({F2.word("a"): 0.3}), MalformedInputError),
+            # children of a still sum to nu[a]; only the sign is wrong
+            (lambda t: t.update({F2.word("ab"): -0.1, F2.word("aa"): 1 / 6 + 0.1}),
+             MalformedInputError),
+            (lambda t: t.update({F2.word("ab"): 0.2, F2.word("aa"): 0.0}), MalformedInputError),
+        ],
+        ids=["rank", "too-deep", "identity", "level-1-sum", "negative", "children"],
+    )
+    def test_bad_tables_rejected(self, edit, error):
+        table = {w: float(m) for w, m in NU.cylinders() if len(w) <= 2}
+        CylinderMeasure(table, 2, 2)
+        edit(table)
+        with pytest.raises(error):
+            CylinderMeasure(table, 2, 2)
+
+    def test_bad_depth_rejected(self):
+        with pytest.raises(MalformedInputError):
+            CylinderMeasure({}, 2, 0)
 
 
 class TestTranslate:
@@ -101,7 +139,7 @@ class TestTranslate:
             assert abs(float(sum(m for _, m in t.level_items(n))) - 1) < 1e-12
 
     def test_depth_bookkeeping(self):
-        strict = CylinderMeasure(dict(NU.masses), 2, 6)
+        strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
         t = translate(F2.word("ab"), strict)
         assert t.depth == 4
         with pytest.raises(DepthUnderflowError):
@@ -154,7 +192,7 @@ class TestSolveStationary:
         for n in range(1, meas.depth + 1):
             assert abs(float(sum(m for _, m in meas.level_items(n))) - 1) < 1e-9
         # per-cylinder consistency: parent mass equals the sum of its children
-        for w, m in meas.masses.items():
+        for w, m in meas.cylinders():
             if len(w) < meas.depth:
                 kids = sum(
                     float(meas.mass(F2.word(str(w)) * s))
@@ -213,7 +251,7 @@ class TestConditionalMeasures:
             assert abs(vals.mean() - float(NU.mass(w))) <= 3 * se + 1e-12
 
     def test_strict_depth_enforced(self):
-        strict = CylinderMeasure(dict(NU.masses), 2, 6)
+        strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
         om = sample_path(MU, 40, seed=9)
         if len(om.positions[40]) + 1 > 6:
             with pytest.raises(DepthUnderflowError):

@@ -43,6 +43,33 @@ GOLDEN = {
          "stationary_summary.json":
              "a4fba7cfdb6c28f1f9efb4729e041e261866632b9b59a7545f007a9fe5d425e6"},
     ),
+    "conditional": (
+        {"experiment": "conditional", "rank": 2, "n": 6, "paths": 3, "nu_depth": 4,
+         "out_depth": 2, "seed": 3},
+        {"conditional.csv": "e525219c5760bc9368bbe3d8fcb89b10f98b83fbdf5d0834d29f678c80c5f236"},
+    ),
+    "bnd-map": (
+        {"experiment": "bnd-map", "rank": 2, "length": 60, "paths": 5, "seed": 3},
+        {"bndmap.csv": "0b12a4c6e4491ce495997526e91084de0afba49792aa05f9192c241178d4bcb6"},
+    ),
+    "srs-escape": (
+        {"experiment": "srs-escape", "rank": 2, "steps": 30, "trials": 5, "start": "ab",
+         "seed": 3},
+        {"escape.csv": "715fb107e2516d6da38002e4020b83e2cc27fd3dc31e5c8be98cfd0aca9126c4",
+         "escape_summary.json":
+             "4fbd8acb7ab0c67e3fc4e06e47efe14a86084bc0eaebbe2818b9bc6459f610c2"},
+    ),
+    "pdf-check": (
+        {"experiment": "pdf-check", "rank": 2, "measures": 2, "tuples": 5, "seed": 3},
+        {"pdfcheck.csv": "737c995c1e10d79e4c66a55415e4cd0f8d9acff9a95b79aba0893cc0f62e8212",
+         "pdf_dump.csv": "dc51cc1c4f8edf27407ecd15ae8d6ba4447d987ba3b99b385426b7cb1c6487bc"},
+    ),
+    "fix-mass": (
+        {"experiment": "fix-mass", "rank": 2, "depth": 5, "gens": "ball2", "mu": LENGTH2_LAW},
+        {"fixmass.csv": "e8c97473db0c3022cb1bda8a7a76a1a7b7f423e226fc8716d451d67bd9773d67",
+         "fixmass_summary.json":
+             "2c0b7f75e5760d11252a7f60f42721e82c35872459de1edc2493349f31367baf"},
+    ),
 }
 
 

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import CoverageError, PreconditionError
-from stationarylab.freegroup import FreeGroupContext, ball, conjugate
+from stationarylab.freegroup import FreeGroupContext, Word, ball, conjugate, cyclic_reduction
 from stationarylab.subgroups import (
     CyclicSubgroup,
     SubgroupChain,
@@ -23,6 +25,22 @@ from stationarylab.walks import (
 
 F2 = FreeGroupContext(2)
 MU = uniform_generator_measure(2)
+WORDS = st.lists(st.integers(0, 3), max_size=10).map(lambda codes: Word(codes, 2))
+
+
+def contains_by_powers(sub: CyclicSubgroup, g: Word) -> bool:
+    """Membership oracle: compare g and g^-1 with the root's powers, built one
+    at a time, until they outgrow g."""
+    if g.is_identity():
+        return True
+    if sub.is_trivial():
+        return False
+    p = sub.root
+    while len(p) <= len(g):
+        if p == g or p == g.inverse():
+            return True
+        p = p * sub.root
+    return False
 
 
 class TestPrimitiveRoot:
@@ -72,6 +90,35 @@ class TestCyclicSubgroup:
         H = CyclicSubgroup(F2.word("a"))
         Hc = H.conjugated_by(F2.word("b"))
         assert Hc.contains(conjugate(F2.word("a"), F2.word("b")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(WORDS, WORDS, st.integers(-4, 4), st.integers(0, 3), WORDS)
+def test_contains_matches_the_power_oracle(root, g, n, k, x):
+    sub = CyclicSubgroup(root)
+    v, c = cyclic_reduction(sub.root)
+    vl, cl = v.letters, c.letters
+    # powers, words that share the prefix v and the suffix v^-1 around a
+    # broken period, and an unrelated word
+    candidates = [
+        sub.root**n,
+        Word(vl + cl * k + x.letters + v.inverse().letters, 2),
+        Word(vl + cl * k + cl[:-1] + v.inverse().letters, 2),
+        Word(vl + c.inverse().letters * k + x.letters + v.inverse().letters, 2),
+        g,
+    ]
+    for w in candidates:
+        assert sub.contains(w) == contains_by_powers(sub, w), w
+    assert sub.contains(sub.root**n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(WORDS, WORDS)
+def test_conjugated_by_matches_a_fresh_subgroup(root, h):
+    sub = CyclicSubgroup(root)
+    moved = sub.conjugated_by(h)
+    assert moved == CyclicSubgroup(conjugate(sub.root, h))
+    assert moved.root == CyclicSubgroup(conjugate(sub.root, h)).root
 
 
 class TestChains:
@@ -135,6 +182,14 @@ class TestPsdCheck:
         with pytest.raises(CoverageError) as exc:
             psd_check(phi, [[F2.word("a"), F2.word("B")]])
         assert exc.value.missing
+
+    def test_coverage_error_dedups_in_length_lex_order(self):
+        phi = pdf_from_subgroup_sample([CyclicSubgroup(F2.word("a"))], [1.0], radius=1)
+        tuples = [[F2.word("aa"), F2.word("B")], [F2.word("a"), F2.word("B")],
+                  [F2.word("B"), F2.word("a")]]
+        with pytest.raises(CoverageError) as exc:
+            psd_check(phi, tuples)
+        assert exc.value.missing == [F2.word(s) for s in ("ab", "BA", "aab", "BAA")]
 
     def test_random_samples_always_psd(self):
         rng = rng_from_seed(43)
