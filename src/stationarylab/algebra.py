@@ -4,7 +4,9 @@ reduced group C*-algebra, with certified two-sided bounds on the reduced norm.
 Lower bounds come from trace moments of y = x*x: both tau0(y^m)^(1/2m) and the
 successive-moment ratio sqrt(tau0(y^(m+1))/tau0(y^m)) are true lower bounds for
 the reduced norm (the spectral measure of y against the canonical trace lives
-on [0, ||x||^2]), and both are nondecreasing in m.  Upper bounds come from the
+on [0, ||x||^2]), and both are nondecreasing in m.  The moments are exact:
+x = X / 2^K for an integer table X, so each is an integer over a power of
+two, and the bound is rounded down against them.  Upper bounds come from the
 l1 norm, the (n+1)-weighted layer inequality in word length (valid on every
 free group), the same inequality after rewriting the support over a free basis
 of the subgroup it generates, and a disjoint-cylinder averaging estimate.
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, log, sqrt
+from functools import partial
+from math import ldexp, log2, nextafter, sqrt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ContextMismatchError, MalformedInputError, ResourceLimitError
@@ -29,6 +32,7 @@ from .freegroup import (
 
 DEFAULT_SUPPORT_CAP = 5_000_000
 ZERO_DROP_THRESHOLD = 1e-15
+_CAP_MESSAGE = "convolution support exceeds the cap"
 
 
 class AlgebraElement:
@@ -135,18 +139,12 @@ def _element(table: dict[tuple[int, ...], complex], rank: int) -> AlgebraElement
     return x
 
 
-def _product(x: AlgebraElement, y: AlgebraElement, support_cap: int) -> AlgebraElement:
-    """convolve without the rank check."""
-    out = letter_product(x.coeffs, y.coeffs, support_cap, "convolution support exceeds the cap")
-    return _element(out, x.rank)
-
-
 def convolve(
     x: AlgebraElement, y: AlgebraElement, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> AlgebraElement:
     """Ring product: coeffs(w) = sum over u v = w of x(u) y(v)."""
     x._check(y)
-    return _product(x, y, support_cap)
+    return _element(letter_product(x.coeffs, y.coeffs, support_cap, _CAP_MESSAGE), x.rank)
 
 
 def involution(x: AlgebraElement) -> AlgebraElement:
@@ -176,155 +174,191 @@ def normalize(x: AlgebraElement, threshold: float = ZERO_DROP_THRESHOLD) -> Alge
 
 
 # ---------------------------------------------------------------------------
-# certified lower bounds: trace moments of y = x*x
+# certified lower bounds: exact trace moments of y = x*x
 # ---------------------------------------------------------------------------
 
 
-def _radial_profile(y: dict[tuple[int, ...], complex], rank: int):
-    """Per-length coefficient if the letter table y is constant on full
-    spheres, else None."""
-    if not y:
-        return [0]
-    first: dict[int, complex] = {}
+def _dyadic(x: AlgebraElement) -> tuple[int, dict, dict]:
+    """K and the integer tables X_re, X_im, zeros left out, with
+    x = (X_re + i X_im) / 2^K: every float is a dyadic rational, and 2^K is
+    the largest denominator that as_integer_ratio gives a coefficient part."""
+    ratios = [(w, c.real.as_integer_ratio(), c.imag.as_integer_ratio())
+              for w, c in x.coeffs.items()]
+    k = max((q.bit_length() - 1 for _, *pair in ratios for _, q in pair), default=0)
+    x_re = {w: n << (k + 1 - q.bit_length()) for w, (n, q), _ in ratios if n}
+    x_im = {w: n << (k + 1 - q.bit_length()) for w, _, (n, q) in ratios if n}
+    return k, x_re, x_im
+
+
+def _times(a: tuple[dict, dict], b: tuple[dict, dict], support_cap: int, product):
+    """The product of two tables (re, im) from four partial products by
+    `product`, skipping those with an empty, so zero, factor.
+    ResourceLimitError once the words it touches pass the cap."""
+    (a_re, a_im), (b_re, b_im) = a, b
+
+    def part(u, v):
+        return product(u, v) if u and v else {}
+
+    re, im = part(a_re, b_re), part(a_re, b_im)
+    for out, sign, c_part in ((re, -1, part(a_im, b_im)), (im, 1, part(a_im, b_re))):
+        for w, c in c_part.items():
+            out[w] = out.get(w, 0) + sign * c
+    if im and len(re) + sum(w not in re for w in im) > support_cap:
+        raise ResourceLimitError(_CAP_MESSAGE, support_cap)
+    return {w: c for w, c in re.items() if c}, {w: c for w, c in im.items() if c}
+
+
+def _radial_profile(y: dict[tuple[int, ...], int], rank: int) -> list[int] | None:
+    """Per-length coefficient if the nonempty letter table y is constant on
+    full spheres, else None."""
+    prof: dict[int, int] = {}
     sizes: dict[int, int] = {}
     for w, c in y.items():
-        n = len(w)
-        if n not in first:
-            first[n], sizes[n] = c, 1
-        elif c != first[n]:
+        if prof.setdefault(len(w), c) != c:
             return None
-        else:
-            sizes[n] += 1
+        sizes[len(w)] = sizes.get(len(w), 0) + 1
     q = 2 * rank - 1
-    for n, size in sizes.items():
-        if size != (1 if n == 0 else (q + 1) * q ** (n - 1)):
-            return None
-    prof = [0] * (max(first) + 1)
-    for n, c in first.items():
-        prof[n] = c
-    return prof
+    if any(size != (1 if n == 0 else (q + 1) * q ** (n - 1)) for n, size in sizes.items()):
+        return None
+    return [prof.get(n, 0) for n in range(max(prof) + 1)]
 
 
-def _exactify(values):
-    """Ints if everything is a real integer, Fractions if real, else floats."""
-    reals = []
-    for v in values:
-        c = complex(v)
-        if c.imag != 0:
-            return [complex(v) for v in values], False
-        reals.append(c.real)
-    if all(float(r).is_integer() for r in reals):
-        return [int(r) for r in reals], True
-    return [Fraction(r) for r in reals], True
-
-
-def _radial_moments(profile, k: int, n_moments: int):
-    """tau0(y^m), m = 1..n_moments, for a radial y with the given per-length profile.
+def _radial_moments(vals: list[int], k: int, n_moments: int) -> list[int]:
+    """tau0(y^m), m = 1..n_moments, for a radial y with the per-length profile vals.
 
     Works in the sphere-sum basis E_l (the sum of all lambda_w with |w| = l):
     E_1 E_l = E_{l+1} + (2k-1) E_{l-1} for l >= 2, E_1 E_1 = E_2 + 2k E_0, and
     every radial element is a polynomial in E_1, so applying y to a radial
     vector only needs the tridiagonal action of E_1.
     """
-    vals, exact = _exactify(profile)
     q = 2 * k - 1
 
     def apply_T(v):
-        n = len(v)
-        out = [0] * (n + 1)
-        for l in range(n + 1):
-            acc = 0
-            if l >= 1 and l - 1 < n:
-                acc += v[l - 1]
-            if l + 1 < n:
-                acc += (2 * k if l == 0 else q) * v[l + 1]
-            out[l] = acc
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
+        out = [0] + v
+        for l in range(1, len(v)):
+            out[l - 1] += (2 * k if l == 1 else q) * v[l]
         return out
 
     def apply_y(v):
-        # y = sum_l alpha_l q_l(E_1) with q_0 = 1, q_1 = X, q_2 = X^2 - 2k,
-        # q_{l+1} = X q_l - (2k-1) q_{l-1} for l >= 2
-        acc = [vals[0] * t for t in v] if vals[0] != 0 else [0] * len(v)
-        if len(vals) == 1:
-            return acc
-        u_prev, u_cur = list(v), apply_T(v)
-        if len(vals) > 1 and vals[1] != 0:
-            acc = _vec_add(acc, [vals[1] * t for t in u_cur])
-        for l in range(2, len(vals)):
-            nxt = apply_T(u_cur)
-            factor = 2 * k if l == 2 else q
-            nxt = _vec_add(nxt, [-factor * t for t in u_prev])
-            u_prev, u_cur = u_cur, nxt
-            if vals[l] != 0:
-                acc = _vec_add(acc, [vals[l] * t for t in u_cur])
+        # y = sum_l vals[l] E_l with E_0 = 1, E_1 = X, E_2 = X E_1 - 2k E_0 and
+        # E_{l+1} = X E_l - (2k-1) E_{l-1} for l >= 2
+        acc = [vals[0] * t for t in v]
+        e_prev, e_cur = [], v
+        for l in range(1, len(vals)):
+            e_prev, e_cur = e_cur, _axpy(apply_T(e_cur), -(2 * k if l == 2 else q), e_prev)
+            acc = _axpy(acc, vals[l], e_cur)
         return acc
 
     v = [1]
     moments = []
     for _ in range(n_moments):
         v = apply_y(v)
-        moments.append(v[0] if v else 0)
-    return moments, exact
+        moments.append(v[0])
+    return moments
 
 
-def _vec_add(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    ]
+def _axpy(a: list[int], c: int, b: list[int]) -> list[int]:
+    """a + c b, for lists of any lengths."""
+    a = a + [0] * (len(b) - len(a))
+    return [s + c * t for s, t in zip(a, b)] + a[len(b):]
 
 
-def _bounds_from_moments(moments, max_m: int) -> tuple[float, int]:
-    """Best certified lower bound from a dict {m: tau0(y^m)} at orders <= max_m.
+def _trace_moments(x: AlgebraElement, n_moments: int, support_cap: int):
+    """K and the exact moments {m: tau0(Y^m)} of Y = X*X, where x = X / 2^K
+    (see _dyadic), so that tau0(y^m) = tau0(Y^m) / 2^(2Km) for y = x*x.
 
-    Exact integer moments can exceed the float range at high orders, so the
-    root is taken in log space and the ratio through an exact Fraction.
+    Y comes from convolve, on integer elements, and its powers, integer table
+    pairs (re, im), from letter_product.  A radial Y (constant on full
+    spheres) gets every order up to n_moments + 1 from the sphere-sum
+    recursion.  Otherwise each power z = Y^m of repeated squaring gives
+    tau0(Y^(2m)) and, with t = Y z, tau0(Y^(2m+1)); z is self-adjoint, so
+    those are sum |z(w)|^2 and sum Re(t(w) conj z(w)).  The moments stop at
+    the first product that passes the cap.
     """
+    k, x_re, x_im = _dyadic(x)
+    rank = x.rank
 
-    def positive(v) -> bool:
-        v = v.real if isinstance(v, complex) else v
-        return v > 0
+    def convolved(u, v):
+        # the table of a new element that nothing else holds: _times may add to it
+        return convolve(_element(u, rank), _element(v, rank), support_cap).coeffs
 
-    def root(v, m: int) -> float:
-        v = v.real if isinstance(v, complex) else v
-        if isinstance(v, int):
-            return exp(log(v) / (2 * m))
-        return float(v) ** (1.0 / (2 * m))
+    product = partial(letter_product, support_cap=support_cap, cap_message=_CAP_MESSAGE)
+    adjoint = ({inverse_letters(w): c for w, c in x_re.items()},
+               {inverse_letters(w): -c for w, c in x_im.items()})
+    y = _times(adjoint, (x_re, x_im), support_cap, convolved)
+    # a radial table is symmetric under w -> w^-1, so a self-adjoint one is real
+    profile = None if y[1] else _radial_profile(y[0], rank)
+    if profile is not None:
+        return k, dict(enumerate(_radial_moments(profile, rank, n_moments + 1), 1))
 
-    def ratio(a, b) -> float:
-        a = a.real if isinstance(a, complex) else a
-        b = b.real if isinstance(b, complex) else b
-        if isinstance(a, int) and isinstance(b, int):
-            return sqrt(float(Fraction(a, b)))
-        return sqrt(float(a) / float(b))
+    moments = {1: y[0].get((), 0)}
+    z = y
+    m_z = 1
+    while True:
+        moments[2 * m_z] = sum(c * c for part in z for c in part.values())
+        if 2 * m_z <= n_moments:
+            # the ratio bound at order 2 m_z also needs tau0(Y^(2 m_z + 1))
+            try:
+                t = _times(y, z, support_cap, product)
+            except ResourceLimitError:
+                break
+            moments[2 * m_z + 1] = sum(
+                c * t_part.get(w, 0) for z_part, t_part in zip(z, t) for w, c in z_part.items()
+            )
+        if 2 * m_z >= n_moments:
+            break
+        if m_z == 1:
+            z = t  # Y^2, formed just above as Y z
+        else:
+            try:
+                z = _times(z, z, support_cap, product)
+            except ResourceLimitError:
+                break
+        m_z *= 2
+        moments[m_z] = z[0].get((), 0)
+    return k, moments
 
-    best, best_m = 0.0, 0
-    for m, M in moments.items():
-        if m > max_m or not positive(M):
+
+def _root(moment: int, m: int, k: int) -> float:
+    """moment^(1/2m) / 2^k, within a few ulps for a moment of any size: the
+    moment's binary exponent is split off before the logarithm."""
+    e = moment.bit_length()
+    q, rem = divmod(e - 2 * m * k, 2 * m)
+    return ldexp(2.0 ** ((log2(moment / (1 << e)) + rem) / (2 * m)), q)
+
+
+def _bounds_from_moments(moments: dict[int, int], max_m: int, k: int) -> float:
+    """The best lower bound on ||x|| from the exact moments
+    {m: tau0(Y^m) = 2^(2km) tau0(y^m)} at orders m <= max_m, rounded down.
+
+    The candidates are the root tau0(y^m)^(1/2m) and the ratio
+    sqrt(tau0(y^(m+1)) / tau0(y^m)) at each order, compared in floats.  The
+    winner r is then checked exactly, against r^(2m) 2^(2km) <= tau0(Y^m) or
+    r^2 2^(2k) tau0(Y^m) <= tau0(Y^(m+1)), and stepped down one ulp at a time
+    until it passes.
+    """
+    best, win = 0.0, (1, False)
+    for m, moment in moments.items():
+        if m > max_m:
             continue
-        b = root(M, m)
-        if b > best:
-            best, best_m = b, m
+        r = _root(moment, m, k)
+        if r > best:
+            best, win = r, (m, False)
         nxt = moments.get(m + 1)
-        if nxt is not None and positive(nxt):
-            b = ratio(nxt, M)
-            if b > best:
-                best, best_m = b, m
-    return best, best_m
+        if nxt is not None:
+            r = sqrt(nxt / (moment << 2 * k))
+            if r > best:
+                best, win = r, (m, True)
+    m, ratio = win
+    moment = moments[m]
 
+    def certified(r: float) -> bool:
+        big_r = Fraction(r) * (1 << k)
+        return big_r * big_r * moment <= moments[m + 1] if ratio else big_r ** (2 * m) <= moment
 
-def _pairing(a: dict, b: dict, b_by_inverse: dict | None = None) -> complex:
-    """tau0 of the product a b: the sum of a(w) b(w^-1) over the words w of
-    a in length-lex order.  b_by_inverse, when given, is b keyed by inverse
-    words and saves inverting each w."""
-    items = length_lex(a)
-    if b_by_inverse is None:
-        get = b.get
-        return sum(c * get(inverse_letters(w), 0) for w, c in items)
-    get = b_by_inverse.get
-    return sum(c * get(w, 0) for w, c in items)
+    while not certified(best):
+        best = nextafter(best, 0)
+    return best
 
 
 class _TaggedFloat(float):
@@ -360,61 +394,19 @@ def norm_lower_bound(
     """Certified lower bound for the reduced norm of x from trace moments.
 
     Bounds used: tau0(y^m)^(1/2m) and sqrt(tau0(y^(m+1))/tau0(y^m)) for
-    y = x*x, over every moment order m <= n_moments that is computable.  When
-    y is radial (constant on full spheres) all moments up to n_moments are
-    computed exactly by the sphere-sum recursion; otherwise powers of y are
-    formed by repeated squaring under the support cap, which yields the moment
-    orders 2^j, 2^(j+1), 2^(j+1)+1 from each stored power.  Nondecreasing in
-    n_moments; stops early (reporting the bound achieved) if squaring would
-    exceed the cap.  The result is a MomentBound, whose `order` is then
-    below n_moments.
-
-    y comes from convolve and its powers from the same letter_product kernel
-    without the rank check; every sum runs in length-lex order.
+    y = x*x, over every moment order m <= n_moments that is computable.  The
+    moments are exact (see _trace_moments) and the bound is rounded down
+    against the moments it came from.  A radial y gets every order; otherwise
+    the moments stop early if a product would pass the support cap, and the
+    result, a MomentBound, has its `order` below n_moments.
     """
     if n_moments < 1:
         raise MalformedInputError(f"n_moments must be >= 1, got {n_moments}")
     if not x.coeffs:
         return MomentBound(0.0, n_moments)
-    y = convolve(involution(x), x, support_cap)
-
-    profile = _radial_profile(y.coeffs, x.rank)
-    if profile is not None:
-        vals, _ = _radial_moments(profile, x.rank, n_moments + 1)
-        moments = {m + 1: vals[m] for m in range(len(vals))}
-        return MomentBound(_bounds_from_moments(moments, n_moments)[0], n_moments)
-
-    moments: dict[int, complex] = {1: canonical_trace(y)}
-    z = y
-    m_z = 1
-    while True:
-        # z = y^m_z; the pairing sum gives tau0(y^(2 m_z)) without forming it
-        pair_follows = 2 * m_z <= n_moments
-        # an inverse-keyed copy of z pays off only when the y z pairing reads
-        # it too; for the z z pairing alone it would only add the memory of
-        # a second z
-        z_inv = {inverse_letters(w): c for w, c in z.coeffs.items()} if pair_follows else None
-        moments[2 * m_z] = _pairing(z.coeffs, z.coeffs, z_inv)
-        if pair_follows:
-            # the ratio bound at order 2 m_z also needs tau0(y^(2 m_z + 1))
-            try:
-                t = _product(y, z, support_cap)
-            except ResourceLimitError:
-                break
-            moments[2 * m_z + 1] = _pairing(t.coeffs, z.coeffs, z_inv)
-        if 2 * m_z >= n_moments:
-            break
-        if m_z == 1:
-            z = t  # y^2, formed just above as y z
-        else:
-            try:
-                z = _product(z, z, support_cap)
-            except ResourceLimitError:
-                break
-        m_z *= 2
-        moments[m_z] = canonical_trace(z)
+    k, moments = _trace_moments(x, n_moments, support_cap)
     achieved = max(m for m in moments if m <= n_moments)
-    return MomentBound(_bounds_from_moments(moments, n_moments)[0], achieved)
+    return MomentBound(_bounds_from_moments(moments, n_moments, k), achieved)
 
 
 # ---------------------------------------------------------------------------

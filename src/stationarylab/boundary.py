@@ -456,6 +456,16 @@ class BoundaryPoint:
     resolved_depth: int
 
 
+def _common_prefix_length(tuples: list[tuple[int, ...]]) -> int:
+    """Length of the longest common prefix of a nonempty list of tuples: that
+    of its lexicographic min and max, between which every tuple lies."""
+    lo, hi = min(tuples), max(tuples)
+    n = 0
+    while n < len(lo) and n < len(hi) and lo[n] == hi[n]:
+        n += 1
+    return n
+
+
 def boundary_map(omega: PathSample) -> BoundaryPoint:
     """Longest prefix shared by every position in the final third of the path."""
     T = len(omega.increments)
@@ -465,12 +475,8 @@ def boundary_map(omega: PathSample) -> BoundaryPoint:
         )
     start = -(T // 3) - 1  # final third, inclusive
     tail = [w.letters for w in omega.positions[start:]]
-    first = tail[0]
-    limit = min(len(t) for t in tail)
-    lcp = 0
-    while lcp < limit and all(t[lcp] == first[lcp] for t in tail):
-        lcp += 1
-    prefix = _word(first[:lcp], omega.positions[0].rank)
+    lcp = _common_prefix_length(tail)
+    prefix = _word(tail[0][:lcp], omega.positions[0].rank)
     if lcp == 0:
         raise UnresolvedBoundaryError(
             "no stable prefix in the final third of the path", partial_prefix=prefix

@@ -3,12 +3,14 @@
 Words serialize as 'a'..'z' / uppercase inverses with "1" for the identity.
 Measures: {"context": k, "atoms": [{"word": "a", "p": "1/4"}, ...]} with
 rational strings or decimals.  Algebra elements:
-{"context": k, "terms": [{"word": "abA", "re": 1.0, "im": 0.0}, ...]}.
+{"context": k, "terms": [{"word": "abA", "re": 1.0, "im": 0.0}, ...]} with
+finite coefficients.
 Cylinder measures: CSV rows word,depth,mass.
 """
 
 from __future__ import annotations
 
+from cmath import isfinite
 from fractions import Fraction
 
 from .algebra import AlgebraElement
@@ -57,8 +59,10 @@ def element_from_json(data: dict) -> AlgebraElement:
     table: dict[Word, complex] = {}
     for term in terms:
         w = word_from_str(term["word"], rank)
-        c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
-        table[w] = table.get(w, 0) + c
+        c = table.get(w, 0) + complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+        if not isfinite(c):
+            raise MalformedInputError(f"coefficient {c} of {w} is not finite")
+        table[w] = c
     return AlgebraElement(table, rank)
 
 

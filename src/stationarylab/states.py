@@ -43,6 +43,9 @@ from .walks import (
     rng_from_seed,
 )
 
+# the staged construction keeps at most this many constraints per level
+MAX_CONSTRAINTS = 512
+
 
 # ---------------------------------------------------------------------------
 # Cesaro decay test
@@ -347,9 +350,7 @@ def _multi_element_powers(
 def build_c_star_simple_measure(
     test_family: Sequence[AlgebraElement],
     levels: int,
-    eps_schedule: Sequence[float] | None = None,
     budget: int = 128,
-    max_constraints: int = 512,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> CStarSimpleMeasure:
     """Run the staged averaging induction at truncation level `levels`.
@@ -358,7 +359,7 @@ def build_c_star_simple_measure(
     below eps_l = 2^-l: the centered family members themselves, plus every
     product mu_{k_r} * ... * mu_{k_1} * a_s with s, k_i < l and r < n_l (the
     exponents n_l come from decay_schedule; the product set is truncated to a
-    deterministic prefix of max_constraints entries per level).  The assembled
+    deterministic prefix of MAX_CONSTRAINTS entries per level).  The assembled
     law is sum_l 2^-l (uniform on the tuple), with the 2^-L tail folded into
     the top level, and the final certified bounds
     ||mu^{n_j} * a - tau0(a) 1|| are rechecked for every family member at the
@@ -376,7 +377,7 @@ def build_c_star_simple_measure(
     level_measures: list[GroupMeasure] = []
     level_certs: list[LevelCertificate] = []
     for l in range(1, levels + 1):
-        eps_l = 0.5**l if eps_schedule is None else float(eps_schedule[l - 1])
+        eps_l = 0.5**l
         constraints: list[tuple[str, AlgebraElement]] = [
             (f"a[{s}]", a) for s, a in enumerate(family)
         ]
@@ -386,14 +387,14 @@ def build_c_star_simple_measure(
             (f"a[{s}]", family[s]) for s in range(min(l - 1, len(family)))
         ]
         for r in range(1, n_l):
-            if len(constraints) >= max_constraints:
+            if len(constraints) >= MAX_CONSTRAINTS:
                 break
             nxt = []
             for cid, x in frontier:
                 for k in range(1, l):
                     y = measure_convolve_element(level_measures[k - 1], x)
                     nxt.append((f"mu[{k}]*{cid}", y))
-            constraints.extend(nxt[: max_constraints - len(constraints)])
+            constraints.extend(nxt[: MAX_CONSTRAINTS - len(constraints)])
             frontier = nxt
         hs, certs, best = _multi_element_powers(constraints, eps_l, budget)
         if not hs:

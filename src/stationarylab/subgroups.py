@@ -27,6 +27,7 @@ from .walks import GroupMeasure, sample_increments
 
 PSD_EIGENVALUE_TOL = -1e-9
 FREENESS_THRESHOLD = 1e-3
+FREENESS_RESIDUAL_DEPTH = 4
 
 
 def primitive_root(w: Word) -> Word:
@@ -249,7 +250,6 @@ def srs_escape_experiment(
     trials: int,
     seed: int = 0,
     threshold_len: int = 10,
-    pdf_words: Sequence[Word] | None = None,
 ) -> EscapeReport:
     """Simulate conjugation chains from a common start and track root growth.
 
@@ -258,11 +258,11 @@ def srs_escape_experiment(
     median root length grows at least linearly over the last half of the run
     (a constant chain from the trivial subgroup reports "degenerate").
     Also evaluates the final-step empirical positive definite function at the
-    requested words (default: the generators).
+    generators.
     """
     if not mu.is_generating():
         raise PreconditionError("the law must generate F_k as a semigroup")
-    words = pdf_words if pdf_words is not None else FreeGroupContext(mu.rank).generators()
+    words = FreeGroupContext(mu.rank).generators()
     if start.is_trivial():
         verdict = "degenerate (trivial subgroup is conjugation-fixed)"
         rows = tuple(
@@ -338,7 +338,6 @@ def freeness_report(
     gens: Sequence[Word],
     depth: int,
     threshold: float = FREENESS_THRESHOLD,
-    residual_depth: int = 4,
 ) -> FreenessReport:
     """Tabulate certified upper bounds on nu(Fix(g)) for each g.
 
@@ -348,12 +347,12 @@ def freeness_report(
     assembled as an upper envelope of the fixed-point pdf g -> nu(Fix(g)),
     which for an essentially free action is the indicator of the identity.
     The stationarity precondition on nu is certified on cylinders up to
-    residual_depth.
+    depth FREENESS_RESIDUAL_DEPTH, or less if nu is too shallow for it.
     """
     max_res_depth = (
         nu.depth - mu.max_support_length() if nu.tail_uniform_from is None else nu.depth
     )
-    residual = stationarity_residual(mu, nu, depth=min(residual_depth, max_res_depth))
+    residual = stationarity_residual(mu, nu, depth=min(FREENESS_RESIDUAL_DEPTH, max_res_depth))
     rows = []
     pdf_upper = {"1": 1.0}
     for g in gens:

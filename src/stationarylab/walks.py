@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, _element
+from .algebra import AlgebraElement, _dyadic, _element
 from .errors import (
     ContextMismatchError,
     MalformedInputError,
@@ -92,7 +92,7 @@ class GroupMeasure:
     def exact(self) -> bool:
         return all(isinstance(p, Fraction) for p in self.masses.values())
 
-    def is_generating(self, closure_cap: int = GENERATING_CLOSURE_CAP) -> bool:
+    def is_generating(self) -> bool:
         """Certificate that the support generates F_rank as a semigroup.
 
         The semigroup closure of the support is computed inside the ball of
@@ -114,9 +114,9 @@ class GroupMeasure:
                     if len(v) <= radius and v not in closure:
                         closure.add(v)
                         new.append(v)
-                        if len(closure) > closure_cap:
+                        if len(closure) > GENERATING_CLOSURE_CAP:
                             raise ResourceLimitError(
-                                "semigroup closure exceeds the cap", closure_cap
+                                "semigroup closure exceeds the cap", GENERATING_CLOSURE_CAP
                             )
             frontier = new
         targets = FreeGroupContext(self.rank).generators()
@@ -274,11 +274,8 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     atoms = length_lex(mu.masses)
     if mu.exact:
         d, num = _numerators(mu)
-        ratios = {w: (c.real.as_integer_ratio(), c.imag.as_integer_ratio())
-                  for w, c in a.coeffs.items()}
-        two_k = max((q for pair in ratios.values() for _, q in pair), default=1)
-        parts = [(w, re * (two_k // q_re), im * (two_k // q_im))
-                 for w, ((re, q_re), (im, q_im)) in ratios.items()]
+        k, a_re, a_im = _dyadic(a)
+        parts = [(w, a_re.get(w, 0), a_im.get(w, 0)) for w in a.coeffs]
         acc_re: dict[tuple[int, ...], int] = {}
         acc_im: dict[tuple[int, ...], int] = {}
         for g, _ in atoms:
@@ -287,7 +284,7 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
                 target = _product_letters(_product_letters(ginv, w), g)
                 acc_re[target] = acc_re.get(target, 0) + n_g * re
                 acc_im[target] = acc_im.get(target, 0) + n_g * im
-        d *= two_k
+        d <<= k
         return _element(
             {w: complex(acc_re[w] / d, acc_im[w] / d) for w in acc_re}, a.rank
         )

@@ -1,14 +1,17 @@
 import copy
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stationarylab.algebra import (
     AlgebraElement,
-    _bounds_from_moments,
     _disjoint_cylinder_bound,
     _layer_bound,
+    _trace_moments,
     adjoint_action,
     canonical_trace,
     certify_norm,
@@ -303,6 +306,52 @@ class TestNormBounds:
             assert abs(norm_lower_bound(y, n) - norm_lower_bound(x, n)) < 1e-12
 
 
+def norm_squared_in(bracket, norm_squared):
+    """Whether lower^2 <= norm_squared <= upper^2, compared exactly."""
+    return Fraction(bracket.lower) ** 2 <= norm_squared <= Fraction(bracket.upper) ** 2
+
+
+@given(st.integers(1, 4), st.integers(1, 64), st.integers(-3, 3))
+def test_kesten_norm_is_in_the_bracket(k, n_moments, e):
+    # the symmetric generator sum of F_k has norm 2 sqrt(2k - 1) (Kesten 1959);
+    # its y = x*x is radial
+    x = AlgebraElement({w: 2.0**e for w in ball(FreeGroupContext(k), 1) if len(w)}, k)
+    bracket = certify_norm(x, n_moments)
+    assert bracket.moments_used == n_moments
+    assert norm_squared_in(bracket, Fraction(4) ** e * 4 * (2 * k - 1))
+
+
+# free families (rank of F_k, words): distinct generators and families of
+# longer words that freely generate their subgroup
+FREE_FAMILIES = [
+    (2, ["a", "b"]), (2, ["a", "ab"]),
+    (3, ["a", "b", "c"]), (2, ["aa", "ab", "bb"]), (3, ["ab", "bc", "ca"]),
+    (4, ["a", "b", "c", "d"]), (2, ["aaa", "bbb", "ab", "ba"]),
+]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(FREE_FAMILIES), st.integers(1, 8), st.integers(-3, 3),
+       st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=4, max_size=4))
+def test_free_family_norm_is_in_the_bracket(family, n_moments, e, phases):
+    # lambda(g_1) + ... + lambda(g_n) has norm 2 sqrt(n - 1) for a free family
+    # (Akemann-Ostrand 1976); unimodular phases keep it, as the character
+    # g_i -> phase_i of the free subgroup is implemented by a unitary
+    rank, names = family
+    words = [FreeGroupContext(rank).word(s) for s in names]
+    assert len(free_basis_decomposition(words).basis) == len(words)
+    x = AlgebraElement({w: 2.0**e * z for w, z in zip(words, phases)}, rank)
+    bracket = certify_norm(x, n_moments)
+    assert norm_squared_in(bracket, Fraction(4) ** e * 4 * (len(words) - 1))
+
+
+def test_the_freeness_check_sees_a_relation():
+    # {ab, bb, aBa} generates a subgroup of rank 2: it is not a free family,
+    # and the check above refuses it as an Akemann-Ostrand case
+    words = [F2.word(s) for s in ("ab", "bb", "aBa")]
+    assert len(free_basis_decomposition(words).basis) == 2
+
+
 def upper_bound_oracle(x):
     """Minimum of all four upper-bound candidates, with the fold always run."""
     c_e = abs(x.coeffs.get((), 0))
@@ -411,37 +460,80 @@ def test_disjoint_cylinder_bound_matches_pairwise_scan():
 
 
 def word_table_moment_engine(x, n_moments, support_cap):
-    """Reference for the non-radial moment engine: every power of y = x*x an
-    AlgebraElement from convolve, pairings summed over Word keys sorted by
-    Word.sort_key with Word.inverse() lookups, and y y formed twice.  Returns
-    the bound and the highest order <= n_moments computed."""
+    """Exact reference for the non-radial moment engine: tables keyed by Word
+    with coefficients as Fraction (re, im) pairs from as_integer_ratio, every
+    pairing tau0(a b) summed with Word.inverse() lookups, and y y formed
+    twice.  A product stops the engine once the words it touches pass the cap.
+    Returns the moments {m: tau0(y^m)} as Fractions."""
+
+    def times(a, b):
+        out = {}
+        for u, (ar, ai) in a.items():
+            for v, (br, bi) in b.items():
+                re, im = out.get(u * v, (0, 0))
+                out[u * v] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+                if len(out) > support_cap:
+                    raise ResourceLimitError("cap", support_cap)
+        return {w: c for w, c in out.items() if c != (0, 0)}
 
     def pairing(a, b):
-        words = sorted((Word(w, a.rank) for w in a.coeffs), key=Word.sort_key)
-        return sum(a.coeffs[w.letters] * b.coeffs.get(w.inverse().letters, 0) for w in words)
+        re = im = 0
+        for w, (ar, ai) in a.items():
+            br, bi = b.get(w.inverse(), (0, 0))
+            re, im = re + ar * br - ai * bi, im + ar * bi + ai * br
+        assert im == 0
+        return re
 
-    y = convolve(involution(x), x, support_cap)
-    moments = {1: canonical_trace(y)}
+    def exact(c):
+        return tuple(Fraction(*part.as_integer_ratio()) for part in (c.real, c.imag))
+
+    table = {Word(w, x.rank): exact(c) for w, c in x.coeffs.items()}
+    y = times({w.inverse(): (re, -im) for w, (re, im) in table.items()}, table)
+    e = Word((), x.rank)
+    moments = {1: y.get(e, (0, 0))[0]}
     z = y
     m_z = 1
     while True:
         moments[2 * m_z] = pairing(z, z)
         if 2 * m_z <= n_moments:
             try:
-                t = convolve(y, z, support_cap)
+                t = times(y, z)
             except ResourceLimitError:
                 break
             moments[2 * m_z + 1] = pairing(t, z)
         if 2 * m_z >= n_moments:
             break
         try:
-            z = convolve(z, z, support_cap)
+            z = times(z, z)
         except ResourceLimitError:
             break
         m_z *= 2
-        moments[m_z] = canonical_trace(z)
-    achieved = max(m for m in moments if m <= n_moments)
-    return _bounds_from_moments(moments, n_moments)[0], achieved
+        moments[m_z] = z.get(e, (0, 0))[0]
+    return moments
+
+
+def engine_moments(x, n_moments, support_cap):
+    """The engine's moments {m: tau0(y^m)} as Fractions."""
+    k, moments = _trace_moments(x, n_moments, support_cap)
+    return {m: Fraction(v, 4 ** (k * m)) for m, v in moments.items()}
+
+
+def certified_by(r, moments, n_moments):
+    """Whether r is at most a root or ratio bound of the exact moments
+    {m: tau0(y^m)} at some order m <= n_moments, compared in Fractions."""
+    r = Fraction(r)
+    return any(
+        r ** (2 * m) <= v or (m + 1 in moments and r * r * v <= moments[m + 1])
+        for m, v in moments.items() if m <= n_moments
+    )
+
+
+def best_candidate(moments, n_moments):
+    """The largest root or ratio bound of the moments, in floats."""
+    return max(
+        max(float(v) ** (1 / (2 * m)), math.sqrt(moments[m + 1] / v) if m + 1 in moments else 0)
+        for m, v in moments.items() if m <= n_moments
+    )
 
 
 def non_radial_elements(rng):
@@ -463,18 +555,36 @@ def non_radial_elements(rng):
 
 
 class TestLetterTableMomentEngine:
-    def test_bit_identical_to_word_table_engine(self):
+    def test_moments_equal_the_exact_reference(self):
         rng = rng_from_seed(44)
         short = 0
         for x in non_radial_elements(rng):
             for n in (1, 2, 3, 5, 8):
                 for cap in (5000, 200, 60, 25):
                     expected = word_table_moment_engine(x, n, cap)
-                    bound = norm_lower_bound(x, n, cap)
-                    assert (bound, bound.order) == expected
-                    short += expected[1] < n
+                    assert engine_moments(x, n, cap) == expected
+                    achieved = max(m for m in expected if m <= n)
+                    assert norm_lower_bound(x, n, cap).order == achieved
+                    short += achieved < n
         # the cap binds partway through on many of these
         assert short > 20
+
+    def test_lower_bound_is_rounded_down(self):
+        rng = rng_from_seed(44)
+        for x in non_radial_elements(rng):
+            for n in (1, 2, 3, 5, 8):
+                moments = word_table_moment_engine(x, n, 5000)
+                bound = norm_lower_bound(x, n, 5000)
+                assert certified_by(bound, moments, n)
+                assert math.isclose(bound, best_candidate(moments, n), rel_tol=1e-14)
+        # the Kesten element: tau0(y^m) = tau0(x^(2m)) counts closed walks
+        kesten = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
+        walks = f2_moment_oracle(130)
+        moments = {m: Fraction(walks[2 * m - 1]) for m in range(1, 66)}
+        bound = norm_lower_bound(kesten, 64)
+        assert certified_by(bound, moments, 64)
+        old = 3.426032146718429
+        assert bound in (old, math.nextafter(old, 0), math.nextafter(old, 4))
 
     def test_achieved_order_under_a_binding_cap(self):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
@@ -494,9 +604,9 @@ class TestLetterTableMomentEngine:
         # y = 3 - a^2 - a^-2: its a and a^-1 terms cancel exactly; kept, they
         # would give y y 9 terms instead of 5 and stop it at a cap of 6
         x = AlgebraElement({F2.identity: 1, F2.word("a"): 1, F2.word("A"): -1}, 2)
-        bound = norm_lower_bound(x, 8, 6)
-        assert (bound, bound.order) == word_table_moment_engine(x, 8, 6)
-        assert bound.order == 4
+        expected = word_table_moment_engine(x, 8, 6)
+        assert engine_moments(x, 8, 6) == expected
+        assert norm_lower_bound(x, 8, 6).order == max(m for m in expected if m <= 8) == 4
 
     def test_bound_survives_copy_and_pickle(self):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stationarylab.boundary import (
     CylinderMeasure,
+    _common_prefix_length,
     boundary_map,
     conditional_measure,
     constant_harmonic,
@@ -293,6 +296,28 @@ class TestBoundaryMap:
         moved = g * bp.prefix
         m = min(bp_shift.resolved_depth, len(moved)) - 2
         assert bp_shift.prefix.letters[:m] == moved.letters[:m]
+
+
+def common_prefix_by_scan(tail):
+    """The oracle: a letter-by-letter scan of every tuple."""
+    first = tail[0]
+    limit = min(len(t) for t in tail)
+    lcp = 0
+    while lcp < limit and all(t[lcp] == first[lcp] for t in tail):
+        lcp += 1
+    return lcp
+
+
+LETTER_TUPLES = st.lists(st.integers(0, 3), max_size=8).map(tuple)
+
+
+@given(LETTER_TUPLES, st.lists(st.tuples(st.integers(0, 8), LETTER_TUPLES), min_size=1,
+                               max_size=8))
+def test_common_prefix_length_matches_the_scan(stem, cuts):
+    # cuts of one stem with tails appended; an empty tail leaves a prefix of
+    # the stem, so one tuple is often a proper prefix of another
+    tail = [stem[:i] + extra for i, extra in cuts]
+    assert _common_prefix_length(tail) == common_prefix_by_scan(tail)
 
 
 class TestPoissonMap:

@@ -16,11 +16,11 @@ GOLDEN = {
         {"experiment": "norm", "rank": 2, "n_moments": 8,
          "element": {"context": 2, "terms": [
              {"word": "a", "re": 1.0}, {"word": "ab", "re": 0.5}, {"word": "Ba", "re": 0.3}]}},
-        {"norm.csv": "ed868a833a88872c193341153555196a0c83e792a1066b5a8ebe4a43da192c6a"},
+        {"norm.csv": "9d17dda96cc93b9335ac43883531fa22a94ec4f678f0b38a2b7ee84cad62ad6a"},
     ),
     "cesaro": (
         {"experiment": "cesaro", "rank": 2, "element": "ab", "n_max": 3},
-        {"cesaro.csv": "c666485067a54e8b5d950d5b2f2df195b9b842d332e51438b24e94b0e449676c",
+        {"cesaro.csv": "54aee5ff068b35ed9f1279cc2dac36ab152e0de338483b2221839085c169237f",
          "cesaro_summary.json":
              "3c8e8f15f490b61e055115fa383bfd1f4f467af11df5f2fa241d202f578f5208"},
     ),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from stationarylab.algebra import AlgebraElement
 from stationarylab.cli import EXPERIMENTS, ConfigError, config_hash, main, run, verify
+from stationarylab.errors import MalformedInputError
 from stationarylab.freegroup import FreeGroupContext
 from stationarylab.serialize import (
     element_from_json,
@@ -41,6 +42,13 @@ class TestSerialization:
             {F2.word("abA"): 1.5 - 2j, F2.identity: 3.0}, 2
         )
         assert element_from_json(element_to_json(x)) == x
+
+    def test_non_finite_element_coefficient_rejected(self):
+        # a coefficient that is not finite, given or from a sum of terms
+        for terms in ([{"word": "a", "re": "inf"}], [{"word": "a", "im": "nan"}],
+                      [{"word": "a", "re": 1e308}, {"word": "a", "re": 1e308}]):
+            with pytest.raises(MalformedInputError):
+                element_from_json({"context": 2, "terms": terms})
 
     def test_element_json_shape(self):
         x = AlgebraElement.delta(F2.word("abA"))
@@ -176,6 +184,15 @@ def _assert_one_error_line(err: str, fragment: str) -> None:
     lines = [line for line in err.splitlines() if "error:" in line]
     assert len(lines) == 1, err
     assert fragment in lines[0], err
+
+
+def test_non_finite_coefficient_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": "norm", "element": {"context": 2, "terms": [
+        {"word": "a", "re": "inf"}, {"word": "ab", "re": 1.0}]}}))
+    rc, err = _main(["norm", "--config", str(cfg), "--out-dir", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    _assert_one_error_line(err, "not finite")
 
 
 # One small, fast, valid config per experiment; rank is left to its default.
@@ -359,7 +376,7 @@ def _broken_configs(draw):
     return cfg, key.name
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_broken_configs())
 def test_fuzz_broken_config_exits_2(case):
     cfg, key = case

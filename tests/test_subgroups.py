@@ -92,7 +92,7 @@ class TestCyclicSubgroup:
         assert Hc.contains(conjugate(F2.word("a"), F2.word("b")))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(WORDS, WORDS, st.integers(-4, 4), st.integers(0, 3), WORDS)
 def test_contains_matches_the_power_oracle(root, g, n, k, x):
     sub = CyclicSubgroup(root)
@@ -112,7 +112,7 @@ def test_contains_matches_the_power_oracle(root, g, n, k, x):
     assert sub.contains(sub.root**n)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(WORDS, WORDS)
 def test_conjugated_by_matches_a_fresh_subgroup(root, h):
     sub = CyclicSubgroup(root)
