@@ -12,12 +12,14 @@ single cylinder or the complement of one, by the three-way analysis
 
 Measures whose child masses split uniformly beyond some level (the uniform
 measure and its translates) carry that level in `tail_uniform_from`, which
-makes them evaluable at any depth; everything else is strict and raises
-depth-underflow when asked past its table.
+makes them evaluable at any depth: below its table a cylinder [w] has the
+mass of [w[:depth]] divided by (2k-1)^(|w|-depth).  Everything else is strict
+and raises depth-underflow when asked past its table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -46,10 +48,10 @@ class CylinderMeasure:
     """Mass table over cylinders of depth 1..depth; immutable.
 
     `masses` maps the letters of each cylinder's base word to its mass; the
-    constructor checks a Word-keyed mapping.  `tail_uniform_from`: if not
-    None, child masses split uniformly (1/(2k-1) each) at every level >= that
-    value, so cylinders of any depth are evaluable by extending the deepest
-    stored level.  None means strict.
+    constructor checks a Word-keyed mapping of finite masses.
+    `tail_uniform_from`: if not None, a level in 1..depth from which on child
+    masses split uniformly (1/(2k-1) each), so cylinders of any depth are
+    evaluable by extending the deepest stored level.  None means strict.
     """
 
     __slots__ = ("rank", "depth", "masses", "tail_uniform_from")
@@ -63,6 +65,10 @@ class CylinderMeasure:
     ):
         if depth < 1:
             raise MalformedInputError(f"depth must be >= 1, got {depth}")
+        if tail_uniform_from is not None and not 1 <= tail_uniform_from <= depth:
+            raise MalformedInputError(
+                f"uniform tail from {tail_uniform_from} outside depth range 1..{depth}"
+            )
         table = {}
         for w, m in masses.items():
             if w.rank != rank:
@@ -82,6 +88,8 @@ class CylinderMeasure:
         if abs(s - 1.0) > CONSISTENCY_TOL:
             raise MalformedInputError(f"level-1 masses sum to {s}, not 1")
         for w, m in self.masses.items():
+            if not math.isfinite(m):
+                raise MalformedInputError(f"mass {m} at {_word(w, self.rank)} is not finite")
             if float(m) < -CONSISTENCY_TOL:
                 raise MalformedInputError(f"negative mass {m} at {_word(w, self.rank)}")
             if len(w) < self.depth:
@@ -104,13 +112,9 @@ class CylinderMeasure:
             return 1
         if n <= self.depth:
             return self.masses.get(w, 0)
-        if self.tail_uniform_from is not None and self.depth >= self.tail_uniform_from:
-            base = self.masses.get(w[: self.depth], 0)
-            extra = n - self.depth
-            if isinstance(base, Fraction):
-                return base / (2 * self.rank - 1) ** extra
-            return base / float((2 * self.rank - 1) ** extra)
-        raise DepthUnderflowError(required_depth=n, available_depth=self.depth)
+        if self.tail_uniform_from is None:
+            raise DepthUnderflowError(required_depth=n, available_depth=self.depth)
+        return self.masses.get(w[: self.depth], 0) / (2 * self.rank - 1) ** (n - self.depth)
 
     def cylinders(self) -> list[tuple[Word, object]]:
         """(base word, mass) pairs of the stored table in length-lex word order."""
@@ -220,15 +224,23 @@ def translate(g: Word, nu: CylinderMeasure, out_depth: int | None = None) -> Cyl
     return _cylinders(table, nu.rank, out_depth, tail_out)
 
 
+def residual_depth(mu: GroupMeasure, nu: CylinderMeasure) -> int:
+    """The deepest level at which every translate g nu, g in the support of
+    mu, is evaluable: nu.depth - L for a strict nu (L = max support length),
+    nu.depth with a uniform tail."""
+    return nu.depth - mu.max_support_length() if nu.tail_uniform_from is None else nu.depth
+
+
 def stationarity_residual(
     mu: GroupMeasure, nu: CylinderMeasure, depth: int | None = None
 ) -> float:
-    """max over cylinders of |sum_g mu(g) (g nu)[w] - nu[w]| up to the common depth."""
+    """max over cylinders of |sum_g mu(g) (g nu)[w] - nu[w]| up to the given
+    depth, by default `residual_depth(mu, nu)`."""
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"measure rank {mu.rank} vs {nu.rank}")
     L = mu.max_support_length()
     if depth is None:
-        depth = nu.depth - L if nu.tail_uniform_from is None else nu.depth
+        depth = residual_depth(mu, nu)
     if depth < 1:
         raise DepthUnderflowError(required_depth=L + 1, available_depth=nu.depth)
     atoms = length_lex(mu.masses)
@@ -249,28 +261,6 @@ def total_variation(nu1: CylinderMeasure, nu2: CylinderMeasure, depth: int) -> f
         for w in ball_letters(nu1.rank, depth)
         if len(w) == depth
     )
-
-
-def _extend_uniform(nu: CylinderMeasure, new_depth: int) -> CylinderMeasure:
-    """Extend the table by splitting each deepest cylinder uniformly."""
-    if new_depth <= nu.depth:
-        return nu
-    k = nu.rank
-    gens = [s.letters for s in FreeGroupContext(k).generators()]
-    table = dict(nu.masses)
-    frontier = [(w, m) for w, m in nu.masses.items() if len(w) == nu.depth]
-    for _ in range(new_depth - nu.depth):
-        nxt = []
-        for w, m in frontier:
-            share = m / float(2 * k - 1) if not isinstance(m, Fraction) else m / (2 * k - 1)
-            back = inverse_letters(w[-1:])
-            for s in gens:
-                if s == back:
-                    continue
-                table[w + s] = share
-                nxt.append((w + s, share))
-        frontier = nxt
-    return _cylinders(table, k, new_depth, nu.tail_uniform_from)
 
 
 @dataclass(frozen=True)
@@ -326,13 +316,17 @@ def solve_stationary(
 ) -> StationarySolution:
     """Fixed-point iteration nu -> sum_g mu(g) g nu from the uniform seed.
 
-    Runs at a working depth of depth + 2 L (L = max support length), with a
-    uniform-split re-extension before each application so the transfer
-    operator is always evaluated on exact translates; the returned residual is
-    recomputed from the final table, so the certificate is honest regardless
-    of the extension.  For nearest-neighbor laws the level-1 masses are
-    cross-checked against the hitting-probability fixed point.
+    Runs at a working depth of W = depth + 2 L (L = max support length).  A
+    translate reads cylinders down to W + L; those below W read their length-W
+    prefix split uniformly, by the rule of `CylinderMeasure._mass`.  The seed
+    (the uniform measure unless given) is read by the same rule below its
+    table.  The certified residual covers the words up to W - L, whose
+    translates stay within the table, so it does not depend on that rule.
+    For nearest-neighbor laws the level-1 masses are cross-checked against
+    the hitting-probability fixed point.
     """
+    if depth < 1:
+        raise MalformedInputError(f"depth must be >= 1, got {depth}")
     if not mu.is_generating():
         raise PreconditionError("the law must generate F_k as a semigroup")
     if seed_measure is not None and seed_measure.rank != mu.rank:
@@ -344,57 +338,48 @@ def solve_stationary(
 
     words_W = [w for w in ball_letters(rank, W) if w]
     index_W = {w: i for i, w in enumerate(words_W)}
-    words_tail = [w for w in ball_letters(rank, W + L) if len(w) > W]
-    # extended vector = [current table, uniform-split tail]
-    tail_parent = np.array([index_W[w[:W]] for w in words_tail], dtype=np.int64)
-    tail_factor = np.array([1.0 / q ** (len(w) - W) for w in words_tail], dtype=np.float64)
-    index_ext = {w: i for i, w in enumerate(words_W + words_tail)}
 
-    # compiled transfer operator: new[w] = sum_g p_g (const + sign * vec[idx]);
-    # the words exclude the identity, so no key is the identity either
+    # compiled transfer operator: new[w] = sum_g p_g (const + coef * vec[idx]),
+    # where a key below the table reads its length-W prefix and coef carries
+    # the sign and the uniform split 1/q^(|key| - W); the words exclude the
+    # identity, so no key is the identity either
     atoms = [(g, float(p)) for g, p in length_lex(mu.masses)]
 
-    def compile_transfer(words: list[tuple[int, ...]], index: dict) -> list[tuple]:
+    def compile_transfer(words: list[tuple[int, ...]]) -> list[tuple]:
         gathers = []
         for g, p in atoms:
             recipes = [_mass_recipe(g, w) for w in words]
             comp = np.array([c for c, _ in recipes], dtype=bool)
-            idx = np.array([index[key] for _, key in recipes], dtype=np.int64)
-            gathers.append((p, idx, np.where(comp, -1.0, 1.0), comp.astype(np.float64)))
+            idx = np.array([index_W[key[:W]] for _, key in recipes], dtype=np.int64)
+            split = np.array([1.0 / q ** max(len(key) - W, 0) for _, key in recipes])
+            gathers.append((p, idx, np.where(comp, -split, split), comp.astype(np.float64)))
         return gathers
 
-    # the iteration reads the extended vector; the certified residual, over
-    # words up to W - L, reads the raw table only
-    gathers = compile_transfer(words_W, index_ext)
-    words_res = [w for w in ball_letters(rank, W - L) if w]
-    res_self = np.array([index_W[w] for w in words_res], dtype=np.int64)
-    res_gathers = compile_transfer(words_res, index_W)
-
-    if seed_measure is None:
-        seed = uniform_boundary_measure(FreeGroupContext(rank), W)
-    else:
-        seed = seed_measure
-        if seed.depth < W:
-            seed = _extend_uniform(seed, W)
-    vec = np.array([float(seed._mass(w)) for w in words_W], dtype=np.float64)
-
-    def apply_transfer(v: np.ndarray) -> np.ndarray:
-        ext = np.concatenate([v, v[tail_parent] * tail_factor])
-        out = np.zeros_like(v)
-        for p, idx, sign, const in gathers:
-            out += p * (const + sign * ext[idx])
+    def transfer(gathers: list[tuple], v: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(gathers[0][1]))
+        for p, idx, coef, const in gathers:
+            out += p * (const + coef * v[idx])
         return out
 
+    gathers = compile_transfer(words_W)
+    words_res = [w for w in ball_letters(rank, W - L) if w]
+    res_self = np.array([index_W[w] for w in words_res], dtype=np.int64)
+    res_gathers = compile_transfer(words_res)
+
     def certified_residual(v: np.ndarray) -> float:
-        acc = np.zeros(len(words_res))
-        for p, idx, sign, const in res_gathers:
-            acc += p * (const + sign * v[idx])
-        return float(np.max(np.abs(acc - v[res_self]))) if len(words_res) else 0.0
+        return float(np.max(np.abs(transfer(res_gathers, v) - v[res_self])))
+
+    seed = seed_measure
+    if seed is None:
+        seed = uniform_boundary_measure(FreeGroupContext(rank), 1)
+    # read the seed as splitting uniformly below its table
+    seed = _cylinders(seed.masses, rank, seed.depth, seed.depth)
+    vec = np.array([float(seed._mass(w)) for w in words_W], dtype=np.float64)
 
     residual = float("inf")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        vec = apply_transfer(vec)
+        vec = transfer(gathers, vec)
         residual = certified_residual(vec)
         if residual < tol:
             break
@@ -436,15 +421,12 @@ class ConditionalMeasure:
 def conditional_measure(
     nu: CylinderMeasure, omega: PathSample, n: int, depth: int = 1
 ) -> ConditionalMeasure:
-    """omega_n nu, evaluated as a cylinder table of the given depth."""
+    """omega_n nu = translate(omega_n, nu) as a cylinder table of the given
+    depth; a strict nu must store depth |omega_n| + depth."""
     if n < 0 or n >= len(omega.positions):
         raise MalformedInputError(f"step {n} outside the sampled path")
     g = omega.positions[n]
-    if nu.tail_uniform_from is None and nu.depth < len(g) + depth:
-        raise DepthUnderflowError(
-            required_depth=len(g) + depth, available_depth=nu.depth
-        )
-    meas = translate(g, nu, out_depth=depth) if not g.is_identity() else nu.truncate(depth)
+    meas = translate(g, nu, out_depth=depth)
     return ConditionalMeasure(measure=meas, top_mass=meas.top_mass(), position=g)
 
 

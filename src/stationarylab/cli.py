@@ -629,9 +629,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.name.replace("_", "-"), dest=key.name, type=FLAG_TYPES.get(key.parse, str),
                            metavar=key.parse.__name__.strip("_").upper(),
                            help=bound + default)
-        if SEED.name in (key.name for key in experiment.keys):
-            p.add_argument("--seed-override", type=int,
-                           help="seed to use when neither the config nor --seed sets one")
     v = sub.add_parser("verify")
     v.add_argument("--manifest", type=str, required=True)
     v.add_argument("--out-dir", type=str, default=None)
@@ -656,10 +653,6 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         if value is not None and config.setdefault(key.name, value) != value:
             raise ConfigError(f"/{key.name}", f"the flag's {value!r} disagrees with the "
                                               f"config's {config[key.name]!r}")
-    if getattr(args, "seed_override", None) is not None:
-        if "seed" in config:
-            raise ConfigError("/seed", "--seed-override refused: the config pins its seed")
-        config["seed"] = args.seed_override
     return config
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import CylinderMeasure, fix_mass, stationarity_residual
+from .boundary import CylinderMeasure, fix_mass, residual_depth, stationarity_residual
 from .errors import (
     ContextMismatchError,
     CoverageError,
@@ -349,10 +349,8 @@ def freeness_report(
     The stationarity precondition on nu is certified on cylinders up to
     depth FREENESS_RESIDUAL_DEPTH, or less if nu is too shallow for it.
     """
-    max_res_depth = (
-        nu.depth - mu.max_support_length() if nu.tail_uniform_from is None else nu.depth
-    )
-    residual = stationarity_residual(mu, nu, depth=min(FREENESS_RESIDUAL_DEPTH, max_res_depth))
+    res_depth = min(FREENESS_RESIDUAL_DEPTH, residual_depth(mu, nu))
+    residual = stationarity_residual(mu, nu, depth=res_depth)
     rows = []
     pdf_upper = {"1": 1.0}
     for g in gens:

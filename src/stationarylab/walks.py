@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,6 +55,8 @@ class GroupMeasure:
             if w.rank != rank:
                 raise ContextMismatchError(f"word rank {w.rank} in measure of rank {rank}")
             p = _as_mass(p)
+            if not isfinite(p):
+                raise MalformedInputError(f"mass {p} at {w} is not finite")
             if p < 0:
                 raise MalformedInputError(f"negative mass {p} at {w}")
             table[w.letters] = p

@@ -109,6 +109,23 @@ class TestConstructorChecks:
         with pytest.raises(MalformedInputError):
             CylinderMeasure({}, 2, 0)
 
+    def test_non_finite_mass_rejected(self):
+        # every comparison with NaN is false, so the consistency checks alone
+        # would pass it
+        table = {w: float(m) for w, m in NU.cylinders() if len(w) <= 2}
+        table[F2.word("ab")] = math.nan
+        with pytest.raises(MalformedInputError, match="not finite"):
+            CylinderMeasure(table, 2, 2)
+
+    def test_uniform_tail_lies_within_the_table(self):
+        table = dict(uniform_boundary_measure(F2, 2).cylinders())
+        for tail in (1, 2):
+            nu = CylinderMeasure(table, 2, 2, tail_uniform_from=tail)
+            assert nu.mass(F2.word("abb")) == Fraction(1, 36)
+        for tail in (0, 3):
+            with pytest.raises(MalformedInputError, match="uniform tail"):
+                CylinderMeasure(table, 2, 2, tail_uniform_from=tail)
+
 
 class TestTranslate:
     def test_identity_translate(self):
@@ -184,6 +201,20 @@ class TestSolveStationary:
         assert total_variation(sol.measure, uniform_boundary_measure(F2, 5), 5) < 1e-8
         assert sol.hitting_agrees
 
+    def test_tail_uniform_seed_matches_the_default_seed(self):
+        # the default seed is the uniform measure read below its table, so a
+        # uniform seed of any depth gives the same solve bit for bit
+        plain = solve_stationary(MU, depth=4)
+        seeded = solve_stationary(MU, depth=4, seed_measure=uniform_boundary_measure(F2, 2))
+        assert seeded.iterations == plain.iterations
+        assert seeded.residual == plain.residual
+        assert seeded.measure.masses == plain.measure.masses
+
+    def test_depth_below_one_rejected(self):
+        # a depth-0 table is one the public constructor refuses
+        with pytest.raises(MalformedInputError):
+            solve_stationary(MU, depth=0)
+
     def test_non_generating_rejected(self):
         lazy = GroupMeasure({F2.identity: Fraction(1, 2), F2.word("b"): Fraction(1, 2)}, 2)
         with pytest.raises(PreconditionError):
@@ -227,6 +258,14 @@ class TestConditionalMeasures:
         cm = conditional_measure(NU, om, 0)
         assert cm.position.is_identity()
         assert cm.measure.mass(F2.word("a")) == NU.mass(F2.word("a"))
+
+    def test_step_zero_reads_the_uniform_tail(self):
+        # the identity step reads past the stored depth like every other step
+        om = sample_path(MU, 2, seed=1)
+        cm = conditional_measure(uniform_boundary_measure(F2, 2), om, 0, depth=3)
+        assert cm.top_mass == 0.25
+        assert cm.measure.depth == 3
+        assert cm.measure.mass(F2.word("abb")) == Fraction(1, 36)
 
     def test_dirac_collapse_monte_carlo(self):
         hits = 0

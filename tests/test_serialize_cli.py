@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -150,7 +151,7 @@ class TestMainExitCodes:
         cfg.write_text(json.dumps({
             "experiment": "srs-escape", "rank": 2, "steps": 5, "trials": 2, "seed": 7
         }))
-        rc = main(["srs-escape", "--config", str(cfg), "--seed-override", "9",
+        rc = main(["srs-escape", "--config", str(cfg), "--seed", "9",
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
@@ -193,6 +194,29 @@ def test_non_finite_coefficient_exits_2(tmp_path, capsys):
     rc, err = _main(["norm", "--config", str(cfg), "--out-dir", str(tmp_path / "o")], capsys)
     assert rc == 2
     _assert_one_error_line(err, "not finite")
+
+
+def test_non_finite_law_mass_exits_2(tmp_path, capsys):
+    # json accepts the NaN literal
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": "boundary-solve", "depth": 2, "mu": {
+        "context": 2, "atoms": [{"word": "ab", "p": math.nan}, {"word": "a", "p": 0.5},
+                                {"word": "B", "p": 0.5}]}}))
+    assert "NaN" in cfg.read_text()
+    rc, err = _main(["boundary-solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
+                    capsys)
+    assert rc == 2
+    _assert_one_error_line(err, "not finite")
+
+
+def test_conditional_reads_a_shallow_uniform_measure(tmp_path, capsys):
+    # out_depth 3 exceeds nu_depth 2; the uniform tail covers every step,
+    # the identity at step 0 included
+    rc, err = _main(["conditional", "--n", "2", "--paths", "1", "--seed", "1", "--nu-depth",
+                     "2", "--out-depth", "3", "--out-dir", str(tmp_path)], capsys)
+    assert rc == 0, err
+    rows = (tmp_path / "conditional.csv").read_text().splitlines()[2:]
+    assert rows[0] == "1,0,0,0.25"
 
 
 # One small, fast, valid config per experiment; rank is left to its default.
@@ -250,8 +274,6 @@ class TestConfigSchema:
         expected = {"--help", "--config", "--out-dir"} | {
             "--" + k.replace("_", "-") for k in keys
         }
-        if "seed" in keys:
-            expected.add("--seed-override")
         assert listed == expected
 
     def test_flags_merge_into_config(self, tmp_path, capsys):

@@ -40,6 +40,13 @@ class TestGroupMeasure:
             with pytest.raises(MalformedInputError):
                 GroupMeasure({F2.word(w): p for w, p in masses.items()}, 2)
 
+    def test_non_finite_mass_rejected(self):
+        # a NaN atom would otherwise drop out as "not positive", leaving the
+        # Dirac mass at b
+        for bad in (math.nan, math.inf):
+            with pytest.raises(MalformedInputError, match="not finite"):
+                GroupMeasure({F2.word("a"): bad, F2.word("b"): 1.0}, 2)
+
     def test_exact_mode(self):
         assert MU.exact
         assert not GroupMeasure({F2.word("a"): 0.5, F2.word("A"): 0.5}, 2).exact
