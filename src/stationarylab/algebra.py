@@ -24,6 +24,7 @@ from .errors import ContextMismatchError, MalformedInputError, ResourceLimitErro
 from .freegroup import (
     Word,
     _product_letters,
+    _word,
     free_basis_decomposition,
     inverse_letters,
     length_lex,
@@ -72,7 +73,7 @@ class AlgebraElement:
 
     def terms(self) -> list[tuple[Word, complex]]:
         """(word, coefficient) pairs in length-lex word order."""
-        return [(Word(w, self.rank, _reduced=True), c) for w, c in length_lex(self.coeffs)]
+        return [(_word(w, self.rank), c) for w, c in length_lex(self.coeffs)]
 
     def support(self) -> list[Word]:
         return [w for w, _ in self.terms()]
@@ -517,7 +518,7 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
         free_support = c_e + 2.0 * sqrt(sum(abs(c) ** 2 for c in coeffs))
         if best_other > free_support:
             dec = free_basis_decomposition(
-                [Word(w, x.rank, _reduced=True) for w in words]
+                [_word(w, x.rank) for w in words]
             )
             if len(dec.basis) == len(words):
                 # the support freely generates: it is itself a free basis

@@ -37,8 +37,8 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, _word, axis_prefix, ball, ball_letters
-from .freegroup import inverse_letters, length_lex
+from .freegroup import FreeGroupContext, Word, _product_letters, _word, axis_prefix, ball
+from .freegroup import ball_letters, inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample, convolve_measures
 
 CONSISTENCY_TOL = 1e-9
@@ -83,19 +83,24 @@ class CylinderMeasure:
         raise AttributeError("CylinderMeasure is immutable")
 
     def _validate(self):
+        # the checks read floats; a Fraction has none beyond the float range
+        try:
+            values = {w: float(m) for w, m in self.masses.items()}
+        except OverflowError:
+            raise MalformedInputError("a mass lies beyond the float range") from None
         level1 = [s.letters for s in FreeGroupContext(self.rank).generators()]
-        s = sum(float(self.masses.get(w, 0)) for w in level1)
+        s = sum(values.get(w, 0.0) for w in level1)
         if abs(s - 1.0) > CONSISTENCY_TOL:
             raise MalformedInputError(f"level-1 masses sum to {s}, not 1")
-        for w, m in self.masses.items():
+        for w, m in values.items():
             if not math.isfinite(m):
                 raise MalformedInputError(f"mass {m} at {_word(w, self.rank)} is not finite")
-            if float(m) < -CONSISTENCY_TOL:
+            if m < -CONSISTENCY_TOL:
                 raise MalformedInputError(f"negative mass {m} at {_word(w, self.rank)}")
             if len(w) < self.depth:
                 back = inverse_letters(w[-1:])
-                kids = sum(float(self.masses.get(w + s_, 0)) for s_ in level1 if s_ != back)
-                if abs(kids - float(m)) > CONSISTENCY_TOL:
+                kids = sum(values.get(w + s_, 0.0) for s_ in level1 if s_ != back)
+                if abs(kids - m) > CONSISTENCY_TOL:
                     raise MalformedInputError(
                         f"consistency fails at {_word(w, self.rank)}: {m} vs children {kids}"
                     )
@@ -126,15 +131,6 @@ class CylinderMeasure:
 
     def top_mass(self) -> float:
         return max(float(self._mass(w)) for w in ball_letters(self.rank, 1) if w)
-
-    def truncate(self, depth: int) -> "CylinderMeasure":
-        if depth > self.depth:
-            raise DepthUnderflowError(required_depth=depth, available_depth=self.depth)
-        table = {w: m for w, m in self.masses.items() if len(w) <= depth}
-        tail = self.tail_uniform_from
-        if tail is not None and tail > depth:
-            tail = None
-        return _cylinders(table, self.rank, depth, tail)
 
     def __repr__(self) -> str:
         return (
@@ -322,6 +318,8 @@ def solve_stationary(
     (the uniform measure unless given) is read by the same rule below its
     table.  The certified residual covers the words up to W - L, whose
     translates stay within the table, so it does not depend on that rule.
+    The certified words and the returned ones (up to depth) are length-lex
+    prefixes of the working table, so one operator serves all three.
     For nearest-neighbor laws the level-1 masses are cross-checked against
     the hitting-probability fixed point.
     """
@@ -332,62 +330,54 @@ def solve_stationary(
     if seed_measure is not None and seed_measure.rank != mu.rank:
         raise ContextMismatchError(f"seed rank {seed_measure.rank} vs law rank {mu.rank}")
     rank = mu.rank
+    ctx = FreeGroupContext(rank)
     L = max(mu.max_support_length(), 1)
     W = depth + 2 * L
     q = 2 * rank - 1
 
     words_W = [w for w in ball_letters(rank, W) if w]
     index_W = {w: i for i, w in enumerate(words_W)}
+    n_res = ctx.ball_size(W - L) - 1
+    n_out = ctx.ball_size(depth) - 1
 
     # compiled transfer operator: new[w] = sum_g p_g (const + coef * vec[idx]),
     # where a key below the table reads its length-W prefix and coef carries
     # the sign and the uniform split 1/q^(|key| - W); the words exclude the
     # identity, so no key is the identity either
-    atoms = [(g, float(p)) for g, p in length_lex(mu.masses)]
+    gathers = []
+    for g, p in length_lex(mu.masses):
+        recipes = [_mass_recipe(g, w) for w in words_W]
+        comp = np.array([c for c, _ in recipes], dtype=bool)
+        idx = np.array([index_W[key[:W]] for _, key in recipes], dtype=np.int64)
+        split = np.array([1.0 / q ** max(len(key) - W, 0) for _, key in recipes])
+        gathers.append((float(p), idx, np.where(comp, -split, split), comp.astype(np.float64)))
 
-    def compile_transfer(words: list[tuple[int, ...]]) -> list[tuple]:
-        gathers = []
-        for g, p in atoms:
-            recipes = [_mass_recipe(g, w) for w in words]
-            comp = np.array([c for c, _ in recipes], dtype=bool)
-            idx = np.array([index_W[key[:W]] for _, key in recipes], dtype=np.int64)
-            split = np.array([1.0 / q ** max(len(key) - W, 0) for _, key in recipes])
-            gathers.append((p, idx, np.where(comp, -split, split), comp.astype(np.float64)))
-        return gathers
-
-    def transfer(gathers: list[tuple], v: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(gathers[0][1]))
+    def transfer(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(words_W))
         for p, idx, coef, const in gathers:
             out += p * (const + coef * v[idx])
         return out
 
-    gathers = compile_transfer(words_W)
-    words_res = [w for w in ball_letters(rank, W - L) if w]
-    res_self = np.array([index_W[w] for w in words_res], dtype=np.int64)
-    res_gathers = compile_transfer(words_res)
-
-    def certified_residual(v: np.ndarray) -> float:
-        return float(np.max(np.abs(transfer(res_gathers, v) - v[res_self])))
-
     seed = seed_measure
     if seed is None:
-        seed = uniform_boundary_measure(FreeGroupContext(rank), 1)
+        seed = uniform_boundary_measure(ctx, 1)
     # read the seed as splitting uniformly below its table
     seed = _cylinders(seed.masses, rank, seed.depth, seed.depth)
-    vec = np.array([float(seed._mass(w)) for w in words_W], dtype=np.float64)
+    vec = transfer(np.array([float(seed._mass(w)) for w in words_W], dtype=np.float64))
 
     residual = float("inf")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        vec = transfer(gathers, vec)
-        residual = certified_residual(vec)
+        nxt = transfer(vec)
+        residual = float(np.max(np.abs(nxt[:n_res] - vec[:n_res])))
         if residual < tol:
             break
+        vec = nxt
     else:
         raise ConvergenceError(
             f"no convergence within {max_iter} iterations", last_residual=residual
         )
-    nu = _cylinders(dict(zip(words_W, vec.tolist())), rank, W, None)
+    nu = _cylinders(dict(zip(words_W[:n_out], vec[:n_out].tolist())), rank, depth, None)
     hitting = first_letter_hitting(mu)
     agrees = None
     if hitting is not None:
@@ -396,7 +386,7 @@ def solve_stationary(
             for s, qv in hitting.items()
         )
     return StationarySolution(
-        measure=nu.truncate(depth),
+        measure=nu,
         residual=residual,
         iterations=iterations,
         hitting_level1=hitting,
@@ -438,27 +428,30 @@ class BoundaryPoint:
     resolved_depth: int
 
 
-def _common_prefix_length(tuples: list[tuple[int, ...]]) -> int:
-    """Length of the longest common prefix of a nonempty list of tuples: that
-    of its lexicographic min and max, between which every tuple lies."""
-    lo, hi = min(tuples), max(tuples)
-    n = 0
-    while n < len(lo) and n < len(hi) and lo[n] == hi[n]:
-        n += 1
-    return n
-
-
 def boundary_map(omega: PathSample) -> BoundaryPoint:
-    """Longest prefix shared by every position in the final third of the path."""
+    """Longest prefix shared by every position in the final third of the path.
+
+    Consecutive positions w and w g share exactly (|w| - |g| + |w g|) / 2
+    letters, as g is reduced, and in a tree the prefix shared by a run of
+    positions is the least of these over its consecutive pairs.  So one walk
+    over the increments finds its length, and the prefix is read off the
+    last position.
+    """
     T = len(omega.increments)
     if T == 0:
         raise UnresolvedBoundaryError(
-            "empty path has no boundary point", partial_prefix=omega.positions[0]
+            "empty path has no boundary point", partial_prefix=_word((), omega.rank)
         )
-    start = -(T // 3) - 1  # final third, inclusive
-    tail = [w.letters for w in omega.positions[start:]]
-    lcp = _common_prefix_length(tail)
-    prefix = _word(tail[0][:lcp], omega.positions[0].rank)
+    start = T - T // 3  # the final third is positions start..T
+    w: tuple[int, ...] = ()
+    for g in omega.increments[:start]:
+        w = _product_letters(w, g.letters)
+    lcp = len(w)
+    for g in omega.increments[start:]:
+        v = _product_letters(w, g.letters)
+        lcp = min(lcp, (len(w) - len(g) + len(v)) // 2)
+        w = v
+    prefix = _word(w[:lcp], omega.rank)
     if lcp == 0:
         raise UnresolvedBoundaryError(
             "no stable prefix in the final third of the path", partial_prefix=prefix

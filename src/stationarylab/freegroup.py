@@ -92,17 +92,10 @@ class Word:
 
     __slots__ = ("letters", "rank", "_hash")
 
-    def __init__(self, letters: Iterable[int], rank: int, _reduced: bool = False):
-        # _reduced=True promises reduced codes below 2 * rank, as in letters
-        # taken from words of the same rank
-        if _reduced:
-            lt = tuple(letters)
-        else:
-            lt = reduce_letters(letters)
-            if lt and max(lt) >= 2 * rank:
-                raise MalformedInputError(
-                    f"letter {max(lt)} out of range for rank {rank}"
-                )
+    def __init__(self, letters: Iterable[int], rank: int):
+        lt = reduce_letters(letters)
+        if lt and max(lt) >= 2 * rank:
+            raise MalformedInputError(f"letter {max(lt)} out of range for rank {rank}")
         _set_letters(self, lt)
         _set_rank(self, rank)
         _set_hash(self, hash((rank, lt)))
@@ -144,7 +137,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word((), self.rank, _reduced=True)
+        out = _word((), self.rank)
         for _ in range(n):
             out = out * self
         return out
@@ -170,7 +163,7 @@ _set_hash = Word._hash.__set__
 
 
 def _word(letters: tuple[int, ...], rank: int) -> Word:
-    """Word(letters, rank, _reduced=True) for a tuple, without the call overhead."""
+    """The Word of reduced letters with codes below 2 * rank, unchecked."""
     w = object.__new__(Word)
     _set_letters(w, letters)
     _set_rank(w, rank)
@@ -190,14 +183,14 @@ class FreeGroupContext:
 
     @property
     def identity(self) -> Word:
-        return Word((), self.rank, _reduced=True)
+        return _word((), self.rank)
 
     def generator(self, index: int, sign: int = 1) -> Word:
         if not 1 <= index <= self.rank:
             raise MalformedInputError(f"generator index {index} out of rank {self.rank}")
         if sign not in (1, -1):
             raise MalformedInputError(f"sign must be +-1, got {sign}")
-        return Word((Generator(index, sign).code,), self.rank, _reduced=True)
+        return _word((Generator(index, sign).code,), self.rank)
 
     def generators(self) -> list[Word]:
         """All 2*rank single-letter words in the fixed order a, a^-1, b, b^-1, ..."""
@@ -228,7 +221,7 @@ class FreeGroupContext:
 def word_from_str(s: str, rank: int) -> Word:
     """Parse the serialization format: 'abA' etc., '1' for the identity."""
     if s == "1":
-        return Word((), rank, _reduced=True)
+        return _word((), rank)
     try:
         codes = [_CODE_OF_CHAR[ch] for ch in s]
     except KeyError as exc:

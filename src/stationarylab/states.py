@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .freegroup import FiniteQuotient, FreeGroupContext, Word, ball, inverse_letters
-from .freegroup import _product_letters
+from .freegroup import _product_letters, _word
 from .walks import (
     GroupMeasure,
     _measure,
@@ -95,7 +95,7 @@ def cesaro_test(
         generating = mu.is_generating()
     except ResourceLimitError:
         generating = None
-    e = Word((), a.rank, _reduced=True)
+    e = _word((), a.rank)
     trace_term = AlgebraElement.delta(e, canonical_trace(a))
     rows: list[CesaroRow] = []
     partial = False
@@ -311,7 +311,7 @@ def _multi_element_powers(
     supports of later convolution powers thin.
     """
     rank = constraints[0][1].rank
-    e = Word((), rank, _reduced=True)
+    e = _word((), rank)
     supports = {w for _, x in constraints for w in x.coeffs if w}
     bases = [
         w
@@ -372,7 +372,7 @@ def build_c_star_simple_measure(
     for a in test_family:
         l1 = a.l1()
         family.append(a if l1 <= 1 else (1.0 / l1) * a)
-    e = Word((), rank, _reduced=True)
+    e = _word((), rank)
     schedule = decay_schedule(levels)
     level_measures: list[GroupMeasure] = []
     level_certs: list[LevelCertificate] = []

@@ -183,7 +183,6 @@ class PsdReport:
 
     min_eigenvalues: tuple[float, ...]
     passed: bool
-    tolerance: float = PSD_EIGENVALUE_TOL
 
 
 def psd_check(phi: PositiveDefiniteFn, tuples: Sequence[Sequence[Word]]) -> PsdReport:

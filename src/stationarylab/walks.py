@@ -8,8 +8,9 @@ inverse-CDF over the support in the fixed length-lex word order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite, lcm
 from typing import Mapping, Sequence
 
@@ -23,7 +24,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .freegroup import FreeGroupContext, Word, inverse_letters, length_lex, letter_product
-from .freegroup import _product_letters
+from .freegroup import _product_letters, _word
 
 MASS_TOLERANCE = 1e-12
 GENERATING_CLOSURE_CAP = 1_000_000
@@ -55,7 +56,8 @@ class GroupMeasure:
             if w.rank != rank:
                 raise ContextMismatchError(f"word rank {w.rank} in measure of rank {rank}")
             p = _as_mass(p)
-            if not isfinite(p):
+            # a Fraction is finite by construction
+            if isinstance(p, float) and not isfinite(p):
                 raise MalformedInputError(f"mass {p} at {w} is not finite")
             if p < 0:
                 raise MalformedInputError(f"negative mass {p} at {w}")
@@ -77,7 +79,7 @@ class GroupMeasure:
 
     def atoms(self) -> list[tuple[Word, object]]:
         """(word, mass) pairs in length-lex word order."""
-        return [(Word(w, self.rank, _reduced=True), p) for w, p in length_lex(self.masses)]
+        return [(_word(w, self.rank), p) for w, p in length_lex(self.masses)]
 
     def support(self) -> list[Word]:
         return [w for w, _ in self.atoms()]
@@ -140,9 +142,12 @@ class GroupMeasure:
 
 def _fill(mu: GroupMeasure, table: dict[tuple[int, ...], object], rank: int) -> None:
     table = {w: p for w, p in table.items() if p > 0}
-    total = sum(table.values())
-    if abs(float(total) - 1.0) > MASS_TOLERANCE:
-        raise MalformedInputError(f"masses sum to {float(total)}, not 1")
+    # the sum is exact: the floats are summed apart and taken as the Fraction
+    # their sum is, so a Fraction beyond the float range is never converted
+    floats = sum(p for p in table.values() if isinstance(p, float))
+    total = sum(p for p in table.values() if not isinstance(p, float)) + Fraction(floats)
+    if abs(total - 1) > MASS_TOLERANCE:
+        raise MalformedInputError(f"masses do not sum to 1 within {MASS_TOLERANCE}")
     object.__setattr__(mu, "masses", table)
     object.__setattr__(mu, "rank", rank)
     object.__setattr__(mu, "_generating", None)
@@ -218,15 +223,21 @@ def cesaro_measure(mu: GroupMeasure, n: int, support_cap: int = 10_000_000) -> G
 
 @dataclass(frozen=True)
 class PathSample:
-    """One sampled trajectory: increments g_k and positions w_k = g_1 ... g_k."""
+    """One sampled trajectory from the identity of F_rank: it stores the
+    increments g_k; the positions w_k = g_1 ... g_k are formed on first read."""
 
     seed: int
+    rank: int
     increments: tuple[Word, ...]
-    positions: tuple[Word, ...] = field(repr=False)
 
-    def __post_init__(self):
-        if not self.positions or not self.positions[0].is_identity():
-            raise MalformedInputError("paths must start at the identity")
+    @cached_property
+    def positions(self) -> tuple[Word, ...]:
+        w: tuple[int, ...] = ()
+        out = [_word(w, self.rank)]
+        for g in self.increments:
+            w = _product_letters(w, g.letters)
+            out.append(_word(w, self.rank))
+        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.increments)
@@ -247,18 +258,8 @@ def sample_increments(mu: GroupMeasure, length: int, seed: int) -> tuple[Word, .
 
 
 def sample_path(mu: GroupMeasure, length: int, seed: int) -> PathSample:
-    """Sample a length-step trajectory of the mu random walk, deterministically.
-
-    Positions are the cumulative products of the increments; position words
-    grow linearly along transient walks, so very long trajectories cost
-    quadratically many letters (draw with sample_increments when only the
-    steps matter).
-    """
-    increments = sample_increments(mu, length, seed)
-    positions = [Word((), mu.rank, _reduced=True)]
-    for g in increments:
-        positions.append(positions[-1] * g)
-    return PathSample(seed=seed, increments=increments, positions=tuple(positions))
+    """Sample a length-step trajectory of the mu random walk, deterministically."""
+    return PathSample(seed, mu.rank, sample_increments(mu, length, seed))
 
 
 def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElement:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stationarylab.boundary import (
     CylinderMeasure,
-    _common_prefix_length,
     boundary_map,
     conditional_measure,
     constant_harmonic,
@@ -30,9 +29,10 @@ from stationarylab.errors import (
     PreconditionError,
     UnresolvedBoundaryError,
 )
-from stationarylab.freegroup import FreeGroupContext, ball
+from stationarylab.freegroup import FreeGroupContext, Word, ball
 from stationarylab.walks import (
     GroupMeasure,
+    PathSample,
     sample_path,
     uniform_generator_measure,
 )
@@ -116,6 +116,12 @@ class TestConstructorChecks:
         table[F2.word("ab")] = math.nan
         with pytest.raises(MalformedInputError, match="not finite"):
             CylinderMeasure(table, 2, 2)
+
+    def test_mass_beyond_the_float_range_rejected(self):
+        table = {F2.word(w): 0 for w in "AbB"}
+        table[F2.word("a")] = Fraction(10**400)
+        with pytest.raises(MalformedInputError):
+            CylinderMeasure(table, 2, 1)
 
     def test_uniform_tail_lies_within_the_table(self):
         table = dict(uniform_boundary_measure(F2, 2).cylinders())
@@ -209,6 +215,20 @@ class TestSolveStationary:
         assert seeded.iterations == plain.iterations
         assert seeded.residual == plain.residual
         assert seeded.measure.masses == plain.measure.masses
+
+    def test_residual_covers_the_certified_words(self):
+        # one step from the uniform seed, rebuilt from translates at the
+        # working depth W = 5: the residual is certified on the words up to
+        # W - L = 3, and for this law it peaks below the returned depth 1
+        law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
+        seed = uniform_boundary_measure(F2, 1)
+        moved = [(float(p), translate(g, seed, out_depth=5)) for g, p in law.atoms()]
+        step = CylinderMeasure(
+            {w: sum(p * t.mass(w) for p, t in moved) for w in ball(F2, 5) if w}, 2, 5
+        )
+        sol = solve_stationary(law, depth=1, tol=1.0, max_iter=1)
+        assert sol.residual == pytest.approx(stationarity_residual(law, step), abs=1e-15)
+        assert sol.residual > stationarity_residual(law, step, depth=1) + 0.01
 
     def test_depth_below_one_rejected(self):
         # a depth-0 table is one the public constructor refuses
@@ -324,13 +344,8 @@ class TestBoundaryMap:
         om = sample_path(MU, 150, seed=77)
         bp = boundary_map(om)
         shifted_positions = tuple([F2.identity] + [g * w for w in om.positions])
-        from stationarylab.walks import PathSample
-
-        om_shift = PathSample(
-            seed=om.seed,
-            increments=(g,) + om.increments,
-            positions=shifted_positions,
-        )
+        om_shift = PathSample(om.seed, rank=2, increments=(g,) + om.increments)
+        assert om_shift.positions == shifted_positions
         bp_shift = boundary_map(om_shift)
         moved = g * bp.prefix
         m = min(bp_shift.resolved_depth, len(moved)) - 2
@@ -347,16 +362,33 @@ def common_prefix_by_scan(tail):
     return lcp
 
 
-LETTER_TUPLES = st.lists(st.integers(0, 3), max_size=8).map(tuple)
+@st.composite
+def short_step_laws(draw):
+    """Uniform laws on one to four words of length 0..3, on ranks 1..3."""
+    rank = draw(st.integers(1, 3))
+    letters = st.lists(st.integers(0, 2 * rank - 1), max_size=3)
+    words = draw(st.lists(letters.map(lambda lt: Word(lt, rank)), min_size=1, max_size=4,
+                          unique=True))
+    return GroupMeasure.uniform_on(words)
 
 
-@given(LETTER_TUPLES, st.lists(st.tuples(st.integers(0, 8), LETTER_TUPLES), min_size=1,
-                               max_size=8))
-def test_common_prefix_length_matches_the_scan(stem, cuts):
-    # cuts of one stem with tails appended; an empty tail leaves a prefix of
-    # the stem, so one tuple is often a proper prefix of another
-    tail = [stem[:i] + extra for i, extra in cuts]
-    assert _common_prefix_length(tail) == common_prefix_by_scan(tail)
+@given(short_step_laws(), st.integers(0, 40), st.integers(0, 2**32))
+def test_boundary_map_matches_the_scan(law, T, seed):
+    # increments of length 2 and 3 cancel partly against the position, and
+    # the identity step repeats it
+    om = sample_path(law, T, seed)
+    if T == 0:
+        with pytest.raises(UnresolvedBoundaryError):
+            boundary_map(om)
+        return
+    tail = [w.letters for w in om.positions[-(T // 3) - 1:]]
+    lcp = common_prefix_by_scan(tail)
+    if lcp == 0:
+        with pytest.raises(UnresolvedBoundaryError):
+            boundary_map(om)
+    else:
+        bp = boundary_map(om)
+        assert (bp.resolved_depth, bp.prefix.letters) == (lcp, tail[0][:lcp])
 
 
 class TestPoissonMap:

@@ -52,6 +52,19 @@ GOLDEN = {
         {"experiment": "bnd-map", "rank": 2, "length": 60, "paths": 5, "seed": 3},
         {"bndmap.csv": "0b12a4c6e4491ce495997526e91084de0afba49792aa05f9192c241178d4bcb6"},
     ),
+    # increments of length 2 cancel partly against the position
+    "bnd-map-length2": (
+        {"experiment": "bnd-map", "rank": 2, "length": 60, "paths": 5, "seed": 3,
+         "mu": LENGTH2_LAW},
+        {"bndmap.csv": "24c77eda9e18769ee05d4747fda3fe5aa1a5d81be88fcded5af43d9b01d340eb"},
+    ),
+    # L = 1: the certified rows are a third of the working table
+    "boundary-solve-depth6": (
+        {"experiment": "boundary-solve", "rank": 2, "depth": 6},
+        {"stationary.csv": "4f24bf4a27b8dc4630bbc62544d907c4e16433d6045c15c56c91f53cfa0e932e",
+         "stationary_summary.json":
+             "604d278de9dfbe61105713fea973bd0b9ef4f83e9902a43705ae472e7abdba08"},
+    ),
     "srs-escape": (
         {"experiment": "srs-escape", "rank": 2, "steps": 30, "trials": 5, "start": "ab",
          "seed": 3},

@@ -47,6 +47,12 @@ class TestGroupMeasure:
             with pytest.raises(MalformedInputError, match="not finite"):
                 GroupMeasure({F2.word("a"): bad, F2.word("b"): 1.0}, 2)
 
+    @pytest.mark.parametrize("other", [1.0, Fraction(1)], ids=["float", "fraction"])
+    def test_mass_beyond_the_float_range_rejected(self, other):
+        # a Fraction has no float above 2^1024; the sum check stays exact
+        with pytest.raises(MalformedInputError):
+            GroupMeasure({F2.word("a"): Fraction(10**400), F2.word("b"): other}, 2)
+
     def test_exact_mode(self):
         assert MU.exact
         assert not GroupMeasure({F2.word("a"): 0.5, F2.word("A"): 0.5}, 2).exact
