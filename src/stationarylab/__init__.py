@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .freegroup import (
     FiniteQuotient,
     FreeGroupContext,
-    Generator,
     Word,
     axis_prefix,
     ball,
@@ -21,7 +20,6 @@ from .freegroup import (
     cyclic_reduction,
     free_basis_decomposition,
     inverse_letters,
-    multiply,
     reduce_letters,
     word_from_str,
 )
@@ -33,7 +31,6 @@ from .algebra import (
     certify_norm,
     convolve,
     involution,
-    normalize,
     norm_lower_bound,
     norm_upper_bound,
 )
@@ -55,15 +52,11 @@ from .boundary import (
     ConditionalMeasure,
     CylinderMeasure,
     FixMassBound,
-    HarmonicFunction,
     StationarySolution,
     boundary_map,
     conditional_measure,
-    constant_harmonic,
     first_letter_hitting,
     fix_mass,
-    harmonic_multiply,
-    poisson_map,
     solve_stationary,
     stationarity_residual,
     total_variation,

@@ -32,7 +32,6 @@ from .freegroup import (
 )
 
 DEFAULT_SUPPORT_CAP = 5_000_000
-ZERO_DROP_THRESHOLD = 1e-15
 _CAP_MESSAGE = "convolution support exceeds the cap"
 
 
@@ -41,8 +40,7 @@ class AlgebraElement:
 
     `coeffs` maps the letters of each support word to its coefficient.  The
     constructor checks a Word-keyed mapping; accessors speak Words.
-    Immutable.  No automatic dropping of small coefficients happens inside
-    arithmetic; call :func:`normalize` explicitly to prune.
+    Immutable.  Arithmetic drops exact zeros only; small coefficients stay.
     """
 
     __slots__ = ("coeffs", "rank")
@@ -115,9 +113,6 @@ class AlgebraElement:
     def l1(self) -> float:
         return sum(abs(c) for c in self.coeffs.values())
 
-    def l2(self) -> float:
-        return sqrt(sum(abs(c) * abs(c) for c in self.coeffs.values()))
-
     def _check(self, other: "AlgebraElement") -> None:
         if self.rank != other.rank:
             raise ContextMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
@@ -167,11 +162,6 @@ def adjoint_action(g: Word, x: AlgebraElement) -> AlgebraElement:
         {_product_letters(_product_letters(gl, w), ginv): c for w, c in x.coeffs.items()},
         x.rank,
     )
-
-
-def normalize(x: AlgebraElement, threshold: float = ZERO_DROP_THRESHOLD) -> AlgebraElement:
-    """Drop coefficients of modulus below the threshold."""
-    return _element({w: c for w, c in x.coeffs.items() if abs(c) >= threshold}, x.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +542,6 @@ class NormBracket:
             raise MalformedInputError(
                 f"invalid bracket: lower {self.lower} > upper {self.upper}"
             )
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def certify_norm(

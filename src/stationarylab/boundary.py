@@ -20,7 +20,7 @@ and raises depth-underflow when asked past its table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -28,18 +28,16 @@ import numpy as np
 
 from .errors import (
     ContextMismatchError,
-    CoverageError,
     DepthUnderflowError,
     MalformedInputError,
-    PartialResultError,
     PreconditionError,
     ConvergenceError,
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, _product_letters, _word, axis_prefix, ball
+from .freegroup import FreeGroupContext, Word, _product_letters, _word, axis_prefix
 from .freegroup import ball_letters, inverse_letters, length_lex
-from .walks import GroupMeasure, PathSample, convolve_measures
+from .walks import GroupMeasure, PathSample
 
 CONSISTENCY_TOL = 1e-9
 
@@ -457,150 +455,6 @@ def boundary_map(omega: PathSample) -> BoundaryPoint:
             "no stable prefix in the final third of the path", partial_prefix=prefix
         )
     return BoundaryPoint(prefix=prefix, resolved_depth=lcp)
-
-
-# ---------------------------------------------------------------------------
-# Poisson transform and the limit multiplication on harmonic functions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HarmonicFunction:
-    """A table of values on a ball, produced by integrating against a measure
-    on the boundary; carries its harmonicity residual."""
-
-    values: dict[Word, complex] = field(repr=False)
-    radius: int
-    rank: int
-    harmonicity_residual: float
-
-    def __call__(self, g: Word) -> complex:
-        try:
-            return self.values[g]
-        except KeyError:
-            raise CoverageError([g]) from None
-
-    def sup_norm(self) -> float:
-        return max(abs(v) for v in self.values.values())
-
-
-def constant_harmonic(rank: int, radius: int, value: complex = 1.0) -> HarmonicFunction:
-    ctx = FreeGroupContext(rank)
-    return HarmonicFunction(
-        values={g: complex(value) for g in ball(ctx, radius)},
-        radius=radius,
-        rank=rank,
-        harmonicity_residual=0.0,
-    )
-
-
-def poisson_map(
-    f: Mapping[Word, complex],
-    nu: CylinderMeasure,
-    mu: GroupMeasure,
-    radius: int,
-) -> HarmonicFunction:
-    """values(g) = integral of f(g x) d nu(x) for g in the ball of the radius.
-
-    f is a finite combination of cylinder indicators keyed by their base
-    words; the identity key is the constant function 1.  When nu is
-    mu-stationary the result is mu-harmonic on the evaluable ball, and the
-    residual of the harmonicity identity is recorded.
-    """
-    if not f:
-        raise MalformedInputError("empty cylinder function")
-    ctx = FreeGroupContext(nu.rank)
-    terms = length_lex({w.letters: complex(cf) for w, cf in f.items()})
-    values: dict[Word, complex] = {}
-    for g in ball(ctx, radius):
-        acc = 0j
-        for w, cf in terms:
-            acc += cf * float(_translated_mass(g.letters, w, nu))
-        values[g] = acc
-    res = _harmonicity_residual(values, mu, ctx, radius - mu.max_support_length())
-    return HarmonicFunction(
-        values=values, radius=radius, rank=nu.rank, harmonicity_residual=res
-    )
-
-
-def _harmonicity_residual(
-    values: dict[Word, complex], mu: GroupMeasure, ctx: FreeGroupContext, inner_radius: int
-) -> float:
-    """max |values(g) - sum_h mu(h) values(g h)| over the ball of the inner radius,
-    where one averaging step stays inside the table; 0 if that radius is < 0."""
-    res = 0.0
-    if inner_radius >= 0:
-        atoms = mu.atoms()
-        for g in ball(ctx, inner_radius):
-            avg = sum(float(p) * values[g * h] for h, p in atoms)
-            res = max(res, abs(values[g] - avg))
-    return res
-
-
-@dataclass(frozen=True)
-class HarmonicProduct:
-    """Limit-multiplication approximant with its Cauchy diagnostics."""
-
-    function: HarmonicFunction
-    n_used: int
-    cauchy_diffs: tuple[float, ...]  # max |value_n - value_{n-1}|, n = 2..n_used
-
-
-def harmonic_multiply(
-    f1: HarmonicFunction, f2: HarmonicFunction, mu: GroupMeasure, n_max: int
-) -> HarmonicProduct:
-    """The n_max-term approximant of the boundary product of two harmonic
-    functions: value_n(g) = sum_h mu^n(h) f1(g h) f2(g h).
-
-    Both martingales g omega_n converge along almost every path, so value_n
-    converges to the Poisson transform of the pointwise product of the
-    boundary functions; successive differences are reported.  Raises
-    partial-result when the lookup radius cannot support n_max steps, carrying
-    the largest feasible product.
-    """
-    if f1.rank != f2.rank:
-        raise ContextMismatchError(f"rank mismatch: {f1.rank} vs {f2.rank}")
-    if n_max < 1:
-        raise MalformedInputError(f"n_max must be >= 1, got {n_max}")
-    L = max(mu.max_support_length(), 1)
-    R = min(f1.radius, f2.radius)
-    feasible = R // L
-    if n_max > feasible:
-        if feasible < 1:
-            raise PartialResultError(
-                f"radius {R} cannot support even one convolution step", partial=None
-            )
-        raise PartialResultError(
-            f"radius {R} supports only n_max = {feasible}",
-            partial=harmonic_multiply(f1, f2, mu, feasible),
-        )
-    out_radius = R - n_max * L
-    ctx = FreeGroupContext(f1.rank)
-    eval_words = list(ball(ctx, out_radius))
-    prev: dict[Word, complex] | None = None
-    diffs: list[float] = []
-    power = mu
-    values: dict[Word, complex] = {}
-    for n in range(1, n_max + 1):
-        atoms = power.atoms()
-        values = {}
-        for g in eval_words:
-            values[g] = sum(
-                float(p) * f1.values[g * h] * f2.values[g * h] for h, p in atoms
-            )
-        if prev is not None:
-            diffs.append(max(abs(values[g] - prev[g]) for g in eval_words))
-        prev = values
-        if n < n_max:
-            power = convolve_measures(power, mu)
-    # the approximant is only asymptotically harmonic; record its residual
-    func = HarmonicFunction(
-        values=values,
-        radius=out_radius,
-        rank=f1.rank,
-        harmonicity_residual=_harmonicity_residual(values, mu, ctx, out_radius - L),
-    )
-    return HarmonicProduct(function=func, n_used=n_max, cauchy_diffs=tuple(diffs))
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ EXIT_CODES = (
 
 # ---------------------------------------------------------------------------
 # config value types: each parses a raw JSON value under the config's rank
-# and raises ValueError, TypeError, LookupError or OverflowError on a bad value
+# and raises ValueError, TypeError, LookupError or ArithmeticError (an overflow,
+# a zero denominator) on a bad value
 # ---------------------------------------------------------------------------
 
 
@@ -220,7 +221,7 @@ def _validate(config: dict, keys: tuple[Key, ...]) -> dict:
         raw = config[key.name] if key.name in config else key.default
         try:
             value = key.parse(raw, values.get("rank"))
-        except (ValueError, TypeError, LookupError, OverflowError) as exc:
+        except (ValueError, TypeError, LookupError, ArithmeticError) as exc:
             raise ConfigError(f"/{key.name}", str(exc)) from exc
         if key.low is not None and value < key.low:
             raise ConfigError(f"/{key.name}", f"must be >= {key.low}, got {value}")

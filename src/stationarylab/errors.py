@@ -83,13 +83,5 @@ class ConstructionError(StationaryLabError, RuntimeError):
         self.best_bound = best_bound
 
 
-class PartialResultError(StationaryLabError, RuntimeError):
-    """Requested range exceeds what lookups allow; carries the valid partial result."""
-
-    def __init__(self, message: str, partial):
-        super().__init__(message)
-        self.partial = partial
-
-
 class InconclusiveError(StationaryLabError, RuntimeError):
     """A certified test ended neither passing nor failing."""

@@ -36,28 +36,16 @@ from .errors import (
 T = TypeVar("T")
 
 
-class Generator(NamedTuple):
-    """A single letter: generator index in [1, rank] and sign (+1 or -1)."""
-
-    index: int
-    sign: int
-
-    @property
-    def code(self) -> int:
-        if self.sign not in (1, -1):
-            raise MalformedInputError(f"sign must be +-1, got {self.sign}")
-        return 2 * (self.index - 1) + (0 if self.sign > 0 else 1)
-
-    @staticmethod
-    def from_code(code: int) -> "Generator":
-        return Generator(code // 2 + 1, -1 if code & 1 else 1)
-
-
 # the string form indexed by letter code: "aAbB..."
 _CHARS = "".join(ch + ch.upper() for ch in string.ascii_lowercase)
 _CODE_OF_CHAR = {ch: code for code, ch in enumerate(_CHARS)}
 # the highest rank the string form can spell: one lowercase letter a generator
 MAX_STRING_RANK = len(string.ascii_lowercase)
+# ball_letters enumerates no ball whose words times (radius + 1), a bound on its
+# letters plus one a word, pass this cap: over 7 times the largest ball that the
+# tests and benchmark jobs read (rank 2, radius 10: 118,097 words).  A rank 1 ball
+# holds few words but long ones, so a word count alone would not bound its memory.
+MAX_BALL_LETTERS = 10_000_000
 
 
 def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
@@ -190,7 +178,7 @@ class FreeGroupContext:
             raise MalformedInputError(f"generator index {index} out of rank {self.rank}")
         if sign not in (1, -1):
             raise MalformedInputError(f"sign must be +-1, got {sign}")
-        return _word((Generator(index, sign).code,), self.rank)
+        return _word((2 * (index - 1) + (sign < 0),), self.rank)
 
     def generators(self) -> list[Word]:
         """All 2*rank single-letter words in the fixed order a, a^-1, b, b^-1, ..."""
@@ -204,10 +192,6 @@ class FreeGroupContext:
         if isinstance(spec, str):
             return word_from_str(spec, self.rank)
         return Word(spec, self.rank)
-
-    def reduce(self, letters: Sequence[int] | Sequence[Generator]) -> Word:
-        codes = [c.code if isinstance(c, Generator) else c for c in letters]
-        return Word(codes, self.rank)
 
     def sphere_size(self, n: int) -> int:
         if n == 0:
@@ -261,11 +245,6 @@ def letter_product(
     return out
 
 
-def multiply(u: Word, v: Word) -> Word:
-    """Product of reduced words: multiply(u, v) = reduce(u ++ v)."""
-    return u * v
-
-
 def conjugate(g: Word, h: Word) -> Word:
     """h^-1 g h."""
     if g.rank != h.rank:
@@ -275,9 +254,21 @@ def conjugate(g: Word, h: Word) -> Word:
 
 
 def ball_letters(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
-    """Letters of every reduced word of length <= radius, once each, in length-lex order."""
+    """Letters of every reduced word of length <= radius, once each, in length-lex order.
+
+    ResourceLimitError, before the first word, if its words times (radius + 1)
+    pass MAX_BALL_LETTERS.
+    """
     if radius < 0:
         raise MalformedInputError(f"radius must be >= 0, got {radius}")
+    if rank == 1:
+        size = 1 + 2 * radius
+    else:  # over 2^radius words, so the exponent can stop at the cap's bit length
+        r = min(radius, MAX_BALL_LETTERS.bit_length())
+        size = (rank * (2 * rank - 1) ** r - 1) // (rank - 1)
+    if size * (radius + 1) > MAX_BALL_LETTERS:
+        raise ResourceLimitError(f"the ball of radius {radius} in rank {rank} is too large",
+                                 MAX_BALL_LETTERS)
     yield ()
     codes = range(2 * rank)
     layer = [()]

@@ -4,7 +4,7 @@ Words serialize as 'a'..'z' / uppercase inverses with "1" for the identity.
 Measures: {"context": k, "atoms": [{"word": "a", "p": "1/4"}, ...]} with
 rational strings or decimals.  Algebra elements:
 {"context": k, "terms": [{"word": "abA", "re": 1.0, "im": 0.0}, ...]} with
-finite coefficients.
+finite coefficients and a finite squared l1 norm.
 Cylinder measures: CSV rows word,depth,mass.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from cmath import isfinite
 from fractions import Fraction
+from math import hypot
 
 from .algebra import AlgebraElement
 from .boundary import CylinderMeasure
@@ -63,6 +64,10 @@ def element_from_json(data: dict) -> AlgebraElement:
         if not isfinite(c):
             raise MalformedInputError(f"coefficient {c} of {w} is not finite")
         table[w] = c
+    # ||x||^2 <= ||x||_1^2, so this bounds every float the norm brackets form
+    l1 = sum(hypot(c.real, c.imag) for c in table.values())
+    if not isfinite(l1 * l1):
+        raise MalformedInputError("the squared l1 norm of the element overflows a float")
     return AlgebraElement(table, rank)
 
 

@@ -19,7 +19,6 @@ from stationarylab.algebra import (
     involution,
     norm_lower_bound,
     norm_upper_bound,
-    normalize,
 )
 from stationarylab.errors import ContextMismatchError, ResourceLimitError
 from stationarylab.freegroup import (
@@ -199,12 +198,6 @@ class TestAdjointAction:
             assert abs(
                 norm_lower_bound(adjoint_action(g, x), n) - norm_lower_bound(x, n)
             ) < 1e-12
-
-
-class TestNormalize:
-    def test_drops_dust(self):
-        x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1e-16}, 2)
-        assert set(normalize(x).coeffs) == {F2.word("a").letters}
 
 
 def z_moment_oracle(n):

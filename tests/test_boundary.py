@@ -10,11 +10,8 @@ from stationarylab.boundary import (
     CylinderMeasure,
     boundary_map,
     conditional_measure,
-    constant_harmonic,
     first_letter_hitting,
     fix_mass,
-    harmonic_multiply,
-    poisson_map,
     solve_stationary,
     stationarity_residual,
     total_variation,
@@ -25,7 +22,6 @@ from stationarylab.errors import (
     ContextMismatchError,
     DepthUnderflowError,
     MalformedInputError,
-    PartialResultError,
     PreconditionError,
     UnresolvedBoundaryError,
 )
@@ -389,65 +385,6 @@ def test_boundary_map_matches_the_scan(law, T, seed):
     else:
         bp = boundary_map(om)
         assert (bp.resolved_depth, bp.prefix.letters) == (lcp, tail[0][:lcp])
-
-
-class TestPoissonMap:
-    def test_constant_function(self):
-        P = poisson_map({F2.identity: 1.0}, NU, MU, radius=3)
-        assert all(abs(P(g) - 1.0) < 1e-14 for g in ball(F2, 3))
-
-    def test_cylinder_value_at_identity(self):
-        P = poisson_map({F2.word("a"): 1.0}, NU, MU, radius=3)
-        assert abs(P(F2.identity) - 0.25) < 1e-14
-
-    def test_harmonicity_residual(self):
-        P = poisson_map({F2.word("a"): 1.0, F2.word("bA"): 2.0}, NU, MU, radius=4)
-        assert P.harmonicity_residual < 1e-10
-
-    def test_positivity_and_unitality(self):
-        P = poisson_map({F2.word("a"): 1.0, F2.word("b"): 0.5}, NU, MU, radius=3)
-        assert all(v.real >= -1e-15 for v in P.values.values())
-        assert P.sup_norm() <= 1.0 + 1e-12
-
-    def test_boundary_isometry_diagnostic(self):
-        # sup over the ball of |P(indicator)| climbs to the sup norm 1
-        sups = []
-        for radius in (2, 4, 6, 8):
-            P = poisson_map({F2.word("a"): 1.0}, NU, MU, radius=radius)
-            sups.append(P.sup_norm())
-        assert all(x <= y + 1e-15 for x, y in zip(sups, sups[1:]))
-        assert sups[-1] > 0.999
-        assert sups[-1] <= 1.0 + 1e-12
-
-
-class TestHarmonicMultiply:
-    def test_unit_law(self):
-        P = poisson_map({F2.word("a"): 1.0}, NU, MU, radius=4)
-        one = constant_harmonic(2, 4)
-        prod = harmonic_multiply(P, one, MU, n_max=3)
-        for g in ball(F2, 1):
-            assert abs(prod.function(g) - P(g)) < 1e-12
-
-    def test_idempotent_indicator(self):
-        P = poisson_map({F2.word("a"): 1.0}, NU, MU, radius=9)
-        prod = harmonic_multiply(P, P, MU, n_max=9)
-        # the limit at e is nu[a] = 1/4; the n-th approximant moves toward it
-        val = prod.function(F2.identity).real
-        first = harmonic_multiply(P, P, MU, n_max=1).function(F2.identity).real
-        assert abs(val - 0.25) < abs(first - 0.25)
-        assert abs(val - 0.25) < 0.08
-
-    def test_cauchy_diffs_shrink(self):
-        P = poisson_map({F2.word("a"): 1.0}, NU, MU, radius=9)
-        prod = harmonic_multiply(P, P, MU, n_max=9)
-        diffs = prod.cauchy_diffs
-        assert diffs[-1] < diffs[0]
-
-    def test_partial_result_error(self):
-        P = poisson_map({F2.word("a"): 1.0}, NU, MU, radius=3)
-        with pytest.raises(PartialResultError) as exc:
-            harmonic_multiply(P, P, MU, n_max=10)
-        assert exc.value.partial.n_used == 3
 
 
 class TestFixMass:

@@ -11,17 +11,16 @@ from stationarylab.errors import (
 from stationarylab.freegroup import (
     FiniteQuotient,
     FreeGroupContext,
-    Generator,
     Word,
     axis_prefix,
     ball,
+    ball_letters,
     conjugate,
     cyclic_reduction,
     free_basis_decomposition,
     inverse_letters,
     length_lex,
     letter_product,
-    multiply,
     reduce_letters,
     word_from_str,
 )
@@ -32,8 +31,8 @@ F3 = FreeGroupContext(3)
 
 
 def inverse_pair(x, y):
-    gx, gy = Generator.from_code(x), Generator.from_code(y)
-    return gx.index == gy.index and gx.sign == -gy.sign
+    """Code 2(i - 1) is generator i and code 2(i - 1) + 1 its inverse."""
+    return x // 2 == y // 2 and x % 2 != y % 2
 
 
 def one_pass_cancel(letters):
@@ -59,48 +58,46 @@ def reduce_oracle(letters):
 
 
 def random_word(rng, rank, length):
-    codes = [Generator(i, s).code for i in range(1, rank + 1) for s in (1, -1)]
-    return Word([codes[int(j)] for j in rng.integers(0, len(codes), size=length)], rank)
+    return Word([int(j) for j in rng.integers(0, 2 * rank, size=length)], rank)
 
 
 class TestReduce:
     def test_simple_cancellation(self):
-        assert F2.reduce([Generator(1, 1), Generator(1, -1)]).is_identity()
+        assert Word([0, 1], 2).is_identity()
 
     def test_inner_cancellation(self):
-        a, b, B = Generator(1, 1), Generator(2, 1), Generator(2, -1)
-        assert F2.reduce([a, b, B, a]) == F2.word("aa")
+        a, b, B = 0, 2, 3
+        assert Word([a, b, B, a], 2) == F2.word("aa")
 
     def test_matches_fixpoint_oracle(self):
         rng = rng_from_seed(11)
-        codes = [Generator(i, s).code for i in (1, 2) for s in (1, -1)]
         for _ in range(500):
-            raw = [codes[int(i)] for i in rng.integers(0, 4, size=20)]
-            assert F2.reduce(raw).letters == reduce_oracle(raw)
+            raw = [int(i) for i in rng.integers(0, 4, size=20)]
+            assert Word(raw, 2).letters == reduce_oracle(raw)
 
     def test_idempotent(self):
         rng = rng_from_seed(12)
         for _ in range(200):
             w = random_word(rng, 2, 15)
-            assert F2.reduce(w.letters) == w
+            assert Word(w.letters, 2) == w
 
     def test_out_of_rank_letter_rejected(self):
         with pytest.raises(MalformedInputError):
-            F2.reduce([0, 4])
+            Word([0, 4], 2)
         with pytest.raises(MalformedInputError):
-            F2.reduce([-1])
+            Word([-1], 2)
         with pytest.raises(MalformedInputError):
-            F2.reduce([Generator(1, 0)])
+            F2.generator(1, 0)
 
 
 class TestMultiply:
     def test_identity_law(self):
         v = F2.word("abA")
-        assert multiply(F2.identity, v) == v
-        assert multiply(v, F2.identity) == v
+        assert F2.identity * v == v
+        assert v * F2.identity == v
 
     def test_junction_cancellation(self):
-        assert multiply(F2.word("ab"), F2.word("Ba")) == F2.word("aa")
+        assert F2.word("ab") * F2.word("Ba") == F2.word("aa")
 
     def test_group_laws_random_triples(self):
         rng = rng_from_seed(13)
@@ -112,7 +109,7 @@ class TestMultiply:
         for _ in range(200):
             u = random_word(rng, 2, 10)
             assert (u * u.inverse()).is_identity()
-            assert multiply(u, F2.identity) == u
+            assert u * F2.identity == u
 
     def test_length_parity(self):
         rng = rng_from_seed(14)
@@ -125,7 +122,7 @@ class TestMultiply:
 
     def test_rank_mismatch(self):
         with pytest.raises(ContextMismatchError):
-            multiply(F2.word("a"), F3.word("a"))
+            F2.word("a") * F3.word("a")
 
 
 class TestConjugate:
@@ -174,6 +171,20 @@ class TestBall:
     def test_all_reduced(self):
         for w in ball(F2, 4):
             assert reduce_letters(w.letters) == w.letters
+
+    # words times (radius + 1) against MAX_BALL_LETTERS = 10^7: rank 1 radius
+    # 2235 is 4,471 words (9,997,156), radius 2236 passes; rank 2 radius 11 is
+    # 354,293 words, radius 12 passes; rank 3 radius 10**9 must not be computed
+    @pytest.mark.parametrize("rank,radius,fits", [(1, 2235, True), (1, 2236, False),
+                                                  (2, 11, True), (2, 12, False),
+                                                  (3, 10**9, False)])
+    def test_cap_before_the_first_word(self, rank, radius, fits):
+        words = ball_letters(rank, radius)
+        if fits:
+            assert next(words) == ()
+        else:
+            with pytest.raises(ResourceLimitError):
+                next(words)
 
 
 class TestAxisPrefix:
@@ -321,9 +332,7 @@ class TestWordKernel:
     def test_generator_codes_roundtrip(self):
         for i in range(1, 4):
             for s in (1, -1):
-                g = Generator(i, s)
-                assert Generator.from_code(g.code) == g
-                assert F3.reduce([g]) == F3.generator(i, s)
+                assert F3.generator(i, s).letters == (2 * (i - 1) + (s < 0),)
 
 
 def reference_fold(words):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -244,7 +245,8 @@ WRONG = {
     "_words": [5, True, 1.5, {"a": 1}, None, "ballx", "ball", "ab", [], [5], ["zz"]],
     "_measure": [5, True, 1.5, [], None, "no-such-file.json", "x" * 5000, {"context": 2},
                  {"context": 3, "atoms": [{"word": "c", "p": 1}]},
-                 {"context": 2, "atoms": [{"word": "a", "p": "x"}]}],
+                 {"context": 2, "atoms": [{"word": "a", "p": "x"}]},
+                 {"context": 2, "atoms": [{"word": "a", "p": "1/0"}]}],
     "_element": [5, True, 1.5, [], None, "zz", "a" * 5000 + "?", "no/such.json", {"terms": []},
                  {"context": 3, "terms": [{"word": "a", "re": 1.0}]}],
     "_rep": [5, True, 1.5, [], None, "no-such.json", {"perms": [[0, 1]]}, {"regular": True},
@@ -341,6 +343,21 @@ DEFECTS = {
                          "--seed", "0"], None, "/rank"),
     "rank-27-boundary-solve": (["boundary-solve", "--rank", "27", "--depth", "1"], None,
                                "/rank"),
+    "mu-mass-1-over-0": (["boundary-solve", "--depth", "2", "--mu", "{c}"],
+                         {"context": 2, "atoms": [{"word": "a", "p": "1/0"},
+                                                  {"word": "A", "p": "1/4"}]}, "/mu"),
+    # a flag takes a file path or a named law; an inline object goes in a config file
+    "mu-inline-object": (["boundary-solve", "--depth", "2", "--mu",
+                          '{{"context": 2, "atoms": [{{"word": "a", "p": 1}}]}}'], None, "/mu"),
+    # an l1 norm whose square overflows a float: two terms, then one complex term
+    "element-l1-squared-8e153": (["norm", "--config", "{c}"],
+                                 {"element": {"context": 2, "terms": [
+                                     {"word": "a", "re": 8e153}, {"word": "b", "re": 8e153}]}},
+                                 "/element"),
+    "element-l1-squared-1e308": (["cesaro", "--config", "{c}"],
+                                 {"n_max": 2, "element": {"context": 2, "terms": [
+                                     {"word": "a", "re": 1e308, "im": 1e308}]}},
+                                 "/element"),
 }
 
 
@@ -355,6 +372,28 @@ def test_defect_exits_2_naming_the_key(case, tmp_path, capsys):
     assert rc == 2
     _assert_one_error_line(err, fragment)
     assert not (tmp_path / "x.csv").exists()
+
+
+# Balls past freegroup.MAX_BALL_LETTERS; each of these ran out of memory.
+BALLS = {
+    "boundary-solve-depth-40": ["boundary-solve", "--depth", "40"],
+    "conditional-nu-depth-25": ["conditional", "--n", "2", "--paths", "1", "--seed", "0",
+                                "--nu-depth", "25"],
+    "conditional-out-depth-30": ["conditional", "--n", "2", "--paths", "1", "--seed", "0",
+                                 "--out-depth", "30"],
+    "pdf-check-radius-30": ["pdf-check", "--measures", "1", "--tuples", "1", "--seed", "0",
+                            "--radius", "30"],
+    "build-mu-ball30": ["build-mu", "--levels", "1", "--family", "ball30"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BALLS))
+def test_ball_past_the_cap_exits_4_at_once(case, tmp_path, capsys):
+    start = time.perf_counter()
+    rc, err = _main(BALLS[case] + ["--out-dir", str(tmp_path / "o")], capsys)
+    assert time.perf_counter() - start < 5
+    assert rc == 4
+    _assert_one_error_line(err, "too large (cap: ")
 
 
 @pytest.mark.parametrize("gens", ["ball0", ["1"]], ids=["ball0", "identity-list"])
