@@ -424,16 +424,15 @@ def _splits(m: int) -> Iterator[int]:
             yield mid + d
 
 
-def _disjoint_cylinder_bound(
-    words: list[tuple[int, ...]], coeffs: list[complex]
-) -> float | None:
-    """Averaging estimate: if pairwise disjoint prefix sets F_k satisfy
-    t_k (complement of F_k) inside F_k, then ||sum c_k lambda_{t_k}|| <= 2 ||c||_2.
+def _disjoint_cylinders(words: list[tuple[int, ...]]) -> bool:
+    """Whether the words t_k have pairwise disjoint prefix sets F_k with
+    t_k (complement of F_k) inside F_k; if so, the averaging estimate gives
+    ||sum c_k lambda_{t_k}|| <= 2 ||c||_2 for every c.
 
     For a reduced word t with letters t_1..t_m (the words come as letter
     tuples) and any split 1 <= j <= m, the set F = [head_j] u [(t_j..t_m)^-1]
     works; the check below greedily picks a split per word so the F's are
-    pairwise disjoint, and returns None if it cannot.
+    pairwise disjoint, and returns False if it cannot.
     """
     # the chosen prefixes as a trie: letter -> subtrie, with the key None
     # marking the end of a chosen prefix
@@ -465,8 +464,8 @@ def _disjoint_cylinder_bound(
                 choose(tail_inv)
                 break
         else:
-            return None
-    return 2.0 * sqrt(sum(abs(c) ** 2 for c in coeffs))
+            return False
+    return True
 
 
 class UpperBound(_TaggedFloat):
@@ -481,11 +480,13 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     """Certified upper bound for the reduced norm of x.
 
     Minimum of: the l1 norm; the layer inequality sum (n+1) ||x_n||_2 in
-    ambient word length; the same inequality after rewriting the support over
-    a free basis of the subgroup it generates (isometric inclusion of reduced
-    subgroup algebras); and, when available, the disjoint-cylinder averaging
-    estimate |x(e)| + 2 ||x restricted off e||_2.  The result is an
-    UpperBound whose `method` names the winning candidate ("zero" for x = 0).
+    ambient word length; and, when it is below both, the free-family value
+    |x(e)| + 2 ||x restricted off e||_2, certified by the disjoint-cylinder
+    averaging estimate or by the support being a free basis of the subgroup
+    it generates; failing both, the layer inequality after rewriting the
+    support over a free basis of that subgroup (isometric inclusion of
+    reduced subgroup algebras).  The result is an UpperBound whose `method`
+    names the winning candidate ("zero" for x = 0).
     """
     if not x.coeffs:
         return UpperBound(0.0, "zero")
@@ -495,30 +496,22 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     candidates.append(
         (_layer_bound((len(w), c) for w, c in x.coeffs.items()), "ambient-layers")
     )
-    if rest:
+    # both freeness tests give this value, and subgroup-layers is no smaller
+    # (every layer weight n + 1 is at least 2), so they run only when it wins
+    free_family = c_e + 2.0 * sqrt(sum(abs(c) ** 2 for _, c in rest))
+    if rest and free_family < min(p[0] for p in candidates):
         words = [w for w, _ in rest]
-        coeffs = [c for _, c in rest]
-        disjoint = _disjoint_cylinder_bound(words, coeffs)
-        best_other = min(p[0] for p in candidates)
-        if disjoint is not None:
-            best_other = min(best_other, c_e + disjoint)
-        # the fold gives free-support, equal to this, or subgroup-layers,
-        # which is no smaller (every layer weight n + 1 is at least 2), so it
-        # runs only when it can beat the other candidates
-        free_support = c_e + 2.0 * sqrt(sum(abs(c) ** 2 for c in coeffs))
-        if best_other > free_support:
-            dec = free_basis_decomposition(
-                [_word(w, x.rank) for w in words]
-            )
+        if _disjoint_cylinders(words):
+            candidates.append((free_family, "disjoint-cylinders"))
+        else:
+            dec = free_basis_decomposition([_word(w, x.rank) for w in words])
             if len(dec.basis) == len(words):
                 # the support freely generates: it is itself a free basis
-                candidates.append((free_support, "free-support"))
+                candidates.append((free_family, "free-support"))
             else:
                 lens = [len(rw) for rw in dec.rewritten]
-                sub = c_e + _layer_bound(zip(lens, coeffs))
+                sub = c_e + _layer_bound(zip(lens, (c for _, c in rest)))
                 candidates.append((sub, "subgroup-layers"))
-        if disjoint is not None:
-            candidates.append((c_e + disjoint, "disjoint-cylinders"))
     bound, tag = min(candidates, key=lambda p: p[0])
     return UpperBound(bound, tag)
 

@@ -1,8 +1,9 @@
 """JSON and CSV forms of the core objects.
 
 Words serialize as 'a'..'z' / uppercase inverses with "1" for the identity.
-Measures: {"context": k, "atoms": [{"word": "a", "p": "1/4"}, ...]} with
-rational strings or decimals.  Algebra elements:
+Measures: {"context": k, "atoms": [{"word": "a", "p": "1/4"}, ...]}; a mass
+is read from a rational string, an integer or a decimal (at its exact binary
+value) and written as a rational string.  Algebra elements:
 {"context": k, "terms": [{"word": "abA", "re": 1.0, "im": 0.0}, ...]} with
 finite coefficients and a finite squared l1 norm.
 Cylinder measures: CSV rows word,depth,mass.
@@ -22,12 +23,7 @@ from .walks import GroupMeasure
 
 
 def measure_to_json(mu: GroupMeasure) -> dict:
-    atoms = []
-    for w, p in mu.atoms():
-        atoms.append(
-            {"word": str(w), "p": str(p) if isinstance(p, Fraction) else float(p)}
-        )
-    return {"context": mu.rank, "atoms": atoms}
+    return {"context": mu.rank, "atoms": [{"word": str(w), "p": str(p)} for w, p in mu.atoms()]}
 
 
 def measure_from_json(data: dict) -> GroupMeasure:
@@ -36,12 +32,7 @@ def measure_from_json(data: dict) -> GroupMeasure:
         atoms = data["atoms"]
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad measure JSON: {exc}") from exc
-    table = {}
-    for atom in atoms:
-        w = word_from_str(atom["word"], rank)
-        p = atom["p"]
-        table[w] = Fraction(p) if isinstance(p, str) else float(p)
-    return GroupMeasure(table, rank)
+    return GroupMeasure({word_from_str(atom["word"], rank): atom["p"] for atom in atoms}, rank)
 
 
 def element_to_json(x: AlgebraElement) -> dict:

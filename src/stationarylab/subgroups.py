@@ -179,7 +179,7 @@ def pdf_from_subgroup_sample(
 
 @dataclass(frozen=True)
 class PsdReport:
-    """Minimum Gram eigenvalue per tested tuple; pass = all above -1e-9."""
+    """Minimum Gram eigenvalue per tested tuple; pass = all at least PSD_EIGENVALUE_TOL."""
 
     min_eigenvalues: tuple[float, ...]
     passed: bool

@@ -1,6 +1,10 @@
 """Finitely supported probability laws on F_k, convolution powers, seeded path
 sampling, Cesaro averages, and the convolution action on algebra elements.
 
+Every law is exact: its masses are Fractions, and a float mass is taken at
+its exact binary value, so a law written in decimals and the same law
+written as "p/q" strings give the same results.
+
 All randomness flows through numpy's Philox counter-based 64-bit generator:
 identical seeds give identical samples, run to run.  Increments are drawn by
 inverse-CDF over the support in the fixed length-lex word order.
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite, lcm
+from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,17 +39,13 @@ def rng_from_seed(*seed_parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(seed_parts))))
 
 
-def _as_mass(value):
-    """Exact Fractions for rational inputs (int, Fraction, 'p/q' string), else float."""
-    return Fraction(value) if isinstance(value, (Fraction, int, str)) else float(value)
-
-
 class GroupMeasure:
     """A finitely supported probability measure on F_rank.
 
-    `masses` maps the letters of each support word to its mass: exact
-    Fractions when every input is rational, floats otherwise.  The
-    constructor checks a Word-keyed mapping; accessors speak Words.  Immutable.
+    `masses` maps the letters of each support word to its mass, a Fraction:
+    an int, a Fraction or a "p/q" string is read as that rational, a float at
+    its exact binary value.  The constructor checks a Word-keyed mapping;
+    accessors speak Words.  Immutable.
     """
 
     __slots__ = ("masses", "rank", "_generating")
@@ -55,10 +55,12 @@ class GroupMeasure:
         for w, p in masses.items():
             if w.rank != rank:
                 raise ContextMismatchError(f"word rank {w.rank} in measure of rank {rank}")
-            p = _as_mass(p)
-            # a Fraction is finite by construction
-            if isinstance(p, float) and not isfinite(p):
-                raise MalformedInputError(f"mass {p} at {w} is not finite")
+            try:
+                p = Fraction(p)
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                raise MalformedInputError(
+                    f"mass {p!r} at {w} is not finite or not a number"
+                ) from exc
             if p < 0:
                 raise MalformedInputError(f"negative mass {p} at {w}")
             table[w.letters] = p
@@ -77,7 +79,7 @@ class GroupMeasure:
     def dirac(w: Word) -> "GroupMeasure":
         return GroupMeasure({w: Fraction(1)}, w.rank)
 
-    def atoms(self) -> list[tuple[Word, object]]:
+    def atoms(self) -> list[tuple[Word, Fraction]]:
         """(word, mass) pairs in length-lex word order."""
         return [(_word(w, self.rank), p) for w, p in length_lex(self.masses)]
 
@@ -91,10 +93,6 @@ class GroupMeasure:
 
     def max_support_length(self) -> int:
         return max((len(w) for w in self.masses), default=0)
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.masses.values())
 
     def is_generating(self) -> bool:
         """Certificate that the support generates F_rank as a semigroup.
@@ -140,20 +138,17 @@ class GroupMeasure:
         return f"GroupMeasure({{{atoms}{'...' if len(self.masses) > 6 else ''}}})"
 
 
-def _fill(mu: GroupMeasure, table: dict[tuple[int, ...], object], rank: int) -> None:
+def _fill(mu: GroupMeasure, table: dict[tuple[int, ...], Fraction], rank: int) -> None:
     table = {w: p for w, p in table.items() if p > 0}
-    # the sum is exact: the floats are summed apart and taken as the Fraction
-    # their sum is, so a Fraction beyond the float range is never converted
-    floats = sum(p for p in table.values() if isinstance(p, float))
-    total = sum(p for p in table.values() if not isinstance(p, float)) + Fraction(floats)
-    if abs(total - 1) > MASS_TOLERANCE:
+    # an exact sum, compared exactly: a Fraction beyond the float range is never converted
+    if abs(sum(table.values()) - 1) > MASS_TOLERANCE:
         raise MalformedInputError(f"masses do not sum to 1 within {MASS_TOLERANCE}")
     object.__setattr__(mu, "masses", table)
     object.__setattr__(mu, "rank", rank)
     object.__setattr__(mu, "_generating", None)
 
 
-def _measure(table: dict[tuple[int, ...], object], rank: int) -> GroupMeasure:
+def _measure(table: dict[tuple[int, ...], Fraction], rank: int) -> GroupMeasure:
     """The law of a letter table of masses >= 0, checked only for summing to 1."""
     mu = object.__new__(GroupMeasure)
     _fill(mu, table, rank)
@@ -171,24 +166,21 @@ def convolve_measures(
 ) -> GroupMeasure:
     """(mu * nu)(w) = sum over u v = w of mu(u) nu(v).
 
-    Exact laws multiply as integer numerator tables over their common
-    denominators, so the masses are the same Fractions with one gcd per
+    The laws multiply as integer numerator tables over their common
+    denominators, so the masses are the exact Fraction sums with one gcd per
     output word instead of one per pair.
     """
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {nu.rank}")
-    cap_message = "measure support exceeds the cap"
-    if not (mu.exact and nu.exact):
-        return _measure(letter_product(mu.masses, nu.masses, support_cap, cap_message), mu.rank)
     d_mu, num_mu = _numerators(mu)
     d_nu, num_nu = _numerators(nu)
-    out = letter_product(num_mu, num_nu, support_cap, cap_message)
+    out = letter_product(num_mu, num_nu, support_cap, "measure support exceeds the cap")
     d = d_mu * d_nu
     return _measure({w: Fraction(n, d) for w, n in out.items()}, mu.rank)
 
 
 def _numerators(mu: GroupMeasure) -> tuple[int, dict[tuple[int, ...], int]]:
-    """The common denominator D of an exact law's masses and the integer
+    """The common denominator D of a law's masses and the integer
     numerators p * D, in the law's order."""
     d = lcm(*[p.denominator for p in mu.masses.values()])
     return d, {w: p.numerator * (d // p.denominator) for w, p in mu.masses.items()}
@@ -208,7 +200,7 @@ def cesaro_measure(mu: GroupMeasure, n: int, support_cap: int = 10_000_000) -> G
     """(1/n) sum_{k=0}^{n-1} mu^k."""
     if n < 1:
         raise MalformedInputError(f"n must be >= 1, got {n}")
-    acc: dict[tuple[int, ...], object] = {}
+    acc: dict[tuple[int, ...], Fraction] = {}
     power = _measure({(): Fraction(1)}, mu.rank)
     for k in range(n):
         if k > 0:
@@ -266,38 +258,26 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     """The convolution action on algebra elements under the inner action:
     mu * a = sum_g mu(g) Ad_{g^-1}(a).  Preserves the canonical trace.
 
-    For exact laws the per-word sums are exact: masses are integer numerators
-    over their common denominator D, the coefficient parts are integers over
-    one power of two 2^K, and each sum of products rounds once, through a
-    correctly rounded int / int division.  Coefficients that cancel, cancel
-    exactly.
+    The per-word sums are exact: masses are integer numerators over their
+    common denominator D, the coefficient parts are integers over one power
+    of two 2^K, and each sum of products rounds once, through a correctly
+    rounded int / int division.  Coefficients that cancel, cancel exactly.
     """
     if mu.rank != a.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
-    atoms = length_lex(mu.masses)
-    if mu.exact:
-        d, num = _numerators(mu)
-        k, a_re, a_im = _dyadic(a)
-        parts = [(w, a_re.get(w, 0), a_im.get(w, 0)) for w in a.coeffs]
-        acc_re: dict[tuple[int, ...], int] = {}
-        acc_im: dict[tuple[int, ...], int] = {}
-        for g, _ in atoms:
-            ginv, n_g = inverse_letters(g), num[g]
-            for w, re, im in parts:
-                target = _product_letters(_product_letters(ginv, w), g)
-                acc_re[target] = acc_re.get(target, 0) + n_g * re
-                acc_im[target] = acc_im.get(target, 0) + n_g * im
-        d <<= k
-        return _element(
-            {w: complex(acc_re[w] / d, acc_im[w] / d) for w in acc_re}, a.rank
-        )
-    out: dict[tuple[int, ...], complex] = {}
-    for g, p in atoms:
+    d, num = _numerators(mu)
+    k, a_re, a_im = _dyadic(a)
+    parts = [(w, a_re.get(w, 0), a_im.get(w, 0)) for w in a.coeffs]
+    acc_re: dict[tuple[int, ...], int] = {}
+    acc_im: dict[tuple[int, ...], int] = {}
+    for g, n_g in length_lex(num):
         ginv = inverse_letters(g)
-        for w, c in a.coeffs.items():
+        for w, re, im in parts:
             target = _product_letters(_product_letters(ginv, w), g)
-            out[target] = out.get(target, 0) + float(p) * c
-    return _element(out, a.rank)
+            acc_re[target] = acc_re.get(target, 0) + n_g * re
+            acc_im[target] = acc_im.get(target, 0) + n_g * im
+    d <<= k
+    return _element({w: complex(acc_re[w] / d, acc_im[w] / d) for w in acc_re}, a.rank)
 
 
 def decay_schedule(k_max: int) -> list[int]:

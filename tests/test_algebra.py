@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stationarylab.algebra import (
     AlgebraElement,
-    _disjoint_cylinder_bound,
+    _disjoint_cylinders,
     _layer_bound,
     _trace_moments,
     adjoint_action,
@@ -362,9 +362,8 @@ def upper_bound_oracle(x):
         else:
             lens = [len(rw) for rw in dec.rewritten]
             candidates.append(c_e + _layer_bound(zip(lens, coeffs)))
-        disjoint = _disjoint_cylinder_bound([w.letters for w in words], coeffs)
-        if disjoint is not None:
-            candidates.append(c_e + disjoint)
+        if _disjoint_cylinders([w.letters for w in words]):
+            candidates.append(c_e + 2.0 * math.sqrt(sum(abs(c) ** 2 for c in coeffs)))
     return min(candidates)
 
 
@@ -415,7 +414,7 @@ class TestUpperBoundFoldSkip:
         assert (zero, zero.method) == (0.0, "zero")
 
 
-def disjoint_cylinder_oracle(words, coeffs):
+def disjoint_cylinder_oracle(words):
     """The greedy split choice, scanning every earlier chosen prefix."""
 
     def comparable(p, q):
@@ -433,8 +432,8 @@ def disjoint_cylinder_oracle(words, coeffs):
                 chosen += [head, tail_inv]
                 break
         else:
-            return None
-    return 2.0 * math.sqrt(sum(abs(c) ** 2 for c in coeffs))
+            return False
+    return True
 
 
 def test_disjoint_cylinder_bound_matches_pairwise_scan():
@@ -445,10 +444,9 @@ def test_disjoint_cylinder_bound_matches_pairwise_scan():
         n = int(rng.integers(1, 7))
         picks = sorted({int(i) for i in rng.integers(0, len(words), size=n)})
         support = [words[i] for i in picks]
-        coeffs = [complex(rng.standard_normal()) for _ in support]
-        expected = disjoint_cylinder_oracle(support, coeffs)
-        assert _disjoint_cylinder_bound([w.letters for w in support], coeffs) == expected
-        outcomes.add(expected is None)
+        expected = disjoint_cylinder_oracle(support)
+        assert _disjoint_cylinders([w.letters for w in support]) == expected
+        outcomes.add(expected)
     assert outcomes == {True, False}
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from stationarylab.algebra import AlgebraElement, canonical_trace
 from stationarylab.errors import ContextMismatchError, MalformedInputError
@@ -42,8 +44,8 @@ class TestGroupMeasure:
 
     def test_non_finite_mass_rejected(self):
         # a NaN atom would otherwise drop out as "not positive", leaving the
-        # Dirac mass at b
-        for bad in (math.nan, math.inf):
+        # Dirac mass at b; a mass that is not a number raises the same error
+        for bad in (math.nan, math.inf, -math.inf, "x", "1/0", None, [0.5], 1j):
             with pytest.raises(MalformedInputError, match="not finite"):
                 GroupMeasure({F2.word("a"): bad, F2.word("b"): 1.0}, 2)
 
@@ -53,9 +55,19 @@ class TestGroupMeasure:
         with pytest.raises(MalformedInputError):
             GroupMeasure({F2.word("a"): Fraction(10**400), F2.word("b"): other}, 2)
 
-    def test_exact_mode(self):
-        assert MU.exact
-        assert not GroupMeasure({F2.word("a"): 0.5, F2.word("A"): 0.5}, 2).exact
+    @given(st.lists(st.one_of(
+        st.floats(0, 0.25), st.integers(0, 1), st.fractions(0, Fraction(1, 4)),
+        st.fractions(0, Fraction(1, 4)).map(lambda p: f"{p.numerator}/{p.denominator}"),
+    ), min_size=1, max_size=4))
+    def test_every_mass_is_the_fraction_of_its_input(self, inputs):
+        # the identity takes the rest, so the law sums to 1 exactly
+        rest = 1 - sum(Fraction(p) for p in inputs)
+        assume(rest >= 0)
+        words = [F2.word("a" * n) for n in range(1, len(inputs) + 1)]
+        mu = GroupMeasure({F2.identity: rest, **dict(zip(words, inputs))}, 2)
+        assert all(type(p) is Fraction for p in mu.masses.values())
+        for w, p in zip(words, inputs):
+            assert mu.mass(w) == Fraction(p)
 
     def test_generating_certificate(self):
         assert MU.is_generating()
@@ -270,7 +282,7 @@ def _by_length_lex(table):
 
 
 def convolve_oracle(mu, nu):
-    """mu * nu with one Fraction (or float) multiply and add per pair, u then
+    """mu * nu with one Fraction multiply and add per pair, u then
     v in length-lex order: the sum and insertion order of the exact kernel."""
     out = {}
     for u, p in _by_length_lex(mu.masses):
@@ -281,22 +293,15 @@ def convolve_oracle(mu, nu):
 
 
 def element_oracle(mu, a):
-    """mu * a summed in Fractions per word and rounded once (exact laws), or
-    summed in floats (other laws), in the kernel's loop order."""
-    if mu.exact:
-        acc_re, acc_im = {}, {}
-        for g, p in _by_length_lex(mu.masses):
-            for w, c in a.coeffs.items():
-                target = conjugate(Word(w, 2), Word(g, 2)).letters
-                acc_re[target] = acc_re.get(target, Fraction(0)) + p * Fraction(c.real)
-                acc_im[target] = acc_im.get(target, Fraction(0)) + p * Fraction(c.imag)
-        out = {w: complex(float(acc_re[w]), float(acc_im[w])) for w in acc_re}
-    else:
-        out = {}
-        for g, p in _by_length_lex(mu.masses):
-            for w, c in a.coeffs.items():
-                target = conjugate(Word(w, 2), Word(g, 2)).letters
-                out[target] = out.get(target, 0) + float(p) * c
+    """mu * a summed in Fractions per word and rounded once, in the kernel's
+    loop order."""
+    acc_re, acc_im = {}, {}
+    for g, p in _by_length_lex(mu.masses):
+        for w, c in a.coeffs.items():
+            target = conjugate(Word(w, 2), Word(g, 2)).letters
+            acc_re[target] = acc_re.get(target, Fraction(0)) + p * Fraction(c.real)
+            acc_im[target] = acc_im.get(target, Fraction(0)) + p * Fraction(c.imag)
+    out = {w: complex(float(acc_re[w]), float(acc_im[w])) for w in acc_re}
     return [(w, c) for w, c in out.items() if c != 0]
 
 
@@ -342,9 +347,9 @@ class TestIntegerKernels:
     @pytest.mark.parametrize("mu, nu", [(FLOAT_LAW, FLOAT_LAW), (MIXED_LAW, MIXED_LAW),
                                         (COPRIME, FLOAT_LAW), (MIXED_LAW, SEVENTHS)],
                              ids=["float", "mixed", "exact-float", "mixed-exact"])
-    def test_float_and_mixed_laws_keep_the_float_sums(self, mu, nu):
+    def test_float_and_mixed_laws_convolve_to_the_fraction_sums(self, mu, nu):
         got = convolve_measures(mu, nu)
-        assert not got.exact
+        assert all(type(p) is Fraction for p in got.masses.values())
         assert _mass_bits(got.masses.items()) == _mass_bits(convolve_oracle(mu, nu).items())
 
     @pytest.mark.parametrize("coeffs", [
