@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import ldexp, log2, nextafter, sqrt
+from math import inf, isfinite, ldexp, log2, nextafter, sqrt
 from typing import Iterable, Iterator, Mapping
 
+from . import freegroup
 from .errors import ContextMismatchError, MalformedInputError, ResourceLimitError
 from .freegroup import (
     Word,
@@ -30,9 +30,6 @@ from .freegroup import (
     length_lex,
     letter_product,
 )
-
-DEFAULT_SUPPORT_CAP = 5_000_000
-_CAP_MESSAGE = "convolution support exceeds the cap"
 
 
 class AlgebraElement:
@@ -111,7 +108,11 @@ class AlgebraElement:
         return _element({w: c * s for w, c in self.coeffs.items()}, self.rank)
 
     def l1(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
+        """The l1 norm; inf where a coefficient's modulus overflows a float."""
+        try:
+            return sum(abs(c) for c in self.coeffs.values())
+        except OverflowError:
+            return inf
 
     def _check(self, other: "AlgebraElement") -> None:
         if self.rank != other.rank:
@@ -135,12 +136,20 @@ def _element(table: dict[tuple[int, ...], complex], rank: int) -> AlgebraElement
     return x
 
 
-def convolve(
-    x: AlgebraElement, y: AlgebraElement, support_cap: int = DEFAULT_SUPPORT_CAP
-) -> AlgebraElement:
-    """Ring product: coeffs(w) = sum over u v = w of x(u) y(v)."""
+def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Ring product: coeffs(w) = sum over u v = w of x(u) y(v), under freegroup.SUPPORT_CAP."""
     x._check(y)
-    return _element(letter_product(x.coeffs, y.coeffs, support_cap, _CAP_MESSAGE), x.rank)
+    return _element(letter_product(x.coeffs, y.coeffs), x.rank)
+
+
+def _checked_l1(x: AlgebraElement) -> float:
+    """The l1 norm of x.  MalformedInputError if its square is not a finite
+    float: ||x||^2 <= ||x||_1^2, so this bounds every float the norm
+    brackets form."""
+    l1 = x.l1()
+    if not isfinite(l1 * l1):
+        raise MalformedInputError("the squared l1 norm of the element overflows a float")
+    return l1
 
 
 def involution(x: AlgebraElement) -> AlgebraElement:
@@ -181,10 +190,10 @@ def _dyadic(x: AlgebraElement) -> tuple[int, dict, dict]:
     return k, x_re, x_im
 
 
-def _times(a: tuple[dict, dict], b: tuple[dict, dict], support_cap: int, product):
+def _times(a: tuple[dict, dict], b: tuple[dict, dict], product):
     """The product of two tables (re, im) from four partial products by
     `product`, skipping those with an empty, so zero, factor.
-    ResourceLimitError once the words it touches pass the cap."""
+    ResourceLimitError once the words it touches pass freegroup.SUPPORT_CAP."""
     (a_re, a_im), (b_re, b_im) = a, b
 
     def part(u, v):
@@ -194,8 +203,9 @@ def _times(a: tuple[dict, dict], b: tuple[dict, dict], support_cap: int, product
     for out, sign, c_part in ((re, -1, part(a_im, b_im)), (im, 1, part(a_im, b_re))):
         for w, c in c_part.items():
             out[w] = out.get(w, 0) + sign * c
-    if im and len(re) + sum(w not in re for w in im) > support_cap:
-        raise ResourceLimitError(_CAP_MESSAGE, support_cap)
+    cap = freegroup.SUPPORT_CAP
+    if im and len(re) + sum(w not in re for w in im) > cap:
+        raise ResourceLimitError("convolution support exceeds the cap", cap)
     return {w: c for w, c in re.items() if c}, {w: c for w, c in im.items() if c}
 
 
@@ -254,7 +264,7 @@ def _axpy(a: list[int], c: int, b: list[int]) -> list[int]:
     return [s + c * t for s, t in zip(a, b)] + a[len(b):]
 
 
-def _trace_moments(x: AlgebraElement, n_moments: int, support_cap: int):
+def _trace_moments(x: AlgebraElement, n_moments: int):
     """K and the exact moments {m: tau0(Y^m)} of Y = X*X, where x = X / 2^K
     (see _dyadic), so that tau0(y^m) = tau0(Y^m) / 2^(2Km) for y = x*x.
 
@@ -264,19 +274,18 @@ def _trace_moments(x: AlgebraElement, n_moments: int, support_cap: int):
     recursion.  Otherwise each power z = Y^m of repeated squaring gives
     tau0(Y^(2m)) and, with t = Y z, tau0(Y^(2m+1)); z is self-adjoint, so
     those are sum |z(w)|^2 and sum Re(t(w) conj z(w)).  The moments stop at
-    the first product that passes the cap.
+    the first product that passes freegroup.SUPPORT_CAP.
     """
     k, x_re, x_im = _dyadic(x)
     rank = x.rank
 
     def convolved(u, v):
         # the table of a new element that nothing else holds: _times may add to it
-        return convolve(_element(u, rank), _element(v, rank), support_cap).coeffs
+        return convolve(_element(u, rank), _element(v, rank)).coeffs
 
-    product = partial(letter_product, support_cap=support_cap, cap_message=_CAP_MESSAGE)
     adjoint = ({inverse_letters(w): c for w, c in x_re.items()},
                {inverse_letters(w): -c for w, c in x_im.items()})
-    y = _times(adjoint, (x_re, x_im), support_cap, convolved)
+    y = _times(adjoint, (x_re, x_im), convolved)
     # a radial table is symmetric under w -> w^-1, so a self-adjoint one is real
     profile = None if y[1] else _radial_profile(y[0], rank)
     if profile is not None:
@@ -290,7 +299,7 @@ def _trace_moments(x: AlgebraElement, n_moments: int, support_cap: int):
         if 2 * m_z <= n_moments:
             # the ratio bound at order 2 m_z also needs tau0(Y^(2 m_z + 1))
             try:
-                t = _times(y, z, support_cap, product)
+                t = _times(y, z, letter_product)
             except ResourceLimitError:
                 break
             moments[2 * m_z + 1] = sum(
@@ -302,7 +311,7 @@ def _trace_moments(x: AlgebraElement, n_moments: int, support_cap: int):
             z = t  # Y^2, formed just above as Y z
         else:
             try:
-                z = _times(z, z, support_cap, product)
+                z = _times(z, z, letter_product)
             except ResourceLimitError:
                 break
         m_z *= 2
@@ -377,25 +386,23 @@ class MomentBound(_TaggedFloat):
     _tag = "order"
 
 
-def norm_lower_bound(
-    x: AlgebraElement,
-    n_moments: int,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> MomentBound:
+def norm_lower_bound(x: AlgebraElement, n_moments: int) -> MomentBound:
     """Certified lower bound for the reduced norm of x from trace moments.
 
     Bounds used: tau0(y^m)^(1/2m) and sqrt(tau0(y^(m+1))/tau0(y^m)) for
     y = x*x, over every moment order m <= n_moments that is computable.  The
     moments are exact (see _trace_moments) and the bound is rounded down
     against the moments it came from.  A radial y gets every order; otherwise
-    the moments stop early if a product would pass the support cap, and the
-    result, a MomentBound, has its `order` below n_moments.
+    the moments stop early if a product would pass freegroup.SUPPORT_CAP,
+    and the result, a MomentBound, has its `order` below n_moments.
+    MalformedInputError if ||x||_1^2 is not a finite float.
     """
     if n_moments < 1:
         raise MalformedInputError(f"n_moments must be >= 1, got {n_moments}")
     if not x.coeffs:
         return MomentBound(0.0, n_moments)
-    k, moments = _trace_moments(x, n_moments, support_cap)
+    _checked_l1(x)
+    k, moments = _trace_moments(x, n_moments)
     achieved = max(m for m in moments if m <= n_moments)
     return MomentBound(_bounds_from_moments(moments, n_moments, k), achieved)
 
@@ -486,13 +493,14 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     it generates; failing both, the layer inequality after rewriting the
     support over a free basis of that subgroup (isometric inclusion of
     reduced subgroup algebras).  The result is an UpperBound whose `method`
-    names the winning candidate ("zero" for x = 0).
+    names the winning candidate ("zero" for x = 0).  MalformedInputError if
+    ||x||_1^2 is not a finite float.
     """
     if not x.coeffs:
         return UpperBound(0.0, "zero")
+    candidates = [(_checked_l1(x), "l1")]
     c_e = abs(x.coeffs.get((), 0))
     rest = [(w, c) for w, c in length_lex(x.coeffs) if w]
-    candidates = [(x.l1(), "l1")]
     candidates.append(
         (_layer_bound((len(w), c) for w, c in x.coeffs.items()), "ambient-layers")
     )
@@ -521,7 +529,8 @@ class NormBracket:
     """Certified two-sided bracket on the reduced norm of one element.
 
     moments_used is the highest trace-moment order <= the requested one that
-    was computed; it falls short of the request when the support cap binds.
+    was computed; it falls short of the request when freegroup.SUPPORT_CAP
+    binds.
     """
 
     lower: float
@@ -537,13 +546,9 @@ class NormBracket:
             )
 
 
-def certify_norm(
-    x: AlgebraElement,
-    n_moments: int = 8,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> NormBracket:
+def certify_norm(x: AlgebraElement, n_moments: int = 8) -> NormBracket:
     """Two-sided certified bracket on the reduced norm of x."""
-    lower = norm_lower_bound(x, n_moments, support_cap)
+    lower = norm_lower_bound(x, n_moments)
     upper = norm_upper_bound(x)
     return NormBracket(
         # min guards float dust on exactly-tight brackets

@@ -23,7 +23,6 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -231,14 +230,6 @@ def _validate(config: dict, keys: tuple[Key, ...]) -> dict:
     return values
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_atomic(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -255,7 +246,7 @@ def _write_csv(path: Path, anchor: str, header: list[str], rows: list[list]) -> 
     lines = [f"# anchor: {anchor}"]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(str(v) for v in row))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -432,9 +423,9 @@ def _run_fdstates(cfg: dict, out: Path, anchor: str) -> list[Path]:
     rows = []
     for i, st in enumerate(states):
         eigs = np.linalg.eigvalsh(st.matrix)
-        rows.append([i, float(eigs[0]), float(np.trace(st.matrix).real), st.psd_adjustment])
+        rows.append([i, float(eigs[0]), float(np.trace(st.matrix).real)])
     path = out / "fdstates.csv"
-    _write_csv(path, anchor, ["state", "min_eigenvalue", "trace", "psd_adjustment"], rows)
+    _write_csv(path, anchor, ["state", "min_eigenvalue", "trace"], rows)
     return [path]
 
 

@@ -46,6 +46,8 @@ MAX_STRING_RANK = len(string.ascii_lowercase)
 # tests and benchmark jobs read (rank 2, radius 10: 118,097 words).  A rank 1 ball
 # holds few words but long ones, so a word count alone would not bound its memory.
 MAX_BALL_LETTERS = 10_000_000
+# the largest support of a product (letter_product and the sums in algebra and walks)
+SUPPORT_CAP = 5_000_000
 
 
 def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
@@ -193,13 +195,15 @@ class FreeGroupContext:
             return word_from_str(spec, self.rank)
         return Word(spec, self.rank)
 
-    def sphere_size(self, n: int) -> int:
-        if n == 0:
-            return 1
-        return 2 * self.rank * (2 * self.rank - 1) ** (n - 1)
-
     def ball_size(self, radius: int) -> int:
-        return sum(self.sphere_size(n) for n in range(radius + 1))
+        return _ball_size(self.rank, radius)
+
+
+def _ball_size(rank: int, radius: int) -> int:
+    """The number of reduced words of length <= radius in F_rank."""
+    if rank == 1:
+        return 1 + 2 * radius
+    return (rank * (2 * rank - 1) ** radius - 1) // (rank - 1)
 
 
 def word_from_str(s: str, rank: int) -> Word:
@@ -221,17 +225,14 @@ def length_lex(table: Mapping[tuple[int, ...], T]) -> list[tuple[tuple[int, ...]
 
 
 def letter_product(
-    x: Mapping[tuple[int, ...], T],
-    y: Mapping[tuple[int, ...], T],
-    support_cap: int,
-    cap_message: str,
+    x: Mapping[tuple[int, ...], T], y: Mapping[tuple[int, ...], T]
 ) -> dict[tuple[int, ...], T]:
     """out(w) = sum over u v = w of x(u) y(v), for finitely supported tables
     keyed by the letters of reduced words.
 
     Both tables are sorted once into length-lex word order and the sum runs
     over u, then v, in that order, so results are bit-stable run to run.
-    Raises ResourceLimitError(cap_message) once the support passes the cap.
+    Raises ResourceLimitError once the support passes SUPPORT_CAP.
     """
     ys = length_lex(y)
     out: dict[tuple[int, ...], T] = {}
@@ -240,8 +241,8 @@ def letter_product(
         for b, cv in ys:
             w = _product_letters(a, b)
             out[w] = get(w, 0) + cu * cv
-            if len(out) > support_cap:
-                raise ResourceLimitError(cap_message, support_cap)
+            if len(out) > SUPPORT_CAP:
+                raise ResourceLimitError("convolution support exceeds the cap", SUPPORT_CAP)
     return out
 
 
@@ -261,11 +262,8 @@ def ball_letters(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
     """
     if radius < 0:
         raise MalformedInputError(f"radius must be >= 0, got {radius}")
-    if rank == 1:
-        size = 1 + 2 * radius
-    else:  # over 2^radius words, so the exponent can stop at the cap's bit length
-        r = min(radius, MAX_BALL_LETTERS.bit_length())
-        size = (rank * (2 * rank - 1) ** r - 1) // (rank - 1)
+    # a ball of rank >= 2 holds over 2^radius words: its radius stops at the cap's bit length
+    size = _ball_size(rank, radius if rank == 1 else min(radius, MAX_BALL_LETTERS.bit_length()))
     if size * (radius + 1) > MAX_BALL_LETTERS:
         raise ResourceLimitError(f"the ball of radius {radius} in rank {rank} is too large",
                                  MAX_BALL_LETTERS)
@@ -330,7 +328,7 @@ class FiniteQuotient:
     or explicit unitary matrices.
     """
 
-    def __init__(self, rank: int, images: Sequence[np.ndarray], tol: float = 1e-10):
+    def __init__(self, rank: int, images: Sequence[np.ndarray]):
         if len(images) != rank:
             raise MalformedInputError(
                 f"need {rank} generator images, got {len(images)}"
@@ -340,7 +338,7 @@ class FiniteQuotient:
         for U in mats:
             if U.shape != (m, m):
                 raise MalformedInputError("generator images must share one dimension")
-            if np.max(np.abs(U @ U.conj().T - np.eye(m))) > tol:
+            if np.max(np.abs(U @ U.conj().T - np.eye(m))) > 1e-10:
                 raise MalformedInputError("generator image is not unitary")
         self.rank = rank
         self.dim = m

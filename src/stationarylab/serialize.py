@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from cmath import isfinite
 from fractions import Fraction
-from math import hypot
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _checked_l1
 from .boundary import CylinderMeasure
 from .errors import MalformedInputError
 from .freegroup import Word, word_from_str
@@ -55,11 +54,9 @@ def element_from_json(data: dict) -> AlgebraElement:
         if not isfinite(c):
             raise MalformedInputError(f"coefficient {c} of {w} is not finite")
         table[w] = c
-    # ||x||^2 <= ||x||_1^2, so this bounds every float the norm brackets form
-    l1 = sum(hypot(c.real, c.imag) for c in table.values())
-    if not isfinite(l1 * l1):
-        raise MalformedInputError("the squared l1 norm of the element overflows a float")
-    return AlgebraElement(table, rank)
+    x = AlgebraElement(table, rank)
+    _checked_l1(x)
+    return x
 
 
 def cylinder_csv_rows(nu: CylinderMeasure) -> list[tuple[str, int, str]]:

@@ -17,11 +17,11 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    _checked_l1,
     _element,
     certify_norm,
     canonical_trace,
     norm_upper_bound,
-    DEFAULT_SUPPORT_CAP,
 )
 from .boundary import CylinderMeasure
 from .errors import (
@@ -45,6 +45,8 @@ from .walks import (
 
 # the staged construction keeps at most this many constraints per level
 MAX_CONSTRAINTS = 512
+# singular values below this mark the fixed space of a convolution channel
+FIXED_SPACE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +66,6 @@ class CesaroRow:
 class CesaroReport:
     """Certified brackets on ||mu_n * a - tau0(a) 1|| for n = 1..n_max."""
 
-    element_id: str
     rows: tuple[CesaroRow, ...]
     generating: bool | None
     partial: bool
@@ -79,7 +80,6 @@ def cesaro_test(
     mu: GroupMeasure,
     n_max: int,
     moments: int = 1,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> CesaroReport:
     """Bracket the Cesaro-averaged convolution distance to the trace.
 
@@ -87,7 +87,8 @@ def cesaro_test(
     mu_n the n-th Cesaro average, and its norm is bracketed.  Decay of the
     certified upper bounds to 0 for every a is the unique-stationarity
     criterion; a finite family can only ever provide supporting evidence, so
-    the verdict reads "decaying"/"not decaying", never "unique".
+    the verdict reads "decaying"/"not decaying", never "unique".  The rows stop,
+    with `partial` set, at the first n that passes freegroup.SUPPORT_CAP.
     """
     if mu.rank != a.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
@@ -101,9 +102,9 @@ def cesaro_test(
     partial = False
     for n in range(1, n_max + 1):
         try:
-            mu_n = cesaro_measure(mu, n, support_cap)
+            mu_n = cesaro_measure(mu, n)
             b_n = measure_convolve_element(mu_n, a) - trace_term
-            bracket = certify_norm(b_n, moments, support_cap)
+            bracket = certify_norm(b_n, moments)
         except ResourceLimitError:
             partial = True
             break
@@ -119,13 +120,7 @@ def cesaro_test(
             verdict += "; consistent with unique stationarity"
     else:
         verdict = "not decaying over the last three checkpoints"
-    return CesaroReport(
-        element_id=repr(a),
-        rows=tuple(rows),
-        generating=generating,
-        partial=partial,
-        verdict=verdict,
-    )
+    return CesaroReport(rows=tuple(rows), generating=generating, partial=partial, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +169,8 @@ def _commutes(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return _product_letters(u, v) == _product_letters(v, u)
 
 
-def _geometric_base_candidates(rank: int, max_len: int = 3):
-    ctx = FreeGroupContext(rank)
-    for w in ball(ctx, max_len):
+def _geometric_base_candidates(rank: int):
+    for w in ball(FreeGroupContext(rank), 3):
         if not w.is_identity():
             yield w
 
@@ -289,7 +283,6 @@ class CStarSimpleMeasure:
     schedule: tuple[int, ...]
     final_checks: tuple[FinalCheck, ...]
     tail_bound: float
-    family_ids: tuple[str, ...]
 
     @property
     def all_verified(self) -> bool:
@@ -302,8 +295,10 @@ def _multi_element_powers(
     constraints: Sequence[tuple[str, AlgebraElement]],
     epsilon: float,
     budget: int,
-) -> tuple[tuple[Word, ...], list[LevelCertificate], float]:
-    """One conjugator tuple certifying every constraint element below epsilon.
+) -> tuple[tuple[Word, ...], list[tuple[str, float]], float]:
+    """One conjugator tuple certifying every constraint element below epsilon,
+    with the (constraint id, upper bound) pairs and the worst bound, or ((),
+    [], best worst bound) if none does.
 
     Scans geometric families h_k = w^k with the tuple size n doubling up to
     the budget and base words in length-lex order (bases commuting with any
@@ -335,15 +330,7 @@ def _multi_element_powers(
                     break
             best_u = min(best_u, worst)
             if worst < epsilon:
-                return (
-                    hs,
-                    [
-                        LevelCertificate(level=0, constraint_id=cid,
-                                         upper_bound=u, epsilon=epsilon)
-                        for cid, u in certs
-                    ],
-                    worst,
-                )
+                return hs, certs, worst
     return (), [], best_u
 
 
@@ -351,7 +338,6 @@ def build_c_star_simple_measure(
     test_family: Sequence[AlgebraElement],
     levels: int,
     budget: int = 128,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> CStarSimpleMeasure:
     """Run the staged averaging induction at truncation level `levels`.
 
@@ -363,14 +349,15 @@ def build_c_star_simple_measure(
     law is sum_l 2^-l (uniform on the tuple), with the 2^-L tail folded into
     the top level, and the final certified bounds
     ||mu^{n_j} * a - tau0(a) 1|| are rechecked for every family member at the
-    scheduled exponents.
+    scheduled exponents.  MalformedInputError if a member's squared l1 norm
+    is not a finite float; ResourceLimitError past freegroup.SUPPORT_CAP.
     """
     if not test_family:
         raise PreconditionError("the test family must be nonempty")
     rank = test_family[0].rank
     family = []
     for a in test_family:
-        l1 = a.l1()
+        l1 = _checked_l1(a)
         family.append(a if l1 <= 1 else (1.0 / l1) * a)
     e = _word((), rank)
     schedule = decay_schedule(levels)
@@ -400,9 +387,8 @@ def build_c_star_simple_measure(
         if not hs:
             raise ConstructionError(level=l, best_bound=best)
         level_certs.extend(
-            LevelCertificate(level=l, constraint_id=c.constraint_id,
-                             upper_bound=c.upper_bound, epsilon=eps_l)
-            for c in certs
+            LevelCertificate(level=l, constraint_id=cid, upper_bound=u, epsilon=eps_l)
+            for cid, u in certs
         )
         level_measures.append(GroupMeasure.uniform_on(list(hs)))
 
@@ -419,7 +405,7 @@ def build_c_star_simple_measure(
     reached = 0
     for j, n_j in enumerate(schedule, start=1):
         for _ in range(n_j - reached):
-            power = convolve_measures(power, mu, support_cap)
+            power = convolve_measures(power, mu)
         reached = n_j
         for s, a in enumerate(family):
             b = measure_convolve_element(power, a) - AlgebraElement.delta(
@@ -437,7 +423,6 @@ def build_c_star_simple_measure(
         schedule=tuple(schedule),
         final_checks=tuple(final_checks),
         tail_bound=0.5**levels,
-        family_ids=tuple(f"a[{s}]" for s in range(len(family))),
     )
 
 
@@ -452,7 +437,6 @@ class DensityState:
 
     rep: FiniteQuotient
     matrix: np.ndarray
-    psd_adjustment: float = 0.0
 
     def __post_init__(self):
         m = self.matrix
@@ -486,20 +470,19 @@ def _real_to_herm(v: np.ndarray, m: int) -> np.ndarray:
     return (H + H.conj().T) / 2
 
 
-def stationary_hermitian_basis(
-    rep: FiniteQuotient, mu: GroupMeasure, tol: float = 1e-10
-) -> np.ndarray:
+def stationary_hermitian_basis(rep: FiniteQuotient, mu: GroupMeasure) -> np.ndarray:
     """Orthonormal Hermitian basis of the fixed space of the convolution channel.
 
     Returned as an array of shape (d, m, m).  The identity direction is
     always present (unitary conjugation fixes 1/m).  Hermitian matrices are
     handled through a real parametrization so the basis stays Hermitian.
+    Singular values below FIXED_SPACE_TOL count as zero.
     """
     m = rep.dim
     Phi = _convolution_channel(rep, mu)
     # fixed vectors of Phi: null space of Phi - I via SVD
     _, s, Vh = np.linalg.svd(Phi - np.eye(m * m))
-    null = Vh[s < tol].conj()
+    null = Vh[s < FIXED_SPACE_TOL].conj()
     fixed = [v.reshape(m, m) for v in null]
     # Hermitianize (the fixed space is *-closed) and re-orthonormalize over R
     reals = []
@@ -508,26 +491,24 @@ def stationary_hermitian_basis(
         reals.append(_herm_to_real((H - H.conj().T) / 2j))
     flat = np.array(reals).T  # (2 m^2, 2 d)
     u, sv, _ = np.linalg.svd(flat, full_matrices=False)
-    keep = [i for i in range(len(sv)) if sv[i] > tol * max(1.0, sv[0])]
+    keep = [i for i in range(len(sv)) if sv[i] > FIXED_SPACE_TOL * max(1.0, sv[0])]
     return np.array([_real_to_herm(u[:, i], m) for i in keep])
 
 
-def finite_dim_stationary_states(
-    rep: FiniteQuotient, mu: GroupMeasure, tol: float = 1e-10
-) -> list[DensityState]:
+def finite_dim_stationary_states(rep: FiniteQuotient, mu: GroupMeasure) -> list[DensityState]:
     """Density matrices spanning the stationary states of the convolution channel.
 
-    Returns the maximally mixed state followed by one perturbed state per
-    traceless fixed direction, so the affine span of the returned densities is
-    the whole fixed-state set.  Each state satisfies the stationarity residual
-    bound; PSD flooring, if it fires, is recorded in psd_adjustment.
+    Returns I/m followed by I/m + T/(2m max|eig T|) per traceless fixed
+    direction T, so the affine span of the returned densities is the whole
+    fixed-state set and every eigenvalue lies in [1/(2m), 3/(2m)].  A state
+    whose stationarity residual passes 1e-9 is left out.
     """
     if rep.dim > 64:
         raise PreconditionError(f"dimension {rep.dim} exceeds the supported 64")
     if mu.rank != rep.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {rep.rank}")
     m = rep.dim
-    basis = stationary_hermitian_basis(rep, mu, tol)
+    basis = stationary_hermitian_basis(rep, mu)
     Phi = _convolution_channel(rep, mu)
 
     def is_stationary(rho: np.ndarray) -> float:
@@ -542,23 +523,16 @@ def finite_dim_stationary_states(
     directions = [
         _real_to_herm(u[:, i], m)
         for i in range(len(sv))
-        if sv[i] > tol * max(1.0, float(sv[0]))
+        if sv[i] > FIXED_SPACE_TOL * max(1.0, float(sv[0]))
     ]
 
     states = [DensityState(rep=rep, matrix=np.eye(m, dtype=complex) / m)]
     for T in directions:
         spread = np.max(np.abs(np.linalg.eigvalsh(T)))
         rho = np.eye(m, dtype=complex) / m + T / (2 * m * spread)
-        adjustment = 0.0
-        evals, evecs = np.linalg.eigh(rho)
-        if np.min(evals) < 0:
-            floored = np.maximum(evals, 0.0)
-            adjustment = float(np.sum(floored - evals))
-            rho = (evecs * floored) @ evecs.conj().T
-            rho = rho / np.trace(rho).real
-        if is_stationary(rho) > max(tol, 1e-9):
+        if is_stationary(rho) > 1e-9:
             continue
-        states.append(DensityState(rep=rep, matrix=rho, psd_adjustment=adjustment))
+        states.append(DensityState(rep=rep, matrix=rho))
     return states
 
 

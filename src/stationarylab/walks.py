@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import freegroup
 from .algebra import AlgebraElement, _dyadic, _element
 from .errors import (
     ContextMismatchError,
@@ -45,10 +46,11 @@ class GroupMeasure:
     `masses` maps the letters of each support word to its mass, a Fraction:
     an int, a Fraction or a "p/q" string is read as that rational, a float at
     its exact binary value.  The constructor checks a Word-keyed mapping;
-    accessors speak Words.  Immutable.
+    accessors speak Words.  Immutable.  Masses that sum to 1 within
+    MASS_TOLERANCE are divided by their exact total, so every law sums to 1.
     """
 
-    __slots__ = ("masses", "rank", "_generating")
+    __slots__ = ("masses", "rank")
 
     def __init__(self, masses: Mapping[Word, object], rank: int):
         table = {}
@@ -102,8 +104,6 @@ class GroupMeasure:
         closure contains every single-letter word.  For finitely supported
         measures the obstruction shows up within this radius.
         """
-        if self._generating is not None:
-            return self._generating
         supp = [w for w, _ in length_lex(self.masses) if w]
         radius = 2 * self.max_support_length() + 2
         closure = set(supp)
@@ -122,9 +122,7 @@ class GroupMeasure:
                             )
             frontier = new
         targets = FreeGroupContext(self.rank).generators()
-        result = all(t.letters in closure for t in targets)
-        object.__setattr__(self, "_generating", result)
-        return result
+        return all(t.letters in closure for t in targets)
 
     def __eq__(self, other) -> bool:
         return (
@@ -141,11 +139,13 @@ class GroupMeasure:
 def _fill(mu: GroupMeasure, table: dict[tuple[int, ...], Fraction], rank: int) -> None:
     table = {w: p for w, p in table.items() if p > 0}
     # an exact sum, compared exactly: a Fraction beyond the float range is never converted
-    if abs(sum(table.values()) - 1) > MASS_TOLERANCE:
+    total = sum(table.values())
+    if abs(total - 1) > MASS_TOLERANCE:
         raise MalformedInputError(f"masses do not sum to 1 within {MASS_TOLERANCE}")
+    if total != 1:
+        table = {w: p / total for w, p in table.items()}
     object.__setattr__(mu, "masses", table)
     object.__setattr__(mu, "rank", rank)
-    object.__setattr__(mu, "_generating", None)
 
 
 def _measure(table: dict[tuple[int, ...], Fraction], rank: int) -> GroupMeasure:
@@ -161,20 +161,19 @@ def uniform_generator_measure(rank: int) -> GroupMeasure:
     return GroupMeasure({s: p for s in FreeGroupContext(rank).generators()}, rank)
 
 
-def convolve_measures(
-    mu: GroupMeasure, nu: GroupMeasure, support_cap: int = 10_000_000
-) -> GroupMeasure:
+def convolve_measures(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
     """(mu * nu)(w) = sum over u v = w of mu(u) nu(v).
 
     The laws multiply as integer numerator tables over their common
     denominators, so the masses are the exact Fraction sums with one gcd per
-    output word instead of one per pair.
+    output word instead of one per pair.  ResourceLimitError once the
+    support passes freegroup.SUPPORT_CAP.
     """
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {nu.rank}")
     d_mu, num_mu = _numerators(mu)
     d_nu, num_nu = _numerators(nu)
-    out = letter_product(num_mu, num_nu, support_cap, "measure support exceeds the cap")
+    out = letter_product(num_mu, num_nu)
     d = d_mu * d_nu
     return _measure({w: Fraction(n, d) for w, n in out.items()}, mu.rank)
 
@@ -186,29 +185,29 @@ def _numerators(mu: GroupMeasure) -> tuple[int, dict[tuple[int, ...], int]]:
     return d, {w: p.numerator * (d // p.denominator) for w, p in mu.masses.items()}
 
 
-def measure_power(mu: GroupMeasure, n: int, support_cap: int = 10_000_000) -> GroupMeasure:
+def measure_power(mu: GroupMeasure, n: int) -> GroupMeasure:
     """n-th convolution power; mu^0 is the Dirac mass at the identity."""
     if n < 0:
         raise MalformedInputError(f"power must be >= 0, got {n}")
     out = _measure({(): Fraction(1)}, mu.rank)
     for _ in range(n):
-        out = convolve_measures(out, mu, support_cap)
+        out = convolve_measures(out, mu)
     return out
 
 
-def cesaro_measure(mu: GroupMeasure, n: int, support_cap: int = 10_000_000) -> GroupMeasure:
-    """(1/n) sum_{k=0}^{n-1} mu^k."""
+def cesaro_measure(mu: GroupMeasure, n: int) -> GroupMeasure:
+    """(1/n) sum_{k=0}^{n-1} mu^k; each power and the sum under freegroup.SUPPORT_CAP."""
     if n < 1:
         raise MalformedInputError(f"n must be >= 1, got {n}")
     acc: dict[tuple[int, ...], Fraction] = {}
     power = _measure({(): Fraction(1)}, mu.rank)
     for k in range(n):
         if k > 0:
-            power = convolve_measures(power, mu, support_cap)
+            power = convolve_measures(power, mu)
         for w, p in power.masses.items():
             acc[w] = acc.get(w, 0) + p
-        if len(acc) > support_cap:
-            raise ResourceLimitError("Cesaro support exceeds the cap", support_cap)
+        if len(acc) > freegroup.SUPPORT_CAP:
+            raise ResourceLimitError("Cesaro support exceeds the cap", freegroup.SUPPORT_CAP)
     inv_n = Fraction(1, n)
     return _measure({w: p * inv_n for w, p in acc.items()}, mu.rank)
 

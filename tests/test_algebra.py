@@ -20,7 +20,8 @@ from stationarylab.algebra import (
     norm_lower_bound,
     norm_upper_bound,
 )
-from stationarylab.errors import ContextMismatchError, ResourceLimitError
+from stationarylab import freegroup
+from stationarylab.errors import ContextMismatchError, MalformedInputError, ResourceLimitError
 from stationarylab.freegroup import (
     FreeGroupContext,
     Word,
@@ -99,10 +100,11 @@ class TestConvolve:
         with pytest.raises(ContextMismatchError):
             convolve(AlgebraElement.unit(1), AlgebraElement.unit(2))
 
-    def test_support_cap(self):
+    def test_support_cap(self, monkeypatch):
         x = AlgebraElement({w: 1.0 for w in ball(F2, 2)}, 2)
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 10)
         with pytest.raises(ResourceLimitError):
-            convolve(x, x, support_cap=10)
+            convolve(x, x)
 
 
 class TestInvolution:
@@ -297,6 +299,23 @@ class TestNormBounds:
         y = adjoint_action(g, x)
         for n in (1, 2, 4):
             assert abs(norm_lower_bound(y, n) - norm_lower_bound(x, n)) < 1e-12
+
+    def test_squared_l1_overflow_is_malformed(self):
+        a, b = F2.word("a"), F2.word("b")
+        # each coefficient is finite, and so is its square; ||x||_1^2 is not
+        x = AlgebraElement({a: 8e153, b: 8e153}, 2)
+        for bound in (lambda: certify_norm(x, 2), lambda: norm_lower_bound(x, 2),
+                      lambda: norm_upper_bound(x)):
+            with pytest.raises(MalformedInputError, match="squared l1 norm"):
+                bound()
+        # a finite coefficient whose modulus overflows a float
+        big = AlgebraElement({a: complex(1.7e308, 1.7e308)}, 2)
+        assert big.l1() == math.inf
+        with pytest.raises(MalformedInputError, match="squared l1 norm"):
+            norm_upper_bound(big)
+        # just under the edge, the bracket stands
+        ok = AlgebraElement({a: 5e153, b: 5e153}, 2)
+        assert certify_norm(ok, 2).upper == 1e154
 
 
 def norm_squared_in(bracket, norm_squared):
@@ -503,9 +522,9 @@ def word_table_moment_engine(x, n_moments, support_cap):
     return moments
 
 
-def engine_moments(x, n_moments, support_cap):
+def engine_moments(x, n_moments):
     """The engine's moments {m: tau0(y^m)} as Fractions."""
-    k, moments = _trace_moments(x, n_moments, support_cap)
+    k, moments = _trace_moments(x, n_moments)
     return {m: Fraction(v, 4 ** (k * m)) for m, v in moments.items()}
 
 
@@ -546,28 +565,31 @@ def non_radial_elements(rng):
 
 
 class TestLetterTableMomentEngine:
-    def test_moments_equal_the_exact_reference(self):
+    def test_moments_equal_the_exact_reference(self, monkeypatch):
         rng = rng_from_seed(44)
         short = 0
         for x in non_radial_elements(rng):
             for n in (1, 2, 3, 5, 8):
                 for cap in (5000, 200, 60, 25):
+                    monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
                     expected = word_table_moment_engine(x, n, cap)
-                    assert engine_moments(x, n, cap) == expected
+                    assert engine_moments(x, n) == expected
                     achieved = max(m for m in expected if m <= n)
-                    assert norm_lower_bound(x, n, cap).order == achieved
+                    assert norm_lower_bound(x, n).order == achieved
                     short += achieved < n
         # the cap binds partway through on many of these
         assert short > 20
 
-    def test_lower_bound_is_rounded_down(self):
+    def test_lower_bound_is_rounded_down(self, monkeypatch):
         rng = rng_from_seed(44)
-        for x in non_radial_elements(rng):
-            for n in (1, 2, 3, 5, 8):
-                moments = word_table_moment_engine(x, n, 5000)
-                bound = norm_lower_bound(x, n, 5000)
-                assert certified_by(bound, moments, n)
-                assert math.isclose(bound, best_candidate(moments, n), rel_tol=1e-14)
+        with monkeypatch.context() as patch:
+            patch.setattr(freegroup, "SUPPORT_CAP", 5000)
+            for x in non_radial_elements(rng):
+                for n in (1, 2, 3, 5, 8):
+                    moments = word_table_moment_engine(x, n, 5000)
+                    bound = norm_lower_bound(x, n)
+                    assert certified_by(bound, moments, n)
+                    assert math.isclose(bound, best_candidate(moments, n), rel_tol=1e-14)
         # the Kesten element: tau0(y^m) = tau0(x^(2m)) counts closed walks
         kesten = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
         walks = f2_moment_oracle(130)
@@ -577,34 +599,52 @@ class TestLetterTableMomentEngine:
         old = 3.426032146718429
         assert bound in (old, math.nextafter(old, 0), math.nextafter(old, 4))
 
-    def test_achieved_order_under_a_binding_cap(self):
+    def test_achieved_order_under_a_binding_cap(self, monkeypatch):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
         # y has 7 terms, y^2 31, y^3 127 and y^4 511: a cap of 200 stops at
         # the squaring that would form y^4, after tau0(y^5) came from y^3 y^2
-        assert certify_norm(x, 8).moments_used == 8
-        capped = certify_norm(x, 8, support_cap=200)
+        full = certify_norm(x, 8)
+        assert full.moments_used == 8
+        lower_5 = norm_lower_bound(x, 5)
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 200)
+        capped = certify_norm(x, 8)
         assert capped.moments_used == 5
-        assert capped.lower == norm_lower_bound(x, 5) < certify_norm(x, 8).lower
-        assert certify_norm(x, 8, support_cap=60).moments_used == 4
-        assert certify_norm(x, 8, support_cap=10).moments_used == 2
+        assert capped.lower == lower_5 < full.lower
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 60)
+        assert certify_norm(x, 8).moments_used == 4
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 10)
+        assert certify_norm(x, 8).moments_used == 2
         # a radial y gets every order exactly, whatever the cap
         radial = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
-        assert certify_norm(radial, 64, support_cap=20).moments_used == 64
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 20)
+        assert certify_norm(radial, 64).moments_used == 64
 
-    def test_exact_zeros_do_not_count_against_the_cap(self):
+    def test_exact_zeros_do_not_count_against_the_cap(self, monkeypatch):
         # y = 3 - a^2 - a^-2: its a and a^-1 terms cancel exactly; kept, they
         # would give y y 9 terms instead of 5 and stop it at a cap of 6
         x = AlgebraElement({F2.identity: 1, F2.word("a"): 1, F2.word("A"): -1}, 2)
         expected = word_table_moment_engine(x, 8, 6)
-        assert engine_moments(x, 8, 6) == expected
-        assert norm_lower_bound(x, 8, 6).order == max(m for m in expected if m <= 8) == 4
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 6)
+        assert engine_moments(x, 8) == expected
+        assert norm_lower_bound(x, 8).order == max(m for m in expected if m <= 8) == 4
 
-    def test_bound_survives_copy_and_pickle(self):
+    def test_times_union_check(self, monkeypatch):
+        # x*x = 3 + a + A + i (b + Ab - B - Ba): its re part holds 3 words and
+        # its im part 4, each under a cap of 4, which no partial product
+        # passes; the union of 7 trips the check in _times
+        x = AlgebraElement({F2.identity: 1, F2.word("a"): 1, F2.word("b"): 1j}, 2)
+        assert norm_lower_bound(x, 1).order == 1
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 4)
+        with pytest.raises(ResourceLimitError):
+            norm_lower_bound(x, 1)
+
+    def test_bound_survives_copy_and_pickle(self, monkeypatch):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
         # MomentBound and UpperBound share their copy and pickle support;
         # sphere2 is bounded by its one layer, 3 sqrt(12), below its l1 norm 12
         sphere2 = AlgebraElement({w: 1.0 for w in ball(F2, 2) if len(w) == 2}, 2)
-        lower, upper = norm_lower_bound(x, 8, 200), norm_upper_bound(sphere2)
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 200)
+        lower, upper = norm_lower_bound(x, 8), norm_upper_bound(sphere2)
         for bound, tag, value in ((lower, "order", 5), (upper, "method", "ambient-layers")):
             for twin in (copy.copy(bound), copy.deepcopy(bound),
                          pickle.loads(pickle.dumps(bound))):

@@ -2,6 +2,7 @@ from collections import deque
 
 import pytest
 
+from stationarylab import freegroup
 from stationarylab.errors import (
     ContextMismatchError,
     MalformedInputError,
@@ -299,7 +300,7 @@ class TestWordKernel:
         expected = sorted((str(w) for w in shuffled), key=oracle_key)
         assert [str(w) for w in sorted(shuffled, key=Word.sort_key)] == expected
 
-    def test_letter_product_against_word_loop(self):
+    def test_letter_product_against_word_loop(self, monkeypatch):
         # the sum over u, then v, in Word.sort_key order, on Word objects:
         # same keys, same coefficient bits, same insertion order, same cap
         def word_loop(x, y, cap):
@@ -324,10 +325,12 @@ class TestWordKernel:
                 assert length_lex(letters_x) == [
                     (u.letters, c) for u, c in sorted(x.items(), key=lambda p: p[0].sort_key())]
                 expected = list(word_loop(x, y, 10**6).items())
-                assert list(letter_product(letters_x, letters_y, 10**6, "cap").items()) == [
+                monkeypatch.setattr(freegroup, "SUPPORT_CAP", 10**6)
+                assert list(letter_product(letters_x, letters_y).items()) == [
                     (w.letters, c) for w, c in expected]
+                monkeypatch.setattr(freegroup, "SUPPORT_CAP", len(expected) - 1)
                 with pytest.raises(ResourceLimitError):
-                    letter_product(letters_x, letters_y, len(expected) - 1, "cap")
+                    letter_product(letters_x, letters_y)
 
     def test_generator_codes_roundtrip(self):
         for i in range(1, 4):

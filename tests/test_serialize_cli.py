@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stationarylab import freegroup
 from stationarylab.algebra import AlgebraElement
 from stationarylab.cli import EXPERIMENTS, ConfigError, config_hash, main, run, verify
 from stationarylab.errors import MalformedInputError
@@ -142,6 +143,13 @@ class TestMainExitCodes:
     def test_precondition_error_is_3(self, tmp_path):
         rc = main(["powers", "--g", "1", "--eps", "0.5", "--out-dir", str(tmp_path)])
         assert rc == 3
+
+    def test_cesaro_under_the_support_cap_is_partial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 200)
+        rc = main(["cesaro", "--element", "ab", "--n-max", "6", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "cesaro_summary.json").read_text())["partial"] is True
+        assert len((tmp_path / "cesaro.csv").read_text().splitlines()) == 2 + 3
 
     def test_inconclusive_is_5(self, tmp_path):
         rc = main(["powers", "--g", "a", "--eps", "0.0001", "--budget", "2",

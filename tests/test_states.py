@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stationarylab import freegroup
 from stationarylab.algebra import AlgebraElement, canonical_trace, norm_upper_bound
 from stationarylab.boundary import uniform_boundary_measure
-from stationarylab.errors import PreconditionError
+from stationarylab.errors import MalformedInputError, PreconditionError
 from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, Word, ball, conjugate
 from stationarylab.states import (
     build_c_star_simple_measure,
@@ -61,6 +62,15 @@ class TestCesaroTest:
     def test_generating_flag_for_uniform(self):
         rep = cesaro_test(AlgebraElement.delta(F2.word("a")), MU, n_max=3)
         assert rep.generating is True
+
+    def test_support_cap_stops_the_rows(self, monkeypatch):
+        a = AlgebraElement.delta(F2.word("ab"))
+        full = cesaro_test(a, MU, n_max=6)
+        assert len(full.rows) == 6 and not full.partial
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 200)
+        capped = cesaro_test(a, MU, n_max=6)
+        assert capped.partial
+        assert capped.rows == full.rows[:3]
 
 
 class TestPowersSearch:
@@ -180,6 +190,12 @@ class TestPowersAveraging:
 
 
 class TestBuilder:
+    def test_member_with_overflowing_l1_is_malformed(self):
+        # its l1 norm is inf, and scaling by 1 / inf would make it zero
+        huge = AlgebraElement({F2.word("a"): complex(1.7e308, 1.7e308)}, 2)
+        with pytest.raises(MalformedInputError, match="squared l1 norm"):
+            build_c_star_simple_measure([huge], 1)
+
     def test_level_one_single_element(self):
         build = build_c_star_simple_measure([AlgebraElement.delta(F2.word("a"))], 1)
         assert build.schedule == (2,)
@@ -260,7 +276,7 @@ class TestFiniteDimensionalStates:
         Phi = _convolution_channel(S3_REGULAR, MU)
         m = S3_REGULAR.dim
         for st in states:
-            assert st.psd_adjustment == 0.0
+            assert np.min(np.linalg.eigvalsh(st.matrix)) >= 1 / (2 * m) - 1e-12
             out = (Phi @ st.matrix.reshape(-1)).reshape(m, m)
             assert np.max(np.abs(out - st.matrix)) < 1e-10
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from stationarylab import freegroup
 from stationarylab.algebra import AlgebraElement, canonical_trace
-from stationarylab.errors import ContextMismatchError, MalformedInputError
+from stationarylab.errors import ContextMismatchError, MalformedInputError, ResourceLimitError
 from stationarylab.freegroup import FreeGroupContext, Word, ball, conjugate
 from stationarylab.walks import (
     GroupMeasure,
@@ -48,6 +49,16 @@ class TestGroupMeasure:
         for bad in (math.nan, math.inf, -math.inf, "x", "1/0", None, [0.5], 1j):
             with pytest.raises(MalformedInputError, match="not finite"):
                 GroupMeasure({F2.word("a"): bad, F2.word("b"): 1.0}, 2)
+
+    def test_decimal_law_is_scaled_to_total_mass_one(self):
+        # the binary values of 0.1, 0.2, 0.3 and 0.4 sum to 1 + 2^-55
+        decimals = {"a": 0.1, "A": 0.2, "b": 0.3, "B": 0.4}
+        total = 1 + Fraction(1, 2**55)
+        assert sum(Fraction(p) for p in decimals.values()) == total
+        mu = GroupMeasure({F2.word(w): p for w, p in decimals.items()}, 2)
+        assert all(mu.mass(F2.word(w)) == Fraction(p) / total for w, p in decimals.items())
+        assert sum(mu.masses.values()) == 1
+        assert sum(measure_power(mu, 4).masses.values()) == 1
 
     @pytest.mark.parametrize("other", [1.0, Fraction(1)], ids=["float", "fraction"])
     def test_mass_beyond_the_float_range_rejected(self, other):
@@ -170,6 +181,13 @@ class TestCesaro:
     def test_n4_identity_mass(self):
         # (1 + 0 + 1/4 + 0)/4 by the parity argument
         assert cesaro_measure(MU, 4).mass(F2.identity) == Fraction(5, 16)
+
+    def test_support_cap_on_the_sum(self, monkeypatch):
+        # mu^2 holds 13 words, under a cap of 16; the sum 1 + mu + mu^2 holds 17
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 16)
+        assert len(measure_power(MU, 2).masses) == 13
+        with pytest.raises(ResourceLimitError, match="Cesaro support"):
+            cesaro_measure(MU, 3)
 
     def test_commutes_with_element_convolution(self):
         a = AlgebraElement.delta(F2.word("a")) + AlgebraElement.delta(F2.word("bb"), 2j)
