@@ -24,6 +24,7 @@ from .errors import ContextMismatchError, MalformedInputError, ResourceLimitErro
 from .freegroup import (
     Word,
     _product_letters,
+    _sphere_size,
     _word,
     free_basis_decomposition,
     inverse_letters,
@@ -64,7 +65,7 @@ class AlgebraElement:
 
     @staticmethod
     def unit(rank: int) -> "AlgebraElement":
-        return _element({(): 1 + 0j}, rank)
+        return _element({b"": 1 + 0j}, rank)
 
     def terms(self) -> list[tuple[Word, complex]]:
         """(word, coefficient) pairs in length-lex word order."""
@@ -124,13 +125,22 @@ class AlgebraElement:
         return f"AlgebraElement({{{terms}{more}}}, rank={self.rank})"
 
 
-def _fill(x: AlgebraElement, table: dict[tuple[int, ...], complex], rank: int) -> None:
-    object.__setattr__(x, "coeffs", {w: c for w, c in table.items() if c != 0})
+def _drop_zeros(table: dict) -> dict:
+    """The table with its exact zeros deleted in place."""
+    for w in [w for w, c in table.items() if c == 0]:
+        del table[w]
+    return table
+
+
+def _fill(x: AlgebraElement, table: dict[bytes, complex], rank: int) -> None:
+    object.__setattr__(x, "coeffs", _drop_zeros(table))
     object.__setattr__(x, "rank", rank)
 
 
-def _element(table: dict[tuple[int, ...], complex], rank: int) -> AlgebraElement:
-    """The element of a letter table of complex coefficients, unchecked."""
+def _element(table: dict[bytes, complex], rank: int) -> AlgebraElement:
+    """The element of a letter table of complex coefficients, unchecked.
+    The element takes the table itself, less its zeros: the caller hands it
+    over and changes it no more."""
     x = object.__new__(AlgebraElement)
     _fill(x, table, rank)
     return x
@@ -159,7 +169,7 @@ def involution(x: AlgebraElement) -> AlgebraElement:
 
 def canonical_trace(x: AlgebraElement) -> complex:
     """Coefficient at the identity."""
-    return x.coeffs.get((), 0j)
+    return x.coeffs.get(b"", 0j)
 
 
 def adjoint_action(g: Word, x: AlgebraElement) -> AlgebraElement:
@@ -206,10 +216,10 @@ def _times(a: tuple[dict, dict], b: tuple[dict, dict], product):
     cap = freegroup.SUPPORT_CAP
     if im and len(re) + sum(w not in re for w in im) > cap:
         raise ResourceLimitError("convolution support exceeds the cap", cap)
-    return {w: c for w, c in re.items() if c}, {w: c for w, c in im.items() if c}
+    return _drop_zeros(re), _drop_zeros(im)
 
 
-def _radial_profile(y: dict[tuple[int, ...], int], rank: int) -> list[int] | None:
+def _radial_profile(y: dict[bytes, int], rank: int) -> list[int] | None:
     """Per-length coefficient if the nonempty letter table y is constant on
     full spheres, else None."""
     prof: dict[int, int] = {}
@@ -218,8 +228,7 @@ def _radial_profile(y: dict[tuple[int, ...], int], rank: int) -> list[int] | Non
         if prof.setdefault(len(w), c) != c:
             return None
         sizes[len(w)] = sizes.get(len(w), 0) + 1
-    q = 2 * rank - 1
-    if any(size != (1 if n == 0 else (q + 1) * q ** (n - 1)) for n, size in sizes.items()):
+    if any(size != _sphere_size(rank, n) for n, size in sizes.items()):
         return None
     return [prof.get(n, 0) for n in range(max(prof) + 1)]
 
@@ -280,7 +289,8 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     rank = x.rank
 
     def convolved(u, v):
-        # the table of a new element that nothing else holds: _times may add to it
+        # u and v hold no zeros, so their elements leave them as they are; the
+        # product's table is new and nothing else holds it: _times may add to it
         return convolve(_element(u, rank), _element(v, rank)).coeffs
 
     adjoint = ({inverse_letters(w): c for w, c in x_re.items()},
@@ -291,7 +301,7 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     if profile is not None:
         return k, dict(enumerate(_radial_moments(profile, rank, n_moments + 1), 1))
 
-    moments = {1: y[0].get((), 0)}
+    moments = {1: y[0].get(b"", 0)}
     z = y
     m_z = 1
     while True:
@@ -315,7 +325,7 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
             except ResourceLimitError:
                 break
         m_z *= 2
-        moments[m_z] = z[0].get((), 0)
+        moments[m_z] = z[0].get(b"", 0)
     return k, moments
 
 
@@ -431,13 +441,13 @@ def _splits(m: int) -> Iterator[int]:
             yield mid + d
 
 
-def _disjoint_cylinders(words: list[tuple[int, ...]]) -> bool:
+def _disjoint_cylinders(words: list[bytes]) -> bool:
     """Whether the words t_k have pairwise disjoint prefix sets F_k with
     t_k (complement of F_k) inside F_k; if so, the averaging estimate gives
     ||sum c_k lambda_{t_k}|| <= 2 ||c||_2 for every c.
 
-    For a reduced word t with letters t_1..t_m (the words come as letter
-    tuples) and any split 1 <= j <= m, the set F = [head_j] u [(t_j..t_m)^-1]
+    For a reduced word t with letters t_1..t_m (the words come as their
+    letters) and any split 1 <= j <= m, the set F = [head_j] u [(t_j..t_m)^-1]
     works; the check below greedily picks a split per word so the F's are
     pairwise disjoint, and returns False if it cannot.
     """
@@ -445,7 +455,7 @@ def _disjoint_cylinders(words: list[tuple[int, ...]]) -> bool:
     # marking the end of a chosen prefix
     trie: dict = {}
 
-    def clashes(p: tuple[int, ...]) -> bool:
+    def clashes(p: bytes) -> bool:
         # p is comparable with a chosen q iff q is a prefix of p or p of q
         node = trie
         for c in p:
@@ -456,7 +466,7 @@ def _disjoint_cylinders(words: list[tuple[int, ...]]) -> bool:
                 return False
         return True
 
-    def choose(p: tuple[int, ...]) -> None:
+    def choose(p: bytes) -> None:
         node = trie
         for c in p:
             node = node.setdefault(c, {})
@@ -499,7 +509,7 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     if not x.coeffs:
         return UpperBound(0.0, "zero")
     candidates = [(_checked_l1(x), "l1")]
-    c_e = abs(x.coeffs.get((), 0))
+    c_e = abs(x.coeffs.get(b"", 0))
     rest = [(w, c) for w, c in length_lex(x.coeffs) if w]
     candidates.append(
         (_layer_bound((len(w), c) for w, c in x.coeffs.items()), "ambient-layers")

@@ -35,8 +35,8 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, _product_letters, _word, axis_prefix
-from .freegroup import ball_letters, inverse_letters, length_lex
+from .freegroup import FreeGroupContext, Word, _product_letters, _sphere_size, _word
+from .freegroup import axis_prefix, ball_letters, inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample
 
 CONSISTENCY_TOL = 1e-9
@@ -109,7 +109,7 @@ class CylinderMeasure:
             raise ContextMismatchError(f"word rank {w.rank} vs measure rank {self.rank}")
         return self._mass(w.letters)
 
-    def _mass(self, w: tuple[int, ...]):
+    def _mass(self, w: bytes):
         n = len(w)
         if n == 0:
             return 1
@@ -156,15 +156,15 @@ def uniform_boundary_measure(context: FreeGroupContext, depth: int) -> CylinderM
     if depth < 1:
         raise MalformedInputError(f"depth must be >= 1, got {depth}")
     k = context.rank
-    table = {
-        w: Fraction(1, 2 * k * (2 * k - 1) ** (len(w) - 1)) for w in ball_letters(k, depth) if w
-    }
+    # one mass a level n: 1 over the number of words of length n
+    level_mass = [Fraction(1, _sphere_size(k, n)) for n in range(depth + 1)]
+    table = {w: level_mass[len(w)] for w in ball_letters(k, depth) if w}
     nu = _cylinders(table, k, depth, tail=1)
     nu._validate()
     return nu
 
 
-def _mass_recipe(g: tuple[int, ...], w: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
+def _mass_recipe(g: bytes, w: bytes) -> tuple[bool, bytes]:
     """Symbolic form of (g nu)[w]: (complement?, key) meaning nu[key] or 1 - nu[key]."""
     if not g or not w:
         return False, w
@@ -184,7 +184,7 @@ def _mass_recipe(g: tuple[int, ...], w: tuple[int, ...]) -> tuple[bool, tuple[in
     return False, inverse_letters(g[c:]) + w[c:]
 
 
-def _translated_mass(g: tuple[int, ...], w: tuple[int, ...], nu: CylinderMeasure):
+def _translated_mass(g: bytes, w: bytes, nu: CylinderMeasure):
     """(g nu)[w] = nu(g^-1 [w]) by the exact preimage decomposition."""
     comp, key = _mass_recipe(g, w)
     return 1 - nu._mass(key) if comp else nu._mass(key)
@@ -438,10 +438,10 @@ def boundary_map(omega: PathSample) -> BoundaryPoint:
     T = len(omega.increments)
     if T == 0:
         raise UnresolvedBoundaryError(
-            "empty path has no boundary point", partial_prefix=_word((), omega.rank)
+            "empty path has no boundary point", partial_prefix=_word(b"", omega.rank)
         )
     start = T - T // 3  # the final third is positions start..T
-    w: tuple[int, ...] = ()
+    w = b""
     for g in omega.increments[:start]:
         w = _product_letters(w, g.letters)
     lcp = len(w)

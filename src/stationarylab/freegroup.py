@@ -12,10 +12,15 @@ String form (used by every CLI flag, JSON config, and CSV cell): generators are
 'a'..'z' by index, inverses the corresponding uppercase letters, and the
 identity is the one-character string "1"; e.g. "abAB" = a b a^-1 b^-1.
 
-Algebra elements, group laws and cylinder measures are tables keyed by letter
-tuples (the `letters` of reduced words), multiplied by letter_product and
-enumerated by ball_letters.  Word is the parse and print form, taken by
-public constructors and returned by accessors.
+A word's `letters` are the `bytes` of its codes, one byte a letter, so ranks
+go up to MAX_RANK = 128.  Algebra elements, group laws and cylinder measures
+are tables keyed by these bytes, multiplied by letter_product and enumerated
+by ball_letters.  A bytes key caches its hash and is compared, sliced and
+joined in C; indexing it gives the int codes.  Bytes compare code by code, so
+a plain sort then a stable sort by length gives the length-lex order.  Their
+hashes change with PYTHONHASHSEED, so no output may read the order of a set
+of them.  Word is the parse and print form, taken by public constructors and
+returned by accessors.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ _CHARS = "".join(ch + ch.upper() for ch in string.ascii_lowercase)
 _CODE_OF_CHAR = {ch: code for code, ch in enumerate(_CHARS)}
 # the highest rank the string form can spell: one lowercase letter a generator
 MAX_STRING_RANK = len(string.ascii_lowercase)
+# the highest rank whose letter codes, 0 .. 2 * rank - 1, each fit in one byte
+MAX_RANK = 128
 # ball_letters enumerates no ball whose words times (radius + 1), a bound on its
 # letters plus one a word, pass this cap: over 7 times the largest ball that the
 # tests and benchmark jobs read (rank 2, radius 10: 118,097 words).  A rank 1 ball
@@ -50,12 +57,16 @@ MAX_BALL_LETTERS = 10_000_000
 SUPPORT_CAP = 5_000_000
 
 
-def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
+# byte c -> c ^ 1, the code of the inverse letter
+_INVERSE = bytes(c ^ 1 for c in range(256))
+
+
+def inverse_letters(letters: bytes) -> bytes:
     """Letters of the inverse word: the reversed sequence of inverse letters."""
-    return tuple([c ^ 1 for c in reversed(letters)])
+    return letters.translate(_INVERSE)[::-1]
 
 
-def _product_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _product_letters(a: bytes, b: bytes) -> bytes:
     """Letters of the product of two reduced words: cancel at the junction."""
     i, j, n = len(a), 0, len(b)
     while i and j < n and a[i - 1] == b[j] ^ 1:
@@ -64,17 +75,23 @@ def _product_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return a[:i] + b[j:]
 
 
-def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a letter sequence (cancel adjacent g g^-1 pairs)."""
+def reduce_letters(letters: Iterable[int]) -> bytes:
+    """Freely reduce a letter sequence (cancel adjacent g g^-1 pairs).
+    MalformedInputError for a code outside 0 .. 255."""
     stack: list[int] = []
     for c in letters:
-        if c < 0:
+        if not 0 <= c < 2 * MAX_RANK:
             raise MalformedInputError(f"letter code {c} is not a generator")
         if stack and stack[-1] == c ^ 1:
             stack.pop()
         else:
             stack.append(c)
-    return tuple(stack)
+    return bytes(stack)
+
+
+def _check_rank(rank: int) -> None:
+    if not 1 <= rank <= MAX_RANK:
+        raise MalformedInputError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
 class Word:
@@ -83,6 +100,7 @@ class Word:
     __slots__ = ("letters", "rank", "_hash")
 
     def __init__(self, letters: Iterable[int], rank: int):
+        _check_rank(rank)
         lt = reduce_letters(letters)
         if lt and max(lt) >= 2 * rank:
             raise MalformedInputError(f"letter {max(lt)} out of range for rank {rank}")
@@ -127,7 +145,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = _word((), self.rank)
+        out = _word(b"", self.rank)
         for _ in range(n):
             out = out * self
         return out
@@ -152,7 +170,7 @@ _set_rank = Word.rank.__set__
 _set_hash = Word._hash.__set__
 
 
-def _word(letters: tuple[int, ...], rank: int) -> Word:
+def _word(letters: bytes, rank: int) -> Word:
     """The Word of reduced letters with codes below 2 * rank, unchecked."""
     w = object.__new__(Word)
     _set_letters(w, letters)
@@ -168,19 +186,18 @@ class FreeGroupContext:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise MalformedInputError(f"rank must be >= 1, got {self.rank}")
+        _check_rank(self.rank)
 
     @property
     def identity(self) -> Word:
-        return _word((), self.rank)
+        return _word(b"", self.rank)
 
     def generator(self, index: int, sign: int = 1) -> Word:
         if not 1 <= index <= self.rank:
             raise MalformedInputError(f"generator index {index} out of rank {self.rank}")
         if sign not in (1, -1):
             raise MalformedInputError(f"sign must be +-1, got {sign}")
-        return _word((2 * (index - 1) + (sign < 0),), self.rank)
+        return _word(bytes((2 * (index - 1) + (sign < 0),)), self.rank)
 
     def generators(self) -> list[Word]:
         """All 2*rank single-letter words in the fixed order a, a^-1, b, b^-1, ..."""
@@ -206,10 +223,16 @@ def _ball_size(rank: int, radius: int) -> int:
     return (rank * (2 * rank - 1) ** radius - 1) // (rank - 1)
 
 
+def _sphere_size(rank: int, radius: int) -> int:
+    """The number of reduced words of length exactly radius in F_rank."""
+    return _ball_size(rank, radius) - (_ball_size(rank, radius - 1) if radius else 0)
+
+
 def word_from_str(s: str, rank: int) -> Word:
     """Parse the serialization format: 'abA' etc., '1' for the identity."""
     if s == "1":
-        return _word((), rank)
+        _check_rank(rank)
+        return _word(b"", rank)
     try:
         codes = [_CODE_OF_CHAR[ch] for ch in s]
     except KeyError as exc:
@@ -217,32 +240,33 @@ def word_from_str(s: str, rank: int) -> Word:
     return Word(codes, rank)
 
 
-def length_lex(table: Mapping[tuple[int, ...], T]) -> list[tuple[tuple[int, ...], T]]:
-    """Items of a table keyed by letter tuples, in length-lex word order."""
+def length_lex(table: Mapping[bytes, T]) -> list[tuple[bytes, T]]:
+    """Items of a table keyed by letters, in length-lex word order."""
     keys = sorted(table)
     keys.sort(key=len)
     return [(w, table[w]) for w in keys]
 
 
-def letter_product(
-    x: Mapping[tuple[int, ...], T], y: Mapping[tuple[int, ...], T]
-) -> dict[tuple[int, ...], T]:
+def letter_product(x: Mapping[bytes, T], y: Mapping[bytes, T]) -> dict[bytes, T]:
     """out(w) = sum over u v = w of x(u) y(v), for finitely supported tables
     keyed by the letters of reduced words.
 
     Both tables are sorted once into length-lex word order and the sum runs
     over u, then v, in that order, so results are bit-stable run to run.
-    Raises ResourceLimitError once the support passes SUPPORT_CAP.
+    Raises ResourceLimitError if the support passes SUPPORT_CAP; the support
+    only grows, so it is checked once per u, after at most |y| more words.
     """
     ys = length_lex(y)
-    out: dict[tuple[int, ...], T] = {}
+    out: dict[bytes, T] = {}
     get = out.get
     for a, cu in length_lex(x):
+        # the first letter of a v that cancels against u; -1 matches no letter
+        cancels = a[-1] ^ 1 if a else -1
         for b, cv in ys:
-            w = _product_letters(a, b)
+            w = _product_letters(a, b) if b and b[0] == cancels else a + b
             out[w] = get(w, 0) + cu * cv
-            if len(out) > SUPPORT_CAP:
-                raise ResourceLimitError("convolution support exceeds the cap", SUPPORT_CAP)
+        if len(out) > SUPPORT_CAP:
+            raise ResourceLimitError("convolution support exceeds the cap", SUPPORT_CAP)
     return out
 
 
@@ -254,7 +278,7 @@ def conjugate(g: Word, h: Word) -> Word:
     return _word(_product_letters(_product_letters(inverse_letters(hl), g.letters), hl), g.rank)
 
 
-def ball_letters(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
+def ball_letters(rank: int, radius: int) -> Iterator[bytes]:
     """Letters of every reduced word of length <= radius, once each, in length-lex order.
 
     ResourceLimitError, before the first word, if its words times (radius + 1)
@@ -267,11 +291,11 @@ def ball_letters(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
     if size * (radius + 1) > MAX_BALL_LETTERS:
         raise ResourceLimitError(f"the ball of radius {radius} in rank {rank} is too large",
                                  MAX_BALL_LETTERS)
-    yield ()
-    codes = range(2 * rank)
-    layer = [()]
+    yield b""
+    letters = [(c ^ 1, bytes((c,))) for c in range(2 * rank)]
+    layer = [b""]
     for _ in range(radius):
-        layer = [tail + (c,) for tail in layer for c in codes if not tail or tail[-1] != c ^ 1]
+        layer = [tail + s for tail in layer for inv, s in letters if not tail or tail[-1] != inv]
         yield from layer
 
 
@@ -281,7 +305,7 @@ def ball(context: FreeGroupContext, radius: int) -> Iterator[Word]:
     return (_word(lt, rank) for lt in ball_letters(rank, radius))
 
 
-def _cyclic_split(letters: tuple[int, ...]) -> int:
+def _cyclic_split(letters: bytes) -> int:
     """The length of w in the reduced word w c w^-1 with c cyclically reduced."""
     i, j = 0, len(letters)
     while j - i >= 2 and letters[i] == letters[j - 1] ^ 1:
@@ -309,11 +333,11 @@ def axis_prefix(g: Word, depth: int) -> Word:
         raise MalformedInputError(f"depth must be >= 0, got {depth}")
     lt = g.letters
     i = _cyclic_split(lt)
-    out = list(lt[: min(i, depth)])
+    out = lt[: min(i, depth)]
     c = lt[i : len(lt) - i]
     while len(out) < depth:
-        out.extend(c[: depth - len(out)])
-    return _word(tuple(out), g.rank)
+        out += c[: depth - len(out)]
+    return _word(out, g.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +531,14 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
     # vertices in BFS order, so it depends on the folded graph only
     root = find(0)
     tree = {root: None}  # vertex -> (parent vertex, label read)
-    path = {root: ()}  # vertex -> letters of its tree path from the root
+    path = {root: b""}  # vertex -> letters of its tree path from the root
     order = [root]
     for u in order:
         adj[u] = {lab: find(t) for lab, t in sorted(adj[u].items())}
         for lab, v in adj[u].items():
             if v not in tree:
                 tree[v] = (u, lab)
-                path[v] = path[u] + (lab,)
+                path[v] = path[u] + bytes((lab,))
                 order.append(v)
 
     # non-tree edges, one orientation each, in BFS-then-letter order;
@@ -528,7 +552,7 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
                 continue
             # reduced as written: the graph is folded and the edge is not a
             # tree edge, so neither junction cancels
-            basis_words.append(_word(path[u] + (lab,) + inverse_letters(path[v]), rank))
+            basis_words.append(_word(path[u] + bytes((lab,)) + inverse_letters(path[v]), rank))
             step[u][lab] = len(basis_words)
             step[v][lab ^ 1] = -len(basis_words)
 

@@ -96,7 +96,7 @@ def cesaro_test(
         generating = mu.is_generating()
     except ResourceLimitError:
         generating = None
-    e = _word((), a.rank)
+    e = _word(b"", a.rank)
     trace_term = AlgebraElement.delta(e, canonical_trace(a))
     rows: list[CesaroRow] = []
     partial = False
@@ -151,7 +151,7 @@ def _averaged_element(x: AlgebraElement, conjugators: Sequence[Word]) -> Algebra
     n = len(conjugators)
     terms = [(w, c / n) for w, c in x.coeffs.items()]
     terms = [(w, c) for w, c in terms if c != 0]
-    out: dict[tuple[int, ...], complex] = {}
+    out: dict[bytes, complex] = {}
     for h in conjugators:
         hl, hinv = h.letters, inverse_letters(h.letters)
         for w, c in terms:
@@ -164,7 +164,7 @@ def _averaged_element(x: AlgebraElement, conjugators: Sequence[Word]) -> Algebra
     return _element(out, x.rank)
 
 
-def _commutes(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+def _commutes(u: bytes, v: bytes) -> bool:
     """Whether the words with these letters commute."""
     return _product_letters(u, v) == _product_letters(v, u)
 
@@ -306,7 +306,7 @@ def _multi_element_powers(
     supports of later convolution powers thin.
     """
     rank = constraints[0][1].rank
-    e = _word((), rank)
+    e = _word(b"", rank)
     supports = {w for _, x in constraints for w in x.coeffs if w}
     bases = [
         w
@@ -359,7 +359,7 @@ def build_c_star_simple_measure(
     for a in test_family:
         l1 = _checked_l1(a)
         family.append(a if l1 <= 1 else (1.0 / l1) * a)
-    e = _word((), rank)
+    e = _word(b"", rank)
     schedule = decay_schedule(levels)
     level_measures: list[GroupMeasure] = []
     level_certs: list[LevelCertificate] = []
@@ -394,7 +394,7 @@ def build_c_star_simple_measure(
 
     weights = [Fraction(1, 2**l) for l in range(1, levels + 1)]
     weights[-1] = weights[-1] + Fraction(1, 2**levels)  # fold the tail
-    mixture: dict[tuple[int, ...], Fraction] = {}
+    mixture: dict[bytes, Fraction] = {}
     for wgt, m in zip(weights, level_measures):
         for w, p in m.masses.items():
             mixture[w] = mixture.get(w, Fraction(0)) + wgt * p

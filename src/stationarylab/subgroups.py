@@ -189,7 +189,7 @@ def psd_check(phi: PositiveDefiniteFn, tuples: Sequence[Sequence[Word]]) -> PsdR
     """Form the Gram matrix [phi(g_i g_j^-1)] for each tuple and bound its
     spectrum below; raises coverage-error listing any product outside the ball."""
     values = {w.letters: v for w, v in phi.values.items()}
-    missing: dict[tuple[int, ...], None] = {}
+    missing: dict[bytes, None] = {}
     eigs = []
     for tup in tuples:
         if any(g.rank != phi.rank for g in tup):

@@ -136,7 +136,7 @@ class GroupMeasure:
         return f"GroupMeasure({{{atoms}{'...' if len(self.masses) > 6 else ''}}})"
 
 
-def _fill(mu: GroupMeasure, table: dict[tuple[int, ...], Fraction], rank: int) -> None:
+def _fill(mu: GroupMeasure, table: dict[bytes, Fraction], rank: int) -> None:
     table = {w: p for w, p in table.items() if p > 0}
     # an exact sum, compared exactly: a Fraction beyond the float range is never converted
     total = sum(table.values())
@@ -148,7 +148,7 @@ def _fill(mu: GroupMeasure, table: dict[tuple[int, ...], Fraction], rank: int) -
     object.__setattr__(mu, "rank", rank)
 
 
-def _measure(table: dict[tuple[int, ...], Fraction], rank: int) -> GroupMeasure:
+def _measure(table: dict[bytes, Fraction], rank: int) -> GroupMeasure:
     """The law of a letter table of masses >= 0, checked only for summing to 1."""
     mu = object.__new__(GroupMeasure)
     _fill(mu, table, rank)
@@ -178,7 +178,7 @@ def convolve_measures(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
     return _measure({w: Fraction(n, d) for w, n in out.items()}, mu.rank)
 
 
-def _numerators(mu: GroupMeasure) -> tuple[int, dict[tuple[int, ...], int]]:
+def _numerators(mu: GroupMeasure) -> tuple[int, dict[bytes, int]]:
     """The common denominator D of a law's masses and the integer
     numerators p * D, in the law's order."""
     d = lcm(*[p.denominator for p in mu.masses.values()])
@@ -189,7 +189,7 @@ def measure_power(mu: GroupMeasure, n: int) -> GroupMeasure:
     """n-th convolution power; mu^0 is the Dirac mass at the identity."""
     if n < 0:
         raise MalformedInputError(f"power must be >= 0, got {n}")
-    out = _measure({(): Fraction(1)}, mu.rank)
+    out = _measure({b"": Fraction(1)}, mu.rank)
     for _ in range(n):
         out = convolve_measures(out, mu)
     return out
@@ -199,8 +199,8 @@ def cesaro_measure(mu: GroupMeasure, n: int) -> GroupMeasure:
     """(1/n) sum_{k=0}^{n-1} mu^k; each power and the sum under freegroup.SUPPORT_CAP."""
     if n < 1:
         raise MalformedInputError(f"n must be >= 1, got {n}")
-    acc: dict[tuple[int, ...], Fraction] = {}
-    power = _measure({(): Fraction(1)}, mu.rank)
+    acc: dict[bytes, Fraction] = {}
+    power = _measure({b"": Fraction(1)}, mu.rank)
     for k in range(n):
         if k > 0:
             power = convolve_measures(power, mu)
@@ -223,7 +223,7 @@ class PathSample:
 
     @cached_property
     def positions(self) -> tuple[Word, ...]:
-        w: tuple[int, ...] = ()
+        w = b""
         out = [_word(w, self.rank)]
         for g in self.increments:
             w = _product_letters(w, g.letters)
@@ -267,8 +267,8 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     d, num = _numerators(mu)
     k, a_re, a_im = _dyadic(a)
     parts = [(w, a_re.get(w, 0), a_im.get(w, 0)) for w in a.coeffs]
-    acc_re: dict[tuple[int, ...], int] = {}
-    acc_im: dict[tuple[int, ...], int] = {}
+    acc_re: dict[bytes, int] = {}
+    acc_im: dict[bytes, int] = {}
     for g, n_g in length_lex(num):
         ginv = inverse_letters(g)
         for w, re, im in parts:

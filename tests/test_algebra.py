@@ -366,7 +366,7 @@ def test_the_freeness_check_sees_a_relation():
 
 def upper_bound_oracle(x):
     """Minimum of all four upper-bound candidates, with the fold always run."""
-    c_e = abs(x.coeffs.get((), 0))
+    c_e = abs(x.coeffs.get(b"", 0))
     rest = sorted(
         ((Word(w, x.rank), c) for w, c in x.coeffs.items() if w),
         key=lambda p: p[0].sort_key(),

@@ -1,6 +1,9 @@
 from collections import deque
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stationarylab import freegroup
 from stationarylab.errors import (
@@ -13,6 +16,8 @@ from stationarylab.freegroup import (
     FiniteQuotient,
     FreeGroupContext,
     Word,
+    _product_letters,
+    _sphere_size,
     axis_prefix,
     ball,
     ball_letters,
@@ -54,7 +59,7 @@ def reduce_oracle(letters):
     while True:
         nxt = one_pass_cancel(cur)
         if nxt == cur:
-            return tuple(cur)
+            return cur
         cur = nxt
 
 
@@ -74,7 +79,7 @@ class TestReduce:
         rng = rng_from_seed(11)
         for _ in range(500):
             raw = [int(i) for i in rng.integers(0, 4, size=20)]
-            assert Word(raw, 2).letters == reduce_oracle(raw)
+            assert list(Word(raw, 2).letters) == reduce_oracle(raw)
 
     def test_idempotent(self):
         rng = rng_from_seed(12)
@@ -182,7 +187,7 @@ class TestBall:
     def test_cap_before_the_first_word(self, rank, radius, fits):
         words = ball_letters(rank, radius)
         if fits:
-            assert next(words) == ()
+            assert next(words) == b""
         else:
             with pytest.raises(ResourceLimitError):
                 next(words)
@@ -335,7 +340,101 @@ class TestWordKernel:
     def test_generator_codes_roundtrip(self):
         for i in range(1, 4):
             for s in (1, -1):
-                assert F3.generator(i, s).letters == (2 * (i - 1) + (s < 0),)
+                assert F3.generator(i, s).letters == bytes((2 * (i - 1) + (s < 0),))
+
+
+# Oracles on lists of ints that share no code with freegroup: a word is the
+# list of its codes, and inverse_pair and reduce_oracle above do the algebra.
+
+
+def inverse_oracle(letters):
+    return [c + 1 if c % 2 == 0 else c - 1 for c in reversed(letters)]
+
+
+def length_lex_oracle(words):
+    return sorted(words, key=lambda w: (len(w), list(w)))
+
+
+@st.composite
+def reduced_words(draw, rank=None, max_size=12):
+    """(rank, letters as a list) of a reduced word."""
+    rank = draw(st.integers(1, 128)) if rank is None else rank
+    return rank, reduce_oracle(draw(st.lists(st.integers(0, 2 * rank - 1), max_size=max_size)))
+
+
+class TestByteKernelsAgainstListOracles:
+    @given(st.integers(1, 128).flatmap(
+        lambda k: st.lists(st.integers(0, 2 * k - 1), max_size=30).map(lambda lt: (k, lt))))
+    def test_reduce(self, case):
+        rank, raw = case
+        assert list(reduce_letters(raw)) == reduce_oracle(raw)
+        assert list(Word(raw, rank).letters) == reduce_oracle(raw)
+
+    @given(st.integers(1, 128).flatmap(lambda k: st.tuples(reduced_words(k), reduced_words(k))))
+    def test_product(self, pair):
+        (_, a), (_, b) = pair
+        got = _product_letters(bytes(a), bytes(b))
+        assert type(got) is bytes and list(got) == reduce_oracle(a + b)
+
+    @given(reduced_words())
+    def test_inverse(self, word):
+        _, a = word
+        got = inverse_letters(bytes(a))
+        assert type(got) is bytes and list(got) == inverse_oracle(a)
+        assert reduce_oracle(a + list(got)) == []
+
+    @given(st.lists(reduced_words(rank=3, max_size=5).map(lambda p: bytes(p[1])), unique=True))
+    def test_length_lex(self, words):
+        table = {w: i for i, w in enumerate(words)}
+        assert [w for w, _ in length_lex(table)] == length_lex_oracle(words)
+        assert all(table[w] == i for w, i in length_lex(table))
+
+    @pytest.mark.parametrize("rank,radius", [(1, 5), (2, 4), (3, 3)])
+    def test_ball(self, rank, radius):
+        everything = [list(t) for n in range(radius + 1)
+                      for t in product(range(2 * rank), repeat=n)]
+        expected = length_lex_oracle([w for w in everything if reduce_oracle(w) == w])
+        got = list(ball_letters(rank, radius))
+        assert all(type(w) is bytes for w in got)
+        assert [list(w) for w in got] == expected
+
+
+class TestRankBound:
+    """A letter code is one byte, so ranks stop at 128."""
+
+    def test_rank_128_takes_its_top_letter(self):
+        f128 = FreeGroupContext(128)
+        top = f128.generator(128, -1)
+        assert top.letters == b"\xff"
+        assert top.inverse() == f128.generator(128) == Word([254], 128)
+        assert (Word([255, 3], 128) * Word([2, 254], 128)).is_identity()
+        assert (top * top).letters == b"\xff\xff"
+        assert list(ball_letters(128, 1))[-1] == b"\xff"
+
+    def test_rank_129_is_refused(self):
+        with pytest.raises(MalformedInputError):
+            FreeGroupContext(129)
+        with pytest.raises(MalformedInputError):
+            Word([0], 129)
+        with pytest.raises(MalformedInputError):
+            word_from_str("1", 129)
+        with pytest.raises(MalformedInputError):
+            FreeGroupContext(0)
+
+    def test_codes_beyond_a_byte_are_refused(self):
+        for raw in ([256], [0, 300], [-1]):
+            with pytest.raises(MalformedInputError):
+                reduce_letters(raw)
+            with pytest.raises(MalformedInputError):
+                Word(raw, 128)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_sphere_size_counts_each_layer_of_the_ball(rank):
+    layers = [0] * 7
+    for w in ball_letters(rank, 6):
+        layers[len(w)] += 1
+    assert [_sphere_size(rank, n) for n in range(7)] == layers
 
 
 def reference_fold(words):
@@ -358,7 +457,7 @@ def reference_fold(words):
         return x
 
     def inv(c):
-        return inverse_letters((c,))[0]
+        return inverse_letters(bytes((c,)))[0]
 
     base = new_vertex()
     pending = deque()

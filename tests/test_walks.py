@@ -7,7 +7,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stationarylab import freegroup
-from stationarylab.algebra import AlgebraElement, canonical_trace
+from stationarylab.algebra import AlgebraElement, canonical_trace, convolve
+from stationarylab.boundary import solve_stationary, translate, uniform_boundary_measure
 from stationarylab.errors import ContextMismatchError, MalformedInputError, ResourceLimitError
 from stationarylab.freegroup import FreeGroupContext, Word, ball, conjugate
 from stationarylab.walks import (
@@ -22,6 +23,7 @@ from stationarylab.walks import (
     sample_path,
     uniform_generator_measure,
 )
+from stationarylab.states import _averaged_element
 
 F2 = FreeGroupContext(2)
 MU = uniform_generator_measure(2)
@@ -92,7 +94,7 @@ class TestGroupMeasure:
 
 class TestWordKeyedConstructors:
     """The public constructors take Word-keyed mappings and check their rank;
-    the tables they build are keyed by letter tuples."""
+    the tables they build are keyed by the bytes of the letters."""
 
     F3 = FreeGroupContext(3)
 
@@ -106,12 +108,27 @@ class TestWordKeyedConstructors:
 
     def test_tables_are_keyed_by_letters(self):
         x = AlgebraElement({F2.word("ab"): 2, F2.word("B"): 0.0, F2.identity: 1j}, 2)
-        assert x.coeffs == {(0, 2): 2 + 0j, (): 1j}
+        assert x.coeffs == {b"\x00\x02": 2 + 0j, b"": 1j}
         assert x.support() == [F2.identity, F2.word("ab")]
         mu = GroupMeasure({F2.word("Ab"): "1/4", F2.word("a"): Fraction(3, 4)}, 2)
-        assert mu.masses == {(1, 2): Fraction(1, 4), (0,): Fraction(3, 4)}
+        assert mu.masses == {b"\x01\x02": Fraction(1, 4), b"\x00": Fraction(3, 4)}
         assert mu.atoms() == [(F2.word("a"), Fraction(3, 4)), (F2.word("Ab"), Fraction(1, 4))]
         assert mu.mass(F2.word("Ab")) == Fraction(1, 4)
+
+    def test_kernel_outputs_are_keyed_by_bytes(self):
+        # one stray key of another type would split a word's entry in two
+        x = AlgebraElement({F2.word("ab"): 1.0, F2.word("B"): 0.5j, F2.identity: 2.0}, 2)
+        mu2 = convolve_measures(MU, MU)
+        tables = [
+            convolve(x, x).coeffs,
+            mu2.masses,
+            measure_convolve_element(mu2, x).coeffs,
+            _averaged_element(x, [F2.word("a"), F2.word("ba")]).coeffs,
+            translate(F2.word("ab"), uniform_boundary_measure(F2, 3)).masses,
+            solve_stationary(MU, 2).measure.masses,
+        ]
+        assert all(tables)
+        assert all(type(w) is bytes for table in tables for w in table)
 
 
 class TestConvolution:
