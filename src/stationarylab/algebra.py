@@ -14,6 +14,7 @@ of the subgroup it generates, and a disjoint-cylinder averaging estimate.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, ldexp, log2, nextafter, sqrt
@@ -450,35 +451,30 @@ def _disjoint_cylinders(words: list[bytes]) -> bool:
     letters) and any split 1 <= j <= m, the set F = [head_j] u [(t_j..t_m)^-1]
     works; the check below greedily picks a split per word so the F's are
     pairwise disjoint, and returns False if it cannot.
+
+    The chosen prefixes stay sorted and form an antichain (none is a prefix
+    of another), so p meets a chosen q only if q is p's predecessor or p is a
+    prefix of its successor.  The two prefixes of one split never meet when
+    both are free: at the middle split that would make t unreduced, and at
+    any other the shorter one prefixes both middle-split ones, so the middle
+    split, which _splits tries first, was free too.
     """
-    # the chosen prefixes as a trie: letter -> subtrie, with the key None
-    # marking the end of a chosen prefix
-    trie: dict = {}
+    chosen: list[bytes] = []
 
     def clashes(p: bytes) -> bool:
-        # p is comparable with a chosen q iff q is a prefix of p or p of q
-        node = trie
-        for c in p:
-            if None in node:
-                return True
-            node = node.get(c)
-            if node is None:
-                return False
-        return True
-
-    def choose(p: bytes) -> None:
-        node = trie
-        for c in p:
-            node = node.setdefault(c, {})
-        node[None] = True
+        i = bisect_left(chosen, p)
+        return (i < len(chosen) and chosen[i].startswith(p)) or (
+            i > 0 and p.startswith(chosen[i - 1])
+        )
 
     for t in words:
-        for j in _splits(len(t)):
-            head = t[:j]
-            tail_inv = inverse_letters(t[j - 1 :])
+        m, t_inv = len(t), inverse_letters(t)
+        for j in _splits(m):
+            # (t_j..t_m)^-1 is the first m - j + 1 letters of t^-1
+            head, tail_inv = t[:j], t_inv[: m - j + 1]
             if not clashes(head) and not clashes(tail_inv):
-                choose(head)
-                choose(tail_inv)
+                insort(chosen, head)
+                insort(chosen, tail_inv)
                 break
         else:
             return False

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -36,7 +37,7 @@ from .errors import (
     UnresolvedBoundaryError,
 )
 from .freegroup import FreeGroupContext, Word, _product_letters, _sphere_size, _word
-from .freegroup import axis_prefix, ball_letters, inverse_letters, length_lex
+from .freegroup import _check_ball, axis_prefix, ball_letters, inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample
 
 CONSISTENCY_TOL = 1e-9
@@ -190,13 +191,10 @@ def _translated_mass(g: bytes, w: bytes, nu: CylinderMeasure):
     return 1 - nu._mass(key) if comp else nu._mass(key)
 
 
-def translate(g: Word, nu: CylinderMeasure, out_depth: int | None = None) -> CylinderMeasure:
-    """Pushforward g nu as a cylinder table of the given output depth.
-
-    Strict measures lose |g| levels: the default output depth is
-    nu.depth - |g| and must be >= 1.  Uniform-tail measures may be translated
-    to any output depth.
-    """
+def _translate_depth(g: Word, nu: CylinderMeasure, out_depth: int | None) -> int:
+    """The output depth of translate(g, nu, out_depth), checked: strict
+    measures lose |g| levels, so the default is nu.depth - |g| and must be
+    >= 1; uniform-tail measures take any output depth >= 1."""
     if g.rank != nu.rank:
         raise ContextMismatchError(f"word rank {g.rank} vs measure rank {nu.rank}")
     tail_in = nu.tail_uniform_from
@@ -208,6 +206,14 @@ def translate(g: Word, nu: CylinderMeasure, out_depth: int | None = None) -> Cyl
         raise DepthUnderflowError(
             required_depth=len(g) + max(out_depth, 1), available_depth=nu.depth
         )
+    return out_depth
+
+
+def translate(g: Word, nu: CylinderMeasure, out_depth: int | None = None) -> CylinderMeasure:
+    """Pushforward g nu as a cylinder table of the given output depth, by
+    default the deepest one (see _translate_depth)."""
+    out_depth = _translate_depth(g, nu, out_depth)
+    tail_in = nu.tail_uniform_from
     gl = g.letters
     table = {w: _translated_mass(gl, w, nu) for w in ball_letters(nu.rank, out_depth) if w}
     tail_out = None
@@ -399,23 +405,33 @@ def solve_stationary(
 
 @dataclass(frozen=True)
 class ConditionalMeasure:
-    """The translate w_n nu along one path, with its Dirac diagnostic."""
+    """The translate w_n nu along one path, with its Dirac diagnostic.
 
-    measure: CylinderMeasure
-    top_mass: float
+    `top_mass`, the largest level-1 mass, comes from the depth-1 translate;
+    `measure`, the depth-`depth` table, is formed on first read.
+    """
+
+    nu: CylinderMeasure
     position: Word
+    depth: int
+    top_mass: float
+
+    @cached_property
+    def measure(self) -> CylinderMeasure:
+        return translate(self.position, self.nu, out_depth=self.depth)
 
 
 def conditional_measure(
     nu: CylinderMeasure, omega: PathSample, n: int, depth: int = 1
 ) -> ConditionalMeasure:
     """omega_n nu = translate(omega_n, nu) as a cylinder table of the given
-    depth; a strict nu must store depth |omega_n| + depth."""
+    depth; a strict nu must store depth |omega_n| + depth.  The checks of
+    that translate run here, though the table is formed only when read."""
     if n < 0 or n >= len(omega.positions):
         raise MalformedInputError(f"step {n} outside the sampled path")
     g = omega.positions[n]
-    meas = translate(g, nu, out_depth=depth)
-    return ConditionalMeasure(measure=meas, top_mass=meas.top_mass(), position=g)
+    _check_ball(nu.rank, _translate_depth(g, nu, depth))
+    return ConditionalMeasure(nu, g, depth, translate(g, nu, out_depth=1).top_mass())
 
 
 @dataclass(frozen=True)

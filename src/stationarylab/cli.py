@@ -59,6 +59,7 @@ from .states import (
     powers_search,
 )
 from .subgroups import (
+    FREENESS_RESIDUAL_DEPTH,
     CyclicSubgroup,
     freeness_report,
     pdf_from_subgroup_sample,
@@ -357,7 +358,10 @@ def _run_bnd_map(cfg: dict, out: Path, anchor: str) -> list[Path]:
 
 def _run_fix_mass(cfg: dict, out: Path, anchor: str) -> list[Path]:
     depth = cfg["depth"]
-    nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]), min(depth, 8))
+    # the residual reads depth <= FREENESS_RESIDUAL_DEPTH, and the uniform tail
+    # gives the deeper axis masses as the same Fractions
+    nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]),
+                                  min(depth, FREENESS_RESIDUAL_DEPTH))
     # freeness_report skips the identity, which a 'ballR' family contains
     report = freeness_report(cfg["mu"], nu, cfg["gens"], depth, threshold=cfg["threshold"])
     rows = [[r.word, r.upper_bound, r.depth] for r in report.rows]

@@ -278,12 +278,9 @@ def conjugate(g: Word, h: Word) -> Word:
     return _word(_product_letters(_product_letters(inverse_letters(hl), g.letters), hl), g.rank)
 
 
-def ball_letters(rank: int, radius: int) -> Iterator[bytes]:
-    """Letters of every reduced word of length <= radius, once each, in length-lex order.
-
-    ResourceLimitError, before the first word, if its words times (radius + 1)
-    pass MAX_BALL_LETTERS.
-    """
+def _check_ball(rank: int, radius: int) -> None:
+    """ResourceLimitError if the ball's words times (radius + 1) pass
+    MAX_BALL_LETTERS; MalformedInputError for a negative radius."""
     if radius < 0:
         raise MalformedInputError(f"radius must be >= 0, got {radius}")
     # a ball of rank >= 2 holds over 2^radius words: its radius stops at the cap's bit length
@@ -291,6 +288,14 @@ def ball_letters(rank: int, radius: int) -> Iterator[bytes]:
     if size * (radius + 1) > MAX_BALL_LETTERS:
         raise ResourceLimitError(f"the ball of radius {radius} in rank {rank} is too large",
                                  MAX_BALL_LETTERS)
+
+
+def ball_letters(rank: int, radius: int) -> Iterator[bytes]:
+    """Letters of every reduced word of length <= radius, once each, in length-lex order.
+
+    Raises as _check_ball does, before the first word.
+    """
+    _check_ball(rank, radius)
     yield b""
     letters = [(c ^ 1, bytes((c,))) for c in range(2 * rank)]
     layer = [b""]

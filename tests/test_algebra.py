@@ -467,6 +467,29 @@ def test_disjoint_cylinder_bound_matches_pairwise_scan():
         assert _disjoint_cylinders([w.letters for w in support]) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
+    # every ordered pair of distinct short words: a chosen prefix met only as
+    # the sorted predecessor, or only as a prefix of the successor, shows here
+    short = [w for w in ball(F2, 3) if not w.is_identity()]
+    outcomes = set()
+    for u in short:
+        for v in short:
+            if u != v:
+                expected = disjoint_cylinder_oracle([u, v])
+                assert _disjoint_cylinders([u.letters, v.letters]) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+    # Powers-average supports {h^-k g h^k : k <= 16}, with and without the
+    # conjugates of g^-1: words up to 132 letters, not cyclically reduced
+    outcomes = set()
+    for _ in range(40):
+        g, h = (words[int(i)] for i in rng.integers(0, len(words), size=2))
+        conjugates = [conjugate(g, h**k) for k in range(1, 17)]
+        for extra in ([], [conjugate(g.inverse(), h**k) for k in range(1, 17)]):
+            support = sorted(set(conjugates + extra), key=Word.sort_key)
+            expected = disjoint_cylinder_oracle(support)
+            assert _disjoint_cylinders([w.letters for w in support]) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def word_table_moment_engine(x, n_moments, support_cap):

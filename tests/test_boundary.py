@@ -23,6 +23,7 @@ from stationarylab.errors import (
     DepthUnderflowError,
     MalformedInputError,
     PreconditionError,
+    ResourceLimitError,
     UnresolvedBoundaryError,
 )
 from stationarylab.freegroup import FreeGroupContext, Word, ball
@@ -314,6 +315,30 @@ class TestConditionalMeasures:
         if len(om.positions[40]) + 1 > 6:
             with pytest.raises(DepthUnderflowError):
                 conditional_measure(strict, om, 40)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_reads_match_the_translate(self, depth):
+        # a path of 3 steps stays within the 6 levels of the strict copy
+        strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
+        for nu in (NU, strict):
+            for seed in range(4):
+                om = sample_path(MU, 3, seed=seed)
+                for step in range(4):
+                    cm = conditional_measure(nu, om, step, depth)
+                    table = translate(om.positions[step], nu, out_depth=depth)
+                    assert cm.top_mass == table.top_mass()
+                    assert list(cm.measure.masses.items()) == list(table.masses.items())
+                    assert cm.measure is cm.measure
+
+    def test_checks_run_at_the_call(self):
+        strict = CylinderMeasure(dict(uniform_boundary_measure(F2, 4).cylinders()), 2, 4)
+        om = sample_path(MU, 5, seed=2)
+        step = next(i for i, w in enumerate(om.positions) if len(w) == 2)
+        # |w| + depth = 5 levels of a 4-level table
+        with pytest.raises(DepthUnderflowError):
+            conditional_measure(strict, om, step, depth=3)
+        with pytest.raises(ResourceLimitError):
+            conditional_measure(NU, om, 0, depth=30)
 
 
 class TestBoundaryMap:

@@ -83,6 +83,10 @@ GOLDEN = {
          "fixmass_summary.json":
              "2c0b7f75e5760d11252a7f60f42721e82c35872459de1edc2493349f31367baf"},
     ),
+    "fdstates": (
+        {"experiment": "fdstates", "rank": 2},
+        {"fdstates.csv": "23474a102bba4455431218cb47f60546c982bb64f050b55ed3c5af3ca7ff3fb7"},
+    ),
 }
 
 
