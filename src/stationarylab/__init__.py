@@ -73,7 +73,6 @@ from .states import (
     crossed_product_state,
     finite_dim_stationary_states,
     powers_search,
-    stationary_hermitian_basis,
     verify_powers_certificate,
 )
 from .subgroups import (

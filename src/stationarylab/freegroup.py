@@ -29,8 +29,6 @@ import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-import numpy as np
-
 from .errors import (
     ContextMismatchError,
     MalformedInputError,
@@ -346,88 +344,80 @@ def axis_prefix(g: Word, depth: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# finite quotients (unitary images of the generators)
+# finite quotients (permutation images of the generators)
 # ---------------------------------------------------------------------------
 
 
 class FiniteQuotient:
-    """A homomorphism F_rank -> U(m) given by the images of the generators.
+    """A homomorphism F_rank -> Sym(m) given by the images of the generators.
 
-    Images may be permutations of {0..m-1} (converted to permutation matrices)
-    or explicit unitary matrices.
+    `perms[i]` is the image of generator i + 1: a permutation p of range(m)
+    that sends point j to p[j], so the generator's matrix U has U e_j = e_p[j].
+    Raises MalformedInputError, naming the generator, on an image that is not
+    a list or tuple of ints forming a permutation of one range(m), m >= 1.
     """
 
-    def __init__(self, rank: int, images: Sequence[np.ndarray]):
-        if len(images) != rank:
-            raise MalformedInputError(
-                f"need {rank} generator images, got {len(images)}"
-            )
-        mats = [np.asarray(U, dtype=complex) for U in images]
-        m = mats[0].shape[0]
-        for U in mats:
-            if U.shape != (m, m):
-                raise MalformedInputError("generator images must share one dimension")
-            if np.max(np.abs(U @ U.conj().T - np.eye(m))) > 1e-10:
-                raise MalformedInputError("generator image is not unitary")
+    def __init__(self, rank: int, perms: Sequence[Sequence[int]]):
+        if len(perms) != rank:
+            raise MalformedInputError(f"need {rank} generator images, got {len(perms)}")
+        m = len(perms[0]) if perms and isinstance(perms[0], (list, tuple)) else 0
+        for i, p in enumerate(perms, 1):
+            if not (m and isinstance(p, (list, tuple))
+                    and all(isinstance(v, int) and not isinstance(v, bool) for v in p)
+                    and sorted(p) == list(range(m))):
+                want = f"range({m})" if m else "range(m) for an m >= 1"
+                raise MalformedInputError(f"generator {i} image {p!r} is not a permutation of {want}")
         self.rank = rank
         self.dim = m
-        self._images = mats
-
-    @staticmethod
-    def from_permutations(rank: int, perms: Sequence[Sequence[int]]) -> "FiniteQuotient":
-        """Images given as permutations p of {0..m-1}; generator i sends e_j to e_p[j]."""
-        mats = []
-        for p in perms:
-            m = len(p)
-            U = np.zeros((m, m))
-            for j, pj in enumerate(p):
-                U[pj, j] = 1.0
-            mats.append(U)
-        return FiniteQuotient(rank, mats)
+        self.perms = tuple(tuple(p) for p in perms)
+        self._inverses = tuple(tuple(sorted(range(m), key=p.__getitem__)) for p in self.perms)
 
     @staticmethod
     def regular_from_permutations(
         rank: int, perms: Sequence[Sequence[int]]
     ) -> "FiniteQuotient":
-        """Left regular representation of the finite group the images generate."""
-        perms = [tuple(p) for p in perms]
-        m0 = len(perms[0])
-        ident = tuple(range(m0))
+        """Left regular representation of the finite group the images generate:
+        its points are the group elements in sorted order, and generator i
+        sends g to p_i o g.
 
-        def compose(p, q):  # (p o q)(i) = p(q(i))
-            return tuple(p[q[i]] for i in range(m0))
-
+        Raises ResourceLimitError at the first element whose count squared, the
+        index pairs that finite_dim_stationary_states walks, passes SUPPORT_CAP.
+        """
+        gens = FiniteQuotient(rank, perms).perms
+        ident = tuple(range(len(gens[0])))
         elems = {ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for g in frontier:
-                for p in perms:
-                    h = compose(p, g)
+                for p in gens:
+                    h = tuple(p[k] for k in g)  # (p o g)(k) = p(g(k))
                     if h not in elems:
                         elems.add(h)
+                        if len(elems) ** 2 > SUPPORT_CAP:
+                            raise ResourceLimitError(
+                                "regular representation: index pairs exceed the cap", SUPPORT_CAP
+                            )
                         nxt.append(h)
             frontier = nxt
         order = sorted(elems)
         index = {g: i for i, g in enumerate(order)}
-        images = []
-        for p in perms:
-            U = np.zeros((len(order), len(order)))
-            for g in order:
-                U[index[compose(p, g)], index[g]] = 1.0
-            images.append(U)
-        return FiniteQuotient(rank, images)
+        return FiniteQuotient(
+            rank, [[index[tuple(p[k] for k in g)] for g in order] for p in gens]
+        )
 
-    def evaluate(self, w: Word) -> np.ndarray:
-        """Image of a word; the image of g^-1 is the adjoint of the image of g."""
+    def evaluate(self, w: Word) -> tuple[int, ...]:
+        """Image of a word as a permutation: the letters' images composed as
+        matrices multiply, so the last letter acts first; g^-1 maps to the
+        inverse permutation."""
         if w.rank != self.rank:
             raise ContextMismatchError(
                 f"word rank {w.rank} does not match quotient rank {self.rank}"
             )
-        out = np.eye(self.dim, dtype=complex)
+        out = tuple(range(self.dim))
         for c in w.letters:
-            U = self._images[c >> 1]
-            out = out @ (U.conj().T if c & 1 else U)
+            p = self._inverses[c >> 1] if c & 1 else self.perms[c >> 1]
+            out = tuple(out[k] for k in p)
         return out
 
 

@@ -1,7 +1,8 @@
 """Certified tests and constructions on stationary states: Cesaro decay
 brackets, Powers averaging searches, the staged construction of laws whose
-convolution drives every test element to its trace, finite-dimensional
-stationary-state solvers, and crossed-product state evaluation.
+convolution drives every test element to its trace, exact finite-dimensional
+stationary states of permutation quotients, and crossed-product state
+evaluation.
 
 Every test is bracket-based: a claim "passes" only on a certified upper bound
 and "fails" only on a certified lower bound; anything else is inconclusive.
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from . import freegroup
 from .algebra import (
     AlgebraElement,
     _checked_l1,
@@ -45,8 +45,6 @@ from .walks import (
 
 # the staged construction keeps at most this many constraints per level
 MAX_CONSTRAINTS = 512
-# singular values below this mark the fixed space of a convolution channel
-FIXED_SPACE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -433,106 +431,100 @@ def build_c_star_simple_measure(
 
 @dataclass(frozen=True)
 class DensityState:
-    """A positive unit-trace matrix representing a state on a matrix algebra."""
+    """A density matrix of size `dim` with exact rational entries.
 
-    rep: FiniteQuotient
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise MalformedInputError("density is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise MalformedInputError(f"trace {np.trace(m)} is not 1")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
-            raise MalformedInputError("density has a negative eigenvalue")
-
-    def value(self, x: np.ndarray) -> complex:
-        return complex(np.trace(self.matrix @ x))
-
-
-def _convolution_channel(rep: FiniteQuotient, mu: GroupMeasure):
-    """rho -> sum_g mu(g) U_g rho U_g^*, as a matrix on vec(rho)."""
-    m = rep.dim
-    out = np.zeros((m * m, m * m), dtype=complex)
-    for g, p in mu.atoms():
-        U = rep.evaluate(g)
-        out += float(p) * np.kron(U, U.conj())
-    return out
-
-
-def _herm_to_real(H: np.ndarray) -> np.ndarray:
-    return np.concatenate([H.real.reshape(-1), H.imag.reshape(-1)])
-
-
-def _real_to_herm(v: np.ndarray, m: int) -> np.ndarray:
-    H = v[: m * m].reshape(m, m) + 1j * v[m * m :].reshape(m, m)
-    return (H + H.conj().T) / 2
-
-
-def stationary_hermitian_basis(rep: FiniteQuotient, mu: GroupMeasure) -> np.ndarray:
-    """Orthonormal Hermitian basis of the fixed space of the convolution channel.
-
-    Returned as an array of shape (d, m, m).  The identity direction is
-    always present (unitary conjugation fixes 1/m).  Hermitian matrices are
-    handled through a real parametrization so the basis stays Hermitian.
-    Singular values below FIXED_SPACE_TOL count as zero.
+    `real` and `imag` map an index pair (i, j) to the real and the imaginary
+    part of entry (i, j); a pair in neither is 0.  `min_eigenvalue` is an
+    exact lower bound on the least eigenvalue.
     """
-    m = rep.dim
-    Phi = _convolution_channel(rep, mu)
-    # fixed vectors of Phi: null space of Phi - I via SVD
-    _, s, Vh = np.linalg.svd(Phi - np.eye(m * m))
-    null = Vh[s < FIXED_SPACE_TOL].conj()
-    fixed = [v.reshape(m, m) for v in null]
-    # Hermitianize (the fixed space is *-closed) and re-orthonormalize over R
-    reals = []
-    for H in fixed:
-        reals.append(_herm_to_real((H + H.conj().T) / 2))
-        reals.append(_herm_to_real((H - H.conj().T) / 2j))
-    flat = np.array(reals).T  # (2 m^2, 2 d)
-    u, sv, _ = np.linalg.svd(flat, full_matrices=False)
-    keep = [i for i in range(len(sv)) if sv[i] > FIXED_SPACE_TOL * max(1.0, sv[0])]
-    return np.array([_real_to_herm(u[:, i], m) for i in keep])
+
+    dim: int
+    real: Mapping[tuple[int, int], Fraction]
+    imag: Mapping[tuple[int, int], Fraction]
+    min_eigenvalue: Fraction
+
+    @property
+    def trace(self) -> Fraction:
+        return sum(v for (i, j), v in self.real.items() if i == j)
+
+
+def _pair_orbits(perms: Sequence[Sequence[int]], m: int) -> tuple[list[int], list[list[int]]]:
+    """The orbit number of every index pair k = i m + j under the group the
+    permutations generate, and the orbits in the order of their least
+    pairs, each starting at its least pair.
+
+    A forward search suffices: in a finite group the inverse of a
+    permutation is one of its powers.
+    """
+    label = [-1] * (m * m)
+    orbits = []
+    for start in range(m * m):
+        if label[start] >= 0:
+            continue
+        label[start] = len(orbits)
+        orbit = [start]
+        for k in orbit:  # the list grows as the search reaches new pairs
+            i, j = divmod(k, m)
+            for p in perms:
+                q = p[i] * m + p[j]
+                if label[q] < 0:
+                    label[q] = len(orbits)
+                    orbit.append(q)
+        orbits.append(orbit)
+    return label, orbits
 
 
 def finite_dim_stationary_states(rep: FiniteQuotient, mu: GroupMeasure) -> list[DensityState]:
-    """Density matrices spanning the stationary states of the convolution channel.
+    """Density matrices spanning the stationary states of the convolution
+    channel rho -> sum_g mu(g) U_g rho U_g^*, in exact rationals.
 
-    Returns I/m followed by I/m + T/(2m max|eig T|) per traceless fixed
-    direction T, so the affine span of the returned densities is the whole
-    fixed-state set and every eigenvalue lies in [1/(2m), 3/(2m)].  A state
-    whose stationarity residual passes 1e-9 is left out.
+    The U_g permute the matrix units, U_g E_ij U_g^* = E_g(i)g(j), so the
+    fixed space is spanned by the indicators E_O of the orbits O of the
+    group <supp mu> on index pairs: stationary equals invariant.  In the
+    order of the orbits' least pairs this returns E_O / |O| for an orbit on
+    the diagonal, and for an orbit off it I/m + H / (4 m r_O) with
+    H = E_O + E_O^T, then with H = i (E_O - E_O^T) when O^T != O; an orbit
+    whose transpose came first adds none.  r_O is the largest row or column
+    count of E_O, so ||H|| <= 2 r_O and every eigenvalue of such a state lies
+    in [1/(2m), 3/(2m)].  There is one state per orbit, and the real span of
+    the states is the Hermitian fixed space.
+
+    Raises ResourceLimitError when the m^2 index pairs pass
+    freegroup.SUPPORT_CAP.
     """
-    if rep.dim > 64:
-        raise PreconditionError(f"dimension {rep.dim} exceeds the supported 64")
     if mu.rank != rep.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {rep.rank}")
     m = rep.dim
-    basis = stationary_hermitian_basis(rep, mu)
-    Phi = _convolution_channel(rep, mu)
-
-    def is_stationary(rho: np.ndarray) -> float:
-        return float(
-            np.max(np.abs((Phi @ rho.reshape(-1)).reshape(m, m) - rho))
-        )
-
-    # orthonormal basis of the traceless fixed directions
-    traceless = [H - (np.trace(H) / m) * np.eye(m) for H in basis]
-    flat = np.array([_herm_to_real(T) for T in traceless]).T
-    u, sv, _ = np.linalg.svd(flat, full_matrices=False)
-    directions = [
-        _real_to_herm(u[:, i], m)
-        for i in range(len(sv))
-        if sv[i] > FIXED_SPACE_TOL * max(1.0, float(sv[0]))
-    ]
-
-    states = [DensityState(rep=rep, matrix=np.eye(m, dtype=complex) / m)]
-    for T in directions:
-        spread = np.max(np.abs(np.linalg.eigvalsh(T)))
-        rho = np.eye(m, dtype=complex) / m + T / (2 * m * spread)
-        if is_stationary(rho) > 1e-9:
+    if m * m > freegroup.SUPPORT_CAP:
+        raise ResourceLimitError("fdstates: index pairs exceed the cap", freegroup.SUPPORT_CAP)
+    label, orbits = _pair_orbits([rep.evaluate(g) for g, p in mu.atoms() if p], m)
+    identity = {(i, i): Fraction(1, m) for i in range(m)}
+    states = []
+    for n, orbit in enumerate(orbits):
+        pairs = [divmod(k, m) for k in orbit]
+        i, j = pairs[0]
+        if i == j:
+            states.append(DensityState(m, {p: Fraction(1, len(pairs)) for p in pairs}, {},
+                                       Fraction(len(pairs) == m, m)))
             continue
-        states.append(DensityState(rep=rep, matrix=rho))
+        transpose = label[j * m + i]
+        if transpose < n:
+            continue
+        # the group maps row a of E_O onto row g(a), so the rows that meet O
+        # share one count, |O| over their number; so do the columns
+        r = len(pairs) // min(len({a for a, _ in pairs}), len({b for _, b in pairs}))
+        c = Fraction(1, 4 * m * r)
+        low = Fraction(1, 2 * m)
+        # two orbits are equal or disjoint: E_O + E_O^T is 2 E_O or has 0/1 entries
+        v = 2 * c if transpose == n else c
+        sym = dict(identity)
+        sym.update(((a, b), v) for a, b in pairs)
+        sym.update(((b, a), v) for a, b in pairs)
+        states.append(DensityState(m, sym, {}, low))
+        if transpose != n:
+            anti, minus = dict(((a, b), c) for a, b in pairs), -c
+            anti.update(((b, a), minus) for a, b in pairs)
+            states.append(DensityState(m, identity, anti, low))
     return states
 
 

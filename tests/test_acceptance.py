@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines stream.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from stationarylab.algebra import AlgebraElement, norm_lower_bound, norm_upper_bound
@@ -24,8 +23,6 @@ from stationarylab.states import (
     build_c_star_simple_measure,
     finite_dim_stationary_states,
     powers_search,
-    stationary_hermitian_basis,
-    _herm_to_real,
 )
 from stationarylab.subgroups import (
     CyclicSubgroup,
@@ -39,6 +36,8 @@ from stationarylab.walks import (
     sample_path,
     uniform_generator_measure,
 )
+
+from commutant import dense, hermitian_commutant, span_distance
 
 F2 = FreeGroupContext(2)
 MU = uniform_generator_measure(2)
@@ -166,50 +165,17 @@ def test_criterion_6_staged_builder():
 def test_criterion_7_finite_dimensional_states():
     rep = FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)])
     t0 = time.perf_counter()
-    basis = stationary_hermitian_basis(rep, MU)
     states = finite_dim_stationary_states(rep, MU)
-    # brute-force invariant oracle over an explicit Hermitian parametrization
-    m = rep.dim
-    herm = []
-    for i in range(m):
-        E = np.zeros((m, m), complex)
-        E[i, i] = 1.0
-        herm.append(E)
-    for i in range(m):
-        for j in range(i + 1, m):
-            E = np.zeros((m, m), complex)
-            E[i, j] = E[j, i] = 1 / np.sqrt(2)
-            herm.append(E)
-            Fm = np.zeros((m, m), complex)
-            Fm[i, j] = -1j / np.sqrt(2)
-            Fm[j, i] = 1j / np.sqrt(2)
-            herm.append(Fm)
-    cols = []
-    for H in herm:
-        col = []
-        for s in ("a", "A", "b", "B"):
-            U = rep.evaluate(F2.word(s))
-            C = U @ H - H @ U
-            col.append(C.real.reshape(-1))
-            col.append(C.imag.reshape(-1))
-        cols.append(np.concatenate(col))
-    M = np.array(cols).T
-    _, sv, Vh = np.linalg.svd(M)
-    mask = np.zeros(Vh.shape[0], bool)
-    mask[: len(sv)] = sv < 1e-10
-    mask[len(sv):] = True
-    oracle = [sum(c * B for c, B in zip(v, herm)) for v in Vh[mask]]
-    A = np.array([_herm_to_real(H) for H in basis])
-    B = np.array([_herm_to_real(H) for H in oracle])
-    Qa, _ = np.linalg.qr(A.T)
-    Qb, _ = np.linalg.qr(B.T)
-    dist = float(np.linalg.norm(Qa @ Qa.T - Qb @ Qb.T, 2))
+    # brute-force invariant oracle: the Hermitian commutant of supp mu, by SVD
+    oracle = hermitian_commutant(rep, MU.support())
+    dist = span_distance([dense(st) for st in states], oracle)
     elapsed = time.perf_counter() - t0
     report(
         7,
-        dist < 1e-8 and len(states) == len(basis) and elapsed < 1.0,
-        f"stationary vs invariant fixed spaces: dimension {len(basis)}, "
-        f"subspace distance {dist:.2e} ({elapsed:.2f}s)",
+        dist < 1e-8 and len(states) == len(oracle) and elapsed < 1.0
+        and all(st.trace == 1 for st in states),
+        f"stationary vs invariant fixed spaces: dimension {len(states)}, "
+        f"subspace distance {dist:.2e}, every trace exactly 1 ({elapsed:.2f}s)",
     )
 
 

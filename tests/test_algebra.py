@@ -587,32 +587,35 @@ def non_radial_elements(rng):
     return out
 
 
+@pytest.fixture(scope="module")
+def cap5000_references():
+    """(x, n, the reference moments under the cap 5000) for the seeded
+    elements and orders, built once for the two tests that read them."""
+    return [(x, n, word_table_moment_engine(x, n, 5000))
+            for x in non_radial_elements(rng_from_seed(44)) for n in (1, 2, 3, 5, 8)]
+
+
 class TestLetterTableMomentEngine:
-    def test_moments_equal_the_exact_reference(self, monkeypatch):
-        rng = rng_from_seed(44)
+    def test_moments_equal_the_exact_reference(self, monkeypatch, cap5000_references):
         short = 0
-        for x in non_radial_elements(rng):
-            for n in (1, 2, 3, 5, 8):
-                for cap in (5000, 200, 60, 25):
-                    monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
-                    expected = word_table_moment_engine(x, n, cap)
-                    assert engine_moments(x, n) == expected
-                    achieved = max(m for m in expected if m <= n)
-                    assert norm_lower_bound(x, n).order == achieved
-                    short += achieved < n
+        for x, n, reference in cap5000_references:
+            for cap in (5000, 200, 60, 25):
+                monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
+                expected = reference if cap == 5000 else word_table_moment_engine(x, n, cap)
+                assert engine_moments(x, n) == expected
+                achieved = max(m for m in expected if m <= n)
+                assert norm_lower_bound(x, n).order == achieved
+                short += achieved < n
         # the cap binds partway through on many of these
         assert short > 20
 
-    def test_lower_bound_is_rounded_down(self, monkeypatch):
-        rng = rng_from_seed(44)
+    def test_lower_bound_is_rounded_down(self, monkeypatch, cap5000_references):
         with monkeypatch.context() as patch:
             patch.setattr(freegroup, "SUPPORT_CAP", 5000)
-            for x in non_radial_elements(rng):
-                for n in (1, 2, 3, 5, 8):
-                    moments = word_table_moment_engine(x, n, 5000)
-                    bound = norm_lower_bound(x, n)
-                    assert certified_by(bound, moments, n)
-                    assert math.isclose(bound, best_candidate(moments, n), rel_tol=1e-14)
+            for x, n, moments in cap5000_references:
+                bound = norm_lower_bound(x, n)
+                assert certified_by(bound, moments, n)
+                assert math.isclose(bound, best_candidate(moments, n), rel_tol=1e-14)
         # the Kesten element: tau0(y^m) = tau0(x^(2m)) counts closed walks
         kesten = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
         walks = f2_moment_oracle(130)

@@ -235,29 +235,50 @@ class TestSerialization:
 
 
 class TestFiniteQuotient:
-    def test_inverse_images_are_adjoints(self):
-        import numpy as np
+    Q = FiniteQuotient(2, [(1, 0, 2), (1, 2, 0)])
 
-        q = FiniteQuotient.from_permutations(2, [(1, 0, 2), (1, 2, 0)])
-        w = F2.word("aAbB")
-        assert np.allclose(q.evaluate(w), np.eye(3))
-        u = q.evaluate(F2.word("b"))
-        ui = q.evaluate(F2.word("B"))
-        assert np.allclose(u @ ui, np.eye(3))
+    def test_inverse_images_are_inverse_permutations(self):
+        assert self.Q.evaluate(F2.word("aAbB")) == (0, 1, 2)
+        b, B = self.Q.evaluate(F2.word("b")), self.Q.evaluate(F2.word("B"))
+        assert tuple(b[B[j]] for j in range(3)) == (0, 1, 2)
+
+    def test_images_compose_as_matrices(self):
+        # U e_j = e_p[j], so U_a U_b sends j to a[b[j]]
+        a, b = self.Q.perms
+        assert self.Q.evaluate(F2.word("ab")) == tuple(a[b[j]] for j in range(3))
 
     def test_regular_representation_dimension(self):
         q = FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)])
         assert q.dim == 6
+        assert all(sorted(p) == list(range(6)) for p in q.perms)
 
     def test_homomorphism_on_random_words(self):
-        import numpy as np
-
         q = FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)])
         rng = rng_from_seed(17)
         for _ in range(50):
             u = random_word(rng, 2, 5)
             v = random_word(rng, 2, 5)
-            assert np.allclose(q.evaluate(u * v), q.evaluate(u) @ q.evaluate(v))
+            pu, pv = q.evaluate(u), q.evaluate(v)
+            assert q.evaluate(u * v) == tuple(pu[pv[j]] for j in range(6))
+
+    @pytest.mark.parametrize("perms, bad", [
+        ([[-1, 0], [0, 1]], 1), ([[0, 1], [2, 0]], 2), ([[0.5, 0], [0, 1]], 1),
+        ([[], []], 1), ([[True, False], [0, 1]], 1), ([[0, 1], [0, 1, 2]], 2),
+        ([[0, 1], "10"], 2), ([[0, 1], [0, 0]], 2),
+    ])
+    def test_image_that_is_not_a_permutation_names_its_generator(self, perms, bad):
+        for make in (FiniteQuotient, FiniteQuotient.regular_from_permutations):
+            with pytest.raises(MalformedInputError, match=f"generator {bad} image"):
+                make(2, perms)
+
+    def test_regular_enumeration_stops_at_the_cap(self, monkeypatch):
+        # S3 has 6 elements, so 36 index pairs; S4 stops at its sixth element
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 36)
+        assert FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)]).dim == 6
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 35)
+        for perms in ([(1, 0, 2), (1, 2, 0)], [(1, 0, 2, 3), (1, 2, 3, 0)]):
+            with pytest.raises(ResourceLimitError):
+                FiniteQuotient.regular_from_permutations(2, perms)
 
 
 class TestFreeBasis:

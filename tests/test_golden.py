@@ -85,7 +85,13 @@ GOLDEN = {
     ),
     "fdstates": (
         {"experiment": "fdstates", "rank": 2},
-        {"fdstates.csv": "23474a102bba4455431218cb47f60546c982bb64f050b55ed3c5af3ca7ff3fb7"},
+        {"fdstates.csv": "d09c4b31cd85f0549d7cfc651f39e22a11b87cf8e5deaadef2bf148c22f84868"},
+    ),
+    # not transitive: 18 orbits on index pairs, 4 of them on the diagonal
+    "fdstates-two-swaps": (
+        {"experiment": "fdstates", "rank": 2,
+         "rep": {"perms": [[1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]]}},
+        {"fdstates.csv": "77297203ac5e5a0b598c334a29949c14802884782e8b3bab0e03581d27313cd6"},
     ),
 }
 

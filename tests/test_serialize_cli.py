@@ -151,6 +151,15 @@ class TestMainExitCodes:
         assert json.loads((tmp_path / "cesaro_summary.json").read_text())["partial"] is True
         assert len((tmp_path / "cesaro.csv").read_text().splitlines()) == 2 + 3
 
+    def test_fdstates_past_the_support_cap_is_4(self, tmp_path, monkeypatch):
+        # both reps have 6 points: 36 index pairs
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 35)
+        swaps = {"perms": [[1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]]}
+        for rep in ("s3-regular", swaps):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"experiment": "fdstates", "rep": rep}))
+            assert main(["fdstates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+
     def test_inconclusive_is_5(self, tmp_path):
         rc = main(["powers", "--g", "a", "--eps", "0.0001", "--budget", "2",
                    "--out-dir", str(tmp_path)])
@@ -285,7 +294,8 @@ WRONG = {
                  {"context": 3, "terms": [{"word": "a", "re": 1.0}]}],
     "_rep": [5, True, 1.5, [], None, "no-such.json", {"perms": [[0, 1]]}, {"regular": True},
              {"perms": [[1, 0, 2], [1, 2, 0]], "regular": "yes"},
-             {"perms": [[5, 0, 1], [0, 1, 2]]}],
+             {"perms": [[5, 0, 1], [0, 1, 2]]}, {"perms": [[-1, 0], [0, 1]]},
+             {"perms": [[2, 0], [0, 1]]}, {"perms": [[0.5, 0], [0, 1]]}, {"perms": [[], []]}],
     "_strategy": ["annealing", 5, None, ["random"]],
 }
 
@@ -351,6 +361,11 @@ DEFECTS = {
     "n_moments-string": (["norm", "--config", "{c}"], {"element": "a", "n_moments": "x"},
                          "/n_moments"),
     "rep-without-perms": (["fdstates", "--config", "{c}"], {"rep": {"regular": True}}, "/rep"),
+    # read as a swap through negative indexing, and exit 0
+    "rep-image-minus-1": (["fdstates", "--config", "{c}"],
+                          {"rep": {"perms": [[-1, 0], [0, 1]]}}, "/rep: generator 1"),
+    "rep-empty-images": (["fdstates", "--config", "{c}"], {"rep": {"perms": [[], []]}},
+                         "/rep: generator 1"),
     "family-ballx": (["build-mu", "--config", "{c}"], {"levels": 1, "family": "ballx"},
                      "/family"),
     "gens-int": (["fix-mass", "--config", "{c}"], {"depth": 2, "gens": 5}, "/gens"),

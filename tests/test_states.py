@@ -7,7 +7,8 @@ import pytest
 from stationarylab import freegroup
 from stationarylab.algebra import AlgebraElement, canonical_trace, norm_upper_bound
 from stationarylab.boundary import uniform_boundary_measure
-from stationarylab.errors import MalformedInputError, PreconditionError
+from stationarylab.cli import _float_down
+from stationarylab.errors import MalformedInputError, PreconditionError, ResourceLimitError
 from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, Word, ball, conjugate
 from stationarylab.states import (
     build_c_star_simple_measure,
@@ -15,15 +16,12 @@ from stationarylab.states import (
     crossed_product_state,
     finite_dim_stationary_states,
     powers_search,
-    stationary_hermitian_basis,
     verify_powers_certificate,
     _averaged_element,
-    _convolution_channel,
     _geometric_base_candidates,
     _geometric_tuples,
     _multi_element_powers,
     _power_tuple,
-    _herm_to_real,
 )
 from stationarylab.walks import (
     GroupMeasure,
@@ -31,6 +29,8 @@ from stationarylab.walks import (
     rng_from_seed,
     uniform_generator_measure,
 )
+
+from commutant import dense, hermitian_commutant, span_distance
 
 F2 = FreeGroupContext(2)
 MU = uniform_generator_measure(2)
@@ -257,83 +257,119 @@ class TestBuilder:
             assert recomputed == cert.upper_bound
 
 
+def _cycle25():
+    # a 25-cycle with the fixed point 25: the orbit {(i, 25)} has row count 1
+    # and column count 25
+    return FiniteQuotient(2, [list(range(1, 25)) + [0, 25], list(range(26))])
+
+
+# (rep, the number of orbits on index pairs: the SVD fixed dimension)
+FD_REPS = {
+    "trivial": (FiniteQuotient(2, [[0], [0]]), 1),
+    "s3-regular": (S3_REGULAR, 6),
+    "two-swaps": (FiniteQuotient(2, [[1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]]), 18),
+    "25-cycle-fixed-point": (_cycle25(), 28),
+    "s4-regular": (FiniteQuotient.regular_from_permutations(2, [(1, 0, 2, 3), (1, 2, 3, 0)]), 24),
+    "s40-natural": (FiniteQuotient(2, [[1, 0] + list(range(2, 40)), list(range(1, 40)) + [0]]), 2),
+}
+
+
+def _psd_exactly(rows):
+    """Whether a symmetric matrix of Fractions is positive semidefinite:
+    symmetric elimination, where a zero pivot needs a zero column."""
+    a = [list(r) for r in rows]
+    for k in range(len(a)):
+        if a[k][k] < 0:
+            return False
+        if a[k][k] == 0:
+            if any(a[i][k] for i in range(k + 1, len(a))):
+                return False
+            continue
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, len(a)):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def _shift_is_psd(st, lam):
+    """Whether st - lam I is positive semidefinite, decided in Fractions on
+    the real form [[A, -B], [B, A]] of A + iB."""
+    m = st.dim
+    A = [[st.real.get((i, j), 0) - (lam if i == j else 0) for j in range(m)] for i in range(m)]
+    B = [[st.imag.get((i, j), 0) for j in range(m)] for i in range(m)]
+    rows = [A[i] + [-b for b in B[i]] for i in range(m)] + [B[i] + A[i] for i in range(m)]
+    return _psd_exactly([[Fraction(v) for v in r] for r in rows])
+
+
+def _least_orbit_pair(st):
+    """The least pair of the orbit a state comes from: its least
+    off-diagonal entry, or for a diagonal orbit its least entry."""
+    return min([p for p in [*st.real, *st.imag] if p[0] != p[1]] or st.real)
+
+
 class TestFiniteDimensionalStates:
-    def test_trivial_representation(self):
-        triv = FiniteQuotient(2, [np.eye(1), np.eye(1)])
-        states = finite_dim_stationary_states(triv, MU)
-        assert len(states) == 1
-        assert np.allclose(states[0].matrix, [[1.0]])
+    @pytest.mark.parametrize("name", sorted(FD_REPS))
+    def test_one_state_per_orbit_on_index_pairs(self, name):
+        rep, count = FD_REPS[name]
+        assert len(finite_dim_stationary_states(rep, MU)) == count
 
-    def test_s3_regular_fixed_dimension(self):
-        basis = stationary_hermitian_basis(S3_REGULAR, MU)
-        assert len(basis) == 6
-        for H in basis:
-            assert np.max(np.abs(H - H.conj().T)) < 1e-12
+    @pytest.mark.parametrize("name", sorted(FD_REPS))
+    def test_states_are_exact_stationary_densities(self, name):
+        rep, _ = FD_REPS[name]
+        m = rep.dim
+        perms = [rep.evaluate(g) for g in MU.support()]
+        for st in finite_dim_stationary_states(rep, MU):
+            assert st.trace == 1 and type(st.trace) is Fraction
+            assert all(st.real[j, i] == v for (i, j), v in st.real.items())
+            assert all(st.imag[j, i] == -v for (i, j), v in st.imag.items())
+            # U rho U^* = rho: the permuted entries are the entries
+            for p in perms:
+                for part in (st.real, st.imag):
+                    assert {(p[i], p[j]): v for (i, j), v in part.items()} == part
+            # numpy's own rounding may put it below a tight bound: allow m eps
+            least = np.linalg.eigvalsh(dense(st))[0]
+            assert _float_down(st.min_eigenvalue) <= least + m * np.finfo(float).eps
+            if any(i != j for i, j in [*st.real, *st.imag]):
+                assert st.min_eigenvalue >= Fraction(1, 2 * m)
 
-    def test_s3_states_are_stationary_densities(self):
-        states = finite_dim_stationary_states(S3_REGULAR, MU)
-        assert len(states) == 6
-        Phi = _convolution_channel(S3_REGULAR, MU)
-        m = S3_REGULAR.dim
-        for st in states:
-            assert np.min(np.linalg.eigvalsh(st.matrix)) >= 1 / (2 * m) - 1e-12
-            out = (Phi @ st.matrix.reshape(-1)).reshape(m, m)
-            assert np.max(np.abs(out - st.matrix)) < 1e-10
+    @pytest.mark.parametrize("name", ["trivial", "s3-regular", "two-swaps"])
+    def test_min_eigenvalue_is_certified_exactly(self, name):
+        rep, _ = FD_REPS[name]
+        for st in finite_dim_stationary_states(rep, MU):
+            assert _shift_is_psd(st, st.min_eigenvalue)
 
-    def test_stationary_equals_invariant_subspace(self):
-        # brute-force oracle: Hermitian H with U_g H = H U_g for all generators
-        def hermitian_basis_matrices(m):
-            out = []
-            for i in range(m):
-                E = np.zeros((m, m), complex)
-                E[i, i] = 1.0
-                out.append(E)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    E = np.zeros((m, m), complex)
-                    E[i, j] = E[j, i] = 1 / np.sqrt(2)
-                    out.append(E)
-                    Fm = np.zeros((m, m), complex)
-                    Fm[i, j] = -1j / np.sqrt(2)
-                    Fm[j, i] = 1j / np.sqrt(2)
-                    out.append(Fm)
-            return out
+    @pytest.mark.parametrize("name", ["trivial", "s3-regular", "two-swaps"])
+    def test_span_is_the_brute_force_commutant(self, name):
+        rep, count = FD_REPS[name]
+        oracle = hermitian_commutant(rep, MU.support())
+        states = finite_dim_stationary_states(rep, MU)
+        assert len(oracle) == count
+        assert span_distance([dense(st) for st in states], oracle) < 1e-8
 
-        m = S3_REGULAR.dim
-        hb = hermitian_basis_matrices(m)
-        cols = []
-        for H in hb:
-            col = []
-            for s in ("a", "A", "b", "B"):
-                U = S3_REGULAR.evaluate(F2.word(s))
-                C = U @ H - H @ U
-                col.append(C.real.reshape(-1))
-                col.append(C.imag.reshape(-1))
-            cols.append(np.concatenate(col))
-        M = np.array(cols).T
-        _, s, Vh = np.linalg.svd(M)
-        mask = np.zeros(Vh.shape[0], bool)
-        mask[: len(s)] = s < 1e-10
-        mask[len(s):] = True
-        oracle = [sum(c * B for c, B in zip(v, hb)) for v in Vh[mask]]
-        assert len(oracle) == 6
+    def test_line_count_not_row_count_scales_the_state(self):
+        rep, _ = FD_REPS["25-cycle-fixed-point"]
+        m = rep.dim
+        (st,) = [st for st in finite_dim_stationary_states(rep, MU) if (0, 25) in st.real]
+        assert st.real[0, 25] == Fraction(1, 4 * m * 25)
+        # the row count 1 in place of 25 would leave a negative eigenvalue
+        row_only = np.eye(m) / m
+        row_only[:25, 25] = row_only[25, :25] = 1 / (4 * m)
+        assert np.linalg.eigvalsh(row_only)[0] < -0.009
+        assert np.linalg.eigvalsh(dense(st))[0] >= 1 / (2 * m)
 
-        basis = stationary_hermitian_basis(S3_REGULAR, MU)
-        A = np.array([_herm_to_real(H) for H in basis])
-        B = np.array([_herm_to_real(H) for H in oracle])
-        Qa, _ = np.linalg.qr(A.T)
-        Qb, _ = np.linalg.qr(B.T)
-        dist = np.linalg.norm(Qa @ Qa.T - Qb @ Qb.T, 2)
-        assert dist < 1e-8
+    def test_orbits_come_in_the_order_of_their_least_pairs(self):
+        rep, _ = FD_REPS["two-swaps"]
+        firsts = [_least_orbit_pair(st) for st in finite_dim_stationary_states(rep, MU)]
+        # 4 diagonal orbits, 2 off it equal to their transposes, 6 transposed pairs
+        assert firsts == sorted(firsts) and len(set(firsts)) == 12
 
-    def test_span_of_returned_states_is_fixed_space(self):
-        states = finite_dim_stationary_states(S3_REGULAR, MU)
-        basis = stationary_hermitian_basis(S3_REGULAR, MU)
-        A = np.array([_herm_to_real(st.matrix) for st in states])
-        B = np.array([_herm_to_real(H) for H in basis])
-        Qa, _ = np.linalg.qr(A.T)
-        Qb, _ = np.linalg.qr(B.T)
-        assert np.linalg.norm(Qa @ Qa.T - Qb @ Qb.T, 2) < 1e-8
+    def test_index_pairs_past_the_cap_are_refused_before_the_work(self, monkeypatch):
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 35)
+        with pytest.raises(ResourceLimitError):
+            finite_dim_stationary_states(S3_REGULAR, MU)
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 36)
+        assert len(finite_dim_stationary_states(S3_REGULAR, MU)) == 6
 
 
 class TestCrossedProductState:
