@@ -429,23 +429,24 @@ def build_c_star_simple_measure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityState:
     """A density matrix of size `dim` with exact rational entries.
 
-    `real` and `imag` map an index pair (i, j) to the real and the imaginary
-    part of entry (i, j); a pair in neither is 0.  `min_eigenvalue` is an
-    exact lower bound on the least eigenvalue.
+    Entry (i, j) is `diagonal` when i == j, plus real[i, j] + 1j imag[i, j];
+    a pair in neither mapping adds 0.  `min_eigenvalue` is an exact lower
+    bound on the least eigenvalue.
     """
 
     dim: int
+    diagonal: Fraction
     real: Mapping[tuple[int, int], Fraction]
     imag: Mapping[tuple[int, int], Fraction]
     min_eigenvalue: Fraction
 
     @property
     def trace(self) -> Fraction:
-        return sum(v for (i, j), v in self.real.items() if i == j)
+        return self.dim * self.diagonal + sum(v for (i, j), v in self.real.items() if i == j)
 
 
 def _pair_orbits(perms: Sequence[Sequence[int]], m: int) -> tuple[list[int], list[list[int]]]:
@@ -498,14 +499,17 @@ def finite_dim_stationary_states(rep: FiniteQuotient, mu: GroupMeasure) -> list[
     if m * m > freegroup.SUPPORT_CAP:
         raise ResourceLimitError("fdstates: index pairs exceed the cap", freegroup.SUPPORT_CAP)
     label, orbits = _pair_orbits([rep.evaluate(g) for g, p in mu.atoms() if p], m)
-    identity = {(i, i): Fraction(1, m) for i in range(m)}
+    # I/m stays implicit in `diagonal`: each state stores only its orbit's
+    # entries (and their transposes), at most 2 m^2 entries in all
+    unit, low = Fraction(1, m), Fraction(1, 2 * m)
     states = []
     for n, orbit in enumerate(orbits):
         pairs = [divmod(k, m) for k in orbit]
         i, j = pairs[0]
         if i == j:
-            states.append(DensityState(m, {p: Fraction(1, len(pairs)) for p in pairs}, {},
-                                       Fraction(len(pairs) == m, m)))
+            least = unit if len(pairs) == m else Fraction(0)
+            real = dict.fromkeys(pairs, Fraction(1, len(pairs)))
+            states.append(DensityState(m, Fraction(0), real, {}, least))
             continue
         transpose = label[j * m + i]
         if transpose < n:
@@ -514,17 +518,15 @@ def finite_dim_stationary_states(rep: FiniteQuotient, mu: GroupMeasure) -> list[
         # share one count, |O| over their number; so do the columns
         r = len(pairs) // min(len({a for a, _ in pairs}), len({b for _, b in pairs}))
         c = Fraction(1, 4 * m * r)
-        low = Fraction(1, 2 * m)
-        # two orbits are equal or disjoint: E_O + E_O^T is 2 E_O or has 0/1 entries
-        v = 2 * c if transpose == n else c
-        sym = dict(identity)
-        sym.update(((a, b), v) for a, b in pairs)
-        sym.update(((b, a), v) for a, b in pairs)
-        states.append(DensityState(m, sym, {}, low))
-        if transpose != n:
-            anti, minus = dict(((a, b), c) for a, b in pairs), -c
-            anti.update(((b, a), minus) for a, b in pairs)
-            states.append(DensityState(m, identity, anti, low))
+        if transpose == n:
+            # E_O + E_O^T = 2 E_O, since two orbits are equal or disjoint
+            states.append(DensityState(m, unit, dict.fromkeys(pairs, 2 * c), {}, low))
+            continue
+        flipped = [(b, a) for a, b in pairs]
+        states.append(DensityState(m, unit, dict.fromkeys(pairs + flipped, c), {}, low))
+        anti = dict.fromkeys(pairs, c)
+        anti.update(dict.fromkeys(flipped, -c))
+        states.append(DensityState(m, unit, {}, anti, low))
     return states
 
 

@@ -16,7 +16,7 @@ def perm_matrix(p):
 
 def dense(state):
     """A DensityState as a complex numpy matrix."""
-    A = np.zeros((state.dim, state.dim), complex)
+    A = float(state.diagonal) * np.eye(state.dim, dtype=complex)
     for (i, j), v in state.real.items():
         A[i, j] += float(v)
     for (i, j), v in state.imag.items():

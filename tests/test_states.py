@@ -286,19 +286,24 @@ def _psd_exactly(rows):
                 return False
             continue
         for i in range(k + 1, len(a)):
-            f = a[i][k] / a[k][k]
-            for j in range(k + 1, len(a)):
-                a[i][j] -= f * a[k][j]
+            if a[i][k]:
+                f = a[i][k] / a[k][k]
+                for j in range(k + 1, len(a)):
+                    a[i][j] -= f * a[k][j]
     return True
 
 
 def _shift_is_psd(st, lam):
     """Whether st - lam I is positive semidefinite, decided in Fractions on
-    the real form [[A, -B], [B, A]] of A + iB."""
+    A - lam I, or with an imaginary part B on the real form [[A, -B], [B, A]]
+    of A + iB."""
     m = st.dim
-    A = [[st.real.get((i, j), 0) - (lam if i == j else 0) for j in range(m)] for i in range(m)]
-    B = [[st.imag.get((i, j), 0) for j in range(m)] for i in range(m)]
-    rows = [A[i] + [-b for b in B[i]] for i in range(m)] + [B[i] + A[i] for i in range(m)]
+    A = [[st.real.get((i, j), 0) + (st.diagonal - lam if i == j else 0) for j in range(m)]
+         for i in range(m)]
+    rows = A
+    if st.imag:
+        B = [[st.imag.get((i, j), 0) for j in range(m)] for i in range(m)]
+        rows = [A[i] + [-b for b in B[i]] for i in range(m)] + [B[i] + A[i] for i in range(m)]
     return _psd_exactly([[Fraction(v) for v in r] for r in rows])
 
 
@@ -333,7 +338,9 @@ class TestFiniteDimensionalStates:
             if any(i != j for i, j in [*st.real, *st.imag]):
                 assert st.min_eigenvalue >= Fraction(1, 2 * m)
 
-    @pytest.mark.parametrize("name", ["trivial", "s3-regular", "two-swaps"])
+    @pytest.mark.parametrize(
+        "name", ["trivial", "s3-regular", "two-swaps", "25-cycle-fixed-point", "s4-regular"]
+    )
     def test_min_eigenvalue_is_certified_exactly(self, name):
         rep, _ = FD_REPS[name]
         for st in finite_dim_stationary_states(rep, MU):
@@ -370,6 +377,21 @@ class TestFiniteDimensionalStates:
             finite_dim_stationary_states(S3_REGULAR, MU)
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 36)
         assert len(finite_dim_stationary_states(S3_REGULAR, MU)) == 6
+
+    def test_storage_is_bounded_by_the_index_pairs(self, monkeypatch):
+        # identity images make every index pair its own orbit: the most states
+        m = 30
+        rep = FiniteQuotient(2, [list(range(m))] * 2)
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", m * m - 1)
+        with pytest.raises(ResourceLimitError):
+            finite_dim_stationary_states(rep, MU)
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", m * m)
+        states = finite_dim_stationary_states(rep, MU)
+        assert len(states) == m * m
+        # the diagonal I/m is implicit, so no state copies it
+        assert sum(len(st.real) + len(st.imag) for st in states) == 2 * m * m - m
+        # and no two states share a mapping
+        assert len({id(d) for st in states for d in (st.real, st.imag)}) == 2 * len(states)
 
 
 class TestCrossedProductState:
