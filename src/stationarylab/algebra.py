@@ -496,11 +496,13 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     ambient word length; and, when it is below both, the free-family value
     |x(e)| + 2 ||x restricted off e||_2, certified by the disjoint-cylinder
     averaging estimate or by the support being a free basis of the subgroup
-    it generates; failing both, the layer inequality after rewriting the
-    support over a free basis of that subgroup (isometric inclusion of
-    reduced subgroup algebras).  The result is an UpperBound whose `method`
-    names the winning candidate ("zero" for x = 0).  MalformedInputError if
-    ||x||_1^2 is not a finite float.
+    it generates, which holds when the rank the fold gives equals its size;
+    failing both, the layer inequality after rewriting the support over a
+    free basis of that subgroup (isometric inclusion of reduced subgroup
+    algebras), the one candidate that has the basis read off the folded
+    graph.  The result is an UpperBound whose `method` names the winning
+    candidate ("zero" for x = 0).  MalformedInputError if ||x||_1^2 is not a
+    finite float.
     """
     if not x.coeffs:
         return UpperBound(0.0, "zero")
@@ -519,7 +521,7 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
             candidates.append((free_family, "disjoint-cylinders"))
         else:
             dec = free_basis_decomposition([_word(w, x.rank) for w in words])
-            if len(dec.basis) == len(words):
+            if dec.rank == len(words):
                 # the support freely generates: it is itself a free basis
                 candidates.append((free_family, "free-support"))
             else:

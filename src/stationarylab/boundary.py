@@ -489,12 +489,17 @@ class FixMassBound:
 
 def fix_mass(g: Word, nu: CylinderMeasure, depth: int | None = None) -> FixMassBound:
     """Upper bound nu(Fix(g)) <= nu[axis of g] + nu[axis of g^-1] at the
-    deepest available (or requested) depth.  Fix(g) is the two-point set of
-    endpoints of the axis of g, so nested cylinder masses certify it."""
+    deepest available (or requested) depth, summed exactly and rounded up to
+    a float.  Fix(g) is the two-point set of endpoints of the axis of g, so
+    nested cylinder masses certify it."""
     if g.is_identity():
         raise UndefinedAxisError("the identity fixes every point")
     if depth is None:
         depth = nu.depth
     plus = nu.mass(axis_prefix(g, depth))
     minus = nu.mass(axis_prefix(g.inverse(), depth))
-    return FixMassBound(lower=0.0, upper=float(plus + minus), depth=depth)
+    exact = Fraction(plus) + Fraction(minus)
+    upper = float(exact)
+    if upper < exact:
+        upper = math.nextafter(upper, math.inf)
+    return FixMassBound(lower=0.0, upper=upper, depth=depth)

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     ContextMismatchError,
@@ -426,43 +427,112 @@ class FiniteQuotient:
 # ---------------------------------------------------------------------------
 
 
-class FreeBasisDecomposition(NamedTuple):
-    """Free basis of the subgroup generated by `words`, with rewrites.
+class FreeBasisDecomposition:
+    """The folded graph of the subgroup generated by `words`: its rank, and a
+    free basis with rewrites read off it on demand.
 
-    basis: one reduced ambient word per basis element.
+    rank: E - V + 1 of the folded graph, the rank of the subgroup; set by
+          the fold, so it costs no readout.
+    basis: one reduced ambient word per basis element (rank of them).
     rewritten: for each input word, its reduced expression over the basis
                (tuple of signed 1-based basis indices).
+    basis and rewritten are read off the graph together on first access.
     """
 
-    basis: list[Word]
-    rewritten: list[tuple[int, ...]]
+    def __init__(self, words: list[Word], rank: int, adj: list[dict[int, int]],
+                 find: Callable[[int], int]):
+        self.rank = rank
+        self._words = words
+        self._adj = adj
+        self._find = find
+
+    @property
+    def basis(self) -> list[Word]:
+        return self._readout[0]
+
+    @property
+    def rewritten(self) -> list[tuple[int, ...]]:
+        return self._readout[1]
+
+    @cached_property
+    def _readout(self) -> tuple[list[Word], list[tuple[int, ...]]]:
+        """A spanning tree by BFS in letter order from the base; its non-tree
+        edges are the basis, and tracing each word through the graph rewrites
+        it.  The BFS order depends on the folded graph only."""
+        adj, find = self._adj, self._find
+        root = find(0)
+        tree = {root: None}  # vertex -> (parent vertex, label read)
+        path = {root: b""}  # vertex -> letters of its tree path from the root
+        order = [root]
+        for u in order:
+            adj[u] = {lab: find(t) for lab, t in sorted(adj[u].items())}
+            for lab, v in adj[u].items():
+                if v not in tree:
+                    tree[v] = (u, lab)
+                    path[v] = path[u] + bytes((lab,))
+                    order.append(v)
+
+        # non-tree edges, one orientation each, in BFS-then-letter order;
+        # step[u][lab] is the signed basis number read along the edge
+        # u -lab-> (absent on tree edges)
+        step: dict[int, dict[int, int]] = {u: {} for u in order}
+        basis_words: list[Word] = []
+        for u in order:
+            for lab, v in adj[u].items():
+                if lab in step[u] or tree[v] == (u, lab) or tree[u] == (v, lab ^ 1):
+                    continue
+                # reduced as written: the graph is folded and the edge is not
+                # a tree edge, so neither junction cancels (and a non-tree
+                # edge exists only when there are words to take the rank from)
+                basis_words.append(_word(
+                    path[u] + bytes((lab,)) + inverse_letters(path[v]), self._words[0].rank))
+                step[u][lab] = len(basis_words)
+                step[v][lab ^ 1] = -len(basis_words)
+
+        rewritten = []
+        for w in self._words:
+            v = root
+            out: list[int] = []
+            for c in w.letters:
+                s = step[v].get(c)
+                if s:
+                    if out and out[-1] == -s:
+                        out.pop()
+                    else:
+                        out.append(s)
+                v = adj[v][c]
+            rewritten.append(tuple(out))
+        return basis_words, rewritten
 
 
 def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
-    """Fold the wedge of loops spelled by `words` and read off a free basis.
+    """Fold the wedge of loops spelled by `words`; the result carries the
+    rank of the subgroup they generate and reads a free basis off the folded
+    graph when first asked.
 
-    Every input word is a loop at the base vertex of the folded graph; the
-    non-tree edges of a spanning tree form a free basis of the subgroup the
-    words generate, and tracing each loop through the graph rewrites it over
-    that basis.
+    Every input word is a loop at the base vertex of the folded graph, whose
+    rank E - V + 1 is the rank of the subgroup; so the words freely generate
+    exactly when the rank equals their number.  The non-tree edges of a
+    spanning tree form a free basis, and tracing each loop through the graph
+    rewrites it over that basis: that readout is built only when `basis` or
+    `rewritten` is read.
 
     The graph stays folded after each loop is added: a loop first follows
     existing edges from the base for its longest prefix and, backwards from
     the base, for its longest remaining suffix, so new vertices are made only
     for the middle, and any folds its closing edge forces are made at once.
-    Folding is confluent, so the graph, the basis and the rewrites do not
-    depend on the order of the words.
+    Folding is confluent, so the graph, the rank, the basis and the rewrites
+    do not depend on the order of the words.
     """
     words = list(words)
-    if not words:
-        return FreeBasisDecomposition([], [])
-    rank = words[0].rank
 
     # union-find over vertices; adj[v] maps a letter to the far end of the
-    # edge leaving v with that label (a stale vertex id, resolved by find)
+    # edge leaving v with that label (a stale vertex id, resolved by find);
+    # a merged vertex keeps an empty adj
     parent: list[int] = [0]
     adj: list[dict[int, int]] = [{}]
     pending: list[tuple[int, int, int]] = []  # edges to attach: (from, label, to)
+    merges = 0
 
     def find(x: int) -> int:
         root = x
@@ -473,6 +543,8 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
         return root
 
     def merge(x: int, y: int) -> None:
+        nonlocal merges
+        merges += 1
         if len(adj[x]) < len(adj[y]):
             x, y = y, x
         parent[y] = x
@@ -499,13 +571,20 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
         lt = w.letters
         n = len(lt)
         start = find(0)
+        # one dict.get a letter; find only when the id read is stale
         v, i = start, 0
-        while i < n and lt[i] in adj[v]:
-            v = find(adj[v][lt[i]])
+        for c in lt:
+            t = adj[v].get(c)
+            if t is None:
+                break
+            v = t if parent[t] == t else find(t)
             i += 1
         u, j = start, n
-        while j > i and lt[j - 1] ^ 1 in adj[u]:
-            u = find(adj[u][lt[j - 1] ^ 1])
+        for c in inverse_letters(lt)[: n - i]:
+            t = adj[u].get(c)
+            if t is None:
+                break
+            u = t if parent[t] == t else find(t)
             j -= 1
         if i == j:
             if u != v:
@@ -522,46 +601,6 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
             pending.append((v, lt[j - 1], u))
         fold()
 
-    # spanning tree by BFS in letter order from the base; the readout visits
-    # vertices in BFS order, so it depends on the folded graph only
-    root = find(0)
-    tree = {root: None}  # vertex -> (parent vertex, label read)
-    path = {root: b""}  # vertex -> letters of its tree path from the root
-    order = [root]
-    for u in order:
-        adj[u] = {lab: find(t) for lab, t in sorted(adj[u].items())}
-        for lab, v in adj[u].items():
-            if v not in tree:
-                tree[v] = (u, lab)
-                path[v] = path[u] + bytes((lab,))
-                order.append(v)
-
-    # non-tree edges, one orientation each, in BFS-then-letter order;
-    # step[u][lab] is the signed basis number read along the edge u -lab->
-    # (absent on tree edges)
-    step: dict[int, dict[int, int]] = {u: {} for u in order}
-    basis_words: list[Word] = []
-    for u in order:
-        for lab, v in adj[u].items():
-            if lab in step[u] or tree[v] == (u, lab) or tree[u] == (v, lab ^ 1):
-                continue
-            # reduced as written: the graph is folded and the edge is not a
-            # tree edge, so neither junction cancels
-            basis_words.append(_word(path[u] + bytes((lab,)) + inverse_letters(path[v]), rank))
-            step[u][lab] = len(basis_words)
-            step[v][lab ^ 1] = -len(basis_words)
-
-    rewritten = []
-    for w in words:
-        v = root
-        out: list[int] = []
-        for c in w.letters:
-            s = step[v].get(c)
-            if s:
-                if out and out[-1] == -s:
-                    out.pop()
-                else:
-                    out.append(s)
-            v = adj[v][c]
-        rewritten.append(tuple(out))
-    return FreeBasisDecomposition(basis_words, rewritten)
+    # each edge is stored once from each end, and only live vertices hold any
+    edges = sum(map(len, adj)) // 2
+    return FreeBasisDecomposition(words, edges - (len(parent) - merges) + 1, adj, find)

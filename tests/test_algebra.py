@@ -351,7 +351,7 @@ def test_free_family_norm_is_in_the_bracket(family, n_moments, e, phases):
     # g_i -> phase_i of the free subgroup is implemented by a unitary
     rank, names = family
     words = [FreeGroupContext(rank).word(s) for s in names]
-    assert len(free_basis_decomposition(words).basis) == len(words)
+    assert free_basis_decomposition(words).rank == len(words)
     x = AlgebraElement({w: 2.0**e * z for w, z in zip(words, phases)}, rank)
     bracket = certify_norm(x, n_moments)
     assert norm_squared_in(bracket, Fraction(4) ** e * 4 * (len(words) - 1))
@@ -361,7 +361,7 @@ def test_the_freeness_check_sees_a_relation():
     # {ab, bb, aBa} generates a subgroup of rank 2: it is not a free family,
     # and the check above refuses it as an Akemann-Ostrand case
     words = [F2.word(s) for s in ("ab", "bb", "aBa")]
-    assert len(free_basis_decomposition(words).basis) == 2
+    assert free_basis_decomposition(words).rank == 2
 
 
 def upper_bound_oracle(x):
@@ -376,7 +376,7 @@ def upper_bound_oracle(x):
         words = [w for w, _ in rest]
         coeffs = [c for _, c in rest]
         dec = free_basis_decomposition(words)
-        if len(dec.basis) == len(words):
+        if dec.rank == len(words):
             candidates.append(c_e + 2.0 * math.sqrt(sum(abs(c) ** 2 for c in coeffs)))
         else:
             lens = [len(rw) for rw in dec.rewritten]
@@ -503,8 +503,9 @@ def word_table_moment_engine(x, n_moments, support_cap):
         out = {}
         for u, (ar, ai) in a.items():
             for v, (br, bi) in b.items():
-                re, im = out.get(u * v, (0, 0))
-                out[u * v] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+                uv = u * v
+                re, im = out.get(uv, (0, 0))
+                out[uv] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
                 if len(out) > support_cap:
                     raise ResourceLimitError("cap", support_cap)
         return {w: c for w, c in out.items() if c != (0, 0)}

@@ -536,6 +536,7 @@ def reference_fold(words):
 
 class TestFoldAgainstReference:
     def families(self):
+        yield []  # rank 0, no basis and no rewrites
         rng = rng_from_seed(20)
         for _ in range(150):
             words = [random_word(rng, 2, int(rng.integers(1, 9))) for _ in range(6)]
@@ -548,14 +549,16 @@ class TestFoldAgainstReference:
 
     def test_matches_reference_and_rebuilds_words(self):
         for words in self.families():
-            if not words:
-                continue
             dec = free_basis_decomposition(words)
             basis_size, lengths = reference_fold(words)
-            assert len(dec.basis) == basis_size
+            # the fold's rank, the reference's and the readout's agree,
+            # on the families with relations too
+            assert dec.rank == basis_size == len(dec.basis)
             assert [len(rw) for rw in dec.rewritten] == lengths
-            # the folded graph, and so the readout, ignores the word order
+            # the folded graph, and so the rank and the readout, ignores the
+            # word order
             again = free_basis_decomposition(words[::-1])
+            assert again.rank == dec.rank
             assert again.basis == dec.basis
             assert again.rewritten == dec.rewritten[::-1]
             for w, rw in zip(words, dec.rewritten):

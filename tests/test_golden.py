@@ -79,7 +79,7 @@ GOLDEN = {
     ),
     "fix-mass": (
         {"experiment": "fix-mass", "rank": 2, "depth": 5, "gens": "ball2", "mu": LENGTH2_LAW},
-        {"fixmass.csv": "e8c97473db0c3022cb1bda8a7a76a1a7b7f423e226fc8716d451d67bd9773d67",
+        {"fixmass.csv": "28291223d3e6c34495fa6bb6a5526455dc55b6fb9f8de6d64ef8bc01a996993d",
          "fixmass_summary.json":
              "2c0b7f75e5760d11252a7f60f42721e82c35872459de1edc2493349f31367baf"},
     ),
