@@ -36,7 +36,7 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, _product_letters, _sphere_size, _word
+from .freegroup import FreeGroupContext, Word, _ball_size, _product_letters, _sphere_size, _word
 from .freegroup import _check_ball, axis_prefix, ball_letters, inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample
 
@@ -307,6 +307,84 @@ def first_letter_hitting(mu: GroupMeasure) -> dict[Word, float] | None:
     return {s: p[s] * (1.0 - u.get(s.inverse(), 0.0)) / denom for s in supp}
 
 
+def _compile_gathers(mu: GroupMeasure, W: int) -> list[tuple[float, np.ndarray, ...]]:
+    """The transfer operator on the nonempty words of the ball of radius W,
+    in length-lex order: one gather (p, idx, coef, const) an atom g of mu,
+    p = mu(g), with (g nu)[w] = const + coef * vec[idx] for the vector vec of
+    the masses of those words.  A key below the table reads its length-W
+    prefix, so coef carries the sign and the uniform split 1/q^(|key| - W);
+    the words exclude the identity, so no key is the identity either.
+
+    Built one level at a time, by two facts of the length-lex order.  The
+    q = 2k - 1 children of the word at position i of its level sit at
+    positions q i .. q i + q - 1 of the next one.  A word w s whose parent w
+    is no prefix of g has the key key(w) s, not complemented, and s has the
+    same child rank after key(w) as after w.  So only the children of the
+    prefixes of g go through `_mass_recipe`; every other word takes its rank
+    in the child block of its parent's key while that key is shorter than W,
+    and else its parent's index with one more split.
+    """
+    rank = mu.rank
+    q = 2 * rank - 1
+    # first[n]: the index of the first word of length n; first[W + 1] ends the ball
+    first = np.array([0] + [_ball_size(rank, n - 1) - 1 for n in range(1, W + 2)])
+    child_rank = np.arange(q)
+
+    def position(key: bytes) -> int:
+        """The position of a nonempty word within its level."""
+        i = key[0]
+        for prev, s in zip(key, key[1:]):
+            i = q * i + s - (s > (prev ^ 1))
+        return i
+
+    gathers = []
+    for g, p in length_lex(mu.masses):
+        levels = []
+        for n in range(1, W + 1):
+            if n == 1:
+                idx = np.empty(2 * rank, dtype=np.int64)
+                klen = np.empty(2 * rank, dtype=np.int64)
+            else:
+                short = klen < W
+                m = np.minimum(klen, W)
+                block = np.where(short, first[m + 1] + q * (idx - first[m]), idx)
+                idx = (block[:, None] + np.outer(short, child_rank)).ravel()
+                klen = np.repeat(klen + 1, q)
+            comp = np.zeros(len(idx), dtype=bool)
+            if n <= len(g) + 1:
+                # the children of the prefix of g of length n - 1
+                u = g[: n - 1]
+                kids = [u + bytes((c,)) for c in range(2 * rank) if not u or c != u[-1] ^ 1]
+                for j, w in enumerate(kids, q * position(u) if u else 0):
+                    comp[j], key = _mass_recipe(g, w)
+                    idx[j] = first[min(len(key), W)] + position(key[:W])
+                    klen[j] = len(key)
+            levels.append((idx, klen, comp))
+        idx, klen, comp = (np.concatenate(a) for a in zip(*levels))
+        excess = np.maximum(klen - W, 0)
+        split = np.array([1.0 / q**e for e in range(int(excess.max()) + 1)])[excess]
+        gathers.append((float(p), idx, np.where(comp, -split, split), comp.astype(np.float64)))
+    return gathers
+
+
+def _seed_vector(seed: CylinderMeasure, W: int) -> np.ndarray:
+    """The seed's masses on the nonempty words of the ball of radius W, in
+    length-lex order, as floats; below its table the seed splits uniformly.
+    The descendants at level n of a word of the seed's deepest level d form
+    one block of q^(n - d) words, so each level below d takes one division
+    a word of level d."""
+    rank, d = seed.rank, seed.depth
+    q = 2 * rank - 1
+    top = min(d, W)
+    table = [seed.masses.get(w, 0) for w in ball_letters(rank, top) if w]
+    deepest = table[-_sphere_size(rank, top):]
+    levels = [np.array([float(m) for m in table], dtype=np.float64)]
+    for n in range(d + 1, W + 1):
+        block = q ** (n - d)
+        levels.append(np.repeat(np.array([float(m / block) for m in deepest]), block))
+    return np.concatenate(levels)
+
+
 def solve_stationary(
     mu: GroupMeasure,
     depth: int,
@@ -316,14 +394,20 @@ def solve_stationary(
 ) -> StationarySolution:
     """Fixed-point iteration nu -> sum_g mu(g) g nu from the uniform seed.
 
-    Runs at a working depth of W = depth + 2 L (L = max support length).  A
-    translate reads cylinders down to W + L; those below W read their length-W
-    prefix split uniformly, by the rule of `CylinderMeasure._mass`.  The seed
-    (the uniform measure unless given) is read by the same rule below its
-    table.  The certified residual covers the words up to W - L, whose
-    translates stay within the table, so it does not depend on that rule.
-    The certified words and the returned ones (up to depth) are length-lex
-    prefixes of the working table, so one operator serves all three.
+    Runs on the nonempty words of the ball of radius W = depth + 2 L (L = max
+    support length), indexed in length-lex order.  A translate reads
+    cylinders down to W + L; those below W read their length-W prefix split
+    uniformly, by the rule of `CylinderMeasure._mass`.  The seed (the uniform
+    measure unless given) is read by the same rule below its table.  The
+    operator is compiled one tree level at a time (`_compile_gathers`), and
+    the ball's cap is checked before any of it is built.
+
+    The residual is the largest change of the last iteration on the words up
+    to W - L, whose translates stay within the table, so it does not depend
+    on the splitting rule.  It is the fixed-point residual of the truncated
+    operator: it does not bound the distance to the true stationary measure.
+    The residual's words and the returned ones (up to depth) are length-lex
+    prefixes of the working words, so one operator serves all three.
     For nearest-neighbor laws the level-1 masses are cross-checked against
     the hitting-probability fixed point.
     """
@@ -337,27 +421,15 @@ def solve_stationary(
     ctx = FreeGroupContext(rank)
     L = max(mu.max_support_length(), 1)
     W = depth + 2 * L
-    q = 2 * rank - 1
+    _check_ball(rank, W)
 
-    words_W = [w for w in ball_letters(rank, W) if w]
-    index_W = {w: i for i, w in enumerate(words_W)}
+    n_words = ctx.ball_size(W) - 1
     n_res = ctx.ball_size(W - L) - 1
     n_out = ctx.ball_size(depth) - 1
-
-    # compiled transfer operator: new[w] = sum_g p_g (const + coef * vec[idx]),
-    # where a key below the table reads its length-W prefix and coef carries
-    # the sign and the uniform split 1/q^(|key| - W); the words exclude the
-    # identity, so no key is the identity either
-    gathers = []
-    for g, p in length_lex(mu.masses):
-        recipes = [_mass_recipe(g, w) for w in words_W]
-        comp = np.array([c for c, _ in recipes], dtype=bool)
-        idx = np.array([index_W[key[:W]] for _, key in recipes], dtype=np.int64)
-        split = np.array([1.0 / q ** max(len(key) - W, 0) for _, key in recipes])
-        gathers.append((float(p), idx, np.where(comp, -split, split), comp.astype(np.float64)))
+    gathers = _compile_gathers(mu, W)
 
     def transfer(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(words_W))
+        out = np.zeros(n_words)
         for p, idx, coef, const in gathers:
             out += p * (const + coef * v[idx])
         return out
@@ -365,9 +437,7 @@ def solve_stationary(
     seed = seed_measure
     if seed is None:
         seed = uniform_boundary_measure(ctx, 1)
-    # read the seed as splitting uniformly below its table
-    seed = _cylinders(seed.masses, rank, seed.depth, seed.depth)
-    vec = transfer(np.array([float(seed._mass(w)) for w in words_W], dtype=np.float64))
+    vec = transfer(_seed_vector(seed, W))
 
     residual = float("inf")
     iterations = 0
@@ -381,7 +451,8 @@ def solve_stationary(
         raise ConvergenceError(
             f"no convergence within {max_iter} iterations", last_residual=residual
         )
-    nu = _cylinders(dict(zip(words_W[:n_out], vec[:n_out].tolist())), rank, depth, None)
+    words = (w for w in ball_letters(rank, depth) if w)
+    nu = _cylinders(dict(zip(words, vec[:n_out].tolist())), rank, depth, None)
     hitting = first_letter_hitting(mu)
     agrees = None
     if hitting is not None:

@@ -1,13 +1,20 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stationarylab import boundary
 from stationarylab.boundary import (
     CylinderMeasure,
+    _compile_gathers,
+    _cylinders,
+    _mass_recipe,
+    _seed_vector,
     boundary_map,
     conditional_measure,
     first_letter_hitting,
@@ -26,7 +33,14 @@ from stationarylab.errors import (
     ResourceLimitError,
     UnresolvedBoundaryError,
 )
-from stationarylab.freegroup import FreeGroupContext, Word, ball
+from stationarylab.freegroup import (
+    FreeGroupContext,
+    Word,
+    _check_ball,
+    ball,
+    ball_letters,
+    length_lex,
+)
 from stationarylab.walks import (
     GroupMeasure,
     PathSample,
@@ -215,8 +229,8 @@ class TestSolveStationary:
 
     def test_residual_covers_the_certified_words(self):
         # one step from the uniform seed, rebuilt from translates at the
-        # working depth W = 5: the residual is certified on the words up to
-        # W - L = 3, and for this law it peaks below the returned depth 1
+        # working depth W = 5: the residual covers the words up to W - L = 3,
+        # and for this law it peaks below the returned depth 1
         law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
         seed = uniform_boundary_measure(F2, 1)
         moved = [(float(p), translate(g, seed, out_depth=5)) for g, p in law.atoms()]
@@ -267,6 +281,137 @@ class TestSolveStationary:
     def test_symmetric_z_walk_not_transient(self):
         mu = GroupMeasure({F1.word("a"): Fraction(1, 2), F1.word("A"): Fraction(1, 2)}, 1)
         assert first_letter_hitting(mu) is None
+
+
+# the law of the length-2 boundary-solve bench job, 1/4 on each word
+LENGTH2 = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
+
+
+def _per_word_gathers(mu, W):
+    """The transfer operator compiled one word at a time: the reference for
+    `_compile_gathers`, which builds the same arrays one level at a time."""
+    q = 2 * mu.rank - 1
+    words = [w for w in ball_letters(mu.rank, W) if w]
+    index = {w: i for i, w in enumerate(words)}
+    gathers = []
+    for g, p in length_lex(mu.masses):
+        recipes = [_mass_recipe(g, w) for w in words]
+        comp = np.array([c for c, _ in recipes], dtype=bool)
+        idx = np.array([index[key[:W]] for _, key in recipes], dtype=np.int64)
+        split = np.array([1.0 / q ** max(len(key) - W, 0) for _, key in recipes])
+        gathers.append((float(p), idx, np.where(comp, -split, split), comp.astype(np.float64)))
+    return gathers
+
+
+def _per_word_seed(seed, W):
+    """The seed vector read one word at a time, splitting uniformly below the table."""
+    read = _cylinders(seed.masses, seed.rank, seed.depth, seed.depth)
+    words = [w for w in ball_letters(seed.rank, W) if w]
+    return np.array([float(read._mass(w)) for w in words], dtype=np.float64)
+
+
+def _assert_same_gathers(mu, W):
+    fast, slow = _compile_gathers(mu, W), _per_word_gathers(mu, W)
+    assert len(fast) == len(slow)
+    for (p, idx, coef, const), (p0, idx0, coef0, const0) in zip(fast, slow):
+        assert p == p0
+        assert idx.dtype == idx0.dtype and np.array_equal(idx, idx0)
+        assert coef.tobytes() == coef0.tobytes()
+        assert const.tobytes() == const0.tobytes()
+
+
+def _signed_permutations(rank):
+    """Every map of letter codes that permutes the generators and flips some of them."""
+    for perm in itertools.permutations(range(rank)):
+        for flips in itertools.product((0, 1), repeat=rank):
+            yield lambda c, perm=perm, flips=flips: 2 * perm[c >> 1] + ((c & 1) ^ flips[c >> 1])
+
+
+@st.composite
+def _generating_laws(draw):
+    """A generating law of rank 1..3 on words of length <= 3, and a working
+    radius whose ball holds about a thousand words at most."""
+    rank = draw(st.integers(1, 3))
+    words = draw(st.lists(st.lists(st.integers(0, 2 * rank - 1), max_size=3),
+                          min_size=1, max_size=5))
+    # every generator in both signs, so the law generates whatever else it holds
+    atoms = {s: draw(st.integers(1, 5)) for s in FreeGroupContext(rank).generators()}
+    for letters in words:
+        w = Word(letters, rank)
+        atoms[w] = atoms.get(w, 0) + draw(st.integers(1, 5))
+    total = sum(atoms.values())
+    mu = GroupMeasure({w: Fraction(m, total) for w, m in atoms.items()}, rank)
+    return mu, draw(st.integers(1, {1: 10, 2: 6, 3: 4}[rank]))
+
+
+class TestLevelCompile:
+    """The level-by-level compile equals the per-word one bit for bit, so the
+    iteration sums the same floats in the same order."""
+
+    @pytest.mark.parametrize("law", ["uniform", "length2"])
+    def test_bench_laws_under_signed_permutations(self, law):
+        mu, depth = (MU, 6) if law == "uniform" else (LENGTH2, 4)
+        W = depth + 2 * mu.max_support_length()
+        for relabel in _signed_permutations(2):
+            moved = GroupMeasure(
+                {Word([relabel(c) for c in g], 2): p for g, p in mu.masses.items()}, 2)
+            _assert_same_gathers(moved, W)
+
+    @given(_generating_laws())
+    @settings(max_examples=40)
+    def test_random_generating_laws(self, law_and_radius):
+        _assert_same_gathers(*law_and_radius)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_uniform_seeds(self, rank, depth):
+        seed = uniform_boundary_measure(FreeGroupContext(rank), depth)
+        for W in range(1, {1: 9, 2: 7, 3: 5}[rank]):
+            assert _seed_vector(seed, W).tobytes() == _per_word_seed(seed, W).tobytes()
+
+    def test_seed_deeper_than_the_ball(self):
+        assert _seed_vector(NU, 4).tobytes() == _per_word_seed(NU, 4).tobytes()
+
+    def test_seed_with_float_masses(self):
+        table = {}
+        for w in ball(F2, 3):
+            if len(w):
+                base = {"a": 0.4, "A": 0.2, "b": 0.25, "B": 0.15}[str(w)[0]]
+                table[w] = base / 3 ** (len(w) - 1)
+        seed = CylinderMeasure(table, 2, 3)
+        for W in (2, 3, 6):
+            assert _seed_vector(seed, W).tobytes() == _per_word_seed(seed, W).tobytes()
+
+    def test_mass_recipe_runs_only_on_the_children_of_prefixes(self, monkeypatch):
+        # each atom g reads the recipe on the children of its |g| + 1
+        # prefixes, at most 2k each, whatever the depth
+        calls = []
+
+        def counted(g, w):
+            calls.append(g)
+            return _mass_recipe(g, w)
+
+        monkeypatch.setattr(boundary, "_mass_recipe", counted)
+        counts = []
+        for depth in (3, 6):
+            calls.clear()
+            solve_stationary(LENGTH2, depth)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= sum((len(g) + 1) * 4 for g in LENGTH2.masses)
+
+    def test_working_ball_past_the_cap_raises_before_compiling(self, monkeypatch):
+        # the output ball of radius 8 is under the cap; the working ball of
+        # radius W = 8 + 2 * 2 = 12 holds 1,062,881 words of up to 13 letters, over it
+        _check_ball(2, 8)
+
+        def compile_must_not_run(mu, W):
+            raise AssertionError("the operator was compiled past the cap")
+
+        monkeypatch.setattr(boundary, "_compile_gathers", compile_must_not_run)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="radius 12"):
+            solve_stationary(LENGTH2, depth=8)
+        assert time.perf_counter() - start < 1
 
 
 class TestConditionalMeasures:

@@ -445,7 +445,22 @@ def test_ball_past_the_cap_exits_4_at_once(case, tmp_path, capsys):
     _assert_one_error_line(err, "too large (cap: ")
 
 
-@pytest.mark.parametrize("gens", ["ball0", ["1"]], ids=["ball0", "identity-list"])
+def test_boundary_solve_working_ball_past_the_cap_exits_4_at_once(tmp_path, capsys):
+    # the output ball of radius 8 is under the cap; a length-2 law works on
+    # the ball of radius 8 + 2 * 2 = 12, which is over it
+    freegroup._check_ball(2, 8)
+    law = tmp_path / "mu.json"
+    law.write_text(json.dumps({"context": 2, "atoms": [
+        {"word": w, "p": "1/4"} for w in ("a", "B", "ab", "bA")]}))
+    start = time.perf_counter()
+    rc, err = _main(["boundary-solve", "--depth", "8", "--mu", str(law),
+                     "--out-dir", str(tmp_path / "o")], capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 4
+    _assert_one_error_line(err, "radius 12 in rank 2 is too large (cap: ")
+
+
+@pytest.mark.parametrize("gens",["ball0", ["1"]], ids=["ball0", "identity-list"])
 def test_fix_mass_without_a_non_identity_word_is_inconclusive(gens, tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"depth": 2, "gens": gens}))
