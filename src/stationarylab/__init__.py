@@ -26,11 +26,8 @@ from .freegroup import (
 from .algebra import (
     AlgebraElement,
     NormBracket,
-    adjoint_action,
-    canonical_trace,
     certify_norm,
     convolve,
-    involution,
     norm_lower_bound,
     norm_upper_bound,
 )

@@ -1,15 +1,20 @@
 """Sparse arithmetic in the complex group algebra of F_k, viewed inside the
 reduced group C*-algebra, with certified two-sided bounds on the reduced norm.
 
+Every element is exact: integer tables over one positive denominator,
+x = (re + i im) / den.  Products, sums and moments are integer arithmetic,
+and a bound is rounded once, outward, to a float.
+
 Lower bounds come from trace moments of y = x*x: both tau0(y^m)^(1/2m) and the
 successive-moment ratio sqrt(tau0(y^(m+1))/tau0(y^m)) are true lower bounds for
 the reduced norm (the spectral measure of y against the canonical trace lives
-on [0, ||x||^2]), and both are nondecreasing in m.  The moments are exact:
-x = X / 2^K for an integer table X, so each is an integer over a power of
-two, and the bound is rounded down against them.  Upper bounds come from the
-l1 norm, the (n+1)-weighted layer inequality in word length (valid on every
-free group), the same inequality after rewriting the support over a free basis
-of the subgroup it generates, and a disjoint-cylinder averaging estimate.
+on [0, ||x||^2]), and both are nondecreasing in m.  The moments are exact
+integers over a power of den, and the bound is the largest float that they
+certify.  Upper bounds come from the l1 norm, the (n+1)-weighted layer
+inequality in word length (valid on every free group), the same inequality
+after rewriting the support over a free basis of the subgroup it generates,
+and a disjoint-cylinder averaging estimate: integer sums whose square roots
+math.isqrt rounds up, the least of them rounded up to a float.
 """
 
 from __future__ import annotations
@@ -17,11 +22,17 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isfinite, ldexp, log2, nextafter, sqrt
+from math import gcd, inf, isqrt, lcm, ldexp, log2, nextafter, sqrt
+from sys import float_info
 from typing import Iterable, Iterator, Mapping
 
 from . import freegroup
-from .errors import ContextMismatchError, MalformedInputError, ResourceLimitError
+from .errors import (
+    ContextMismatchError,
+    MalformedInputError,
+    ResourceLimitError,
+    StationaryLabError,
+)
 from .freegroup import (
     Word,
     _product_letters,
@@ -34,171 +45,155 @@ from .freegroup import (
 )
 
 
-class AlgebraElement:
-    """Finitely supported complex coefficient table over reduced words.
+def _float_up(q: Fraction) -> float:
+    """The least float at least q: inf above the float range."""
+    return -_float_down(-q) + 0.0  # + 0.0 makes 0.0 of -0.0
 
-    `coeffs` maps the letters of each support word to its coefficient.  The
-    constructor checks a Word-keyed mapping; accessors speak Words.
-    Immutable.  Arithmetic drops exact zeros only; small coefficients stay.
+
+def _float_down(q: Fraction) -> float:
+    """The largest float at most q: -inf below the float range."""
+    try:
+        f = q.numerator / q.denominator
+    except OverflowError:
+        return float_info.max if q > 0 else -inf
+    n, d = f.as_integer_ratio()
+    return nextafter(f, -inf) if n * q.denominator > q.numerator * d else f
+
+
+class AlgebraElement:
+    """Finitely supported complex coefficient table over reduced words, exact.
+
+    x = (re + i im) / den: `re` and `im` map the letters of support words to
+    integers, exact zeros left out, and the positive integer `den` has no
+    factor common to all of them.  The constructor takes a Word-keyed
+    mapping of numbers: an int or a Fraction is read as itself, a float at
+    its exact binary value and a complex as its two float parts.  Immutable.
     """
 
-    __slots__ = ("coeffs", "rank")
+    __slots__ = ("re", "im", "den", "rank")
 
-    def __init__(self, coeffs: Mapping[Word, complex], rank: int):
-        table = {}
+    def __init__(self, coeffs: Mapping[Word, object], rank: int):
+        parts = {}
         for w, c in coeffs.items():
             if w.rank != rank:
                 raise ContextMismatchError(f"word rank {w.rank} in element of rank {rank}")
-            table[w.letters] = complex(c)
-        _fill(self, table, rank)
+            try:
+                parts[w.letters] = tuple(
+                    map(Fraction, (c.real, c.imag) if isinstance(c, complex) else (c, 0)))
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                raise MalformedInputError(
+                    f"coefficient {c!r} at {w} is not finite or not a number"
+                ) from exc
+        _fill(self, *_tables(parts), rank)
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
-
-    @staticmethod
-    def zero(rank: int) -> "AlgebraElement":
-        return _element({}, rank)
 
     @staticmethod
     def delta(w: Word, coeff: complex = 1.0) -> "AlgebraElement":
         """The scaled translation unitary coeff * lambda_w."""
         return AlgebraElement({w: coeff}, w.rank)
 
-    @staticmethod
-    def unit(rank: int) -> "AlgebraElement":
-        return _element({b"": 1 + 0j}, rank)
-
-    def terms(self) -> list[tuple[Word, complex]]:
-        """(word, coefficient) pairs in length-lex word order."""
-        return [(_word(w, self.rank), c) for w, c in length_lex(self.coeffs)]
-
-    def support(self) -> list[Word]:
-        return [w for w, _ in self.terms()]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.rank == other.rank
-            and self.coeffs == other.coeffs
-        )
+    @property
+    def coeffs(self) -> dict[bytes, complex]:
+        """The letters of each support word and its coefficient rounded to a
+        complex float: a view for display and for bench/tracer.py, which
+        sizes an element by it.  No bound reads it."""
+        d = self.den
+        return {w: complex(self.re.get(w, 0) / d, self.im.get(w, 0) / d)
+                for w in {**self.re, **self.im}}
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return _element(out, self.rank)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) - c
-        return _element(out, self.rank)
-
-    def __rmul__(self, scalar: complex) -> "AlgebraElement":
-        s = complex(scalar)
-        return _element({w: s * c for w, c in self.coeffs.items()}, self.rank)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return convolve(self, other)
-        s = complex(other)
-        return _element({w: c * s for w, c in self.coeffs.items()}, self.rank)
-
-    def l1(self) -> float:
-        """The l1 norm; inf where a coefficient's modulus overflows a float."""
-        try:
-            return sum(abs(c) for c in self.coeffs.values())
-        except OverflowError:
-            return inf
+        d = lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        re = {w: s * c for w, c in self.re.items()}
+        im = {w: s * c for w, c in self.im.items()}
+        for out, part in ((re, other.re), (im, other.im)):
+            for w, c in part.items():
+                out[w] = out.get(w, 0) + t * c
+        return _element(re, im, d, self.rank)
 
     def _check(self, other: "AlgebraElement") -> None:
         if self.rank != other.rank:
             raise ContextMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"{w}: {c:.4g}" for w, c in self.terms()[:6])
-        more = "..." if len(self.coeffs) > 6 else ""
-        return f"AlgebraElement({{{terms}{more}}}, rank={self.rank})"
+        words = [w for w, _ in length_lex({**self.re, **self.im})]
+        terms = ", ".join(f"{_word(w, self.rank)}: {self.re.get(w, 0)}{self.im.get(w, 0):+}j"
+                          for w in words[:6])
+        more = ", ..." if len(words) > 6 else ""
+        return f"AlgebraElement({{{terms}{more}}} / {self.den}, rank={self.rank})"
+
+
+def _tables(parts: Mapping[bytes, tuple[Fraction, Fraction]]) -> tuple[dict, dict, int]:
+    """The integer tables re, im and their denominator, the least common one,
+    of a letter table of (real part, imaginary part) Fractions."""
+    den = lcm(*(q.denominator for pair in parts.values() for q in pair))
+    re = {w: r.numerator * (den // r.denominator) for w, (r, _) in parts.items()}
+    im = {w: i.numerator * (den // i.denominator) for w, (_, i) in parts.items()}
+    return re, im, den
 
 
 def _drop_zeros(table: dict) -> dict:
     """The table with its exact zeros deleted in place."""
-    for w in [w for w, c in table.items() if c == 0]:
-        del table[w]
+    if 0 in table.values():
+        for w in [w for w, c in table.items() if c == 0]:
+            del table[w]
     return table
 
 
-def _fill(x: AlgebraElement, table: dict[bytes, complex], rank: int) -> None:
-    object.__setattr__(x, "coeffs", _drop_zeros(table))
-    object.__setattr__(x, "rank", rank)
+def _fill(x: AlgebraElement, re: dict, im: dict, den: int, rank: int) -> None:
+    re, im = _drop_zeros(re), _drop_zeros(im)
+    g = gcd(den, *re.values(), *im.values())
+    if g > 1:
+        re = {w: c // g for w, c in re.items()}
+        im = {w: c // g for w, c in im.items()}
+        den //= g
+    for name, value in (("re", re), ("im", im), ("den", den), ("rank", rank)):
+        object.__setattr__(x, name, value)
 
 
-def _element(table: dict[bytes, complex], rank: int) -> AlgebraElement:
-    """The element of a letter table of complex coefficients, unchecked.
-    The element takes the table itself, less its zeros: the caller hands it
-    over and changes it no more."""
+def _element(re: dict[bytes, int], im: dict[bytes, int], den: int, rank: int) -> AlgebraElement:
+    """The element (re + i im) / den of two integer letter tables, unchecked.
+    The element may take the tables themselves, less their zeros: the caller
+    hands them over and changes them no more."""
     x = object.__new__(AlgebraElement)
-    _fill(x, table, rank)
+    _fill(x, re, im, den, rank)
     return x
 
 
+def _centered(x: AlgebraElement) -> AlgebraElement:
+    """x - tau0(x) 1: x without its identity term."""
+    return _element({w: c for w, c in x.re.items() if w}, {w: c for w, c in x.im.items() if w},
+                    x.den, x.rank)
+
+
+def _conjugation_sum(x: AlgebraElement, weights: Iterable[tuple[bytes, int]],
+                     den: int) -> AlgebraElement:
+    """sum over (g, n_g) of n_g Ad_{g^-1}(x), all over den, where
+    Ad_{g^-1}(lambda_w) = lambda_{g^-1 w g}, with g given by its letters."""
+    re: dict[bytes, int] = {}
+    im: dict[bytes, int] = {}
+    terms = [(w, c, re) for w, c in x.re.items()] + [(w, c, im) for w, c in x.im.items()]
+    for g, n_g in weights:
+        ginv = inverse_letters(g)
+        for w, c, out in terms:
+            target = _product_letters(_product_letters(ginv, w), g)
+            out[target] = out.get(target, 0) + n_g * c
+    return _element(re, im, x.den * den, x.rank)
+
+
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Ring product: coeffs(w) = sum over u v = w of x(u) y(v), under freegroup.SUPPORT_CAP."""
+    """Ring product: the coefficient of w is the sum over u v = w of x(u) y(v).
+    ResourceLimitError once the support passes freegroup.SUPPORT_CAP."""
     x._check(y)
-    return _element(letter_product(x.coeffs, y.coeffs), x.rank)
-
-
-def _checked_l1(x: AlgebraElement) -> float:
-    """The l1 norm of x.  MalformedInputError if its square is not a finite
-    float: ||x||^2 <= ||x||_1^2, so this bounds every float the norm
-    brackets form."""
-    l1 = x.l1()
-    if not isfinite(l1 * l1):
-        raise MalformedInputError("the squared l1 norm of the element overflows a float")
-    return l1
-
-
-def involution(x: AlgebraElement) -> AlgebraElement:
-    """Adjoint: coeffs(w) = conj(x(w^-1))."""
-    return _element({inverse_letters(w): c.conjugate() for w, c in x.coeffs.items()}, x.rank)
-
-
-def canonical_trace(x: AlgebraElement) -> complex:
-    """Coefficient at the identity."""
-    return x.coeffs.get(b"", 0j)
-
-
-def adjoint_action(g: Word, x: AlgebraElement) -> AlgebraElement:
-    """Inner automorphism: Ad_g(lambda_h) = lambda_{g h g^-1}."""
-    if g.rank != x.rank:
-        raise ContextMismatchError(f"rank mismatch: {g.rank} vs {x.rank}")
-    gl, ginv = g.letters, inverse_letters(g.letters)
-    return _element(
-        {_product_letters(_product_letters(gl, w), ginv): c for w, c in x.coeffs.items()},
-        x.rank,
-    )
+    return _element(*_times((x.re, x.im), (y.re, y.im), letter_product), x.den * y.den, x.rank)
 
 
 # ---------------------------------------------------------------------------
 # certified lower bounds: exact trace moments of y = x*x
 # ---------------------------------------------------------------------------
-
-
-def _dyadic(x: AlgebraElement) -> tuple[int, dict, dict]:
-    """K and the integer tables X_re, X_im, zeros left out, with
-    x = (X_re + i X_im) / 2^K: every float is a dyadic rational, and 2^K is
-    the largest denominator that as_integer_ratio gives a coefficient part."""
-    ratios = [(w, c.real.as_integer_ratio(), c.imag.as_integer_ratio())
-              for w, c in x.coeffs.items()]
-    k = max((q.bit_length() - 1 for _, *pair in ratios for _, q in pair), default=0)
-    x_re = {w: n << (k + 1 - q.bit_length()) for w, (n, q), _ in ratios if n}
-    x_im = {w: n << (k + 1 - q.bit_length()) for w, _, (n, q) in ratios if n}
-    return k, x_re, x_im
 
 
 def _times(a: tuple[dict, dict], b: tuple[dict, dict], product):
@@ -275,32 +270,25 @@ def _axpy(a: list[int], c: int, b: list[int]) -> list[int]:
 
 
 def _trace_moments(x: AlgebraElement, n_moments: int):
-    """K and the exact moments {m: tau0(Y^m)} of Y = X*X, where x = X / 2^K
-    (see _dyadic), so that tau0(y^m) = tau0(Y^m) / 2^(2Km) for y = x*x.
+    """The denominator D of y = x*x = Y / D and the exact moments
+    {m: tau0(Y^m)}, so that tau0(y^m) = tau0(Y^m) / D^m.
 
-    Y comes from convolve, on integer elements, and its powers, integer table
-    pairs (re, im), from letter_product.  A radial Y (constant on full
-    spheres) gets every order up to n_moments + 1 from the sphere-sum
-    recursion.  Otherwise each power z = Y^m of repeated squaring gives
-    tau0(Y^(2m)) and, with t = Y z, tau0(Y^(2m+1)); z is self-adjoint, so
-    those are sum |z(w)|^2 and sum Re(t(w) conj z(w)).  The moments stop at
-    the first product that passes freegroup.SUPPORT_CAP.
+    y comes from convolve, and the powers of Y, integer table pairs
+    (re, im), from letter_product.  A radial Y (constant on full spheres)
+    gets every order up to n_moments + 1 from the sphere-sum recursion.
+    Otherwise each power z = Y^m of repeated squaring gives tau0(Y^(2m)) and,
+    with t = Y z, tau0(Y^(2m+1)); z is self-adjoint, so those are
+    sum |z(w)|^2 and sum Re(t(w) conj z(w)).  The moments stop at the first
+    product that passes freegroup.SUPPORT_CAP.
     """
-    k, x_re, x_im = _dyadic(x)
-    rank = x.rank
-
-    def convolved(u, v):
-        # u and v hold no zeros, so their elements leave them as they are; the
-        # product's table is new and nothing else holds it: _times may add to it
-        return convolve(_element(u, rank), _element(v, rank)).coeffs
-
-    adjoint = ({inverse_letters(w): c for w, c in x_re.items()},
-               {inverse_letters(w): -c for w, c in x_im.items()})
-    y = _times(adjoint, (x_re, x_im), convolved)
+    adjoint = _element({inverse_letters(w): c for w, c in x.re.items()},
+                       {inverse_letters(w): -c for w, c in x.im.items()}, x.den, x.rank)
+    y_element = convolve(adjoint, x)
+    y = (y_element.re, y_element.im)
     # a radial table is symmetric under w -> w^-1, so a self-adjoint one is real
-    profile = None if y[1] else _radial_profile(y[0], rank)
+    profile = None if y[1] else _radial_profile(y[0], x.rank)
     if profile is not None:
-        return k, dict(enumerate(_radial_moments(profile, rank, n_moments + 1), 1))
+        return y_element.den, dict(enumerate(_radial_moments(profile, x.rank, n_moments + 1), 1))
 
     moments = {1: y[0].get(b"", 0)}
     z = y
@@ -327,48 +315,50 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
                 break
         m_z *= 2
         moments[m_z] = z[0].get(b"", 0)
-    return k, moments
+    return y_element.den, moments
 
 
-def _root(moment: int, m: int, k: int) -> float:
-    """moment^(1/2m) / 2^k, within a few ulps for a moment of any size: the
-    moment's binary exponent is split off before the logarithm."""
-    e = moment.bit_length()
-    q, rem = divmod(e - 2 * m * k, 2 * m)
-    return ldexp(2.0 ** ((log2(moment / (1 << e)) + rem) / (2 * m)), q)
+def _root(moment: int, m: int, den: int) -> float:
+    """(moment / den^m)^(1/2m), within a few ulps for integers of any size:
+    their binary exponents are split off before the logarithms."""
+    e, f = moment.bit_length(), den.bit_length()
+    q, rem = divmod(e - m * f, 2 * m)
+    frac = log2(moment / (1 << e)) - m * log2(den / (1 << f))
+    return ldexp(2.0 ** ((frac + rem) / (2 * m)), q)
 
 
-def _bounds_from_moments(moments: dict[int, int], max_m: int, k: int) -> float:
+def _bounds_from_moments(moments: dict[int, int], max_m: int, den: int) -> float:
     """The best lower bound on ||x|| from the exact moments
-    {m: tau0(Y^m) = 2^(2km) tau0(y^m)} at orders m <= max_m, rounded down.
+    {m: tau0(Y^m) = den^m tau0(y^m)} at orders m <= max_m, rounded down.
 
     The candidates are the root tau0(y^m)^(1/2m) and the ratio
     sqrt(tau0(y^(m+1)) / tau0(y^m)) at each order, compared in floats.  The
-    winner r is then checked exactly, against r^(2m) 2^(2km) <= tau0(Y^m) or
-    r^2 2^(2k) tau0(Y^m) <= tau0(Y^(m+1)), and stepped down one ulp at a time
-    until it passes.
+    winner is then the largest float r that passes its exact check,
+    r^(2m) den^m <= tau0(Y^m) or r^2 den tau0(Y^m) <= tau0(Y^(m+1)).
     """
     best, win = 0.0, (1, False)
     for m, moment in moments.items():
         if m > max_m:
             continue
-        r = _root(moment, m, k)
+        r = _root(moment, m, den)
         if r > best:
             best, win = r, (m, False)
         nxt = moments.get(m + 1)
         if nxt is not None:
-            r = sqrt(nxt / (moment << 2 * k))
+            r = sqrt(nxt / (moment * den))
             if r > best:
                 best, win = r, (m, True)
     m, ratio = win
     moment = moments[m]
 
     def certified(r: float) -> bool:
-        big_r = Fraction(r) * (1 << k)
-        return big_r * big_r * moment <= moments[m + 1] if ratio else big_r ** (2 * m) <= moment
+        r2 = Fraction(r) ** 2
+        return r2 * den * moment <= moments[m + 1] if ratio else r2**m * den**m <= moment
 
     while not certified(best):
         best = nextafter(best, 0)
+    while certified(up := nextafter(best, inf)):
+        best = up
     return best
 
 
@@ -406,29 +396,63 @@ def norm_lower_bound(x: AlgebraElement, n_moments: int) -> MomentBound:
     against the moments it came from.  A radial y gets every order; otherwise
     the moments stop early if a product would pass freegroup.SUPPORT_CAP,
     and the result, a MomentBound, has its `order` below n_moments.
-    MalformedInputError if ||x||_1^2 is not a finite float.
+    MalformedInputError if ||x||_1^2 passes the largest float.
     """
     if n_moments < 1:
         raise MalformedInputError(f"n_moments must be >= 1, got {n_moments}")
-    if not x.coeffs:
+    if not (x.re or x.im):
         return MomentBound(0.0, n_moments)
     _checked_l1(x)
-    k, moments = _trace_moments(x, n_moments)
+    den, moments = _trace_moments(x, n_moments)
     achieved = max(m for m in moments if m <= n_moments)
-    return MomentBound(_bounds_from_moments(moments, n_moments, k), achieved)
+    return MomentBound(_bounds_from_moments(moments, n_moments, den), achieved)
 
 
 # ---------------------------------------------------------------------------
-# certified upper bounds
+# certified upper bounds: integers in units of 1 / (den 2^_SQRT_BITS)
 # ---------------------------------------------------------------------------
 
+# the bits below the unit 1 / den that a rounded-up square root keeps
+_SQRT_BITS = 64
+# the largest float, an integer
+_FLOAT_MAX = int(float_info.max)
 
-def _layer_bound(pairs: Iterable[tuple[int, complex]]) -> float:
-    """sum over layers n of (n+1) * l2-mass of layer n."""
-    layers: dict[int, float] = {}
-    for n, c in pairs:
-        layers[n] = layers.get(n, 0.0) + abs(c) ** 2
-    return sum((n + 1) * sqrt(mass) for n, mass in layers.items())
+
+def _sqrt_up(n: int) -> int:
+    """ceil(2^_SQRT_BITS sqrt(n)) for an integer n >= 0."""
+    r = isqrt(n)
+    if r * r == n:  # a perfect square, such as one real coefficient's
+        return r << _SQRT_BITS
+    n <<= 2 * _SQRT_BITS
+    r = isqrt(n)
+    return r + (r * r < n)
+
+
+def _modulus(x: AlgebraElement, w: bytes) -> int:
+    """den 2^_SQRT_BITS |x(w)|, rounded up: exact for a real coefficient."""
+    re, im = x.re.get(w, 0), x.im.get(w, 0)
+    return _sqrt_up(re * re + im * im)
+
+
+def _checked_l1(x: AlgebraElement) -> int:
+    """den 2^_SQRT_BITS ||x||_1, rounded up: exact for real coefficients.
+    MalformedInputError if its square passes the largest float:
+    ||x||^2 <= ||x||_1^2, so this bounds every float the norm brackets form."""
+    l1 = sum(map(abs, x.re.values())) << _SQRT_BITS
+    for w in x.im:
+        l1 += _modulus(x, w) - (abs(x.re.get(w, 0)) << _SQRT_BITS)
+    if l1 * l1 > _FLOAT_MAX * (x.den << _SQRT_BITS) ** 2:
+        raise MalformedInputError("the squared l1 norm of the element overflows a float")
+    return l1
+
+
+def _layer_bound(pairs: Iterable[tuple[int, int]]) -> int:
+    """sum over layers n of (n+1) * the l2 norm of layer n, from pairs
+    (n, den^2 |c|^2), each root rounded up."""
+    layers: dict[int, int] = {}
+    for n, s in pairs:
+        layers[n] = layers.get(n, 0) + s
+    return sum((n + 1) * _sqrt_up(mass) for n, mass in layers.items())
 
 
 def _splits(m: int) -> Iterator[int]:
@@ -500,22 +524,26 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     failing both, the layer inequality after rewriting the support over a
     free basis of that subgroup (isometric inclusion of reduced subgroup
     algebras), the one candidate that has the basis read off the folded
-    graph.  The result is an UpperBound whose `method` names the winning
-    candidate ("zero" for x = 0).  MalformedInputError if ||x||_1^2 is not a
-    finite float.
+    graph.  The candidates are compared exactly, and the least is rounded up
+    to the result, an UpperBound whose `method` names it ("zero" for x = 0).
+    MalformedInputError if ||x||_1^2 passes the largest float.
     """
-    if not x.coeffs:
+    if not (x.re or x.im):
         return UpperBound(0.0, "zero")
-    candidates = [(_checked_l1(x), "l1")]
-    c_e = abs(x.coeffs.get(b"", 0))
-    rest = [(w, c) for w, c in length_lex(x.coeffs) if w]
-    candidates.append(
-        (_layer_bound((len(w), c) for w, c in x.coeffs.items()), "ambient-layers")
-    )
+    squares = {w: c * c for w, c in x.re.items()}
+    for w, c in x.im.items():
+        squares[w] = squares.get(w, 0) + c * c
+    candidates = [
+        (_checked_l1(x), "l1"),
+        (_layer_bound((len(w), s) for w, s in squares.items()), "ambient-layers"),
+    ]
+    c_e = _modulus(x, b"")
+    rest_mass = sum(squares.values()) - squares.get(b"", 0)
     # both freeness tests give this value, and subgroup-layers is no smaller
     # (every layer weight n + 1 is at least 2), so they run only when it wins
-    free_family = c_e + 2.0 * sqrt(sum(abs(c) ** 2 for _, c in rest))
-    if rest and free_family < min(p[0] for p in candidates):
+    free_family = c_e + 2 * _sqrt_up(rest_mass)
+    if rest_mass and free_family < min(p[0] for p in candidates):
+        rest = [(w, s) for w, s in length_lex(squares) if w]
         words = [w for w, _ in rest]
         if _disjoint_cylinders(words):
             candidates.append((free_family, "disjoint-cylinders"))
@@ -526,10 +554,10 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
                 candidates.append((free_family, "free-support"))
             else:
                 lens = [len(rw) for rw in dec.rewritten]
-                sub = c_e + _layer_bound(zip(lens, (c for _, c in rest)))
+                sub = c_e + _layer_bound(zip(lens, (s for _, s in rest)))
                 candidates.append((sub, "subgroup-layers"))
     bound, tag = min(candidates, key=lambda p: p[0])
-    return UpperBound(bound, tag)
+    return UpperBound(_float_up(Fraction(bound, x.den << _SQRT_BITS)), tag)
 
 
 @dataclass(frozen=True)
@@ -547,20 +575,17 @@ class NormBracket:
     lower_method: str
     upper_method: str
 
-    def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
-            raise MalformedInputError(
-                f"invalid bracket: lower {self.lower} > upper {self.upper}"
-            )
-
 
 def certify_norm(x: AlgebraElement, n_moments: int = 8) -> NormBracket:
-    """Two-sided certified bracket on the reduced norm of x."""
+    """Two-sided certified bracket on the reduced norm of x.  Both sides
+    are exact bounds rounded outward, so they cannot cross; if they did, that
+    would be a fault in this module, and it raises, naming x."""
     lower = norm_lower_bound(x, n_moments)
     upper = norm_upper_bound(x)
+    if lower > upper:
+        raise StationaryLabError(f"inverted bracket [{lower}, {upper}] on {x!r}")
     return NormBracket(
-        # min guards float dust on exactly-tight brackets
-        lower=min(float(lower), float(upper)),
+        lower=float(lower),
         upper=float(upper),
         moments_used=lower.order,
         lower_method="trace-moments",

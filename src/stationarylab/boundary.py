@@ -27,6 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .algebra import _float_up
 from .errors import (
     ContextMismatchError,
     DepthUnderflowError,
@@ -569,8 +570,4 @@ def fix_mass(g: Word, nu: CylinderMeasure, depth: int | None = None) -> FixMassB
         depth = nu.depth
     plus = nu.mass(axis_prefix(g, depth))
     minus = nu.mass(axis_prefix(g.inverse(), depth))
-    exact = Fraction(plus) + Fraction(minus)
-    upper = float(exact)
-    if upper < exact:
-        upper = math.nextafter(upper, math.inf)
-    return FixMassBound(lower=0.0, upper=upper, depth=depth)
+    return FixMassBound(lower=0.0, upper=_float_up(Fraction(plus) + Fraction(minus)), depth=depth)

@@ -23,12 +23,11 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .algebra import AlgebraElement, certify_norm
+from .algebra import AlgebraElement, _float_down, certify_norm
 from .boundary import (
     boundary_map,
     conditional_measure,
@@ -418,12 +417,6 @@ def _run_pdf_check(cfg: dict, out: Path, anchor: str) -> list[Path]:
     if not passed:
         raise InconclusiveError(f"a Gram matrix dipped to {min(r[2] for r in rows)}")
     return [path, dump]
-
-
-def _float_down(q: Fraction) -> float:
-    """The largest float at most q."""
-    f = float(q)
-    return math.nextafter(f, -math.inf) if f > q else f
 
 
 def _run_fdstates(cfg: dict, out: Path, anchor: str) -> list[Path]:

@@ -16,11 +16,13 @@ from typing import Mapping, Sequence
 
 from . import freegroup
 from .algebra import (
+    _SQRT_BITS,
     AlgebraElement,
+    _centered,
     _checked_l1,
+    _conjugation_sum,
     _element,
     certify_norm,
-    canonical_trace,
     norm_upper_bound,
 )
 from .boundary import CylinderMeasure
@@ -31,7 +33,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .freegroup import FiniteQuotient, FreeGroupContext, Word, ball, inverse_letters
+from .freegroup import FiniteQuotient, FreeGroupContext, Word, ball
 from .freegroup import _product_letters, _word
 from .walks import (
     GroupMeasure,
@@ -94,14 +96,13 @@ def cesaro_test(
         generating = mu.is_generating()
     except ResourceLimitError:
         generating = None
-    e = _word(b"", a.rank)
-    trace_term = AlgebraElement.delta(e, canonical_trace(a))
     rows: list[CesaroRow] = []
     partial = False
     for n in range(1, n_max + 1):
         try:
             mu_n = cesaro_measure(mu, n)
-            b_n = measure_convolve_element(mu_n, a) - trace_term
+            # mu_n * a keeps the identity term of a, tau0(a)
+            b_n = _centered(measure_convolve_element(mu_n, a))
             bracket = certify_norm(b_n, moments)
         except ResourceLimitError:
             partial = True
@@ -140,26 +141,8 @@ class PowersCertificate:
 
 
 def _averaged_element(x: AlgebraElement, conjugators: Sequence[Word]) -> AlgebraElement:
-    """(1/n) sum_k Ad_{h_k^-1}(x)  (for x = lambda_g this is the Powers average).
-
-    The terms are summed into one table, conjugator by conjugator, and a sum
-    that becomes exactly 0 leaves the table at once, so key order and bits
-    are those of adding the n conjugated elements one after another.
-    """
-    n = len(conjugators)
-    terms = [(w, c / n) for w, c in x.coeffs.items()]
-    terms = [(w, c) for w, c in terms if c != 0]
-    out: dict[bytes, complex] = {}
-    for h in conjugators:
-        hl, hinv = h.letters, inverse_letters(h.letters)
-        for w, c in terms:
-            target = _product_letters(_product_letters(hinv, w), hl)
-            total = out.get(target, 0) + c
-            if total == 0:
-                del out[target]
-            else:
-                out[target] = total
-    return _element(out, x.rank)
+    """(1/n) sum_k Ad_{h_k^-1}(x)  (for x = lambda_g this is the Powers average)."""
+    return _conjugation_sum(x, [(h.letters, 1) for h in conjugators], len(conjugators))
 
 
 def _commutes(u: bytes, v: bytes) -> bool:
@@ -304,16 +287,13 @@ def _multi_element_powers(
     supports of later convolution powers thin.
     """
     rank = constraints[0][1].rank
-    e = _word(b"", rank)
-    supports = {w for _, x in constraints for w in x.coeffs if w}
+    supports = {w for _, x in constraints for part in (x.re, x.im) for w in part if w}
     bases = [
         w
         for w in _geometric_base_candidates(rank)
         if all(not _commutes(w.letters, s) for s in supports)
     ]
-    centered = [
-        (cid, x - AlgebraElement.delta(e, canonical_trace(x))) for cid, x in constraints
-    ]
+    centered = [(cid, _centered(x)) for cid, x in constraints]
     best_u = float("inf")
     for n in (2**j for j in range(budget.bit_length())):
         for w in bases:
@@ -355,8 +335,12 @@ def build_c_star_simple_measure(
     rank = test_family[0].rank
     family = []
     for a in test_family:
+        # a / l1 is (re, im) 2^_SQRT_BITS / l1 for l1 in units of 1 / (den 2^_SQRT_BITS)
         l1 = _checked_l1(a)
-        family.append(a if l1 <= 1 else (1.0 / l1) * a)
+        if l1 > a.den << _SQRT_BITS:
+            a = _element({w: c << _SQRT_BITS for w, c in a.re.items()},
+                         {w: c << _SQRT_BITS for w, c in a.im.items()}, l1, rank)
+        family.append(a)
     e = _word(b"", rank)
     schedule = decay_schedule(levels)
     level_measures: list[GroupMeasure] = []
@@ -406,10 +390,7 @@ def build_c_star_simple_measure(
             power = convolve_measures(power, mu)
         reached = n_j
         for s, a in enumerate(family):
-            b = measure_convolve_element(power, a) - AlgebraElement.delta(
-                e, canonical_trace(a)
-            )
-            u = norm_upper_bound(b)
+            u = norm_upper_bound(_centered(measure_convolve_element(power, a)))
             final_checks.append(
                 FinalCheck(j=j, n_j=n_j, element_id=f"a[{s}]",
                            upper_bound=u, threshold=5 * 0.5**j)

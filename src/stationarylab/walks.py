@@ -21,18 +21,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import freegroup
-from .algebra import AlgebraElement, _dyadic, _element
+from .algebra import AlgebraElement, _conjugation_sum
 from .errors import (
     ContextMismatchError,
     MalformedInputError,
     PreconditionError,
     ResourceLimitError,
 )
-from .freegroup import FreeGroupContext, Word, inverse_letters, length_lex, letter_product
+from .freegroup import FreeGroupContext, Word, length_lex, letter_product
 from .freegroup import _product_letters, _word
 
 MASS_TOLERANCE = 1e-12
-GENERATING_CLOSURE_CAP = 1_000_000
 
 
 def rng_from_seed(*seed_parts: int) -> np.random.Generator:
@@ -97,32 +96,52 @@ class GroupMeasure:
         return max((len(w) for w in self.masses), default=0)
 
     def is_generating(self) -> bool:
-        """Certificate that the support generates F_rank as a semigroup.
+        """Whether the support generates F_rank as a semigroup, decided exactly
+        by Benois' saturation (Benois 1969): the support words are loops at
+        one hub state of an automaton, and every path that reads a letter and
+        then its inverse, through the empty moves found so far, gets an empty
+        move, until none is new.  A reduced word then leads from the hub back
+        to it iff it is a product of support words.  The empty-move closure
+        is a bitset row a state; ResourceLimitError, before any work, when
+        its state pairs pass freegroup.SUPPORT_CAP."""
+        supp = [w for w in self.masses if w]
+        n = 1 + sum(len(w) - 1 for w in supp)
+        if n * n > freegroup.SUPPORT_CAP:
+            raise ResourceLimitError("generation test: automaton state pairs exceed the cap",
+                                     freegroup.SUPPORT_CAP)
+        # moves[c][p]: the bitset of states that letter code c leads to from p
+        moves = [[0] * n for _ in range(2 * self.rank)]
+        fresh = 1
+        for w in supp:
+            path = [0, *range(fresh, fresh + len(w) - 1), 0]
+            fresh += len(w) - 1
+            for c, p, q in zip(w, path, path[1:]):
+                moves[c][p] |= 1 << q
+        closure = [1 << p for p in range(n)]
 
-        The semigroup closure of the support is computed inside the ball of
-        radius 2 * (max support length) + 2; the support generates iff the
-        closure contains every single-letter word.  For finitely supported
-        measures the obstruction shows up within this radius.
-        """
-        supp = [w for w, _ in length_lex(self.masses) if w]
-        radius = 2 * self.max_support_length() + 2
-        closure = set(supp)
-        frontier = list(supp)
-        while frontier:
-            new = []
-            for u in frontier:
-                for s in supp:
-                    v = _product_letters(u, s)
-                    if len(v) <= radius and v not in closure:
-                        closure.add(v)
-                        new.append(v)
-                        if len(closure) > GENERATING_CLOSURE_CAP:
-                            raise ResourceLimitError(
-                                "semigroup closure exceeds the cap", GENERATING_CLOSURE_CAP
-                            )
-            frontier = new
-        targets = FreeGroupContext(self.rank).generators()
-        return all(t.letters in closure for t in targets)
+        def image(rows: list[int], states: int) -> int:
+            out = 0
+            while states:
+                low = states & -states
+                out |= rows[low.bit_length() - 1]
+                states ^= low
+            return out
+
+        def read(c: int, states: int) -> int:
+            """The states that letter c leads to from these, empty moves around it."""
+            return image(closure, image(moves[c], image(closure, states)))
+
+        changed = True
+        while changed:
+            changed = False
+            for p in range(n):
+                reach = image(closure, closure[p])
+                for c in range(2 * self.rank):
+                    reach |= read(c ^ 1, read(c, 1 << p))
+                if reach != closure[p]:
+                    closure[p] = reach
+                    changed = True
+        return all(read(c, 1) & 1 for c in range(2 * self.rank))
 
     def __eq__(self, other) -> bool:
         return (
@@ -257,26 +276,13 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     """The convolution action on algebra elements under the inner action:
     mu * a = sum_g mu(g) Ad_{g^-1}(a).  Preserves the canonical trace.
 
-    The per-word sums are exact: masses are integer numerators over their
-    common denominator D, the coefficient parts are integers over one power
-    of two 2^K, and each sum of products rounds once, through a correctly
-    rounded int / int division.  Coefficients that cancel, cancel exactly.
+    Exact: the masses are integer numerators over their common denominator,
+    so the result is an integer table over that denominator times a's.
     """
     if mu.rank != a.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
     d, num = _numerators(mu)
-    k, a_re, a_im = _dyadic(a)
-    parts = [(w, a_re.get(w, 0), a_im.get(w, 0)) for w in a.coeffs]
-    acc_re: dict[bytes, int] = {}
-    acc_im: dict[bytes, int] = {}
-    for g, n_g in length_lex(num):
-        ginv = inverse_letters(g)
-        for w, re, im in parts:
-            target = _product_letters(_product_letters(ginv, w), g)
-            acc_re[target] = acc_re.get(target, 0) + n_g * re
-            acc_im[target] = acc_im.get(target, 0) + n_g * im
-    d <<= k
-    return _element({w: complex(acc_re[w] / d, acc_im[w] / d) for w in acc_re}, a.rank)
+    return _conjugation_sum(a, num.items(), d)
 
 
 def decay_schedule(k_max: int) -> list[int]:

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stationarylab.algebra import (
+    _SQRT_BITS,
     AlgebraElement,
+    _checked_l1,
+    _float_down,
+    _float_up,
     _disjoint_cylinders,
     _layer_bound,
     _trace_moments,
-    adjoint_action,
-    canonical_trace,
     certify_norm,
     convolve,
-    involution,
     norm_lower_bound,
     norm_upper_bound,
 )
@@ -30,6 +31,8 @@ from stationarylab.freegroup import (
     free_basis_decomposition,
 )
 from stationarylab.walks import rng_from_seed
+
+from exact import exact, fractions_of
 
 F1 = FreeGroupContext(1)
 F2 = FreeGroupContext(2)
@@ -46,45 +49,65 @@ def random_element(rng, rank, radius, terms):
 
 
 def dense_convolve_oracle(x, y):
-    """Explicit double loop over all support pairs."""
+    """Explicit double loop over all support pairs, in Fractions."""
     out = {}
-    for u, cu in x.coeffs.items():
-        for v, cv in y.coeffs.items():
-            w = Word(u, x.rank) * Word(v, y.rank)
-            out[w] = out.get(w, 0) + cu * cv
-    return AlgebraElement(out, x.rank)
+    for u, (ur, ui) in exact(x).items():
+        for v, (vr, vi) in exact(y).items():
+            re, im = out.get(u * v, (0, 0))
+            out[u * v] = (re + ur * vr - ui * vi, im + ur * vi + ui * vr)
+    return {w: c for w, c in out.items() if c != (0, 0)}
 
 
-def max_coeff_diff(x, y):
-    keys = set(x.coeffs) | set(y.coeffs)
-    return max((abs(x.coeffs.get(k, 0) - y.coeffs.get(k, 0)) for k in keys), default=0.0)
+def test_constructor_reads_floats_at_their_binary_values():
+    a, b = F2.word("a"), F2.word("b")
+    x = AlgebraElement({a: 0.1 - 2.5j, b: Fraction(1, 3), F2.identity: 0}, 2)
+    assert exact(x) == {a: fractions_of(0.1 - 2.5j), b: (Fraction(1, 3), 0)}
+    # one denominator with no factor common to every numerator
+    assert x.den == 3 * 2**55 and x.im == {a.letters: -5 * 3 * 2**54}
+    for bad in (math.inf, complex(0, math.nan), "x"):
+        with pytest.raises(MalformedInputError):
+            AlgebraElement({a: bad}, 2)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(0.1),
+                               Fraction(1, 10**400), Fraction(10**400), Fraction(-10**400)],
+                         ids=["zero", "third", "minus-third", "float", "tiny", "huge",
+                              "minus-huge"])
+def test_outward_rounding_pair(q):
+    # the nearest floats on either side of q, +0.0 for 0, and the float
+    # range's end (or an infinity) beyond it
+    down, up = _float_down(q), _float_up(q)
+    assert down <= q <= up
+    assert math.nextafter(down, math.inf) > q and math.nextafter(up, -math.inf) < q
+    if q == 0:
+        assert math.copysign(1, down) == math.copysign(1, up) == 1
+    if q == Fraction(0.1):
+        assert down == up == 0.1
 
 
 class TestConvolve:
     def test_unitary_times_inverse(self):
         a = F2.word("a")
-        assert convolve(AlgebraElement.delta(a), AlgebraElement.delta(a.inverse())) \
-            == AlgebraElement.unit(2)
+        product = convolve(AlgebraElement.delta(a), AlgebraElement.delta(a.inverse()))
+        assert exact(product) == {F2.identity: (1, 0)}
 
     def test_unit_law(self):
         x = AlgebraElement.delta(F2.word("a")) + AlgebraElement.delta(F2.word("b"))
-        assert convolve(x, AlgebraElement.unit(2)) == x
+        assert exact(convolve(x, AlgebraElement.delta(F2.identity))) == exact(x)
 
     def test_against_dense_oracle(self):
         rng = rng_from_seed(21)
         for _ in range(25):
             x = random_element(rng, 2, 3, 12)
             y = random_element(rng, 2, 3, 12)
-            assert max_coeff_diff(convolve(x, y), dense_convolve_oracle(x, y)) < 1e-12
+            assert exact(convolve(x, y)) == dense_convolve_oracle(x, y)
 
     def test_bilinear(self):
         rng = rng_from_seed(22)
         x = random_element(rng, 2, 2, 8)
         y = random_element(rng, 2, 2, 8)
         z = random_element(rng, 2, 2, 8)
-        lhs = convolve(x + y, z)
-        rhs = convolve(x, z) + convolve(y, z)
-        assert max_coeff_diff(lhs, rhs) < 1e-12
+        assert exact(convolve(x + y, z)) == exact(convolve(x, z) + convolve(y, z))
 
     def test_associative_random_triples(self):
         rng = rng_from_seed(23)
@@ -92,13 +115,11 @@ class TestConvolve:
             x = random_element(rng, 2, 2, 6)
             y = random_element(rng, 2, 2, 6)
             z = random_element(rng, 2, 2, 6)
-            assert max_coeff_diff(
-                convolve(convolve(x, y), z), convolve(x, convolve(y, z))
-            ) < 1e-12
+            assert exact(convolve(convolve(x, y), z)) == exact(convolve(x, convolve(y, z)))
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatchError):
-            convolve(AlgebraElement.unit(1), AlgebraElement.unit(2))
+            convolve(AlgebraElement.delta(F1.identity), AlgebraElement.delta(F2.identity))
 
     def test_support_cap(self, monkeypatch):
         x = AlgebraElement({w: 1.0 for w in ball(F2, 2)}, 2)
@@ -107,99 +128,12 @@ class TestConvolve:
             convolve(x, x)
 
 
-class TestInvolution:
-    def test_single_unitary(self):
-        a = F2.word("a")
-        assert involution(AlgebraElement.delta(a)) == AlgebraElement.delta(a.inverse())
-
-    def test_conjugates_coefficients(self):
-        a = F2.word("a")
-        assert involution(AlgebraElement.delta(a, 2 + 1j)) == AlgebraElement.delta(
-            a.inverse(), 2 - 1j
-        )
-
-    def test_involutive(self):
-        rng = rng_from_seed(24)
-        for _ in range(50):
-            x = random_element(rng, 2, 3, 10)
-            assert involution(involution(x)) == x
-
-    def test_antimultiplicative(self):
-        rng = rng_from_seed(25)
-        x = random_element(rng, 2, 2, 6)
-        y = random_element(rng, 2, 2, 6)
-        assert max_coeff_diff(
-            involution(convolve(x, y)), convolve(involution(y), involution(x))
-        ) < 1e-12
-
-
-class TestCanonicalTrace:
-    def test_unit(self):
-        assert canonical_trace(AlgebraElement.unit(2)) == 1
-
-    def test_offdiagonal(self):
-        assert canonical_trace(AlgebraElement.delta(F2.word("a"))) == 0
-
-    def test_positive_and_l2(self):
-        rng = rng_from_seed(26)
-        for _ in range(50):
-            x = random_element(rng, 2, 3, 10)
-            val = canonical_trace(convolve(involution(x), x))
-            l2sq = sum(abs(c) ** 2 for c in x.coeffs.values())
-            assert abs(val - l2sq) < 1e-12
-            assert val.real >= 0
-
-    def test_tracial(self):
-        rng = rng_from_seed(27)
-        for _ in range(50):
-            x = random_element(rng, 2, 2, 8)
-            y = random_element(rng, 2, 2, 8)
-            assert abs(
-                canonical_trace(convolve(x, y)) - canonical_trace(convolve(y, x))
-            ) < 1e-12
-
-
-class TestAdjointAction:
-    def test_on_unitary(self):
-        g, h = F2.word("ab"), F2.word("B")
-        assert adjoint_action(g, AlgebraElement.delta(h)) == AlgebraElement.delta(
-            (g * h) * g.inverse()
-        )
-
-    def test_identity_acts_trivially(self):
-        rng = rng_from_seed(28)
-        x = random_element(rng, 2, 3, 10)
-        assert adjoint_action(F2.identity, x) == x
-
-    def test_preserves_trace(self):
-        rng = rng_from_seed(29)
-        for _ in range(50):
-            x = random_element(rng, 2, 3, 10)
-            g = F2.word("aB")
-            assert abs(
-                canonical_trace(adjoint_action(g, x)) - canonical_trace(x)
-            ) < 1e-12
-
-    def test_star_automorphism(self):
-        rng = rng_from_seed(30)
-        x = random_element(rng, 2, 2, 6)
-        y = random_element(rng, 2, 2, 6)
-        g = F2.word("ba")
-        assert max_coeff_diff(
-            adjoint_action(g, convolve(x, y)),
-            convolve(adjoint_action(g, x), adjoint_action(g, y)),
-        ) < 1e-12
-        assert max_coeff_diff(
-            adjoint_action(g, involution(x)), involution(adjoint_action(g, x))
-        ) < 1e-12
-
-    def test_preserves_moment_lower_bounds(self):
-        x = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
-        g = F2.word("ba")
-        for n in (1, 2, 4):
-            assert abs(
-                norm_lower_bound(adjoint_action(g, x), n) - norm_lower_bound(x, n)
-            ) < 1e-12
+def test_canonical_trace_is_tracial():
+    rng = rng_from_seed(27)
+    for _ in range(50):
+        x = random_element(rng, 2, 2, 8)
+        y = random_element(rng, 2, 2, 8)
+        assert exact(convolve(x, y)).get(F2.identity) == exact(convolve(y, x)).get(F2.identity)
 
 
 def z_moment_oracle(n):
@@ -230,16 +164,15 @@ def f2_moment_oracle(n_max):
 class TestNormBounds:
     def test_unitary_bracket_tight(self):
         nb = certify_norm(AlgebraElement.delta(F2.word("ab")), 16)
-        assert abs(nb.lower - 1) < 1e-12
-        assert abs(nb.upper - 1) < 1e-12
+        assert nb.lower == nb.upper == 1.0
 
     def test_zero_element(self):
-        nb = certify_norm(AlgebraElement.zero(2), 4)
+        nb = certify_norm(AlgebraElement({}, 2), 4)
         assert nb.lower == 0 and nb.upper == 0
 
     def test_z_bound_approaches_two(self):
         x = AlgebraElement.delta(F1.word("a")) + AlgebraElement.delta(F1.word("A"))
-        assert abs(norm_upper_bound(x) - 2.0) < 1e-12
+        assert norm_upper_bound(x) == 2.0
         lo = norm_lower_bound(x, 64)
         # ratio bound sqrt(C(130,65)/C(128,64)) = sqrt(2*129/65)
         assert abs(lo - math.sqrt(2 * 129 / 65)) < 1e-12
@@ -272,11 +205,11 @@ class TestNormBounds:
     def test_lower_bound_monotone_in_moments(self):
         x = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
         values = [norm_lower_bound(x, n) for n in (1, 2, 4, 8, 16, 32, 64)]
-        assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_upper_examples(self):
         x = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
-        assert abs(norm_upper_bound(x) - 4.0) < 1e-12
+        assert norm_upper_bound(x) == 4.0
         assert norm_upper_bound(AlgebraElement.delta(F2.word("ab"))) == 1.0
 
     def test_upper_at_least_lower_random(self):
@@ -284,7 +217,7 @@ class TestNormBounds:
         for _ in range(20):
             x = random_element(rng, 2, 2, 8)
             nb = certify_norm(x, 4)
-            assert nb.lower <= nb.upper + 1e-12
+            assert nb.lower <= nb.upper
 
     def test_free_support_certificate(self):
         a, b = F2.word("a"), F2.word("b")
@@ -295,8 +228,8 @@ class TestNormBounds:
     def test_generic_path_matches_radial_path(self):
         # conjugating breaks radiality but not the moments
         x = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
-        g = F2.word("ba")
-        y = adjoint_action(g, x)
+        g = F2.word("ab")
+        y = AlgebraElement({conjugate(w, g): 1.0 for w in ball(F2, 1) if len(w)}, 2)
         for n in (1, 2, 4):
             assert abs(norm_lower_bound(y, n) - norm_lower_bound(x, n)) < 1e-12
 
@@ -310,7 +243,6 @@ class TestNormBounds:
                 bound()
         # a finite coefficient whose modulus overflows a float
         big = AlgebraElement({a: complex(1.7e308, 1.7e308)}, 2)
-        assert big.l1() == math.inf
         with pytest.raises(MalformedInputError, match="squared l1 norm"):
             norm_upper_bound(big)
         # just under the edge, the bracket stands
@@ -357,6 +289,21 @@ def test_free_family_norm_is_in_the_bracket(family, n_moments, e, phases):
     assert norm_squared_in(bracket, Fraction(4) ** e * 4 * (len(words) - 1))
 
 
+@settings(max_examples=80)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=14),
+       st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.integers(1, 8))
+def test_cyclic_subgroup_norm_is_in_the_bracket(codes, c0, c, n_moments):
+    # x = c0 + c (lambda_w + lambda_w^-1) lies in C*_r(<w>), and C*_r(Z) = C(T)
+    # embeds isometrically, so ||x|| = max_t |c0 + 2 c cos t| = |c0| + 2 |c|
+    w = Word(codes, 2)
+    if w.is_identity():
+        return
+    x = AlgebraElement({F2.identity: c0, w: c, w.inverse(): c}, 2)
+    bracket = certify_norm(x, n_moments)
+    assert Fraction(bracket.lower) <= abs(Fraction(c0)) + 2 * abs(Fraction(c)) \
+        <= Fraction(bracket.upper)
+
+
 def test_the_freeness_check_sees_a_relation():
     # {ab, bb, aBa} generates a subgroup of rank 2: it is not a free family,
     # and the check above refuses it as an Akemann-Ostrand case
@@ -364,26 +311,55 @@ def test_the_freeness_check_sees_a_relation():
     assert free_basis_decomposition(words).rank == 2
 
 
-def upper_bound_oracle(x):
-    """Minimum of all four upper-bound candidates, with the fold always run."""
-    c_e = abs(x.coeffs.get(b"", 0))
-    rest = sorted(
-        ((Word(w, x.rank), c) for w, c in x.coeffs.items() if w),
-        key=lambda p: p[0].sort_key(),
-    )
-    candidates = [x.l1(), _layer_bound((len(w), c) for w, c in x.coeffs.items())]
+def sqrt_interval(q, bits=200):
+    """Fractions lo <= sqrt(q) <= hi, equal when sqrt(q) is rational, apart
+    by 2^-bits otherwise."""
+    p, d = q.numerator, q.denominator
+    if math.isqrt(p) ** 2 == p and math.isqrt(d) ** 2 == d:
+        root = Fraction(math.isqrt(p), math.isqrt(d))
+        return root, root
+    lo = Fraction(math.isqrt(p * 4**bits // d), 2**bits)
+    return lo, lo + Fraction(1, 2**bits)
+
+
+def root_sum(terms):
+    """An interval [lo, hi] on sum a sqrt(q) over pairs (a >= 0, q >= 0)."""
+    pairs = [sqrt_interval(q) for _, q in terms]
+    return (sum(a * lo for (a, _), (lo, _) in zip(terms, pairs)),
+            sum(a * hi for (a, _), (_, hi) in zip(terms, pairs)))
+
+
+def exact_candidates(x):
+    """{tag: interval} of every upper-bound candidate, from Fraction
+    coefficients, with the fold always run.  A candidate that does not apply
+    is left out; "free-family" stands for both freeness certificates."""
+    squares = {w: re * re + im * im for w, (re, im) in exact(x).items()}
+    c_e = squares.get(F2.identity if x.rank == 2 else Word((), x.rank), 0)
+    rest = sorted((w for w in squares if w), key=Word.sort_key)
+
+    def layers(pairs):
+        mass = {}
+        for n, s in pairs:
+            mass[n] = mass.get(n, 0) + s
+        return [(n + 1, s) for n, s in mass.items()]
+
+    out = {"l1": root_sum([(1, s) for s in squares.values()]),
+           "ambient-layers": root_sum(layers((len(w), s) for w, s in squares.items()))}
     if rest:
-        words = [w for w, _ in rest]
-        coeffs = [c for _, c in rest]
-        dec = free_basis_decomposition(words)
-        if dec.rank == len(words):
-            candidates.append(c_e + 2.0 * math.sqrt(sum(abs(c) ** 2 for c in coeffs)))
-        else:
+        dec = free_basis_decomposition(rest)
+        if dec.rank == len(rest) or _disjoint_cylinders([w.letters for w in rest]):
+            out["free-family"] = root_sum([(1, c_e), (2, sum(squares[w] for w in rest))])
+        if dec.rank < len(rest):
             lens = [len(rw) for rw in dec.rewritten]
-            candidates.append(c_e + _layer_bound(zip(lens, coeffs)))
-        if _disjoint_cylinders([w.letters for w in words]):
-            candidates.append(c_e + 2.0 * math.sqrt(sum(abs(c) ** 2 for c in coeffs)))
-    return min(candidates)
+            out["subgroup-layers"] = root_sum(
+                [(1, c_e)] + layers(zip(lens, (squares[w] for w in rest))))
+    return out
+
+
+def assert_rounded_up(bound, interval):
+    """bound is at least the exact value and at most a few ulps above it."""
+    lo, hi = interval
+    assert hi <= Fraction(bound) <= hi * (1 + Fraction(1, 2**50)) + Fraction(1, 2**1000)
 
 
 class TestUpperBoundFoldSkip:
@@ -406,7 +382,7 @@ class TestUpperBoundFoldSkip:
                 table = dict(extra)
                 for h in conjugators:
                     u = conjugate(g, h)
-                    table[u] = table.get(u, 0) + 1 / n
+                    table[u] = table.get(u, 0) + Fraction(1, n)
                 table[F2.identity] = float(rng.standard_normal()) * 0.2
                 yield AlgebraElement(table, 2)
         yield AlgebraElement({conjugate(a, b**k): 0.125 for k in range(1, 9)}, 2)
@@ -414,11 +390,30 @@ class TestUpperBoundFoldSkip:
     def test_equals_minimum_with_fold_always_run(self):
         folds_needed = 0
         for x in self.elements():
-            oracle = upper_bound_oracle(x)
-            assert norm_upper_bound(x) == oracle
-            folds_needed += norm_upper_bound(x).method in ("free-support", "subgroup-layers")
+            candidates = exact_candidates(x)
+            bound = norm_upper_bound(x)
+            assert_rounded_up(bound, min(candidates.values(), key=lambda iv: iv[1]))
+            folds_needed += bound.method in ("free-support", "subgroup-layers")
         # the family reaches the fold as well as the skip
         assert folds_needed > 0
+
+    def test_each_candidate_against_exact_fractions(self):
+        # the l1 and layer integers, in units of 1 / (den 2^_SQRT_BITS), are
+        # the exact values with each square root rounded up by under one unit
+        for x in self.elements():
+            candidates = exact_candidates(x)
+            unit = Fraction(1, x.den << _SQRT_BITS)
+            squares = {w: re * re + im * im for w, (re, im) in exact(x).items()}
+            l1 = _checked_l1(x) * unit
+            layers = _layer_bound((len(w), int(s * x.den**2)) for w, s in squares.items()) * unit
+            weights = sum(n + 1 for n in {len(w) for w in squares})
+            for value, tag, slack in ((l1, "l1", len(squares)),
+                                      (layers, "ambient-layers", weights)):
+                lo, hi = candidates[tag]
+                assert hi <= value < lo + slack * unit
+            # a complex coefficient's l1 term is rounded up; a real one is exact
+            if not x.im:
+                assert l1 == candidates["l1"][0] == candidates["l1"][1]
 
     def test_bracket_takes_bound_and_tag_from_norm_upper_bound(self):
         methods = set()
@@ -429,7 +424,7 @@ class TestUpperBoundFoldSkip:
             assert (bracket.upper, bracket.upper_method) == (bound, bound.method)
             methods.add(bound.method)
         assert {"l1", "disjoint-cylinders"} <= methods
-        zero = norm_upper_bound(AlgebraElement.zero(2))
+        zero = norm_upper_bound(AlgebraElement({}, 2))
         assert (zero, zero.method) == (0.0, "zero")
 
 
@@ -494,7 +489,7 @@ def test_disjoint_cylinder_bound_matches_pairwise_scan():
 
 def word_table_moment_engine(x, n_moments, support_cap):
     """Exact reference for the non-radial moment engine: tables keyed by Word
-    with coefficients as Fraction (re, im) pairs from as_integer_ratio, every
+    with coefficients as Fraction (re, im) pairs, every
     pairing tau0(a b) summed with Word.inverse() lookups, and y y formed
     twice.  A product stops the engine once the words it touches pass the cap.
     Returns the moments {m: tau0(y^m)} as Fractions."""
@@ -518,10 +513,7 @@ def word_table_moment_engine(x, n_moments, support_cap):
         assert im == 0
         return re
 
-    def exact(c):
-        return tuple(Fraction(*part.as_integer_ratio()) for part in (c.real, c.imag))
-
-    table = {Word(w, x.rank): exact(c) for w, c in x.coeffs.items()}
+    table = exact(x)
     y = times({w.inverse(): (re, -im) for w, (re, im) in table.items()}, table)
     e = Word((), x.rank)
     moments = {1: y.get(e, (0, 0))[0]}
@@ -548,8 +540,8 @@ def word_table_moment_engine(x, n_moments, support_cap):
 
 def engine_moments(x, n_moments):
     """The engine's moments {m: tau0(y^m)} as Fractions."""
-    k, moments = _trace_moments(x, n_moments)
-    return {m: Fraction(v, 4 ** (k * m)) for m, v in moments.items()}
+    den, moments = _trace_moments(x, n_moments)
+    return {m: Fraction(v, den**m) for m, v in moments.items()}
 
 
 def certified_by(r, moments, n_moments):
@@ -578,12 +570,11 @@ def non_radial_elements(rng):
     while len(out) < 24:
         rank = int(rng.integers(1, 4))
         x = random_element(rng, rank, 2, int(rng.integers(2, 6)))
-        if len(x) < 2:
+        if len(exact(x)) < 2:
             continue  # a single term gives the radial y = |c|^2 lambda_e
         if len(out) % 2:
             ints = (1, -1, 2, 1j)
-            x = AlgebraElement(
-                {Word(w, rank): ints[int(rng.integers(0, 4))] for w in x.coeffs}, rank)
+            x = AlgebraElement({w: ints[int(rng.integers(0, 4))] for w in exact(x)}, rank)
         out.append(x)
     return out
 

@@ -20,7 +20,7 @@ GOLDEN = {
     ),
     "cesaro": (
         {"experiment": "cesaro", "rank": 2, "element": "ab", "n_max": 3},
-        {"cesaro.csv": "54aee5ff068b35ed9f1279cc2dac36ab152e0de338483b2221839085c169237f",
+        {"cesaro.csv": "53d4531117c0f2464611af151677d8268a3deb2f357e20458b1fecc5186b4f0b",
          "cesaro_summary.json":
              "3c8e8f15f490b61e055115fa383bfd1f4f467af11df5f2fa241d202f578f5208"},
     ),
@@ -34,7 +34,7 @@ GOLDEN = {
     "build-mu": (
         {"experiment": "build-mu", "rank": 2, "levels": 1},
         {"build_levels.csv": "78da5ab41140f306879a2d593ea5967bc5ff7399e61b3759bf33ca9e0671bbeb",
-         "build_final.csv": "94a7784e07a3bc9905a13eeecc386e062c9b1bd8b81a49fd6035f19f170e6800",
+         "build_final.csv": "40f05248c1af9cefab970ecee2b5ba1830bc719549b3bdd86374743bfc96022d",
          "mu.json": "bf9e4046bb91973b4b6f98e5067527171e5f0e1205f874bc8be95875887f56cf"},
     ),
     "boundary-solve": (

@@ -17,13 +17,10 @@ from stationarylab.algebra import AlgebraElement
 from stationarylab.cli import EXPERIMENTS, ConfigError, config_hash, main, run, verify
 from stationarylab.errors import MalformedInputError
 from stationarylab.freegroup import FreeGroupContext
-from stationarylab.serialize import (
-    element_from_json,
-    element_to_json,
-    measure_from_json,
-    measure_to_json,
-)
+from stationarylab.serialize import element_from_json, measure_from_json, measure_to_json
 from stationarylab.walks import uniform_generator_measure
+
+from exact import exact
 
 F2 = FreeGroupContext(2)
 
@@ -41,11 +38,14 @@ class TestSerialization:
         )
         assert mu.mass(F2.word("B")) == 0.5
 
-    def test_element_roundtrip(self):
-        x = AlgebraElement(
-            {F2.word("abA"): 1.5 - 2j, F2.identity: 3.0}, 2
-        )
-        assert element_from_json(element_to_json(x)) == x
+    def test_element_terms_add_exactly(self):
+        # 0.1 + 0.2 is not the float 0.30000000000000004 here: the two terms of
+        # one word add as the binary values of their parts
+        x = element_from_json({"context": 2, "terms": [
+            {"word": "abA", "re": 0.1}, {"word": "1", "re": 3.0, "im": -2.0},
+            {"word": "abA", "re": 0.2, "im": 1.5}]})
+        assert exact(x) == {F2.word("abA"): (Fraction(0.1) + Fraction(0.2), Fraction(3, 2)),
+                            F2.identity: (3, -2)}
 
     def test_non_finite_element_coefficient_rejected(self):
         # a coefficient that is not finite, given or from a sum of terms
@@ -53,11 +53,6 @@ class TestSerialization:
                       [{"word": "a", "re": 1e308}, {"word": "a", "re": 1e308}]):
             with pytest.raises(MalformedInputError):
                 element_from_json({"context": 2, "terms": terms})
-
-    def test_element_json_shape(self):
-        x = AlgebraElement.delta(F2.word("abA"))
-        data = element_to_json(x)
-        assert data == {"context": 2, "terms": [{"word": "abA", "re": 1.0, "im": 0.0}]}
 
 
 class TestRunAndVerify:
@@ -143,6 +138,35 @@ class TestMainExitCodes:
     def test_precondition_error_is_3(self, tmp_path):
         rc = main(["powers", "--g", "1", "--eps", "0.5", "--out-dir", str(tmp_path)])
         assert rc == 3
+
+    def test_cesaro_exact_uppers_read_not_decaying(self, tmp_path):
+        # every b_n of lambda_ab under the simple walk has l1 norm exactly 1:
+        # a run of equal uppers is no decay
+        rc = main(["cesaro", "--element", "ab", "--n-max", "6", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "cesaro.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[2:] for row in rows] == [["1.0", "l1"]] * 6
+        summary = json.loads((tmp_path / "cesaro_summary.json").read_text())
+        assert summary["verdict"] == "not decaying over the last three checkpoints"
+
+    def test_boundary_solve_on_slowly_generating_laws(self, tmp_path, capsys):
+        # each law generates F_2 only through products that leave the ball of
+        # twice its longest word (see test_walks); the length-6 laws then stop
+        # at once on their working ball of radius 2 + 2 * 6
+        for support, rc_expected, message in (
+            (("bAB", "abA", "bba", "BaB"), 0, ""),
+            (("bbaaab", "BBAABA", "AAbAAB", "aaaBBA", "abABB"), 4, "radius 14"),
+            (("aaaaab", "BAAAA", "A", "b", "B"), 4, "radius 14"),
+        ):
+            law = tmp_path / "mu.json"
+            law.write_text(json.dumps({"context": 2, "atoms": [
+                {"word": w, "p": f"1/{len(support)}"} for w in support]}))
+            start = time.perf_counter()
+            rc, err = _main(["boundary-solve", "--depth", "2", "--mu", str(law),
+                             "--out-dir", str(tmp_path / "o")], capsys)
+            assert rc == rc_expected and time.perf_counter() - start < 1
+            if message:
+                _assert_one_error_line(err, message)
 
     def test_cesaro_under_the_support_cap_is_partial(self, tmp_path, monkeypatch):
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 200)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from stationarylab import freegroup
-from stationarylab.algebra import AlgebraElement, canonical_trace, norm_upper_bound
+from stationarylab.algebra import AlgebraElement, _float_down, norm_upper_bound
 from stationarylab.boundary import uniform_boundary_measure
-from stationarylab.cli import _float_down
 from stationarylab.errors import MalformedInputError, PreconditionError, ResourceLimitError
 from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, Word, ball, conjugate
 from stationarylab.states import (
@@ -31,6 +30,7 @@ from stationarylab.walks import (
 )
 
 from commutant import dense, hermitian_commutant, span_distance
+from exact import exact
 
 F2 = FreeGroupContext(2)
 MU = uniform_generator_measure(2)
@@ -39,7 +39,7 @@ S3_REGULAR = FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)])
 
 class TestCesaroTest:
     def test_unit_element_all_zero(self):
-        rep = cesaro_test(AlgebraElement.unit(2), MU, n_max=4)
+        rep = cesaro_test(AlgebraElement.delta(F2.identity), MU, n_max=4)
         assert all(r.lower == 0 and r.upper == 0 for r in rep.rows)
 
     def test_single_unitary_first_bracket(self):
@@ -51,13 +51,19 @@ class TestCesaroTest:
         rep = cesaro_test(AlgebraElement.delta(F2.word("a")), mu, n_max=32)
         ups = rep.uppers()
         assert rep.generating is False
-        assert "decaying" in rep.verdict
+        assert rep.verdict.startswith("decaying")
         # O(1/sqrt(n)): the scaled uppers stay bounded while raw uppers halve
         assert ups[31] < 0.55 * ups[7]
         scaled = [ups[n - 1] * math.sqrt(n) for n in (8, 16, 32)]
         assert max(scaled) < 3.0
         # certified lower bounds stay below uppers
-        assert all(r.lower <= r.upper + 1e-12 for r in rep.rows)
+        assert all(r.lower <= r.upper for r in rep.rows)
+
+    def test_exact_l1_uppers_do_not_decay(self):
+        # every b_n of lambda_ab under the simple walk has l1 norm exactly 1
+        rep = cesaro_test(AlgebraElement.delta(F2.word("ab")), MU, n_max=6)
+        assert [(r.upper, r.upper_method) for r in rep.rows] == [(1.0, "l1")] * 6
+        assert rep.verdict == "not decaying over the last three checkpoints"
 
     def test_generating_flag_for_uniform(self):
         rep = cesaro_test(AlgebraElement.delta(F2.word("a")), MU, n_max=3)
@@ -95,7 +101,7 @@ class TestPowersSearch:
             u_2n = norm_upper_bound(
                 _averaged_element(x, tuple(b**k for k in range(1, 2 * n + 1)))
             )
-            assert u_2n <= u_n + 1e-15
+            assert u_2n <= u_n
 
     def test_identity_rejected(self):
         with pytest.raises(PreconditionError):
@@ -114,41 +120,31 @@ class TestPowersSearch:
         assert cert.conjugators  # best tuple retained
 
 
-def running_sums(x, conjugators):
-    """The Powers average as n conjugated elements added one after another:
-    the sum after each conjugator."""
-    n = len(conjugators)
-    out = AlgebraElement.zero(x.rank)
-    for h in conjugators:
-        out = out + AlgebraElement(
-            {conjugate(Word(w, x.rank), h): c / n for w, c in x.coeffs.items()}, x.rank
-        )
-        yield out
-
-
 def averaged_oracle(x, conjugators):
-    return list(running_sums(x, conjugators))[-1]
-
-
-def _bits(x):
-    """(word, real bits, imaginary bits) per term in key order."""
-    return [(str(Word(w, x.rank)), c.real.hex(), c.imag.hex()) for w, c in x.coeffs.items()]
+    """The Powers average in Fractions: the n conjugated elements added one
+    after another, zero sums left out, and the number of sums that reached
+    exactly 0 on the way."""
+    n = len(conjugators)
+    acc = {}
+    zeros = 0
+    for h in conjugators:
+        for w, (re, im) in exact(x).items():
+            old_re, old_im = acc.get(conjugate(w, h), (0, 0))
+            acc[conjugate(w, h)] = total = (old_re + re / n, old_im + im / n)
+            zeros += total == (0, 0)
+    return {w: c for w, c in acc.items() if c != (0, 0)}, zeros
 
 
 class TestPowersAveraging:
-    def test_cancelled_key_is_dropped_and_added_again(self):
-        # h = 1 puts +1/3 on b, h = a puts -1/3 there (A(abA)a = b): the sum
-        # is exactly 0 and b leaves; the second h = 1 adds it back at the end
+    def test_cancelled_key_is_dropped(self):
+        # h = 1 puts +1/2 on b, h = a puts -1/2 there (A(abA)a = b): the sum
+        # is exactly 0 and b leaves the support
         x = AlgebraElement({F2.word("b"): 1.0, F2.word("abA"): -1.0}, 2)
-        hs = (F2.identity, F2.word("a"), F2.identity)
+        hs = (F2.identity, F2.word("a"))
         got = _averaged_element(x, hs)
-        assert [str(Word(w, 2)) for w in got.coeffs] == ["abA", "Aba", "b"]
-        assert _bits(got) == _bits(averaged_oracle(x, hs))
-
-    def test_negative_zero_parts_take_the_bits_of_repeated_addition(self):
-        x = AlgebraElement({F2.word("a"): complex(-0.0, 1.0), F2.word("b"): complex(0.5, -0.0)}, 2)
-        hs = (F2.word("b"), F2.word("ab"))
-        assert _bits(_averaged_element(x, hs)) == _bits(averaged_oracle(x, hs))
+        assert exact(got) == {F2.word("abA"): (Fraction(-1, 2), 0),
+                              F2.word("Aba"): (Fraction(1, 2), 0)}
+        assert exact(got) == averaged_oracle(x, hs)[0]
 
     def test_matches_repeated_addition_on_random_elements(self):
         # x is a signed sum of conjugates of one word by short conjugators and
@@ -163,11 +159,9 @@ class TestPowersAveraging:
                                                                         int(rng.integers(-1, 2)))
                                 for i in rng.integers(0, len(short), size=4)}, 2)
             hs = tuple(short[int(i)] for i in rng.integers(0, len(short), size=int(rng.integers(1, 7))))
-            assert _bits(_averaged_element(x, hs)) == _bits(averaged_oracle(x, hs))
-            prev = set()
-            for partial in running_sums(x, hs):
-                cancels += bool(prev - set(partial.coeffs))
-                prev = set(partial.coeffs)
+            expected, zeros = averaged_oracle(x, hs)
+            assert exact(_averaged_element(x, hs)) == expected
+            cancels += zeros
         assert cancels > 0
 
     def test_geometric_tuples_are_successive_powers(self):
@@ -210,7 +204,7 @@ class TestBuilder:
         build = build_c_star_simple_measure(family, 1)
         for a in family:
             out = measure_convolve_element(build.measure, a)
-            assert abs(canonical_trace(out) - canonical_trace(a)) < 1e-12
+            assert exact(out).get(F2.identity) == exact(a).get(F2.identity)
 
     def test_deterministic_rebuild(self):
         family = [AlgebraElement.delta(w) for w in ball(F2, 1)]
@@ -230,7 +224,7 @@ class TestBuilder:
         stored = [
             c.upper_bound for c in build.level_certificates if c.constraint_id == "a[0]"
         ]
-        assert any(abs(u - s) < 1e-15 for s in stored)
+        assert u in stored
 
     def test_level_two_certificates_recompute_bit_identically(self):
         # recomputation oracle: rebuild every recorded level-2 constraint
@@ -252,7 +246,8 @@ class TestBuilder:
             if cert.level != 2:
                 continue
             x = elements[cert.constraint_id]
-            centered = x - AlgebraElement.delta(e, canonical_trace(x))
+            assert not x.im
+            centered = AlgebraElement({w: re for w, (re, _) in exact(x).items() if w != e}, 2)
             recomputed = norm_upper_bound(_averaged_element(centered, hs2))
             assert recomputed == cert.upper_bound
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stationarylab import freegroup
-from stationarylab.algebra import AlgebraElement, canonical_trace, convolve
+from stationarylab.algebra import AlgebraElement, convolve
 from stationarylab.boundary import solve_stationary, translate, uniform_boundary_measure
 from stationarylab.errors import ContextMismatchError, MalformedInputError, ResourceLimitError
 from stationarylab.freegroup import FreeGroupContext, Word, ball, conjugate
@@ -24,6 +24,8 @@ from stationarylab.walks import (
     uniform_generator_measure,
 )
 from stationarylab.states import _averaged_element
+
+from exact import exact
 
 F2 = FreeGroupContext(2)
 MU = uniform_generator_measure(2)
@@ -90,6 +92,59 @@ class TestGroupMeasure:
             {F2.word("a"): Fraction(1, 2), F2.word("b"): Fraction(1, 2)}, 2
         )
         assert not one_sided.is_generating()
+        # every product of these words has exponent sum 1 in a
+        assert not GroupMeasure.uniform_on([F2.word(w) for w in ("ab", "aB", "b")]).is_generating()
+        # ab and its inverse give the cyclic group <ab>; with a and A, all of F_2
+        assert not GroupMeasure.uniform_on([F2.word(w) for w in ("ab", "BA")]).is_generating()
+        assert GroupMeasure.uniform_on([F2.word(w) for w in ("ab", "BA", "a", "A")]).is_generating()
+
+
+# laws that generate F_2 as a semigroup only through long products: each
+# letter's witness is a product of support words and of letters witnessed
+# above it
+SLOW_GENERATION = {
+    ("bAB", "abA", "bba", "BaB"): (
+        ("a", "BaB bAB bba"),
+        ("B", "abA a BaB bAB bAB"),
+        ("b", "bAB B bba"),
+        ("A", "B bAB bAB B bba"),
+    ),
+    ("bbaaab", "BBAABA", "AAbAAB", "aaaBBA", "abABB"): (
+        ("B", "BBAABA abABB bbaaab"),
+        ("a", "BBAABA B B bbaaab B AAbAAB B bbaaab B abABB bbaaab B AAbAAB B bbaaab B"),
+        ("A", "AAbAAB B bbaaab B a B a a AAbAAB a"),
+        ("b", "bbaaab B A A A B"),
+    ),
+    ("aaaaab", "BAAAA", "A", "b", "B"): (
+        ("a", "aaaaab B A A A A"),
+    ),
+}
+
+
+@pytest.mark.parametrize("support", list(SLOW_GENERATION),
+                         ids=["length-3", "five-words", "aaaaab"])
+def test_generation_by_long_products(support):
+    known = set(support)
+    for letter, witness in SLOW_GENERATION[support]:
+        factors = witness.split()
+        assert set(factors) <= known
+        product = F2.identity
+        for f in factors:
+            product = product * F2.word(f)
+        assert product == F2.word(letter)
+        known.add(letter)
+    assert known >= {"a", "A", "b", "B"}
+    assert GroupMeasure.uniform_on([F2.word(w) for w in support]).is_generating()
+
+
+def test_generation_test_checks_its_cap_first(monkeypatch):
+    # five words of six letters or fewer: 1 + 24 automaton states, 625 pairs
+    mu = GroupMeasure.uniform_on([F2.word(w) for w in list(SLOW_GENERATION)[1]])
+    monkeypatch.setattr(freegroup, "SUPPORT_CAP", 624)
+    with pytest.raises(ResourceLimitError):
+        mu.is_generating()
+    monkeypatch.setattr(freegroup, "SUPPORT_CAP", 625)
+    assert mu.is_generating()
 
 
 class TestWordKeyedConstructors:
@@ -108,8 +163,8 @@ class TestWordKeyedConstructors:
 
     def test_tables_are_keyed_by_letters(self):
         x = AlgebraElement({F2.word("ab"): 2, F2.word("B"): 0.0, F2.identity: 1j}, 2)
+        assert (x.re, x.im, x.den) == ({b"\x00\x02": 2}, {b"": 1}, 1)
         assert x.coeffs == {b"\x00\x02": 2 + 0j, b"": 1j}
-        assert x.support() == [F2.identity, F2.word("ab")]
         mu = GroupMeasure({F2.word("Ab"): "1/4", F2.word("a"): Fraction(3, 4)}, 2)
         assert mu.masses == {b"\x01\x02": Fraction(1, 4), b"\x00": Fraction(3, 4)}
         assert mu.atoms() == [(F2.word("a"), Fraction(3, 4)), (F2.word("Ab"), Fraction(1, 4))]
@@ -119,11 +174,10 @@ class TestWordKeyedConstructors:
         # one stray key of another type would split a word's entry in two
         x = AlgebraElement({F2.word("ab"): 1.0, F2.word("B"): 0.5j, F2.identity: 2.0}, 2)
         mu2 = convolve_measures(MU, MU)
-        tables = [
-            convolve(x, x).coeffs,
+        elements = [convolve(x, x), measure_convolve_element(mu2, x),
+                    _averaged_element(x, [F2.word("a"), F2.word("ba")])]
+        tables = [table for y in elements for table in (y.re, y.im)] + [
             mu2.masses,
-            measure_convolve_element(mu2, x).coeffs,
-            _averaged_element(x, [F2.word("a"), F2.word("ba")]).coeffs,
             translate(F2.word("ab"), uniform_boundary_measure(F2, 3)).masses,
             solve_stationary(MU, 2).measure.masses,
         ]
@@ -210,13 +264,11 @@ class TestCesaro:
         a = AlgebraElement.delta(F2.word("a")) + AlgebraElement.delta(F2.word("bb"), 2j)
         n = 4
         via_measure = measure_convolve_element(cesaro_measure(MU, n), a)
-        avg = AlgebraElement.zero(2)
-        for k in range(n):
-            avg = avg + (1.0 / n) * measure_convolve_element(measure_power(MU, k), a)
-        keys = set(via_measure.coeffs) | set(avg.coeffs)
-        assert max(
-            abs(via_measure.coeffs.get(w, 0) - avg.coeffs.get(w, 0)) for w in keys
-        ) < 1e-12
+        total = measure_convolve_element(measure_power(MU, 0), a)
+        for k in range(1, n):
+            total = total + measure_convolve_element(measure_power(MU, k), a)
+        assert {w: (n * re, n * im) for w, (re, im) in exact(via_measure).items()} \
+            == exact(total)
 
 
 class TestSampling:
@@ -265,12 +317,13 @@ class TestSampling:
 
 class TestMeasureConvolveElement:
     def test_center_fixed(self):
-        assert measure_convolve_element(MU, AlgebraElement.unit(2)) == AlgebraElement.unit(2)
+        one = AlgebraElement.delta(F2.identity)
+        assert exact(measure_convolve_element(MU, one)) == exact(one)
 
     def test_dirac_conjugates(self):
         h, g = F2.word("b"), F2.word("a")
         res = measure_convolve_element(GroupMeasure.dirac(h), AlgebraElement.delta(g))
-        assert res == AlgebraElement.delta(conjugate(g, h))
+        assert exact(res) == exact(AlgebraElement.delta(conjugate(g, h)))
 
     def test_preserves_trace(self):
         rng = rng_from_seed(33)
@@ -281,9 +334,8 @@ class TestMeasureConvolveElement:
                 for i in rng.integers(0, len(words), size=6)
             }
             x = AlgebraElement(table, 2)
-            assert abs(
-                canonical_trace(measure_convolve_element(MU, x)) - canonical_trace(x)
-            ) < 1e-12
+            assert exact(measure_convolve_element(MU, x)).get(F2.identity) \
+                == exact(x).get(F2.identity)
 
 
 class TestDecaySchedule:
@@ -328,27 +380,20 @@ def convolve_oracle(mu, nu):
 
 
 def element_oracle(mu, a):
-    """mu * a summed in Fractions per word and rounded once, in the kernel's
-    loop order."""
-    acc_re, acc_im = {}, {}
+    """mu * a summed in Fractions per word, zero sums left out."""
+    acc = {}
     for g, p in _by_length_lex(mu.masses):
-        for w, c in a.coeffs.items():
-            target = conjugate(Word(w, 2), Word(g, 2)).letters
-            acc_re[target] = acc_re.get(target, Fraction(0)) + p * Fraction(c.real)
-            acc_im[target] = acc_im.get(target, Fraction(0)) + p * Fraction(c.imag)
-    out = {w: complex(float(acc_re[w]), float(acc_im[w])) for w in acc_re}
-    return [(w, c) for w, c in out.items() if c != 0]
+        for w, (re, im) in exact(a).items():
+            target = conjugate(w, Word(g, 2))
+            old_re, old_im = acc.get(target, (0, 0))
+            acc[target] = (old_re + p * re, old_im + p * im)
+    return {w: c for w, c in acc.items() if c != (0, 0)}
 
 
 def _mass_bits(items):
     """(word, type, value) per atom; floats by their hex form."""
     return [(str(w), type(p).__name__, p.hex() if isinstance(p, float) else p)
             for w, p in items]
-
-
-def _coeff_bits(items):
-    """(word, real bits, imaginary bits) per term, so -0.0 differs from 0.0."""
-    return [(str(w), c.real.hex(), c.imag.hex()) for w, c in items]
 
 
 def _law(atoms):
@@ -398,7 +443,7 @@ class TestIntegerKernels:
     def test_element_action_matches_the_fraction_loop_bit_for_bit(self, coeffs, mu):
         a = AlgebraElement({F2.word(w): c for w, c in coeffs.items()}, 2)
         got = measure_convolve_element(mu, a)
-        assert _coeff_bits(got.coeffs.items()) == _coeff_bits(element_oracle(mu, a))
+        assert exact(got) == element_oracle(mu, a)
 
     def test_cancelling_coefficient_is_dropped(self):
         # with g = 1 the b term gets 1/3 * 2, with g = a the aBA term gets
@@ -406,17 +451,10 @@ class TestIntegerKernels:
         mu = _law({"1": Fraction(1, 3), "a": Fraction(2, 3)})
         a = AlgebraElement({F2.word("b"): 2.0, F2.word("abA"): -1.0}, 2)
         got = measure_convolve_element(mu, a)
-        assert F2.word("b").letters not in got.coeffs
-        assert _coeff_bits(got.coeffs.items()) == _coeff_bits(element_oracle(mu, a))
-        assert [str(Word(w, 2)) for w in got.coeffs] == ["abA", "Aba"]
-
-    def test_non_finite_coefficients_raise_as_before(self):
-        for c, error in ((float("inf"), OverflowError), (complex(1.0, float("nan")), ValueError)):
-            a = AlgebraElement({F2.word("a"): c}, 2)
-            with pytest.raises(error):
-                element_oracle(COPRIME, a)
-            with pytest.raises(error):
-                measure_convolve_element(COPRIME, a)
+        assert F2.word("b").letters not in got.re
+        assert exact(got) == element_oracle(mu, a)
+        assert [str(Word(w, 2)) for w in got.re] == ["abA", "Aba"]
 
     def test_empty_element(self):
-        assert measure_convolve_element(COPRIME, AlgebraElement.zero(2)) == AlgebraElement.zero(2)
+        got = measure_convolve_element(COPRIME, AlgebraElement({}, 2))
+        assert (got.re, got.im, got.den) == ({}, {}, 1)
