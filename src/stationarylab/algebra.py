@@ -137,9 +137,8 @@ def _tables(parts: Mapping[bytes, tuple[Fraction, Fraction]]) -> tuple[dict, dic
 
 def _drop_zeros(table: dict) -> dict:
     """The table with its exact zeros deleted in place."""
-    if 0 in table.values():
-        for w in [w for w, c in table.items() if c == 0]:
-            del table[w]
+    for w in [w for w, c in table.items() if c == 0]:
+        del table[w]
     return table
 
 
@@ -421,7 +420,7 @@ _FLOAT_MAX = int(float_info.max)
 def _sqrt_up(n: int) -> int:
     """ceil(2^_SQRT_BITS sqrt(n)) for an integer n >= 0."""
     r = isqrt(n)
-    if r * r == n:  # a perfect square, such as one real coefficient's
+    if r * r == n:  # the same value as below, without the wide root: a speed path
         return r << _SQRT_BITS
     n <<= 2 * _SQRT_BITS
     r = isqrt(n)
@@ -438,12 +437,21 @@ def _checked_l1(x: AlgebraElement) -> int:
     """den 2^_SQRT_BITS ||x||_1, rounded up: exact for real coefficients.
     MalformedInputError if its square passes the largest float:
     ||x||^2 <= ||x||_1^2, so this bounds every float the norm brackets form."""
-    l1 = sum(map(abs, x.re.values())) << _SQRT_BITS
-    for w in x.im:
-        l1 += _modulus(x, w) - (abs(x.re.get(w, 0)) << _SQRT_BITS)
+    l1 = sum(_modulus(x, w) for w in x.re.keys() | x.im.keys())
     if l1 * l1 > _FLOAT_MAX * (x.den << _SQRT_BITS) ** 2:
         raise MalformedInputError("the squared l1 norm of the element overflows a float")
     return l1
+
+
+def _l1_normalized(x: AlgebraElement) -> AlgebraElement:
+    """x over its l1 norm rounded up, when that passes 1, else x: an l1 norm
+    at most 1.  MalformedInputError as _checked_l1."""
+    l1 = _checked_l1(x)
+    if l1 <= x.den << _SQRT_BITS:
+        return x
+    # (re + i im) / den over l1 / (den 2^_SQRT_BITS) is (re + i im) 2^_SQRT_BITS / l1
+    return _element({w: c << _SQRT_BITS for w, c in x.re.items()},
+                    {w: c << _SQRT_BITS for w, c in x.im.items()}, l1, x.rank)
 
 
 def _layer_bound(pairs: Iterable[tuple[int, int]]) -> int:

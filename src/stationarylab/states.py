@@ -16,12 +16,10 @@ from typing import Mapping, Sequence
 
 from . import freegroup
 from .algebra import (
-    _SQRT_BITS,
     AlgebraElement,
     _centered,
-    _checked_l1,
     _conjugation_sum,
-    _element,
+    _l1_normalized,
     certify_norm,
     norm_upper_bound,
 )
@@ -333,14 +331,7 @@ def build_c_star_simple_measure(
     if not test_family:
         raise PreconditionError("the test family must be nonempty")
     rank = test_family[0].rank
-    family = []
-    for a in test_family:
-        # a / l1 is (re, im) 2^_SQRT_BITS / l1 for l1 in units of 1 / (den 2^_SQRT_BITS)
-        l1 = _checked_l1(a)
-        if l1 > a.den << _SQRT_BITS:
-            a = _element({w: c << _SQRT_BITS for w, c in a.re.items()},
-                         {w: c << _SQRT_BITS for w, c in a.im.items()}, l1, rank)
-        family.append(a)
+    family = [_l1_normalized(a) for a in test_family]
     e = _word(b"", rank)
     schedule = decay_schedule(levels)
     level_measures: list[GroupMeasure] = []

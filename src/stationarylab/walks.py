@@ -102,15 +102,14 @@ class GroupMeasure:
         then its inverse, through the empty moves found so far, gets an empty
         move, until none is new.  A reduced word then leads from the hub back
         to it iff it is a product of support words.  The empty-move closure
-        is a bitset row a state; ResourceLimitError, before any work, when
-        its state pairs pass freegroup.SUPPORT_CAP."""
+        is a bitset row a state.  Moves are only added, so the test stops once
+        every letter is accepted.  ResourceLimitError, before the first pass,
+        when one pass's 2 rank n^3 bit operations (n states) pass freegroup.SUPPORT_CAP."""
         supp = [w for w in self.masses if w]
         n = 1 + sum(len(w) - 1 for w in supp)
-        if n * n > freegroup.SUPPORT_CAP:
-            raise ResourceLimitError("generation test: automaton state pairs exceed the cap",
-                                     freegroup.SUPPORT_CAP)
+        letters = range(2 * self.rank)
         # moves[c][p]: the bitset of states that letter code c leads to from p
-        moves = [[0] * n for _ in range(2 * self.rank)]
+        moves = [[0] * n for _ in letters]
         fresh = 1
         for w in supp:
             path = [0, *range(fresh, fresh + len(w) - 1), 0]
@@ -131,17 +130,23 @@ class GroupMeasure:
             """The states that letter c leads to from these, empty moves around it."""
             return image(closure, image(moves[c], image(closure, states)))
 
+        def accepted() -> bool:
+            return all(read(c, 1) & 1 for c in letters)
+
+        if not accepted() and len(letters) * n**3 > freegroup.SUPPORT_CAP:
+            raise ResourceLimitError("generation test: saturation work exceeds the cap",
+                                     freegroup.SUPPORT_CAP)
         changed = True
-        while changed:
+        while changed and not accepted():
             changed = False
             for p in range(n):
                 reach = image(closure, closure[p])
-                for c in range(2 * self.rank):
+                for c in letters:
                     reach |= read(c ^ 1, read(c, 1 << p))
                 if reach != closure[p]:
                     closure[p] = reach
                     changed = True
-        return all(read(c, 1) & 1 for c in range(2 * self.rank))
+        return accepted()
 
     def __eq__(self, other) -> bool:
         return (

@@ -15,6 +15,8 @@ from stationarylab.algebra import (
     _float_up,
     _disjoint_cylinders,
     _layer_bound,
+    _modulus,
+    _sqrt_up,
     _trace_moments,
     certify_norm,
     convolve,
@@ -29,6 +31,7 @@ from stationarylab.freegroup import (
     ball,
     conjugate,
     free_basis_decomposition,
+    length_lex,
 )
 from stationarylab.walks import rng_from_seed
 
@@ -362,6 +365,29 @@ def assert_rounded_up(bound, interval):
     assert hi <= Fraction(bound) <= hi * (1 + Fraction(1, 2**50)) + Fraction(1, 2**1000)
 
 
+def upper_bound_oracle(x):
+    """(integer, tag) of the least upper-bound candidate, in units of
+    1 / (den 2^_SQRT_BITS), from the module's own candidate helpers with the
+    fold always run; on ties the earlier tag, as norm_upper_bound orders them."""
+    squares = {w: x.re.get(w, 0) ** 2 + x.im.get(w, 0) ** 2 for w in x.re.keys() | x.im.keys()}
+    rest = [w for w, _ in length_lex(squares) if w]
+    c_e = _modulus(x, b"")
+    free_family = c_e + 2 * _sqrt_up(sum(squares[w] for w in rest))
+    candidates = [(_checked_l1(x), "l1"),
+                  (_layer_bound((len(w), s) for w, s in squares.items()), "ambient-layers")]
+    if rest:
+        if _disjoint_cylinders(rest):
+            candidates.append((free_family, "disjoint-cylinders"))
+        dec = free_basis_decomposition([Word(w, x.rank) for w in rest])
+        if dec.rank == len(rest):
+            candidates.append((free_family, "free-support"))
+        else:
+            lens = [len(rw) for rw in dec.rewritten]
+            candidates.append(
+                (c_e + _layer_bound(zip(lens, (squares[w] for w in rest))), "subgroup-layers"))
+    return min(candidates, key=lambda p: p[0])
+
+
 class TestUpperBoundFoldSkip:
     def elements(self):
         rng = rng_from_seed(32)
@@ -390,8 +416,10 @@ class TestUpperBoundFoldSkip:
     def test_equals_minimum_with_fold_always_run(self):
         folds_needed = 0
         for x in self.elements():
-            candidates = exact_candidates(x)
+            least, tag = upper_bound_oracle(x)
             bound = norm_upper_bound(x)
+            assert (bound, bound.method) == (_float_up(Fraction(least, x.den << _SQRT_BITS)), tag)
+            candidates = exact_candidates(x)
             assert_rounded_up(bound, min(candidates.values(), key=lambda iv: iv[1]))
             folds_needed += bound.method in ("free-support", "subgroup-layers")
         # the family reaches the fold as well as the skip

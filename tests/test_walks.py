@@ -137,13 +137,22 @@ def test_generation_by_long_products(support):
     assert GroupMeasure.uniform_on([F2.word(w) for w in support]).is_generating()
 
 
-def test_generation_test_checks_its_cap_first(monkeypatch):
-    # five words of six letters or fewer: 1 + 24 automaton states, 625 pairs
+def test_generation_test_checks_its_cap_before_saturating(monkeypatch):
+    # five words of six letters or fewer: 1 + 24 automaton states, so one
+    # saturation pass is 4 * 25^3 = 62,500 bit operations
     mu = GroupMeasure.uniform_on([F2.word(w) for w in list(SLOW_GENERATION)[1]])
-    monkeypatch.setattr(freegroup, "SUPPORT_CAP", 624)
+    monkeypatch.setattr(freegroup, "SUPPORT_CAP", 62_499)
     with pytest.raises(ResourceLimitError):
         mu.is_generating()
-    monkeypatch.setattr(freegroup, "SUPPORT_CAP", 625)
+    monkeypatch.setattr(freegroup, "SUPPORT_CAP", 62_500)
+    assert mu.is_generating()
+
+
+def test_generation_test_accepts_support_letters_without_saturating(monkeypatch):
+    # the uniform law on the radius-5 ball has 1 + 1,704 automaton states,
+    # far past the cap, but every letter is a support word
+    mu = GroupMeasure.uniform_on([w for w in ball(F2, 5) if not w.is_identity()])
+    monkeypatch.setattr(freegroup, "SUPPORT_CAP", 0)
     assert mu.is_generating()
 
 
