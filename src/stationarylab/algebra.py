@@ -10,10 +10,14 @@ successive-moment ratio sqrt(tau0(y^(m+1))/tau0(y^m)) are true lower bounds for
 the reduced norm (the spectral measure of y against the canonical trace lives
 on [0, ||x||^2]), and both are nondecreasing in m.  The moments are exact
 integers over a power of den, and the bound is the largest float that they
-certify.  Upper bounds come from the l1 norm, the (n+1)-weighted layer
-inequality in word length (valid on every free group), the same inequality
-after rewriting the support over a free basis of the subgroup it generates,
-and a disjoint-cylinder averaging estimate: integer sums whose square roots
+certify.  Powers z of y come from repeated squaring; an odd moment
+tau0(y z z) reads z z only at the words of y and forms no table, so its cost
+is known, and checked against the support cap, before it starts.
+
+Upper bounds come from the l1 norm, the (n+1)-weighted layer inequality in
+word length (valid on every free group), the same inequality after rewriting
+the support over a free basis of the subgroup it generates, and a
+disjoint-cylinder averaging estimate: integer sums whose square roots
 math.isqrt rounds up, the least of them rounded up to a float.
 """
 
@@ -268,6 +272,49 @@ def _axpy(a: list[int], c: int, b: list[int]) -> list[int]:
     return [s + c * t for s, t in zip(a, b)] + a[len(b):]
 
 
+def _odd_moment(y: tuple[dict, dict], z: tuple[dict, dict]) -> int:
+    """tau0(Y Z Z) for self-adjoint integer tables Y and Z, each (re, im),
+    without the table Z Z: the sum over g in supp Y of Y(g) (Z Z)(g^-1), with
+    (Z Z)(h) = sum over u of Z(u) Z(u^-1 h) read by lookups at h = g^-1 only.
+    The terms at g and g^-1 are complex conjugates, so only the words
+    g <= g^-1 are read, the others counted twice, and of Y(g) (Z Z)(g^-1)
+    only the real part is summed.  Each of the four real part-products runs
+    only where both of its tables are nonempty.  ResourceLimitError, before
+    the first lookup, when the read words times |supp Z| pass
+    freegroup.SUPPORT_CAP."""
+    (y_re, y_im), (z_re, z_im) = y, z
+    reads = [g for g in y_re.keys() | y_im.keys() if g <= inverse_letters(g)]
+    cap = freegroup.SUPPORT_CAP
+    if len(reads) * (len(z_re) + sum(w not in z_re for w in z_im)) > cap:
+        raise ResourceLimitError("odd-moment lookups exceed the cap", cap)
+    # (g^-1, the weight of g times the part of Y(g)): the identity counts once
+    k_re = [(inverse_letters(g), (2 if g else 1) * y_re[g]) for g in reads if g in y_re]
+    k_im = [(inverse_letters(g), 2 * y_im[g]) for g in reads if g in y_im]
+
+    def part(a: dict, b: dict, ks: list) -> int:
+        # sum over (h, k) in ks of k (a b)(h)
+        if not (a and b and ks):
+            return 0
+        get = b.get
+        total = 0
+        for u, c in a.items():
+            u_inv = inverse_letters(u)
+            # h cancels against u^-1 when it starts with the first letter of u
+            first = u[:1]
+            s = 0
+            for h, k in ks:
+                d = get(_product_letters(u_inv, h) if h[:1] == first else u_inv + h)
+                if d:
+                    s += k * d
+            total += c * s
+        return total
+
+    # Re(Y(g) W(h)) = Y_re W_re - Y_im W_im, with W = Z Z:
+    # W_re = Z_re Z_re - Z_im Z_im and W_im = Z_re Z_im + Z_im Z_re
+    return (part(z_re, z_re, k_re) - part(z_im, z_im, k_re)
+            - part(z_re, z_im, k_im) - part(z_im, z_re, k_im))
+
+
 def _trace_moments(x: AlgebraElement, n_moments: int):
     """The denominator D of y = x*x = Y / D and the exact moments
     {m: tau0(Y^m)}, so that tau0(y^m) = tau0(Y^m) / D^m.
@@ -275,10 +322,11 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     y comes from convolve, and the powers of Y, integer table pairs
     (re, im), from letter_product.  A radial Y (constant on full spheres)
     gets every order up to n_moments + 1 from the sphere-sum recursion.
-    Otherwise each power z = Y^m of repeated squaring gives tau0(Y^(2m)) and,
-    with t = Y z, tau0(Y^(2m+1)); z is self-adjoint, so those are
-    sum |z(w)|^2 and sum Re(t(w) conj z(w)).  The moments stop at the first
-    product that passes freegroup.SUPPORT_CAP.
+    Otherwise each power z = Y^m of repeated squaring gives tau0(Y^(2m)),
+    sum |z(w)|^2 as z is self-adjoint, and tau0(Y^(2m+1)) = tau0(Y z z) from
+    _odd_moment, which reads z z only at the words of Y and forms no table.
+    The moments stop at the first square that passes freegroup.SUPPORT_CAP,
+    or at the first odd moment whose lookups are predicted to pass it.
     """
     adjoint = _element({inverse_letters(w): c for w, c in x.re.items()},
                        {inverse_letters(w): -c for w, c in x.im.items()}, x.den, x.rank)
@@ -292,28 +340,19 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     moments = {1: y[0].get(b"", 0)}
     z = y
     m_z = 1
-    while True:
-        moments[2 * m_z] = sum(c * c for part in z for c in part.values())
-        if 2 * m_z <= n_moments:
-            # the ratio bound at order 2 m_z also needs tau0(Y^(2 m_z + 1))
-            try:
-                t = _times(y, z, letter_product)
-            except ResourceLimitError:
+    try:
+        while True:
+            moments[2 * m_z] = sum(c * c for part in z for c in part.values())
+            if 2 * m_z <= n_moments:
+                # the ratio bound at order 2 m_z also needs tau0(Y^(2 m_z + 1))
+                moments[2 * m_z + 1] = _odd_moment(y, z)
+            if 2 * m_z >= n_moments:
                 break
-            moments[2 * m_z + 1] = sum(
-                c * t_part.get(w, 0) for z_part, t_part in zip(z, t) for w, c in z_part.items()
-            )
-        if 2 * m_z >= n_moments:
-            break
-        if m_z == 1:
-            z = t  # Y^2, formed just above as Y z
-        else:
-            try:
-                z = _times(z, z, letter_product)
-            except ResourceLimitError:
-                break
-        m_z *= 2
-        moments[m_z] = z[0].get(b"", 0)
+            z = _times(z, z, letter_product)
+            m_z *= 2
+            moments[m_z] = z[0].get(b"", 0)
+    except ResourceLimitError:
+        pass
     return y_element.den, moments
 
 
@@ -393,8 +432,9 @@ def norm_lower_bound(x: AlgebraElement, n_moments: int) -> MomentBound:
     y = x*x, over every moment order m <= n_moments that is computable.  The
     moments are exact (see _trace_moments) and the bound is rounded down
     against the moments it came from.  A radial y gets every order; otherwise
-    the moments stop early if a product would pass freegroup.SUPPORT_CAP,
-    and the result, a MomentBound, has its `order` below n_moments.
+    the moments stop early if a square of a power of y, or the lookups of an
+    odd moment, would pass freegroup.SUPPORT_CAP, and the result, a
+    MomentBound, has its `order` below n_moments.
     MalformedInputError if ||x||_1^2 passes the largest float.
     """
     if n_moments < 1:
@@ -574,7 +614,8 @@ class NormBracket:
 
     moments_used is the highest trace-moment order <= the requested one that
     was computed; it falls short of the request when freegroup.SUPPORT_CAP
-    binds.
+    binds: on the words a square of a power z of y touches, or on the
+    lookups of an odd moment tau0(y z z), (words g <= g^-1 of y) x |supp z|.
     """
 
     lower: float

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from stationarylab.algebra import (
     _SQRT_BITS,
     AlgebraElement,
     _checked_l1,
+    _odd_moment,
+    _times,
     _float_down,
     _float_up,
     _disjoint_cylinders,
@@ -23,7 +26,7 @@ from stationarylab.algebra import (
     norm_lower_bound,
     norm_upper_bound,
 )
-from stationarylab import freegroup
+from stationarylab import algebra, freegroup
 from stationarylab.errors import ContextMismatchError, MalformedInputError, ResourceLimitError
 from stationarylab.freegroup import (
     FreeGroupContext,
@@ -31,7 +34,9 @@ from stationarylab.freegroup import (
     ball,
     conjugate,
     free_basis_decomposition,
+    inverse_letters,
     length_lex,
+    letter_product,
 )
 from stationarylab.walks import rng_from_seed
 
@@ -515,23 +520,32 @@ def test_disjoint_cylinder_bound_matches_pairwise_scan():
     assert outcomes == {True, False}
 
 
-def word_table_moment_engine(x, n_moments, support_cap):
+def word_table_moment_engine(x, support_cap=5000):
     """Exact reference for the non-radial moment engine: tables keyed by Word
-    with coefficients as Fraction (re, im) pairs, every
-    pairing tau0(a b) summed with Word.inverse() lookups, and y y formed
-    twice.  A product stops the engine once the words it touches pass the cap.
-    Returns the moments {m: tau0(y^m)} as Fractions."""
+    with coefficients as Fraction (re, im) pairs, every pairing tau0(a b)
+    summed with Word.inverse() lookups, and tau0(y^(2m+1)) paired from the
+    whole table y y^m.  Runs as the engine does at order 8 and records the
+    work behind each order past 2: for an even order 4m, the words that the
+    square of y^m touches; for an odd order 2m+1, the words of y it reads
+    (the identity and one of each pair g, g^-1) times |supp y^m|.  It stops
+    at the first order whose work passes the cap; y itself, at most 5 x 5
+    words for the elements here, never binds.
+    Returns the moments {m: tau0(y^m)} as Fractions and the work {m: size}."""
 
-    def times(a, b):
+    def times(a, b, cap=math.inf):
+        # the words first, so that a product past the cap does no arithmetic
+        touched = set()
+        for u in a:
+            touched.update(u * v for v in b)
+            if len(touched) > cap:
+                raise ResourceLimitError("cap", cap)
         out = {}
         for u, (ar, ai) in a.items():
             for v, (br, bi) in b.items():
                 uv = u * v
                 re, im = out.get(uv, (0, 0))
                 out[uv] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
-                if len(out) > support_cap:
-                    raise ResourceLimitError("cap", support_cap)
-        return {w: c for w, c in out.items() if c != (0, 0)}
+        return {w: c for w, c in out.items() if c != (0, 0)}, len(touched)
 
     def pairing(a, b):
         re = im = 0
@@ -542,28 +556,42 @@ def word_table_moment_engine(x, n_moments, support_cap):
         return re
 
     table = exact(x)
-    y = times({w.inverse(): (re, -im) for w, (re, im) in table.items()}, table)
+    y, _ = times({w.inverse(): (re, -im) for w, (re, im) in table.items()}, table)
     e = Word((), x.rank)
-    moments = {1: y.get(e, (0, 0))[0]}
+    reads = (len(y) + (e in y)) // 2
+    moments = {1: y.get(e, (0, 0))[0], 2: pairing(y, y)}
+    work = {}
     z = y
-    m_z = 1
-    while True:
-        moments[2 * m_z] = pairing(z, z)
-        if 2 * m_z <= n_moments:
-            try:
-                t = times(y, z)
-            except ResourceLimitError:
-                break
-            moments[2 * m_z + 1] = pairing(t, z)
-        if 2 * m_z >= n_moments:
+    for m_z in (1, 2, 4):
+        work[2 * m_z + 1] = reads * len(z)
+        if work[2 * m_z + 1] > support_cap:
+            break
+        moments[2 * m_z + 1] = pairing(times(y, z)[0], z)
+        if m_z == 4:
             break
         try:
-            z = times(z, z)
+            z, work[4 * m_z] = times(z, z, support_cap)
         except ResourceLimitError:
+            work[4 * m_z] = support_cap + 1
             break
-        m_z *= 2
-        moments[m_z] = z.get(e, (0, 0))[0]
-    return moments
+        assert z.get(e, (0, 0))[0] == moments[2 * m_z]
+        moments[4 * m_z] = pairing(z, z)
+    return moments, work
+
+
+# The orders the engine computes at each requested order when no cap binds:
+# tau0(y^(2m)) at z = y, y^2, y^4 and, up to the request, tau0(y^(2m+1))
+ENGINE_ORDERS = {1: (1, 2), 2: (1, 2, 3), 3: (1, 2, 3, 4), 5: (1, 2, 3, 4, 5, 8),
+                 8: (1, 2, 3, 4, 5, 8, 9)}
+
+
+def reference_moments(reference, n_moments, support_cap):
+    """The reference's moments at n_moments under a cap of at most 5000, from
+    its run at order 8 and cap 5000: the engine's orders up to the first
+    whose work passes the cap."""
+    moments, work = reference
+    orders = takewhile(lambda m: work.get(m, 0) <= support_cap, ENGINE_ORDERS[n_moments])
+    return {m: moments[m] for m in orders}
 
 
 def engine_moments(x, n_moments):
@@ -608,34 +636,36 @@ def non_radial_elements(rng):
 
 
 @pytest.fixture(scope="module")
-def cap5000_references():
-    """(x, n, the reference moments under the cap 5000) for the seeded
-    elements and orders, built once for the two tests that read them."""
-    return [(x, n, word_table_moment_engine(x, n, 5000))
-            for x in non_radial_elements(rng_from_seed(44)) for n in (1, 2, 3, 5, 8)]
+def references():
+    """(x, the reference's moments and work) for the seeded elements, built
+    once for the two tests that read them."""
+    return [(x, word_table_moment_engine(x)) for x in non_radial_elements(rng_from_seed(44))]
 
 
 class TestLetterTableMomentEngine:
-    def test_moments_equal_the_exact_reference(self, monkeypatch, cap5000_references):
+    def test_moments_equal_the_exact_reference(self, monkeypatch, references):
         short = 0
-        for x, n, reference in cap5000_references:
-            for cap in (5000, 200, 60, 25):
-                monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
-                expected = reference if cap == 5000 else word_table_moment_engine(x, n, cap)
-                assert engine_moments(x, n) == expected
-                achieved = max(m for m in expected if m <= n)
-                assert norm_lower_bound(x, n).order == achieved
-                short += achieved < n
+        for x, reference in references:
+            for n in (1, 2, 3, 5, 8):
+                for cap in (5000, 200, 60, 25):
+                    monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
+                    expected = reference_moments(reference, n, cap)
+                    assert engine_moments(x, n) == expected
+                    achieved = max(m for m in expected if m <= n)
+                    assert norm_lower_bound(x, n).order == achieved
+                    short += achieved < n
         # the cap binds partway through on many of these
         assert short > 20
 
-    def test_lower_bound_is_rounded_down(self, monkeypatch, cap5000_references):
+    def test_lower_bound_is_rounded_down(self, monkeypatch, references):
         with monkeypatch.context() as patch:
             patch.setattr(freegroup, "SUPPORT_CAP", 5000)
-            for x, n, moments in cap5000_references:
-                bound = norm_lower_bound(x, n)
-                assert certified_by(bound, moments, n)
-                assert math.isclose(bound, best_candidate(moments, n), rel_tol=1e-14)
+            for x, reference in references:
+                for n in (1, 2, 3, 5, 8):
+                    moments = reference_moments(reference, n, 5000)
+                    bound = norm_lower_bound(x, n)
+                    assert certified_by(bound, moments, n)
+                    assert math.isclose(bound, best_candidate(moments, n), rel_tol=1e-14)
         # the Kesten element: tau0(y^m) = tau0(x^(2m)) counts closed walks
         kesten = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
         walks = f2_moment_oracle(130)
@@ -647,8 +677,10 @@ class TestLetterTableMomentEngine:
 
     def test_achieved_order_under_a_binding_cap(self, monkeypatch):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
-        # y has 7 terms, y^2 31, y^3 127 and y^4 511: a cap of 200 stops at
-        # the squaring that would form y^4, after tau0(y^5) came from y^3 y^2
+        # y has 7 terms and y^2 31, and 4 of y's words are read for an odd
+        # moment (the identity and one of each pair g, g^-1): a cap of 200
+        # stops at the squaring that would form y^4, after tau0(y^5) read
+        # y^2 y^2 at those 4 words with 4 x 31 = 124 lookups
         full = certify_norm(x, 8)
         assert full.moments_used == 8
         lower_5 = norm_lower_bound(x, 5)
@@ -656,6 +688,7 @@ class TestLetterTableMomentEngine:
         capped = certify_norm(x, 8)
         assert capped.moments_used == 5
         assert capped.lower == lower_5 < full.lower
+        # 124 lookups pass a cap of 60, and tau0(y^3)'s 4 x 7 = 28 one of 10
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 60)
         assert certify_norm(x, 8).moments_used == 4
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 10)
@@ -669,7 +702,7 @@ class TestLetterTableMomentEngine:
         # y = 3 - a^2 - a^-2: its a and a^-1 terms cancel exactly; kept, they
         # would give y y 9 terms instead of 5 and stop it at a cap of 6
         x = AlgebraElement({F2.identity: 1, F2.word("a"): 1, F2.word("A"): -1}, 2)
-        expected = word_table_moment_engine(x, 8, 6)
+        expected = reference_moments(word_table_moment_engine(x), 8, 6)
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 6)
         assert engine_moments(x, 8) == expected
         assert norm_lower_bound(x, 8).order == max(m for m in expected if m <= 8) == 4
@@ -686,8 +719,10 @@ class TestLetterTableMomentEngine:
 
     def test_bound_survives_copy_and_pickle(self, monkeypatch):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
-        # MomentBound and UpperBound share their copy and pickle support;
-        # sphere2 is bounded by its one layer, 3 sqrt(12), below its l1 norm 12
+        # MomentBound and UpperBound share their copy and pickle support; a
+        # cap of 200 stops x's moments at order 5, as in
+        # test_achieved_order_under_a_binding_cap, and sphere2 is bounded by
+        # its one layer, 3 sqrt(12), below its l1 norm 12
         sphere2 = AlgebraElement({w: 1.0 for w in ball(F2, 2) if len(w) == 2}, 2)
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 200)
         lower, upper = norm_lower_bound(x, 8), norm_upper_bound(sphere2)
@@ -697,3 +732,74 @@ class TestLetterTableMomentEngine:
                 assert type(twin) is type(bound)
                 assert (twin, getattr(twin, tag)) == (bound, value)
             assert type(bound + 1.0) is float
+
+
+def self_adjoint_tables(rng, words, kind, values):
+    """Seeded integer tables (re, im) of a self-adjoint T, T(g^-1) = conj T(g),
+    on up to 4 of the nonempty words and their inverses, parts drawn from
+    values: kind "complex", "imaginary" (re empty) or "real" (im empty), and
+    "+1" on the first two for an identity term."""
+    re, im = {}, {}
+    for _ in range(int(rng.integers(1, 5))):
+        w = words[int(rng.integers(0, len(words)))]
+        if not kind.startswith("imaginary"):
+            re[w] = re[inverse_letters(w)] = values[int(rng.integers(0, len(values)))]
+        if not kind.startswith("real"):
+            im[w] = values[int(rng.integers(0, len(values)))]
+            im[inverse_letters(w)] = -im[w]
+    if kind.endswith("+1"):
+        re[b""] = values[int(rng.integers(0, len(values)))]
+    return re, im
+
+
+def paired_product(y, z):
+    """tau0(Y Z Z) as the engine once formed it: the whole table t = Y Z from
+    letter_product, paired with Z as sum Re(t(w) conj Z(w))."""
+    t = _times(y, z, letter_product)
+    return sum(c * t_part.get(w, 0) for z_part, t_part in zip(z, t) for w, c in z_part.items())
+
+
+class NoLookups(dict):
+    """A table whose get fails, to show that no lookup ran."""
+
+    def get(self, *args):
+        raise AssertionError("a lookup ran")
+
+
+class TestOddMomentKernel:
+    def test_equals_the_paired_product(self):
+        rng = rng_from_seed(45)
+        kinds = ("complex+1", "complex", "imaginary", "real+1", "real")
+        big = (3, -5, 7 << 90, -(11 << 70), 2**127 - 1)
+        for y_kind in kinds:
+            for z_kind in kinds:
+                for values in (big, (1, -1)):
+                    rank = int(rng.integers(1, 3))
+                    ball2 = [w.letters for w in ball(FreeGroupContext(rank), 2) if len(w)]
+                    z = self_adjoint_tables(rng, ball2, z_kind, values)
+                    # y on words whose inverses z z touches, so that lookups hit
+                    support = dict.fromkeys(z[0].keys() | z[1].keys(), 1)
+                    y = self_adjoint_tables(rng, [w for w in letter_product(support, support) if w],
+                                            y_kind, values)
+                    assert _odd_moment(y, z) == paired_product(y, z)
+        # z = 1 + a + A - aa - AA: the four terms of z z at a, and at A,
+        # cancel to exactly zero, so the words a and A of y add nothing
+        a, aa, A, AA = (F1.word(w).letters for w in ("a", "aa", "A", "AA"))
+        z = ({b"": 1, a: 1, A: 1, aa: -1, AA: -1}, {})
+        assert a not in _times(z, z, letter_product)[0]
+        y = ({a: 3, A: 3, aa: 1, AA: 1}, {a: 2, A: -2})
+        assert _odd_moment(y, z) == paired_product(y, z) == paired_product(({aa: 1, AA: 1}, {}), z)
+
+    def test_cap_is_predicted_before_any_lookup(self, monkeypatch):
+        x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
+        # y has 7 words, of which 4 are read (the identity and one of each
+        # pair g, g^-1), and y^2 31: tau0(y^3) takes 4 x 7 = 28 lookups and
+        # tau0(y^5) 4 x 31 = 124, and the square y y touches over 28 words
+        kernel = algebra._odd_moment
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_odd_moment", lambda y, z: kernel(y, tuple(map(NoLookups, z))))
+            patch.setattr(freegroup, "SUPPORT_CAP", 27)
+            assert sorted(engine_moments(x, 8)) == [1, 2]
+        for cap, orders in ((28, [1, 2, 3]), (123, [1, 2, 3, 4]), (124, [1, 2, 3, 4, 5])):
+            monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
+            assert sorted(engine_moments(x, 8)) == orders
