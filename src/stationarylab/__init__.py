@@ -17,7 +17,6 @@ from .freegroup import (
     axis_prefix,
     ball,
     conjugate,
-    cyclic_reduction,
     free_basis_decomposition,
     inverse_letters,
     reduce_letters,
@@ -38,7 +37,6 @@ from .walks import (
     convolve_measures,
     decay_schedule,
     measure_convolve_element,
-    measure_power,
     rng_from_seed,
     sample_increments,
     sample_path,
@@ -70,7 +68,6 @@ from .states import (
     crossed_product_state,
     finite_dim_stationary_states,
     powers_search,
-    verify_powers_certificate,
 )
 from .subgroups import (
     CyclicSubgroup,

@@ -325,7 +325,8 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     Otherwise each power z = Y^m of repeated squaring gives tau0(Y^(2m)),
     sum |z(w)|^2 as z is self-adjoint, and tau0(Y^(2m+1)) = tau0(Y z z) from
     _odd_moment, which reads z z only at the words of Y and forms no table.
-    The moments stop at the first square that passes freegroup.SUPPORT_CAP,
+    z is squared only while the bound reads an order of the new power.  The
+    moments stop there, at the first square that passes freegroup.SUPPORT_CAP,
     or at the first odd moment whose lookups are predicted to pass it.
     """
     adjoint = _element({inverse_letters(w): c for w, c in x.re.items()},
@@ -346,7 +347,9 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
             if 2 * m_z <= n_moments:
                 # the ratio bound at order 2 m_z also needs tau0(Y^(2 m_z + 1))
                 moments[2 * m_z + 1] = _odd_moment(y, z)
-            if 2 * m_z >= n_moments:
+            # the next power's orders 4 m_z and 4 m_z + 1 are read only up to
+            # n_moments, or at n_moments + 1 beside a held tau0(Y^n_moments)
+            if 4 * m_z > n_moments and not (4 * m_z == n_moments + 1 and n_moments in moments):
                 break
             z = _times(z, z, letter_product)
             m_z *= 2

@@ -125,10 +125,6 @@ class CylinderMeasure:
         """(base word, mass) pairs of the stored table in length-lex word order."""
         return [(_word(w, self.rank), m) for w, m in length_lex(self.masses)]
 
-    def level_items(self, n: int):
-        rank = self.rank
-        return [(_word(w, rank), self._mass(w)) for w in ball_letters(rank, n) if len(w) == n]
-
     def top_mass(self) -> float:
         return max(float(self._mass(w)) for w in ball_letters(self.rank, 1) if w)
 

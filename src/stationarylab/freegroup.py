@@ -318,13 +318,6 @@ def _cyclic_split(letters: bytes) -> int:
     return i
 
 
-def cyclic_reduction(g: Word) -> tuple[Word, Word]:
-    """Split g = w c w^-1 with c cyclically reduced; returns (w, c)."""
-    lt = g.letters
-    i = _cyclic_split(lt)
-    return _word(lt[:i], g.rank), _word(lt[i : len(lt) - i], g.rank)
-
-
 def axis_prefix(g: Word, depth: int) -> Word:
     """First `depth` letters of the attracting boundary point g g g ...
 

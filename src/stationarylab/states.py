@@ -223,12 +223,6 @@ def _random_tuples(rank: int, budget: int, seed: int):
         yield tuple(pool[int(i)] for i in picks), n
 
 
-def verify_powers_certificate(cert: PowersCertificate, g: Word) -> float:
-    """Recompute the certified bound from the raw inputs; deterministic."""
-    x = AlgebraElement.delta(g)
-    return norm_upper_bound(_averaged_element(x, cert.conjugators))
-
-
 # ---------------------------------------------------------------------------
 # staged construction of a law with certified trace-convergence
 # ---------------------------------------------------------------------------

@@ -57,10 +57,7 @@ class CyclicSubgroup:
     __slots__ = ("root",)
 
     def __init__(self, root: Word):
-        self._orient(primitive_root(root))
-
-    def _orient(self, root: Word) -> None:
-        """Store the primitive root or its inverse, whichever is length-lex smaller."""
+        root = primitive_root(root)
         inv = inverse_letters(root.letters)
         object.__setattr__(self, "root", root if root.letters <= inv else _word(inv, root.rank))
 
@@ -92,40 +89,27 @@ class CyclicSubgroup:
         mid = gl[i : len(gl) - i]
         return mid == c * n or mid == inverse_letters(c) * n
 
-    def conjugated_by(self, h: Word) -> "CyclicSubgroup":
-        """h^-1 <root> h; a conjugate of a primitive root is primitive."""
-        out = object.__new__(CyclicSubgroup)
-        out._orient(conjugate(self.root, h))
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicSubgroup) and self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash(("cyclic", self.root))
-
     def __repr__(self) -> str:
         return f"CyclicSubgroup(<{self.root}>)"
 
 
-@dataclass(frozen=True)
 class SubgroupChain:
-    """The conjugation walk on cyclic subgroups driven by one sampled path."""
-
-    seed: int
-    states: tuple[CyclicSubgroup, ...]
+    """The conjugation walk on cyclic subgroups, run on one root word."""
 
     @staticmethod
     def simulate(
         mu: GroupMeasure, start: CyclicSubgroup, steps: int, seed: int
-    ) -> "SubgroupChain":
-        states = [start]
+    ) -> tuple[list[int], CyclicSubgroup]:
+        """The root length at steps 0..steps of the walk H -> g^-1 H g driven by
+        one sampled path, and the final subgroup.  A conjugate of a primitive
+        root is primitive, and neither length nor membership depends on which
+        of root and root^-1 is moved, so the walk moves the root word alone."""
+        root = start.root
+        lengths = [len(root)]
         for g in sample_increments(mu, steps, seed):
-            states.append(states[-1].conjugated_by(g))
-        return SubgroupChain(seed=seed, states=tuple(states))
-
-    def root_lengths(self) -> list[int]:
-        return [len(s.root) for s in self.states]
+            root = conjugate(root, g)
+            lengths.append(len(root))
+        return lengths, CyclicSubgroup(root)
 
 
 # ---------------------------------------------------------------------------
@@ -250,57 +234,40 @@ def srs_escape_experiment(
     seed: int = 0,
     threshold_len: int = 10,
 ) -> EscapeReport:
-    """Simulate conjugation chains from a common start and track root growth.
+    """Walk `trials` roots from a common start by conjugation and track their growth.
 
     Reports per-step quartiles of the primitive-root length and the fraction
-    of chains beyond the length threshold; the verdict is "escaping" when the
-    median root length grows at least linearly over the last half of the run
-    (a constant chain from the trivial subgroup reports "degenerate").
-    Also evaluates the final-step empirical positive definite function at the
-    generators.
+    of walks beyond the length threshold; the verdict is "escaping" when the
+    median root length grows at least linearly over the last half of the run.
+    A trivial start stays trivial, so its lengths are all 0 and its verdict
+    is "degenerate".  Also evaluates the final-step empirical positive
+    definite function at the generators.
     """
     if not mu.is_generating():
         raise PreconditionError("the law must generate F_k as a semigroup")
-    words = FreeGroupContext(mu.rank).generators()
-    if start.is_trivial():
-        verdict = "degenerate (trivial subgroup is conjugation-fixed)"
-        rows = tuple(
-            EscapeRow(step=t, median_root_len=0.0, q25=0.0, q75=0.0,
-                      frac_beyond_threshold=0.0)
-            for t in range(steps + 1)
-        )
-        return EscapeReport(
-            rows=rows, verdict=verdict, threshold_len=threshold_len, trials=trials,
-            final_pdf_at={str(w): (1.0 if w.is_identity() else 0.0) for w in words},
-        )
-    chains = [
+    lengths, final = zip(*(
         SubgroupChain.simulate(mu, start, steps, seed=seed * 1_000_003 + t)
         for t in range(trials)
-    ]
-    lengths = np.array([c.root_lengths() for c in chains])  # (trials, steps+1)
-    rows = []
-    for t in range(steps + 1):
-        col = lengths[:, t]
-        rows.append(
-            EscapeRow(
-                step=t,
-                median_root_len=float(np.median(col)),
-                q25=float(np.quantile(col, 0.25)),
-                q75=float(np.quantile(col, 0.75)),
-                frac_beyond_threshold=float(np.mean(col > threshold_len)),
-            )
-        )
+    ))
+    lengths = np.array(lengths)  # (trials, steps + 1)
+    q25, median, q75 = np.quantile(lengths, [0.25, 0.5, 0.75], axis=0).tolist()
+    beyond = (lengths > threshold_len).mean(axis=0).tolist()
+    rows = tuple(map(EscapeRow, range(steps + 1), median, q25, q75, beyond))
     half = steps // 2
-    med_half, med_end = rows[half].median_root_len, rows[steps].median_root_len
+    med_half, med_end = median[half], median[steps]
     slope = (med_end - med_half) / max(steps - half, 1)
-    escaping = med_end >= med_half + 0.25 * (steps - half) and med_end > threshold_len
-    verdict = "escaping" if escaping else f"not escaping (slope {slope:.3f})"
-    final = [c.states[steps] for c in chains]
+    if start.is_trivial():
+        verdict = "degenerate (trivial subgroup is conjugation-fixed)"
+    elif med_end >= med_half + 0.25 * (steps - half) and med_end > threshold_len:
+        verdict = "escaping"
+    else:
+        verdict = f"not escaping (slope {slope:.3f})"
     final_pdf = {
-        str(w): float(np.mean([sub.contains(w) for sub in final])) for w in words
+        str(w): float(np.mean([sub.contains(w) for sub in final]))
+        for w in FreeGroupContext(mu.rank).generators()
     }
     return EscapeReport(
-        rows=tuple(rows), verdict=verdict, threshold_len=threshold_len,
+        rows=rows, verdict=verdict, threshold_len=threshold_len,
         trials=trials, final_pdf_at=final_pdf,
     )
 

@@ -209,16 +209,6 @@ def _numerators(mu: GroupMeasure) -> tuple[int, dict[bytes, int]]:
     return d, {w: p.numerator * (d // p.denominator) for w, p in mu.masses.items()}
 
 
-def measure_power(mu: GroupMeasure, n: int) -> GroupMeasure:
-    """n-th convolution power; mu^0 is the Dirac mass at the identity."""
-    if n < 0:
-        raise MalformedInputError(f"power must be >= 0, got {n}")
-    out = _measure({b"": Fraction(1)}, mu.rank)
-    for _ in range(n):
-        out = convolve_measures(out, mu)
-    return out
-
-
 def cesaro_measure(mu: GroupMeasure, n: int) -> GroupMeasure:
     """(1/n) sum_{k=0}^{n-1} mu^k; each power and the sum under freegroup.SUPPORT_CAP."""
     if n < 1:

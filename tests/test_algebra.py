@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stationarylab.algebra import (
     _SQRT_BITS,
     AlgebraElement,
+    _bounds_from_moments,
     _checked_l1,
     _odd_moment,
     _times,
@@ -580,8 +581,9 @@ def word_table_moment_engine(x, support_cap=5000):
 
 
 # The orders the engine computes at each requested order when no cap binds:
-# tau0(y^(2m)) at z = y, y^2, y^4 and, up to the request, tau0(y^(2m+1))
-ENGINE_ORDERS = {1: (1, 2), 2: (1, 2, 3), 3: (1, 2, 3, 4), 5: (1, 2, 3, 4, 5, 8),
+# tau0(y^(2m)) at z = y, y^2, y^4 and, up to the request, tau0(y^(2m+1)),
+# squaring z only while the bound reads an order of the new power
+ENGINE_ORDERS = {1: (1, 2), 2: (1, 2, 3), 3: (1, 2, 3, 4), 5: (1, 2, 3, 4, 5),
                  8: (1, 2, 3, 4, 5, 8, 9)}
 
 
@@ -674,6 +676,26 @@ class TestLetterTableMomentEngine:
         assert certified_by(bound, moments, 64)
         old = 3.426032146718429
         assert bound in (old, math.nextafter(old, 0), math.nextafter(old, 4))
+
+    def test_squares_only_for_read_orders(self, monkeypatch):
+        # z = Y^m_z is squared only while the bound reads an order of the new
+        # power: at n_moments 5-7 the engine stops at y^2 and at 9-15 at y^4.
+        # The run at 16, which also forms y^8, holds every order those read.
+        calls = []
+        times = algebra._times
+        monkeypatch.setattr(algebra, "_times", lambda *a: calls.append(a) or times(*a))
+        F3 = FreeGroupContext(3)
+        for x in (AlgebraElement({F2.word("a"): 2, F2.word("B"): -1}, 2),
+                  AlgebraElement({F3.word("a"): 1, F3.word("bc"): 1j}, 3)):
+            den, full = _trace_moments(x, 16)
+            assert sorted(full) == [1, 2, 3, 4, 5, 8, 9, 16, 17]
+            for n in (*range(5, 8), *range(9, 16)):
+                calls.clear()
+                bound = norm_lower_bound(x, n)
+                # one product forms y = x*x and each other one a square
+                assert len(calls) == (2 if n < 8 else 3)
+                assert bound == _bounds_from_moments(full, n, den)
+                assert bound.order == max(m for m in full if m <= n)
 
     def test_achieved_order_under_a_binding_cap(self, monkeypatch):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)

@@ -54,6 +54,11 @@ MU = uniform_generator_measure(2)
 NU = uniform_boundary_measure(F2, 6)
 
 
+def level_items(nu, n):
+    """(w, nu[w]) for every word w of length n."""
+    return [(w, nu.mass(w)) for w in ball(FreeGroupContext(nu.rank), n) if len(w) == n]
+
+
 class TestUniformMeasure:
     def test_level_one_mass(self):
         assert NU.mass(F2.word("a")) == Fraction(1, 4)
@@ -63,7 +68,7 @@ class TestUniformMeasure:
 
     def test_every_level_sums_to_one(self):
         for n in range(1, 7):
-            assert sum(m for _, m in NU.level_items(n)) == 1
+            assert sum(m for _, m in level_items(NU, n)) == 1
 
     def test_consistency(self):
         for w, m in NU.cylinders():
@@ -159,7 +164,7 @@ class TestTranslate:
         # not starting with a^-1
         t = translate(F2.word("a"), NU)
         direct = t.mass(F2.word("a"))
-        oracle = sum(m for w, m in NU.level_items(2) if str(w)[0] != "A")
+        oracle = sum(m for w, m in level_items(NU, 2) if str(w)[0] != "A")
         assert direct == oracle == 1 - Fraction(1, 4)
 
     def test_composition(self):
@@ -173,7 +178,7 @@ class TestTranslate:
     def test_output_consistency(self):
         t = translate(F2.word("ba"), NU)
         for n in range(1, t.depth + 1):
-            assert abs(float(sum(m for _, m in t.level_items(n))) - 1) < 1e-12
+            assert abs(float(sum(m for _, m in level_items(t, n))) - 1) < 1e-12
 
     def test_depth_bookkeeping(self):
         strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
@@ -255,7 +260,7 @@ class TestSolveStationary:
         sol = solve_stationary(MU, depth=3, tol=1e-10, max_iter=100)
         meas = sol.measure
         for n in range(1, meas.depth + 1):
-            assert abs(float(sum(m for _, m in meas.level_items(n))) - 1) < 1e-9
+            assert abs(float(sum(m for _, m in level_items(meas, n))) - 1) < 1e-9
         # per-cylinder consistency: parent mass equals the sum of its children
         for w, m in meas.cylinders():
             if len(w) < meas.depth:

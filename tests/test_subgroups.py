@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import CoverageError, PreconditionError
-from stationarylab.freegroup import FreeGroupContext, Word, ball, conjugate, cyclic_reduction
+from stationarylab.freegroup import (
+    FreeGroupContext,
+    Word,
+    _cyclic_split,
+    ball,
+    conjugate,
+    inverse_letters,
+)
 from stationarylab.subgroups import (
     CyclicSubgroup,
     SubgroupChain,
@@ -83,12 +90,12 @@ class TestCyclicSubgroup:
         assert not T.contains(F2.word("a"))
 
     def test_normalized_equality(self):
-        assert CyclicSubgroup(F2.word("ab")) == CyclicSubgroup(F2.word("BA"))
-        assert CyclicSubgroup(F2.word("aa")) == CyclicSubgroup(F2.word("A"))
+        assert CyclicSubgroup(F2.word("ab")).root == CyclicSubgroup(F2.word("BA")).root
+        assert CyclicSubgroup(F2.word("aa")).root == CyclicSubgroup(F2.word("A")).root
 
     def test_conjugation(self):
         H = CyclicSubgroup(F2.word("a"))
-        Hc = H.conjugated_by(F2.word("b"))
+        Hc = CyclicSubgroup(conjugate(H.root, F2.word("b")))
         assert Hc.contains(conjugate(F2.word("a"), F2.word("b")))
 
 
@@ -96,15 +103,16 @@ class TestCyclicSubgroup:
 @given(WORDS, WORDS, st.integers(-4, 4), st.integers(0, 3), WORDS)
 def test_contains_matches_the_power_oracle(root, g, n, k, x):
     sub = CyclicSubgroup(root)
-    v, c = cyclic_reduction(sub.root)
-    vl, cl = v.letters, c.letters
+    r = sub.root.letters
+    i = _cyclic_split(r)
+    vl, cl = r[:i], r[i : len(r) - i]
     # powers, words that share the prefix v and the suffix v^-1 around a
     # broken period, and an unrelated word
     candidates = [
         sub.root**n,
-        Word(vl + cl * k + x.letters + v.inverse().letters, 2),
-        Word(vl + cl * k + cl[:-1] + v.inverse().letters, 2),
-        Word(vl + c.inverse().letters * k + x.letters + v.inverse().letters, 2),
+        Word(vl + cl * k + x.letters + inverse_letters(vl), 2),
+        Word(vl + cl * k + cl[:-1] + inverse_letters(vl), 2),
+        Word(vl + inverse_letters(cl) * k + x.letters + inverse_letters(vl), 2),
         g,
     ]
     for w in candidates:
@@ -114,24 +122,28 @@ def test_contains_matches_the_power_oracle(root, g, n, k, x):
 
 @settings(max_examples=300)
 @given(WORDS, WORDS)
-def test_conjugated_by_matches_a_fresh_subgroup(root, h):
-    sub = CyclicSubgroup(root)
-    moved = sub.conjugated_by(h)
-    assert moved == CyclicSubgroup(conjugate(sub.root, h))
-    assert moved.root == CyclicSubgroup(conjugate(sub.root, h)).root
+def test_conjugate_of_a_root_is_a_root(root, h):
+    # the walk moves the root word alone: a conjugate of either orientation
+    # of a primitive root is primitive and names the same subgroup
+    r = CyclicSubgroup(root).root
+    moved = conjugate(r, h)
+    assert primitive_root(moved) == moved
+    assert CyclicSubgroup(moved).root == CyclicSubgroup(conjugate(r.inverse(), h)).root
 
 
 class TestChains:
     def test_chain_law_and_reproducibility(self):
         start = CyclicSubgroup(F2.word("a"))
-        c1 = SubgroupChain.simulate(MU, start, steps=40, seed=3)
-        c2 = SubgroupChain.simulate(MU, start, steps=40, seed=3)
-        assert c1.states == c2.states
-        path = sample_path(MU, 40, seed=3)
-        state = start
-        for t, g in enumerate(path.increments):
-            state = state.conjugated_by(g)
-            assert state == c1.states[t + 1]
+        lengths, final = SubgroupChain.simulate(MU, start, steps=40, seed=3)
+        again, final_again = SubgroupChain.simulate(MU, start, steps=40, seed=3)
+        assert (lengths, final.root) == (again, final_again.root)
+        root = start.root
+        expected = [len(root)]
+        for g in sample_path(MU, 40, seed=3).increments:
+            root = conjugate(root, g)
+            expected.append(len(root))
+        assert lengths == expected
+        assert final.root == CyclicSubgroup(root).root
 
 
 class TestPdf:
@@ -207,9 +219,15 @@ class TestPsdCheck:
 
 class TestEscape:
     def test_trivial_start_degenerate(self):
-        rep = srs_escape_experiment(MU, CyclicSubgroup(F2.identity), steps=10, trials=3, seed=1)
-        assert rep.verdict.startswith("degenerate")
-        assert all(r.median_root_len == 0 for r in rep.rows)
+        # a trivial root walks to lengths of 0, which pass no threshold
+        for threshold_len in (0, 10):
+            rep = srs_escape_experiment(MU, CyclicSubgroup(F2.identity), steps=10, trials=3,
+                                        seed=1, threshold_len=threshold_len)
+            assert rep.verdict == "degenerate (trivial subgroup is conjugation-fixed)"
+            assert [r.step for r in rep.rows] == list(range(11))
+            for r in rep.rows:
+                assert (r.median_root_len, r.q25, r.q75, r.frac_beyond_threshold) == (0.0,) * 4
+            assert rep.final_pdf_at == {"a": 0.0, "A": 0.0, "b": 0.0, "B": 0.0}
 
     def test_nontrivial_start_escapes(self):
         rep = srs_escape_experiment(

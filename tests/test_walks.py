@@ -18,7 +18,6 @@ from stationarylab.walks import (
     convolve_measures,
     decay_schedule,
     measure_convolve_element,
-    measure_power,
     rng_from_seed,
     sample_path,
     uniform_generator_measure,
@@ -29,6 +28,15 @@ from exact import exact
 
 F2 = FreeGroupContext(2)
 MU = uniform_generator_measure(2)
+
+
+def measure_power(mu: GroupMeasure, n: int) -> GroupMeasure:
+    """Oracle: the n-th convolution power by repeated convolution; mu^0 is
+    the Dirac mass at the identity."""
+    out = _measure({b"": Fraction(1)}, mu.rank)
+    for _ in range(n):
+        out = convolve_measures(out, mu)
+    return out
 
 
 class TestGroupMeasure:
