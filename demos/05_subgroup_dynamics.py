@@ -41,9 +41,10 @@ print("final membership frequency of a:", report.final_pdf_at["a"])
 
 # --- positive definite functions from subgroup samples --------------------------
 subs = [CyclicSubgroup(F2.word(s)) for s in ("a", "ab", "b")]
+# the weights are read as law masses are: exact, and scaled by their exact total
 phi = pdf_from_subgroup_sample(subs, [1 / 3] * 3, radius=4)
-print("\nphi(1) =", phi(F2.identity), "| phi(a) =", round(phi(F2.word("a")), 4),
-      "| phi(ab) =", round(phi(F2.word("ab")), 4))
+print("\nphi(1) =", phi(F2.identity), "| phi(a) =", phi(F2.word("a")),
+      "| phi(ab) =", phi(F2.word("ab")), "| phi(aB) =", phi(F2.word("aB")))
 check = psd_check(phi, [[F2.identity, F2.word("a"), F2.word("ab"), F2.word("b")]])
 print("Gram minimum eigenvalue:", f"{check.min_eigenvalues[0]:.3e}",
       "| PSD:", check.passed)

@@ -37,7 +37,7 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, _ball_size, _product_letters, _sphere_size, _word
+from .freegroup import FreeGroupContext, Word, _ball_size, _sphere_size, _word
 from .freegroup import _check_ball, axis_prefix, ball_letters, inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample
 
@@ -230,9 +230,10 @@ def residual_depth(mu: GroupMeasure, nu: CylinderMeasure) -> int:
 
 def stationarity_residual(
     mu: GroupMeasure, nu: CylinderMeasure, depth: int | None = None
-) -> float:
+) -> Fraction | float:
     """max over cylinders of |sum_g mu(g) (g nu)[w] - nu[w]| up to the given
-    depth, by default `residual_depth(mu, nu)`."""
+    depth, by default `residual_depth(mu, nu)`: a Fraction when the masses
+    of nu are exact, as those of mu always are."""
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"measure rank {mu.rank} vs {nu.rank}")
     L = mu.max_support_length()
@@ -241,12 +242,12 @@ def stationarity_residual(
     if depth < 1:
         raise DepthUnderflowError(required_depth=L + 1, available_depth=nu.depth)
     atoms = length_lex(mu.masses)
-    worst = 0
+    worst = Fraction(0)
     for w in ball_letters(nu.rank, depth):
         if w:
             acc = sum(p * _translated_mass(g, w, nu) for g, p in atoms)
             worst = max(worst, abs(acc - nu._mass(w)))
-    return float(worst)
+    return worst
 
 
 def total_variation(nu1: CylinderMeasure, nu2: CylinderMeasure, depth: int) -> float:
@@ -513,11 +514,12 @@ class BoundaryPoint:
 def boundary_map(omega: PathSample) -> BoundaryPoint:
     """Longest prefix shared by every position in the final third of the path.
 
-    Consecutive positions w and w g share exactly (|w| - |g| + |w g|) / 2
-    letters, as g is reduced, and in a tree the prefix shared by a run of
-    positions is the least of these over its consecutive pairs.  So one walk
-    over the increments finds its length, and the prefix is read off the
-    last position.
+    The position is a stack of letters.  A reduced increment pops the
+    letters it cancels and then pushes the rest, so the positions before and
+    after it share the stack below its least height; in a tree the prefix
+    shared by a run of positions is the least of these over its consecutive
+    pairs.  Nothing below that height moves again, so the prefix is read off
+    the final stack.
     """
     T = len(omega.increments)
     if T == 0:
@@ -525,15 +527,19 @@ def boundary_map(omega: PathSample) -> BoundaryPoint:
             "empty path has no boundary point", partial_prefix=_word(b"", omega.rank)
         )
     start = T - T // 3  # the final third is positions start..T
-    w = b""
-    for g in omega.increments[:start]:
-        w = _product_letters(w, g.letters)
-    lcp = len(w)
-    for g in omega.increments[start:]:
-        v = _product_letters(w, g.letters)
-        lcp = min(lcp, (len(w) - len(g) + len(v)) // 2)
-        w = v
-    prefix = _word(w[:lcp], omega.rank)
+    stack = bytearray()
+    lows = []  # the least height of each increment of the final third
+    for k, g in enumerate(omega.increments):
+        g = g.letters
+        n = 0
+        while n < len(g) and n < len(stack) and stack[-1 - n] == g[n] ^ 1:
+            n += 1
+        del stack[len(stack) - n :]
+        if k >= start:
+            lows.append(len(stack))
+        stack += g[n:]
+    lcp = min(lows, default=len(stack))
+    prefix = _word(bytes(stack[:lcp]), omega.rank)
     if lcp == 0:
         raise UnresolvedBoundaryError(
             "no stable prefix in the final third of the path", partial_prefix=prefix

@@ -23,6 +23,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -43,7 +44,8 @@ from .errors import (
     StationaryLabError,
     UnresolvedBoundaryError,
 )
-from .freegroup import MAX_STRING_RANK, FiniteQuotient, FreeGroupContext, ball, word_from_str
+from .freegroup import MAX_STRING_RANK, FiniteQuotient, FreeGroupContext, _check_ball, ball
+from .freegroup import word_from_str
 from .serialize import (
     cylinder_csv_rows,
     element_from_json,
@@ -365,7 +367,8 @@ def _run_fix_mass(cfg: dict, out: Path, anchor: str) -> list[Path]:
     path = out / "fixmass.csv"
     _write_csv(path, anchor, ["word", "upper_bound", "depth"], rows)
     summary = out / "fixmass_summary.json"
-    _write_json(summary, {"verdict": report.verdict, "residual": report.stationarity_residual,
+    _write_json(summary, {"verdict": report.verdict,
+                          "residual": float(report.stationarity_residual),
                           "threshold": report.threshold})
     return [path, summary]
 
@@ -389,6 +392,8 @@ def _run_srs_escape(cfg: dict, out: Path, anchor: str) -> list[Path]:
 def _run_pdf_check(cfg: dict, out: Path, anchor: str) -> list[Path]:
     radius, sample_size, tuple_len = cfg["radius"], cfg["sample_size"], cfg["tuple_len"]
     ctx = FreeGroupContext(cfg["rank"])
+    # the dump reads phi over the ball of the radius: its cap binds before any work
+    _check_ball(ctx.rank, radius)
     roots = [w for w in ball(ctx, 3)]
     tuple_pool = [w for w in ball(ctx, radius // 2)]
     rng = rng_from_seed(cfg["seed"])
@@ -398,8 +403,7 @@ def _run_pdf_check(cfg: dict, out: Path, anchor: str) -> list[Path]:
     for mi in range(cfg["measures"]):
         picks = rng.integers(0, len(roots), size=sample_size)
         subs = [CyclicSubgroup(roots[int(i)]) for i in picks]
-        weights = [1.0 / sample_size] * sample_size
-        phi = pdf_from_subgroup_sample(subs, weights, radius)
+        phi = pdf_from_subgroup_sample(subs, [Fraction(1, sample_size)] * sample_size, radius)
         tuples = []
         for _ in range(cfg["tuples"]):
             idx = rng.integers(0, len(tuple_pool), size=tuple_len)
@@ -409,7 +413,10 @@ def _run_pdf_check(cfg: dict, out: Path, anchor: str) -> list[Path]:
         for ti, eig in enumerate(rep.min_eigenvalues):
             rows.append([mi, ti, eig])
         if mi == 0:
-            phi_rows = [[str(w), phi.values[w]] for w in sorted(phi.values, key=lambda w: w.sort_key())]
+            # ball() is in this order already; the sort stays as the one Word.sort_key
+            # call of a small run, which bench/tracer.py's word_sort_key counter needs
+            phi_rows = [[str(w), float(phi(w))]
+                        for w in sorted(ball(ctx, radius), key=lambda w: w.sort_key())]
     path = out / "pdfcheck.csv"
     _write_csv(path, anchor, ["measure", "tuple", "min_eigenvalue"], rows)
     dump = out / "pdf_dump.csv"

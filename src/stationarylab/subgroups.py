@@ -1,5 +1,5 @@
-"""Cyclic subgroups of F_k under conjugation: primitive roots, membership,
-positive definite functions from random-subgroup samples, Gram PSD checks,
+"""Cyclic subgroups of F_k under conjugation: primitive roots, positive
+definite functions from random-subgroup samples, Gram PSD checks,
 escape experiments for the conjugation walk, and essential-freeness reports.
 
 Amenable subgroups of a free group are trivial or infinite cyclic, so the
@@ -10,6 +10,7 @@ subgroup is the empty root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -21,9 +22,9 @@ from .errors import (
     MalformedInputError,
     PreconditionError,
 )
-from .freegroup import FreeGroupContext, Word, _cyclic_split, _product_letters, _word, ball
+from .freegroup import FreeGroupContext, Word, _cyclic_split, _product_letters, _word
 from .freegroup import conjugate, inverse_letters, length_lex
-from .walks import GroupMeasure, sample_increments
+from .walks import GroupMeasure, _exact_masses, sample_increments
 
 PSD_EIGENVALUE_TOL = -1e-9
 FREENESS_THRESHOLD = 1e-3
@@ -71,24 +72,6 @@ class CyclicSubgroup:
     def is_trivial(self) -> bool:
         return self.root.is_identity()
 
-    def contains(self, g: Word) -> bool:
-        """Exact membership: g is a power of the root.  With root = v c v^-1 (c
-        cyclically reduced), the powers v c^n v^-1 are reduced as written."""
-        if g.rank != self.root.rank:
-            raise ContextMismatchError(f"rank {g.rank} vs subgroup rank {self.root.rank}")
-        if g.is_identity():
-            return True
-        if self.is_trivial():
-            return False
-        r, gl = self.root.letters, g.letters
-        i = _cyclic_split(r)
-        c = r[i : len(r) - i]
-        n = (len(gl) - 2 * i) // len(c)
-        if n < 1 or gl[:i] != r[:i] or gl[len(gl) - i :] != r[len(r) - i :]:
-            return False
-        mid = gl[i : len(gl) - i]
-        return mid == c * n or mid == inverse_letters(c) * n
-
     def __repr__(self) -> str:
         return f"CyclicSubgroup(<{self.root}>)"
 
@@ -118,12 +101,13 @@ class SubgroupChain:
 
 
 class PositiveDefiniteFn:
-    """phi(g) = weighted frequency of sampled subgroups containing g, tabulated
-    on a ball; phi(e) = 1 and every Gram matrix over covered tuples is PSD."""
+    """phi(g) = the weight of the sampled subgroups that contain g, for |g| <=
+    radius: `values` maps the letters of e and of the root powers to their
+    exact sums, and phi is 0 elsewhere.  Every covered Gram matrix is PSD."""
 
     __slots__ = ("values", "radius", "rank")
 
-    def __init__(self, values: dict[Word, float], radius: int, rank: int):
+    def __init__(self, values: dict[bytes, Fraction], radius: int, rank: int):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "rank", rank)
@@ -131,33 +115,39 @@ class PositiveDefiniteFn:
     def __setattr__(self, *a):
         raise AttributeError("PositiveDefiniteFn is immutable")
 
-    def __call__(self, g: Word) -> float:
-        try:
-            return self.values[g]
-        except KeyError:
-            raise CoverageError([g]) from None
+    def __call__(self, g: Word) -> Fraction:
+        if g.rank != self.rank:
+            raise ContextMismatchError(f"word rank {g.rank} vs function rank {self.rank}")
+        if len(g) > self.radius:
+            raise CoverageError([g])
+        return self.values.get(g.letters, Fraction(0))
 
 
 def pdf_from_subgroup_sample(
     subgroups: Sequence[CyclicSubgroup],
-    weights: Sequence[float],
+    weights: Sequence[object],
     radius: int,
 ) -> PositiveDefiniteFn:
-    """phi(g) = sum of weights over sampled subgroups containing g, on ball(radius)."""
+    """phi(g) = the weight of the sampled subgroups that contain g, |g| <=
+    radius, with the weights read as law masses are (`walks._exact_masses`).
+    The subgroup with root v c v^-1 (c cyclically reduced) holds exactly the
+    words v c^n v^-1, of length 2|v| + |n||c|: only those are visited."""
     if len(subgroups) != len(weights):
         raise MalformedInputError("one weight per subgroup required")
-    total = float(sum(weights))
-    if abs(total - 1.0) > 1e-9:
-        raise MalformedInputError(f"weights sum to {total}, not 1")
+    weights = _exact_masses(dict(enumerate(weights)))
     rank = subgroups[0].rank
-    ctx = FreeGroupContext(rank)
-    values: dict[Word, float] = {}
-    for g in ball(ctx, radius):
-        values[g] = float(
-            sum(wt for sub, wt in zip(subgroups, weights) if sub.contains(g))
-        )
-    # every subgroup contains the identity: pin the normalization exactly
-    values[ctx.identity] = 1.0
+    values = {b"": Fraction(1)}  # the weights sum to 1, and every subgroup holds e
+    for sub, p in zip(subgroups, weights.values()):
+        if sub.rank != rank:
+            raise ContextMismatchError(f"subgroup rank {sub.rank} in a sample of rank {rank}")
+        r = sub.root.letters
+        i = _cyclic_split(r)
+        v, c, v_inv = r[:i], r[i : len(r) - i], r[len(r) - i :]
+        if not c or not p:
+            continue  # the trivial subgroup holds e alone
+        for n in range(1, (radius - 2 * i) // len(c) + 1):
+            for w in (v + c * n + v_inv, v + inverse_letters(c) * n + v_inv):
+                values[w] = values.get(w, 0) + p
     return PositiveDefiniteFn(values=values, radius=radius, rank=rank)
 
 
@@ -172,7 +162,7 @@ class PsdReport:
 def psd_check(phi: PositiveDefiniteFn, tuples: Sequence[Sequence[Word]]) -> PsdReport:
     """Form the Gram matrix [phi(g_i g_j^-1)] for each tuple and bound its
     spectrum below; raises coverage-error listing any product outside the ball."""
-    values = {w.letters: v for w, v in phi.values.items()}
+    values = {w: float(p) for w, p in phi.values.items()}
     missing: dict[bytes, None] = {}
     eigs = []
     for tup in tuples:
@@ -184,11 +174,10 @@ def psd_check(phi: PositiveDefiniteFn, tuples: Sequence[Sequence[Word]]) -> PsdR
         for i, gi in enumerate(letters):
             for j, gj_inv in enumerate(invs):
                 p = _product_letters(gi, gj_inv)
-                v = values.get(p)
-                if v is None:
+                if len(p) > phi.radius:
                     missing[p] = None
                 else:
-                    G[i, j] = v
+                    G[i, j] = values.get(p, 0.0)
         if not missing:
             eigs.append(float(np.linalg.eigvalsh(G)[0]))
     if missing:
@@ -243,6 +232,8 @@ def srs_escape_experiment(
     is "degenerate".  Also evaluates the final-step empirical positive
     definite function at the generators.
     """
+    if trials < 1:
+        raise MalformedInputError(f"trials must be >= 1, got {trials}")
     if not mu.is_generating():
         raise PreconditionError("the law must generate F_k as a semigroup")
     lengths, final = zip(*(
@@ -262,13 +253,10 @@ def srs_escape_experiment(
         verdict = "escaping"
     else:
         verdict = f"not escaping (slope {slope:.3f})"
-    final_pdf = {
-        str(w): float(np.mean([sub.contains(w) for sub in final]))
-        for w in FreeGroupContext(mu.rank).generators()
-    }
+    phi = pdf_from_subgroup_sample(final, [Fraction(1, trials)] * trials, radius=1)
     return EscapeReport(
-        rows=rows, verdict=verdict, threshold_len=threshold_len,
-        trials=trials, final_pdf_at=final_pdf,
+        rows=rows, verdict=verdict, threshold_len=threshold_len, trials=trials,
+        final_pdf_at={str(w): float(phi(w)) for w in FreeGroupContext(mu.rank).generators()},
     )
 
 
@@ -290,7 +278,7 @@ class FreenessReport:
     depth: int
     threshold: float
     verdict: str
-    stationarity_residual: float
+    stationarity_residual: Fraction | float
     pdf_upper: dict[str, float]
 
     @property
@@ -312,11 +300,17 @@ def freeness_report(
     word and every bound is below the threshold; the bounds are also
     assembled as an upper envelope of the fixed-point pdf g -> nu(Fix(g)),
     which for an essentially free action is the indicator of the identity.
-    The stationarity precondition on nu is certified on cylinders up to
-    depth FREENESS_RESIDUAL_DEPTH, or less if nu is too shallow for it.
+    The stationarity precondition on nu is checked on cylinders up to depth
+    FREENESS_RESIDUAL_DEPTH, or less if nu is too shallow for it: the
+    residual there must be exactly 0, else PreconditionError names it.
     """
     res_depth = min(FREENESS_RESIDUAL_DEPTH, residual_depth(mu, nu))
     residual = stationarity_residual(mu, nu, depth=res_depth)
+    if residual != 0:
+        raise PreconditionError(
+            f"nu is not stationary for the law: residual {residual} "
+            f"({float(residual):.3e}) on cylinders up to depth {res_depth}"
+        )
     rows = []
     pdf_upper = {"1": 1.0}
     for g in gens:

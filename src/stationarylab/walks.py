@@ -52,20 +52,10 @@ class GroupMeasure:
     __slots__ = ("masses", "rank")
 
     def __init__(self, masses: Mapping[Word, object], rank: int):
-        table = {}
-        for w, p in masses.items():
+        for w in masses:
             if w.rank != rank:
                 raise ContextMismatchError(f"word rank {w.rank} in measure of rank {rank}")
-            try:
-                p = Fraction(p)
-            except (ValueError, TypeError, ArithmeticError) as exc:
-                raise MalformedInputError(
-                    f"mass {p!r} at {w} is not finite or not a number"
-                ) from exc
-            if p < 0:
-                raise MalformedInputError(f"negative mass {p} at {w}")
-            table[w.letters] = p
-        _fill(self, table, rank)
+        _fill(self, {w.letters: p for w, p in _exact_masses(masses).items()}, rank)
 
     def __setattr__(self, *a):
         raise AttributeError("GroupMeasure is immutable")
@@ -160,23 +150,39 @@ class GroupMeasure:
         return f"GroupMeasure({{{atoms}{'...' if len(self.masses) > 6 else ''}}})"
 
 
-def _fill(mu: GroupMeasure, table: dict[bytes, Fraction], rank: int) -> None:
-    table = {w: p for w, p in table.items() if p > 0}
+def _exact_masses(masses: Mapping) -> dict:
+    """The masses, keyed as given, read by GroupMeasure's rule: exact, >= 0
+    and divided by their exact total, which must be 1 within MASS_TOLERANCE."""
+    table = {}
+    for k, p in masses.items():
+        try:
+            p = Fraction(p)
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise MalformedInputError(f"mass {p!r} at {k} is not finite or not a number") from exc
+        if p < 0:
+            raise MalformedInputError(f"negative mass {p} at {k}")
+        table[k] = p
+    return _normalised(table)
+
+
+def _normalised(table: dict) -> dict:
     # an exact sum, compared exactly: a Fraction beyond the float range is never converted
     total = sum(table.values())
     if abs(total - 1) > MASS_TOLERANCE:
         raise MalformedInputError(f"masses do not sum to 1 within {MASS_TOLERANCE}")
-    if total != 1:
-        table = {w: p / total for w, p in table.items()}
-    object.__setattr__(mu, "masses", table)
-    object.__setattr__(mu, "rank", rank)
+    return table if total == 1 else {k: p / total for k, p in table.items()}
 
 
 def _measure(table: dict[bytes, Fraction], rank: int) -> GroupMeasure:
     """The law of a letter table of masses >= 0, checked only for summing to 1."""
     mu = object.__new__(GroupMeasure)
-    _fill(mu, table, rank)
+    _fill(mu, _normalised(table), rank)
     return mu
+
+
+def _fill(mu: GroupMeasure, table: dict[bytes, Fraction], rank: int) -> None:
+    object.__setattr__(mu, "masses", {w: p for w, p in table.items() if p > 0})
+    object.__setattr__(mu, "rank", rank)
 
 
 def uniform_generator_measure(rank: int) -> GroupMeasure:

@@ -190,7 +190,13 @@ class TestTranslate:
 
 class TestStationarity:
     def test_uniform_pair_exactly_stationary(self):
-        assert stationarity_residual(MU, NU) == 0.0
+        residual = stationarity_residual(MU, NU)
+        assert type(residual) is Fraction and residual == 0
+
+    def test_residual_is_exact(self):
+        # the uniform measure under a length-2 law: the level-1 masses move by 7/36
+        law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
+        assert stationarity_residual(law, NU) == Fraction(7, 36)
 
     def test_dirac_law_fixes_everything(self):
         delta_e = GroupMeasure.dirac(F2.identity)

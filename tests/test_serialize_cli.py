@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stationarylab import freegroup
-from stationarylab.algebra import AlgebraElement
 from stationarylab.cli import EXPERIMENTS, ConfigError, config_hash, main, run, verify
 from stationarylab.errors import MalformedInputError
 from stationarylab.freegroup import FreeGroupContext
@@ -456,6 +455,9 @@ BALLS = {
                                  "--out-depth", "30"],
     "pdf-check-radius-30": ["pdf-check", "--measures", "1", "--tuples", "1", "--seed", "0",
                             "--radius", "30"],
+    # the tuple pool (radius 6) fits; the dump's ball of radius 12 does not
+    "pdf-check-radius-12": ["pdf-check", "--measures", "1", "--tuples", "1", "--seed", "0",
+                            "--radius", "12"],
     "build-mu-ball30": ["build-mu", "--levels", "1", "--family", "ball30"],
 }
 
@@ -493,6 +495,18 @@ def test_fix_mass_without_a_non_identity_word_is_inconclusive(gens, tmp_path, ca
     assert rc == 0, err
     summary = json.loads((tmp_path / "o" / "fixmass_summary.json").read_text())
     assert summary["verdict"] == "inconclusive: no non-identity word to test"
+
+
+def test_fix_mass_with_a_law_nu_is_not_stationary_for_exits_3(tmp_path, capsys):
+    # the uniform boundary measure is stationary for the simple walk only
+    law = tmp_path / "mu.json"
+    law.write_text(json.dumps({"context": 2, "atoms": [
+        {"word": w, "p": "1/4"} for w in ("a", "B", "ab", "bA")]}))
+    rc, err = _main(["fix-mass", "--depth", "5", "--mu", str(law),
+                     "--out-dir", str(tmp_path / "o")], capsys)
+    assert rc == 3
+    _assert_one_error_line(err, "residual 7/36")
+    assert not (tmp_path / "o" / "fixmass_summary.json").exists()
 
 
 @st.composite

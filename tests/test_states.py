@@ -8,7 +8,7 @@ from stationarylab import freegroup
 from stationarylab.algebra import AlgebraElement, _float_down, norm_upper_bound
 from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import MalformedInputError, PreconditionError, ResourceLimitError
-from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, Word, ball, conjugate
+from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, ball, conjugate
 from stationarylab.states import (
     build_c_star_simple_measure,
     cesaro_test,

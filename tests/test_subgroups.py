@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stationarylab.boundary import uniform_boundary_measure
-from stationarylab.errors import CoverageError, PreconditionError
+from stationarylab.errors import (
+    ContextMismatchError,
+    CoverageError,
+    MalformedInputError,
+    PreconditionError,
+)
 from stationarylab.freegroup import (
     FreeGroupContext,
     Word,
@@ -24,6 +30,7 @@ from stationarylab.subgroups import (
     srs_escape_experiment,
 )
 from stationarylab.walks import (
+    MASS_TOLERANCE,
     GroupMeasure,
     rng_from_seed,
     sample_path,
@@ -73,21 +80,25 @@ class TestPrimitiveRoot:
             k = int(rng.integers(1, 5))
             root = primitive_root(w**k)
             # w^k is a power of the extracted root
-            assert CyclicSubgroup(root).contains(w**k)
+            assert contains_by_powers(CyclicSubgroup(root), w**k)
+
+
+def indicator(sub: CyclicSubgroup, radius: int):
+    """phi of the sample that holds one subgroup with weight 1."""
+    return pdf_from_subgroup_sample([sub], [1], radius)
 
 
 class TestCyclicSubgroup:
     def test_membership(self):
-        H = CyclicSubgroup(F2.word("a"))
-        assert H.contains(F2.word("aaaa"))
-        assert H.contains(F2.word("AA"))
-        assert not H.contains(F2.word("ab"))
+        phi = indicator(CyclicSubgroup(F2.word("a")), 4)
+        assert phi(F2.word("aaaa")) == 1
+        assert phi(F2.word("AA")) == 1
+        assert phi(F2.word("ab")) == 0
 
     def test_trivial_subgroup(self):
         T = CyclicSubgroup(F2.identity)
         assert T.is_trivial()
-        assert T.contains(F2.identity)
-        assert not T.contains(F2.word("a"))
+        assert indicator(T, 1).values == {b"": 1}
 
     def test_normalized_equality(self):
         assert CyclicSubgroup(F2.word("ab")).root == CyclicSubgroup(F2.word("BA")).root
@@ -96,12 +107,12 @@ class TestCyclicSubgroup:
     def test_conjugation(self):
         H = CyclicSubgroup(F2.word("a"))
         Hc = CyclicSubgroup(conjugate(H.root, F2.word("b")))
-        assert Hc.contains(conjugate(F2.word("a"), F2.word("b")))
+        assert indicator(Hc, 3)(conjugate(F2.word("a"), F2.word("b"))) == 1
 
 
 @settings(max_examples=300)
 @given(WORDS, WORDS, st.integers(-4, 4), st.integers(0, 3), WORDS)
-def test_contains_matches_the_power_oracle(root, g, n, k, x):
+def test_one_subgroup_phi_matches_the_power_oracle(root, g, n, k, x):
     sub = CyclicSubgroup(root)
     r = sub.root.letters
     i = _cyclic_split(r)
@@ -115,9 +126,10 @@ def test_contains_matches_the_power_oracle(root, g, n, k, x):
         Word(vl + inverse_letters(cl) * k + x.letters + inverse_letters(vl), 2),
         g,
     ]
+    phi = indicator(sub, max(len(w) for w in candidates))
     for w in candidates:
-        assert sub.contains(w) == contains_by_powers(sub, w), w
-    assert sub.contains(sub.root**n)
+        assert phi(w) == contains_by_powers(sub, w), w
+    assert phi(sub.root**n) == 1
 
 
 @settings(max_examples=300)
@@ -174,6 +186,52 @@ class TestPdf:
         for w in ball(F2, 3):
             assert 0.0 <= phi(w) <= 1.0
             assert phi(w) == phi(w.inverse())
+
+    def test_equal_float_weights_sum_exactly(self):
+        # 3 of 5 subgroups hold a; the binary values of 0.2 sum to 1 + 2^-54
+        # and are divided by that total, so phi(a) is 3/5, not 0.2 + 0.2 + 0.2
+        subs = [CyclicSubgroup(F2.word(s)) for s in ("a", "aa", "A", "b", "ab")]
+        phi = pdf_from_subgroup_sample(subs, [0.2] * 5, radius=2)
+        assert phi(F2.word("a")) == Fraction(3, 5)
+        assert float(phi(F2.word("a"))) == 0.6
+        assert phi(F2.word("b")) == Fraction(1, 5)
+
+    def test_weights_are_read_as_law_masses(self):
+        subs = [CyclicSubgroup(F2.word("a")), CyclicSubgroup(F2.word("b"))]
+        for weights in ([0.5, 0.5 + 10 * MASS_TOLERANCE], [Fraction(3, 2), -0.5],
+                        ["x", 1], [None, 1], [math.nan, 1], [1]):
+            with pytest.raises(MalformedInputError):
+                pdf_from_subgroup_sample(subs, weights, radius=2)
+        with pytest.raises(MalformedInputError):
+            pdf_from_subgroup_sample([], [], radius=2)
+        # "p/q" strings and ints are exact rationals, as in a law
+        phi = pdf_from_subgroup_sample(subs, ["1/3", "2/3"], radius=2)
+        assert phi(F2.word("bb")) == Fraction(2, 3)
+
+    def test_word_past_the_radius_is_not_covered(self):
+        phi = indicator(CyclicSubgroup(F2.word("a")), 2)
+        assert phi(F2.word("AA")) == 1
+        with pytest.raises(CoverageError) as exc:
+            phi(F2.word("aaa"))
+        assert exc.value.missing == [F2.word("aaa")]
+
+    def test_rank_mismatch(self):
+        F3 = FreeGroupContext(3)
+        phi = indicator(CyclicSubgroup(F2.word("a")), 2)
+        with pytest.raises(ContextMismatchError):
+            phi(F3.word("a"))
+        with pytest.raises(ContextMismatchError):
+            pdf_from_subgroup_sample(
+                [CyclicSubgroup(F2.word("a")), CyclicSubgroup(F3.word("c"))], [0.5, 0.5], 2
+            )
+
+    def test_table_holds_only_the_root_powers(self):
+        # the root b (aB) b^-1 has v = b and c = aB, so its powers of length
+        # <= 6 are b (aB)^n B and b (bA)^n B for n <= 2
+        phi = indicator(CyclicSubgroup(F2.word("baBB")), 6)
+        assert set(phi.values) == {b""} | {
+            F2.word(s).letters for s in ("baBB", "bbAB", "baBaBB", "bbAbAB")
+        }
 
 
 class TestPsdCheck:
@@ -243,6 +301,11 @@ class TestEscape:
         with pytest.raises(PreconditionError):
             srs_escape_experiment(lazy, CyclicSubgroup(F2.word("a")), 10, 2, seed=1)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trial_rejected(self, trials):
+        with pytest.raises(MalformedInputError, match="trials"):
+            srs_escape_experiment(MU, CyclicSubgroup(F2.word("a")), 10, trials, seed=1)
+
     def test_quartiles_ordered(self):
         rep = srs_escape_experiment(
             MU, CyclicSubgroup(F2.word("ab")), steps=60, trials=30, seed=4
@@ -276,6 +339,13 @@ class TestFreenessReport:
             if prev is not None:
                 assert all(b <= p for b, p in zip(bounds, prev))
             prev = bounds
+
+    def test_non_stationary_measure_refused(self):
+        # the uniform measure is stationary for the simple walk only
+        law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
+        nu = uniform_boundary_measure(F2, 4)
+        with pytest.raises(PreconditionError, match="residual 7/36"):
+            freeness_report(law, nu, [F2.word("a")], depth=4)
 
     def test_pdf_upper_is_near_identity_indicator(self):
         nu = uniform_boundary_measure(F2, 8)
