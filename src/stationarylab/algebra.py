@@ -272,23 +272,24 @@ def _axpy(a: list[int], c: int, b: list[int]) -> list[int]:
     return [s + c * t for s, t in zip(a, b)] + a[len(b):]
 
 
-def _odd_moment(y: tuple[dict, dict], z: tuple[dict, dict]) -> int:
+def _odd_moment(y: tuple[dict, dict], z: tuple[dict, dict], zz_trace: int) -> int:
     """tau0(Y Z Z) for self-adjoint integer tables Y and Z, each (re, im),
-    without the table Z Z: the sum over g in supp Y of Y(g) (Z Z)(g^-1), with
-    (Z Z)(h) = sum over u of Z(u) Z(u^-1 h) read by lookups at h = g^-1 only.
-    The terms at g and g^-1 are complex conjugates, so only the words
-    g <= g^-1 are read, the others counted twice, and of Y(g) (Z Z)(g^-1)
-    only the real part is summed.  Each of the four real part-products runs
-    only where both of its tables are nonempty.  ResourceLimitError, before
-    the first lookup, when the read words times |supp Z| pass
-    freegroup.SUPPORT_CAP."""
+    given zz_trace = tau0(Z Z), without the table Z Z: the sum over g in
+    supp Y of Y(g) (Z Z)(g^-1).  The identity's term is the real Y(e) times
+    zz_trace; at g != e, (Z Z)(g^-1) = sum over u of Z(u) Z(u^-1 g^-1) is
+    read by lookups.  The terms at g and g^-1 are complex conjugates, so
+    only the words e != g <= g^-1 are read, each counted twice, and of
+    Y(g) (Z Z)(g^-1) only the real part is summed.  Each of the four real
+    part-products runs only where both of its tables are nonempty.
+    ResourceLimitError, before the first lookup, when the read words times
+    |supp Z| pass freegroup.SUPPORT_CAP."""
     (y_re, y_im), (z_re, z_im) = y, z
-    reads = [g for g in y_re.keys() | y_im.keys() if g <= inverse_letters(g)]
+    reads = [g for g in y_re.keys() | y_im.keys() if g and g <= inverse_letters(g)]
     cap = freegroup.SUPPORT_CAP
     if len(reads) * (len(z_re) + sum(w not in z_re for w in z_im)) > cap:
         raise ResourceLimitError("odd-moment lookups exceed the cap", cap)
-    # (g^-1, the weight of g times the part of Y(g)): the identity counts once
-    k_re = [(inverse_letters(g), (2 if g else 1) * y_re[g]) for g in reads if g in y_re]
+    # (g^-1, twice the part of Y(g))
+    k_re = [(inverse_letters(g), 2 * y_re[g]) for g in reads if g in y_re]
     k_im = [(inverse_letters(g), 2 * y_im[g]) for g in reads if g in y_im]
 
     def part(a: dict, b: dict, ks: list) -> int:
@@ -311,7 +312,7 @@ def _odd_moment(y: tuple[dict, dict], z: tuple[dict, dict]) -> int:
 
     # Re(Y(g) W(h)) = Y_re W_re - Y_im W_im, with W = Z Z:
     # W_re = Z_re Z_re - Z_im Z_im and W_im = Z_re Z_im + Z_im Z_re
-    return (part(z_re, z_re, k_re) - part(z_im, z_im, k_re)
+    return (y_re.get(b"", 0) * zz_trace + part(z_re, z_re, k_re) - part(z_im, z_im, k_re)
             - part(z_re, z_im, k_im) - part(z_im, z_re, k_im))
 
 
@@ -324,7 +325,8 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     gets every order up to n_moments + 1 from the sphere-sum recursion.
     Otherwise each power z = Y^m of repeated squaring gives tau0(Y^(2m)),
     sum |z(w)|^2 as z is self-adjoint, and tau0(Y^(2m+1)) = tau0(Y z z) from
-    _odd_moment, which reads z z only at the words of Y and forms no table.
+    _odd_moment, which takes its identity term from tau0(Y^(2m)), reads z z
+    only at the other words of Y and forms no table.
     z is squared only while the bound reads an order of the new power.  The
     moments stop there, at the first square that passes freegroup.SUPPORT_CAP,
     or at the first odd moment whose lookups are predicted to pass it.
@@ -346,7 +348,7 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
             moments[2 * m_z] = sum(c * c for part in z for c in part.values())
             if 2 * m_z <= n_moments:
                 # the ratio bound at order 2 m_z also needs tau0(Y^(2 m_z + 1))
-                moments[2 * m_z + 1] = _odd_moment(y, z)
+                moments[2 * m_z + 1] = _odd_moment(y, z, moments[2 * m_z])
             # the next power's orders 4 m_z and 4 m_z + 1 are read only up to
             # n_moments, or at n_moments + 1 beside a held tau0(Y^n_moments)
             if 4 * m_z > n_moments and not (4 * m_z == n_moments + 1 and n_moments in moments):

@@ -463,14 +463,14 @@ EXPERIMENTS = {
         _run_powers,
         "certified norm bound on the conjugation average of a translation unitary",
         (RANK, Key("g", _word), Key("eps", _positive_float),
-         Key("strategy", _strategy, "geometric"), Key("budget", _int, 64, low=0),
+         Key("strategy", _strategy, "geometric"), Key("budget", _int, 64, low=1),
          Key("seed", _int, 0, low=0)),
     ),
     "build-mu": Experiment(
         _run_build_mu,
         "staged averaging law with per-level and final certified convolution bounds",
         (RANK, Key("levels", _int, low=1), Key("family", _words, "ball1"),
-         Key("budget", _int, 128, low=0)),
+         Key("budget", _int, 128, low=1)),
     ),
     "boundary-solve": Experiment(
         _run_boundary_solve,

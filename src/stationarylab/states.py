@@ -4,6 +4,11 @@ convolution drives every test element to its trace, exact finite-dimensional
 stationary states of permutation quotients, and crossed-product state
 evaluation.
 
+Both Powers searches run through _scan, over (w, ..., w^n) by n first, then
+base word w in length-lex order: n = 1..budget in powers_search, n = 1, 2,
+4, ... <= budget in the construction.  A scan stops at the first tuple that
+passes; otherwise it reports the one with the least worst bound.
+
 Every test is bracket-based: a claim "passes" only on a certified upper bound
 and "fails" only on a certified lower bound; anything else is inconclusive.
 """
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import freegroup
 from .algebra import (
@@ -143,17 +148,6 @@ def _averaged_element(x: AlgebraElement, conjugators: Sequence[Word]) -> Algebra
     return _conjugation_sum(x, [(h.letters, 1) for h in conjugators], len(conjugators))
 
 
-def _commutes(u: bytes, v: bytes) -> bool:
-    """Whether the words with these letters commute."""
-    return _product_letters(u, v) == _product_letters(v, u)
-
-
-def _geometric_base_candidates(rank: int):
-    for w in ball(FreeGroupContext(rank), 3):
-        if not w.is_identity():
-            yield w
-
-
 def powers_search(
     g: Word,
     epsilon: float,
@@ -163,44 +157,57 @@ def powers_search(
 ) -> PowersCertificate:
     """Search conjugator tuples driving the averaged translate below epsilon.
 
-    geometric: h_k = w^k for base words w scanned in length-lex order (bases
-    commuting with g are skipped); smallest n wins, ties broken by the
-    lexicographically least base.  random: seeded tuples drawn from a ball.
-    The certificate stores the first tuple whose certified upper bound is
-    below epsilon, or the best tuple found within the budget, marked failed.
+    geometric: h_k = w^k for n = 1..budget and, per n, the base words w of
+    _power_families (those commuting with g skipped); smallest n wins, ties
+    broken by the length-lex least base.  random: seeded tuples drawn from a
+    ball.  The certificate stores the first tuple whose certified upper bound
+    is below epsilon, or the best tuple found within the budget, marked failed.
     """
     if g.is_identity():
         raise PreconditionError("the identity cannot be averaged away")
     if epsilon <= 0:
         raise PreconditionError(f"epsilon must be positive, got {epsilon}")
-    x = AlgebraElement.delta(g)
     if strategy == "geometric":
-        tuples = _geometric_tuples(g, budget)
+        tuples = _power_families(g.rank, [g.letters], range(1, budget + 1))
     elif strategy == "random":
         tuples = _random_tuples(g.rank, budget, seed)
     else:
         raise MalformedInputError(f"unknown strategy {strategy!r}")
-    best: tuple[float, tuple[Word, ...], int] | None = None
+    hs, n, _, u = _scan([(str(g), AlgebraElement.delta(g))], epsilon, tuples)
+    return PowersCertificate(target=str(g), conjugators=hs, upper_bound=u, epsilon=epsilon,
+                             success=u < epsilon, strategy=strategy, n=n)
+
+
+def _scan(constraints: Sequence[tuple[str, AlgebraElement]], epsilon: float,
+          tuples: Iterable[tuple[tuple[Word, ...], int]]):
+    """The first (tuple, n) of the stream whose Powers average certifies
+    every constraint element below epsilon, else the one with the least
+    worst bound (the first of equals), as (tuple, n, [(constraint id, upper
+    bound)], worst bound); ((), 0, [], inf) for an empty stream.  A tuple's
+    bounds stop at the first constraint that reaches epsilon."""
+    best = ((), 0, [], float("inf"))
     for hs, n in tuples:
-        u = norm_upper_bound(_averaged_element(x, hs))
-        if best is None or u < best[0]:
-            best = (u, hs, n)
-        if u < epsilon:
-            return PowersCertificate(
-                target=str(g), conjugators=hs, upper_bound=u,
-                epsilon=epsilon, success=True, strategy=strategy, n=n,
-            )
-    u, hs, n = best if best is not None else (float("inf"), (), 0)
-    return PowersCertificate(
-        target=str(g), conjugators=hs, upper_bound=u,
-        epsilon=epsilon, success=False, strategy=strategy, n=n,
-    )
+        certs, worst = [], 0.0
+        for cid, x in constraints:
+            u = norm_upper_bound(_averaged_element(x, hs))
+            certs.append((cid, u))
+            worst = max(worst, u)
+            if worst >= epsilon:
+                break
+        if worst < epsilon:
+            return hs, n, certs, worst
+        if worst < best[3]:
+            best = (hs, n, certs, worst)
+    return best
 
 
-def _geometric_tuples(g: Word, budget: int):
-    """(w, w^2, ..., w^n) for n = 1..budget and, per n, each base w not commuting with g."""
-    bases = [w for w in _geometric_base_candidates(g.rank) if not _commutes(w.letters, g.letters)]
-    for n in range(1, budget + 1):
+def _power_families(rank: int, supports: Collection[bytes], sizes: Iterable[int]):
+    """(w, w^2, ..., w^n), n for each size n and, per n, each base w: the
+    nonidentity words of the radius-3 ball, in length-lex order, that commute
+    with no word of `supports` (given by their letters)."""
+    bases = [w for w in ball(FreeGroupContext(rank), 3) if not w.is_identity() and all(
+        _product_letters(w.letters, s) != _product_letters(s, w.letters) for s in supports)]
+    for n in sizes:
         for w in bases:
             yield _power_tuple(w, n), n
 
@@ -264,46 +271,6 @@ class CStarSimpleMeasure:
         return level_ok and final_ok
 
 
-def _multi_element_powers(
-    constraints: Sequence[tuple[str, AlgebraElement]],
-    epsilon: float,
-    budget: int,
-) -> tuple[tuple[Word, ...], list[tuple[str, float]], float]:
-    """One conjugator tuple certifying every constraint element below epsilon,
-    with the (constraint id, upper bound) pairs and the worst bound, or ((),
-    [], best worst bound) if none does.
-
-    Scans geometric families h_k = w^k with the tuple size n doubling up to
-    the budget and base words in length-lex order (bases commuting with any
-    constraint support word are skipped); the shared exponent lattice keeps
-    supports of later convolution powers thin.
-    """
-    rank = constraints[0][1].rank
-    supports = {w for _, x in constraints for part in (x.re, x.im) for w in part if w}
-    bases = [
-        w
-        for w in _geometric_base_candidates(rank)
-        if all(not _commutes(w.letters, s) for s in supports)
-    ]
-    centered = [(cid, _centered(x)) for cid, x in constraints]
-    best_u = float("inf")
-    for n in (2**j for j in range(budget.bit_length())):
-        for w in bases:
-            hs = _power_tuple(w, n)
-            certs = []
-            worst = 0.0
-            for cid, x in centered:
-                u = norm_upper_bound(_averaged_element(x, hs))
-                certs.append((cid, u))
-                worst = max(worst, u)
-                if worst >= epsilon:
-                    break
-            best_u = min(best_u, worst)
-            if worst < epsilon:
-                return hs, certs, worst
-    return (), [], best_u
-
-
 def build_c_star_simple_measure(
     test_family: Sequence[AlgebraElement],
     levels: int,
@@ -315,8 +282,11 @@ def build_c_star_simple_measure(
     below eps_l = 2^-l: the centered family members themselves, plus every
     product mu_{k_r} * ... * mu_{k_1} * a_s with s, k_i < l and r < n_l (the
     exponents n_l come from decay_schedule; the product set is truncated to a
-    deterministic prefix of MAX_CONSTRAINTS entries per level).  The assembled
-    law is sum_l 2^-l (uniform on the tuple), with the 2^-L tail folded into
+    deterministic prefix of MAX_CONSTRAINTS entries per level).  _scan seeks
+    it with n = 1, 2, 4, ... <= budget and bases commuting with no support
+    word; a level none passes raises ConstructionError naming the closest
+    tuple's base, its n and the element it stopped at.  The assembled law
+    is sum_l 2^-l (uniform on the tuple), with the 2^-L tail folded into
     the top level, and the final certified bounds
     ||mu^{n_j} * a - tau0(a) 1|| are rechecked for every family member at the
     scheduled exponents.  MalformedInputError if a member's squared l1 norm
@@ -350,9 +320,14 @@ def build_c_star_simple_measure(
                     nxt.append((f"mu[{k}]*{cid}", y))
             constraints.extend(nxt[: MAX_CONSTRAINTS - len(constraints)])
             frontier = nxt
-        hs, certs, best = _multi_element_powers(constraints, eps_l, budget)
-        if not hs:
-            raise ConstructionError(level=l, best_bound=best)
+        centered = [(cid, _centered(x)) for cid, x in constraints]
+        supports = {w for _, x in centered for part in (x.re, x.im) for w in part}
+        sizes = (2**j for j in range(budget.bit_length()))
+        hs, n, certs, worst = _scan(centered, eps_l, _power_families(rank, supports, sizes))
+        if worst >= eps_l:
+            closest = (f"closest tuple: the powers of {hs[0]} up to n = {n}, stopped at "
+                       f"{certs[-1][0]}" if hs else "")
+            raise ConstructionError(level=l, best_bound=worst, message=closest)
         level_certs.extend(
             LevelCertificate(level=l, constraint_id=cid, upper_bound=u, epsilon=eps_l)
             for cid, u in certs

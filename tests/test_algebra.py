@@ -528,7 +528,8 @@ def word_table_moment_engine(x, support_cap=5000):
     whole table y y^m.  Runs as the engine does at order 8 and records the
     work behind each order past 2: for an even order 4m, the words that the
     square of y^m touches; for an odd order 2m+1, the words of y it reads
-    (the identity and one of each pair g, g^-1) times |supp y^m|.  It stops
+    (one of each pair g, g^-1 of words other than the identity, whose term
+    comes from tau0(y^(2m))) times |supp y^m|.  It stops
     at the first order whose work passes the cap; y itself, at most 5 x 5
     words for the elements here, never binds.
     Returns the moments {m: tau0(y^m)} as Fractions and the work {m: size}."""
@@ -559,7 +560,7 @@ def word_table_moment_engine(x, support_cap=5000):
     table = exact(x)
     y, _ = times({w.inverse(): (re, -im) for w, (re, im) in table.items()}, table)
     e = Word((), x.rank)
-    reads = (len(y) + (e in y)) // 2
+    reads = (len(y) - (e in y)) // 2
     moments = {1: y.get(e, (0, 0))[0], 2: pairing(y, y)}
     work = {}
     z = y
@@ -722,12 +723,14 @@ class TestLetterTableMomentEngine:
 
     def test_exact_zeros_do_not_count_against_the_cap(self, monkeypatch):
         # y = 3 - a^2 - a^-2: its a and a^-1 terms cancel exactly; kept, they
-        # would give y y 9 terms instead of 5 and stop it at a cap of 6
+        # would give y y 9 terms instead of 5 and stop it at a cap of 6.
+        # Dropped, tau0(y^5) reads one word of y times 5, and the square
+        # that would form y^4 touches 9 words
         x = AlgebraElement({F2.identity: 1, F2.word("a"): 1, F2.word("A"): -1}, 2)
         expected = reference_moments(word_table_moment_engine(x), 8, 6)
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 6)
         assert engine_moments(x, 8) == expected
-        assert norm_lower_bound(x, 8).order == max(m for m in expected if m <= 8) == 4
+        assert norm_lower_bound(x, 8).order == max(m for m in expected if m <= 8) == 5
 
     def test_times_union_check(self, monkeypatch):
         # x*x = 3 + a + A + i (b + Ab - B - Ba): its re part holds 3 words and
@@ -781,11 +784,26 @@ def paired_product(y, z):
     return sum(c * t_part.get(w, 0) for z_part, t_part in zip(z, t) for w, c in z_part.items())
 
 
+def square_trace(z):
+    """tau0(Z Z) = sum |Z(w)|^2 of a self-adjoint table Z = (re, im)."""
+    return sum(c * c for part in z for c in part.values())
+
+
 class NoLookups(dict):
     """A table whose get fails, to show that no lookup ran."""
 
     def get(self, *args):
         raise AssertionError("a lookup ran")
+
+
+class CountedLookups(dict):
+    """A table that counts the lookups made through get in `count`."""
+
+    count = 0
+
+    def get(self, *args):
+        CountedLookups.count += 1
+        return super().get(*args)
 
 
 class TestOddMomentKernel:
@@ -803,25 +821,43 @@ class TestOddMomentKernel:
                     support = dict.fromkeys(z[0].keys() | z[1].keys(), 1)
                     y = self_adjoint_tables(rng, [w for w in letter_product(support, support) if w],
                                             y_kind, values)
-                    assert _odd_moment(y, z) == paired_product(y, z)
+                    assert _odd_moment(y, z, square_trace(z)) == paired_product(y, z)
         # z = 1 + a + A - aa - AA: the four terms of z z at a, and at A,
         # cancel to exactly zero, so the words a and A of y add nothing
         a, aa, A, AA = (F1.word(w).letters for w in ("a", "aa", "A", "AA"))
         z = ({b"": 1, a: 1, A: 1, aa: -1, AA: -1}, {})
         assert a not in _times(z, z, letter_product)[0]
         y = ({a: 3, A: 3, aa: 1, AA: 1}, {a: 2, A: -2})
-        assert _odd_moment(y, z) == paired_product(y, z) == paired_product(({aa: 1, AA: 1}, {}), z)
+        assert (_odd_moment(y, z, square_trace(z)) == paired_product(y, z)
+                == paired_product(({aa: 1, AA: 1}, {}), z))
 
     def test_cap_is_predicted_before_any_lookup(self, monkeypatch):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
-        # y has 7 words, of which 4 are read (the identity and one of each
-        # pair g, g^-1), and y^2 31: tau0(y^3) takes 4 x 7 = 28 lookups and
-        # tau0(y^5) 4 x 31 = 124, and the square y y touches over 28 words
+        # y has 7 words, of which 3 are read (one of each pair g, g^-1; the
+        # identity's term comes from tau0(y^2) or tau0(y^4) with no lookup),
+        # y^2 31 and y^4 511: tau0(y^3) takes 3 x 7 = 21 lookups, tau0(y^5)
+        # 3 x 31 = 93 and tau0(y^9) 3 x 511 = 1533, and the square y y
+        # touches over 28 words
         kernel = algebra._odd_moment
         with monkeypatch.context() as patch:
-            patch.setattr(algebra, "_odd_moment", lambda y, z: kernel(y, tuple(map(NoLookups, z))))
-            patch.setattr(freegroup, "SUPPORT_CAP", 27)
+            patch.setattr(algebra, "_odd_moment",
+                          lambda y, z, t: kernel(y, tuple(map(NoLookups, z)), t))
+            patch.setattr(freegroup, "SUPPORT_CAP", 20)
             assert sorted(engine_moments(x, 8)) == [1, 2]
-        for cap, orders in ((28, [1, 2, 3]), (123, [1, 2, 3, 4]), (124, [1, 2, 3, 4, 5])):
+        lookups = []
+
+        def counted(y, z, t):
+            CountedLookups.count = 0
+            moment = kernel(y, tuple(map(CountedLookups, z)), t)
+            lookups.append(CountedLookups.count)
+            return moment
+
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_odd_moment", counted)
+            reference = engine_moments(x, 8)
+        # the predicted work is the work done, and the moments are the reference's
+        assert lookups == [21, 93, 1533]
+        assert reference == reference_moments(word_table_moment_engine(x), 8, 5000)
+        for cap, orders in ((21, [1, 2, 3]), (92, [1, 2, 3, 4]), (93, [1, 2, 3, 4, 5])):
             monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
             assert sorted(engine_moments(x, 8)) == orders

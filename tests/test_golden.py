@@ -31,11 +31,28 @@ GOLDEN = {
          "powers_summary.json":
              "a3994baa8a2162edeca6f49c77b50f1932e1828cbcd4ed8924fdb6c64fad55ce"},
     ),
+    # succeeds at n = 8 with bound 0.7071 after carrying a best tuple
+    # through the failing trials before it
+    "powers-random": (
+        {"experiment": "powers", "rank": 2, "g": "ab", "eps": 0.75, "strategy": "random",
+         "budget": 12, "seed": 5},
+        {"powers.csv": "456e437ffc0f9d868946f83c71bd93feca8d76ca310c28aa08942ee9a006717c",
+         "powers_summary.json":
+             "e4546e67d59d24de1f89764d9e701f939143059296eef31b0c62a5b60861d6cf"},
+    ),
     "build-mu": (
         {"experiment": "build-mu", "rank": 2, "levels": 1},
         {"build_levels.csv": "78da5ab41140f306879a2d593ea5967bc5ff7399e61b3759bf33ca9e0671bbeb",
          "build_final.csv": "40f05248c1af9cefab970ecee2b5ba1830bc719549b3bdd86374743bfc96022d",
          "mu.json": "bf9e4046bb91973b4b6f98e5067527171e5f0e1205f874bc8be95875887f56cf"},
+    ),
+    # doubling tuple sizes over many constraints, most tuples left at the
+    # first constraint that reaches epsilon (about 0.4 s)
+    "build-mu-levels-2": (
+        {"experiment": "build-mu", "rank": 2, "levels": 2, "family": ["ab"]},
+        {"build_levels.csv": "2639de2a8c406cdb56dba4df3f4631b52a83a928a369359d50bdfe7c247c36a5",
+         "build_final.csv": "9b6eee766baf520b0b9286df46c424116a02c01a80ba9766d2621b37cd52a0d2",
+         "mu.json": "995eb0b1007708d449d060777c4474671b7b68a524b2eaf47f2abfa06ddeca4c"},
     ),
     "boundary-solve": (
         {"experiment": "boundary-solve", "rank": 2, "depth": 4, "mu": LENGTH2_LAW},

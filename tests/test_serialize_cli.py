@@ -188,6 +188,24 @@ class TestMainExitCodes:
                    "--out-dir", str(tmp_path)])
         assert rc == 5
 
+    def test_failing_build_level_names_its_closest_tuple(self, tmp_path, capsys):
+        # budget 1 tries only n = 1, and one conjugate of lambda_a still has
+        # norm 1; ab is the first base that commutes with no word of ball1
+        out = tmp_path / "o"
+        rc, err = _main(["build-mu", "--levels", "1", "--family", "ball1", "--budget", "1",
+                         "--out-dir", str(out)], capsys)
+        assert rc == 5
+        _assert_one_error_line(err, "construction failed at level 1; best certified bound "
+                                    "1.000000; closest tuple: the powers of ab up to n = 1, "
+                                    "stopped at a[1]")
+        assert not any(out.iterdir())
+        # in rank 1 every base word commutes with a: no tuple is tried
+        rc, err = _main(["build-mu", "--rank", "1", "--levels", "1",
+                         "--out-dir", str(out)], capsys)
+        assert rc == 5
+        _assert_one_error_line(err, "construction failed at level 1; best certified bound inf")
+        assert "closest" not in err and not any(out.iterdir())
+
     def test_seed_override_refused_when_pinned(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -396,6 +414,9 @@ DEFECTS = {
                       {"measures": 1, "tuples": 1, "seed": 0, "sample_size": 0}, "/sample_size"),
     "trials-0": (["srs-escape", "--config", "{c}"], {"steps": 2, "trials": 0, "seed": 0},
                  "/trials"),
+    # a budget of 0 tries no tuple, so it certifies nothing
+    "powers-budget-0": (["powers", "--g", "a", "--eps", "0.5", "--budget", "0"], None, "/budget"),
+    "build-mu-budget-0": (["build-mu", "--levels", "1", "--budget", "0"], None, "/budget"),
     "element-zz": (["norm", "--element", "zz"], None, "/element"),
     "foreign-flags": (["cesaro", "--paths", "9", "--tuples", "3"], None, "--paths"),
     "flag-disagrees": (["norm", "--config", "{c}", "--n-moments", "64"],

@@ -16,10 +16,9 @@ from stationarylab.states import (
     finite_dim_stationary_states,
     powers_search,
     _averaged_element,
-    _geometric_base_candidates,
-    _geometric_tuples,
-    _multi_element_powers,
+    _power_families,
     _power_tuple,
+    _scan,
 )
 from stationarylab.walks import (
     GroupMeasure,
@@ -167,10 +166,10 @@ class TestPowersAveraging:
 
     def test_geometric_tuples_are_successive_powers(self):
         g = F2.word("ab")
-        bases = [w for w in _geometric_base_candidates(2) if w * g != g * w]
+        bases = [w for w in ball(F2, 3) if not w.is_identity() and w * g != g * w]
         want = [(tuple(w**k for k in range(1, n + 1)), n)
                 for n in range(1, 7) for w in bases]
-        assert list(_geometric_tuples(g, 6)) == want
+        assert list(_power_families(2, [g.letters], range(1, 7))) == want
 
     def test_power_tuple_is_successive_powers(self):
         for w in (F2.word("b"), F2.word("aB"), F2.word("abA")):
@@ -178,10 +177,11 @@ class TestPowersAveraging:
                 assert _power_tuple(w, n) == tuple(w**k for k in range(1, n + 1))
 
     def test_multi_element_tuple_is_geometric(self):
-        x = AlgebraElement.delta(F2.word("a"))
-        hs, certs, worst = _multi_element_powers([("a", x)], 0.75, 16)
+        a = F2.word("a")
+        tuples = _power_families(2, [a.letters], (1, 2, 4, 8, 16))
+        hs, n, certs, worst = _scan([("a", AlgebraElement.delta(a))], 0.75, tuples)
         assert worst < 0.75 and certs
-        assert hs == tuple(hs[0] ** k for k in range(1, len(hs) + 1))
+        assert hs == tuple(hs[0] ** k for k in range(1, len(hs) + 1)) and n == len(hs)
 
 
 class TestBuilder:
