@@ -41,8 +41,8 @@ seed = CylinderMeasure(table, 2, 5)
 
 solution = solve_stationary(mu, depth=5, tol=1e-12, max_iter=200, seed_measure=seed)
 print(
-    f"\nsolver: {solution.iterations} iterations, certified residual "
-    f"{solution.residual:.2e}"
+    f"\nsolver: {solution.iterations} iterations, fixed-point residual of the "
+    f"truncated operator {solution.residual:.2e} (not a distance to the stationary measure)"
 )
 print(
     "distance to the uniform measure:",

@@ -191,7 +191,7 @@ def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Ring product: the coefficient of w is the sum over u v = w of x(u) y(v).
     ResourceLimitError once the support passes freegroup.SUPPORT_CAP."""
     x._check(y)
-    return _element(*_times((x.re, x.im), (y.re, y.im), letter_product), x.den * y.den, x.rank)
+    return _element(*_times((x.re, x.im), (y.re, y.im)), x.den * y.den, x.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +199,14 @@ def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def _times(a: tuple[dict, dict], b: tuple[dict, dict], product):
+def _times(a: tuple[dict, dict], b: tuple[dict, dict]):
     """The product of two tables (re, im) from four partial products by
-    `product`, skipping those with an empty, so zero, factor.
+    letter_product, skipping those with an empty, so zero, factor.
     ResourceLimitError once the words it touches pass freegroup.SUPPORT_CAP."""
     (a_re, a_im), (b_re, b_im) = a, b
 
     def part(u, v):
-        return product(u, v) if u and v else {}
+        return letter_product(u, v) if u and v else {}
 
     re, im = part(a_re, b_re), part(a_re, b_im)
     for out, sign, c_part in ((re, -1, part(a_im, b_im)), (im, 1, part(a_im, b_re))):
@@ -353,7 +353,7 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
             # n_moments, or at n_moments + 1 beside a held tau0(Y^n_moments)
             if 4 * m_z > n_moments and not (4 * m_z == n_moments + 1 and n_moments in moments):
                 break
-            z = _times(z, z, letter_product)
+            z = _times(z, z)
             m_z *= 2
             moments[m_z] = z[0].get(b"", 0)
     except ResourceLimitError:

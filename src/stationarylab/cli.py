@@ -2,8 +2,8 @@
 
 One experiment per invocation: a JSON config (or inline flags) selects the
 operation, seeds are explicit, outputs are CSV files plus a manifest tying
-every output to its config hash and an anchor string naming the certified
-quantity.  Re-running the same config produces byte-identical outputs.
+every output to its config hash and an anchor string naming the quantity.
+Re-running the same config produces byte-identical outputs.
 
 One table, EXPERIMENTS, holds each experiment's runner, anchor and keys; it
 validates configs and generates the flags of each subcommand.
@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
 from .algebra import AlgebraElement, _float_down, certify_norm
@@ -259,74 +259,55 @@ def _sha256(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each takes the validated key values, the output
-# directory and its anchor, and returns the files it wrote
+# experiment runners: each takes the validated key values and yields its
+# outputs in order, (file name, header, rows) for a CSV and (file name,
+# object) for a JSON file; run writes each one as it arrives
 # ---------------------------------------------------------------------------
 
 
-def _run_cesaro(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_cesaro(cfg: dict):
     report = cesaro_test(cfg["element"], cfg["mu"], cfg["n_max"], moments=cfg["moments"])
-    rows = [[r.n, r.lower, r.upper, r.upper_method] for r in report.rows]
-    path = out / "cesaro.csv"
-    _write_csv(path, anchor, ["n", "lower", "upper", "upper_method"], rows)
-    summary = out / "cesaro_summary.json"
-    _write_json(summary, {"verdict": report.verdict, "generating": report.generating,
-                          "partial": report.partial})
-    return [path, summary]
+    yield "cesaro.csv", ["n", "lower", "upper", "upper_method"], [
+        [r.n, r.lower, r.upper, r.upper_method] for r in report.rows]
+    yield "cesaro_summary.json", {"verdict": report.verdict, "generating": report.generating,
+                                  "partial": report.partial}
 
 
-def _run_powers(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_powers(cfg: dict):
     cert = powers_search(cfg["g"], cfg["eps"], strategy=cfg["strategy"], budget=cfg["budget"],
                          seed=cfg["seed"])
-    rows = [[k + 1, str(h)] for k, h in enumerate(cert.conjugators)]
-    path = out / "powers.csv"
-    _write_csv(path, anchor, ["k", "conjugator"], rows)
-    summary = out / "powers_summary.json"
-    _write_json(summary, {"target": cert.target, "n": cert.n, "upper_bound": cert.upper_bound,
-                          "epsilon": cert.epsilon, "success": cert.success,
-                          "strategy": cert.strategy})
+    yield "powers.csv", ["k", "conjugator"], [
+        [k + 1, str(h)] for k, h in enumerate(cert.conjugators)]
+    yield "powers_summary.json", {"target": cert.target, "n": cert.n,
+                                  "upper_bound": cert.upper_bound, "epsilon": cert.epsilon,
+                                  "success": cert.success, "strategy": cert.strategy}
     if not cert.success:
-        raise InconclusiveError(
-            f"no certificate below {cfg['eps']}; best bound {cert.upper_bound:.6f}"
-        )
-    return [path, summary]
+        raise InconclusiveError(f"no certificate below {cfg['eps']}; "
+                                f"best bound {cert.upper_bound:.6f}")
 
 
-def _run_build_mu(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_build_mu(cfg: dict):
     family = [AlgebraElement.delta(w) for w in cfg["family"]]
     build = build_c_star_simple_measure(family, cfg["levels"], budget=cfg["budget"])
-    cert_rows = [
-        [c.level, c.constraint_id, c.upper_bound, c.epsilon]
-        for c in build.level_certificates
-    ]
-    final_rows = [
-        [c.j, c.n_j, c.element_id, c.upper_bound, c.threshold]
-        for c in build.final_checks
-    ]
-    p1 = out / "build_levels.csv"
-    _write_csv(p1, anchor, ["level", "constraint", "upper_bound", "epsilon"], cert_rows)
-    p2 = out / "build_final.csv"
-    _write_csv(p2, anchor, ["j", "n_j", "element", "upper_bound", "threshold"], final_rows)
-    p3 = out / "mu.json"
-    _write_json(p3, measure_to_json(build.measure))
+    yield "build_levels.csv", ["level", "constraint", "upper_bound", "epsilon"], [
+        [c.level, c.constraint_id, c.upper_bound, c.epsilon] for c in build.level_certificates]
+    yield "build_final.csv", ["j", "n_j", "element", "upper_bound", "threshold"], [
+        [c.j, c.n_j, c.element_id, c.upper_bound, c.threshold] for c in build.final_checks]
+    yield "mu.json", measure_to_json(build.measure)
     if not build.all_verified:
         raise InconclusiveError("a recorded certificate fails its inequality")
-    return [p1, p2, p3]
 
 
-def _run_boundary_solve(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_boundary_solve(cfg: dict):
     sol = solve_stationary(cfg["mu"], cfg["depth"], tol=cfg["tol"], max_iter=cfg["max_iter"])
-    path = out / "stationary.csv"
-    _write_csv(path, anchor, ["word", "depth", "mass"],
-               [list(r) for r in cylinder_csv_rows(sol.measure)])
-    summary = out / "stationary_summary.json"
+    yield "stationary.csv", ["word", "depth", "mass"], cylinder_csv_rows(sol.measure)
     hitting = {str(w): q for w, q in (sol.hitting_level1 or {}).items()}
-    _write_json(summary, {"residual": sol.residual, "iterations": sol.iterations,
-                          "hitting_agrees": sol.hitting_agrees, "hitting_level1": hitting})
-    return [path, summary]
+    yield "stationary_summary.json", {"residual": sol.residual, "iterations": sol.iterations,
+                                      "hitting_agrees": sol.hitting_agrees,
+                                      "hitting_level1": hitting}
 
 
-def _run_conditional(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_conditional(cfg: dict):
     n, seed = cfg["n"], cfg["seed"]
     nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]), cfg["nu_depth"])
     rows = []
@@ -335,12 +316,10 @@ def _run_conditional(cfg: dict, out: Path, anchor: str) -> list[Path]:
         for step in range(n + 1):
             cm = conditional_measure(nu, om, step, depth=cfg["out_depth"])
             rows.append([seed + i, step, len(cm.position), cm.top_mass])
-    path = out / "conditional.csv"
-    _write_csv(path, anchor, ["path_seed", "n", "position_length", "top_mass"], rows)
-    return [path]
+    yield "conditional.csv", ["path_seed", "n", "position_length", "top_mass"], rows
 
 
-def _run_bnd_map(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_bnd_map(cfg: dict):
     seed = cfg["seed"]
     rows = []
     for i in range(cfg["paths"]):
@@ -350,12 +329,10 @@ def _run_bnd_map(cfg: dict, out: Path, anchor: str) -> list[Path]:
             rows.append([seed + i, bp.resolved_depth, str(bp.prefix)])
         except UnresolvedBoundaryError:
             rows.append([seed + i, 0, "1"])
-    path = out / "bndmap.csv"
-    _write_csv(path, anchor, ["path_seed", "resolved_depth", "prefix"], rows)
-    return [path]
+    yield "bndmap.csv", ["path_seed", "resolved_depth", "prefix"], rows
 
 
-def _run_fix_mass(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_fix_mass(cfg: dict):
     depth = cfg["depth"]
     # the residual reads depth <= FREENESS_RESIDUAL_DEPTH, and the uniform tail
     # gives the deeper axis masses as the same Fractions
@@ -363,33 +340,24 @@ def _run_fix_mass(cfg: dict, out: Path, anchor: str) -> list[Path]:
                                   min(depth, FREENESS_RESIDUAL_DEPTH))
     # freeness_report skips the identity, which a 'ballR' family contains
     report = freeness_report(cfg["mu"], nu, cfg["gens"], depth, threshold=cfg["threshold"])
-    rows = [[r.word, r.upper_bound, r.depth] for r in report.rows]
-    path = out / "fixmass.csv"
-    _write_csv(path, anchor, ["word", "upper_bound", "depth"], rows)
-    summary = out / "fixmass_summary.json"
-    _write_json(summary, {"verdict": report.verdict,
-                          "residual": float(report.stationarity_residual),
-                          "threshold": report.threshold})
-    return [path, summary]
+    yield "fixmass.csv", ["word", "upper_bound", "depth"], [
+        [r.word, r.upper_bound, r.depth] for r in report.rows]
+    yield "fixmass_summary.json", {"verdict": report.verdict, "threshold": report.threshold,
+                                   "residual": float(report.stationarity_residual)}
 
 
-def _run_srs_escape(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_srs_escape(cfg: dict):
     report = srs_escape_experiment(cfg["mu"], CyclicSubgroup(cfg["start"]), cfg["steps"],
                                    cfg["trials"], seed=cfg["seed"],
                                    threshold_len=cfg["threshold_len"])
-    rows = [
+    yield "escape.csv", ["step", "median_root_len", "q25", "q75", "frac_beyond_T"], [
         [r.step, r.median_root_len, r.q25, r.q75, r.frac_beyond_threshold]
-        for r in report.rows
-    ]
-    path = out / "escape.csv"
-    _write_csv(path, anchor, ["step", "median_root_len", "q25", "q75", "frac_beyond_T"], rows)
-    summary = out / "escape_summary.json"
-    _write_json(summary, {"verdict": report.verdict, "final_pdf_at": report.final_pdf_at,
-                          "threshold_len": report.threshold_len, "trials": report.trials})
-    return [path, summary]
+        for r in report.rows]
+    yield "escape_summary.json", {"verdict": report.verdict, "final_pdf_at": report.final_pdf_at,
+                                  "threshold_len": report.threshold_len, "trials": report.trials}
 
 
-def _run_pdf_check(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_pdf_check(cfg: dict):
     radius, sample_size, tuple_len = cfg["radius"], cfg["sample_size"], cfg["tuple_len"]
     ctx = FreeGroupContext(cfg["rank"])
     # the dump reads phi over the ball of the radius: its cap binds before any work
@@ -417,37 +385,27 @@ def _run_pdf_check(cfg: dict, out: Path, anchor: str) -> list[Path]:
             # call of a small run, which bench/tracer.py's word_sort_key counter needs
             phi_rows = [[str(w), float(phi(w))]
                         for w in sorted(ball(ctx, radius), key=lambda w: w.sort_key())]
-    path = out / "pdfcheck.csv"
-    _write_csv(path, anchor, ["measure", "tuple", "min_eigenvalue"], rows)
-    dump = out / "pdf_dump.csv"
-    _write_csv(dump, anchor, ["word", "phi"], phi_rows)
+    yield "pdfcheck.csv", ["measure", "tuple", "min_eigenvalue"], rows
+    yield "pdf_dump.csv", ["word", "phi"], phi_rows
     if not passed:
         raise InconclusiveError(f"a Gram matrix dipped to {min(r[2] for r in rows)}")
-    return [path, dump]
 
 
-def _run_fdstates(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_fdstates(cfg: dict):
     states = finite_dim_stationary_states(cfg["rep"], cfg["mu"])
-    rows = [[i, _float_down(st.min_eigenvalue), st.trace] for i, st in enumerate(states)]
-    path = out / "fdstates.csv"
-    _write_csv(path, anchor, ["state", "min_eigenvalue", "trace"], rows)
-    return [path]
+    yield "fdstates.csv", ["state", "min_eigenvalue", "trace"], [
+        [i, _float_down(st.min_eigenvalue), st.trace] for i, st in enumerate(states)]
 
 
-def _run_norm(cfg: dict, out: Path, anchor: str) -> list[Path]:
+def _run_norm(cfg: dict):
     bracket = certify_norm(cfg["element"], cfg["n_moments"])
-    path = out / "norm.csv"
-    _write_csv(
-        path, anchor,
-        ["lower", "upper", "moments_used", "lower_method", "upper_method"],
-        [[bracket.lower, bracket.upper, bracket.moments_used,
-          bracket.lower_method, bracket.upper_method]],
-    )
-    return [path]
+    yield "norm.csv", ["lower", "upper", "moments_used", "lower_method", "upper_method"], [
+        [bracket.lower, bracket.upper, bracket.moments_used, bracket.lower_method,
+         bracket.upper_method]]
 
 
 class Experiment(NamedTuple):
-    run: Callable[[dict, Path, str], list[Path]]
+    run: Callable[[dict], Iterator[tuple]]
     anchor: str
     keys: tuple[Key, ...]
 
@@ -474,7 +432,9 @@ EXPERIMENTS = {
     ),
     "boundary-solve": Experiment(
         _run_boundary_solve,
-        "stationary cylinder measure with certified residual",
+        "cylinder masses of the fixed point of the transfer operator truncated at depth + 2L"
+        " (L the law's longest word), with its fixed-point residual; neither bounds the"
+        " distance to the stationary measure",
         (RANK, Key("depth", _int, low=1), MU, Key("tol", _positive_float, 1e-12),
          Key("max_iter", _int, 200, low=1)),
     ),
@@ -546,7 +506,9 @@ def config_hash(config: dict) -> str:
 
 
 def run(config: dict, out_dir: str | Path) -> RunManifest:
-    """Validate the config, dispatch the experiment, write outputs + manifest.
+    """Validate the config, run the experiment and write each output it
+    yields, in order, then the manifest.  An error ends the run where it is
+    raised: the outputs written before it stay, and no manifest is written.
 
     `config` is not modified, so the manifest hashes it as given.
     """
@@ -558,16 +520,25 @@ def run(config: dict, out_dir: str | Path) -> RunManifest:
     experiment = EXPERIMENTS[kind]
     values = _validate(config, experiment.keys)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out-dir", f"cannot create directory {out}: {exc.strerror}") from exc
     t0 = time.perf_counter()
-    paths = experiment.run(values, out, experiment.anchor)
+    outputs = {}
+    for name, *table in experiment.run(values):
+        if len(table) == 2:
+            _write_csv(out / name, experiment.anchor, *table)
+        else:
+            _write_json(out / name, *table)
+        outputs[name] = _sha256(out / name)
     wall = time.perf_counter() - t0
     manifest = RunManifest(
         experiment=kind,
         config_sha256=config_hash(config),
         version=__version__,
         anchor=experiment.anchor,
-        outputs={p.name: _sha256(p) for p in paths},
+        outputs=outputs,
         wall_clock_s=wall,
     )
     _write_json(out / "manifest.json", manifest.to_json())

@@ -32,6 +32,7 @@ from .boundary import CylinderMeasure
 from .errors import (
     ConstructionError,
     ContextMismatchError,
+    InconclusiveError,
     MalformedInputError,
     PreconditionError,
     ResourceLimitError,
@@ -159,9 +160,10 @@ def powers_search(
 
     geometric: h_k = w^k for n = 1..budget and, per n, the base words w of
     _power_families (those commuting with g skipped); smallest n wins, ties
-    broken by the length-lex least base.  random: seeded tuples drawn from a
-    ball.  The certificate stores the first tuple whose certified upper bound
-    is below epsilon, or the best tuple found within the budget, marked failed.
+    broken by the length-lex least base; InconclusiveError if every base
+    commutes with g.  random: seeded tuples drawn from a ball.  The
+    certificate stores the first tuple whose certified upper bound is below
+    epsilon, or the best tuple found within the budget, marked failed.
     """
     if g.is_identity():
         raise PreconditionError("the identity cannot be averaged away")
@@ -204,12 +206,13 @@ def _scan(constraints: Sequence[tuple[str, AlgebraElement]], epsilon: float,
 def _power_families(rank: int, supports: Collection[bytes], sizes: Iterable[int]):
     """(w, w^2, ..., w^n), n for each size n and, per n, each base w: the
     nonidentity words of the radius-3 ball, in length-lex order, that commute
-    with no word of `supports` (given by their letters)."""
+    with no word of `supports` (given by their letters).  InconclusiveError,
+    at the call, if there is no such base."""
     bases = [w for w in ball(FreeGroupContext(rank), 3) if not w.is_identity() and all(
         _product_letters(w.letters, s) != _product_letters(s, w.letters) for s in supports)]
-    for n in sizes:
-        for w in bases:
-            yield _power_tuple(w, n), n
+    if not bases:
+        raise InconclusiveError("no radius-3 base word commutes with none of the targets")
+    return ((_power_tuple(w, n), n) for n in sizes for w in bases)
 
 
 def _power_tuple(w: Word, n: int) -> tuple[Word, ...]:
@@ -285,7 +288,8 @@ def build_c_star_simple_measure(
     deterministic prefix of MAX_CONSTRAINTS entries per level).  _scan seeks
     it with n = 1, 2, 4, ... <= budget and bases commuting with no support
     word; a level none passes raises ConstructionError naming the closest
-    tuple's base, its n and the element it stopped at.  The assembled law
+    tuple's base, its n and the element it stopped at, and a level with no
+    such base raises InconclusiveError naming the level.  The assembled law
     is sum_l 2^-l (uniform on the tuple), with the 2^-L tail folded into
     the top level, and the final certified bounds
     ||mu^{n_j} * a - tau0(a) 1|| are rechecked for every family member at the
@@ -323,7 +327,11 @@ def build_c_star_simple_measure(
         centered = [(cid, _centered(x)) for cid, x in constraints]
         supports = {w for _, x in centered for part in (x.re, x.im) for w in part}
         sizes = (2**j for j in range(budget.bit_length()))
-        hs, n, certs, worst = _scan(centered, eps_l, _power_families(rank, supports, sizes))
+        try:
+            tuples = _power_families(rank, supports, sizes)
+        except InconclusiveError as exc:
+            raise InconclusiveError(f"level {l}: {exc}") from None
+        hs, n, certs, worst = _scan(centered, eps_l, tuples)
         if worst >= eps_l:
             closest = (f"closest tuple: the powers of {hs[0]} up to n = {n}, stopped at "
                        f"{certs[-1][0]}" if hs else "")

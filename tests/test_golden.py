@@ -56,7 +56,7 @@ GOLDEN = {
     ),
     "boundary-solve": (
         {"experiment": "boundary-solve", "rank": 2, "depth": 4, "mu": LENGTH2_LAW},
-        {"stationary.csv": "557c65502c29b8ae1cfa79b6cc27812942c07258afe77c31db62f7a3193d444d",
+        {"stationary.csv": "658a43b39c9b53c9bb67be470ae1ec41bc22b4dfd8d903f10b753fb3fad749e4",
          "stationary_summary.json":
              "a4fba7cfdb6c28f1f9efb4729e041e261866632b9b59a7545f007a9fe5d425e6"},
     ),
@@ -78,7 +78,7 @@ GOLDEN = {
     # L = 1: the certified rows are a third of the working table
     "boundary-solve-depth6": (
         {"experiment": "boundary-solve", "rank": 2, "depth": 6},
-        {"stationary.csv": "4f24bf4a27b8dc4630bbc62544d907c4e16433d6045c15c56c91f53cfa0e932e",
+        {"stationary.csv": "622077cb26d56fc63c05c2d2e32d7a76d71f7d08d7a5be1265ea0f13502ebc29",
          "stationary_summary.json":
              "604d278de9dfbe61105713fea973bd0b9ef4f83e9902a43705ae472e7abdba08"},
     ),

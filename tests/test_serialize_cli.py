@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -184,9 +185,39 @@ class TestMainExitCodes:
             assert main(["fdstates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
 
     def test_inconclusive_is_5(self, tmp_path):
+        # exit 5 after the last output: the tables are written, the manifest is not
         rc = main(["powers", "--g", "a", "--eps", "0.0001", "--budget", "2",
                    "--out-dir", str(tmp_path)])
         assert rc == 5
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == {
+            "powers.csv": "274b809d299f5993f78c40bf907f4eaea097e511fb4432a45775eded7cab68a5",
+            "powers_summary.json":
+                "7ea7093f13199af2504fb0ccaf0264a49317e09f1387b62b7232141fe54757e1"}
+
+    @pytest.mark.parametrize("argv", [
+        # in rank 1 every base word commutes with a: no tuple is tried
+        ["powers", "--rank", "1", "--g", "a", "--eps", "0.5"],
+        ["build-mu", "--rank", "1", "--levels", "1"],
+        # every base word of ball3 is a family word, which commutes with itself
+        ["build-mu", "--family", "ball3", "--levels", "1"],
+    ])
+    def test_no_base_word_is_5_and_writes_nothing(self, argv, tmp_path, capsys):
+        rc, err = _main(argv + ["--out-dir", str(tmp_path)], capsys)
+        assert rc == 5
+        level = "level 1: " if argv[0] == "build-mu" else ""
+        _assert_one_error_line(
+            err, f"error: {level}no radius-3 base word commutes with none of the targets")
+        assert "inf" not in err and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_dir_naming_a_file_is_2(self, sub, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        rc, err = _main(["norm", "--element", "a", "--out-dir", str(tmp_path / "f" / sub)],
+                        capsys)
+        assert rc == 2
+        _assert_one_error_line(err, "config error at --out-dir: cannot create directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
     def test_failing_build_level_names_its_closest_tuple(self, tmp_path, capsys):
         # budget 1 tries only n = 1, and one conjugate of lambda_a still has
@@ -199,12 +230,6 @@ class TestMainExitCodes:
                                     "1.000000; closest tuple: the powers of ab up to n = 1, "
                                     "stopped at a[1]")
         assert not any(out.iterdir())
-        # in rank 1 every base word commutes with a: no tuple is tried
-        rc, err = _main(["build-mu", "--rank", "1", "--levels", "1",
-                         "--out-dir", str(out)], capsys)
-        assert rc == 5
-        _assert_one_error_line(err, "construction failed at level 1; best certified bound inf")
-        assert "closest" not in err and not any(out.iterdir())
 
     def test_seed_override_refused_when_pinned(self, tmp_path):
         cfg = tmp_path / "c.json"
