@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .algebra import _float_up
 from .errors import (
@@ -40,6 +38,9 @@ from .errors import (
 from .freegroup import FreeGroupContext, Word, _ball_size, _sphere_size, _word
 from .freegroup import _check_ball, axis_prefix, ball_letters, inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONSISTENCY_TOL = 1e-9
 
@@ -322,6 +323,8 @@ def _compile_gathers(mu: GroupMeasure, W: int) -> list[tuple[float, np.ndarray, 
     in the child block of its parent's key while that key is shorter than W,
     and else its parent's index with one more split.
     """
+    import numpy as np
+
     rank = mu.rank
     q = 2 * rank - 1
     # first[n]: the index of the first word of length n; first[W + 1] ends the ball
@@ -371,6 +374,8 @@ def _seed_vector(seed: CylinderMeasure, W: int) -> np.ndarray:
     The descendants at level n of a word of the seed's deepest level d form
     one block of q^(n - d) words, so each level below d takes one division
     a word of level d."""
+    import numpy as np
+
     rank, d = seed.rank, seed.depth
     q = 2 * rank - 1
     top = min(d, W)
@@ -409,6 +414,8 @@ def solve_stationary(
     For nearest-neighbor laws the level-1 masses are cross-checked against
     the hitting-probability fixed point.
     """
+    import numpy as np
+
     if depth < 1:
         raise MalformedInputError(f"depth must be >= 1, got {depth}")
     if not mu.is_generating():
@@ -419,7 +426,8 @@ def solve_stationary(
     ctx = FreeGroupContext(rank)
     L = max(mu.max_support_length(), 1)
     W = depth + 2 * L
-    _check_ball(rank, W)
+    _check_ball(rank, W, f"the solver works on the ball of radius depth + 2L = {W} "
+                         f"(depth {depth}, L {L}); ")
 
     n_words = ctx.ball_size(W) - 1
     n_res = ctx.ball_size(W - L) - 1

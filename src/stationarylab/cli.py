@@ -549,7 +549,8 @@ def verify(manifest_path: str | Path, out_dir: str | Path | None = None) -> bool
     """Recompute output checksums against the manifest; version must match.
 
     A manifest that cannot be read, or is not an object with an outputs
-    table, raises ConfigError.
+    table, raises ConfigError.  An output name that is not a plain file name
+    in the output directory, or an output that cannot be read, fails.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -566,11 +567,20 @@ def verify(manifest_path: str | Path, out_dir: str | Path | None = None) -> bool
         )
         return False
     for name, digest in data["outputs"].items():
+        # run writes fixed names into the output directory and nothing else
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            print(f"not a file name in the output directory: {name!r}", file=sys.stderr)
+            return False
         path = base / name
         if not path.exists():
             print(f"missing output: {name}", file=sys.stderr)
             return False
-        if _sha256(path) != digest:
+        try:
+            actual = _sha256(path)
+        except OSError as exc:
+            print(f"unreadable output: {name}: {exc.strerror}", file=sys.stderr)
+            return False
+        if actual != digest:
             print(f"checksum mismatch: {name}", file=sys.stderr)
             return False
     return True

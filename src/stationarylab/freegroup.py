@@ -277,15 +277,16 @@ def conjugate(g: Word, h: Word) -> Word:
     return _word(_product_letters(_product_letters(inverse_letters(hl), g.letters), hl), g.rank)
 
 
-def _check_ball(rank: int, radius: int) -> None:
+def _check_ball(rank: int, radius: int, why: str = "") -> None:
     """ResourceLimitError if the ball's words times (radius + 1) pass
-    MAX_BALL_LETTERS; MalformedInputError for a negative radius."""
+    MAX_BALL_LETTERS; MalformedInputError for a negative radius.  `why`
+    prefixes the message, to say where a radius the caller derived comes from."""
     if radius < 0:
         raise MalformedInputError(f"radius must be >= 0, got {radius}")
     # a ball of rank >= 2 holds over 2^radius words: its radius stops at the cap's bit length
     size = _ball_size(rank, radius if rank == 1 else min(radius, MAX_BALL_LETTERS.bit_length()))
     if size * (radius + 1) > MAX_BALL_LETTERS:
-        raise ResourceLimitError(f"the ball of radius {radius} in rank {rank} is too large",
+        raise ResourceLimitError(f"{why}the ball of radius {radius} in rank {rank} is too large",
                                  MAX_BALL_LETTERS)
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .boundary import CylinderMeasure, fix_mass, residual_depth, stationarity_residual
 from .errors import (
     ContextMismatchError,
@@ -162,6 +160,8 @@ class PsdReport:
 def psd_check(phi: PositiveDefiniteFn, tuples: Sequence[Sequence[Word]]) -> PsdReport:
     """Form the Gram matrix [phi(g_i g_j^-1)] for each tuple and bound its
     spectrum below; raises coverage-error listing any product outside the ball."""
+    import numpy as np
+
     values = {w: float(p) for w, p in phi.values.items()}
     missing: dict[bytes, None] = {}
     eigs = []
@@ -232,6 +232,8 @@ def srs_escape_experiment(
     is "degenerate".  Also evaluates the final-step empirical positive
     definite function at the generators.
     """
+    import numpy as np
+
     if trials < 1:
         raise MalformedInputError(f"trials must be >= 1, got {trials}")
     if not mu.is_generating():

@@ -8,6 +8,11 @@ written as "p/q" strings give the same results.
 All randomness flows through numpy's Philox counter-based 64-bit generator:
 identical seeds give identical samples, run to run.  Increments are drawn by
 inverse-CDF over the support in the fixed length-lex word order.
+
+numpy is imported at the first sample, not with this module, and the same
+holds for the stationary solver in `boundary` and the Gram check and escape
+statistics in `subgroups`: the exact experiments (norm, cesaro, geometric
+powers, build-mu, fix-mass, fdstates) never load it.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import freegroup
 from .algebra import AlgebraElement, _conjugation_sum
@@ -31,11 +34,16 @@ from .errors import (
 from .freegroup import FreeGroupContext, Word, length_lex, letter_product
 from .freegroup import _product_letters, _word
 
+if TYPE_CHECKING:
+    import numpy as np
+
 MASS_TOLERANCE = 1e-12
 
 
 def rng_from_seed(*seed_parts: int) -> np.random.Generator:
     """The package-wide RNG: Philox keyed by the given integer sequence."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(seed_parts))))
 
 
@@ -257,6 +265,8 @@ class PathSample:
 def sample_increments(mu: GroupMeasure, length: int, seed: int) -> tuple[Word, ...]:
     """Draw i.i.d. increments from mu by inverse-CDF over the support in
     length-lex order, using the Philox generator keyed by the seed."""
+    import numpy as np
+
     if length < 0:
         raise MalformedInputError(f"length must be >= 0, got {length}")
     atoms = mu.atoms()

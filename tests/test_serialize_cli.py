@@ -417,6 +417,29 @@ class TestConfigSchema:
         assert rc == 2
         _assert_one_error_line(err, "m.json")
 
+    @pytest.mark.parametrize("name, fragment", [
+        ("d", "unreadable output: d: "),
+        ("", "not a file name"),
+        ("{secret}", "not a file name"),
+        ("../secret", "not a file name"),
+    ], ids=["directory", "empty", "absolute", "parent"])
+    def test_verify_output_that_is_no_file_of_the_directory_exits_5(
+            self, name, fragment, tmp_path, capsys):
+        # the secret's digest is right: hashing it would pass verification
+        secret = tmp_path / "secret"
+        secret.write_text("outside the output directory")
+        out = tmp_path / "o"
+        (out / "d").mkdir(parents=True)
+        name = name.format(secret=secret)
+        digest = hashlib.sha256(secret.read_bytes()).hexdigest()
+        (out / "m.json").write_text(json.dumps({"outputs": {name: digest},
+                                                "version": "0.1.0"}))
+        rc, err = _main(["verify", "--manifest", str(out / "m.json")], capsys)
+        assert rc == 5
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert fragment in err, err
+
 
 # Inputs that ended in a traceback, a misrouted exit code or a silently
 # ignored value: (subcommand and flags, config written to c.json or raw file
@@ -529,7 +552,9 @@ def test_boundary_solve_working_ball_past_the_cap_exits_4_at_once(tmp_path, caps
                      "--out-dir", str(tmp_path / "o")], capsys)
     assert time.perf_counter() - start < 1
     assert rc == 4
-    _assert_one_error_line(err, "radius 12 in rank 2 is too large (cap: ")
+    _assert_one_error_line(err, "the solver works on the ball of radius depth + 2L = 12 "
+                                "(depth 8, L 2); the ball of radius 12 in rank 2 is too "
+                                "large (cap: ")
 
 
 @pytest.mark.parametrize("gens",["ball0", ["1"]], ids=["ball0", "identity-list"])
