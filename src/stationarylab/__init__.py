@@ -46,7 +46,6 @@ from .boundary import (
     BoundaryPoint,
     ConditionalMeasure,
     CylinderMeasure,
-    FixMassBound,
     StationarySolution,
     boundary_map,
     conditional_measure,

@@ -10,18 +10,16 @@ single cylinder or the complement of one, by the three-way analysis
     (g nu)[w] = 1 - nu[g2^-1 s^-1]       if g = w g2, s = last letter of w
     (g nu)[w] = nu[reduce(g^-1 w)]       otherwise.
 
-Measures whose child masses split uniformly beyond some level (the uniform
-measure and its translates) carry that level in `tail_uniform_from`, which
-makes them evaluable at any depth: below its table a cylinder [w] has the
-mass of [w[:depth]] divided by (2k-1)^(|w|-depth).  Everything else is strict
-and raises depth-underflow when asked past its table.
+The uniform measure reads its closed form nu[w] = 1/(2k (2k-1)^(|w|-1)) at
+every depth.  Every other measure, a translate of the uniform one included, is
+a strict table and raises depth-underflow when asked past it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
@@ -46,30 +44,20 @@ CONSISTENCY_TOL = 1e-9
 
 
 class CylinderMeasure:
-    """Mass table over cylinders of depth 1..depth; immutable.
+    """Mass table over cylinders of depth 1..depth; immutable and strict: a
+    cylinder deeper than the table raises DepthUnderflowError.
 
     `masses` maps the letters of each cylinder's base word to its mass; the
     constructor checks a Word-keyed mapping of finite masses.
-    `tail_uniform_from`: if not None, a level in 1..depth from which on child
-    masses split uniformly (1/(2k-1) each), so cylinders of any depth are
-    evaluable by extending the deepest stored level.  None means strict.
     """
 
-    __slots__ = ("rank", "depth", "masses", "tail_uniform_from")
+    __slots__ = ("rank", "depth", "masses")
+    # whether a cylinder of every depth can be read, past the table too
+    every_depth = False
 
-    def __init__(
-        self,
-        masses: Mapping[Word, object],
-        rank: int,
-        depth: int,
-        tail_uniform_from: int | None = None,
-    ):
+    def __init__(self, masses: Mapping[Word, object], rank: int, depth: int):
         if depth < 1:
             raise MalformedInputError(f"depth must be >= 1, got {depth}")
-        if tail_uniform_from is not None and not 1 <= tail_uniform_from <= depth:
-            raise MalformedInputError(
-                f"uniform tail from {tail_uniform_from} outside depth range 1..{depth}"
-            )
         table = {}
         for w, m in masses.items():
             if w.rank != rank:
@@ -77,7 +65,7 @@ class CylinderMeasure:
             if not 1 <= len(w) <= depth:
                 raise MalformedInputError(f"cylinder {w} outside depth range 1..{depth}")
             table[w.letters] = m
-        _fill(self, table, rank, depth, tail_uniform_from)
+        _fill(self, table, rank, depth)
         self._validate()
 
     def __setattr__(self, *a):
@@ -116,11 +104,9 @@ class CylinderMeasure:
         n = len(w)
         if n == 0:
             return 1
-        if n <= self.depth:
-            return self.masses.get(w, 0)
-        if self.tail_uniform_from is None:
+        if n > self.depth:
             raise DepthUnderflowError(required_depth=n, available_depth=self.depth)
-        return self.masses.get(w[: self.depth], 0) / (2 * self.rank - 1) ** (n - self.depth)
+        return self.masses.get(w, 0)
 
     def cylinders(self) -> list[tuple[Word, object]]:
         """(base word, mass) pairs of the stored table in length-lex word order."""
@@ -132,35 +118,48 @@ class CylinderMeasure:
     def __repr__(self) -> str:
         return (
             f"CylinderMeasure(rank={self.rank}, depth={self.depth}, "
-            f"{len(self.masses)} cylinders"
-            + (f", uniform tail from {self.tail_uniform_from}" if self.tail_uniform_from else "")
-            + ")"
+            f"{len(self.masses)} cylinders)"
         )
 
 
-def _fill(nu: CylinderMeasure, table: dict, rank: int, depth: int, tail: int | None) -> None:
-    for name, value in zip(CylinderMeasure.__slots__, (rank, depth, table, tail)):
+class _UniformMeasure(CylinderMeasure):
+    """The uniform measure: its closed form at every depth.  The table up to
+    `depth` holds the same masses, for the readers of `masses`."""
+
+    __slots__ = ()
+    every_depth = True
+
+    def _mass(self, w: bytes):
+        return _uniform_mass(self.rank, len(w))
+
+
+# bounded: along a long path the denominators grow to thousands of digits
+@lru_cache(maxsize=256)
+def _uniform_mass(rank: int, n: int) -> Fraction:
+    """1 over the number of words of length n: the uniform mass of each."""
+    return Fraction(1, _sphere_size(rank, n))
+
+
+def _fill(nu: CylinderMeasure, table: dict, rank: int, depth: int) -> None:
+    for name, value in zip(CylinderMeasure.__slots__, (rank, depth, table)):
         object.__setattr__(nu, name, value)
 
 
-def _cylinders(table: dict, rank: int, depth: int, tail: int | None) -> CylinderMeasure:
+def _cylinders(table: dict, rank: int, depth: int, kind=CylinderMeasure) -> CylinderMeasure:
     """The measure of a letter table that a kernel built; unchecked."""
-    nu = object.__new__(CylinderMeasure)
-    _fill(nu, table, rank, depth, tail)
+    nu = object.__new__(kind)
+    _fill(nu, table, rank, depth)
     return nu
 
 
 def uniform_boundary_measure(context: FreeGroupContext, depth: int) -> CylinderMeasure:
-    """nu[w] = 1 / (2k (2k-1)^(|w|-1)), exact; evaluable at every depth."""
+    """nu[w] = 1 / (2k (2k-1)^(|w|-1)), exact and read at every depth; the
+    table holds the masses up to the given depth."""
     if depth < 1:
         raise MalformedInputError(f"depth must be >= 1, got {depth}")
     k = context.rank
-    # one mass a level n: 1 over the number of words of length n
-    level_mass = [Fraction(1, _sphere_size(k, n)) for n in range(depth + 1)]
-    table = {w: level_mass[len(w)] for w in ball_letters(k, depth) if w}
-    nu = _cylinders(table, k, depth, tail=1)
-    nu._validate()
-    return nu
+    table = {w: _uniform_mass(k, len(w)) for w in ball_letters(k, depth) if w}
+    return _cylinders(table, k, depth, _UniformMeasure)
 
 
 def _mass_recipe(g: bytes, w: bytes) -> tuple[bool, bytes]:
@@ -190,17 +189,15 @@ def _translated_mass(g: bytes, w: bytes, nu: CylinderMeasure):
 
 
 def _translate_depth(g: Word, nu: CylinderMeasure, out_depth: int | None) -> int:
-    """The output depth of translate(g, nu, out_depth), checked: strict
-    measures lose |g| levels, so the default is nu.depth - |g| and must be
-    >= 1; uniform-tail measures take any output depth >= 1."""
+    """The output depth of translate(g, nu, out_depth), checked: a strict
+    table loses |g| levels, so the default is nu.depth - |g| and must be
+    >= 1; a measure read at every depth takes any output depth >= 1."""
     if g.rank != nu.rank:
         raise ContextMismatchError(f"word rank {g.rank} vs measure rank {nu.rank}")
-    tail_in = nu.tail_uniform_from
+    deepest = nu.depth - len(g)
     if out_depth is None:
-        out_depth = nu.depth - len(g)
-        if tail_in is not None:
-            out_depth = max(out_depth, 1)
-    if out_depth < 1 or (tail_in is None and out_depth > nu.depth - len(g)):
+        out_depth = max(deepest, 1) if nu.every_depth else deepest
+    if out_depth < 1 or (not nu.every_depth and out_depth > deepest):
         raise DepthUnderflowError(
             required_depth=len(g) + max(out_depth, 1), available_depth=nu.depth
         )
@@ -208,38 +205,27 @@ def _translate_depth(g: Word, nu: CylinderMeasure, out_depth: int | None) -> int
 
 
 def translate(g: Word, nu: CylinderMeasure, out_depth: int | None = None) -> CylinderMeasure:
-    """Pushforward g nu as a cylinder table of the given output depth, by
-    default the deepest one (see _translate_depth)."""
+    """Pushforward g nu as a strict cylinder table of the given output
+    depth, by default the deepest one (see _translate_depth)."""
     out_depth = _translate_depth(g, nu, out_depth)
-    tail_in = nu.tail_uniform_from
     gl = g.letters
     table = {w: _translated_mass(gl, w, nu) for w in ball_letters(nu.rank, out_depth) if w}
-    tail_out = None
-    if tail_in is not None:
-        tail_out = len(g) + tail_in
-        if tail_out > out_depth:
-            tail_out = None
-    return _cylinders(table, nu.rank, out_depth, tail_out)
-
-
-def residual_depth(mu: GroupMeasure, nu: CylinderMeasure) -> int:
-    """The deepest level at which every translate g nu, g in the support of
-    mu, is evaluable: nu.depth - L for a strict nu (L = max support length),
-    nu.depth with a uniform tail."""
-    return nu.depth - mu.max_support_length() if nu.tail_uniform_from is None else nu.depth
+    return _cylinders(table, nu.rank, out_depth)
 
 
 def stationarity_residual(
     mu: GroupMeasure, nu: CylinderMeasure, depth: int | None = None
 ) -> Fraction | float:
     """max over cylinders of |sum_g mu(g) (g nu)[w] - nu[w]| up to the given
-    depth, by default `residual_depth(mu, nu)`: a Fraction when the masses
-    of nu are exact, as those of mu always are."""
+    depth, by default the deepest at which every translate g nu, g in the
+    support of mu, can be read: nu.depth - L for a strict table (L = max
+    support length), nu.depth for a measure read at every depth.  A Fraction
+    when the masses of nu are exact, as those of mu always are."""
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"measure rank {mu.rank} vs {nu.rank}")
     L = mu.max_support_length()
     if depth is None:
-        depth = residual_depth(mu, nu)
+        depth = nu.depth if nu.every_depth else nu.depth - L
     if depth < 1:
         raise DepthUnderflowError(required_depth=L + 1, available_depth=nu.depth)
     atoms = length_lex(mu.masses)
@@ -249,6 +235,26 @@ def stationarity_residual(
             acc = sum(p * _translated_mass(g, w, nu) for g, p in atoms)
             worst = max(worst, abs(acc - nu._mass(w)))
     return worst
+
+
+def require_stationary(mu: GroupMeasure, nu: CylinderMeasure) -> Fraction | float:
+    """The stationarity check of a caller that reads nu as mu's stationary
+    measure: the residual of (mu, nu) must be exactly 0, else
+    PreconditionError names it.  A strict table is checked as deep as its
+    translates can be read.  The uniform measure is checked to depth L + 1
+    (L = max support length), which decides every depth: for |w| > L the
+    closed form gives (g nu)[w] = nu[w] (2k-1)^(2c - |g|), c the common
+    prefix length of g and w, so the residual at w is nu[w] times a factor
+    that only w[:L] sets."""
+    L = mu.max_support_length()
+    depth = L + 1 if nu.every_depth else nu.depth - L
+    residual = stationarity_residual(mu, nu, depth=depth)
+    if residual != 0:
+        raise PreconditionError(
+            f"nu is not stationary for the law: residual {residual} "
+            f"({float(residual):.3e}) on cylinders up to depth {depth}"
+        )
+    return residual
 
 
 def total_variation(nu1: CylinderMeasure, nu2: CylinderMeasure, depth: int) -> float:
@@ -399,9 +405,10 @@ def solve_stationary(
 
     Runs on the nonempty words of the ball of radius W = depth + 2 L (L = max
     support length), indexed in length-lex order.  A translate reads
-    cylinders down to W + L; those below W read their length-W prefix split
-    uniformly, by the rule of `CylinderMeasure._mass`.  The seed (the uniform
-    measure unless given) is read by the same rule below its table.  The
+    cylinders down to W + L; a cylinder [w] below W reads its length-W prefix
+    split uniformly, its mass divided by (2k-1)^(|w| - W), as the uniform
+    measure's masses split.  The seed (the uniform measure unless given) is
+    read by the same rule below its table.  The
     operator is compiled one tree level at a time (`_compile_gathers`), and
     the ball's cap is checked before any of it is built.
 
@@ -458,7 +465,7 @@ def solve_stationary(
             f"no convergence within {max_iter} iterations", last_residual=residual
         )
     words = (w for w in ball_letters(rank, depth) if w)
-    nu = _cylinders(dict(zip(words, vec[:n_out].tolist())), rank, depth, None)
+    nu = _cylinders(dict(zip(words, vec[:n_out].tolist())), rank, depth)
     hitting = first_letter_hitting(mu)
     agrees = None
     if hitting is not None:
@@ -560,24 +567,15 @@ def boundary_map(omega: PathSample) -> BoundaryPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixMassBound:
-    """Certified interval [0, upper] for the measure of the fixed pair of g."""
-
-    lower: float
-    upper: float
-    depth: int
-
-
-def fix_mass(g: Word, nu: CylinderMeasure, depth: int | None = None) -> FixMassBound:
+def fix_mass(g: Word, nu: CylinderMeasure, depth: int | None = None) -> float:
     """Upper bound nu(Fix(g)) <= nu[axis of g] + nu[axis of g^-1] at the
-    deepest available (or requested) depth, summed exactly and rounded up to
-    a float.  Fix(g) is the two-point set of endpoints of the axis of g, so
-    nested cylinder masses certify it."""
+    stored (or requested) depth, summed exactly and rounded up to a float.
+    Fix(g) is the two-point set of endpoints of the axis of g, so nested
+    cylinder masses certify it."""
     if g.is_identity():
         raise UndefinedAxisError("the identity fixes every point")
     if depth is None:
         depth = nu.depth
     plus = nu.mass(axis_prefix(g, depth))
     minus = nu.mass(axis_prefix(g.inverse(), depth))
-    return FixMassBound(lower=0.0, upper=_float_up(Fraction(plus) + Fraction(minus)), depth=depth)
+    return _float_up(Fraction(plus) + Fraction(minus))

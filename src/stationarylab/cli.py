@@ -32,6 +32,7 @@ from .algebra import AlgebraElement, _float_down, certify_norm
 from .boundary import (
     boundary_map,
     conditional_measure,
+    require_stationary,
     solve_stationary,
     uniform_boundary_measure,
 )
@@ -59,7 +60,6 @@ from .states import (
     powers_search,
 )
 from .subgroups import (
-    FREENESS_RESIDUAL_DEPTH,
     CyclicSubgroup,
     freeness_report,
     pdf_from_subgroup_sample,
@@ -305,11 +305,15 @@ def _run_boundary_solve(cfg: dict):
     yield "stationary_summary.json", {"residual": sol.residual, "iterations": sol.iterations,
                                       "hitting_agrees": sol.hitting_agrees,
                                       "hitting_level1": hitting}
+    if sol.hitting_agrees is False:
+        raise InconclusiveError("the level-1 masses disagree with the hitting probabilities")
 
 
 def _run_conditional(cfg: dict):
     n, seed = cfg["n"], cfg["seed"]
     nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]), cfg["nu_depth"])
+    # the rows read nu as the law's stationary measure
+    require_stationary(cfg["mu"], nu)
     rows = []
     for i in range(cfg["paths"]):
         om = sample_path(cfg["mu"], n, seed=seed + i)
@@ -333,13 +337,11 @@ def _run_bnd_map(cfg: dict):
 
 
 def _run_fix_mass(cfg: dict):
-    depth = cfg["depth"]
-    # the residual reads depth <= FREENESS_RESIDUAL_DEPTH, and the uniform tail
-    # gives the deeper axis masses as the same Fractions
-    nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]),
-                                  min(depth, FREENESS_RESIDUAL_DEPTH))
+    # the closed form gives every mass the report reads; the table is not read
+    nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]), 1)
     # freeness_report skips the identity, which a 'ballR' family contains
-    report = freeness_report(cfg["mu"], nu, cfg["gens"], depth, threshold=cfg["threshold"])
+    report = freeness_report(cfg["mu"], nu, cfg["gens"], cfg["depth"],
+                             threshold=cfg["threshold"])
     yield "fixmass.csv", ["word", "upper_bound", "depth"], [
         [r.word, r.upper_bound, r.depth] for r in report.rows]
     yield "fixmass_summary.json", {"verdict": report.verdict, "threshold": report.threshold,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .boundary import CylinderMeasure, fix_mass, residual_depth, stationarity_residual
+from .boundary import CylinderMeasure, fix_mass, require_stationary
 from .errors import (
     ContextMismatchError,
     CoverageError,
@@ -26,7 +26,6 @@ from .walks import GroupMeasure, _exact_masses, sample_increments
 
 PSD_EIGENVALUE_TOL = -1e-9
 FREENESS_THRESHOLD = 1e-3
-FREENESS_RESIDUAL_DEPTH = 4
 
 
 def primitive_root(w: Word) -> Word:
@@ -302,25 +301,17 @@ def freeness_report(
     word and every bound is below the threshold; the bounds are also
     assembled as an upper envelope of the fixed-point pdf g -> nu(Fix(g)),
     which for an essentially free action is the indicator of the identity.
-    The stationarity precondition on nu is checked on cylinders up to depth
-    FREENESS_RESIDUAL_DEPTH, or less if nu is too shallow for it: the
-    residual there must be exactly 0, else PreconditionError names it.
+    The stationarity precondition on nu is checked by require_stationary.
     """
-    res_depth = min(FREENESS_RESIDUAL_DEPTH, residual_depth(mu, nu))
-    residual = stationarity_residual(mu, nu, depth=res_depth)
-    if residual != 0:
-        raise PreconditionError(
-            f"nu is not stationary for the law: residual {residual} "
-            f"({float(residual):.3e}) on cylinders up to depth {res_depth}"
-        )
+    residual = require_stationary(mu, nu)
     rows = []
     pdf_upper = {"1": 1.0}
     for g in gens:
         if g.is_identity():
             continue
-        fm = fix_mass(g, nu, depth=depth)
-        rows.append(FreenessRow(word=str(g), upper_bound=fm.upper, depth=fm.depth))
-        pdf_upper[str(g)] = fm.upper
+        upper = fix_mass(g, nu, depth=depth)
+        rows.append(FreenessRow(word=str(g), upper_bound=upper, depth=depth))
+        pdf_upper[str(g)] = upper
     if not rows:
         verdict = "inconclusive: no non-identity word to test"
     elif all(r.upper_bound < threshold for r in rows):

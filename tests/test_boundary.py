@@ -5,20 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stationarylab import boundary
 from stationarylab.boundary import (
     CylinderMeasure,
     _compile_gathers,
-    _cylinders,
     _mass_recipe,
     _seed_vector,
     boundary_map,
     conditional_measure,
     first_letter_hitting,
     fix_mass,
+    require_stationary,
     solve_stationary,
     stationarity_residual,
     total_variation,
@@ -80,9 +80,21 @@ class TestUniformMeasure:
                 )
                 assert kids == m
 
-    def test_uniform_tail_evaluation(self):
+    def test_closed_form_past_the_table(self):
         w = F2.word("a" * 10)
         assert NU.mass(w) == Fraction(1, 4 * 3**9)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_closed_form_at_every_depth(self, rank):
+        # the table and the reads past it agree with 1/(2k (2k-1)^(n-1))
+        ctx = FreeGroupContext(rank)
+        nu = uniform_boundary_measure(ctx, 2)
+        for w in ball(ctx, 5):
+            n = len(w)
+            closed = Fraction(1, 2 * rank * (2 * rank - 1) ** (n - 1)) if n else 1
+            assert nu.mass(w) == closed
+            if 1 <= n <= 2:
+                assert nu.masses[w.letters] == closed
 
     def test_strict_measure_raises_beyond_depth(self):
         strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
@@ -97,7 +109,7 @@ class TestConstructorChecks:
         assert dict(NU.cylinders()) == {w: NU.mass(w) for w in ball(F2, 6) if len(w)}
 
     def test_round_trip_through_words(self):
-        copy = CylinderMeasure(dict(NU.cylinders()), 2, 6, tail_uniform_from=1)
+        copy = CylinderMeasure(dict(NU.cylinders()), 2, 6)
         assert copy.masses == NU.masses
 
     @pytest.mark.parametrize(
@@ -139,15 +151,6 @@ class TestConstructorChecks:
         with pytest.raises(MalformedInputError):
             CylinderMeasure(table, 2, 1)
 
-    def test_uniform_tail_lies_within_the_table(self):
-        table = dict(uniform_boundary_measure(F2, 2).cylinders())
-        for tail in (1, 2):
-            nu = CylinderMeasure(table, 2, 2, tail_uniform_from=tail)
-            assert nu.mass(F2.word("abb")) == Fraction(1, 36)
-        for tail in (0, 3):
-            with pytest.raises(MalformedInputError, match="uniform tail"):
-                CylinderMeasure(table, 2, 2, tail_uniform_from=tail)
-
 
 class TestTranslate:
     def test_identity_translate(self):
@@ -180,6 +183,15 @@ class TestTranslate:
         for n in range(1, t.depth + 1):
             assert abs(float(sum(m for _, m in level_items(t, n))) - 1) < 1e-12
 
+    @pytest.mark.parametrize("g", ["1", "a", "abA"])
+    def test_translates_of_the_uniform_measure_are_strict(self, g):
+        # the uniform measure reads every depth; its translate stops at out_depth
+        t = translate(F2.word(g), uniform_boundary_measure(F2, 1), out_depth=3)
+        assert t.depth == 3
+        t.mass(F2.word("abb"))
+        with pytest.raises(DepthUnderflowError):
+            t.mass(F2.word("abba"))
+
     def test_depth_bookkeeping(self):
         strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
         t = translate(F2.word("ab"), strict)
@@ -197,6 +209,16 @@ class TestStationarity:
         # the uniform measure under a length-2 law: the level-1 masses move by 7/36
         law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
         assert stationarity_residual(law, NU) == Fraction(7, 36)
+
+    def test_the_check_reads_past_level_one(self):
+        # this law keeps every level-1 mass, so a check that stopped at the
+        # one level of nu's table would pass it
+        law = GroupMeasure.uniform_on([F2.word(w) for w in ("aa", "AA", "ba", "Ba")])
+        nu = uniform_boundary_measure(F2, 1)
+        assert stationarity_residual(law, nu) == 0
+        with pytest.raises(PreconditionError, match=r"residual 1/9 .* up to depth 3"):
+            require_stationary(law, nu)
+        assert require_stationary(MU, nu) == 0
 
     def test_dirac_law_fixes_everything(self):
         delta_e = GroupMeasure.dirac(F2.identity)
@@ -229,8 +251,8 @@ class TestSolveStationary:
         assert total_variation(sol.measure, uniform_boundary_measure(F2, 5), 5) < 1e-8
         assert sol.hitting_agrees
 
-    def test_tail_uniform_seed_matches_the_default_seed(self):
-        # the default seed is the uniform measure read below its table, so a
+    def test_uniform_seeds_of_every_depth_match_the_default_seed(self):
+        # the default seed is the uniform measure split below its table, so a
         # uniform seed of any depth gives the same solve bit for bit
         plain = solve_stationary(MU, depth=4)
         seeded = solve_stationary(MU, depth=4, seed_measure=uniform_boundary_measure(F2, 2))
@@ -315,10 +337,13 @@ def _per_word_gathers(mu, W):
 
 
 def _per_word_seed(seed, W):
-    """The seed vector read one word at a time, splitting uniformly below the table."""
-    read = _cylinders(seed.masses, seed.rank, seed.depth, seed.depth)
+    """The seed vector read one word at a time from the seed's table: a word
+    below it takes the mass of its prefix of the table's depth d, divided by
+    (2k - 1)^(|w| - d)."""
+    q, d = 2 * seed.rank - 1, seed.depth
     words = [w for w in ball_letters(seed.rank, W) if w]
-    return np.array([float(read._mass(w)) for w in words], dtype=np.float64)
+    return np.array([float(seed.masses[w[:d]] / q ** max(len(w) - d, 0)) for w in words],
+                    dtype=np.float64)
 
 
 def _assert_same_gathers(mu, W):
@@ -432,7 +457,7 @@ class TestConditionalMeasures:
         assert cm.position.is_identity()
         assert cm.measure.mass(F2.word("a")) == NU.mass(F2.word("a"))
 
-    def test_step_zero_reads_the_uniform_tail(self):
+    def test_step_zero_reads_the_closed_form(self):
         # the identity step reads past the stored depth like every other step
         om = sample_path(MU, 2, seed=1)
         cm = conditional_measure(uniform_boundary_measure(F2, 2), om, 0, depth=3)
@@ -568,22 +593,33 @@ def test_boundary_map_matches_the_scan(law, T, seed):
         assert (bp.resolved_depth, bp.prefix.letters) == (lcp, tail[0][:lcp])
 
 
+@given(short_step_laws())
+@settings(max_examples=30, deadline=None)
+def test_uniform_residual_is_decided_at_depth_L_plus_1(law):
+    # below depth L + 1 the residual at w is that at its (L+1)-prefix times
+    # nu[w] / nu[prefix], so no deeper level raises the maximum
+    L = law.max_support_length()
+    assume(law.rank < 3 or L < 3)
+    nu = uniform_boundary_measure(FreeGroupContext(law.rank), 1)
+    assert stationarity_residual(law, nu, L + 1) == stationarity_residual(law, nu, L + 2)
+
+
 class TestFixMass:
     def test_uniform_axis_bound(self):
         # the exact mass 1/162 rounds down to nearest; the bound rounds up
-        fm = fix_mass(F2.word("a"), NU, depth=5)
+        upper = fix_mass(F2.word("a"), NU, depth=5)
         exact = 2 * Fraction(1, 4 * 3**4)
-        assert Fraction(fm.upper) >= exact > Fraction(math.nextafter(fm.upper, 0))
+        assert Fraction(upper) >= exact > Fraction(math.nextafter(upper, 0))
 
     def test_shrinks_geometrically(self):
-        uppers = [fix_mass(F2.word("ab"), NU, depth=d).upper for d in range(1, 7)]
+        uppers = [fix_mass(F2.word("ab"), NU, depth=d) for d in range(1, 7)]
         assert all(x > y for x, y in zip(uppers, uppers[1:]))
         assert all(abs(x / y - 3.0) < 1e-9 for x, y in zip(uppers[1:], uppers[2:]))
 
     def test_inverse_symmetric(self):
         for s in ("a", "ab", "Abb"):
             g = F2.word(s)
-            assert fix_mass(g, NU, depth=6).upper == fix_mass(g.inverse(), NU, depth=6).upper
+            assert fix_mass(g, NU, depth=6) == fix_mass(g.inverse(), NU, depth=6)
 
     def test_conjugation_covariance(self):
         # Fix(h g h^-1) = h Fix(g), so each axis cylinder of the conjugate,
@@ -601,7 +637,4 @@ class TestFixMass:
             pulled = h.inverse() * prefix
             assert float(hnu.mass(prefix)) == float(nu10.mass(pulled))
         # both brackets certify the same vanishing fixed-point mass
-        lhs = fix_mass(conj, hnu, depth=6)
-        rhs = fix_mass(g, nu10, depth=6)
-        assert lhs.lower == rhs.lower == 0.0
-        assert lhs.upper < 1e-2 and rhs.upper < 1e-2
+        assert fix_mass(conj, hnu, depth=6) < 1e-2 and fix_mass(g, nu10, depth=6) < 1e-2

@@ -65,6 +65,17 @@ GOLDEN = {
          "out_depth": 2, "seed": 3},
         {"conditional.csv": "e525219c5760bc9368bbe3d8fcb89b10f98b83fbdf5d0834d29f678c80c5f236"},
     ),
+    # shaped like the benchmark's conditional job: positions of up to 30
+    # letters read the uniform measure far below its 6-level table
+    "conditional-bench-shape": (
+        {"experiment": "conditional", "rank": 2, "n": 30, "paths": 4, "nu_depth": 6,
+         "out_depth": 3, "seed": 11},
+        {"conditional.csv": "25e5b940116e09d8b485f366e6562c03e2ae1fe54d99b90322cc7cc5d9270fd7"},
+    ),
+    "conditional-rank3": (
+        {"experiment": "conditional", "rank": 3, "n": 12, "paths": 3, "seed": 5},
+        {"conditional.csv": "b6d758e63fcef2292c6343e8bae7cecd08e778f854209c4f255d95679ef178fc"},
+    ),
     "bnd-map": (
         {"experiment": "bnd-map", "rank": 2, "length": 60, "paths": 5, "seed": 3},
         {"bndmap.csv": "0b12a4c6e4491ce495997526e91084de0afba49792aa05f9192c241178d4bcb6"},

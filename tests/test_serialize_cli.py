@@ -320,13 +320,29 @@ def test_decimal_and_rational_laws_write_the_same_bytes(case, tmp_path, capsys):
 
 
 def test_conditional_reads_a_shallow_uniform_measure(tmp_path, capsys):
-    # out_depth 3 exceeds nu_depth 2; the uniform tail covers every step,
+    # out_depth 3 exceeds nu_depth 2; the closed form covers every step,
     # the identity at step 0 included
     rc, err = _main(["conditional", "--n", "2", "--paths", "1", "--seed", "1", "--nu-depth",
                      "2", "--out-depth", "3", "--out-dir", str(tmp_path)], capsys)
     assert rc == 0, err
     rows = (tmp_path / "conditional.csv").read_text().splitlines()[2:]
     assert rows[0] == "1,0,0,0.25"
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_conditional_top_masses_are_the_closed_form(rank, tmp_path):
+    # under the uniform measure the top mass at a position g of length L >= 1
+    # is that of its first letter, 1 - nu[g^-1], one minus the mass of a word
+    # of length L; at the identity it is 1/(2k)
+    run({"experiment": "conditional", "rank": rank, "n": 25, "paths": 20, "seed": 7}, tmp_path)
+    rows = (tmp_path / "conditional.csv").read_text().splitlines()[2:]
+    assert len(rows) == 20 * 26
+    k = rank
+    for row in rows:
+        _, _, length, top = row.split(",")
+        L = int(length)
+        closed = Fraction(1, 2 * k) if L == 0 else 1 - Fraction(1, 2 * k * (2 * k - 1) ** (L - 1))
+        assert top == repr(float(closed)), row
 
 
 # One small, fast, valid config per experiment; rank is left to its default.
@@ -578,6 +594,39 @@ def test_fix_mass_with_a_law_nu_is_not_stationary_for_exits_3(tmp_path, capsys):
     assert rc == 3
     _assert_one_error_line(err, "residual 7/36")
     assert not (tmp_path / "o" / "fixmass_summary.json").exists()
+
+
+@pytest.mark.parametrize("support, nu_depth, residual", [
+    (("a", "B", "ab", "bA"), 6, "residual 7/36"),
+    # every level-1 mass stays; a one-level table does not narrow the check
+    (("aa", "AA", "ba", "Ba"), 1, "residual 1/9"),
+])
+def test_conditional_with_a_law_nu_is_not_stationary_for_exits_3(support, nu_depth, residual,
+                                                                tmp_path, capsys):
+    # the rows translate the uniform boundary measure, stationary for the simple walk only
+    law = tmp_path / "mu.json"
+    law.write_text(json.dumps({"context": 2, "atoms": [{"word": w, "p": "1/4"} for w in support]}))
+    rc, err = _main(["conditional", "--n", "6", "--paths", "2", "--seed", "3", "--mu", str(law),
+                     "--nu-depth", str(nu_depth), "--out-dir", str(tmp_path / "o")], capsys)
+    assert rc == 3
+    _assert_one_error_line(err, residual)
+    assert not (tmp_path / "o" / "conditional.csv").exists()
+
+
+def test_boundary_solve_whose_hitting_check_disagrees_exits_5(tmp_path, capsys):
+    # a biased nearest-neighbour law: at depth 5 the level-1 mass of a is
+    # 0.46353233 against the hitting value 0.46353927
+    law = tmp_path / "mu.json"
+    law.write_text(json.dumps({"context": 2, "atoms": [
+        {"word": w, "p": p} for w, p in (("a", "2/5"), ("A", "1/10"), ("b", "3/10"),
+                                         ("B", "1/5"))]}))
+    out = tmp_path / "o"
+    rc, err = _main(["boundary-solve", "--depth", "5", "--mu", str(law), "--out-dir", str(out)],
+                    capsys)
+    assert rc == 5
+    _assert_one_error_line(err, "hitting probabilities")
+    assert json.loads((out / "stationary_summary.json").read_text())["hitting_agrees"] is False
+    assert (out / "stationary.csv").exists() and not (out / "manifest.json").exists()
 
 
 @st.composite
