@@ -5,11 +5,13 @@ Every element is exact: integer tables over one positive denominator,
 x = (re + i im) / den.  Products, sums and moments are integer arithmetic,
 and a bound is rounded once, outward, to a float.
 
-Lower bounds come from trace moments of y = x*x: both tau0(y^m)^(1/2m) and the
-successive-moment ratio sqrt(tau0(y^(m+1))/tau0(y^m)) are true lower bounds for
-the reduced norm (the spectral measure of y against the canonical trace lives
-on [0, ||x||^2]), and both are nondecreasing in m.  The moments are exact
-integers over a power of den, and the bound is the largest float that they
+Lower bounds come from trace moments of y = x*x, the moments of its
+spectral measure on [0, ||x||^2], so log tau0(y^m) is convex in m, 0 at m = 0,
+and half the slope of any chord is a lower bound for log ||x||.  The chord
+through the two highest orders computed is at least every root
+tau0(y^m)^(1/2m) (a chord from 0) and every ratio
+sqrt(tau0(y^(m+1))/tau0(y^m)) below them, so it alone is the bound: the
+largest float that the exact moments, integers over a power of den,
 certify.  Powers z of y come from repeated squaring; an odd moment
 tau0(y z z) reads z z only at the words of y and forms no table, so its cost
 is known, and checked against the support cap, before it starts.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm, ldexp, log2, nextafter, sqrt
+from math import gcd, inf, isqrt, lcm, ldexp, log2, nextafter
 from sys import float_info
 from typing import Iterable, Iterator, Mapping
 
@@ -327,7 +329,8 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     sum |z(w)|^2 as z is self-adjoint, and tau0(Y^(2m+1)) = tau0(Y z z) from
     _odd_moment, which takes its identity term from tau0(Y^(2m)), reads z z
     only at the other words of Y and forms no table.
-    z is squared only while the bound reads an order of the new power.  The
+    No order passes n_moments + 1, which comes only beside n_moments, and z
+    is squared only while an order of the new power fits that rule.  The
     moments stop there, at the first square that passes freegroup.SUPPORT_CAP,
     or at the first odd moment whose lookups are predicted to pass it.
     """
@@ -347,7 +350,7 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
         while True:
             moments[2 * m_z] = sum(c * c for part in z for c in part.values())
             if 2 * m_z <= n_moments:
-                # the ratio bound at order 2 m_z also needs tau0(Y^(2 m_z + 1))
+                # the chord's top order when no square follows
                 moments[2 * m_z + 1] = _odd_moment(y, z, moments[2 * m_z])
             # the next power's orders 4 m_z and 4 m_z + 1 are read only up to
             # n_moments, or at n_moments + 1 beside a held tau0(Y^n_moments)
@@ -355,48 +358,27 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
                 break
             z = _times(z, z)
             m_z *= 2
-            moments[m_z] = z[0].get(b"", 0)
     except ResourceLimitError:
         pass
     return y_element.den, moments
 
 
-def _root(moment: int, m: int, den: int) -> float:
-    """(moment / den^m)^(1/2m), within a few ulps for integers of any size:
-    their binary exponents are split off before the logarithms."""
-    e, f = moment.bit_length(), den.bit_length()
-    q, rem = divmod(e - m * f, 2 * m)
-    frac = log2(moment / (1 << e)) - m * log2(den / (1 << f))
-    return ldexp(2.0 ** ((frac + rem) / (2 * m)), q)
-
-
-def _bounds_from_moments(moments: dict[int, int], max_m: int, den: int) -> float:
-    """The best lower bound on ||x|| from the exact moments
-    {m: tau0(Y^m) = den^m tau0(y^m)} at orders m <= max_m, rounded down.
-
-    The candidates are the root tau0(y^m)^(1/2m) and the ratio
-    sqrt(tau0(y^(m+1)) / tau0(y^m)) at each order, compared in floats.  The
-    winner is then the largest float r that passes its exact check,
-    r^(2m) den^m <= tau0(Y^m) or r^2 den tau0(Y^m) <= tau0(Y^(m+1)).
-    """
-    best, win = 0.0, (1, False)
-    for m, moment in moments.items():
-        if m > max_m:
-            continue
-        r = _root(moment, m, den)
-        if r > best:
-            best, win = r, (m, False)
-        nxt = moments.get(m + 1)
-        if nxt is not None:
-            r = sqrt(nxt / (moment * den))
-            if r > best:
-                best, win = r, (m, True)
-    m, ratio = win
-    moment = moments[m]
+def _bounds_from_moments(moments: dict[int, int], den: int) -> float:
+    """The chord lower bound on ||x|| through the two highest orders a < b
+    of the exact moments {m: tau0(Y^m) = den^m tau0(y^m)}: the largest float
+    r with (r^2 den)^(b-a) tau0(Y^a) <= tau0(Y^b).  The first guess splits
+    off the binary exponents of both sides, so it is within a few ulps for
+    integers of any size."""
+    a, b = sorted(moments)[-2:]
+    k = b - a
+    num, dnm = moments[b], moments[a] * den**k
+    e, f = num.bit_length(), dnm.bit_length()
+    q, rem = divmod(e - f, 2 * k)
+    frac = log2(num / (1 << e)) - log2(dnm / (1 << f))
+    best = ldexp(2.0 ** ((frac + rem) / (2 * k)), q)
 
     def certified(r: float) -> bool:
-        r2 = Fraction(r) ** 2
-        return r2 * den * moment <= moments[m + 1] if ratio else r2**m * den**m <= moment
+        return (Fraction(r) ** 2) ** k * dnm <= num
 
     while not certified(best):
         best = nextafter(best, 0)
@@ -424,7 +406,7 @@ class _TaggedFloat(float):
 
 class MomentBound(_TaggedFloat):
     """A trace-moment lower bound that carries `order`, the highest moment
-    order at most the requested one that was computed."""
+    order at most the requested one that was computed; its chord reads it."""
 
     __slots__ = ("order",)
     _tag = "order"
@@ -433,13 +415,13 @@ class MomentBound(_TaggedFloat):
 def norm_lower_bound(x: AlgebraElement, n_moments: int) -> MomentBound:
     """Certified lower bound for the reduced norm of x from trace moments.
 
-    Bounds used: tau0(y^m)^(1/2m) and sqrt(tau0(y^(m+1))/tau0(y^m)) for
-    y = x*x, over every moment order m <= n_moments that is computable.  The
-    moments are exact (see _trace_moments) and the bound is rounded down
-    against the moments it came from.  A radial y gets every order; otherwise
-    the moments stop early if a square of a power of y, or the lookups of an
-    odd moment, would pass freegroup.SUPPORT_CAP, and the result, a
-    MomentBound, has its `order` below n_moments.
+    The bound is the chord (tau0(y^b) / tau0(y^a))^(1/(2(b-a))) for y = x*x
+    through the two highest orders a < b computed, b <= n_moments + 1, which
+    no root or successive-moment ratio beats (see the module notes), rounded
+    down against the exact moments of _trace_moments.  A radial y gets every
+    order; otherwise the moments stop early if a square of a power of y, or
+    the lookups of an odd moment, would pass freegroup.SUPPORT_CAP, and the
+    result, a MomentBound, has its `order` below n_moments.
     MalformedInputError if ||x||_1^2 passes the largest float.
     """
     if n_moments < 1:
@@ -449,7 +431,7 @@ def norm_lower_bound(x: AlgebraElement, n_moments: int) -> MomentBound:
     _checked_l1(x)
     den, moments = _trace_moments(x, n_moments)
     achieved = max(m for m in moments if m <= n_moments)
-    return MomentBound(_bounds_from_moments(moments, n_moments, den), achieved)
+    return MomentBound(_bounds_from_moments(moments, den), achieved)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +600,10 @@ class NormBracket:
     """Certified two-sided bracket on the reduced norm of one element.
 
     moments_used is the highest trace-moment order <= the requested one that
-    was computed; it falls short of the request when freegroup.SUPPORT_CAP
-    binds: on the words a square of a power z of y touches, or on the
-    lookups of an odd moment tau0(y z z), (words g <= g^-1 of y) x |supp z|.
+    was computed, an end of the lower bound's chord.  It falls short of the
+    request when freegroup.SUPPORT_CAP binds: on the words a square of a power
+    z of y touches, or on the lookups of an odd moment tau0(y z z), (words
+    g <= g^-1 of y) x |supp z|.
     """
 
     lower: float

@@ -237,7 +237,7 @@ def stationarity_residual(
     return worst
 
 
-def require_stationary(mu: GroupMeasure, nu: CylinderMeasure) -> Fraction | float:
+def require_stationary(mu: GroupMeasure, nu: CylinderMeasure) -> None:
     """The stationarity check of a caller that reads nu as mu's stationary
     measure: the residual of (mu, nu) must be exactly 0, else
     PreconditionError names it.  A strict table is checked as deep as its
@@ -254,7 +254,6 @@ def require_stationary(mu: GroupMeasure, nu: CylinderMeasure) -> Fraction | floa
             f"nu is not stationary for the law: residual {residual} "
             f"({float(residual):.3e}) on cylinders up to depth {depth}"
         )
-    return residual
 
 
 def total_variation(nu1: CylinderMeasure, nu2: CylinderMeasure, depth: int) -> float:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-from . import __version__
+from . import __version__, freegroup
 from .algebra import AlgebraElement, _float_down, certify_norm
 from .boundary import (
     boundary_map,
@@ -344,8 +344,7 @@ def _run_fix_mass(cfg: dict):
                              threshold=cfg["threshold"])
     yield "fixmass.csv", ["word", "upper_bound", "depth"], [
         [r.word, r.upper_bound, r.depth] for r in report.rows]
-    yield "fixmass_summary.json", {"verdict": report.verdict, "threshold": report.threshold,
-                                   "residual": float(report.stationarity_residual)}
+    yield "fixmass_summary.json", {"verdict": report.verdict, "threshold": report.threshold}
 
 
 def _run_srs_escape(cfg: dict):
@@ -362,8 +361,12 @@ def _run_srs_escape(cfg: dict):
 def _run_pdf_check(cfg: dict):
     radius, sample_size, tuple_len = cfg["radius"], cfg["sample_size"], cfg["tuple_len"]
     ctx = FreeGroupContext(cfg["rank"])
-    # the dump reads phi over the ball of the radius: its cap binds before any work
+    # the dump reads phi over the ball of the radius, and each Gram matrix
+    # holds tuple_len^2 entries: their caps bind before any work
     _check_ball(ctx.rank, radius)
+    if tuple_len * tuple_len > freegroup.SUPPORT_CAP:
+        raise ResourceLimitError("pdf-check: Gram matrix entries exceed the cap",
+                                 freegroup.SUPPORT_CAP)
     roots = [w for w in ball(ctx, 3)]
     tuple_pool = [w for w in ball(ctx, radius // 2)]
     rng = rng_from_seed(cfg["seed"])

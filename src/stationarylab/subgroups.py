@@ -279,7 +279,6 @@ class FreenessReport:
     depth: int
     threshold: float
     verdict: str
-    stationarity_residual: Fraction | float
     pdf_upper: dict[str, float]
 
     @property
@@ -303,7 +302,7 @@ def freeness_report(
     which for an essentially free action is the indicator of the identity.
     The stationarity precondition on nu is checked by require_stationary.
     """
-    residual = require_stationary(mu, nu)
+    require_stationary(mu, nu)
     rows = []
     pdf_upper = {"1": 1.0}
     for g in gens:
@@ -323,6 +322,5 @@ def freeness_report(
         depth=depth,
         threshold=threshold,
         verdict=verdict,
-        stationarity_residual=residual,
         pdf_upper=pdf_upper,
     )

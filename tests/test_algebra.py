@@ -583,7 +583,8 @@ def word_table_moment_engine(x, support_cap=5000):
 
 # The orders the engine computes at each requested order when no cap binds:
 # tau0(y^(2m)) at z = y, y^2, y^4 and, up to the request, tau0(y^(2m+1)),
-# squaring z only while the bound reads an order of the new power
+# squaring z only while an order of the new power is at most the request, or
+# one past it beside the request
 ENGINE_ORDERS = {1: (1, 2), 2: (1, 2, 3), 3: (1, 2, 3, 4), 5: (1, 2, 3, 4, 5),
                  8: (1, 2, 3, 4, 5, 8, 9)}
 
@@ -619,6 +620,44 @@ def best_candidate(moments, n_moments):
         max(float(v) ** (1 / (2 * m)), math.sqrt(moments[m + 1] / v) if m + 1 in moments else 0)
         for m, v in moments.items() if m <= n_moments
     )
+
+
+def old_search(moments, max_m, den):
+    """The lower bound as the engine once searched it, kept as an oracle: the
+    root tau0(y^m)^(1/2m) and the ratio sqrt(tau0(y^(m+1)) / tau0(y^m)) at
+    each order m <= max_m of the integer moments {m: den^m tau0(y^m)},
+    compared in floats, and the winner rounded to the largest float that
+    passes its exact check."""
+    best, win = 0.0, (1, False)
+    for m, moment in moments.items():
+        if m > max_m:
+            continue
+        e, f = moment.bit_length(), den.bit_length()
+        q, rem = divmod(e - m * f, 2 * m)
+        frac = math.log2(moment / (1 << e)) - m * math.log2(den / (1 << f))
+        r = math.ldexp(2.0 ** ((frac + rem) / (2 * m)), q)
+        if r > best:
+            best, win = r, (m, False)
+        if m + 1 in moments:
+            r = math.sqrt(moments[m + 1] / (moment * den))
+            if r > best:
+                best, win = r, (m, True)
+    m, ratio = win
+
+    def certified(r):
+        r2 = Fraction(r) ** 2
+        return r2 * den * moments[m] <= moments[m + 1] if ratio else r2**m * den**m <= moments[m]
+
+    while not certified(best):
+        best = math.nextafter(best, 0)
+    while certified(up := math.nextafter(best, math.inf)):
+        best = up
+    return best
+
+
+def chord_certifies(r, moments, a, b):
+    """Whether r^2 <= (tau0(y^b) / tau0(y^a))^(1/(b-a)), in Fractions."""
+    return (Fraction(r) ** 2) ** (b - a) * moments[a] <= moments[b]
 
 
 def non_radial_elements(rng):
@@ -660,6 +699,48 @@ class TestLetterTableMomentEngine:
         # the cap binds partway through on many of these
         assert short > 20
 
+    def test_chord_beats_every_root_and_ratio(self, monkeypatch, references):
+        # the next float above the bound passes no root or ratio check of the
+        # orders up to n, so the bound is at least each of them rounded down
+        # by its own exact check; with consecutive top orders the chord is the
+        # old search's winning ratio, bit for bit
+        consecutive = gapped = 0
+        for x, reference in references:
+            for n in (1, 2, 3, 5, 8):
+                for cap in (5000, 200, 60, 25):
+                    monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
+                    moments = reference_moments(reference, n, cap)
+                    bound = norm_lower_bound(x, n)
+                    up = Fraction(math.nextafter(bound, math.inf))
+                    for m, v in moments.items():
+                        if m <= n:
+                            assert up ** (2 * m) > v
+                            assert m + 1 not in moments or up * up * v > moments[m + 1]
+                    den, held = _trace_moments(x, n)
+                    a, b = sorted(held)[-2:]
+                    if b == a + 1:
+                        assert bound == old_search(held, n, den)
+                        consecutive += 1
+                    else:
+                        assert bound >= old_search(held, n, den)
+                        gapped += 1
+        assert consecutive and gapped
+
+    def test_capped_chord_reads_the_order_it_reports(self, monkeypatch):
+        # a cap of 600 lets the square that forms y^4 through and stops the
+        # odd moment tau0(y^9): the orders are 1-5 and 8, and the chord
+        # (5, 8) beats the old search's best root or ratio, 2.1441874757057957
+        x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)
+        moments = reference_moments(word_table_moment_engine(x), 8, 600)
+        assert sorted(moments) == [1, 2, 3, 4, 5, 8]
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 600)
+        bound = norm_lower_bound(x, 8)
+        assert (bound, bound.order) == (2.197111436454556, 8)
+        assert chord_certifies(bound, moments, 5, 8)
+        assert not chord_certifies(math.nextafter(bound, math.inf), moments, 5, 8)
+        den, held = _trace_moments(x, 8)
+        assert old_search(held, 8, den) == 2.1441874757057957
+
     def test_lower_bound_is_rounded_down(self, monkeypatch, references):
         with monkeypatch.context() as patch:
             patch.setattr(freegroup, "SUPPORT_CAP", 5000)
@@ -679,9 +760,11 @@ class TestLetterTableMomentEngine:
         assert bound in (old, math.nextafter(old, 0), math.nextafter(old, 4))
 
     def test_squares_only_for_read_orders(self, monkeypatch):
-        # z = Y^m_z is squared only while the bound reads an order of the new
-        # power: at n_moments 5-7 the engine stops at y^2 and at 9-15 at y^4.
-        # The run at 16, which also forms y^8, holds every order those read.
+        # z = Y^m_z is squared only while an order of the new power is at most
+        # n_moments, or n_moments + 1 beside n_moments: at n_moments 5-7 the
+        # engine stops at y^2 and at 9-15 at y^4.  The run at 16, which also
+        # forms y^8, holds every order those compute, and the bound is the
+        # chord of those orders
         calls = []
         times = algebra._times
         monkeypatch.setattr(algebra, "_times", lambda *a: calls.append(a) or times(*a))
@@ -695,8 +778,10 @@ class TestLetterTableMomentEngine:
                 bound = norm_lower_bound(x, n)
                 # one product forms y = x*x and each other one a square
                 assert len(calls) == (2 if n < 8 else 3)
-                assert bound == _bounds_from_moments(full, n, den)
+                held = {m: v for m, v in full.items() if m <= n or m == n + 1 and n in full}
+                assert bound == _bounds_from_moments(held, den)
                 assert bound.order == max(m for m in full if m <= n)
+                assert _trace_moments(x, n)[1] == held
 
     def test_achieved_order_under_a_binding_cap(self, monkeypatch):
         x = AlgebraElement({F2.word("a"): 1.0, F2.word("b"): 1.0, F2.word("ab"): 0.5}, 2)

@@ -218,7 +218,7 @@ class TestStationarity:
         assert stationarity_residual(law, nu) == 0
         with pytest.raises(PreconditionError, match=r"residual 1/9 .* up to depth 3"):
             require_stationary(law, nu)
-        assert require_stationary(MU, nu) == 0
+        require_stationary(MU, nu)  # the simple walk passes
 
     def test_dirac_law_fixes_everything(self):
         delta_e = GroupMeasure.dirac(F2.identity)

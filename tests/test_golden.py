@@ -5,6 +5,12 @@ bits that drift from one commit to the next.  A change that means to alter
 an output updates its digest here and says which bytes changed and why.
 """
 
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from stationarylab.cli import run
@@ -111,7 +117,7 @@ GOLDEN = {
         {"experiment": "fix-mass", "rank": 2, "depth": 5, "gens": "ball2"},
         {"fixmass.csv": "28291223d3e6c34495fa6bb6a5526455dc55b6fb9f8de6d64ef8bc01a996993d",
          "fixmass_summary.json":
-             "d8704605bcf09e21b111d917f644065c79ee2149c3cdeeb91fe1fa5677e75793"},
+             "3a227234f59ec11e5d4c2c8dcbbd8e7a79e8aae973d09edb12e0204098ac1a1d"},
     ),
     "fdstates": (
         {"experiment": "fdstates", "rank": 2},
@@ -130,3 +136,61 @@ GOLDEN = {
 def test_output_digests_match_the_pinned_ones(name, tmp_path):
     config, digests = GOLDEN[name]
     assert run(config, tmp_path).outputs == digests
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file: the bench directory is not
+    a package, and only its job lists are read here."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The sha256 of the JSON of each benchmark job's outputs table (file name to
+# file digest, keys sorted) on workload seed 1, "workload/job id" to digest.
+BENCH_JOBS = {
+    "build/build-mu-L2": "1606f7e47292c5eaba430fa5f68e71df8da522543083a24258b312797618418b",
+    "build/build-mu-L1-0": "b0c91fa73a10a00bab0f79fa71d8722638ed770ebd00401f5386c9319268115f",
+    "build/build-mu-L1-1": "b6d74e3cf4038dfdbcfe40779a4cc31b5e164f25765855fcfd75c8dba7461e15",
+    "build/build-mu-L1-2": "6d0d24128ede6fdbbd2e6897b90854e7af55f8abab31c4c2a3206b0a9db1acde",
+    "build/build-mu-L1-3": "b0c91fa73a10a00bab0f79fa71d8722638ed770ebd00401f5386c9319268115f",
+    "build/powers-0": "f5e34d614dafdfe04c3087932156be64ab20f16ad9cdf3c569884adeda06f043",
+    "build/powers-1": "d734338cbd2728669f124d5823f9ac3008a1486d1f970fef5559f2154dd4e649",
+    "build/powers-2": "aa5bf6bb4a0ae3d63659184f047d593a0caa05d6f0562d61f9197c8fb0e677e9",
+    "build/powers-3": "b690beeb66a79028d4baa05b8f1220ff7b959e3705a4ff6a06c75c7448a07bee",
+    "build/kesten": "bf62d5e3532184d32f395b3cce725aa18ac808eaad1908b8c10cd0944604bdcb",
+    "brackets/kesten": "bf62d5e3532184d32f395b3cce725aa18ac808eaad1908b8c10cd0944604bdcb",
+    "brackets/cesaro-0": "6941780b306c5aec9c8f8e7f0bb587be4f3d7a99d7eb9da0c74b26636d949c68",
+    "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+    "brackets/cesaro-2": "552af0fcbf12c6b448c67520a837b9944b557ae5c92236baf044fac4ec5529eb",
+    "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+    "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
+    "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
+    "brackets/norm-2": "16695475628f85f2c4a13217b5089d196ade47c63dfa16c12215e9feb85d0857",
+    "brackets/norm-3": "879aea100020b2f22b8b8fed03f86ba4330664dfdf99d53e8bc82fb4b4d3699c",
+    "brackets/norm-4": "355720a474bcb8f43ae4ce8d50d98881c6e7936ca8fc01906635b219d368afc3",
+    "brackets/norm-5": "db014b3c36eb21353495ccf202167d1e01f40679ab8150aed9421a318a3fc4c7",
+    "dynamics/srs-escape-0": "1bb99d2d54ff0e38842788febb539044be259a3ffee52ac16256aa57c082602f",
+    "dynamics/srs-escape-1": "664900279ddf009f8ef3faa8cf6092e8f8fed4fe69eba8154bbdad0b3fbc1986",
+    "dynamics/bnd-map": "5d52ef018f3ead70f3936f4e837a4decfd7a6803ddeecb3525f7a19afdbc8cb5",
+    "dynamics/conditional": "77f3602305146f3cc61c2d6ec780c6a07d539a058124f4d6f8a66cdaf7bd5aa3",
+    "dynamics/pdf-check": "6a8f2a77d334a3a83f02875ba9f765e685d517885d38e91aa2c413346dba2723",
+    "dynamics/boundary-solve-simple":
+        "c51b16dcfe3849dfaa429f3dc55240d511398be31b488bedac375c46bf7b9140",
+    "dynamics/boundary-solve-length2":
+        "c7765ab80c889f7ff666a6fbc8f8827fe0fad7f4d44a1b1b2df60a356b9d341c",
+    "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
+    "dynamics/kesten": "bf62d5e3532184d32f395b3cce725aa18ac808eaad1908b8c10cd0944604bdcb",
+}
+
+
+@pytest.mark.parametrize("workload", ["build", "brackets", "dynamics"])
+def test_benchmark_job_outputs_match_the_pinned_ones(workload, tmp_path):
+    digests = {}
+    for job in _bench_workloads().jobs_for(workload, 1):
+        outputs = run(job.config, tmp_path / job.id).outputs
+        digests[f"{workload}/{job.id}"] = hashlib.sha256(
+            json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digests == {k: v for k, v in BENCH_JOBS.items() if k.startswith(f"{workload}/")}

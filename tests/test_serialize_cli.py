@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stationarylab import freegroup
+from stationarylab import cli, freegroup
 from stationarylab.cli import EXPERIMENTS, ConfigError, config_hash, main, run, verify
 from stationarylab.errors import MalformedInputError
 from stationarylab.freegroup import FreeGroupContext
@@ -183,6 +183,19 @@ class TestMainExitCodes:
             cfg = tmp_path / "c.json"
             cfg.write_text(json.dumps({"experiment": "fdstates", "rep": rep}))
             assert main(["fdstates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+
+    def test_pdf_check_past_the_support_cap_is_4_before_sampling(
+            self, tmp_path, monkeypatch, capsys):
+        # 2236^2 entries fit the cap of 5,000,000 and 2237^2 pass it; the
+        # check runs before the first draw, which here would fail the test
+        assert 2236**2 <= freegroup.SUPPORT_CAP < 2237**2
+        monkeypatch.setattr(cli, "rng_from_seed", lambda seed: pytest.fail("sampled"))
+        out = tmp_path / "o"
+        rc, err = _main(["pdf-check", "--tuple-len", "2237", "--measures", "1", "--tuples", "1",
+                         "--seed", "1", "--out-dir", str(out)], capsys)
+        assert rc == 4
+        _assert_one_error_line(err, "Gram matrix entries exceed the cap (cap: 5000000)")
+        assert not any(out.iterdir())
 
     def test_inconclusive_is_5(self, tmp_path):
         # exit 5 after the last output: the tables are written, the manifest is not
