@@ -14,7 +14,9 @@ sqrt(tau0(y^(m+1))/tau0(y^m)) below them, so it alone is the bound: the
 largest float that the exact moments, integers over a power of den,
 certify.  Powers z of y come from repeated squaring; an odd moment
 tau0(y z z) reads z z only at the words of y and forms no table, so its cost
-is known, and checked against the support cap, before it starts.
+is known, and checked against the support cap, before it starts.  At
+n_moments 1, where y is read only as two sums, it is summed piece by piece
+under the same cap, and never held whole.
 
 Upper bounds come from the l1 norm, the (n+1)-weighted layer inequality in
 word length (valid on every free group), the same inequality after rewriting
@@ -41,6 +43,7 @@ from .errors import (
 )
 from .freegroup import (
     Word,
+    _check_support,
     _product_letters,
     _sphere_size,
     _word,
@@ -48,6 +51,7 @@ from .freegroup import (
     inverse_letters,
     length_lex,
     letter_product,
+    letter_product_pieces,
 )
 
 
@@ -201,23 +205,63 @@ def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def _times(a: tuple[dict, dict], b: tuple[dict, dict]):
-    """The product of two tables (re, im) from four partial products by
-    letter_product, skipping those with an empty, so zero, factor.
-    ResourceLimitError once the words it touches pass freegroup.SUPPORT_CAP."""
+def _partial_products(a: tuple[dict, dict], b: tuple[dict, dict]) -> list[tuple]:
+    """The partial products of two tables (re, im) whose product is their
+    signed sum, as (part: 0 re, 1 im; sign; left; right), skipping those
+    with an empty, so zero, factor."""
     (a_re, a_im), (b_re, b_im) = a, b
+    return [(i, sign, u, v) for i, sign, u, v in
+            ((0, 1, a_re, b_re), (0, -1, a_im, b_im), (1, 1, a_re, b_im), (1, 1, a_im, b_re))
+            if u and v]
 
-    def part(u, v):
-        return letter_product(u, v) if u and v else {}
 
-    re, im = part(a_re, b_re), part(a_re, b_im)
-    for out, sign, c_part in ((re, -1, part(a_im, b_im)), (im, 1, part(a_im, b_re))):
-        for w, c in c_part.items():
-            out[w] = out.get(w, 0) + sign * c
-    cap = freegroup.SUPPORT_CAP
-    if im and len(re) + sum(w not in re for w in im) > cap:
-        raise ResourceLimitError("convolution support exceeds the cap", cap)
+def _signed_sum(products: list[tuple], tables) -> tuple[dict, dict]:
+    """(re, im) from the tables of the partial products, each added with
+    its sign to its part; a table that starts a part with sign 1 is taken
+    as it is."""
+    sums: list[dict] = [{}, {}]
+    for (i, sign, _, _), table in zip(products, tables):
+        out = sums[i]
+        if not out and sign == 1:
+            sums[i] = table
+            continue
+        get = out.get
+        for w, c in table.items():
+            out[w] = get(w, 0) + sign * c
+    return sums[0], sums[1]
+
+
+def _union_size(re: dict, im: dict) -> int:
+    """The number of words of re and im together, which the cap counts."""
+    return len(re) + sum(w not in re for w in im)
+
+
+def _times(a: tuple[dict, dict], b: tuple[dict, dict]):
+    """The product of two tables (re, im) from its partial products by
+    letter_product.  ResourceLimitError once the words it touches pass
+    freegroup.SUPPORT_CAP."""
+    products = _partial_products(a, b)
+    re, im = _signed_sum(products, (letter_product(u, v) for _, _, u, v in products))
+    _check_support(_union_size(re, im))
     return _drop_zeros(re), _drop_zeros(im)
+
+
+def _square_sum(a: tuple[dict, dict], b: tuple[dict, dict]) -> int:
+    """sum |c|^2 over the product c of two integer tables (re, im), without
+    its table: the partial products of _times come from
+    letter_product_pieces, and the pieces that share their first two
+    letters are combined into re and im, summed and dropped.
+    ResourceLimitError exactly when _times raises on the same tables: once
+    the words the pieces touch, counted over re and im together, pass
+    freegroup.SUPPORT_CAP."""
+    products = _partial_products(a, b)
+    touched = total = 0
+    for _, pieces in letter_product_pieces(*((u, v) for _, _, u, v in products)):
+        re, im = _signed_sum(products, pieces)
+        touched += _union_size(re, im)
+        _check_support(touched)
+        total += sum(c * c for c in re.values()) + sum(c * c for c in im.values())
+    return total
 
 
 def _radial_profile(y: dict[bytes, int], rank: int) -> list[int] | None:
@@ -322,8 +366,11 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     """The denominator D of y = x*x = Y / D and the exact moments
     {m: tau0(Y^m)}, so that tau0(y^m) = tau0(Y^m) / D^m.
 
-    y comes from convolve, and the powers of Y, integer table pairs
-    (re, im), from letter_product.  A radial Y (constant on full spheres)
+    At n_moments 1, y is read only as tau0(Y) = sum |x(u)|^2 and
+    tau0(Y^2) = sum |Y(g)|^2: the latter from _square_sum, piece by piece,
+    and D is x.den^2, unreduced, which the chord does not see.  Past
+    n_moments 1, y comes from convolve, and the powers of Y, integer table
+    pairs (re, im), from letter_product.  A radial Y (constant on full spheres)
     gets every order up to n_moments + 1 from the sphere-sum recursion.
     Otherwise each power z = Y^m of repeated squaring gives tau0(Y^(2m)),
     sum |z(w)|^2 as z is self-adjoint, and tau0(Y^(2m+1)) = tau0(Y z z) from
@@ -334,9 +381,13 @@ def _trace_moments(x: AlgebraElement, n_moments: int):
     moments stop there, at the first square that passes freegroup.SUPPORT_CAP,
     or at the first odd moment whose lookups are predicted to pass it.
     """
-    adjoint = _element({inverse_letters(w): c for w, c in x.re.items()},
-                       {inverse_letters(w): -c for w, c in x.im.items()}, x.den, x.rank)
-    y_element = convolve(adjoint, x)
+    adjoint = ({inverse_letters(w): c for w, c in x.re.items()},
+               {inverse_letters(w): -c for w, c in x.im.items()})
+    if n_moments == 1:
+        # y is read only as two sums, over the unreduced denominator
+        trace = sum(c * c for part in (x.re, x.im) for c in part.values())
+        return x.den**2, {1: trace, 2: _square_sum(adjoint, (x.re, x.im))}
+    y_element = convolve(_element(*adjoint, x.den, x.rank), x)
     y = (y_element.re, y_element.im)
     # a radial table is symmetric under w -> w^-1, so a self-adjoint one is real
     profile = None if y[1] else _radial_profile(y[0], x.rank)
@@ -603,7 +654,8 @@ class NormBracket:
     was computed, an end of the lower bound's chord.  It falls short of the
     request when freegroup.SUPPORT_CAP binds: on the words a square of a power
     z of y touches, or on the lookups of an odd moment tau0(y z z), (words
-    g <= g^-1 of y) x |supp z|.
+    g <= g^-1 of y) x |supp z|.  At n_moments 1, y is summed piece by
+    piece, and the cap counts the same words as on the whole table.
     """
 
     lower: float

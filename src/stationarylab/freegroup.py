@@ -26,8 +26,10 @@ returned by accessors.
 from __future__ import annotations
 
 import string
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -246,6 +248,12 @@ def length_lex(table: Mapping[bytes, T]) -> list[tuple[bytes, T]]:
     return [(w, table[w]) for w in keys]
 
 
+def _check_support(size: int) -> None:
+    """ResourceLimitError if a product's size in words passes SUPPORT_CAP."""
+    if size > SUPPORT_CAP:
+        raise ResourceLimitError("convolution support exceeds the cap", SUPPORT_CAP)
+
+
 def letter_product(x: Mapping[bytes, T], y: Mapping[bytes, T]) -> dict[bytes, T]:
     """out(w) = sum over u v = w of x(u) y(v), for finitely supported tables
     keyed by the letters of reduced words.
@@ -264,9 +272,76 @@ def letter_product(x: Mapping[bytes, T], y: Mapping[bytes, T]) -> dict[bytes, T]
         for b, cv in ys:
             w = _product_letters(a, b) if b and b[0] == cancels else a + b
             out[w] = get(w, 0) + cu * cv
-        if len(out) > SUPPORT_CAP:
-            raise ResourceLimitError("convolution support exceeds the cap", SUPPORT_CAP)
+        _check_support(len(out))
     return out
+
+
+def letter_product_pieces(
+        *pairs: tuple[Mapping[bytes, int], Mapping[bytes, int]]
+) -> Iterator[tuple[bytes, list[dict[bytes, int]]]]:
+    """The tables letter_product(x, y) of the pairs (x, y) of integer
+    tables, in disjoint pieces: one per value p of w[:2] over their words w
+    (the whole word when shorter), as (p, [each pair's piece at p, {} if
+    none]) in sorted order of p.  Each piece is formed only when the next p
+    is asked for, so a caller that drops each after reading it holds one
+    piece a pair, never a table.
+
+    A pair (u, v) in which at least two letters of u survive cancellation
+    gives a word that starts with u[:2], so the piece of a two-letter p is
+    formed from the words u of x that start with p.  Fewer than two letters
+    of u survive only when |u| < 2 or v starts with u[1:]^-1 (u is r v[:k]^-1
+    with |r| < 2, and u v is r v[k:]); those few pairs are summed up front,
+    their v found as one run of y's words in sorted order.  A coefficient is
+    the sum of the same products as in letter_product, in another order, so
+    it is the same only for integer tables: float ones would round apart.
+    Raises ResourceLimitError, as letter_product does, once the words of one
+    product pass SUPPORT_CAP, checked after the few pairs and once per u.
+    """
+    plans = []
+    for x, y in pairs:
+        # sorted, the words v that start with a given q are one run
+        ys = sorted(y.items())
+        vs = [v for v, _ in ys]
+        groups: dict[bytes, list[tuple[bytes, int]]] = {}
+        few_pieces: dict[bytes, dict[bytes, int]] = {}
+        for u, cu in x.items():
+            if len(u) >= 2:
+                groups.setdefault(u[:2], []).append((u, cu))
+                q = inverse_letters(u[1:])
+                few = takewhile(lambda item: item[0].startswith(q),
+                                islice(ys, bisect_left(vs, q), None))
+            else:
+                few = ys
+            for v, cv in few:
+                w = _product_letters(u, v)
+                piece = few_pieces.setdefault(w[:2], {})
+                piece[w] = piece.get(w, 0) + cu * cv
+        plans.append((ys, groups, few_pieces))
+    # the words of each product so far
+    touched = [sum(map(len, few_pieces.values())) for _, _, few_pieces in plans]
+    _check_support(max(touched, default=0))
+    keys = set().union(*(groups.keys() | few_pieces.keys() for _, groups, few_pieces in plans))
+    for p in sorted(keys):
+        pieces = []
+        for i, (ys, groups, few_pieces) in enumerate(plans):
+            out = few_pieces.pop(p, {})
+            get = out.get
+            for u, cu in groups.get(p, ()):
+                n = len(out)
+                cancels = u[-1] ^ 1
+                for v, cv in ys:
+                    if v and v[0] == cancels:
+                        w = _product_letters(u, v)
+                        if not w.startswith(p):  # one of the few pairs, summed above
+                            continue
+                    else:
+                        w = u + v
+                    out[w] = get(w, 0) + cu * cv
+                touched[i] += len(out) - n
+                _check_support(touched[i])
+            pieces.append(out)
+        if any(pieces):  # else every pair at p was one of the few
+            yield p, pieces
 
 
 def conjugate(g: Word, h: Word) -> Word:

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 from itertools import takewhile
 
@@ -12,8 +13,11 @@ from stationarylab.algebra import (
     _SQRT_BITS,
     AlgebraElement,
     _bounds_from_moments,
+    _centered,
     _checked_l1,
     _odd_moment,
+    _radial_profile,
+    _square_sum,
     _times,
     _float_down,
     _float_up,
@@ -32,14 +36,22 @@ from stationarylab.errors import ContextMismatchError, MalformedInputError, Reso
 from stationarylab.freegroup import (
     FreeGroupContext,
     Word,
+    _product_letters,
     ball,
     conjugate,
     free_basis_decomposition,
     inverse_letters,
     length_lex,
     letter_product,
+    letter_product_pieces,
+    reduce_letters,
 )
-from stationarylab.walks import rng_from_seed
+from stationarylab.walks import (
+    cesaro_measure,
+    measure_convolve_element,
+    rng_from_seed,
+    uniform_generator_measure,
+)
 
 from exact import exact, fractions_of
 
@@ -946,3 +958,175 @@ class TestOddMomentKernel:
         for cap, orders in ((21, [1, 2, 3]), (92, [1, 2, 3, 4]), (93, [1, 2, 3, 4, 5])):
             monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
             assert sorted(engine_moments(x, 8)) == orders
+
+
+@st.composite
+def table_pairs(draw):
+    """Two integer tables (re, im) over the words of one rank 1-3, small
+    coefficients so that sums cancel to exact zeros, each im part empty
+    about half the time.  The left table also takes the words r v[:k]^-1,
+    |r| < 2, for some words v of the right one, whose products with v keep
+    one letter of the left word or none."""
+    rank = draw(st.integers(1, 3))
+    letters = st.integers(0, 2 * rank - 1)
+    words = st.lists(letters, max_size=4).map(reduce_letters)
+    coeffs = st.integers(-2, 2).filter(bool)
+
+    def table(extra=()):
+        re = draw(st.dictionaries(words, coeffs, max_size=6))
+        im = draw(st.dictionaries(words, coeffs, max_size=6)) if draw(st.booleans()) else {}
+        for w in extra:
+            re[w] = draw(coeffs)
+        return re, im
+
+    right = table()
+    vs = sorted(right[0].keys() | right[1].keys())
+    cancelling = []
+    if vs:
+        for _ in range(draw(st.integers(0, 4))):
+            v = draw(st.sampled_from(vs))
+            k = draw(st.integers(0, len(v)))
+            r = bytes(draw(st.lists(letters, max_size=1)))
+            cancelling.append(reduce_letters(r + inverse_letters(v[:k])))
+    return table(cancelling), right
+
+
+def adjoint_tables(x):
+    """The integer tables (re, im) of x*, over the denominator of x."""
+    return ({inverse_letters(w): c for w, c in x.re.items()},
+            {inverse_letters(w): -c for w, c in x.im.items()})
+
+
+def touched_words(a, b):
+    """The words u v over u in supp a and v in supp b, of tables (re, im):
+    every such pair is in one of the four partial products of _times."""
+    return {_product_letters(u, v) for u in a[0].keys() | a[1].keys()
+            for v in b[0].keys() | b[1].keys()}
+
+
+class TestProductPieces:
+    @settings(max_examples=300)
+    @given(table_pairs())
+    def test_pieces_equal_the_whole_product(self, pair):
+        a, b = pair
+        products = [(u, v) for u in a for v in b if u and v]
+        keys = []
+        union = [{} for _ in products]
+        for p, pieces in letter_product_pieces(*products):
+            keys.append(p)
+            assert len(pieces) == len(products) and any(pieces)
+            for out, piece in zip(union, pieces):
+                # one piece a value of w[:2], the whole word when shorter
+                assert all(w[:2] == p for w in piece)
+                assert not out.keys() & piece.keys()
+                out.update(piece)
+        assert keys == sorted(set(keys))
+        # the same words, exact zeros too, and the same coefficients
+        assert union == [letter_product(u, v) for u, v in products]
+        assert _square_sum(a, b) == square_trace(_times(a, b))
+
+    def test_pairs_that_cancel_the_left_word_whole_or_to_one_letter(self):
+        # ab B = a and ab Ba = aa keep one letter of ab, ab BA = 1 and
+        # ab BAb = b none: each lands in the piece of its own first letters,
+        # and ab's own piece, where no other pair lands, is not yielded
+        x = {F2.word("ab").letters: 2}
+        y = {F2.word(w).letters: 1 for w in ("B", "Ba", "BA", "BAb")}
+        whole = letter_product(x, y)
+        assert sorted(whole) == sorted(F2.word(w).letters for w in ("1", "a", "aa", "b"))
+        assert [(p, piece) for p, (piece,) in letter_product_pieces((x, y))] == [
+            (w, {w: 2}) for w in sorted(whole)]
+        # with the identity and a beside ab, the pieces still make up x y
+        x.update({b"": 1, F2.word("a").letters: -1})
+        whole = letter_product(x, y)
+        assert {p: piece for p, (piece,) in letter_product_pieces((x, y))} == {
+            p: {w: c for w, c in whole.items() if w[:2] == p} for p in {w[:2] for w in whole}}
+
+    def test_cap_binds_exactly_when_it_binds_on_times(self, monkeypatch):
+        # y = x*x, summed at n_moments 1, and y y, formed by _times at
+        # n_moments 3.  At touched - 1 the kernel and _times both raise on
+        # either, and at touched neither does; the engine stops there too,
+        # unless an earlier step binds first
+        elements = non_radial_elements(rng_from_seed(46)) + [
+            AlgebraElement({F2.identity: 1, F2.word("a"): 1, F2.word("b"): 1j}, 2),
+            AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)]
+        engine_checked = {1: 0, 3: 0}
+        for x in elements:
+            adjoint = adjoint_tables(x)
+            first = touched_words(adjoint, (x.re, x.im))
+            y = _times(adjoint, (x.re, x.im))
+            # odd-moment lookups: the words g != e of y with g <= g^-1, times |supp y|
+            supp_y = y[0].keys() | y[1].keys()
+            lookups = sum(1 for g in supp_y if g and g <= inverse_letters(g)) * len(supp_y)
+            for n, (a, b) in ((1, (adjoint, (x.re, x.im))), (3, (y, y))):
+                touched = len(touched_words(a, b))
+                for cap in (touched - 1, touched):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(freegroup, "SUPPORT_CAP", cap)
+                        for product in (_times, _square_sum):
+                            if cap < touched:
+                                with pytest.raises(ResourceLimitError):
+                                    product(a, b)
+                            else:
+                                product(a, b)
+                        if n == 1 and cap < touched:
+                            with pytest.raises(ResourceLimitError):
+                                norm_lower_bound(x, 1)
+                        elif n == 1:
+                            assert norm_lower_bound(x, 1).order == 1
+                            engine_checked[1] += 1
+                        elif (max(len(first), lookups) < touched
+                              and _radial_profile(y[0], x.rank) is None):
+                            assert (4 in _trace_moments(x, 3)[1]) == (cap >= touched)
+                            engine_checked[3] += 1
+        assert engine_checked[1] == len(elements) and engine_checked[3] > 20
+
+    def test_chord_equals_the_reference_on_summed_squares(self, references):
+        # at n_moments 1 the top order is a summed product, and at 3 a
+        # square of _times; radial elements, which skip the radial path at
+        # n_moments 1, are covered too, with y = x*x checked to be radial
+        F3 = FreeGroupContext(3)
+        radial = [AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2),
+                  AlgebraElement({w: 1 for w in ball(F1, 1)}, 1),
+                  AlgebraElement({w: 1j for w in ball(F3, 1) if len(w)}, 3),
+                  AlgebraElement({w: 1 if len(w) else 2 for w in ball(F2, 1)}, 2)]
+        for x in radial:
+            y = _times(adjoint_tables(x), (x.re, x.im))
+            assert not y[1] and _radial_profile(y[0], x.rank) is not None
+        cases = list(references) + [(x, word_table_moment_engine(x)) for x in radial]
+        for x, reference in cases:
+            for n in (1, 3):
+                moments = reference_moments(reference, n, 5000)
+                assert sorted(moments) == list(ENGINE_ORDERS[n])
+                assert norm_lower_bound(x, n) == reference_chord(moments)
+
+
+def reference_chord(moments):
+    """The largest float r with r^2 <= (tau0(y^b) / tau0(y^a))^(1/(b-a)) at
+    the two highest orders a < b of the moments, compared in Fractions."""
+    a, b = sorted(moments)[-2:]
+    r = float(moments[b] / moments[a]) ** (1 / (2 * (b - a)))
+    while not chord_certifies(r, moments, a, b):
+        r = math.nextafter(r, 0)
+    while chord_certifies(math.nextafter(r, math.inf), moments, a, b):
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+def test_summed_square_holds_a_piece_not_the_table():
+    # b5 = mu_5 * lambda_ab - tau0(lambda_ab) for the Cesaro average mu_5 of
+    # the simple walk: 108 terms, whose y = b5* b5 touches 11,517 words.  At
+    # n_moments 1 the bound reads y only as sums, piece by piece
+    a = AlgebraElement.delta(F2.word("ab"))
+    b5 = _centered(measure_convolve_element(cesaro_measure(uniform_generator_measure(2), 5), a))
+    assert (len(b5.re), len(b5.im)) == (108, 0)
+    adjoint = {inverse_letters(w): c for w, c in b5.re.items()}
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: norm_lower_bound(b5, 1)) < peak(lambda: letter_product(adjoint, b5.re)) / 4
