@@ -113,7 +113,8 @@ class CylinderMeasure:
         return [(_word(w, self.rank), m) for w, m in length_lex(self.masses)]
 
     def top_mass(self) -> float:
-        return max(float(self._mass(w)) for w in ball_letters(self.rank, 1) if w)
+        """The largest mass of the 2k one-letter cylinders, as a float."""
+        return max([float(self._mass(bytes((c,)))) for c in range(2 * self.rank)])
 
     def __repr__(self) -> str:
         return (

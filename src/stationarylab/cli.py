@@ -374,13 +374,13 @@ def _run_pdf_check(cfg: dict):
     phi_rows = []
     passed = True
     for mi in range(cfg["measures"]):
-        picks = rng.integers(0, len(roots), size=sample_size)
-        subs = [CyclicSubgroup(roots[int(i)]) for i in picks]
+        picks = rng.integers(0, len(roots), size=sample_size).tolist()
+        subs = [CyclicSubgroup(roots[i]) for i in picks]
         phi = pdf_from_subgroup_sample(subs, [Fraction(1, sample_size)] * sample_size, radius)
         tuples = []
         for _ in range(cfg["tuples"]):
-            idx = rng.integers(0, len(tuple_pool), size=tuple_len)
-            tuples.append([tuple_pool[int(i)] for i in idx])
+            idx = rng.integers(0, len(tuple_pool), size=tuple_len).tolist()
+            tuples.append([tuple_pool[i] for i in idx])
         rep = psd_check(phi, tuples)
         passed = passed and rep.passed
         for ti, eig in enumerate(rep.min_eigenvalues):

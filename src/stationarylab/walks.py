@@ -264,7 +264,9 @@ class PathSample:
 
 def sample_increments(mu: GroupMeasure, length: int, seed: int) -> tuple[Word, ...]:
     """Draw i.i.d. increments from mu by inverse-CDF over the support in
-    length-lex order, using the Philox generator keyed by the seed."""
+    length-lex order, using the Philox generator keyed by the seed.  The
+    draws' atom numbers come back from numpy as one Python list (`tolist`),
+    so each draw is a plain list lookup, not a numpy-scalar `int()`."""
     import numpy as np
 
     if length < 0:
@@ -274,8 +276,8 @@ def sample_increments(mu: GroupMeasure, length: int, seed: int) -> tuple[Word, .
     cdf[-1] = 1.0
     rng = rng_from_seed(seed)
     draws = rng.random(length)
-    idx = np.searchsorted(cdf, draws, side="right")
-    return tuple(atoms[int(i)][0] for i in idx)
+    idx = np.searchsorted(cdf, draws, side="right").tolist()
+    return tuple([atoms[i][0] for i in idx])
 
 
 def sample_path(mu: GroupMeasure, length: int, seed: int) -> PathSample:

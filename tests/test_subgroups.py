@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stationarylab import freegroup
 from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import (
     ContextMismatchError,
@@ -16,12 +18,17 @@ from stationarylab.freegroup import (
     FreeGroupContext,
     Word,
     _cyclic_split,
+    _product_letters,
     ball,
     conjugate,
     inverse_letters,
+    length_lex,
 )
 from stationarylab.subgroups import (
+    PSD_EIGENVALUE_TOL,
     CyclicSubgroup,
+    PositiveDefiniteFn,
+    PsdReport,
     SubgroupChain,
     freeness_report,
     pdf_from_subgroup_sample,
@@ -234,6 +241,55 @@ class TestPdf:
         }
 
 
+def gram_loop_reference(phi, tuples):
+    """psd_check as one loop per tuple: every entry of the full Gram matrix
+    from its own product, one eigvalsh call per matrix.  Returns the least
+    eigenvalues, the verdict and the missing words in length-lex order."""
+    values = {w: float(p) for w, p in phi.values.items()}
+    missing = {}
+    eigs = []
+    for tup in tuples:
+        letters = [g.letters for g in tup]
+        invs = [inverse_letters(g) for g in letters]
+        G = np.empty((len(tup), len(tup)))
+        for i, gi in enumerate(letters):
+            for j, gj_inv in enumerate(invs):
+                p = _product_letters(gi, gj_inv)
+                if len(p) > phi.radius:
+                    missing[p] = None
+                else:
+                    G[i, j] = values.get(p, 0.0)
+        if not missing:
+            eigs.append(float(np.linalg.eigvalsh(G)[0]))
+    passed = all(e >= PSD_EIGENVALUE_TOL for e in eigs)
+    return tuple(eigs), passed, [Word(w, phi.rank) for w, _ in length_lex(missing)]
+
+
+def assert_matches_reference(phi, tuples):
+    eigs, passed, missing = gram_loop_reference(phi, tuples)
+    if missing:
+        with pytest.raises(CoverageError) as exc:
+            psd_check(phi, tuples)
+        assert exc.value.missing == missing
+        return
+    rep = psd_check(phi, tuples)
+    # bit for bit: float.hex tells -0.0 from 0.0, as the CSV does
+    assert list(map(float.hex, rep.min_eigenvalues)) == list(map(float.hex, eigs))
+    assert rep.min_eigenvalues == eigs
+    assert rep.passed == passed
+
+
+def sampled_pdf(rng, radius, sample_size=8):
+    roots = list(ball(F2, 3))
+    subs = [CyclicSubgroup(roots[i]) for i in rng.integers(0, len(roots), sample_size).tolist()]
+    return pdf_from_subgroup_sample(subs, [Fraction(1, sample_size)] * sample_size, radius)
+
+
+def drawn_tuples(rng, pool, count, lengths):
+    return [[pool[i] for i in rng.integers(0, len(pool), int(rng.choice(lengths))).tolist()]
+            for _ in range(count)]
+
+
 class TestPsdCheck:
     def test_identity_pdf_gram(self):
         phi = pdf_from_subgroup_sample([CyclicSubgroup(F2.identity)], [1.0], radius=4)
@@ -273,6 +329,94 @@ class TestPsdCheck:
                 idx = rng.integers(0, len(pool), size=5)
                 tuples.append([pool[int(i)] for i in idx])
             assert psd_check(phi, tuples).passed
+
+
+    def test_matches_the_loop_on_tuples_from_a_small_pool(self):
+        rng = rng_from_seed(442231)
+        for radius in (2, 3, 4, 5):
+            pool = list(ball(F2, radius // 2))
+            for _ in range(5):
+                assert_matches_reference(sampled_pdf(rng, radius),
+                                         drawn_tuples(rng, pool, 40, [5]))
+
+    def test_matches_the_loop_on_all_distinct_words(self):
+        rng = rng_from_seed(7)
+        pool = list(ball(F2, 2))
+        for size in (1, 3, 4):
+            order = rng.permutation(len(pool)).tolist()
+            tuples = [[pool[i] for i in order[k : k + size]]
+                      for k in range(0, len(pool) - size + 1, size)]
+            assert_matches_reference(sampled_pdf(rng, 4), tuples)
+
+    def test_matches_the_loop_on_mixed_lengths(self):
+        rng = rng_from_seed(11)
+        pool = list(ball(F2, 2))
+        for _ in range(5):
+            assert_matches_reference(sampled_pdf(rng, 4),
+                                     drawn_tuples(rng, pool, 30, [1, 2, 3, 5, 7]))
+
+    def test_matches_the_loop_on_an_asymmetric_function(self):
+        # phi(g) != phi(g^-1): the pairs (g, h) and (h, g) must stay apart
+        values = {b"": Fraction(1)}
+        for k, w in enumerate(ball(F2, 2)):
+            if w:
+                values[w.letters] = Fraction(k - 8, 17)
+        phi = PositiveDefiniteFn(values, radius=2, rank=2)
+        rng = rng_from_seed(3)
+        pool = list(ball(F2, 1))
+        tuples = drawn_tuples(rng, pool, 50, [2, 3, 4])
+        assert_matches_reference(phi, tuples)
+        assert not psd_check(phi, tuples).passed
+
+    def test_no_tuples(self):
+        phi = indicator(CyclicSubgroup(F2.word("a")), 2)
+        assert_matches_reference(phi, [])
+        assert psd_check(phi, []) == PsdReport(min_eigenvalues=(), passed=True)
+
+    def test_missing_words_match_the_loop(self):
+        rng = rng_from_seed(5)
+        pool = list(ball(F2, 2))
+        for radius in (1, 2, 3):
+            assert_matches_reference(sampled_pdf(rng, radius),
+                                     drawn_tuples(rng, pool, 20, [2, 3]))
+
+    def test_words_that_share_no_tuple_need_no_coverage(self):
+        # a B^-1 = ab passes the radius, but a and B never share a tuple
+        phi = indicator(CyclicSubgroup(F2.word("a")), 1)
+        rep = psd_check(phi, [[F2.word("a")], [F2.word("B")], [F2.word("a"), F2.identity]])
+        assert rep.min_eigenvalues[:2] == (1.0, 1.0)
+        with pytest.raises(CoverageError) as exc:
+            psd_check(phi, [[F2.word("a")], [F2.word("a"), F2.word("B")]])
+        assert exc.value.missing == [F2.word("ab"), F2.word("BA")]
+
+    def test_an_empty_tuple_is_malformed(self):
+        phi = indicator(CyclicSubgroup(F2.word("a")), 2)
+        for tuples, t in (([[]], 0), ([[F2.word("a")], [F2.word("b")], []], 2)):
+            with pytest.raises(MalformedInputError, match=f"tuple {t} is empty"):
+                psd_check(phi, tuples)
+
+    @pytest.mark.parametrize("cap", [1, 24, 25, 60, 130])
+    def test_stacks_split_at_the_cap(self, monkeypatch, cap):
+        rng = rng_from_seed(19)
+        phi = sampled_pdf(rng, 4)
+        tuples = drawn_tuples(rng, list(ball(F2, 2)), 23, [5])
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a):
+            stacks.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", cap)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        rep = psd_check(phi, tuples)
+        monkeypatch.undo()
+        # each stack holds at most cap entries, and one matrix at least
+        per_stack = max(1, cap // 25)
+        assert stacks == [(per_stack, 5, 5)] * (23 // per_stack) + (
+            [(23 % per_stack, 5, 5)] if 23 % per_stack else [])
+        assert_matches_reference(phi, tuples)
+        assert rep == psd_check(phi, tuples)
 
 
 class TestEscape:
