@@ -34,7 +34,6 @@ from math import gcd, inf, isqrt, lcm, ldexp, log2, nextafter
 from sys import float_info
 from typing import Iterable, Iterator, Mapping
 
-from . import freegroup
 from .errors import (
     ContextMismatchError,
     MalformedInputError,
@@ -325,22 +324,20 @@ def _odd_moment(y: tuple[dict, dict], z: tuple[dict, dict], zz_trace: int) -> in
     zz_trace; at g != e, (Z Z)(g^-1) = sum over u of Z(u) Z(u^-1 g^-1) is
     read by lookups.  The terms at g and g^-1 are complex conjugates, so
     only the words e != g <= g^-1 are read, each counted twice, and of
-    Y(g) (Z Z)(g^-1) only the real part is summed.  Each of the four real
-    part-products runs only where both of its tables are nonempty.
+    Y(g) (Z Z)(g^-1) only the real part is summed, from the signed partial
+    products of Z Z that _partial_products gives _times.
     ResourceLimitError, before the first lookup, when the read words times
     |supp Z| pass freegroup.SUPPORT_CAP."""
-    (y_re, y_im), (z_re, z_im) = y, z
+    y_re, y_im = y
     reads = [g for g in y_re.keys() | y_im.keys() if g and g <= inverse_letters(g)]
-    cap = freegroup.SUPPORT_CAP
-    if len(reads) * (len(z_re) + sum(w not in z_re for w in z_im)) > cap:
-        raise ResourceLimitError("odd-moment lookups exceed the cap", cap)
+    _check_support(len(reads) * _union_size(*z), "odd-moment lookups exceed the cap")
     # (g^-1, twice the part of Y(g))
     k_re = [(inverse_letters(g), 2 * y_re[g]) for g in reads if g in y_re]
     k_im = [(inverse_letters(g), 2 * y_im[g]) for g in reads if g in y_im]
 
     def part(a: dict, b: dict, ks: list) -> int:
         # sum over (h, k) in ks of k (a b)(h)
-        if not (a and b and ks):
+        if not ks:
             return 0
         get = b.get
         total = 0
@@ -356,10 +353,11 @@ def _odd_moment(y: tuple[dict, dict], z: tuple[dict, dict], zz_trace: int) -> in
             total += c * s
         return total
 
-    # Re(Y(g) W(h)) = Y_re W_re - Y_im W_im, with W = Z Z:
-    # W_re = Z_re Z_re - Z_im Z_im and W_im = Z_re Z_im + Z_im Z_re
-    return (y_re.get(b"", 0) * zz_trace + part(z_re, z_re, k_re) - part(z_im, z_im, k_re)
-            - part(z_re, z_im, k_im) - part(z_im, z_re, k_im))
+    # Re(Y(g) W(h)) = Y_re W_re - Y_im W_im, with W = Z Z: W_re the partial
+    # products of part 0, W_im those of part 1
+    return y_re.get(b"", 0) * zz_trace + sum(
+        sign * part(a, b, k_re) if i == 0 else -sign * part(a, b, k_im)
+        for i, sign, a, b in _partial_products(z, z))
 
 
 def _trace_moments(x: AlgebraElement, n_moments: int):

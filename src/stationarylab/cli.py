@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-from . import __version__, freegroup
+from . import __version__
 from .algebra import AlgebraElement, _float_down, certify_norm
 from .boundary import (
     boundary_map,
@@ -46,7 +46,7 @@ from .errors import (
     UnresolvedBoundaryError,
 )
 from .freegroup import MAX_STRING_RANK, FiniteQuotient, FreeGroupContext, _check_ball, ball
-from .freegroup import word_from_str
+from .freegroup import _check_support, word_from_str
 from .serialize import (
     cylinder_csv_rows,
     element_from_json,
@@ -364,9 +364,7 @@ def _run_pdf_check(cfg: dict):
     # the dump reads phi over the ball of the radius, and each Gram matrix
     # holds tuple_len^2 entries: their caps bind before any work
     _check_ball(ctx.rank, radius)
-    if tuple_len * tuple_len > freegroup.SUPPORT_CAP:
-        raise ResourceLimitError("pdf-check: Gram matrix entries exceed the cap",
-                                 freegroup.SUPPORT_CAP)
+    _check_support(tuple_len * tuple_len, "pdf-check: Gram matrix entries exceed the cap")
     roots = [w for w in ball(ctx, 3)]
     tuple_pool = [w for w in ball(ctx, radius // 2)]
     rng = rng_from_seed(cfg["seed"])
@@ -377,11 +375,8 @@ def _run_pdf_check(cfg: dict):
         picks = rng.integers(0, len(roots), size=sample_size).tolist()
         subs = [CyclicSubgroup(roots[i]) for i in picks]
         phi = pdf_from_subgroup_sample(subs, [Fraction(1, sample_size)] * sample_size, radius)
-        tuples = []
-        for _ in range(cfg["tuples"]):
-            idx = rng.integers(0, len(tuple_pool), size=tuple_len).tolist()
-            tuples.append([tuple_pool[i] for i in idx])
-        rep = psd_check(phi, tuples)
+        draws = rng.integers(0, len(tuple_pool), size=(cfg["tuples"], tuple_len)).tolist()
+        rep = psd_check(phi, [[tuple_pool[i] for i in idx] for idx in draws])
         passed = passed and rep.passed
         for ti, eig in enumerate(rep.min_eigenvalues):
             rows.append([mi, ti, eig])

@@ -248,10 +248,17 @@ def length_lex(table: Mapping[bytes, T]) -> list[tuple[bytes, T]]:
     return [(w, table[w]) for w in keys]
 
 
-def _check_support(size: int) -> None:
-    """ResourceLimitError if a product's size in words passes SUPPORT_CAP."""
-    if size > SUPPORT_CAP:
-        raise ResourceLimitError("convolution support exceeds the cap", SUPPORT_CAP)
+def _check_support(count: int, message: str = "convolution support exceeds the cap") -> None:
+    """ResourceLimitError(message, SUPPORT_CAP) if count passes SUPPORT_CAP.
+
+    The one place a count meets the cap: a product's words, the index pairs
+    of a regular representation or of fdstates, odd-moment lookups, the
+    generation test's saturation work, the Cesaro support and pdf-check's
+    Gram entries.  A product's words are checked as they grow; every other
+    count before its work starts.
+    """
+    if count > SUPPORT_CAP:
+        raise ResourceLimitError(message, SUPPORT_CAP)
 
 
 def letter_product(x: Mapping[bytes, T], y: Mapping[bytes, T]) -> dict[bytes, T]:
@@ -464,10 +471,8 @@ class FiniteQuotient:
                     h = tuple(p[k] for k in g)  # (p o g)(k) = p(g(k))
                     if h not in elems:
                         elems.add(h)
-                        if len(elems) ** 2 > SUPPORT_CAP:
-                            raise ResourceLimitError(
-                                "regular representation: index pairs exceed the cap", SUPPORT_CAP
-                            )
+                        _check_support(len(elems) ** 2,
+                                       "regular representation: index pairs exceed the cap")
                         nxt.append(h)
             frontier = nxt
         order = sorted(elems)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
 
-from . import freegroup
 from .algebra import (
     AlgebraElement,
     _centered,
@@ -37,7 +36,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .freegroup import FiniteQuotient, FreeGroupContext, Word, ball
+from .freegroup import FiniteQuotient, FreeGroupContext, Word, _check_support, ball
 from .freegroup import _product_letters, _word
 from .walks import (
     GroupMeasure,
@@ -230,7 +229,7 @@ def _random_tuples(rank: int, budget: int, seed: int):
     for trial in range(budget):
         n = 2 ** min(trial // 4 + 1, 6)
         picks = rng.integers(0, len(pool), size=n)
-        yield tuple(pool[int(i)] for i in picks), n
+        yield tuple(pool[i] for i in picks.tolist()), n
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +444,7 @@ def finite_dim_stationary_states(rep: FiniteQuotient, mu: GroupMeasure) -> list[
     if mu.rank != rep.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {rep.rank}")
     m = rep.dim
-    if m * m > freegroup.SUPPORT_CAP:
-        raise ResourceLimitError("fdstates: index pairs exceed the cap", freegroup.SUPPORT_CAP)
+    _check_support(m * m, "fdstates: index pairs exceed the cap")
     label, orbits = _pair_orbits([rep.evaluate(g) for g, p in mu.atoms() if p], m)
     # I/m stays implicit in `diagonal`: each state stores only its orbit's
     # entries (and their transposes), at most 2 m^2 entries in all

@@ -23,15 +23,13 @@ from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import freegroup
 from .algebra import AlgebraElement, _conjugation_sum
 from .errors import (
     ContextMismatchError,
     MalformedInputError,
     PreconditionError,
-    ResourceLimitError,
 )
-from .freegroup import FreeGroupContext, Word, length_lex, letter_product
+from .freegroup import FreeGroupContext, Word, _check_support, length_lex, letter_product
 from .freegroup import _product_letters, _word
 
 if TYPE_CHECKING:
@@ -131,9 +129,8 @@ class GroupMeasure:
         def accepted() -> bool:
             return all(read(c, 1) & 1 for c in letters)
 
-        if not accepted() and len(letters) * n**3 > freegroup.SUPPORT_CAP:
-            raise ResourceLimitError("generation test: saturation work exceeds the cap",
-                                     freegroup.SUPPORT_CAP)
+        if not accepted():
+            _check_support(len(letters) * n**3, "generation test: saturation work exceeds the cap")
         changed = True
         while changed and not accepted():
             changed = False
@@ -234,8 +231,7 @@ def cesaro_measure(mu: GroupMeasure, n: int) -> GroupMeasure:
             power = convolve_measures(power, mu)
         for w, p in power.masses.items():
             acc[w] = acc.get(w, 0) + p
-        if len(acc) > freegroup.SUPPORT_CAP:
-            raise ResourceLimitError("Cesaro support exceeds the cap", freegroup.SUPPORT_CAP)
+        _check_support(len(acc), "Cesaro support exceeds the cap")
     inv_n = Fraction(1, n)
     return _measure({w: p * inv_n for w, p in acc.items()}, mu.rank)
 

@@ -1,5 +1,7 @@
+import ast
 from collections import deque
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -563,3 +565,22 @@ class TestFoldAgainstReference:
                     bw = dec.basis[abs(s) - 1]
                     out = out * (bw if s > 0 else bw.inverse())
                 assert out == w
+
+
+def test_resource_limit_errors_are_raised_by_the_two_cap_checks():
+    # every refusal past SUPPORT_CAP goes through _check_support, and every
+    # ball past MAX_BALL_LETTERS through _check_ball
+    raisers = set()
+
+    def visit(node, function):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "ResourceLimitError"):
+            raisers.add(function)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = f"{function}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    for path in sorted(Path(freegroup.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert raisers == {"freegroup._check_support", "freegroup._check_ball"}

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stationarylab import cli, freegroup
+from stationarylab.algebra import AlgebraElement, _odd_moment, convolve
 from stationarylab.cli import EXPERIMENTS, ConfigError, config_hash, main, run, verify
-from stationarylab.errors import MalformedInputError
-from stationarylab.freegroup import FreeGroupContext
+from stationarylab.errors import MalformedInputError, ResourceLimitError
+from stationarylab.freegroup import FiniteQuotient, FreeGroupContext
 from stationarylab.serialize import element_from_json, measure_from_json, measure_to_json
-from stationarylab.walks import uniform_generator_measure
+from stationarylab.states import finite_dim_stationary_states
+from stationarylab.walks import cesaro_measure, rng_from_seed, uniform_generator_measure
 
 from exact import exact
 
@@ -584,6 +586,109 @@ def test_boundary_solve_working_ball_past_the_cap_exits_4_at_once(tmp_path, caps
     _assert_one_error_line(err, "the solver works on the ball of radius depth + 2L = 12 "
                                 "(depth 8, L 2); the ball of radius 12 in rank 2 is too "
                                 "large (cap: ")
+
+
+def _odd_moment_lookups():
+    # y reads a and b (of a, A, b, B one word of each pair g, g^-1), z has 5
+    # words: 2 x 5 = 10 lookups
+    a, A, b, B = (F2.word(w).letters for w in ("a", "A", "b", "B"))
+    y = ({b"": 2, a: 1, A: 1, b: 1, B: 1}, {})
+    return _odd_moment(y, y, 8)
+
+
+def _law_file(tmp_path, words) -> str:
+    law = tmp_path / "mu.json"
+    law.write_text(json.dumps({"context": 2, "atoms": [
+        {"word": w, "p": f"1/{len(words)}"} for w in words]}))
+    return str(law)
+
+
+def _config_file(tmp_path, cfg) -> str:
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+THREE_POINTS = {"perms": [[1, 0, 2], [0, 2, 1]]}
+GENERATING_LAW = ("a", "A", "B", "ab")
+
+# Every SUPPORT_CAP refusal: (how to reach it, the count it refuses past
+# the cap, its message, the CLI arguments that reach it or None when the
+# CLI catches it: the Cesaro support and the odd-moment lookups end a
+# cesaro run's rows or a bracket's moments instead)
+CAP_REFUSALS = {
+    # (a + b)(a + b) has the 4 words aa, ab, ba, bb
+    "convolution": (
+        lambda tmp: convolve(*[AlgebraElement({F2.word("a"): 1, F2.word("b"): 1}, 2)] * 2),
+        4, "convolution support exceeds the cap",
+        lambda tmp: ["build-mu", "--family", "ball1", "--levels", "2"]),
+    # S3 has 6 elements: 36 index pairs
+    "regular-representation": (
+        lambda tmp: FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)]),
+        36, "regular representation: index pairs exceed the cap",
+        lambda tmp: ["fdstates", "--rep", "s3-regular"]),
+    "odd-moment": (lambda tmp: _odd_moment_lookups(), 10, "odd-moment lookups exceed the cap",
+                   None),
+    # 2 states (the hub and one inside ab) and 4 letters: 4 x 2^3 bit operations
+    "generation-test": (
+        lambda tmp: measure_from_json({"context": 2, "atoms": [
+            {"word": w, "p": "1/4"} for w in GENERATING_LAW]}).is_generating(),
+        32, "generation test: saturation work exceeds the cap",
+        lambda tmp: ["boundary-solve", "--depth", "2", "--mu", _law_file(tmp, GENERATING_LAW)]),
+    # e, a, A, b and B
+    "cesaro": (lambda tmp: cesaro_measure(uniform_generator_measure(2), 2), 5,
+               "Cesaro support exceeds the cap", None),
+    "fdstates": (
+        lambda tmp: finite_dim_stationary_states(FiniteQuotient(2, THREE_POINTS["perms"]),
+                                                 uniform_generator_measure(2)),
+        9, "fdstates: index pairs exceed the cap",
+        lambda tmp: ["fdstates", "--config", _config_file(tmp, {"rep": THREE_POINTS})]),
+    "pdf-check": (
+        lambda tmp: run({"experiment": "pdf-check", "measures": 1, "tuples": 1, "seed": 1,
+                         "tuple_len": 3}, tmp / "run"),
+        9, "pdf-check: Gram matrix entries exceed the cap",
+        lambda tmp: ["pdf-check", "--measures", "1", "--tuples", "1", "--seed", "1",
+                     "--tuple-len", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", CAP_REFUSALS)
+def test_every_support_cap_refusal_names_its_count(case, tmp_path, monkeypatch, capsys):
+    refuse, count, message, cli_args = CAP_REFUSALS[case]
+    monkeypatch.setattr(freegroup, "SUPPORT_CAP", count - 1)
+    with pytest.raises(ResourceLimitError) as info:
+        refuse(tmp_path)
+    assert str(info.value) == f"{message} (cap: {count - 1})"
+    assert info.value.cap == count - 1
+    if cli_args is not None:
+        rc, err = _main(cli_args(tmp_path) + ["--out-dir", str(tmp_path / "o")], capsys)
+        assert rc == 4
+        _assert_one_error_line(err, f"error: {message} (cap: {count - 1})")
+    monkeypatch.setattr(freegroup, "SUPPORT_CAP", count)
+    refuse(tmp_path)
+
+
+def test_pdf_check_draws_a_measure_s_tuples_at_once():
+    # a reference copy of one integers call per tuple, against pdf-check's one
+    # call per measure: the same words, and the generator left where the next
+    # measure's root picks start (Philox keeps its spare 32-bit half in its state)
+    def per_tuple(rng, pool, tuples, tuple_len):
+        return [[pool[i] for i in rng.integers(0, len(pool), size=tuple_len).tolist()]
+                for _ in range(tuples)]
+
+    def per_measure(rng, pool, tuples, tuple_len):
+        draws = rng.integers(0, len(pool), size=(tuples, tuple_len)).tolist()
+        return [[pool[i] for i in idx] for idx in draws]
+
+    for seed in (0, 3, 442231):
+        for size in range(1, 201):
+            pool = [f"w{i}" for i in range(size)]
+            for tuple_len in range(1, 8):
+                tuples = (seed + size + tuple_len) % 6
+                old, new = rng_from_seed(seed, size, tuple_len), rng_from_seed(seed, size, tuple_len)
+                assert per_tuple(old, pool, tuples, tuple_len) == per_measure(new, pool, tuples,
+                                                                              tuple_len)
+                assert old.integers(0, 17, size=8).tolist() == new.integers(0, 17, size=8).tolist()
 
 
 @pytest.mark.parametrize("gens",["ball0", ["1"]], ids=["ball0", "identity-list"])
