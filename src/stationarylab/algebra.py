@@ -42,6 +42,7 @@ from .errors import (
 )
 from .freegroup import (
     Word,
+    _check_rank,
     _check_support,
     _product_letters,
     _sphere_size,
@@ -82,6 +83,7 @@ class AlgebraElement:
     __slots__ = ("re", "im", "den", "rank")
 
     def __init__(self, coeffs: Mapping[Word, object], rank: int):
+        _check_rank(rank)
         parts = {}
         for w, c in coeffs.items():
             if w.rank != rank:
@@ -607,7 +609,7 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     it generates, which holds when the rank the fold gives equals its size;
     failing both, the layer inequality after rewriting the support over a
     free basis of that subgroup (isometric inclusion of reduced subgroup
-    algebras), the one candidate that has the basis read off the folded
+    algebras), the one candidate that reads word lengths off the folded
     graph.  The candidates are compared exactly, and the least is rounded up
     to the result, an UpperBound whose `method` names it ("zero" for x = 0).
     MalformedInputError if ||x||_1^2 passes the largest float.
@@ -637,8 +639,7 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
                 # the support freely generates: it is itself a free basis
                 candidates.append((free_family, "free-support"))
             else:
-                lens = [len(rw) for rw in dec.rewritten]
-                sub = c_e + _layer_bound(zip(lens, (s for _, s in rest)))
+                sub = c_e + _layer_bound(zip(dec.rewritten_lengths, (s for _, s in rest)))
                 candidates.append((sub, "subgroup-layers"))
     bound, tag = min(candidates, key=lambda p: p[0])
     return UpperBound(_float_up(Fraction(bound, x.den << _SQRT_BITS)), tag)

@@ -567,15 +567,13 @@ def boundary_map(omega: PathSample) -> BoundaryPoint:
 # ---------------------------------------------------------------------------
 
 
-def fix_mass(g: Word, nu: CylinderMeasure, depth: int | None = None) -> float:
+def fix_mass(g: Word, nu: CylinderMeasure, depth: int) -> float:
     """Upper bound nu(Fix(g)) <= nu[axis of g] + nu[axis of g^-1] at the
-    stored (or requested) depth, summed exactly and rounded up to a float.
-    Fix(g) is the two-point set of endpoints of the axis of g, so nested
-    cylinder masses certify it."""
+    given depth, summed exactly and rounded up to a float.  Fix(g) is the
+    two-point set of endpoints of the axis of g, so nested cylinder masses
+    certify it."""
     if g.is_identity():
         raise UndefinedAxisError("the identity fixes every point")
-    if depth is None:
-        depth = nu.depth
     plus = nu.mass(axis_prefix(g, depth))
     minus = nu.mass(axis_prefix(g.inverse(), depth))
     return _float_up(Fraction(plus) + Fraction(minus))

@@ -231,14 +231,19 @@ def _validate(config: dict, keys: tuple[Key, ...]) -> dict:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write `text` to `path` through a temporary file in its directory,
+    which no error leaves behind; an OSError is a config error at --out-dir."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError("--out-dir", f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 

@@ -430,11 +430,13 @@ class FiniteQuotient:
 
     `perms[i]` is the image of generator i + 1: a permutation p of range(m)
     that sends point j to p[j], so the generator's matrix U has U e_j = e_p[j].
-    Raises MalformedInputError, naming the generator, on an image that is not
-    a list or tuple of ints forming a permutation of one range(m), m >= 1.
+    Raises MalformedInputError on a rank outside 1..MAX_RANK and, naming the
+    generator, on an image that is not a list or tuple of ints forming a
+    permutation of one range(m), m >= 1.
     """
 
     def __init__(self, rank: int, perms: Sequence[Sequence[int]]):
+        _check_rank(rank)
         if len(perms) != rank:
             raise MalformedInputError(f"need {rank} generator images, got {len(perms)}")
         m = len(perms[0]) if perms and isinstance(perms[0], (list, tuple)) else 0
@@ -502,15 +504,13 @@ class FiniteQuotient:
 
 
 class FreeBasisDecomposition:
-    """The folded graph of the subgroup generated by `words`: its rank, and a
-    free basis with rewrites read off it on demand.
+    """The folded graph of the subgroup generated by `words`: its rank, and
+    the length of each word over a free basis, read off it on demand.
 
     rank: E - V + 1 of the folded graph, the rank of the subgroup; set by
           the fold, so it costs no readout.
-    basis: one reduced ambient word per basis element (rank of them).
-    rewritten: for each input word, its reduced expression over the basis
-               (tuple of signed 1-based basis indices).
-    basis and rewritten are read off the graph together on first access.
+    rewritten_lengths: for each input word, its length over the free basis
+                       of non-tree edges; read off the graph on first access.
     """
 
     def __init__(self, words: list[Word], rank: int, adj: list[dict[int, int]],
@@ -520,83 +520,53 @@ class FreeBasisDecomposition:
         self._adj = adj
         self._find = find
 
-    @property
-    def basis(self) -> list[Word]:
-        return self._readout[0]
-
-    @property
-    def rewritten(self) -> list[tuple[int, ...]]:
-        return self._readout[1]
-
     @cached_property
-    def _readout(self) -> tuple[list[Word], list[tuple[int, ...]]]:
-        """A spanning tree by BFS in letter order from the base; its non-tree
-        edges are the basis, and tracing each word through the graph rewrites
-        it.  The BFS order depends on the folded graph only."""
+    def rewritten_lengths(self) -> list[int]:
+        """A spanning tree by BFS in letter order from the base, an order that
+        depends on the folded graph only; each word's length is the number of
+        non-tree edges its loop crosses.  No two crossings cancel: between
+        them the loop would walk a reduced path from a vertex back to it in
+        the tree, so the edge would be crossed and straight back, which a
+        reduced word in a folded graph never does."""
         adj, find = self._adj, self._find
         root = find(0)
         tree = {root: None}  # vertex -> (parent vertex, label read)
-        path = {root: b""}  # vertex -> letters of its tree path from the root
         order = [root]
         for u in order:
             adj[u] = {lab: find(t) for lab, t in sorted(adj[u].items())}
             for lab, v in adj[u].items():
                 if v not in tree:
                     tree[v] = (u, lab)
-                    path[v] = path[u] + bytes((lab,))
                     order.append(v)
-
-        # non-tree edges, one orientation each, in BFS-then-letter order;
-        # step[u][lab] is the signed basis number read along the edge
-        # u -lab-> (absent on tree edges)
-        step: dict[int, dict[int, int]] = {u: {} for u in order}
-        basis_words: list[Word] = []
-        for u in order:
-            for lab, v in adj[u].items():
-                if lab in step[u] or tree[v] == (u, lab) or tree[u] == (v, lab ^ 1):
-                    continue
-                # reduced as written: the graph is folded and the edge is not
-                # a tree edge, so neither junction cancels (and a non-tree
-                # edge exists only when there are words to take the rank from)
-                basis_words.append(_word(
-                    path[u] + bytes((lab,)) + inverse_letters(path[v]), self._words[0].rank))
-                step[u][lab] = len(basis_words)
-                step[v][lab ^ 1] = -len(basis_words)
-
-        rewritten = []
+        lengths = []
         for w in self._words:
-            v = root
-            out: list[int] = []
+            v, n = root, 0
             for c in w.letters:
-                s = step[v].get(c)
-                if s:
-                    if out and out[-1] == -s:
-                        out.pop()
-                    else:
-                        out.append(s)
-                v = adj[v][c]
-            rewritten.append(tuple(out))
-        return basis_words, rewritten
+                t = adj[v][c]
+                n += tree[t] != (v, c) and tree[v] != (t, c ^ 1)
+                v = t
+            lengths.append(n)
+        return lengths
 
 
 def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
     """Fold the wedge of loops spelled by `words`; the result carries the
-    rank of the subgroup they generate and reads a free basis off the folded
-    graph when first asked.
+    rank of the subgroup they generate and, when first asked, the length of
+    each word over a free basis of it.
 
     Every input word is a loop at the base vertex of the folded graph, whose
     rank E - V + 1 is the rank of the subgroup; so the words freely generate
     exactly when the rank equals their number.  The non-tree edges of a
-    spanning tree form a free basis, and tracing each loop through the graph
-    rewrites it over that basis: that readout is built only when `basis` or
-    `rewritten` is read.
+    spanning tree form a free basis, and the length of a word over it is the
+    number of non-tree edges its loop crosses: that readout is made only when
+    `rewritten_lengths` is read.
 
     The graph stays folded after each loop is added: a loop first follows
     existing edges from the base for its longest prefix and, backwards from
     the base, for its longest remaining suffix, so new vertices are made only
     for the middle, and any folds its closing edge forces are made at once.
-    Folding is confluent, so the graph, the rank, the basis and the rewrites
-    do not depend on the order of the words.
+    Folding is confluent, so the graph, the rank and the lengths do not
+    depend on the order of the words.
     """
     words = list(words)
 

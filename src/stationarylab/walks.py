@@ -69,6 +69,8 @@ class GroupMeasure:
     @staticmethod
     def uniform_on(words: Sequence[Word]) -> "GroupMeasure":
         words = list(words)
+        if not words:
+            raise MalformedInputError("a uniform law needs at least one word")
         p = Fraction(1, len(words))
         return GroupMeasure({w: p for w in words}, words[0].rank)
 
@@ -192,8 +194,7 @@ def _fill(mu: GroupMeasure, table: dict[bytes, Fraction], rank: int) -> None:
 
 def uniform_generator_measure(rank: int) -> GroupMeasure:
     """The simple random walk law: uniform on the 2*rank single-letter words."""
-    p = Fraction(1, 2 * rank)
-    return GroupMeasure({s: p for s in FreeGroupContext(rank).generators()}, rank)
+    return GroupMeasure.uniform_on(FreeGroupContext(rank).generators())
 
 
 def convolve_measures(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:

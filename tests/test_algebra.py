@@ -54,6 +54,7 @@ from stationarylab.walks import (
 )
 
 from exact import exact, fractions_of
+from fold import reference_fold
 
 F1 = FreeGroupContext(1)
 F2 = FreeGroupContext(2)
@@ -352,8 +353,9 @@ def root_sum(terms):
 
 def exact_candidates(x):
     """{tag: interval} of every upper-bound candidate, from Fraction
-    coefficients, with the fold always run.  A candidate that does not apply
-    is left out; "free-family" stands for both freeness certificates."""
+    coefficients, with the reference fold always run.  A candidate that does
+    not apply is left out; "free-family" stands for both freeness
+    certificates."""
     squares = {w: re * re + im * im for w, (re, im) in exact(x).items()}
     c_e = squares.get(F2.identity if x.rank == 2 else Word((), x.rank), 0)
     rest = sorted((w for w in squares if w), key=Word.sort_key)
@@ -367,11 +369,10 @@ def exact_candidates(x):
     out = {"l1": root_sum([(1, s) for s in squares.values()]),
            "ambient-layers": root_sum(layers((len(w), s) for w, s in squares.items()))}
     if rest:
-        dec = free_basis_decomposition(rest)
-        if dec.rank == len(rest) or _disjoint_cylinders([w.letters for w in rest]):
+        rank, lens = reference_fold(rest)
+        if rank == len(rest) or _disjoint_cylinders([w.letters for w in rest]):
             out["free-family"] = root_sum([(1, c_e), (2, sum(squares[w] for w in rest))])
-        if dec.rank < len(rest):
-            lens = [len(rw) for rw in dec.rewritten]
+        if rank < len(rest):
             out["subgroup-layers"] = root_sum(
                 [(1, c_e)] + layers(zip(lens, (squares[w] for w in rest))))
     return out
@@ -386,7 +387,8 @@ def assert_rounded_up(bound, interval):
 def upper_bound_oracle(x):
     """(integer, tag) of the least upper-bound candidate, in units of
     1 / (den 2^_SQRT_BITS), from the module's own candidate helpers with the
-    fold always run; on ties the earlier tag, as norm_upper_bound orders them."""
+    reference fold always run; on ties the earlier tag, as norm_upper_bound
+    orders them."""
     squares = {w: x.re.get(w, 0) ** 2 + x.im.get(w, 0) ** 2 for w in x.re.keys() | x.im.keys()}
     rest = [w for w, _ in length_lex(squares) if w]
     c_e = _modulus(x, b"")
@@ -396,11 +398,10 @@ def upper_bound_oracle(x):
     if rest:
         if _disjoint_cylinders(rest):
             candidates.append((free_family, "disjoint-cylinders"))
-        dec = free_basis_decomposition([Word(w, x.rank) for w in rest])
-        if dec.rank == len(rest):
+        rank, lens = reference_fold([Word(w, x.rank) for w in rest])
+        if rank == len(rest):
             candidates.append((free_family, "free-support"))
         else:
-            lens = [len(rw) for rw in dec.rewritten]
             candidates.append(
                 (c_e + _layer_bound(zip(lens, (squares[w] for w in rest))), "subgroup-layers"))
     return min(candidates, key=lambda p: p[0])

@@ -27,6 +27,7 @@ from stationarylab.boundary import (
 )
 from stationarylab.errors import (
     ContextMismatchError,
+    ConvergenceError,
     DepthUnderflowError,
     MalformedInputError,
     PreconditionError,
@@ -273,6 +274,12 @@ class TestSolveStationary:
         sol = solve_stationary(law, depth=1, tol=1.0, max_iter=1)
         assert sol.residual == pytest.approx(stationarity_residual(law, step), abs=1e-15)
         assert sol.residual > stationarity_residual(law, step, depth=1) + 0.01
+
+    def test_no_convergence_carries_the_last_residual(self):
+        law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
+        with pytest.raises(ConvergenceError, match=r"last residual: 5\.813e-02") as info:
+            solve_stationary(law, depth=2, tol=1e-300, max_iter=1)
+        assert 0.0581 < info.value.last_residual < 0.0582
 
     def test_depth_below_one_rejected(self):
         # a depth-0 table is one the public constructor refuses

@@ -1,5 +1,4 @@
 import ast
-from collections import deque
 from itertools import product
 from pathlib import Path
 
@@ -33,6 +32,8 @@ from stationarylab.freegroup import (
     word_from_str,
 )
 from stationarylab.walks import rng_from_seed
+
+from fold import reference_fold
 
 F2 = FreeGroupContext(2)
 F3 = FreeGroupContext(3)
@@ -245,6 +246,14 @@ class TestFiniteQuotient:
         a, b = self.Q.perms
         assert self.Q.evaluate(F2.word("ab")) == tuple(a[b[j]] for j in range(3))
 
+    def test_rank_zero_is_malformed(self):
+        with pytest.raises(MalformedInputError, match="rank must be in 1.."):
+            FiniteQuotient(0, [])
+
+    def test_regular_rank_zero_is_malformed(self):
+        with pytest.raises(MalformedInputError, match="rank must be in 1.."):
+            FiniteQuotient.regular_from_permutations(0, [])
+
     def test_regular_representation_dimension(self):
         q = FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)])
         assert q.dim == 6
@@ -284,27 +293,23 @@ class TestFreeBasis:
         a, b = F2.word("a"), F2.word("b")
         fam = [conjugate(a, b**k) for k in range(1, 9)]
         dec = free_basis_decomposition(fam)
-        assert len(dec.basis) == 8
-        assert all(len(r) == 1 for r in dec.rewritten)
+        assert dec.rank == 8
+        assert dec.rewritten_lengths == [1] * 8 == reference_fold(fam)[1]
 
-    def test_rewrite_reconstructs_words(self):
+    def test_lengths_over_the_ambient_generators(self):
+        # with a and b in the family the folded graph is the rose: one vertex,
+        # no tree edge, so each word's length over the basis is its own length
         rng = rng_from_seed(18)
         for _ in range(30):
             words = [random_word(rng, 2, int(rng.integers(1, 8))) for _ in range(5)]
-            words = [w for w in words if not w.is_identity()]
-            if not words:
-                continue
+            words = [F2.word("a"), F2.word("b")] + [w for w in words if not w.is_identity()]
             dec = free_basis_decomposition(words)
-            for w, rw in zip(words, dec.rewritten):
-                out = F2.identity
-                for s in rw:
-                    bw = dec.basis[abs(s) - 1]
-                    out = out * (bw if s > 0 else bw.inverse())
-                assert out == w
+            assert dec.rank == 2
+            assert dec.rewritten_lengths == [len(w) for w in words] == reference_fold(words)[1]
 
     def test_ambient_generators(self):
         dec = free_basis_decomposition([F2.word(s) for s in ("a", "b")])
-        assert sorted(str(w) for w in dec.basis) == ["a", "b"]
+        assert (dec.rank, dec.rewritten_lengths) == (2, [1, 1])
 
 
 class TestWordKernel:
@@ -456,82 +461,6 @@ def test_sphere_size_counts_each_layer_of_the_ball(rank):
     assert [_sphere_size(rank, n) for n in range(7)] == layers
 
 
-def reference_fold(words):
-    """Stallings fold of the whole wedge of loops at once, read off with a
-    spanning tree by BFS in letter order from the base.
-
-    Returns the basis size and the length of each word rewritten over the
-    non-tree edges.
-    """
-    parent, adj = [], []
-
-    def new_vertex():
-        parent.append(len(parent))
-        adj.append({})
-        return len(parent) - 1
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def inv(c):
-        return inverse_letters(bytes((c,)))[0]
-
-    base = new_vertex()
-    pending = deque()
-    for w in words:
-        prev = base
-        for j, c in enumerate(w.letters):
-            nxt = base if j == len(w) - 1 else new_vertex()
-            pending.append((prev, c, nxt))
-            prev = nxt
-    while pending:
-        u, c, v = pending.popleft()
-        u, v = find(u), find(v)
-        cur = adj[u].get(c)
-        if cur is None:
-            adj[u][c] = v
-            pending.append((v, inv(c), u))
-        elif find(cur) != v:
-            x, y = find(cur), v
-            parent[y] = x
-            for lab, t in adj[y].items():
-                pending.append((x, lab, t))
-            adj[y] = {}
-
-    root = find(base)
-    tree = {root: None}
-    queue = deque([root])
-    n_edges = 0
-    while queue:
-        u = queue.popleft()
-        n_edges += len(adj[u])
-        for c in sorted(adj[u]):
-            v = find(adj[u][c])
-            if v not in tree:
-                tree[v] = (u, c)
-                queue.append(v)
-    basis_size = n_edges // 2 - len(tree) + 1
-
-    lengths = []
-    for w in words:
-        v, out = root, []
-        for c in w.letters:
-            t = find(adj[v][c])
-            if tree[t] != (v, c) and tree[v] != (t, inv(c)):
-                # a non-tree edge, named by its orientation-free endpoints
-                edge = min((v, c, t), (t, inv(c), v))
-                step = (edge, edge == (v, c, t))
-                if out and out[-1] == (edge, not step[1]):
-                    out.pop()
-                else:
-                    out.append(step)
-            v = t
-        lengths.append(len(out))
-    return basis_size, lengths
-
-
 class TestFoldAgainstReference:
     def families(self):
         yield []  # rank 0, no basis and no rewrites
@@ -545,26 +474,20 @@ class TestFoldAgainstReference:
             n = int(rng.integers(2, 10))
             yield [w ** (-k) * s * w**k for k in range(1, n + 1)]
 
-    def test_matches_reference_and_rebuilds_words(self):
+    def test_matches_reference(self):
         for words in self.families():
             dec = free_basis_decomposition(words)
             basis_size, lengths = reference_fold(words)
-            # the fold's rank, the reference's and the readout's agree,
-            # on the families with relations too
-            assert dec.rank == basis_size == len(dec.basis)
-            assert [len(rw) for rw in dec.rewritten] == lengths
-            # the folded graph, and so the rank and the readout, ignores the
+            # the fold's rank and the reference's agree, on the families with
+            # relations too, and so do the lengths: the reference cancels a
+            # crossing followed by its reverse, the readout only counts
+            assert dec.rank == basis_size
+            assert dec.rewritten_lengths == lengths
+            # the folded graph, and so the rank and the lengths, ignores the
             # word order
             again = free_basis_decomposition(words[::-1])
             assert again.rank == dec.rank
-            assert again.basis == dec.basis
-            assert again.rewritten == dec.rewritten[::-1]
-            for w, rw in zip(words, dec.rewritten):
-                out = F2.identity
-                for s in rw:
-                    bw = dec.basis[abs(s) - 1]
-                    out = out * (bw if s > 0 else bw.inverse())
-                assert out == w
+            assert again.rewritten_lengths == lengths[::-1]
 
 
 def test_resource_limit_errors_are_raised_by_the_two_cap_checks():

@@ -30,6 +30,16 @@ GOLDEN = {
          "cesaro_summary.json":
              "3c8e8f15f490b61e055115fa383bfd1f4f467af11df5f2fa241d202f578f5208"},
     ),
+    # a biased law: the n = 6 upper is subgroup-layers, 0.9544479060487384,
+    # read from the fold's rewritten lengths
+    "cesaro-biased-law": (
+        {"experiment": "cesaro", "rank": 2, "element": "abAB", "n_max": 6,
+         "mu": {"context": 2, "atoms": [{"word": w, "p": p} for w, p in (
+             ("a", "2/5"), ("A", "1/10"), ("b", "3/10"), ("B", "1/5"))]}},
+        {"cesaro.csv": "8dd8d7940ef313ac9e7096eb12c6751a644d0a204fbf0d6568e9b744ffda2fa6",
+         "cesaro_summary.json":
+             "3c8e8f15f490b61e055115fa383bfd1f4f467af11df5f2fa241d202f578f5208"},
+    ),
     "powers": (
         {"experiment": "powers", "rank": 2, "g": "aab", "eps": 1.01,
          "strategy": "geometric", "budget": 4},
@@ -121,6 +131,12 @@ GOLDEN = {
     ),
     "fdstates": (
         {"experiment": "fdstates", "rank": 2},
+        {"fdstates.csv": "d09c4b31cd85f0549d7cfc651f39e22a11b87cf8e5deaadef2bf148c22f84868"},
+    ),
+    # the regular representation from its permutations: the bytes of s3-regular
+    "fdstates-regular-object": (
+        {"experiment": "fdstates", "rank": 2,
+         "rep": {"perms": [[1, 0, 2], [1, 2, 0]], "regular": True}},
         {"fdstates.csv": "d09c4b31cd85f0549d7cfc651f39e22a11b87cf8e5deaadef2bf148c22f84868"},
     ),
     # not transitive: 18 orbits on index pairs, 4 of them on the diagonal

@@ -234,6 +234,19 @@ class TestMainExitCodes:
         _assert_one_error_line(err, "config error at --out-dir: cannot create directory")
         assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
+    @pytest.mark.parametrize("blocked", ["cesaro.csv", "cesaro_summary.json", "manifest.json"])
+    def test_output_that_cannot_be_written_is_2(self, blocked, tmp_path, capsys):
+        # a directory stands where an output goes: the files before it stay,
+        # and no temporary file or manifest is left
+        (tmp_path / blocked).mkdir()
+        rc, err = _main(["cesaro", "--element", "a", "--n-max", "1", "--out-dir", str(tmp_path)],
+                        capsys)
+        assert rc == 2
+        _assert_one_error_line(err, f"config error at --out-dir: cannot write {tmp_path / blocked}")
+        order = ["cesaro.csv", "cesaro_summary.json", "manifest.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == order[:order.index(blocked) + 1]
+        assert not any((tmp_path / blocked).iterdir())
+
     def test_failing_build_level_names_its_closest_tuple(self, tmp_path, capsys):
         # budget 1 tries only n = 1, and one conjugate of lambda_a still has
         # norm 1; ab is the first base that commutes with no word of ball1
@@ -342,6 +355,72 @@ def test_conditional_reads_a_shallow_uniform_measure(tmp_path, capsys):
     assert rc == 0, err
     rows = (tmp_path / "conditional.csv").read_text().splitlines()[2:]
     assert rows[0] == "1,0,0,0.25"
+
+
+def _law(masses):
+    return {"context": 2, "atoms": [{"word": w, "p": p} for w, p in masses.items()]}
+
+
+LENGTH2_LAW = _law({w: "1/4" for w in ("a", "B", "ab", "bA")})
+
+
+def test_solve_that_does_not_converge_is_3(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": "boundary-solve", "depth": 2, "mu": LENGTH2_LAW,
+                               "max_iter": 1, "tol": 1e-300}))
+    rc, err = _main(["boundary-solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
+                    capsys)
+    assert rc == 3
+    _assert_one_error_line(err, "no convergence within 1 iterations (last residual: 5.813e-02)")
+    assert not any((tmp_path / "o").iterdir())
+
+
+def test_element_and_rep_read_from_files(tmp_path, monkeypatch, capsys):
+    element = {"context": 2, "terms": [{"word": "a", "re": 1.0}, {"word": "ab", "re": 0.5},
+                                       {"word": "Ba", "re": 0.3}]}
+    (tmp_path / "x.json").write_text(json.dumps(element))
+    (tmp_path / "rep.json").write_text(json.dumps({"perms": [[1, 0, 2], [1, 2, 0]]}))
+    monkeypatch.chdir(tmp_path)
+    for argv, config in (
+        (["norm", "--element", "x.json", "--n-moments", "4"],
+         {"experiment": "norm", "element": element, "n_moments": 4}),
+        (["fdstates", "--rep", "rep.json"],
+         {"experiment": "fdstates", "rep": {"perms": [[1, 0, 2], [1, 2, 0]]}}),
+    ):
+        out = tmp_path / argv[0]
+        rc, err = _main(argv + ["--out-dir", str(out)], capsys)
+        assert rc == 0, err
+        # the file's object gives the same outputs as the object inline
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == \
+            run(config, tmp_path / f"{argv[0]}-inline").outputs
+
+
+def test_cesaro_reports_null_when_the_generation_test_refuses(tmp_path, monkeypatch, capsys):
+    # the length-2 law is not accepted at once: its saturation needs
+    # 4 * 3^3 = 108 bit operations, past a cap of 100 that its rows fit
+    monkeypatch.setattr(freegroup, "SUPPORT_CAP", 100)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": "cesaro", "element": "a", "n_max": 2,
+                               "mu": LENGTH2_LAW}))
+    rc, err = _main(["cesaro", "--config", str(cfg), "--out-dir", str(tmp_path / "o")], capsys)
+    assert rc == 0, err
+    summary = json.loads((tmp_path / "o" / "cesaro_summary.json").read_text())
+    assert summary == {"generating": None, "partial": False,
+                       "verdict": "not decaying over the last three checkpoints"}
+    assert len((tmp_path / "o" / "cesaro.csv").read_text().splitlines()) == 2 + 2
+
+
+def test_cesaro_under_a_biased_law_reads_subgroup_layers(tmp_path, capsys):
+    # from n = 6 the support of b_n is no free family and the rewritten
+    # lengths give a bound below the l1 norm
+    (tmp_path / "mu.json").write_text(json.dumps(
+        _law({"a": "2/5", "A": "1/10", "b": "3/10", "B": "1/5"})))
+    rc, err = _main(["cesaro", "--element", "abAB", "--n-max", "6", "--mu",
+                     str(tmp_path / "mu.json"), "--out-dir", str(tmp_path / "o")], capsys)
+    assert rc == 0, err
+    rows = [row.split(",") for row in (tmp_path / "o" / "cesaro.csv").read_text().splitlines()[2:]]
+    assert [row[2:] for row in rows[:5]] == [["1.0", "l1"]] * 5
+    assert rows[5][0] == "6" and rows[5][2:] == ["0.9544479060487384", "subgroup-layers"]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stationarylab import freegroup
-from stationarylab.algebra import AlgebraElement, _float_down, norm_upper_bound
+from stationarylab.algebra import AlgebraElement, _float_down, _l1_normalized, norm_upper_bound
 from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import MalformedInputError, PreconditionError, ResourceLimitError
 from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, ball, conjugate
@@ -190,6 +190,15 @@ class TestBuilder:
         huge = AlgebraElement({F2.word("a"): complex(1.7e308, 1.7e308)}, 2)
         with pytest.raises(MalformedInputError, match="squared l1 norm"):
             build_c_star_simple_measure([huge], 1)
+
+    def test_members_are_scaled_to_l1_norm_one(self):
+        # 2 lambda_ab builds exactly what lambda_ab builds
+        ab = F2.word("ab")
+        assert build_c_star_simple_measure([AlgebraElement.delta(ab, 2.0)], 1) == \
+            build_c_star_simple_measure([AlgebraElement.delta(ab)], 1)
+        x = AlgebraElement({F2.word("a"): 3, F2.word("b"): 4j}, 2)
+        assert exact(_l1_normalized(x)) == {F2.word("a"): (Fraction(3, 7), 0),
+                                            F2.word("b"): (0, Fraction(4, 7))}
 
     def test_level_one_single_element(self):
         build = build_c_star_simple_measure([AlgebraElement.delta(F2.word("a"))], 1)

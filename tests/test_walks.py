@@ -177,6 +177,18 @@ class TestWordKeyedConstructors:
         with pytest.raises(ContextMismatchError):
             MU.mass(self.F3.word("a"))
 
+    def test_uniform_law_on_no_words_is_malformed(self):
+        with pytest.raises(MalformedInputError, match="at least one word"):
+            GroupMeasure.uniform_on([])
+
+    def test_simple_walk_of_rank_zero_is_malformed(self):
+        with pytest.raises(MalformedInputError, match="rank must be in 1.."):
+            uniform_generator_measure(0)
+
+    def test_element_of_rank_zero_is_malformed(self):
+        with pytest.raises(MalformedInputError, match="rank must be in 1.."):
+            AlgebraElement({}, 0)
+
     def test_tables_are_keyed_by_letters(self):
         x = AlgebraElement({F2.word("ab"): 2, F2.word("B"): 0.0, F2.identity: 1j}, 2)
         assert (x.re, x.im, x.den) == ({b"\x00\x02": 2}, {b"": 1}, 1)
