@@ -285,12 +285,14 @@ def first_letter_hitting(mu: GroupMeasure) -> dict[Word, float] | None:
     Solves u_s = p_s + u_s sum_{t != s} p_t u_{t^-1} (probability of ever
     hitting the vertex s) by monotone iteration from 0, then
     q_s = p_s (1 - u_{s^-1}) / (1 - sum_t p_t u_{t^-1}).  Returns None when
-    the walk is not certifiably transient (denominator ~ 0) or the support
-    contains longer words.
+    the support holds a longer word or is s, s^-1 at 1/2 each (recurrent: no
+    loop), or the walk is not certifiably transient (denominator ~ 0).
     """
     p = {w: float(m) for w, m in mu.atoms()}
     supp = list(p)
     if any(len(w) != 1 for w in supp):
+        return None
+    if len(supp) == 2 and supp[0] == supp[1].inverse() and mu.mass(supp[0]) == mu.mass(supp[1]):
         return None
     u = {w: 0.0 for w in supp}
     converged = False
@@ -345,7 +347,7 @@ def _compile_gathers(mu: GroupMeasure, W: int) -> list[tuple[float, np.ndarray, 
         return i
 
     gathers = []
-    for g, p in length_lex(mu.masses):
+    for g, n_g in length_lex(mu.weights):
         levels = []
         for n in range(1, W + 1):
             if n == 1:
@@ -370,7 +372,7 @@ def _compile_gathers(mu: GroupMeasure, W: int) -> list[tuple[float, np.ndarray, 
         idx, klen, comp = (np.concatenate(a) for a in zip(*levels))
         excess = np.maximum(klen - W, 0)
         split = np.array([1.0 / q**e for e in range(int(excess.max()) + 1)])[excess]
-        gathers.append((float(p), idx, np.where(comp, -split, split), comp.astype(np.float64)))
+        gathers.append((n_g / mu.den, idx, np.where(comp, -split, split), comp.astype(np.float64)))
     return gathers
 
 

@@ -419,7 +419,7 @@ EXPERIMENTS = {
     "cesaro": Experiment(
         _run_cesaro,
         "certified brackets on the Cesaro-averaged convolution distance to the trace",
-        (RANK, Key("n_max", _int, low=0), Key("element", _element), MU,
+        (RANK, Key("n_max", _int, low=1), Key("element", _element), MU,
          Key("moments", _int, 1, low=1)),
     ),
     "powers": Experiment(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -93,6 +94,8 @@ def cesaro_test(
     the verdict reads "decaying"/"not decaying", never "unique".  The rows stop,
     with `partial` set, at the first n that passes freegroup.SUPPORT_CAP.
     """
+    if n_max < 1:
+        raise MalformedInputError(f"n_max must be >= 1, got {n_max}")
     if mu.rank != a.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
     try:
@@ -341,13 +344,14 @@ def build_c_star_simple_measure(
         )
         level_measures.append(GroupMeasure.uniform_on(list(hs)))
 
-    weights = [Fraction(1, 2**l) for l in range(1, levels + 1)]
-    weights[-1] = weights[-1] + Fraction(1, 2**levels)  # fold the tail
-    mixture: dict[bytes, Fraction] = {}
-    for wgt, m in zip(weights, level_measures):
-        for w, p in m.masses.items():
-            mixture[w] = mixture.get(w, Fraction(0)) + wgt * p
-    mu = _measure(mixture, rank)
+    # over 2^levels, level l has the share 2^-l and the last level the tail's 2^-levels too
+    shares = [2 ** (levels - l) for l in range(1, levels)] + [2]
+    den = lcm(*[m.den for m in level_measures])
+    mixture: dict[bytes, int] = {}
+    for share, m in zip(shares, level_measures):
+        for w, n in m.weights.items():
+            mixture[w] = mixture.get(w, 0) + share * (den // m.den) * n
+    mu = _measure(mixture, den << levels, rank)
 
     final_checks: list[FinalCheck] = []
     power = GroupMeasure.dirac(e)

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .freegroup import FreeGroupContext, Word, _cyclic_split, _product_letters, _word
 from .freegroup import conjugate, inverse_letters, length_lex
-from .walks import GroupMeasure, _exact_masses, sample_increments
+from .walks import GroupMeasure, _exact_weights, sample_increments
 
 PSD_EIGENVALUE_TOL = -1e-9
 FREENESS_THRESHOLD = 1e-3
@@ -127,25 +127,26 @@ def pdf_from_subgroup_sample(
     radius: int,
 ) -> PositiveDefiniteFn:
     """phi(g) = the weight of the sampled subgroups that contain g, |g| <=
-    radius, with the weights read as law masses are (`walks._exact_masses`).
+    radius, with the weights read as law masses are (`walks._exact_weights`).
     The subgroup with root v c v^-1 (c cyclically reduced) holds exactly the
     words v c^n v^-1, of length 2|v| + |n||c|: only those are visited."""
     if len(subgroups) != len(weights):
         raise MalformedInputError("one weight per subgroup required")
-    weights = _exact_masses(dict(enumerate(weights)))
+    weights, den = _exact_weights(dict(enumerate(weights)))
     rank = subgroups[0].rank
-    values = {b"": Fraction(1)}  # the weights sum to 1, and every subgroup holds e
-    for sub, p in zip(subgroups, weights.values()):
+    counts = {b"": den}  # the weights sum to den, and every subgroup holds e
+    for sub, weight in zip(subgroups, weights.values()):
         if sub.rank != rank:
             raise ContextMismatchError(f"subgroup rank {sub.rank} in a sample of rank {rank}")
         r = sub.root.letters
         i = _cyclic_split(r)
         v, c, v_inv = r[:i], r[i : len(r) - i], r[len(r) - i :]
-        if not c or not p:
+        if not c or not weight:
             continue  # the trivial subgroup holds e alone
         for n in range(1, (radius - 2 * i) // len(c) + 1):
             for w in (v + c * n + v_inv, v + inverse_letters(c) * n + v_inv):
-                values[w] = values.get(w, 0) + p
+                counts[w] = counts.get(w, 0) + weight
+    values = {w: Fraction(n, den) for w, n in counts.items()}
     return PositiveDefiniteFn(values=values, radius=radius, rank=rank)
 
 

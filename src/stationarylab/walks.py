@@ -1,9 +1,10 @@
 """Finitely supported probability laws on F_k, convolution powers, seeded path
 sampling, Cesaro averages, and the convolution action on algebra elements.
 
-Every law is exact: its masses are Fractions, and a float mass is taken at
-its exact binary value, so a law written in decimals and the same law
-written as "p/q" strings give the same results.
+Every law is exact and stored as algebra elements are: integer weights over
+one denominator, their sum.  A float mass is taken at its exact binary value,
+so a law written in decimals and the same law written as "p/q" strings give
+the same results.
 
 All randomness flows through numpy's Philox counter-based 64-bit generator:
 identical seeds give identical samples, run to run.  Increments are drawn by
@@ -48,20 +49,22 @@ def rng_from_seed(*seed_parts: int) -> np.random.Generator:
 class GroupMeasure:
     """A finitely supported probability measure on F_rank.
 
-    `masses` maps the letters of each support word to its mass, a Fraction:
-    an int, a Fraction or a "p/q" string is read as that rational, a float at
-    its exact binary value.  The constructor checks a Word-keyed mapping;
-    accessors speak Words.  Immutable.  Masses that sum to 1 within
-    MASS_TOLERANCE are divided by their exact total, so every law sums to 1.
+    `weights` maps the letters of each support word to a positive integer,
+    and `den` is their sum: the mass of w is weights[w] / den, and `masses`
+    is that Fraction view.  The constructor reads a Word-keyed mapping of
+    masses by `_exact_weights`: an int, a Fraction or a "p/q" string is read
+    as that rational, a float at its exact binary value.  Accessors speak
+    Words.  Immutable.  Weights are kept as built, not reduced.
     """
 
-    __slots__ = ("masses", "rank")
+    __slots__ = ("weights", "den", "rank")
 
     def __init__(self, masses: Mapping[Word, object], rank: int):
         for w in masses:
             if w.rank != rank:
                 raise ContextMismatchError(f"word rank {w.rank} in measure of rank {rank}")
-        _fill(self, {w.letters: p for w, p in _exact_masses(masses).items()}, rank)
+        weights, den = _exact_weights(masses)
+        _fill(self, {w.letters: n for w, n in weights.items()}, den, rank)
 
     def __setattr__(self, *a):
         raise AttributeError("GroupMeasure is immutable")
@@ -71,12 +74,16 @@ class GroupMeasure:
         words = list(words)
         if not words:
             raise MalformedInputError("a uniform law needs at least one word")
-        p = Fraction(1, len(words))
-        return GroupMeasure({w: p for w in words}, words[0].rank)
+        return GroupMeasure(dict.fromkeys(words, Fraction(1, len(words))), words[0].rank)
 
     @staticmethod
     def dirac(w: Word) -> "GroupMeasure":
         return GroupMeasure({w: Fraction(1)}, w.rank)
+
+    @property
+    def masses(self) -> dict[bytes, Fraction]:
+        """The mass of each support word, keyed by its letters, built on read."""
+        return {w: Fraction(n, self.den) for w, n in self.weights.items()}
 
     def atoms(self) -> list[tuple[Word, Fraction]]:
         """(word, mass) pairs in length-lex word order."""
@@ -91,7 +98,7 @@ class GroupMeasure:
         return self.masses.get(w.letters, 0)
 
     def max_support_length(self) -> int:
-        return max((len(w) for w in self.masses), default=0)
+        return max((len(w) for w in self.weights), default=0)
 
     def is_generating(self) -> bool:
         """Whether the support generates F_rank as a semigroup, decided exactly
@@ -103,7 +110,7 @@ class GroupMeasure:
         is a bitset row a state.  Moves are only added, so the test stops once
         every letter is accepted.  ResourceLimitError, before the first pass,
         when one pass's 2 rank n^3 bit operations (n states) pass freegroup.SUPPORT_CAP."""
-        supp = [w for w in self.masses if w]
+        supp = [w for w in self.weights if w]
         n = 1 + sum(len(w) - 1 for w in supp)
         letters = range(2 * self.rank)
         # moves[c][p]: the bitset of states that letter code c leads to from p
@@ -146,20 +153,19 @@ class GroupMeasure:
         return accepted()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupMeasure)
-            and self.rank == other.rank
-            and self.masses == other.masses
-        )
+        return (isinstance(other, GroupMeasure) and self.rank == other.rank
+                and self.masses == other.masses)
 
     def __repr__(self) -> str:
         atoms = ", ".join(f"{w}: {p}" for w, p in self.atoms()[:6])
-        return f"GroupMeasure({{{atoms}{'...' if len(self.masses) > 6 else ''}}})"
+        return f"GroupMeasure({{{atoms}{'...' if len(self.weights) > 6 else ''}}})"
 
 
-def _exact_masses(masses: Mapping) -> dict:
-    """The masses, keyed as given, read by GroupMeasure's rule: exact, >= 0
-    and divided by their exact total, which must be 1 within MASS_TOLERANCE."""
+def _exact_weights(masses: Mapping) -> tuple[dict, int]:
+    """The masses, keyed as given, as integer weights over one denominator,
+    and the weights' total.  GroupMeasure's rule: each mass is read exactly
+    and must be >= 0, and their total must be 1 within MASS_TOLERANCE.  The
+    law is the weights over their total, so normalising takes no division."""
     table = {}
     for k, p in masses.items():
         try:
@@ -169,26 +175,27 @@ def _exact_masses(masses: Mapping) -> dict:
         if p < 0:
             raise MalformedInputError(f"negative mass {p} at {k}")
         table[k] = p
-    return _normalised(table)
-
-
-def _normalised(table: dict) -> dict:
-    # an exact sum, compared exactly: a Fraction beyond the float range is never converted
-    total = sum(table.values())
-    if abs(total - 1) > MASS_TOLERANCE:
+    den = lcm(*[p.denominator for p in table.values()])
+    weights = {k: p.numerator * (den // p.denominator) for k, p in table.items()}
+    total = sum(weights.values())
+    # compared exactly: a Fraction beyond the float range is never converted
+    if abs(Fraction(total, den) - 1) > MASS_TOLERANCE:
         raise MalformedInputError(f"masses do not sum to 1 within {MASS_TOLERANCE}")
-    return table if total == 1 else {k: p / total for k, p in table.items()}
+    return weights, total
 
 
-def _measure(table: dict[bytes, Fraction], rank: int) -> GroupMeasure:
-    """The law of a letter table of masses >= 0, checked only for summing to 1."""
+def _measure(weights: dict[bytes, int], den: int, rank: int) -> GroupMeasure:
+    """The law of integer weights >= 0 over den, checked only for summing to den."""
+    if sum(weights.values()) != den:
+        raise MalformedInputError(f"law weights do not sum to their denominator {den}")
     mu = object.__new__(GroupMeasure)
-    _fill(mu, _normalised(table), rank)
+    _fill(mu, weights, den, rank)
     return mu
 
 
-def _fill(mu: GroupMeasure, table: dict[bytes, Fraction], rank: int) -> None:
-    object.__setattr__(mu, "masses", {w: p for w, p in table.items() if p > 0})
+def _fill(mu: GroupMeasure, weights: dict[bytes, int], den: int, rank: int) -> None:
+    object.__setattr__(mu, "weights", {w: n for w, n in weights.items() if n > 0})
+    object.__setattr__(mu, "den", den)
     object.__setattr__(mu, "rank", rank)
 
 
@@ -200,41 +207,28 @@ def uniform_generator_measure(rank: int) -> GroupMeasure:
 def convolve_measures(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
     """(mu * nu)(w) = sum over u v = w of mu(u) nu(v).
 
-    The laws multiply as integer numerator tables over their common
-    denominators, so the masses are the exact Fraction sums with one gcd per
-    output word instead of one per pair.  ResourceLimitError once the
-    support passes freegroup.SUPPORT_CAP.
+    The weight tables multiply as integers over the product of the
+    denominators, so the masses are the exact sums.  ResourceLimitError once
+    the support passes freegroup.SUPPORT_CAP.
     """
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {nu.rank}")
-    d_mu, num_mu = _numerators(mu)
-    d_nu, num_nu = _numerators(nu)
-    out = letter_product(num_mu, num_nu)
-    d = d_mu * d_nu
-    return _measure({w: Fraction(n, d) for w, n in out.items()}, mu.rank)
-
-
-def _numerators(mu: GroupMeasure) -> tuple[int, dict[bytes, int]]:
-    """The common denominator D of a law's masses and the integer
-    numerators p * D, in the law's order."""
-    d = lcm(*[p.denominator for p in mu.masses.values()])
-    return d, {w: p.numerator * (d // p.denominator) for w, p in mu.masses.items()}
+    return _measure(letter_product(mu.weights, nu.weights), mu.den * nu.den, mu.rank)
 
 
 def cesaro_measure(mu: GroupMeasure, n: int) -> GroupMeasure:
-    """(1/n) sum_{k=0}^{n-1} mu^k; each power and the sum under freegroup.SUPPORT_CAP."""
+    """(1/n) sum_{k=0}^{n-1} mu^k, summed as integers over the last power's
+    denominator; each power and the sum under freegroup.SUPPORT_CAP."""
     if n < 1:
         raise MalformedInputError(f"n must be >= 1, got {n}")
-    acc: dict[bytes, Fraction] = {}
-    power = _measure({b"": Fraction(1)}, mu.rank)
-    for k in range(n):
-        if k > 0:
-            power = convolve_measures(power, mu)
-        for w, p in power.masses.items():
-            acc[w] = acc.get(w, 0) + p
+    power, acc = _measure({b"": 1}, 1, mu.rank), {b"": 1}
+    for _ in range(1, n):
+        power = convolve_measures(power, mu)
+        acc = {w: c * mu.den for w, c in acc.items()}
+        for w, c in power.weights.items():
+            acc[w] = acc.get(w, 0) + c
         _check_support(len(acc), "Cesaro support exceeds the cap")
-    inv_n = Fraction(1, n)
-    return _measure({w: p * inv_n for w, p in acc.items()}, mu.rank)
+    return _measure(acc, n * power.den, mu.rank)
 
 
 @dataclass(frozen=True)
@@ -268,8 +262,8 @@ def sample_increments(mu: GroupMeasure, length: int, seed: int) -> tuple[Word, .
 
     if length < 0:
         raise MalformedInputError(f"length must be >= 0, got {length}")
-    atoms = mu.atoms()
-    cdf = np.cumsum([float(p) for _, p in atoms])
+    atoms = [(_word(w, mu.rank), n / mu.den) for w, n in length_lex(mu.weights)]
+    cdf = np.cumsum([p for _, p in atoms])
     cdf[-1] = 1.0
     rng = rng_from_seed(seed)
     draws = rng.random(length)
@@ -286,13 +280,12 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     """The convolution action on algebra elements under the inner action:
     mu * a = sum_g mu(g) Ad_{g^-1}(a).  Preserves the canonical trace.
 
-    Exact: the masses are integer numerators over their common denominator,
-    so the result is an integer table over that denominator times a's.
+    Exact: the law's integer weights act on a's integer tables, so the
+    result is an integer table over mu.den times a's denominator.
     """
     if mu.rank != a.rank:
         raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
-    d, num = _numerators(mu)
-    return _conjugation_sum(a, num.items(), d)
+    return _conjugation_sum(a, mu.weights.items(), mu.den)
 
 
 def decay_schedule(k_max: int) -> list[int]:

@@ -319,8 +319,14 @@ class TestSolveStationary:
         assert sol.hitting_agrees is False
 
     def test_symmetric_z_walk_not_transient(self):
-        mu = GroupMeasure({F1.word("a"): Fraction(1, 2), F1.word("A"): Fraction(1, 2)}, 1)
-        assert first_letter_hitting(mu) is None
+        # the simple walk on <a> = Z, in F_1 and in F_2, is recurrent: it is
+        # refused before the iteration, which once ran its 100,000 steps
+        for ctx in (F1, F2):
+            mu = GroupMeasure({ctx.word("a"): Fraction(1, 2), ctx.word("A"): Fraction(1, 2)},
+                              ctx.rank)
+            start = time.perf_counter()
+            assert first_letter_hitting(mu) is None
+            assert time.perf_counter() - start < 0.1
 
 
 # the law of the length-2 boundary-solve bench job, 1/4 on each word

@@ -507,3 +507,38 @@ def test_resource_limit_errors_are_raised_by_the_two_cap_checks():
     for path in sorted(Path(freegroup.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert raisers == {"freegroup._check_support", "freegroup._check_ball"}
+
+
+# every float literal in the package with 0 < |v| < 1e-3, by module and
+# enclosing definition or module-level name: the tolerances that ROADMAP
+# State lists, so a new one is added, and an old one deleted, on purpose
+FLOAT_TOLERANCES = [
+    ("boundary.CONSISTENCY_TOL", 1e-9),
+    ("boundary.first_letter_hitting", 1e-15),
+    ("boundary.first_letter_hitting", 1e-6),
+    ("boundary.solve_stationary", 1e-12),
+    ("boundary.solve_stationary", 1e-8),
+    ("cli.EXPERIMENTS", 1e-12),
+    ("subgroups.PSD_EIGENVALUE_TOL", 1e-9),
+    ("walks.MASS_TOLERANCE", 1e-12),
+]
+
+
+def test_small_float_literals_are_the_listed_tolerances():
+    found = []
+
+    def visit(node, where):
+        if (isinstance(node, ast.Constant) and type(node.value) is float
+                and 0 < abs(node.value) < 1e-3):
+            found.append((where, node.value))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and "." not in where:
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            where = f"{where}.{target.id}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(freegroup.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == sorted(FLOAT_TOLERANCES)

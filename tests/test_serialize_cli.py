@@ -322,6 +322,35 @@ def test_non_finite_law_mass_exits_2(tmp_path, capsys):
     _assert_one_error_line(err, "not finite")
 
 
+# CLI error paths: (arguments, with {d} the directory of the files written
+# first, those files, the error), each exit 2 before any output
+CLI_ERRORS = {
+    "config-not-an-object": (["norm", "--config", "{d}/f.json"], {"f.json": []},
+                             "config error: config must be a JSON object"),
+    "config-of-another-experiment": (
+        ["cesaro", "--config", "{d}/f.json"], {"f.json": {"experiment": "norm", "element": "a"}},
+        "config error at /experiment: config disagrees with subcommand"),
+    "element-without-terms": (["norm", "--element", "{d}/e.json"], {"e.json": {"context": 2}},
+                              "config error at /element: bad element JSON: 'terms'"),
+    "too-few-generator-images": (
+        ["fdstates", "--rep", "{d}/r.json"], {"r.json": {"perms": [[1, 0]]}},
+        "config error at /rep: need 2 generator images, got 1"),
+    "cesaro-without-checkpoints": (["cesaro", "--element", "a", "--n-max", "0"], {},
+                                   "config error at /n_max: must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("argv, files, error", CLI_ERRORS.values(), ids=CLI_ERRORS)
+def test_cli_error_exits_2_and_writes_nothing(argv, files, error, tmp_path, capsys):
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    out = tmp_path / "o"
+    rc, err = _main([arg.format(d=tmp_path) for arg in argv] + ["--out-dir", str(out)], capsys)
+    assert rc == 2
+    _assert_one_error_line(err, error)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
 # one law written in decimals and as rational strings; at n_max 3 and 5 the
 # decimal forms once printed other last digits than the rational ones
 ONE_LAW = {

@@ -36,6 +36,12 @@ S3_REGULAR = FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)])
 
 
 class TestCesaroTest:
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_no_checkpoint_is_refused(self, n_max):
+        # a run with no rows once read "not decaying over the last three checkpoints"
+        with pytest.raises(MalformedInputError, match="n_max must be >= 1"):
+            cesaro_test(AlgebraElement.delta(F2.word("a")), MU, n_max)
+
     def test_unit_element_all_zero(self):
         rep = cesaro_test(AlgebraElement.delta(F2.identity), MU, n_max=4)
         assert all(r.lower == 0 and r.upper == 0 for r in rep.rows)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stationarylab import freegroup
@@ -21,7 +21,7 @@ from stationarylab.walks import (
     sample_path,
     uniform_generator_measure,
 )
-from stationarylab.states import _averaged_element
+from stationarylab.states import _averaged_element, build_c_star_simple_measure
 
 from exact import exact
 
@@ -32,7 +32,7 @@ MU = uniform_generator_measure(2)
 def measure_power(mu: GroupMeasure, n: int) -> GroupMeasure:
     """Oracle: the n-th convolution power by repeated convolution; mu^0 is
     the Dirac mass at the identity."""
-    out = _measure({b"": Fraction(1)}, mu.rank)
+    out = _measure({b"": 1}, 1, mu.rank)
     for _ in range(n):
         out = convolve_measures(out, mu)
     return out
@@ -46,7 +46,7 @@ class TestGroupMeasure:
                 GroupMeasure({F2.word(w): p for w, p in masses.items()}, 2)
         # laws built inside the package keep the check
         with pytest.raises(MalformedInputError):
-            _measure({(0,): Fraction(1, 2)}, 2)
+            _measure({b"\x00": 1}, 2, 2)
 
     def test_negative_mass_rejected(self):
         # the second law sums to 1 without its negative atom
@@ -392,19 +392,40 @@ class TestDecaySchedule:
 # ---------------------------------------------------------------------------
 
 
-def _by_length_lex(table):
-    return sorted(table.items(), key=lambda item: Word(item[0], 2).sort_key())
+def _by_length_lex(table, rank=2):
+    return sorted(table.items(), key=lambda item: Word(item[0], rank).sort_key())
 
 
 def convolve_oracle(mu, nu):
     """mu * nu with one Fraction multiply and add per pair, u then
     v in length-lex order: the sum and insertion order of the exact kernel."""
     out = {}
-    for u, p in _by_length_lex(mu.masses):
-        for v, q in _by_length_lex(nu.masses):
-            w = (Word(u, 2) * Word(v, 2)).letters
+    for u, p in _by_length_lex(mu.masses, mu.rank):
+        for v, q in _by_length_lex(nu.masses, mu.rank):
+            w = (Word(u, mu.rank) * Word(v, mu.rank)).letters
             out[w] = out.get(w, 0) + p * q
     return out
+
+
+def law_oracle(masses):
+    """The masses of GroupMeasure(masses): each read as a Fraction and
+    divided by their Fraction total, zeros left out, in the input order."""
+    exact_masses = {w.letters: Fraction(p) for w, p in masses.items()}
+    total = sum(exact_masses.values())
+    return {w: p / total for w, p in exact_masses.items() if p}
+
+
+def cesaro_oracle(mu, n):
+    """(1/n) sum_{k<n} mu^k summed in Fractions per word, each power by
+    convolve_oracle: the sum and insertion order of the exact kernel."""
+    power, acc = GroupMeasure.dirac(Word(b"", mu.rank)), {}
+    for k in range(n):
+        if k:
+            power = GroupMeasure({Word(w, mu.rank): p for w, p in
+                                  convolve_oracle(power, mu).items()}, mu.rank)
+        for w, p in power.masses.items():
+            acc[w] = acc.get(w, 0) + p
+    return {w: p / n for w, p in acc.items()}
 
 
 def element_oracle(mu, a):
@@ -486,3 +507,66 @@ class TestIntegerKernels:
     def test_empty_element(self):
         got = measure_convolve_element(COPRIME, AlgebraElement({}, 2))
         assert (got.re, got.im, got.den) == ({}, {}, 1)
+
+
+# ---------------------------------------------------------------------------
+# laws as integer weights over one denominator
+# ---------------------------------------------------------------------------
+
+# a mass as written in a config: exact, "p/q", a float at its binary value, a decimal string
+MASS_FORMS = (lambda p: p, lambda p: f"{p.numerator}/{p.denominator}", float,
+              lambda p: repr(float(p)))
+
+
+@st.composite
+def exact_law_inputs(draw, rank):
+    """A mapping of up to 6 words of F_rank to masses of mixed denominators
+    and forms, summing to 1 within MASS_TOLERANCE; masses after the first
+    may be 0."""
+    ctx = FreeGroupContext(rank)
+    words = draw(st.lists(st.text("aAbBcC"[: 2 * rank], max_size=3).map(ctx.word),
+                          min_size=1, max_size=6, unique=True))
+    positive = st.fractions(Fraction(1, 12), 1, max_denominator=12)
+    raw = [draw(positive)] + [draw(st.just(Fraction(0)) | positive) for _ in words[1:]]
+    return {w: draw(st.sampled_from(MASS_FORMS))(r / sum(raw)) for w, r in zip(words, raw)}
+
+
+def assert_weights_form(mu, oracle):
+    """mu is positive integer weights summing to den, and its masses,
+    atoms and mass() are the oracle's Fractions in its order."""
+    assert all(type(n) is int and n > 0 for n in mu.weights.values())
+    assert sum(mu.weights.values()) == mu.den
+    assert _mass_bits(mu.masses.items()) == _mass_bits(oracle.items())
+    # the floats that samplers read: n / den rounds as float(Fraction) does
+    assert [n / mu.den for n in mu.weights.values()] == [float(p) for p in oracle.values()]
+    assert [(w.letters, p) for w, p in mu.atoms()] == _by_length_lex(oracle, mu.rank)
+    assert all(mu.mass(Word(w, mu.rank)) == p for w, p in oracle.items())
+    absent = Word([0] * (1 + max(map(len, oracle))), mu.rank)
+    assert type(mu.mass(absent)) is int
+
+
+class TestWeightsForm:
+    @settings(max_examples=50)
+    @given(st.integers(1, 3).flatmap(lambda r: st.tuples(exact_law_inputs(r), exact_law_inputs(r))))
+    def test_built_laws_are_integer_weights_over_their_sum(self, inputs):
+        masses, other = inputs
+        rank = next(iter(masses)).rank
+        mu, nu = GroupMeasure(masses, rank), GroupMeasure(other, rank)
+        assert_weights_form(mu, law_oracle(masses))
+        assert_weights_form(convolve_measures(mu, nu), convolve_oracle(mu, nu))
+        for n in range(1, 5):
+            assert_weights_form(cesaro_measure(mu, n), cesaro_oracle(mu, n))
+        # _measure still refuses weights that do not sum to den
+        with pytest.raises(MalformedInputError):
+            _measure(dict(mu.weights), mu.den + 1, rank)
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_build_mu_law_is_the_fraction_mixture(self, levels):
+        # level l has the share 2^-l, the last level 2^-(levels - 1)
+        build = build_c_star_simple_measure([AlgebraElement.delta(F2.word("ab"))], levels)
+        shares = [Fraction(1, 2**l) for l in range(1, levels)] + [Fraction(1, 2**(levels - 1))]
+        mixture = {}
+        for share, level in zip(shares, build.levels):
+            for w, p in level.masses.items():
+                mixture[w] = mixture.get(w, 0) + share * p
+        assert_weights_form(build.measure, mixture)
