@@ -33,7 +33,7 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, _ball_size, _sphere_size, _word
+from .freegroup import FreeGroupContext, Word, _ball_size, _push_letters, _sphere_size, _word
 from .freegroup import _check_ball, axis_prefix, ball_letters, inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample
 
@@ -531,31 +531,22 @@ class BoundaryPoint:
 def boundary_map(omega: PathSample) -> BoundaryPoint:
     """Longest prefix shared by every position in the final third of the path.
 
-    The position is a stack of letters.  A reduced increment pops the
-    letters it cancels and then pushes the rest, so the positions before and
-    after it share the stack below its least height; in a tree the prefix
-    shared by a run of positions is the least of these over its consecutive
-    pairs.  Nothing below that height moves again, so the prefix is read off
-    the final stack.
+    The position is a letter stack (`freegroup._push_letters`).  A reduced
+    increment pops the letters it cancels and pushes the rest, so the
+    positions around it share the stack below its least height, and in a tree
+    a run of positions shares the least of these: the height where the final
+    third begins, lowered by every pop after it.  Nothing below that height
+    moves again, so the prefix is read off the final stack.
     """
-    T = len(omega.increments)
-    if T == 0:
+    incs = omega.increments
+    if not incs:
         raise UnresolvedBoundaryError(
             "empty path has no boundary point", partial_prefix=_word(b"", omega.rank)
         )
-    start = T - T // 3  # the final third is positions start..T
+    start = len(incs) - len(incs) // 3  # the final third is positions start..T
     stack = bytearray()
-    lows = []  # the least height of each increment of the final third
-    for k, g in enumerate(omega.increments):
-        g = g.letters
-        n = 0
-        while n < len(g) and n < len(stack) and stack[-1 - n] == g[n] ^ 1:
-            n += 1
-        del stack[len(stack) - n :]
-        if k >= start:
-            lows.append(len(stack))
-        stack += g[n:]
-    lcp = min(lows, default=len(stack))
+    _push_letters(stack, b"".join([g.letters for g in incs[:start]]))
+    lcp = _push_letters(stack, b"".join([g.letters for g in incs[start:]]))
     prefix = _word(bytes(stack[:lcp]), omega.rank)
     if lcp == 0:
         raise UnresolvedBoundaryError(

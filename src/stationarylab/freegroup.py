@@ -76,6 +76,21 @@ def _product_letters(a: bytes, b: bytes) -> bytes:
     return a[:i] + b[j:]
 
 
+def _push_letters(stack: bytearray, letters: bytes) -> int:
+    """Multiply the reduced word on the letter stack by these letters in
+    place, each letter popping the one it cancels or else pushed.  Returns
+    the least height the stack passed."""
+    low = len(stack)
+    for c in letters:
+        if stack and stack[-1] == c ^ 1:
+            stack.pop()
+            if len(stack) < low:
+                low = len(stack)
+        else:
+            stack.append(c)
+    return low
+
+
 def reduce_letters(letters: Iterable[int]) -> bytes:
     """Freely reduce a letter sequence (cancel adjacent g g^-1 pairs).
     MalformedInputError for a code outside 0 .. 255."""

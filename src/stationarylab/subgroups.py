@@ -21,8 +21,8 @@ from .errors import (
     MalformedInputError,
     PreconditionError,
 )
-from .freegroup import FreeGroupContext, Word, _cyclic_split, _product_letters, _word
-from .freegroup import conjugate, inverse_letters, length_lex
+from .freegroup import FreeGroupContext, Word, _cyclic_split, _product_letters, _push_letters
+from .freegroup import _word, conjugate, inverse_letters, length_lex
 from .walks import GroupMeasure, _exact_weights, sample_increments
 
 PSD_EIGENVALUE_TOL = -1e-9
@@ -75,22 +75,45 @@ class CyclicSubgroup:
 
 
 class SubgroupChain:
-    """The conjugation walk on cyclic subgroups, run on one root word."""
+    """The conjugation walk on cyclic subgroups, run on the path's letters."""
 
     @staticmethod
     def simulate(
         mu: GroupMeasure, start: CyclicSubgroup, steps: int, seed: int
     ) -> tuple[list[int], CyclicSubgroup]:
         """The root length at steps 0..steps of the walk H -> g^-1 H g driven by
-        one sampled path, and the final subgroup.  A conjugate of a primitive
-        root is primitive, and neither length nor membership depends on which
-        of root and root^-1 is moved, so the walk moves the root word alone."""
-        root = start.root
-        lengths = [len(root)]
+        one sampled path, and the final subgroup.
+
+        For the start root v c v^-1 (c cyclically reduced) and the path at w_k,
+        the root is x^-1 c x with x = v^-1 w_k, kept as a letter stack: its
+        length is |c| + 2(|x| - m) (Lyndon-Schupp), m the longest prefix of x
+        that follows c c c ... or c^-1 c^-1 ..., whose letters only rotate c.
+        A pop clamps m to the height, so m moves only at the top.  The final
+        root is the one `conjugate` call, primitive as the start's root is."""
+        if start.rank != mu.rank:
+            raise ContextMismatchError(f"start rank {start.rank} vs law rank {mu.rank}")
+        if steps < 0:
+            raise MalformedInputError(f"steps must be >= 0, got {steps}")
+        r = start.root.letters
+        i = _cyclic_split(r)
+        c = r[i : len(r) - i]
+        n = len(c)
+        if not n:  # the trivial subgroup is fixed
+            return [0] * (steps + 1), start
+        axes = (c, inverse_letters(c))
+        x = bytearray(inverse_letters(r[:i]))  # x^-1 c x = v c v^-1 is reduced: m = 0
+        m, lengths = 0, [len(r)]
+        axis = axes[x[:1] != c[:1]]  # chosen by x[0], so again each time x empties
         for g in sample_increments(mu, steps, seed):
-            root = conjugate(root, g)
-            lengths.append(len(root))
-        return lengths, CyclicSubgroup(root)
+            low = _push_letters(x, g.letters)
+            if m > low:
+                m = low
+            if not low and x:
+                axis = axes[x[0] != c[0]]
+            while m < len(x) and x[m] == axis[m % n]:
+                m += 1
+            lengths.append(n + 2 * (len(x) - m))
+        return lengths, CyclicSubgroup(conjugate(_word(c, mu.rank), _word(bytes(x), mu.rank)))
 
 
 # ---------------------------------------------------------------------------

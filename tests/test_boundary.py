@@ -49,6 +49,8 @@ from stationarylab.walks import (
     uniform_generator_measure,
 )
 
+from laws import short_step_laws
+
 F2 = FreeGroupContext(2)
 F1 = FreeGroupContext(1)
 MU = uniform_generator_measure(2)
@@ -575,16 +577,6 @@ def common_prefix_by_scan(tail):
     while lcp < limit and all(t[lcp] == first[lcp] for t in tail):
         lcp += 1
     return lcp
-
-
-@st.composite
-def short_step_laws(draw):
-    """Uniform laws on one to four words of length 0..3, on ranks 1..3."""
-    rank = draw(st.integers(1, 3))
-    letters = st.lists(st.integers(0, 2 * rank - 1), max_size=3)
-    words = draw(st.lists(letters.map(lambda lt: Word(lt, rank)), min_size=1, max_size=4,
-                          unique=True))
-    return GroupMeasure.uniform_on(words)
 
 
 @given(short_step_laws(), st.integers(0, 40), st.integers(0, 2**32))

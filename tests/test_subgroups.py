@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stationarylab import freegroup
+from stationarylab import freegroup, subgroups
 from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import (
     ContextMismatchError,
@@ -40,9 +40,11 @@ from stationarylab.walks import (
     MASS_TOLERANCE,
     GroupMeasure,
     rng_from_seed,
-    sample_path,
+    sample_increments,
     uniform_generator_measure,
 )
+
+from laws import short_step_laws
 
 F2 = FreeGroupContext(2)
 MU = uniform_generator_measure(2)
@@ -150,19 +152,69 @@ def test_conjugate_of_a_root_is_a_root(root, h):
     assert CyclicSubgroup(moved).root == CyclicSubgroup(conjugate(r.inverse(), h)).root
 
 
+def walk_by_conjugation(mu, start, steps, seed):
+    """The oracle: the root word conjugated by each increment in turn."""
+    root = start.root
+    lengths = [len(root)]
+    for g in sample_increments(mu, steps, seed):
+        root = conjugate(root, g)
+        lengths.append(len(root))
+    return lengths, CyclicSubgroup(root)
+
+
 class TestChains:
     def test_chain_law_and_reproducibility(self):
         start = CyclicSubgroup(F2.word("a"))
         lengths, final = SubgroupChain.simulate(MU, start, steps=40, seed=3)
         again, final_again = SubgroupChain.simulate(MU, start, steps=40, seed=3)
         assert (lengths, final.root) == (again, final_again.root)
-        root = start.root
-        expected = [len(root)]
-        for g in sample_path(MU, 40, seed=3).increments:
-            root = conjugate(root, g)
-            expected.append(len(root))
+        expected, expected_final = walk_by_conjugation(MU, start, 40, seed=3)
         assert lengths == expected
-        assert final.root == CyclicSubgroup(root).root
+        assert final.root == expected_final.root
+
+    @settings(max_examples=300)
+    @given(short_step_laws(), st.data(), st.integers(0, 60), st.integers(0, 2**32))
+    def test_stack_walk_matches_the_conjugation_loop(self, law, data, steps, seed):
+        # starts v c v^-1 of up to 8 letters: the identity, cyclically reduced
+        # roots, and roots whose conjugator v^-1 is the stack's first content
+        letters = st.lists(st.integers(0, 2 * law.rank - 1), max_size=4)
+        v, c = data.draw(letters.map(lambda lt: lt[:2])), data.draw(letters)
+        start = CyclicSubgroup(Word(v + c + list(inverse_letters(bytes(v))), law.rank))
+        lengths, final = SubgroupChain.simulate(law, start, steps, seed)
+        expected, expected_final = walk_by_conjugation(law, start, steps, seed)
+        assert lengths == expected
+        assert final.root == expected_final.root
+
+    def test_a_walk_along_the_axis_keeps_the_length(self):
+        # x runs ab ab ab ..., every letter of it absorbed into a rotation of ab
+        law = GroupMeasure.uniform_on([F2.word("ab")])
+        lengths, final = SubgroupChain.simulate(law, CyclicSubgroup(F2.word("ab")), 30, seed=0)
+        assert lengths == [2] * 31
+        assert final.root == F2.word("ab")
+
+    def test_a_pop_below_the_axis_prefix_clamps_it(self):
+        # seed 4 draws ab (x = ab follows the axis) and then BAbb, which pops
+        # both letters and pushes bb: the root BBabbb has length 6
+        law = GroupMeasure.uniform_on([F2.word("ab"), F2.word("BAbb")])
+        assert [str(g) for g in sample_increments(law, 2, seed=4)] == ["ab", "BAbb"]
+        lengths, final = SubgroupChain.simulate(law, CyclicSubgroup(F2.word("ab")), 2, seed=4)
+        assert lengths == [2, 2, 6]
+        assert final.root == F2.word("BBabbb")
+
+    def test_inputs_are_checked_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the inputs")
+
+        monkeypatch.setattr(subgroups, "sample_increments", no_draw)
+        mu3 = uniform_generator_measure(3)
+        for start in ("a", "1"):
+            for steps in (0, 5):
+                with pytest.raises(ContextMismatchError, match="start rank 2 vs law rank 3"):
+                    SubgroupChain.simulate(mu3, CyclicSubgroup(F2.word(start)), steps, seed=0)
+            with pytest.raises(MalformedInputError, match="steps must be >= 0, got -1"):
+                SubgroupChain.simulate(MU, CyclicSubgroup(F2.word(start)), -1, seed=0)
+        with pytest.raises(ContextMismatchError, match="start rank 2 vs law rank 3"):
+            srs_escape_experiment(mu3, CyclicSubgroup(F2.word("ab")), steps=4, trials=2)
 
 
 class TestPdf:
