@@ -17,11 +17,9 @@ from stationarylab import (
     ball,
     build_c_star_simple_measure,
     cesaro_test,
-    crossed_product_state,
     decay_schedule,
     finite_dim_stationary_states,
     powers_search,
-    uniform_boundary_measure,
     uniform_generator_measure,
 )
 
@@ -57,10 +55,3 @@ rep_s3 = FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)])
 states = finite_dim_stationary_states(rep_s3, uniform_generator_measure(2))
 print(f"\nS3 regular representation: {len(states)} independent stationary densities")
 print("(stationary = invariant here: the channel averages unitary conjugations)")
-
-# --- the boundary crossed-product state ------------------------------------------
-nu = uniform_boundary_measure(F2, 4)
-val = crossed_product_state({F2.identity: {F2.word("a"): 1.0}}, nu)
-print("\nboundary state on 1_[a] lambda_e:", val.real, "(= nu[a])")
-print("boundary state kills off-identity terms:",
-      crossed_product_state({F2.word("b"): {F2.identity: 1.0}}, nu))

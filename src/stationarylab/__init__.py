@@ -64,7 +64,6 @@ from .states import (
     PowersCertificate,
     build_c_star_simple_measure,
     cesaro_test,
-    crossed_product_state,
     finite_dim_stationary_states,
     powers_search,
 )

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .algebra import _float_up
+from .algebra import _SQRT_BITS, _float_up
 from .errors import (
     ContextMismatchError,
     DepthUnderflowError,
@@ -280,38 +280,38 @@ class StationarySolution:
 
 
 def first_letter_hitting(mu: GroupMeasure) -> dict[Word, float] | None:
-    """Harmonic measure of the level-1 cylinders for a nearest-neighbor law.
-
-    Solves u_s = p_s + u_s sum_{t != s} p_t u_{t^-1} (probability of ever
-    hitting the vertex s) by monotone iteration from 0, then
-    q_s = p_s (1 - u_{s^-1}) / (1 - sum_t p_t u_{t^-1}).  Returns None when
-    the support holds a longer word or is s, s^-1 at 1/2 each (recurrent: no
-    loop), or the walk is not certifiably transient (denominator ~ 0).
+    """Level-1 harmonic measure of a nearest-neighbor law (Dynkin-Malyutov
+    1961); None for a longer support word or a recurrent walk.  With p, p' the
+    masses of a letter and its inverse and e0 that of the identity, the walk
+    ever hits s with probability u(s) = mu(s) r, r = 2 / (w + sqrt(w^2 + 4pp')),
+    and q(s) = mu(s) (1 - u(s^-1)) / w, for w the largest root on [0, 1 - e0]
+    of the convex f(w) = sum over pairs of sqrt(w^2 + 4pp') - (k-1) w - (1-e0).
+    f(0) <= 0 by AM-GM, so f > 0 exactly past w; w = 0 (recurrence) exactly
+    when p = p' on every pair and at most one pair has mass.  w is bisected
+    in units of 1 / (den 2^_SQRT_BITS), and q read exactly at the bracket's
+    upper end with the roots rounded up: no u passes 1, no q is negative.
     """
-    p = {w: float(m) for w, m in mu.atoms()}
-    supp = list(p)
-    if any(len(w) != 1 for w in supp):
+    atoms = dict(mu.atoms())
+    if any(len(w) > 1 for w in atoms):
         return None
-    if len(supp) == 2 and supp[0] == supp[1].inverse() and mu.mass(supp[0]) == mu.mass(supp[1]):
+    letters = FreeGroupContext(mu.rank).generators()
+    n = {s: int(atoms.get(s, 0) * mu.den) for s in letters}
+    if all(n[s] == n[s.inverse()] for s in letters) and sum(map(bool, n.values())) <= 2:
         return None
-    u = {w: 0.0 for w in supp}
-    converged = False
-    for _ in range(100_000):
-        nxt = {}
-        for s in supp:
-            sinv_rate = sum(p[t] * u.get(t.inverse(), 0.0) for t in supp if t != s)
-            nxt[s] = p[s] + u[s] * sinv_rate
-        delta = max(abs(nxt[s] - u[s]) for s in supp)
-        u = nxt
-        if delta < 1e-15:
-            converged = True
-            break
-    denom = 1.0 - sum(p[t] * u.get(t.inverse(), 0.0) for t in supp)
-    # recurrent walks drive the hitting probabilities to 1 algebraically:
-    # no convergence, or a vanishing denominator, means no transience certificate
-    if not converged or denom < 1e-6:
-        return None
-    return {s: p[s] * (1.0 - u.get(s.inverse(), 0.0)) / denom for s in supp}
+    # (den 2^_SQRT_BITS)^2 4 p p' a letter: the sums below count each pair twice
+    c = {s: 4 * n[s] * n[s.inverse()] << 2 * _SQRT_BITS for s in letters}
+    top = sum(n.values()) << _SQRT_BITS
+    lo, hi = 0, top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        # f(mid) > 0 with the roots rounded down: w < mid
+        if sum(math.isqrt(mid * mid + x) for x in c.values()) > 2 * ((mu.rank - 1) * mid + top):
+            hi = mid
+        else:
+            lo = mid
+    return {s: float(Fraction(n[s] << _SQRT_BITS, hi) * (1 - Fraction(
+        n[s.inverse()] << _SQRT_BITS + 1, hi + math.isqrt(hi * hi + c[s] - 1) + 1)))
+        for s in atoms if s in n}
 
 
 def _compile_gathers(mu: GroupMeasure, W: int) -> list[tuple[float, np.ndarray, ...]]:

@@ -4,9 +4,12 @@ Letters are order codes 0 .. 2*rank - 1 in the order a, a^-1, b, b^-1, ...:
 generator i (1-based) is code 2(i - 1), its inverse is code 2(i - 1) + 1, and
 the inverse of any code c is c ^ 1.  Words are immutable, always freely
 reduced, and ordered length-first then lexicographically by code, which is
-a < a^-1 < b < b^-1 < ...  Only this module does arithmetic on codes; other
-modules take single letters from FreeGroupContext.generators() and inverses
-from Word.inverse() or inverse_letters().
+a < a^-1 < b < b^-1 < ...  Words are reduced, multiplied and inverted only
+here.  Three kernels elsewhere compute with raw codes (c ^ 1 for an inverse,
+bytes((c,)) for a letter): `boundary._compile_gathers`,
+`CylinderMeasure.top_mass` and `GroupMeasure.is_generating`.  The rest take
+single letters from FreeGroupContext.generators() and inverses from
+Word.inverse() or inverse_letters().
 
 String form (used by every CLI flag, JSON config, and CSV cell): generators are
 'a'..'z' by index, inverses the corresponding uppercase letters, and the

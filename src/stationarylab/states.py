@@ -1,8 +1,7 @@
 """Certified tests and constructions on stationary states: Cesaro decay
 brackets, Powers averaging searches, the staged construction of laws whose
-convolution drives every test element to its trace, exact finite-dimensional
-stationary states of permutation quotients, and crossed-product state
-evaluation.
+convolution drives every test element to its trace, and exact
+finite-dimensional stationary states of permutation quotients.
 
 Both Powers searches run through _scan, over (w, ..., w^n) by n first, then
 base word w in length-lex order: n = 1..budget in powers_search, n = 1, 2,
@@ -28,7 +27,6 @@ from .algebra import (
     certify_norm,
     norm_upper_bound,
 )
-from .boundary import CylinderMeasure
 from .errors import (
     ConstructionError,
     ContextMismatchError,
@@ -480,26 +478,3 @@ def finite_dim_stationary_states(rep: FiniteQuotient, mu: GroupMeasure) -> list[
         states.append(DensityState(m, unit, {}, anti, low))
     return states
 
-
-# ---------------------------------------------------------------------------
-# crossed-product state
-# ---------------------------------------------------------------------------
-
-
-def crossed_product_state(
-    f_terms: Mapping[Word, Mapping[Word, complex]],
-    nu: CylinderMeasure,
-) -> complex:
-    """Evaluate the boundary-integral state on sum_g f_g lambda_g.
-
-    Each f_g is a cylinder function (cylinder base word -> coefficient, the
-    identity key meaning the constant 1); the state integrates the identity
-    coefficient against nu and kills every other term.
-    """
-    e = next((g for g in f_terms if g.is_identity()), None)
-    if e is None:
-        return 0j
-    acc = 0j
-    for w, c in sorted(f_terms[e].items(), key=lambda p: p[0].sort_key()):
-        acc += complex(c) * float(nu.mass(w))
-    return acc

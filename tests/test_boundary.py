@@ -312,7 +312,7 @@ class TestSolveStationary:
         mu = GroupMeasure({F1.word("a"): Fraction(3, 4), F1.word("A"): Fraction(1, 4)}, 1)
         q = first_letter_hitting(mu)
         assert abs(q[F1.word("a")] - 1.0) < 1e-9
-        assert abs(q[F1.word("A")]) < 1e-9
+        assert 0 <= q[F1.word("A")] < 1e-9
         # on the two-point boundary of Z every measure is stationary: the
         # solver certifies residual ~ 0 at the seed while the hitting route
         # concentrates on one end
@@ -321,14 +321,108 @@ class TestSolveStationary:
         assert sol.hitting_agrees is False
 
     def test_symmetric_z_walk_not_transient(self):
-        # the simple walk on <a> = Z, in F_1 and in F_2, is recurrent: it is
-        # refused before the iteration, which once ran its 100,000 steps
-        for ctx in (F1, F2):
-            mu = GroupMeasure({ctx.word("a"): Fraction(1, 2), ctx.word("A"): Fraction(1, 2)},
-                              ctx.rank)
+        # the walk on one <a_i> = Z, symmetric and lazy or not, is recurrent
+        # in every rank: the exact rule refuses it before any root is sought
+        for rank, i, e0 in itertools.product((1, 2, 3), (1, 2, 3), (0, Fraction(1, 3))):
+            if i > rank:
+                continue
+            ctx = FreeGroupContext(rank)
+            g = ctx.generator(i, 1)
+            mu = GroupMeasure({ctx.identity: e0, g: (1 - e0) / 2, g.inverse(): (1 - e0) / 2},
+                              rank)
             start = time.perf_counter()
             assert first_letter_hitting(mu) is None
             assert time.perf_counter() - start < 0.1
+
+
+def _nearest_neighbour_law(rank, masses, e0=0):
+    """The law with the given masses on a, A, b, B, ... and e0 on the identity."""
+    ctx = FreeGroupContext(rank)
+    return GroupMeasure({ctx.identity: Fraction(e0), **{
+        s: Fraction(m) for s, m in zip(ctx.generators(), masses)}}, rank)
+
+
+def _hitting_oracle(mu) -> dict[str, float]:
+    """q(s), correctly rounded, from a 50-digit solve of the first-step system
+    u(s) = mu(s) + e0 u(s) + sum_{t != s} mu(t) u(t^-1) u(s) for the
+    probability u(s) of ever hitting s, by monotone iteration from 0; then
+    q(s) = mu(s) (1 - u(s^-1)) / (1 - e0 - sum_t mu(t) u(t^-1)).  It shares
+    nothing with the convex root that first_letter_hitting bisects."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        p = {str(w): mpmath.mpf(m.numerator) / m.denominator for w, m in mu.atoms()}
+        e0 = p.pop(str(FreeGroupContext(mu.rank).identity), mpmath.mpf(0))
+        u = dict.fromkeys(p, mpmath.mpf(0))
+        while True:
+            nxt = {s: p[s] + e0 * u[s]
+                   + u[s] * sum(p[t] * u.get(t.swapcase(), 0) for t in p if t != s) for s in p}
+            step = max(abs(nxt[s] - u[s]) for s in p)
+            u = nxt
+            if step < mpmath.mpf(10) ** -45:
+                break
+        denom = 1 - e0 - sum(p[t] * u.get(t.swapcase(), 0) for t in p)
+        q = {s: p[s] * (1 - u.get(s.swapcase(), 0)) / denom for s in p}
+    # the exact binary value of each mpf, rounded once by Fraction
+    return {s: float(Fraction(int(v.man)) * Fraction(2) ** int(v.exp)) for s, v in q.items()}
+
+
+@st.composite
+def _nearest_neighbour_laws(draw):
+    """A law of rank 1..3 on the letters and the identity, integer weights
+    0..6 with a positive total, some of them drawn symmetric on their pair."""
+    rank = draw(st.integers(1, 3))
+    weights = []
+    for _ in range(rank):
+        n = draw(st.integers(0, 6))
+        weights += [n, n if draw(st.booleans()) else draw(st.integers(0, 6))]
+    e0 = draw(st.integers(0, 6))
+    total = sum(weights) + e0
+    assume(total > 0)
+    return _nearest_neighbour_law(rank, [Fraction(n, total) for n in weights],
+                                  Fraction(e0, total))
+
+
+class TestFirstLetterHitting:
+    @pytest.mark.parametrize("rank, masses, e0", [
+        (2, ("2/5", "1/10", "3/10", "1/5"), 0),  # the README's defect law
+        (3, ("1/3", "1/6", "1/12", "1/12", "1/4", "1/12"), 0),
+        (2, ("2/5", "1/10", "1/5", "1/5"), "1/10"),
+    ], ids=["defect", "rank3", "lazy"])
+    def test_every_value_is_the_oracle_correctly_rounded(self, rank, masses, e0):
+        mu = _nearest_neighbour_law(rank, masses, e0)
+        q = first_letter_hitting(mu)
+        assert list(q) == [w for w, _ in mu.atoms() if w]
+        assert {str(s): v for s, v in q.items()} == _hitting_oracle(mu)
+
+    def test_two_letters_without_inverses_split_evenly(self):
+        mu = GroupMeasure({F2.word("a"): Fraction(1, 2), F2.word("b"): Fraction(1, 2)}, 2)
+        assert first_letter_hitting(mu) == {F2.word("a"): 0.5, F2.word("b"): 0.5}
+
+    def test_the_lazy_simple_walk_has_the_simple_walks_masses(self):
+        q = first_letter_hitting(_nearest_neighbour_law(2, ["1/5"] * 4, "1/5"))
+        assert q == dict.fromkeys(F2.generators(), 0.25)
+
+    def test_a_near_recurrent_law_is_resolved_at_once(self):
+        # 1e-9 on each of b and B: w is tiny, yet bisection over integers
+        # needs no more steps than for any other law of this denominator
+        eps = Fraction(1, 10**9)
+        mu = _nearest_neighbour_law(2, ((1 - 2 * eps) / 2, (1 - 2 * eps) / 2, eps, eps))
+        start = time.perf_counter()
+        q = first_letter_hitting(mu)
+        assert time.perf_counter() - start < 0.05
+        assert abs(sum(q.values()) - 1) < 1e-12 and min(q.values()) > 0
+
+    @settings(max_examples=150)
+    @given(_nearest_neighbour_laws())
+    def test_none_exactly_for_recurrent_laws(self, mu):
+        masses = [mu.mass(s) for s in FreeGroupContext(mu.rank).generators()]
+        pairs = list(zip(masses[::2], masses[1::2]))
+        recurrent = all(p == r for p, r in pairs) and sum(p > 0 for p, _ in pairs) <= 1
+        q = first_letter_hitting(mu)
+        assert (q is None) == recurrent
+        if q is not None:
+            assert min(q.values()) >= 0
+            assert abs(sum(q.values()) - 1) < 1e-12
 
 
 # the law of the length-2 boundary-solve bench job, 1/4 on each word

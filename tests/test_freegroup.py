@@ -514,8 +514,6 @@ def test_resource_limit_errors_are_raised_by_the_two_cap_checks():
 # State lists, so a new one is added, and an old one deleted, on purpose
 FLOAT_TOLERANCES = [
     ("boundary.CONSISTENCY_TOL", 1e-9),
-    ("boundary.first_letter_hitting", 1e-15),
-    ("boundary.first_letter_hitting", 1e-6),
     ("boundary.solve_stationary", 1e-12),
     ("boundary.solve_stationary", 1e-8),
     ("cli.EXPERIMENTS", 1e-12),

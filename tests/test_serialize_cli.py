@@ -855,6 +855,40 @@ def test_boundary_solve_whose_hitting_check_disagrees_exits_5(tmp_path, capsys):
     assert (out / "stationary.csv").exists() and not (out / "manifest.json").exists()
 
 
+
+def _lazy_law_file(tmp_path, masses) -> str:
+    """A rank-2 law file with the given masses on 1, a, A, b, B."""
+    law = tmp_path / "mu.json"
+    law.write_text(json.dumps({"context": 2, "atoms": [
+        {"word": w, "p": p} for w, p in zip(("1", "a", "A", "b", "B"), masses)]}))
+    return str(law)
+
+
+def test_boundary_solve_cross_checks_the_lazy_simple_walk(tmp_path, capsys):
+    # the identity atom enters the root's equation, so lazy laws are checked too
+    out = tmp_path / "o"
+    rc, err = _main(["boundary-solve", "--depth", "5", "--mu",
+                     _lazy_law_file(tmp_path, ["1/5"] * 5), "--out-dir", str(out)], capsys)
+    assert rc == 0, err
+    summary = json.loads((out / "stationary_summary.json").read_text())
+    assert summary["hitting_agrees"] is True
+    assert summary["hitting_level1"] == dict.fromkeys("AaBb", 0.25)
+
+
+def test_boundary_solve_misses_a_lazy_laws_root_and_exits_5(tmp_path, capsys):
+    # the truncated solve gives the level-1 mass of a as 0.50622614, past the
+    # margin from the root's 0.5062334860519471: the defect law's truncation
+    # defect, on a lazy law
+    out = tmp_path / "o"
+    rc, err = _main(["boundary-solve", "--depth", "5", "--mu", _lazy_law_file(
+        tmp_path, ("1/10", "2/5", "1/10", "1/5", "1/5")), "--out-dir", str(out)], capsys)
+    assert rc == 5
+    _assert_one_error_line(err, "hitting probabilities")
+    summary = json.loads((out / "stationary_summary.json").read_text())
+    assert summary["hitting_agrees"] is False
+    assert summary["hitting_level1"]["a"] == 0.5062334860519471
+    assert (out / "stationary.csv").exists() and not (out / "manifest.json").exists()
+
 @st.composite
 def _broken_configs(draw):
     """A tiny valid config with one key given a rejected value, or an unknown key added,

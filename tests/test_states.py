@@ -6,13 +6,11 @@ import pytest
 
 from stationarylab import freegroup
 from stationarylab.algebra import AlgebraElement, _float_down, _l1_normalized, norm_upper_bound
-from stationarylab.boundary import uniform_boundary_measure
 from stationarylab.errors import MalformedInputError, PreconditionError, ResourceLimitError
 from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, ball, conjugate
 from stationarylab.states import (
     build_c_star_simple_measure,
     cesaro_test,
-    crossed_product_state,
     finite_dim_stationary_states,
     powers_search,
     _averaged_element,
@@ -404,26 +402,3 @@ class TestFiniteDimensionalStates:
         # and no two states share a mapping
         assert len({id(d) for st in states for d in (st.real, st.imag)}) == 2 * len(states)
 
-
-class TestCrossedProductState:
-    NU = uniform_boundary_measure(F2, 4)
-
-    def test_unit(self):
-        val = crossed_product_state({F2.identity: {F2.identity: 1.0}}, self.NU)
-        assert abs(val - 1.0) < 1e-15
-
-    def test_cylinder_coefficient(self):
-        val = crossed_product_state({F2.identity: {F2.word("a"): 1.0}}, self.NU)
-        assert abs(val - 0.25) < 1e-15
-
-    def test_off_identity_terms_vanish(self):
-        val = crossed_product_state(
-            {F2.word("b"): {F2.word("a"): 1.0, F2.identity: 3.0}}, self.NU
-        )
-        assert val == 0
-
-    def test_positive_and_mixed(self):
-        f_e = {F2.word("a"): 0.5, F2.word("b"): 0.25}
-        val = crossed_product_state({F2.identity: f_e, F2.word("ab"): {F2.identity: 9.0}}, self.NU)
-        assert abs(val - (0.5 * 0.25 + 0.25 * 0.25)) < 1e-15
-        assert val.real >= 0
