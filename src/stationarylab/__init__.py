@@ -49,7 +49,6 @@ from .boundary import (
     StationarySolution,
     boundary_map,
     conditional_measure,
-    first_letter_hitting,
     fix_mass,
     solve_stationary,
     stationarity_residual,

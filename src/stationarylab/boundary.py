@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import islice
 from typing import TYPE_CHECKING, Mapping
 
 from .algebra import _SQRT_BITS, _float_up
@@ -270,33 +271,32 @@ def total_variation(nu1: CylinderMeasure, nu2: CylinderMeasure, depth: int) -> f
 
 @dataclass(frozen=True)
 class StationarySolution:
-    """Output of solve_stationary: the measure plus its certificates."""
+    """Output of solve_stationary; the harmonic measure has no residual and 0 iterations."""
 
     measure: CylinderMeasure
-    residual: float
+    residual: float | None
     iterations: int
-    hitting_level1: dict | None = None
     hitting_agrees: bool | None = None
 
 
-def first_letter_hitting(mu: GroupMeasure) -> dict[Word, float] | None:
-    """Level-1 harmonic measure of a nearest-neighbor law (Dynkin-Malyutov
-    1961); None for a longer support word or a recurrent walk.  With p, p' the
-    masses of a letter and its inverse and e0 that of the identity, the walk
-    ever hits s with probability u(s) = mu(s) r, r = 2 / (w + sqrt(w^2 + 4pp')),
-    and q(s) = mu(s) (1 - u(s^-1)) / w, for w the largest root on [0, 1 - e0]
+def _harmonic_measure(mu: GroupMeasure, depth: int) -> CylinderMeasure | None:
+    """The harmonic measure of a nearest-neighbor law to the given depth
+    (Dynkin-Malyutov 1961), nu[x1 ... xn] = u(x1) ... u(x_{n-1}) q(xn), each
+    mass one integer product rounded once; None for a longer support word or
+    a recurrent walk.  With p, p' the masses of a letter and its inverse and
+    e0 that of the identity, the walk ever hits s with probability
+    u(s) = mu(s) r, r = 2 / (w + sqrt(w^2 + 4pp')), and
+    q(s) = mu(s) (1 - u(s^-1)) / w, for w the largest root on [0, 1 - e0]
     of the convex f(w) = sum over pairs of sqrt(w^2 + 4pp') - (k-1) w - (1-e0).
     f(0) <= 0 by AM-GM, so f > 0 exactly past w; w = 0 (recurrence) exactly
     when p = p' on every pair and at most one pair has mass.  w is bisected
-    in units of 1 / (den 2^_SQRT_BITS), and q read exactly at the bracket's
-    upper end with the roots rounded up: no u passes 1, no q is negative.
-    """
+    in units of 1 / (den 2^_SQRT_BITS), and u and q read at the bracket's
+    upper end with the roots rounded up: no u passes 1, no q is negative."""
     atoms = dict(mu.atoms())
-    if any(len(w) > 1 for w in atoms):
-        return None
     letters = FreeGroupContext(mu.rank).generators()
     n = {s: int(atoms.get(s, 0) * mu.den) for s in letters}
-    if all(n[s] == n[s.inverse()] for s in letters) and sum(map(bool, n.values())) <= 2:
+    if mu.max_support_length() > 1 or (all(n[s] == n[s.inverse()] for s in letters)
+                                       and sum(map(bool, n.values())) <= 2):
         return None
     # (den 2^_SQRT_BITS)^2 4 p p' a letter: the sums below count each pair twice
     c = {s: 4 * n[s] * n[s.inverse()] << 2 * _SQRT_BITS for s in letters}
@@ -305,13 +305,20 @@ def first_letter_hitting(mu: GroupMeasure) -> dict[Word, float] | None:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         # f(mid) > 0 with the roots rounded down: w < mid
-        if sum(math.isqrt(mid * mid + x) for x in c.values()) > 2 * ((mu.rank - 1) * mid + top):
-            hi = mid
-        else:
-            lo = mid
-    return {s: float(Fraction(n[s] << _SQRT_BITS, hi) * (1 - Fraction(
-        n[s.inverse()] << _SQRT_BITS + 1, hi + math.isqrt(hi * hi + c[s] - 1) + 1)))
-        for s in atoms if s in n}
+        past = sum(math.isqrt(mid * mid + x) for x in c.values()) > 2 * ((mu.rank - 1) * mid + top)
+        lo, hi = (lo, mid) if past else (mid, hi)
+    # by letter code: u = un / d, q = qn / (2 hi d), d = den 2^_SQRT_BITS (w + sqrt(w^2 + 4pp'))
+    d = {s.letters[0]: hi + math.isqrt(hi * hi + c[s] - 1) + 1 for s in letters}
+    un = {s.letters[0]: n[s] << _SQRT_BITS + 1 for s in letters}
+    qn = {s: un[s] * (d[s] - un[s ^ 1]) for s in un}
+    # a prefix holds the numerator of its u product and 2 hi times its denominator
+    table, pre = {}, {b"": (1, 2 * hi)}
+    for w in islice(ball_letters(mu.rank, depth), 1, None):
+        (num, den), s = pre[w[:-1]], w[-1]
+        table[w] = num * qn[s] / (den := den * d[s])
+        if len(w) < depth:
+            pre[w] = num * un[s], den
+    return _cylinders(table, mu.rank, depth)
 
 
 def _compile_gathers(mu: GroupMeasure, W: int) -> list[tuple[float, np.ndarray, ...]]:
@@ -403,16 +410,21 @@ def solve_stationary(
     max_iter: int = 200,
     seed_measure: CylinderMeasure | None = None,
 ) -> StationarySolution:
-    """Fixed-point iteration nu -> sum_g mu(g) g nu from the uniform seed.
+    """The stationary measure's cylinder masses up to depth.
 
-    Runs on the nonempty words of the ball of radius W = depth + 2 L (L = max
-    support length), indexed in length-lex order.  A translate reads
+    A transient nearest-neighbor law (an identity atom allowed) reads them
+    off `_harmonic_measure`, each one integer product rounded once to a float;
+    its depth is capped by the output ball alone.  Every other law takes the
+    fixed-point iteration nu -> sum_g mu(g) g nu from the uniform seed;
+    `seed_measure`, `tol` and `max_iter` serve this operator alone.
+
+    It runs on the nonempty words of the ball of radius W = depth + 2 L
+    (L = max support length), indexed in length-lex order.  A translate reads
     cylinders down to W + L; a cylinder [w] below W reads its length-W prefix
     split uniformly, its mass divided by (2k-1)^(|w| - W), as the uniform
     measure's masses split.  The seed (the uniform measure unless given) is
-    read by the same rule below its table.  The
-    operator is compiled one tree level at a time (`_compile_gathers`), and
-    the ball's cap is checked before any of it is built.
+    read by the same rule below its table.  The operator is compiled one tree
+    level at a time (`_compile_gathers`), its ball's cap checked first.
 
     The residual is the largest change of the last iteration on the words up
     to W - L, whose translates stay within the table, so it does not depend
@@ -420,11 +432,7 @@ def solve_stationary(
     operator: it does not bound the distance to the true stationary measure.
     The residual's words and the returned ones (up to depth) are length-lex
     prefixes of the working words, so one operator serves all three.
-    For nearest-neighbor laws the level-1 masses are cross-checked against
-    the hitting-probability fixed point.
     """
-    import numpy as np
-
     if depth < 1:
         raise MalformedInputError(f"depth must be >= 1, got {depth}")
     if not mu.is_generating():
@@ -432,6 +440,12 @@ def solve_stationary(
     if seed_measure is not None and seed_measure.rank != mu.rank:
         raise ContextMismatchError(f"seed rank {seed_measure.rank} vs law rank {mu.rank}")
     rank = mu.rank
+    nu = _harmonic_measure(mu, depth)
+    if nu is not None:
+        return StationarySolution(nu, None, 0, True)
+
+    import numpy as np
+
     ctx = FreeGroupContext(rank)
     L = max(mu.max_support_length(), 1)
     W = depth + 2 * L
@@ -468,20 +482,7 @@ def solve_stationary(
         )
     words = (w for w in ball_letters(rank, depth) if w)
     nu = _cylinders(dict(zip(words, vec[:n_out].tolist())), rank, depth)
-    hitting = first_letter_hitting(mu)
-    agrees = None
-    if hitting is not None:
-        agrees = all(
-            abs(float(nu.mass(s)) - qv) < max(100 * tol, 1e-8)
-            for s, qv in hitting.items()
-        )
-    return StationarySolution(
-        measure=nu,
-        residual=residual,
-        iterations=iterations,
-        hitting_level1=hitting,
-        hitting_agrees=agrees,
-    )
+    return StationarySolution(measure=nu, residual=residual, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -141,15 +141,14 @@ def _of_rank(obj, rank: int):
     return obj
 
 
-def _measure(value, rank: int) -> GroupMeasure:
+def _measure(value, rank: int) -> GroupMeasure | Path:
     """'uniform-generators' (or 'uniform'), a measure object, or a file holding one."""
     if value in ("uniform-generators", "uniform"):
         return uniform_generator_measure(rank)
-    return _of_rank(measure_from_json(_read_json(value) if isinstance(value, str) else value),
-                    rank)
+    return Path(value) if isinstance(value, str) else _of_rank(measure_from_json(value), rank)
 
 
-def _element(value, rank: int) -> AlgebraElement:
+def _element(value, rank: int) -> AlgebraElement | Path:
     """A word (its translation unitary), an element object, or a file holding one.
 
     A string that parses as a word is that word; only other strings are paths.
@@ -160,16 +159,16 @@ def _element(value, rank: int) -> AlgebraElement:
         except MalformedInputError as exc:
             if not os.path.isfile(value):
                 raise ValueError(f"{value!r} is neither a word of rank {rank} nor a file") from exc
-            value = _read_json(value)
+            return Path(value)
     return _of_rank(element_from_json(value), rank)
 
 
-def _rep(value, rank: int) -> FiniteQuotient:
+def _rep(value, rank: int) -> FiniteQuotient | Path:
     """'s3-regular', {"perms": [[...], ...], "regular": bool}, or a file holding the object."""
     if value == "s3-regular":
         return FiniteQuotient.regular_from_permutations(rank, [(1, 0, 2), (1, 2, 0)])
     if isinstance(value, str):
-        value = _read_json(value)
+        return Path(value)
     if not (isinstance(value, dict) and isinstance(value.get("perms"), list)
             and isinstance(value.get("regular", False), bool)):
         raise ValueError('expected "s3-regular" or {"perms": [[...], ...], "regular": bool}')
@@ -186,8 +185,8 @@ def _strategy(value, rank: int) -> str:
 
 class Key(NamedTuple):
     """One config key: its type (a parser of the raw JSON value under the
-    config's rank), its default (None: the key is required), and the least
-    and the greatest value an int may take."""
+    config's rank, or a Path to the file that holds it), its default (None:
+    the key is required), and the least and the greatest value an int may take."""
 
     name: str
     parse: Callable[[object, int], object]
@@ -207,19 +206,24 @@ MU = Key("mu", _measure, "uniform-generators")
 SEED = Key("seed", _int, low=0)
 
 
-def _validate(config: dict, keys: tuple[Key, ...]) -> dict:
-    """The value of every key, parsed from `config` or its default."""
+def _validate(config: dict, keys: tuple[Key, ...]) -> tuple[dict, dict]:
+    """The value of every key, parsed from `config` or its default, and the
+    config as hashed: the JSON of each file that a key names in its place."""
     names = [key.name for key in keys]
     for name in config:
         if name != "experiment" and name not in names:
             raise ConfigError(f"/{name}", f"unknown key; the keys are {', '.join(names)}")
-    values = {}
+    values, hashed = {}, dict(config)
     for key in keys:
         if key.name not in config and key.default is None:
             raise ConfigError(f"/{key.name}", "missing required key")
         raw = config[key.name] if key.name in config else key.default
         try:
             value = key.parse(raw, values.get("rank"))
+            if isinstance(value, Path):
+                hashed[key.name] = raw = _read_json(str(value))
+                if isinstance(value := key.parse(raw, values.get("rank")), Path):
+                    raise ValueError(f"the file holds the file name {str(value)!r}, not a value")
         except (ValueError, TypeError, LookupError, ArithmeticError) as exc:
             raise ConfigError(f"/{key.name}", str(exc)) from exc
         if key.low is not None and value < key.low:
@@ -227,7 +231,7 @@ def _validate(config: dict, keys: tuple[Key, ...]) -> dict:
         if key.high is not None and value > key.high:
             raise ConfigError(f"/{key.name}", f"must be <= {key.high}, got {value}")
         values[key.name] = value
-    return values
+    return values, hashed
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -306,12 +310,8 @@ def _run_build_mu(cfg: dict):
 def _run_boundary_solve(cfg: dict):
     sol = solve_stationary(cfg["mu"], cfg["depth"], tol=cfg["tol"], max_iter=cfg["max_iter"])
     yield "stationary.csv", ["word", "depth", "mass"], cylinder_csv_rows(sol.measure)
-    hitting = {str(w): q for w, q in (sol.hitting_level1 or {}).items()}
     yield "stationary_summary.json", {"residual": sol.residual, "iterations": sol.iterations,
-                                      "hitting_agrees": sol.hitting_agrees,
-                                      "hitting_level1": hitting}
-    if sol.hitting_agrees is False:
-        raise InconclusiveError("the level-1 masses disagree with the hitting probabilities")
+                                      "hitting_agrees": sol.hitting_agrees}
 
 
 def _run_conditional(cfg: dict):
@@ -437,9 +437,9 @@ EXPERIMENTS = {
     ),
     "boundary-solve": Experiment(
         _run_boundary_solve,
-        "cylinder masses of the fixed point of the transfer operator truncated at depth + 2L"
-        " (L the law's longest word), with its fixed-point residual; neither bounds the"
-        " distance to the stationary measure",
+        "stationary cylinder masses: a transient nearest-neighbour law's hitting-root product,"
+        " else the fixed point of the transfer operator truncated at depth + 2L (L the law's"
+        " longest word), whose residual does not bound the distance to the stationary measure",
         (RANK, Key("depth", _int, low=1), MU, Key("tol", _positive_float, 1e-12),
          Key("max_iter", _int, 200, low=1)),
     ),
@@ -515,7 +515,7 @@ def run(config: dict, out_dir: str | Path) -> RunManifest:
     yields, in order, then the manifest.  An error ends the run where it is
     raised: the outputs written before it stay, and no manifest is written.
 
-    `config` is not modified, so the manifest hashes it as given.
+    `config` is not modified; the manifest hashes it with each named file's JSON in place.
     """
     if not isinstance(config, dict):
         raise ConfigError("", "config must be a JSON object")
@@ -523,7 +523,7 @@ def run(config: dict, out_dir: str | Path) -> RunManifest:
     if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ConfigError("/experiment", f"unknown experiment {kind!r}")
     experiment = EXPERIMENTS[kind]
-    values = _validate(config, experiment.keys)
+    values, hashed = _validate(config, experiment.keys)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -540,7 +540,7 @@ def run(config: dict, out_dir: str | Path) -> RunManifest:
     wall = time.perf_counter() - t0
     manifest = RunManifest(
         experiment=kind,
-        config_sha256=config_hash(config),
+        config_sha256=config_hash(hashed),
         version=__version__,
         anchor=experiment.anchor,
         outputs=outputs,

@@ -10,10 +10,10 @@ All randomness flows through numpy's Philox counter-based 64-bit generator:
 identical seeds give identical samples, run to run.  Increments are drawn by
 inverse-CDF over the support in the fixed length-lex word order.
 
-numpy is imported at the first sample, not with this module, and the same
-holds for the stationary solver in `boundary` and the Gram check and escape
-statistics in `subgroups`: the exact experiments (norm, cesaro, geometric
-powers, build-mu, fix-mass, fdstates) never load it.
+numpy is imported at the first sample, not with this module, as by the
+truncated operator in `boundary` and the Gram check and escape statistics in
+`subgroups`: the exact runs (norm, cesaro, geometric powers, build-mu, fix-mass,
+fdstates, boundary-solve of a transient nearest-neighbour law) never load it.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ from stationarylab import boundary
 from stationarylab.boundary import (
     CylinderMeasure,
     _compile_gathers,
+    _harmonic_measure,
     _mass_recipe,
     _seed_vector,
     boundary_map,
     conditional_measure,
-    first_letter_hitting,
     fix_mass,
     require_stationary,
     solve_stationary,
@@ -239,26 +239,38 @@ class TestStationarity:
         assert stationarity_residual(MU, bad) > 0.1
 
 
+def _skewed_seed(depth):
+    """A seed far from the uniform measure: 0.4, 0.2, 0.25, 0.15 on a, A, b, B,
+    each split uniformly below."""
+    table = {}
+    for w in ball(F2, depth):
+        if not len(w):
+            continue
+        base = {"a": 0.4, "A": 0.2, "b": 0.25, "B": 0.15}[str(w)[0]]
+        table[w] = base / 3 ** (len(w) - 1)
+    return CylinderMeasure(table, 2, depth)
+
+
 class TestSolveStationary:
     def test_recovers_uniform_from_perturbed_seed(self):
-        table = {}
-        for w in ball(F2, 5):
-            if not len(w):
-                continue
-            base = {"a": 0.4, "A": 0.2, "b": 0.25, "B": 0.15}[str(w)[0]]
-            table[w] = base / 3 ** (len(w) - 1)
-        seed = CylinderMeasure(table, 2, 5)
-        sol = solve_stationary(MU, depth=5, tol=1e-12, max_iter=200, seed_measure=seed)
-        assert sol.iterations <= 200
-        assert sol.residual < 1e-12
+        # the simple walk takes the harmonic measure: the seed is not read,
+        # and no iteration runs
+        sol = solve_stationary(MU, depth=5, tol=1e-12, max_iter=200, seed_measure=_skewed_seed(5))
+        assert (sol.iterations, sol.residual, sol.hitting_agrees) == (0, None, True)
         assert total_variation(sol.measure, uniform_boundary_measure(F2, 5), 5) < 1e-8
-        assert sol.hitting_agrees
+
+    def test_operator_recovers_the_length2_measure_from_perturbed_seed(self):
+        plain = solve_stationary(LENGTH2, depth=4)
+        seeded = solve_stationary(LENGTH2, depth=4, seed_measure=_skewed_seed(5))
+        assert seeded.iterations > 0 and seeded.residual < 1e-12
+        assert seeded.hitting_agrees is None
+        assert total_variation(seeded.measure, plain.measure, 4) < 1e-8
 
     def test_uniform_seeds_of_every_depth_match_the_default_seed(self):
         # the default seed is the uniform measure split below its table, so a
         # uniform seed of any depth gives the same solve bit for bit
-        plain = solve_stationary(MU, depth=4)
-        seeded = solve_stationary(MU, depth=4, seed_measure=uniform_boundary_measure(F2, 2))
+        plain = solve_stationary(LENGTH2, depth=4)
+        seeded = solve_stationary(LENGTH2, depth=4, seed_measure=uniform_boundary_measure(F2, 2))
         assert seeded.iterations == plain.iterations
         assert seeded.residual == plain.residual
         assert seeded.measure.masses == plain.measure.masses
@@ -309,16 +321,17 @@ class TestSolveStationary:
                 assert abs(kids - float(m)) < 1e-12
 
     def test_biased_z_hitting(self):
+        # on the two-point boundary of Z every measure is stationary; the
+        # harmonic measure is the one the walk reaches: w = 1/2, u(a) = 1,
+        # u(A) = 1/3, so q(a) = 1 and q(A) = 0.  At the bracket's upper end
+        # u(a) falls short of 1 by about 2^-64, and so q(A) exceeds 0
         mu = GroupMeasure({F1.word("a"): Fraction(3, 4), F1.word("A"): Fraction(1, 4)}, 1)
-        q = first_letter_hitting(mu)
-        assert abs(q[F1.word("a")] - 1.0) < 1e-9
-        assert 0 <= q[F1.word("A")] < 1e-9
-        # on the two-point boundary of Z every measure is stationary: the
-        # solver certifies residual ~ 0 at the seed while the hitting route
-        # concentrates on one end
-        sol = solve_stationary(mu, depth=2, tol=1e-10, max_iter=10)
-        assert sol.residual < 1e-10
-        assert sol.hitting_agrees is False
+        sol = solve_stationary(mu, depth=3, tol=1e-10, max_iter=10)
+        assert (sol.iterations, sol.residual, sol.hitting_agrees) == (0, None, True)
+        masses = {str(w): m for w, m in sol.measure.cylinders()}
+        assert [masses[w] for w in ("a", "aa", "aaa")] == [1.0] * 3
+        assert [masses[w] for w in ("A", "AA", "AAA")] == pytest.approx([0.0] * 3, abs=1e-19)
+        assert masses["A"] > masses["AA"] > masses["AAA"] > 0
 
     def test_symmetric_z_walk_not_transient(self):
         # the walk on one <a_i> = Z, symmetric and lazy or not, is recurrent
@@ -331,7 +344,7 @@ class TestSolveStationary:
             mu = GroupMeasure({ctx.identity: e0, g: (1 - e0) / 2, g.inverse(): (1 - e0) / 2},
                               rank)
             start = time.perf_counter()
-            assert first_letter_hitting(mu) is None
+            assert _harmonic_measure(mu, 1) is None
             assert time.perf_counter() - start < 0.1
 
 
@@ -342,12 +355,12 @@ def _nearest_neighbour_law(rank, masses, e0=0):
         s: Fraction(m) for s, m in zip(ctx.generators(), masses)}}, rank)
 
 
-def _hitting_oracle(mu) -> dict[str, float]:
-    """q(s), correctly rounded, from a 50-digit solve of the first-step system
-    u(s) = mu(s) + e0 u(s) + sum_{t != s} mu(t) u(t^-1) u(s) for the
-    probability u(s) of ever hitting s, by monotone iteration from 0; then
-    q(s) = mu(s) (1 - u(s^-1)) / (1 - e0 - sum_t mu(t) u(t^-1)).  It shares
-    nothing with the convex root that first_letter_hitting bisects."""
+def _hitting_oracle(mu):
+    """u(s) and q(s) at 50 digits, by letter string, from a solve of the
+    first-step system u(s) = mu(s) + e0 u(s) + sum_{t != s} mu(t) u(t^-1) u(s)
+    for the probability u(s) of ever hitting s, by monotone iteration from 0;
+    then q(s) = mu(s) (1 - u(s^-1)) / (1 - e0 - sum_t mu(t) u(t^-1)).  It
+    shares nothing with the convex root that the solver bisects."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         p = {str(w): mpmath.mpf(m.numerator) / m.denominator for w, m in mu.atoms()}
@@ -362,8 +375,26 @@ def _hitting_oracle(mu) -> dict[str, float]:
                 break
         denom = 1 - e0 - sum(p[t] * u.get(t.swapcase(), 0) for t in p)
         q = {s: p[s] * (1 - u.get(s.swapcase(), 0)) / denom for s in p}
-    # the exact binary value of each mpf, rounded once by Fraction
-    return {s: float(Fraction(int(v.man)) * Fraction(2) ** int(v.exp)) for s, v in q.items()}
+    return u, q
+
+
+def _oracle_masses(mu, depth) -> dict[str, float]:
+    """Every cylinder mass u(x1) ... u(x_{n-1}) q(xn) up to depth, formed at
+    50 digits from `_hitting_oracle` and rounded once: the exact binary value
+    of each mpf, rounded by Fraction."""
+    mpmath = pytest.importorskip("mpmath")
+    u, q = _hitting_oracle(mu)
+    masses = {}
+    with mpmath.workdps(50):
+        for w in map(str, ball(FreeGroupContext(mu.rank), depth)):
+            if w != "1":
+                v = mpmath.fprod([u[x] for x in w[:-1]]) * q[w[-1]]
+                masses[w] = float(Fraction(int(v.man)) * Fraction(2) ** int(v.exp))
+    return masses
+
+
+def _masses(mu, depth) -> dict[str, float]:
+    return {str(w): m for w, m in solve_stationary(mu, depth).measure.cylinders()}
 
 
 @st.composite
@@ -382,25 +413,43 @@ def _nearest_neighbour_laws(draw):
                                   Fraction(e0, total))
 
 
+ORACLE_LAWS = {
+    "defect": ((2, ("2/5", "1/10", "3/10", "1/5"), 0), 4),  # the README's defect law
+    "rank3": ((3, ("1/3", "1/6", "1/12", "1/12", "1/4", "1/12"), 0), 3),
+    "lazy": ((2, ("2/5", "1/10", "1/5", "1/5"), "1/10"), 4),
+}
+
+
 class TestFirstLetterHitting:
-    @pytest.mark.parametrize("rank, masses, e0", [
-        (2, ("2/5", "1/10", "3/10", "1/5"), 0),  # the README's defect law
-        (3, ("1/3", "1/6", "1/12", "1/12", "1/4", "1/12"), 0),
-        (2, ("2/5", "1/10", "1/5", "1/5"), "1/10"),
-    ], ids=["defect", "rank3", "lazy"])
-    def test_every_value_is_the_oracle_correctly_rounded(self, rank, masses, e0):
-        mu = _nearest_neighbour_law(rank, masses, e0)
-        q = first_letter_hitting(mu)
-        assert list(q) == [w for w, _ in mu.atoms() if w]
-        assert {str(s): v for s, v in q.items()} == _hitting_oracle(mu)
+    @pytest.mark.parametrize("case", sorted(ORACLE_LAWS))
+    def test_every_value_is_the_oracle_correctly_rounded(self, case):
+        mu = _nearest_neighbour_law(*ORACLE_LAWS[case][0])
+        assert _masses(mu, 1) == _oracle_masses(mu, 1)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_LAWS))
+    def test_every_mass_is_the_oracle_product_correctly_rounded(self, case):
+        law, depth = ORACLE_LAWS[case]
+        mu = _nearest_neighbour_law(*law)
+        sol = solve_stationary(mu, depth)
+        assert (sol.iterations, sol.residual, sol.hitting_agrees) == (0, None, True)
+        assert _masses(mu, depth) == _oracle_masses(mu, depth)
+
+    def test_the_simple_walk_reads_the_uniform_masses_exactly(self):
+        masses = _masses(MU, 6)
+        assert len(masses) == 1456
+        assert all(m == float(Fraction(1, 4 * 3 ** (len(w) - 1))) for w, m in masses.items())
 
     def test_two_letters_without_inverses_split_evenly(self):
+        # the law generates no inverse, so the solver refuses it; its root
+        # still splits the first letter evenly
         mu = GroupMeasure({F2.word("a"): Fraction(1, 2), F2.word("b"): Fraction(1, 2)}, 2)
-        assert first_letter_hitting(mu) == {F2.word("a"): 0.5, F2.word("b"): 0.5}
+        masses = {str(w): m for w, m in _harmonic_measure(mu, 1).cylinders()}
+        assert masses == {"a": 0.5, "A": 0.0, "b": 0.5, "B": 0.0}
 
     def test_the_lazy_simple_walk_has_the_simple_walks_masses(self):
-        q = first_letter_hitting(_nearest_neighbour_law(2, ["1/5"] * 4, "1/5"))
-        assert q == dict.fromkeys(F2.generators(), 0.25)
+        lazy = _nearest_neighbour_law(2, ["1/5"] * 4, "1/5")
+        assert _masses(lazy, 3) == _masses(MU, 3)
+        assert _masses(lazy, 1) == dict.fromkeys("aAbB", 0.25)
 
     def test_a_near_recurrent_law_is_resolved_at_once(self):
         # 1e-9 on each of b and B: w is tiny, yet bisection over integers
@@ -408,7 +457,7 @@ class TestFirstLetterHitting:
         eps = Fraction(1, 10**9)
         mu = _nearest_neighbour_law(2, ((1 - 2 * eps) / 2, (1 - 2 * eps) / 2, eps, eps))
         start = time.perf_counter()
-        q = first_letter_hitting(mu)
+        q = _masses(mu, 1)
         assert time.perf_counter() - start < 0.05
         assert abs(sum(q.values()) - 1) < 1e-12 and min(q.values()) > 0
 
@@ -418,11 +467,11 @@ class TestFirstLetterHitting:
         masses = [mu.mass(s) for s in FreeGroupContext(mu.rank).generators()]
         pairs = list(zip(masses[::2], masses[1::2]))
         recurrent = all(p == r for p, r in pairs) and sum(p > 0 for p, _ in pairs) <= 1
-        q = first_letter_hitting(mu)
-        assert (q is None) == recurrent
-        if q is not None:
-            assert min(q.values()) >= 0
-            assert abs(sum(q.values()) - 1) < 1e-12
+        nu = _harmonic_measure(mu, 1)
+        assert (nu is None) == recurrent
+        if nu is not None:
+            assert min(nu.masses.values()) >= 0
+            assert abs(sum(nu.masses.values()) - 1) < 1e-12
 
 
 # the law of the length-2 boundary-solve bench job, 1/4 on each word

@@ -515,7 +515,6 @@ def test_resource_limit_errors_are_raised_by_the_two_cap_checks():
 FLOAT_TOLERANCES = [
     ("boundary.CONSISTENCY_TOL", 1e-9),
     ("boundary.solve_stationary", 1e-12),
-    ("boundary.solve_stationary", 1e-8),
     ("cli.EXPERIMENTS", 1e-12),
     ("subgroups.PSD_EIGENVALUE_TOL", 1e-9),
     ("walks.MASS_TOLERANCE", 1e-12),

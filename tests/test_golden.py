@@ -72,9 +72,9 @@ GOLDEN = {
     ),
     "boundary-solve": (
         {"experiment": "boundary-solve", "rank": 2, "depth": 4, "mu": LENGTH2_LAW},
-        {"stationary.csv": "658a43b39c9b53c9bb67be470ae1ec41bc22b4dfd8d903f10b753fb3fad749e4",
+        {"stationary.csv": "0f762faeed3062b5b02658cc7cc26ca6d6da15db788ec986af790efb26ca3802",
          "stationary_summary.json":
-             "a4fba7cfdb6c28f1f9efb4729e041e261866632b9b59a7545f007a9fe5d425e6"},
+             "3b4dd8d41a0a906b4a852dae1b74b53888bbab185d947791980ea907d715303c"},
     ),
     "conditional": (
         {"experiment": "conditional", "rank": 2, "n": 6, "paths": 3, "nu_depth": 4,
@@ -102,12 +102,22 @@ GOLDEN = {
          "mu": LENGTH2_LAW},
         {"bndmap.csv": "24c77eda9e18769ee05d4747fda3fe5aa1a5d81be88fcded5af43d9b01d340eb"},
     ),
-    # L = 1: the certified rows are a third of the working table
+    # the simple walk's harmonic measure: 1 / (4 3^(n-1)), correctly rounded
     "boundary-solve-depth6": (
         {"experiment": "boundary-solve", "rank": 2, "depth": 6},
-        {"stationary.csv": "622077cb26d56fc63c05c2d2e32d7a76d71f7d08d7a5be1265ea0f13502ebc29",
+        {"stationary.csv": "15a3c336b92a5d4760477eb633ba644f7732e041058d267794b4c257704c83b1",
          "stationary_summary.json":
-             "604d278de9dfbe61105713fea973bd0b9ef4f83e9902a43705ae472e7abdba08"},
+             "eb60dcadd0897538d4338a54169811b584621287ea9b4582b2c18e6111d403ee"},
+    ),
+    # the defect law: nu[A] is 0.06660370763380219, every mass its product
+    # of hitting probabilities
+    "boundary-solve-defect-law": (
+        {"experiment": "boundary-solve", "rank": 2, "depth": 5,
+         "mu": {"context": 2, "atoms": [{"word": w, "p": p} for w, p in (
+             ("a", "2/5"), ("A", "1/10"), ("b", "3/10"), ("B", "1/5"))]}},
+        {"stationary.csv": "0450ae5f0ce719324b757f2d533e5743bf10eeb952127c85a85792c5ff3f1611",
+         "stationary_summary.json":
+             "eb60dcadd0897538d4338a54169811b584621287ea9b4582b2c18e6111d403ee"},
     ),
     "srs-escape": (
         {"experiment": "srs-escape", "rank": 2, "steps": 30, "trials": 5, "start": "ab",
@@ -194,9 +204,9 @@ BENCH_JOBS = {
     "dynamics/conditional": "77f3602305146f3cc61c2d6ec780c6a07d539a058124f4d6f8a66cdaf7bd5aa3",
     "dynamics/pdf-check": "6a8f2a77d334a3a83f02875ba9f765e685d517885d38e91aa2c413346dba2723",
     "dynamics/boundary-solve-simple":
-        "c51b16dcfe3849dfaa429f3dc55240d511398be31b488bedac375c46bf7b9140",
+        "43d4ab9f45ed88ca4fd46c7a127c8f324f8f8eeb483a4b140b399c51e71a4425",
     "dynamics/boundary-solve-length2":
-        "c7765ab80c889f7ff666a6fbc8f8827fe0fad7f4d44a1b1b2df60a356b9d341c",
+        "82c41ed6638ddc92959b9f54012504b11e305fe4f907eaf54bd8bf37963cc1a0",
     "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
     "dynamics/kesten": "bf62d5e3532184d32f395b3cce725aa18ac808eaad1908b8c10cd0944604bdcb",
 }

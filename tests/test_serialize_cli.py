@@ -23,6 +23,7 @@ from stationarylab.states import finite_dim_stationary_states
 from stationarylab.walks import cesaro_measure, rng_from_seed, uniform_generator_measure
 
 from exact import exact
+from test_boundary import _oracle_masses
 
 F2 = FreeGroupContext(2)
 
@@ -839,9 +840,15 @@ def test_conditional_with_a_law_nu_is_not_stationary_for_exits_3(support, nu_dep
     assert not (tmp_path / "o" / "conditional.csv").exists()
 
 
-def test_boundary_solve_whose_hitting_check_disagrees_exits_5(tmp_path, capsys):
-    # a biased nearest-neighbour law: at depth 5 the level-1 mass of a is
-    # 0.46353233 against the hitting value 0.46353927
+def _stationary_masses(out) -> dict[str, float]:
+    """The word -> mass rows of a boundary-solve run's stationary.csv."""
+    rows = (out / "stationary.csv").read_text().splitlines()[2:]
+    return {word: float(mass) for word, _, mass in (row.split(",") for row in rows)}
+
+
+def test_boundary_solve_on_the_defect_law_exits_0_with_its_harmonic_measure(tmp_path, capsys):
+    # a biased nearest-neighbour law: every mass is its product of hitting
+    # probabilities, which a solve truncated at depth + 2 misses by up to 4.7%
     law = tmp_path / "mu.json"
     law.write_text(json.dumps({"context": 2, "atoms": [
         {"word": w, "p": p} for w, p in (("a", "2/5"), ("A", "1/10"), ("b", "3/10"),
@@ -849,11 +856,13 @@ def test_boundary_solve_whose_hitting_check_disagrees_exits_5(tmp_path, capsys):
     out = tmp_path / "o"
     rc, err = _main(["boundary-solve", "--depth", "5", "--mu", str(law), "--out-dir", str(out)],
                     capsys)
-    assert rc == 5
-    _assert_one_error_line(err, "hitting probabilities")
-    assert json.loads((out / "stationary_summary.json").read_text())["hitting_agrees"] is False
-    assert (out / "stationary.csv").exists() and not (out / "manifest.json").exists()
-
+    assert rc == 0, err
+    assert verify(out / "manifest.json")
+    assert json.loads((out / "stationary_summary.json").read_text()) == {
+        "residual": None, "iterations": 0, "hitting_agrees": True}
+    assert "\nA,1,0.06660370763380219\n" in (out / "stationary.csv").read_text()
+    mu = measure_from_json(json.loads(law.read_text()))
+    assert _stationary_masses(out) == _oracle_masses(mu, 5)
 
 
 def _lazy_law_file(tmp_path, masses) -> str:
@@ -864,30 +873,57 @@ def _lazy_law_file(tmp_path, masses) -> str:
     return str(law)
 
 
-def test_boundary_solve_cross_checks_the_lazy_simple_walk(tmp_path, capsys):
-    # the identity atom enters the root's equation, so lazy laws are checked too
+def test_boundary_solve_reads_the_lazy_simple_walk_off_the_root(tmp_path, capsys):
+    # the identity atom enters the root's equation, so lazy laws take it too
     out = tmp_path / "o"
     rc, err = _main(["boundary-solve", "--depth", "5", "--mu",
                      _lazy_law_file(tmp_path, ["1/5"] * 5), "--out-dir", str(out)], capsys)
     assert rc == 0, err
     summary = json.loads((out / "stationary_summary.json").read_text())
     assert summary["hitting_agrees"] is True
-    assert summary["hitting_level1"] == dict.fromkeys("AaBb", 0.25)
+    masses = _stationary_masses(out)
+    assert {w: masses[w] for w in "aAbB"} == dict.fromkeys("aAbB", 0.25)
 
 
-def test_boundary_solve_misses_a_lazy_laws_root_and_exits_5(tmp_path, capsys):
-    # the truncated solve gives the level-1 mass of a as 0.50622614, past the
-    # margin from the root's 0.5062334860519471: the defect law's truncation
-    # defect, on a lazy law
+def test_boundary_solve_on_a_biased_lazy_law_exits_0_with_its_root(tmp_path, capsys):
+    # a biased lazy law: the root's mass of a, which a truncated solve
+    # misses in the fifth digit (0.50622614)
     out = tmp_path / "o"
     rc, err = _main(["boundary-solve", "--depth", "5", "--mu", _lazy_law_file(
         tmp_path, ("1/10", "2/5", "1/10", "1/5", "1/5")), "--out-dir", str(out)], capsys)
-    assert rc == 5
-    _assert_one_error_line(err, "hitting probabilities")
-    summary = json.loads((out / "stationary_summary.json").read_text())
-    assert summary["hitting_agrees"] is False
-    assert summary["hitting_level1"]["a"] == 0.5062334860519471
-    assert (out / "stationary.csv").exists() and not (out / "manifest.json").exists()
+    assert rc == 0, err
+    assert verify(out / "manifest.json")
+    assert json.loads((out / "stationary_summary.json").read_text())["hitting_agrees"] is True
+    assert _stationary_masses(out)["a"] == 0.5062334860519471
+
+
+def test_config_hash_reads_the_law_file_not_its_path(tmp_path, capsys):
+    # two laws written in turn to one file hash apart; an inline law hashes
+    # as the file's JSON does
+    law = tmp_path / "law.json"
+    digests = []
+    for masses in (("2/5", "1/10", "3/10", "1/5"), ("1/4",) * 4):
+        data = {"context": 2, "atoms": [{"word": w, "p": p} for w, p in zip("aAbB", masses)]}
+        law.write_text(json.dumps(data))
+        rc, err = _main(["boundary-solve", "--depth", "1", "--mu", str(law),
+                         "--out-dir", str(tmp_path / "o")], capsys)
+        assert rc == 0, err
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        inline = {"experiment": "boundary-solve", "depth": 1, "mu": data}
+        assert manifest["config_sha256"] == config_hash(inline)
+        digests.append(manifest["config_sha256"])
+    assert digests[0] != digests[1]
+
+
+def test_a_file_naming_another_file_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "law.json").write_text(json.dumps({"context": 2, "atoms": [
+        {"word": w, "p": "1/4"} for w in "aAbB"]}))
+    (tmp_path / "ref.json").write_text(json.dumps(str(tmp_path / "law.json")))
+    rc, err = _main(["boundary-solve", "--depth", "1", "--mu", str(tmp_path / "ref.json"),
+                     "--out-dir", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    _assert_one_error_line(err, "/mu")
+
 
 @st.composite
 def _broken_configs(draw):
