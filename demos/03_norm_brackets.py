@@ -2,8 +2,8 @@
 
 Reduced norms are not exactly computable, so every claim is an interval:
 trace moments of x*x certify from below (spectral radius seen through the
-faithful trace), and l1 / layer / free-basis / disjoint-cylinder estimates
-certify from above.  Tests pass only on upper bounds and fail only on lower
+faithful trace), and l1 / layer estimates and the exact Akemann-Ostrand
+norms of free families and nearest-neighbour elements certify from above.  Tests pass only on upper bounds and fail only on lower
 bounds.
 """
 
@@ -45,9 +45,10 @@ print("\naverages (1/n) sum lambda_{b^-k a b^k}:")
 for n in (2, 8, 32):
     avg = AlgebraElement({conjugate(a, b**k): 1 / n for k in range(1, n + 1)}, 2)
     nb = certify_norm(avg, 1)
-    print(f"  n = {n:2d}: upper {nb.upper:.4f}  (2/sqrt(n) = {2/math.sqrt(n):.4f},"
+    norm = 2 * math.sqrt(n - 1) / n if n > 2 else 1.0
+    print(f"  n = {n:2d}: upper {nb.upper:.4f}  (2 sqrt(n-1)/n = {norm:.4f},"
           f" via {nb.upper_method})")
-# the conjugates freely generate and their cylinder sets are disjoint, so
-# both certificates give 2 ||c||_2 = 2/sqrt(n), the O(1/sqrt(n)) decay that
-# drives everything in demo 04; the tie goes to the disjoint-cylinder
-# estimate, which needs no graph fold
+# the conjugates freely generate and their cylinder sets are disjoint
+# (ping-pong), so the average has the Akemann-Ostrand norm 2 sqrt(n-1)/n,
+# the O(1/sqrt(n)) decay that drives everything in demo 04; the
+# disjoint-cylinder test certifies it first, with no graph fold

@@ -20,9 +20,11 @@ under the same cap, and never held whole.
 
 Upper bounds come from the l1 norm, the (n+1)-weighted layer inequality in
 word length (valid on every free group), the same inequality after rewriting
-the support over a free basis of the subgroup it generates, and a
-disjoint-cylinder averaging estimate: integer sums whose square roots
-math.isqrt rounds up, the least of them rounded up to a float.
+the support over a free basis of the subgroup it generates, and the exact
+Akemann-Ostrand norms of free families and of self-adjoint nearest-neighbour
+elements, each a convex minimum over one variable, read at one point:
+integer sums whose square roots math.isqrt rounds up, the least of them
+rounded up to a float.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm, ldexp, log2, nextafter
+from math import exp, gcd, inf, isqrt, lcm, ldexp, log, log2, nextafter, sqrt
 from sys import float_info
 from typing import Iterable, Iterator, Mapping
 
@@ -493,6 +495,8 @@ def norm_lower_bound(x: AlgebraElement, n_moments: int) -> MomentBound:
 _SQRT_BITS = 64
 # the largest float, an integer
 _FLOAT_MAX = int(float_info.max)
+# the most Newton steps that choose the point of a root-sum minimum
+_NEWTON_STEPS = 16
 
 
 def _sqrt_up(n: int) -> int:
@@ -500,9 +504,62 @@ def _sqrt_up(n: int) -> int:
     r = isqrt(n)
     if r * r == n:  # the same value as below, without the wide root: a speed path
         return r << _SQRT_BITS
-    n <<= 2 * _SQRT_BITS
+    return _isqrt_up(n << 2 * _SQRT_BITS)
+
+
+def _isqrt_up(n: int) -> int:
+    """ceil(sqrt(n)) for an integer n >= 0."""
     r = isqrt(n)
     return r + (r * r < n)
+
+
+def _root_sum_min(weights: list[int], m: int) -> int:
+    """den 2^_SQRT_BITS f(t) at one t >= 0, each root rounded up, for
+    f(t) = sum_i sqrt(t^2 + w_i / den^2) - m t, integers w_i >= 0 not all 0
+    and m < len(weights): an upper bound on min f, and on every norm that
+    min f is.  f is convex, and its minimiser t solves g(t) = m for
+    g(t) = sum_i t / sqrt(t^2 + w_i) in units of 1 / den; t = 0 when m <= 0.
+
+    Every t gives an upper bound, so floats only choose it: Newton steps in
+    log t, safeguarded by bisecting a bracket on the root, keeping the t of
+    least float f, until Newton's predicted gain is below the float
+    resolution of f.  The bracket runs from m / sum_i 1 / sqrt(w_i), as
+    t / sqrt(t^2 + w) <= t / sqrt(w), to the equal-weight root
+    sqrt(mean w) m / sqrt(n^2 - m^2), as t / sqrt(t^2 + w) is convex in w;
+    that is where the steps start, and where they stop at once when the
+    weights are equal.
+    """
+    if m <= 0:
+        return sum(_sqrt_up(w) for w in weights)
+    n, scale = len(weights), max(weights)
+    # floats in (0, 1], t in units of sqrt(scale) / den
+    qs = [max(w / scale, float_info.min) for w in weights]
+    t = sqrt(sum(qs) / n) * m / sqrt(n * n - m * m)
+    lo, hi = log(m / sum(1 / sqrt(q) for q in qs)), log(t)
+    best, step = (inf, t), hi - lo
+    for _ in range(_NEWTON_STEPS):
+        f, g, dg = -m * t, 0.0, 0.0
+        for q in qs:
+            r = sqrt(t * t + q)
+            f += r
+            g += t / r
+            dg += q / (r * r * r)
+        best = min(best, (f, t))
+        if (g - m) ** 2 <= 2 * dg * f * float_info.epsilon:
+            break
+        u = log(t)
+        lo, hi = (lo, u) if g > m else (u, hi)
+        newton = (g - m) / (t * dg)
+        # bisect where Newton would leave the bracket or fails to halve its
+        # last step (far from the root it can creep)
+        if lo < u - newton < hi and 2 * abs(newton) <= abs(step):
+            step = newton
+        else:
+            step = u - (lo + hi) / 2
+        t = exp(u - step)
+    num, d = best[1].as_integer_ratio()
+    t = num * _sqrt_up(scale) // d
+    return sum(_isqrt_up(t * t + (w << 2 * _SQRT_BITS)) for w in weights) - m * t
 
 
 def _modulus(x: AlgebraElement, w: bytes) -> int:
@@ -553,13 +610,21 @@ def _splits(m: int) -> Iterator[int]:
 
 
 def _disjoint_cylinders(words: list[bytes]) -> bool:
-    """Whether the words t_k have pairwise disjoint prefix sets F_k with
-    t_k (complement of F_k) inside F_k; if so, the averaging estimate gives
-    ||sum c_k lambda_{t_k}|| <= 2 ||c||_2 for every c.
+    """Whether the words t_k have pairwise disjoint prefix sets
+    F_k = P_k u Q_k, cylinders of the words that begin with a given prefix,
+    with t_k (complement of Q_k) inside P_k and t_k^-1 (complement of P_k)
+    inside Q_k.  If so, the t_k are a free family (ping-pong): a nonempty
+    reduced word in them, applied letter by letter from the right to the
+    identity, which lies in no F_k, lands in the P or Q of its first letter,
+    so it is not the identity.  Then the Akemann-Ostrand norm of a free
+    family applies to sum c_k lambda_{t_k}, not only the averaging estimate
+    2 ||c||_2.
 
     For a reduced word t with letters t_1..t_m (the words come as their
-    letters) and any split 1 <= j <= m, the set F = [head_j] u [(t_j..t_m)^-1]
-    works; the check below greedily picks a split per word so the F's are
+    letters) and any split 1 <= j <= m, P = [t_1..t_j] and
+    Q = [(t_j..t_m)^-1] work: t g keeps t_1..t_j unless g begins with
+    (t_j..t_m)^-1, and t^-1 g keeps (t_j..t_m)^-1 unless g begins with
+    t_1..t_j.  The check below greedily picks a split per word so the F's are
     pairwise disjoint, and returns False if it cannot.
 
     The chosen prefixes stay sorted and form an antichain (none is a prefix
@@ -599,20 +664,43 @@ class UpperBound(_TaggedFloat):
     _tag = "method"
 
 
+def _self_adjoint_on_generators(x: AlgebraElement) -> bool:
+    """Whether the part of x off e is self-adjoint and supported on the
+    generators: x(a^-1) the conjugate of x(a) for every generator a."""
+    for part, sign in ((x.re, 1), (x.im, -1)):
+        for w, c in part.items():
+            if len(w) > 1 or (w and part.get(bytes([w[0] ^ 1]), 0) != sign * c):
+                return False
+    return True
+
+
 def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     """Certified upper bound for the reduced norm of x.
 
-    Minimum of: the l1 norm; the layer inequality sum (n+1) ||x_n||_2 in
-    ambient word length; and, when it is below both, the free-family value
-    |x(e)| + 2 ||x restricted off e||_2, certified by the disjoint-cylinder
-    averaging estimate or by the support being a free basis of the subgroup
-    it generates, which holds when the rank the fold gives equals its size;
-    failing both, the layer inequality after rewriting the support over a
-    free basis of that subgroup (isometric inclusion of reduced subgroup
-    algebras), the one candidate that reads word lengths off the folded
-    graph.  The candidates are compared exactly, and the least is rounded up
-    to the result, an UpperBound whose `method` names it ("zero" for x = 0).
-    MalformedInputError if ||x||_1^2 passes the largest float.
+    Minimum of the l1 norm, the layer inequality sum (n+1) ||x_n||_2 in
+    ambient word length, and one of the following, each plus |x(e)| (the
+    triangle inequality), for y, the part of x off e:
+    - when y is self-adjoint and supported on the generators, with
+      c_i = x(a_i) on the k generators a_i it reaches, the nearest-neighbour
+      norm ||y|| = min over s > 0 of sum_i sqrt(s^2 + 4 |c_i|^2) - (k-1) s
+      (Akemann-Ostrand, Amer. J. Math. 98, 1976; Woess, Random Walks on
+      Infinite Graphs and Groups, 2000), after the character a_i -> c_i/|c_i|,
+      a unitary conjugation, takes every c_i to |c_i|;
+    - else, for n >= 3 support words off e, the free-family norm of
+      y = sum_i c_i lambda(t_i) when the t_i freely generate their
+      subgroup: min over t > 0 of 2t + sum_i (sqrt(t^2 + |c_i|^2) - t)
+      (Akemann-Ostrand 1976; for n <= 2 it is ||y||_1), taken in the reduced
+      algebra of that subgroup, which sits isometrically inside.  Freeness
+      is certified by the ping-pong sets of _disjoint_cylinders or by the
+      fold, when the rank of the subgroup equals n; failing both, the layer
+      inequality after rewriting the support over a free basis of the
+      subgroup, the one candidate that reads word lengths off the folded
+      graph.
+    The two minima are taken at one point each by _root_sum_min, which makes
+    any point a true bound.  The candidates are compared exactly, and the
+    least is rounded up to the result, an UpperBound whose `method` names it
+    ("zero" for x = 0).  MalformedInputError if ||x||_1^2 passes the largest
+    float.
     """
     if not (x.re or x.im):
         return UpperBound(0.0, "zero")
@@ -624,23 +712,30 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
         (_layer_bound((len(w), s) for w, s in squares.items()), "ambient-layers"),
     ]
     c_e = _modulus(x, b"")
-    rest_mass = sum(squares.values()) - squares.get(b"", 0)
-    # both freeness tests give this value, and subgroup-layers is no smaller
-    # (every layer weight n + 1 is at least 2), so they run only when it wins
-    free_family = c_e + 2 * _sqrt_up(rest_mass)
-    if rest_mass and free_family < min(p[0] for p in candidates):
-        rest = [(w, s) for w, s in length_lex(squares) if w]
+    rest = [(w, s) for w, s in length_lex(squares) if w]
+    if rest and _self_adjoint_on_generators(x):
+        # a_i and a_i^-1 commute, so the support is no free family and no
+        # freeness test runs
+        gens = [4 * s for w, s in rest if not w[0] & 1]
+        candidates.append((c_e + _root_sum_min(gens, len(gens) - 1), "nearest-neighbour"))
+    elif len(rest) > 2:
+        # only then can a freeness test win: the free-family norm is ||y||_1
+        # for two words or fewer, and for more it lies below the l1 norm (f
+        # falls from t = 0, where it is ||y||_1) and below |x(e)| + 2 ||y||_2,
+        # the averaging estimate, which ambient-layers and subgroup-layers
+        # are at least (every layer weight n + 1 is at least 2)
         words = [w for w, _ in rest]
         if _disjoint_cylinders(words):
-            candidates.append((free_family, "disjoint-cylinders"))
+            tag = "disjoint-cylinders"
         else:
             dec = free_basis_decomposition([_word(w, x.rank) for w in words])
-            if dec.rank == len(words):
-                # the support freely generates: it is itself a free basis
-                candidates.append((free_family, "free-support"))
-            else:
-                sub = c_e + _layer_bound(zip(dec.rewritten_lengths, (s for _, s in rest)))
-                candidates.append((sub, "subgroup-layers"))
+            # the support freely generates when it is itself a free basis
+            tag = "free-support" if dec.rank == len(words) else None
+        if tag:
+            candidates.append((c_e + _root_sum_min([s for _, s in rest], len(rest) - 2), tag))
+        else:
+            sub = c_e + _layer_bound(zip(dec.rewritten_lengths, (s for _, s in rest)))
+            candidates.append((sub, "subgroup-layers"))
     bound, tag = min(candidates, key=lambda p: p[0])
     return UpperBound(_float_up(Fraction(bound, x.den << _SQRT_BITS)), tag)
 

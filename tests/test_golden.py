@@ -36,7 +36,7 @@ GOLDEN = {
         {"experiment": "cesaro", "rank": 2, "element": "abAB", "n_max": 6,
          "mu": {"context": 2, "atoms": [{"word": w, "p": p} for w, p in (
              ("a", "2/5"), ("A", "1/10"), ("b", "3/10"), ("B", "1/5"))]}},
-        {"cesaro.csv": "8dd8d7940ef313ac9e7096eb12c6751a644d0a204fbf0d6568e9b744ffda2fa6",
+        {"cesaro.csv": "c54b534caddffbaefd1dba4f964b80b595577649baa5c77d59725cb89b7f2c0c",
          "cesaro_summary.json":
              "3c8e8f15f490b61e055115fa383bfd1f4f467af11df5f2fa241d202f578f5208"},
     ),
@@ -47,28 +47,29 @@ GOLDEN = {
          "powers_summary.json":
              "a3994baa8a2162edeca6f49c77b50f1932e1828cbcd4ed8924fdb6c64fad55ce"},
     ),
-    # succeeds at n = 8 with bound 0.7071 after carrying a best tuple
-    # through the failing trials before it
+    # succeeds at the first 8-tuple, whose repeated conjugate gives unequal
+    # weights and the Akemann-Ostrand bound 0.7126, after carrying a best
+    # tuple (n = 4, 0.866) through the failing trials before it
     "powers-random": (
         {"experiment": "powers", "rank": 2, "g": "ab", "eps": 0.75, "strategy": "random",
          "budget": 12, "seed": 5},
-        {"powers.csv": "456e437ffc0f9d868946f83c71bd93feca8d76ca310c28aa08942ee9a006717c",
+        {"powers.csv": "805ce8ed50d7acbb2ff4fec66691a178450a48a1a4e97e6b6a181ce927bf47c6",
          "powers_summary.json":
-             "e4546e67d59d24de1f89764d9e701f939143059296eef31b0c62a5b60861d6cf"},
+             "1de36aca66f57e00d0da4f5fd92f0ef48c9bc1709d72ac08581b4f9f3ef166b0"},
     ),
     "build-mu": (
         {"experiment": "build-mu", "rank": 2, "levels": 1},
-        {"build_levels.csv": "78da5ab41140f306879a2d593ea5967bc5ff7399e61b3759bf33ca9e0671bbeb",
-         "build_final.csv": "40f05248c1af9cefab970ecee2b5ba1830bc719549b3bdd86374743bfc96022d",
-         "mu.json": "bf9e4046bb91973b4b6f98e5067527171e5f0e1205f874bc8be95875887f56cf"},
+        {"build_levels.csv": "a59fb70e160448595e36381b7f5ac98b96823b3baabc1d987513da4a0abb88b9",
+         "build_final.csv": "c279e5f9ee2c7ceec9c65cb8016d51a7b436cf0fb19d68a34f34130490ada36d",
+         "mu.json": "1da97879fbbf922089b9bbe909a3f27a15f857dd19c1c5e83eb3fbbb14530d18"},
     ),
     # doubling tuple sizes over many constraints, most tuples left at the
     # first constraint that reaches epsilon (about 0.4 s)
     "build-mu-levels-2": (
         {"experiment": "build-mu", "rank": 2, "levels": 2, "family": ["ab"]},
-        {"build_levels.csv": "2639de2a8c406cdb56dba4df3f4631b52a83a928a369359d50bdfe7c247c36a5",
-         "build_final.csv": "9b6eee766baf520b0b9286df46c424116a02c01a80ba9766d2621b37cd52a0d2",
-         "mu.json": "995eb0b1007708d449d060777c4474671b7b68a524b2eaf47f2abfa06ddeca4c"},
+        {"build_levels.csv": "abf8c6abf665d0e82b05d32a08090d95a632313b1d76de3fe32aea85df383db2",
+         "build_final.csv": "b62f0dde25fbc113306fce4e2bdf8ae922d0ca90296176d6e33f14617a9705aa",
+         "mu.json": "977a31c03cdb90e093a609dc70d083bd7eb0faee6a6218282aff6c8dd221880a"},
     ),
     "boundary-solve": (
         {"experiment": "boundary-solve", "rank": 2, "depth": 4, "mu": LENGTH2_LAW},
@@ -177,20 +178,20 @@ def _bench_workloads():
 # The sha256 of the JSON of each benchmark job's outputs table (file name to
 # file digest, keys sorted) on workload seed 1, "workload/job id" to digest.
 BENCH_JOBS = {
-    "build/build-mu-L2": "1606f7e47292c5eaba430fa5f68e71df8da522543083a24258b312797618418b",
-    "build/build-mu-L1-0": "b0c91fa73a10a00bab0f79fa71d8722638ed770ebd00401f5386c9319268115f",
-    "build/build-mu-L1-1": "b6d74e3cf4038dfdbcfe40779a4cc31b5e164f25765855fcfd75c8dba7461e15",
-    "build/build-mu-L1-2": "6d0d24128ede6fdbbd2e6897b90854e7af55f8abab31c4c2a3206b0a9db1acde",
-    "build/build-mu-L1-3": "b0c91fa73a10a00bab0f79fa71d8722638ed770ebd00401f5386c9319268115f",
-    "build/powers-0": "f5e34d614dafdfe04c3087932156be64ab20f16ad9cdf3c569884adeda06f043",
-    "build/powers-1": "d734338cbd2728669f124d5823f9ac3008a1486d1f970fef5559f2154dd4e649",
-    "build/powers-2": "aa5bf6bb4a0ae3d63659184f047d593a0caa05d6f0562d61f9197c8fb0e677e9",
-    "build/powers-3": "b690beeb66a79028d4baa05b8f1220ff7b959e3705a4ff6a06c75c7448a07bee",
-    "build/kesten": "bf62d5e3532184d32f395b3cce725aa18ac808eaad1908b8c10cd0944604bdcb",
-    "brackets/kesten": "bf62d5e3532184d32f395b3cce725aa18ac808eaad1908b8c10cd0944604bdcb",
-    "brackets/cesaro-0": "6941780b306c5aec9c8f8e7f0bb587be4f3d7a99d7eb9da0c74b26636d949c68",
+    "build/build-mu-L2": "4223188cd4c0a566335a8fcffb19d8fc354a9685e1cedfe78e4dcb209290b008",
+    "build/build-mu-L1-0": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+    "build/build-mu-L1-1": "118698cfb4aec6a74e97be7bbbf0afad56c66c3ea1bfb12ee2140c264d57e985",
+    "build/build-mu-L1-2": "b1e225ebca21883b1d0a5ea5a1f7e48d27dfa4beff2dc99afe8b45f82f63025f",
+    "build/build-mu-L1-3": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+    "build/powers-0": "e965f7b6da2b7219d5706b84a8658a60132f13be223ca86d184abb6f6a7cb1ee",
+    "build/powers-1": "239b4c2fcaa80d8e6ef4ce0c12158333c3e978a1ab700592c8846ddcbeb791be",
+    "build/powers-2": "f0f2c022f6ec560352fee02b922df572cf61b969e81829824e15aaee49fa2d7a",
+    "build/powers-3": "d779033f719f397fb2d796f79760544ca7320675fe444c7c2c8caa21d34c699a",
+    "build/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+    "brackets/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+    "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
     "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
-    "brackets/cesaro-2": "552af0fcbf12c6b448c67520a837b9944b557ae5c92236baf044fac4ec5529eb",
+    "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
     "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
     "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
     "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
@@ -208,7 +209,7 @@ BENCH_JOBS = {
     "dynamics/boundary-solve-length2":
         "82c41ed6638ddc92959b9f54012504b11e305fe4f907eaf54bd8bf37963cc1a0",
     "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
-    "dynamics/kesten": "bf62d5e3532184d32f395b3cce725aa18ac808eaad1908b8c10cd0944604bdcb",
+    "dynamics/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
 }
 
 

@@ -441,15 +441,20 @@ def test_cesaro_reports_null_when_the_generation_test_refuses(tmp_path, monkeypa
 
 
 def test_cesaro_under_a_biased_law_reads_subgroup_layers(tmp_path, capsys):
-    # from n = 6 the support of b_n is no free family and the rewritten
-    # lengths give a bound below the l1 norm
+    # at n = 2 the support of b_2, abAB (mass 1/2) and its conjugates by the
+    # four letters (half their law masses), freely generates, so the upper is
+    # its Akemann-Ostrand norm, min over t of 2t + sum (sqrt(t^2 + c^2) - t)
+    # over those five masses c; from n = 6
+    # the support is no free family and the rewritten lengths give a bound
+    # below the l1 norm
     (tmp_path / "mu.json").write_text(json.dumps(
         _law({"a": "2/5", "A": "1/10", "b": "3/10", "B": "1/5"})))
     rc, err = _main(["cesaro", "--element", "abAB", "--n-max", "6", "--mu",
                      str(tmp_path / "mu.json"), "--out-dir", str(tmp_path / "o")], capsys)
     assert rc == 0, err
     rows = [row.split(",") for row in (tmp_path / "o" / "cesaro.csv").read_text().splitlines()[2:]]
-    assert [row[2:] for row in rows[:5]] == [["1.0", "l1"]] * 5
+    assert rows[1][2:] == ["0.8655671719807653", "free-support"]
+    assert [rows[n - 1][2:] for n in (1, 3, 4, 5)] == [["1.0", "l1"]] * 4
     assert rows[5][0] == "6" and rows[5][2:] == ["0.9544479060487384", "subgroup-layers"]
 
 

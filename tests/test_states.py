@@ -33,6 +33,20 @@ MU = uniform_generator_measure(2)
 S3_REGULAR = FiniteQuotient.regular_from_permutations(2, [(1, 0, 2), (1, 2, 0)])
 
 
+def akemann_ostrand(cs):
+    """The norm of sum c_i lambda(t_i) over a free family (Akemann-Ostrand
+    1976): min over t > 0 of 2t + sum (sqrt(t^2 + c_i^2) - t), by bisection
+    on the derivative in floats."""
+    lo, hi = 0.0, max(cs) * len(cs)
+    for _ in range(200):
+        t = (lo + hi) / 2
+        if 2 + sum(t / math.sqrt(t * t + c * c) - 1 for c in cs) < 0:
+            lo = t
+        else:
+            hi = t
+    return 2 * t + sum(math.sqrt(t * t + c * c) - t for c in cs)
+
+
 class TestCesaroTest:
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_no_checkpoint_is_refused(self, n_max):
@@ -54,8 +68,16 @@ class TestCesaroTest:
         ups = rep.uppers()
         assert rep.generating is False
         assert rep.verdict.startswith("decaying")
-        # O(1/sqrt(n)): the scaled uppers stay bounded while raw uppers halve
-        assert ups[31] < 0.55 * ups[7]
+        # b_n = sum_j c_j lambda(b^-j a b^j), a free family, where c_j, the
+        # mass of b^j under the n-th Cesaro average, is
+        # (1/n) sum_{j <= k < n} C(k, j) / 2^k: the uppers are its
+        # Akemann-Ostrand norms, which fall by 0.586 from n = 8 to n = 32
+        norms = {n: akemann_ostrand([sum(math.comb(k, j) / 2**k for k in range(j, n)) / n
+                                     for j in range(n)]) for n in (8, 16, 32)}
+        for n, norm in norms.items():
+            assert ups[n - 1] == pytest.approx(norm, rel=1e-12)
+        assert ups[31] < 0.59 * ups[7]
+        # O(1/sqrt(n)): the scaled uppers stay bounded
         scaled = [ups[n - 1] * math.sqrt(n) for n in (8, 16, 32)]
         assert max(scaled) < 3.0
         # certified lower bounds stay below uppers
@@ -82,12 +104,16 @@ class TestCesaroTest:
 
 
 class TestPowersSearch:
-    def test_spec_example_n8(self):
+    def test_spec_example_n6(self):
+        # the average of n free conjugates has norm 2 sqrt(n - 1) / n
+        # (Akemann-Ostrand), first below 0.75 at n = 6: 2 sqrt(5) / 6
         cert = powers_search(F2.word("a"), 0.75, strategy="geometric", budget=16)
         assert cert.success
-        assert cert.n == 8
-        assert cert.upper_bound < 0.75
-        assert [str(h) for h in cert.conjugators] == ["b" * k for k in range(1, 9)]
+        assert cert.n == 6
+        assert cert.upper_bound == 0.74535599249993
+        assert Fraction(cert.upper_bound) ** 2 >= Fraction(20, 36)
+        assert Fraction(math.nextafter(cert.upper_bound, 0)) ** 2 < Fraction(20, 36)
+        assert [str(h) for h in cert.conjugators] == ["b" * k for k in range(1, 7)]
 
     def test_certificate_revalidates_bit_identically(self):
         cert = powers_search(F2.word("a"), 0.75, strategy="geometric", budget=16)
