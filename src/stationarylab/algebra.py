@@ -25,6 +25,17 @@ Akemann-Ostrand norms of free families and of self-adjoint nearest-neighbour
 elements, each a convex minimum over one variable, read at one point:
 integer sums whose square roots math.isqrt rounds up, the least of them
 rounded up to a float.
+
+Every upper candidate is at least the floor F(x) = |x(e)| + min over t >= 0
+of f(t) = sum_i sqrt(t^2 + |x(w_i)|^2) - (n - 2) t, over the n support
+words w_i off e, y the part of x off e: l1 is |x(e)| + f(0); each layer
+candidate is at least |x(e)| + 2 ||y||_2, which is at least f(||y||_2 / 2)
+as sqrt(t^2 + w) <= t + w / 2t; the free-family candidate is f at one
+point, and the nearest-neighbour one f at one point after s = 2t.  min f is
+certified from below with no sign check: for any a_i in [0, 1] with
+sum a_i >= n - 2, Cauchy-Schwarz gives f(t) >= sum_i sqrt(1 - a_i^2) |x(w_i)|
+at every t >= 0, an integer sum whose roots math.isqrt rounds down.  A
+Powers scan compares F with epsilon before it runs the candidates.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gcd, inf, isqrt, lcm, ldexp, log, log2, nextafter, sqrt
+from math import ceil, exp, gcd, inf, isqrt, lcm, ldexp, log, log2, nextafter, sqrt
 from sys import float_info
 from typing import Iterable, Iterator, Mapping
 
@@ -513,26 +524,22 @@ def _isqrt_up(n: int) -> int:
     return r + (r * r < n)
 
 
-def _root_sum_min(weights: list[int], m: int) -> int:
-    """den 2^_SQRT_BITS f(t) at one t >= 0, each root rounded up, for
-    f(t) = sum_i sqrt(t^2 + w_i / den^2) - m t, integers w_i >= 0 not all 0
-    and m < len(weights): an upper bound on min f, and on every norm that
-    min f is.  f is convex, and its minimiser t solves g(t) = m for
-    g(t) = sum_i t / sqrt(t^2 + w_i) in units of 1 / den; t = 0 when m <= 0.
+def _root_sum_point(weights: list[int], m: int) -> tuple[float, list[float]]:
+    """A float t > 0 near the minimiser of f(t) = sum_i sqrt(t^2 + q_i) - m t,
+    and the floats q_i = w_i / max w, at least the least normal float, for
+    integers w_i >= 0 not all 0 and 0 < m < len(weights): t is in units of
+    sqrt(max w) / den for the f of _root_sum_min.  f is convex, and its
+    minimiser solves g(t) = m for g(t) = sum_i t / sqrt(t^2 + q_i).
 
-    Every t gives an upper bound, so floats only choose it: Newton steps in
-    log t, safeguarded by bisecting a bracket on the root, keeping the t of
-    least float f, until Newton's predicted gain is below the float
-    resolution of f.  The bracket runs from m / sum_i 1 / sqrt(w_i), as
-    t / sqrt(t^2 + w) <= t / sqrt(w), to the equal-weight root
-    sqrt(mean w) m / sqrt(n^2 - m^2), as t / sqrt(t^2 + w) is convex in w;
+    Newton steps in log t, safeguarded by bisecting a bracket on the root,
+    keep the t of least float f, until Newton's predicted gain is below the
+    float resolution of f.  The bracket runs from m / sum_i 1 / sqrt(q_i),
+    as t / sqrt(t^2 + q) <= t / sqrt(q), to the equal-weight root
+    sqrt(mean q) m / sqrt(n^2 - m^2), as t / sqrt(t^2 + q) is convex in q;
     that is where the steps start, and where they stop at once when the
     weights are equal.
     """
-    if m <= 0:
-        return sum(_sqrt_up(w) for w in weights)
     n, scale = len(weights), max(weights)
-    # floats in (0, 1], t in units of sqrt(scale) / den
     qs = [max(w / scale, float_info.min) for w in weights]
     t = sqrt(sum(qs) / n) * m / sqrt(n * n - m * m)
     lo, hi = log(m / sum(1 / sqrt(q) for q in qs)), log(t)
@@ -557,9 +564,52 @@ def _root_sum_min(weights: list[int], m: int) -> int:
         else:
             step = u - (lo + hi) / 2
         t = exp(u - step)
-    num, d = best[1].as_integer_ratio()
-    t = num * _sqrt_up(scale) // d
+    return best[1], qs
+
+
+def _root_sum_min(weights: list[int], m: int) -> int:
+    """den 2^_SQRT_BITS f(t) at one t >= 0, each root rounded up, for
+    f(t) = sum_i sqrt(t^2 + w_i / den^2) - m t, integers w_i >= 0 not all 0
+    and m < len(weights): an upper bound on min f, and on every norm that
+    min f is.  Every t gives an upper bound, so floats only choose it: t = 0
+    when m <= 0, else the point of _root_sum_point.
+    """
+    if m <= 0:
+        return sum(_sqrt_up(w) for w in weights)
+    point, _ = _root_sum_point(weights, m)
+    num, d = point.as_integer_ratio()
+    t = num * _sqrt_up(max(weights)) // d
     return sum(_isqrt_up(t * t + (w << 2 * _SQRT_BITS)) for w in weights) - m * t
+
+
+def _root_sum_floor(weights: list[int], m: int) -> int:
+    """den 2^_SQRT_BITS min over t >= 0 of f(t), for the f of
+    _root_sum_min, rounded down; m < len(weights), and 0 for no weights.
+
+    For a in [0, 1] and v >= 0, Cauchy-Schwarz gives
+    sqrt(t^2 + v) >= a t + sqrt(1 - a^2) sqrt(v), so for a_i in [0, 1] with
+    sum_i a_i >= m, f(t) >= sum_i sqrt(1 - a_i^2) sqrt(w_i) / den at every
+    t >= 0, with equality at the minimiser for
+    a_i = t / sqrt(t^2 + w_i / den^2).  Those a_i at the point of
+    _root_sum_point (a_i = 0 when m <= 0) are rounded up to multiples of
+    2^-_SQRT_BITS, and any shortfall of their sum below m that float
+    rounding leaves is spread over them in proportion to 1 - a_i, so no a_i
+    passes 1; every root is rounded down.  The floor needs no sign
+    check: it only loses sharpness when the point is off the minimiser.
+    """
+    one = 1 << _SQRT_BITS
+    if m <= 0:
+        alphas = [0] * len(weights)
+    else:
+        t, qs = _root_sum_point(weights, m)
+        alphas = [min(one, ceil(ldexp(t / sqrt(t * t + q), _SQRT_BITS))) for q in qs]
+        short = m * one - sum(alphas)
+        if short > 0:
+            # short < sum of the room, as m < len(weights), so each share fits
+            room = [one - a for a in alphas]
+            total = sum(room)
+            alphas = [a - (-short * r // total) for a, r in zip(alphas, room)]
+    return sum(isqrt((one * one - a * a) * w) for a, w in zip(alphas, weights))
 
 
 def _modulus(x: AlgebraElement, w: bytes) -> int:
@@ -704,9 +754,7 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
     """
     if not (x.re or x.im):
         return UpperBound(0.0, "zero")
-    squares = {w: c * c for w, c in x.re.items()}
-    for w, c in x.im.items():
-        squares[w] = squares.get(w, 0) + c * c
+    squares = _squares(x)
     candidates = [
         (_checked_l1(x), "l1"),
         (_layer_bound((len(w), s) for w, s in squares.items()), "ambient-layers"),
@@ -738,6 +786,26 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
             candidates.append((sub, "subgroup-layers"))
     bound, tag = min(candidates, key=lambda p: p[0])
     return UpperBound(_float_up(Fraction(bound, x.den << _SQRT_BITS)), tag)
+
+
+def _squares(x: AlgebraElement) -> dict[bytes, int]:
+    """den^2 |x(w)|^2 for each support word w, by its letters."""
+    squares = {w: c * c for w, c in x.re.items()}
+    for w, c in x.im.items():
+        squares[w] = squares.get(w, 0) + c * c
+    return squares
+
+
+def _upper_bound_floor(x: AlgebraElement) -> Fraction:
+    """A lower bound on every candidate of norm_upper_bound(x), so on what it
+    returns: |x(e)| + min over t >= 0 of
+    f(t) = sum_i sqrt(t^2 + |x(w_i)|^2) - (n - 2) t over the n support words
+    w_i off e, each part rounded down (_root_sum_floor).  The module notes
+    say why each candidate is at least this."""
+    squares = _squares(x)
+    c_e = isqrt(squares.pop(b"", 0) << 2 * _SQRT_BITS)
+    weights = list(squares.values())
+    return Fraction(c_e + _root_sum_floor(weights, len(weights) - 2), x.den << _SQRT_BITS)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ finite-dimensional stationary states of permutation quotients.
 Both Powers searches run through _scan, over (w, ..., w^n) by n first, then
 base word w in length-lex order: n = 1..budget in powers_search, n = 1, 2,
 4, ... <= budget in the construction.  A scan stops at the first tuple that
-passes; otherwise it reports the one with the least worst bound.
+passes; otherwise it reports the one with the least worst bound.  A tuple
+whose certified floor on an upper bound already reaches epsilon cannot pass,
+and its bounds are computed only when no tuple passes.
 
 Every test is bracket-based: a claim "passes" only on a certified upper bound
 and "fails" only on a certified lower bound; anything else is inconclusive.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -24,6 +26,7 @@ from .algebra import (
     _centered,
     _conjugation_sum,
     _l1_normalized,
+    _upper_bound_floor,
     certify_norm,
     norm_upper_bound,
 )
@@ -186,41 +189,71 @@ def _scan(constraints: Sequence[tuple[str, AlgebraElement]], epsilon: float,
     every constraint element below epsilon, else the one with the least
     worst bound (the first of equals), as (tuple, n, [(constraint id, upper
     bound)], worst bound); ((), 0, [], inf) for an empty stream.  A tuple's
-    bounds stop at the first constraint that reaches epsilon."""
-    best = ((), 0, [], float("inf"))
-    for hs, n in tuples:
-        certs, worst = [], 0.0
-        for cid, x in constraints:
-            u = norm_upper_bound(_averaged_element(x, hs))
-            certs.append((cid, u))
-            worst = max(worst, u)
-            if worst >= epsilon:
-                break
+    bounds stop at the first constraint that reaches epsilon.
+
+    Each averaged element is formed once, and its floor
+    (algebra._upper_bound_floor), a lower bound on its norm_upper_bound,
+    is read first: a tuple with a floor at least epsilon cannot pass, so it
+    is deferred, holding no averaged element.  The deferred tuples are
+    evaluated, in stream order, only when no tuple passes, so the closest
+    tuple and its bounds are those of the scan that defers none."""
+    best = (inf, -1, (), 0, [])  # (worst, stream position, tuple, n, certs)
+    deferred = []
+    for i, (hs, n) in enumerate(tuples):
+        bounds = _tuple_bounds(constraints, epsilon, hs, defer=True)
+        if bounds is None:
+            deferred.append((i, hs, n))
+            continue
+        certs, worst = bounds
         if worst < epsilon:
             return hs, n, certs, worst
-        if worst < best[3]:
-            best = (hs, n, certs, worst)
-    return best
+        best = min(best, (worst, i, hs, n, certs))
+    for i, hs, n in deferred:
+        certs, worst = _tuple_bounds(constraints, epsilon, hs, defer=False)
+        best = min(best, (worst, i, hs, n, certs))
+    worst, _, hs, n, certs = best
+    return hs, n, certs, worst
+
+
+def _tuple_bounds(constraints: Sequence[tuple[str, AlgebraElement]], epsilon: float,
+                  hs: tuple[Word, ...], defer: bool):
+    """([(constraint id, upper bound)], worst bound) of one tuple, the bounds
+    stopping at the first that reaches epsilon; None, with defer set, at the
+    first averaged element whose floor reaches epsilon."""
+    certs, worst = [], 0.0
+    for cid, x in constraints:
+        averaged = _averaged_element(x, hs)
+        if defer and _upper_bound_floor(averaged) >= epsilon:
+            return None
+        u = norm_upper_bound(averaged)
+        certs.append((cid, u))
+        worst = max(worst, u)
+        if worst >= epsilon:
+            break
+    return certs, worst
 
 
 def _power_families(rank: int, supports: Collection[bytes], sizes: Iterable[int]):
     """(w, w^2, ..., w^n), n for each size n and, per n, each base w: the
     nonidentity words of the radius-3 ball, in length-lex order, that commute
-    with no word of `supports` (given by their letters).  InconclusiveError,
-    at the call, if there is no such base."""
+    with no word of `supports` (given by their letters).  Each base's powers
+    are formed once, each the previous one times w, and extended as the
+    sizes grow.  InconclusiveError, at the call, if there is no such base."""
     bases = [w for w in ball(FreeGroupContext(rank), 3) if not w.is_identity() and all(
         _product_letters(w.letters, s) != _product_letters(s, w.letters) for s in supports)]
     if not bases:
         raise InconclusiveError("no radius-3 base word commutes with none of the targets")
-    return ((_power_tuple(w, n), n) for n in sizes for w in bases)
+    return _prefixes([[w] for w in bases], sizes)
 
 
-def _power_tuple(w: Word, n: int) -> tuple[Word, ...]:
-    """(w, w^2, ..., w^n), each power the previous one times w."""
-    powers = [w]
-    while len(powers) < n:
-        powers.append(powers[-1] * w)
-    return tuple(powers)
+def _prefixes(powers: list[list[Word]], sizes: Iterable[int]):
+    """tuple(p[:n]), n for each size n and each list p, each list first
+    extended, in place, by products with its first word up to n."""
+    for n in sizes:
+        for p in powers:
+            while len(p) < n:
+                p.append(p[-1] * p[0])
+            yield tuple(p[:n]), n
 
 
 def _random_tuples(rank: int, budget: int, seed: int):

@@ -27,6 +27,7 @@ from stationarylab.algebra import (
     _modulus,
     _sqrt_up,
     _trace_moments,
+    _upper_bound_floor,
     certify_norm,
     convolve,
     norm_lower_bound,
@@ -254,6 +255,9 @@ class TestNormBounds:
         avg = AlgebraElement({conjugate(a, b**k): Fraction(1, n) for k in range(1, n + 1)}, 2)
         expected = 1.0 if n <= 2 else float_up_root(Fraction(4 * (n - 1), n * n))
         assert norm_upper_bound(avg) == expected
+        # every candidate is at least that norm, and the floor certifies it
+        assert_few_ulps_below(_upper_bound_floor(avg),
+                              1 if n <= 2 else Fraction(4 * (n - 1), n * n))
 
     def test_generic_path_matches_radial_path(self):
         # conjugating breaks radiality but not the moments
@@ -293,6 +297,7 @@ def test_kesten_norm_is_in_the_bracket(k, n_moments, e):
     bracket = certify_norm(x, n_moments)
     assert bracket.moments_used == n_moments
     assert norm_squared_in(bracket, Fraction(4) ** e * 4 * (2 * k - 1))
+    assert_few_ulps_below(_upper_bound_floor(x), Fraction(4) ** e * 4 * (2 * k - 1))
     # the nearest-neighbour candidate reaches it, rounded up
     assert bracket.upper == float_up_root(Fraction(4) ** e * 4 * (2 * k - 1))
 
@@ -515,6 +520,53 @@ def assert_rounded_up(bound, interval):
     """bound is at least the exact value and at most a few ulps above it."""
     lo, hi = interval
     assert hi <= Fraction(bound) <= hi * (1 + Fraction(1, 2**50)) + Fraction(1, 2**1000)
+
+
+def assert_few_ulps_below(floor, norm_squared):
+    """floor <= sqrt(norm_squared), compared exactly, and at most four ulps
+    of it below."""
+    assert floor**2 <= norm_squared
+    top = float_up_root(norm_squared)
+    assert floor >= Fraction(top) - 4 * Fraction(math.ulp(top))
+
+
+@st.composite
+def floor_elements(draw):
+    """Elements of ranks 1-3 with complex coefficients, with or without an
+    identity term: 1-2 support words off e, any short words, a self-adjoint
+    element on the generators, or a free family of FREE_FAMILIES."""
+    coefficient = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9)).filter(bool)
+    kind = draw(st.sampled_from(["few", "short", "nearest-neighbour", "free-family"]))
+    if kind == "free-family":
+        rank, names = draw(st.sampled_from([f for f in FREE_FAMILIES if f[0] <= 3]))
+        ctx = FreeGroupContext(rank)
+        words = [ctx.word(w) for w in names]
+    else:
+        rank = draw(st.integers(1, 3))
+        ctx = FreeGroupContext(rank)
+        off_e = [w for w in ball(ctx, 2) if len(w)]
+        words = draw(st.lists(st.sampled_from(off_e), min_size=1, unique=True,
+                              max_size=2 if kind == "few" else 8))
+    table = {w: Fraction(draw(st.integers(-99, 99).filter(bool)), 7) * draw(coefficient)
+             for w in words}
+    if kind == "nearest-neighbour":
+        table = {}
+        for g in (ctx.generator(i) for i in range(1, rank + 1)):
+            if draw(st.booleans()):
+                c = draw(coefficient)
+                table[g], table[g.inverse()] = c, c.conjugate()
+    if draw(st.booleans()):
+        table[ctx.identity] = draw(coefficient)
+    return AlgebraElement(table, rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_elements())
+def test_the_floor_is_below_every_upper_candidate(x):
+    # the least candidate's integer, from the reference fold, compared
+    # exactly with the floor
+    least, _ = upper_bound_oracle(x)
+    assert _upper_bound_floor(x) <= Fraction(least, x.den << _SQRT_BITS)
 
 
 def upper_bound_oracle(x):

@@ -1,12 +1,24 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stationarylab import freegroup
-from stationarylab.algebra import AlgebraElement, _float_down, _l1_normalized, norm_upper_bound
-from stationarylab.errors import MalformedInputError, PreconditionError, ResourceLimitError
+from stationarylab import cli, freegroup, states
+from stationarylab.algebra import (
+    AlgebraElement,
+    _float_down,
+    _l1_normalized,
+    _upper_bound_floor,
+    norm_upper_bound,
+)
+from stationarylab.errors import (
+    ConstructionError,
+    MalformedInputError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from stationarylab.freegroup import FiniteQuotient, FreeGroupContext, ball, conjugate
 from stationarylab.states import (
     build_c_star_simple_measure,
@@ -15,7 +27,7 @@ from stationarylab.states import (
     powers_search,
     _averaged_element,
     _power_families,
-    _power_tuple,
+    _random_tuples,
     _scan,
 )
 from stationarylab.walks import (
@@ -194,17 +206,15 @@ class TestPowersAveraging:
             cancels += zeros
         assert cancels > 0
 
-    def test_geometric_tuples_are_successive_powers(self):
+    # each base's powers are formed once and extended: sizes in order, out
+    # of order and repeated give the same tuples as powers formed afresh
+    @pytest.mark.parametrize("sizes", [range(1, 7), (5, 2, 16, 1, 16)])
+    def test_geometric_tuples_are_successive_powers(self, sizes):
         g = F2.word("ab")
         bases = [w for w in ball(F2, 3) if not w.is_identity() and w * g != g * w]
         want = [(tuple(w**k for k in range(1, n + 1)), n)
-                for n in range(1, 7) for w in bases]
-        assert list(_power_families(2, [g.letters], range(1, 7))) == want
-
-    def test_power_tuple_is_successive_powers(self):
-        for w in (F2.word("b"), F2.word("aB"), F2.word("abA")):
-            for n in (1, 2, 5, 16):
-                assert _power_tuple(w, n) == tuple(w**k for k in range(1, n + 1))
+                for n in sizes for w in bases]
+        assert list(_power_families(2, [g.letters], sizes)) == want
 
     def test_multi_element_tuple_is_geometric(self):
         a = F2.word("a")
@@ -212,6 +222,113 @@ class TestPowersAveraging:
         hs, n, certs, worst = _scan([("a", AlgebraElement.delta(a))], 0.75, tuples)
         assert worst < 0.75 and certs
         assert hs == tuple(hs[0] ** k for k in range(1, len(hs) + 1)) and n == len(hs)
+
+
+def reference_scan(constraints, epsilon, tuples):
+    """The scan with no floor: every tuple's bounds in stream order."""
+    best = ((), 0, [], float("inf"))
+    for hs, n in tuples:
+        certs, worst = [], 0.0
+        for cid, x in constraints:
+            u = norm_upper_bound(_averaged_element(x, hs))
+            certs.append((cid, u))
+            worst = max(worst, u)
+            if worst >= epsilon:
+                break
+        if worst < epsilon:
+            return hs, n, certs, worst
+        if worst < best[3]:
+            best = (hs, n, certs, worst)
+    return best
+
+
+def same_scan(constraints, epsilon, tuples):
+    """_scan and reference_scan on one list of tuples, each result with the
+    bounds' methods: they must be equal."""
+    tuples = list(tuples)
+    got, want = (scan(constraints, epsilon, iter(tuples)) for scan in (_scan, reference_scan))
+    assert got == want
+    assert [u.method for _, u in got[2]] == [u.method for _, u in want[2]]
+    return got
+
+
+def cli_outputs(argv, out, capsys):
+    """Exit code, {file name: bytes} and stderr of one CLI run into out."""
+    rc = cli.main(argv + ["--out-dir", str(out)])
+    return rc, {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}, \
+        capsys.readouterr().err
+
+
+class TestScanDefersWhatCannotPass:
+    """A tuple whose floor reaches epsilon is evaluated only when no tuple
+    passes, and the scan returns what the scan that defers none returns."""
+
+    @pytest.mark.parametrize("g", ["a", "ab", "aab", "abAB"])
+    @pytest.mark.parametrize("budget", range(1, 6))
+    def test_failing_powers_scan(self, g, budget):
+        # at most 5 free conjugates: every floor is 2 sqrt(n - 1) / n >= 0.75
+        x = F2.word(g)
+        hs, n, certs, worst = same_scan([(g, AlgebraElement.delta(x))], 0.75,
+                                        _power_families(2, [x.letters], range(1, budget + 1)))
+        assert worst >= 0.75 and hs
+
+    @pytest.mark.parametrize("eps, budget, seed", [(0.9, 12, 5), (0.5, 8, 1), (0.3, 10, 2)])
+    def test_random_scan(self, eps, budget, seed):
+        same_scan([("a", AlgebraElement.delta(F2.word("a")))], eps,
+                  _random_tuples(2, budget, seed))
+
+    def test_passing_scans(self):
+        for g in ("a", "ab", "aab"):
+            x = F2.word(g)
+            hs, n, _, worst = same_scan([(g, AlgebraElement.delta(x))], 0.75,
+                                        _power_families(2, [x.letters], range(1, 17)))
+            assert worst < 0.75 and n == 6
+
+    def test_a_deferred_tuple_wins_a_tie_it_comes_first_in(self):
+        # (e, b) gives a + Bab, whose floor 1 reaches 0.95; (e, b, Bab) gives
+        # a, Bab and BAbaBab, which generate a subgroup of rank 2: their floor
+        # is 2 sqrt(2) / 3 < 0.95, and the l1 norm 1 is their least bound.
+        # Both worst bounds are 1, so the first in the stream is the closest
+        a = AlgebraElement.delta(F2.word("a"))
+        pair = (F2.identity, F2.word("b"))
+        triple = pair + (F2.word("Bab"),)
+        assert _upper_bound_floor(_averaged_element(a, pair)) >= 0.95
+        assert _upper_bound_floor(_averaged_element(a, triple)) < 0.95
+        for stream in ([(pair, 2), (triple, 3)], [(triple, 3), (pair, 2)]):
+            hs, n, certs, worst = same_scan([("a", a)], 0.95, stream)
+            assert (n, worst) == (stream[0][1], 1.0)
+
+    def test_ties_among_deferred_tuples_go_to_the_first(self):
+        # at n <= 5 the conjugates of a by the powers of b and of B are free
+        # families with equal bounds: the first base in length-lex order wins
+        x = F2.word("a")
+        hs, n, _, worst = same_scan([("a", AlgebraElement.delta(x))], 0.75,
+                                    _power_families(2, [x.letters], range(5, 0, -1)))
+        assert (n, worst, hs[0]) == (5, 0.8, F2.word("b"))
+
+    @pytest.mark.parametrize("family, levels, budget", [
+        (["ab"], 1, 8), (["ab"], 2, 32), (["a", "b", "A", "B", ""], 1, 1), (["a", "ab"], 1, 4)])
+    def test_failing_build_level(self, monkeypatch, family, levels, budget):
+        members = [AlgebraElement.delta(F2.word(w)) for w in family]
+        messages = []
+        for scan in (_scan, reference_scan):
+            monkeypatch.setattr(states, "_scan", scan)
+            with pytest.raises(ConstructionError) as info:
+                build_c_star_simple_measure(members, levels, budget=budget)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and "closest tuple" in messages[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["powers", "--g", "aab", "--eps", "0.75", "--budget", "4"],
+        ["powers", "--g", "a", "--eps", "0.5", "--strategy", "random", "--budget", "8",
+         "--seed", "3"],
+        ["build-mu", "--family", "ball1", "--levels", "1", "--budget", "8"],
+    ])
+    def test_failing_cli_runs_write_the_same_bytes(self, monkeypatch, tmp_path, capsys, argv):
+        got = cli_outputs(argv, tmp_path / "floor", capsys)
+        monkeypatch.setattr(states, "_scan", reference_scan)
+        assert got == cli_outputs(argv, tmp_path / "reference", capsys)
+        assert got[0] == 5 and "error: " in got[2]
 
 
 class TestBuilder:
