@@ -52,7 +52,6 @@ from .boundary import (
     fix_mass,
     solve_stationary,
     stationarity_residual,
-    total_variation,
     translate,
     uniform_boundary_measure,
 )

@@ -42,6 +42,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 CONSISTENCY_TOL = 1e-9
+# solve_stationary's truncated operator stops at the first iteration that
+# changes no residual word by TRUNCATED_TOL or more, and gives up after
+# TRUNCATED_MAX_ITER; both are read at each call
+TRUNCATED_TOL = 1e-12
+TRUNCATED_MAX_ITER = 200
 
 
 class CylinderMeasure:
@@ -258,17 +263,6 @@ def require_stationary(mu: GroupMeasure, nu: CylinderMeasure) -> None:
         )
 
 
-def total_variation(nu1: CylinderMeasure, nu2: CylinderMeasure, depth: int) -> float:
-    """Half the l1 distance between the two mass tables at the given level."""
-    if nu1.rank != nu2.rank:
-        raise ContextMismatchError(f"measure rank {nu1.rank} vs {nu2.rank}")
-    return 0.5 * sum(
-        abs(float(nu1._mass(w)) - float(nu2._mass(w)))
-        for w in ball_letters(nu1.rank, depth)
-        if len(w) == depth
-    )
-
-
 @dataclass(frozen=True)
 class StationarySolution:
     """Output of solve_stationary; the harmonic measure has no residual and 0 iterations."""
@@ -383,48 +377,32 @@ def _compile_gathers(mu: GroupMeasure, W: int) -> list[tuple[float, np.ndarray, 
     return gathers
 
 
-def _seed_vector(seed: CylinderMeasure, W: int) -> np.ndarray:
-    """The seed's masses on the nonempty words of the ball of radius W, in
-    length-lex order, as floats; below its table the seed splits uniformly.
-    The descendants at level n of a word of the seed's deepest level d form
-    one block of q^(n - d) words, so each level below d takes one division
-    a word of level d."""
+def _uniform_vector(rank: int, W: int) -> np.ndarray:
+    """The uniform measure's masses on the nonempty words of the ball of
+    radius W, in length-lex order: 1 over the number of words of length n on
+    each word of level n."""
     import numpy as np
 
-    rank, d = seed.rank, seed.depth
-    q = 2 * rank - 1
-    top = min(d, W)
-    table = [seed.masses.get(w, 0) for w in ball_letters(rank, top) if w]
-    deepest = table[-_sphere_size(rank, top):]
-    levels = [np.array([float(m) for m in table], dtype=np.float64)]
-    for n in range(d + 1, W + 1):
-        block = q ** (n - d)
-        levels.append(np.repeat(np.array([float(m / block) for m in deepest]), block))
-    return np.concatenate(levels)
+    sizes = [_sphere_size(rank, n) for n in range(1, W + 1)]
+    return np.repeat([1 / s for s in sizes], sizes)
 
 
-def solve_stationary(
-    mu: GroupMeasure,
-    depth: int,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    seed_measure: CylinderMeasure | None = None,
-) -> StationarySolution:
+def solve_stationary(mu: GroupMeasure, depth: int) -> StationarySolution:
     """The stationary measure's cylinder masses up to depth.
 
     A transient nearest-neighbor law (an identity atom allowed) reads them
     off `_harmonic_measure`, each one integer product rounded once to a float;
     its depth is capped by the output ball alone.  Every other law takes the
-    fixed-point iteration nu -> sum_g mu(g) g nu from the uniform seed;
-    `seed_measure`, `tol` and `max_iter` serve this operator alone.
+    fixed-point iteration nu -> sum_g mu(g) g nu from the uniform measure,
+    until an iteration changes no residual word by TRUNCATED_TOL or more;
+    ConvergenceError, with the last residual, after TRUNCATED_MAX_ITER.
 
     It runs on the nonempty words of the ball of radius W = depth + 2 L
     (L = max support length), indexed in length-lex order.  A translate reads
     cylinders down to W + L; a cylinder [w] below W reads its length-W prefix
     split uniformly, its mass divided by (2k-1)^(|w| - W), as the uniform
-    measure's masses split.  The seed (the uniform measure unless given) is
-    read by the same rule below its table.  The operator is compiled one tree
-    level at a time (`_compile_gathers`), its ball's cap checked first.
+    measure's masses split.  The operator is compiled one tree level at a
+    time (`_compile_gathers`), its ball's cap checked first.
 
     The residual is the largest change of the last iteration on the words up
     to W - L, whose translates stay within the table, so it does not depend
@@ -437,8 +415,6 @@ def solve_stationary(
         raise MalformedInputError(f"depth must be >= 1, got {depth}")
     if not mu.is_generating():
         raise PreconditionError("the law must generate F_k as a semigroup")
-    if seed_measure is not None and seed_measure.rank != mu.rank:
-        raise ContextMismatchError(f"seed rank {seed_measure.rank} vs law rank {mu.rank}")
     rank = mu.rank
     nu = _harmonic_measure(mu, depth)
     if nu is not None:
@@ -446,15 +422,14 @@ def solve_stationary(
 
     import numpy as np
 
-    ctx = FreeGroupContext(rank)
     L = max(mu.max_support_length(), 1)
     W = depth + 2 * L
     _check_ball(rank, W, f"the solver works on the ball of radius depth + 2L = {W} "
                          f"(depth {depth}, L {L}); ")
 
-    n_words = ctx.ball_size(W) - 1
-    n_res = ctx.ball_size(W - L) - 1
-    n_out = ctx.ball_size(depth) - 1
+    n_words = _ball_size(rank, W) - 1
+    n_res = _ball_size(rank, W - L) - 1
+    n_out = _ball_size(rank, depth) - 1
     gathers = _compile_gathers(mu, W)
 
     def transfer(v: np.ndarray) -> np.ndarray:
@@ -463,22 +438,19 @@ def solve_stationary(
             out += p * (const + coef * v[idx])
         return out
 
-    seed = seed_measure
-    if seed is None:
-        seed = uniform_boundary_measure(ctx, 1)
-    vec = transfer(_seed_vector(seed, W))
+    vec = transfer(_uniform_vector(rank, W))
 
     residual = float("inf")
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, TRUNCATED_MAX_ITER + 1):
         nxt = transfer(vec)
         residual = float(np.max(np.abs(nxt[:n_res] - vec[:n_res])))
-        if residual < tol:
+        if residual < TRUNCATED_TOL:
             break
         vec = nxt
     else:
         raise ConvergenceError(
-            f"no convergence within {max_iter} iterations", last_residual=residual
+            f"no convergence within {TRUNCATED_MAX_ITER} iterations", last_residual=residual
         )
     words = (w for w in ball_letters(rank, depth) if w)
     nu = _cylinders(dict(zip(words, vec[:n_out].tolist())), rank, depth)

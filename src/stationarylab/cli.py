@@ -308,7 +308,7 @@ def _run_build_mu(cfg: dict):
 
 
 def _run_boundary_solve(cfg: dict):
-    sol = solve_stationary(cfg["mu"], cfg["depth"], tol=cfg["tol"], max_iter=cfg["max_iter"])
+    sol = solve_stationary(cfg["mu"], cfg["depth"])
     yield "stationary.csv", ["word", "depth", "mass"], cylinder_csv_rows(sol.measure)
     yield "stationary_summary.json", {"residual": sol.residual, "iterations": sol.iterations,
                                       "hitting_agrees": sol.hitting_agrees}
@@ -440,8 +440,7 @@ EXPERIMENTS = {
         "stationary cylinder masses: a transient nearest-neighbour law's hitting-root product,"
         " else the fixed point of the transfer operator truncated at depth + 2L (L the law's"
         " longest word), whose residual does not bound the distance to the stationary measure",
-        (RANK, Key("depth", _int, low=1), MU, Key("tol", _positive_float, 1e-12),
-         Key("max_iter", _int, 200, low=1)),
+        (RANK, Key("depth", _int, low=1), MU),
     ),
     "conditional": Experiment(
         _run_conditional,

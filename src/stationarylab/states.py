@@ -7,8 +7,9 @@ Both Powers searches run through _scan, over (w, ..., w^n) by n first, then
 base word w in length-lex order: n = 1..budget in powers_search, n = 1, 2,
 4, ... <= budget in the construction.  A scan stops at the first tuple that
 passes; otherwise it reports the one with the least worst bound.  A tuple
-whose certified floor on an upper bound already reaches epsilon cannot pass,
-and its bounds are computed only when no tuple passes.
+whose certified floor on an upper bound already reaches epsilon cannot pass;
+its bounds are computed only when no tuple passes, and only while its floor
+does not pass the least worst bound found.
 
 Every test is bracket-based: a claim "passes" only on a certified upper bound
 and "fails" only on a certified lower bound; anything else is inconclusive.
@@ -194,21 +195,25 @@ def _scan(constraints: Sequence[tuple[str, AlgebraElement]], epsilon: float,
     Each averaged element is formed once, and its floor
     (algebra._upper_bound_floor), a lower bound on its norm_upper_bound,
     is read first: a tuple with a floor at least epsilon cannot pass, so it
-    is deferred, holding no averaged element.  The deferred tuples are
-    evaluated, in stream order, only when no tuple passes, so the closest
-    tuple and its bounds are those of the scan that defers none."""
+    is deferred with that floor, holding no averaged element.  The deferred
+    tuples are evaluated only when no tuple passes, by rising (floor, stream
+    position), until a floor passes the least worst bound so far: no worst
+    bound is below its floor.  The least (worst, position) does not depend
+    on that order, so the closest tuple and its bounds are those of the
+    scan that defers none."""
     best = (inf, -1, (), 0, [])  # (worst, stream position, tuple, n, certs)
     deferred = []
     for i, (hs, n) in enumerate(tuples):
-        bounds = _tuple_bounds(constraints, epsilon, hs, defer=True)
-        if bounds is None:
-            deferred.append((i, hs, n))
+        certs, worst = _tuple_bounds(constraints, epsilon, hs, defer=True)
+        if certs is None:
+            deferred.append((worst, i, hs, n))
             continue
-        certs, worst = bounds
         if worst < epsilon:
             return hs, n, certs, worst
         best = min(best, (worst, i, hs, n, certs))
-    for i, hs, n in deferred:
+    for floor, i, hs, n in sorted(deferred):
+        if floor > best[0]:
+            break
         certs, worst = _tuple_bounds(constraints, epsilon, hs, defer=False)
         best = min(best, (worst, i, hs, n, certs))
     worst, _, hs, n, certs = best
@@ -218,13 +223,15 @@ def _scan(constraints: Sequence[tuple[str, AlgebraElement]], epsilon: float,
 def _tuple_bounds(constraints: Sequence[tuple[str, AlgebraElement]], epsilon: float,
                   hs: tuple[Word, ...], defer: bool):
     """([(constraint id, upper bound)], worst bound) of one tuple, the bounds
-    stopping at the first that reaches epsilon; None, with defer set, at the
-    first averaged element whose floor reaches epsilon."""
+    stopping at the first that reaches epsilon; (None, floor), with defer
+    set, at the first averaged element whose floor reaches epsilon.  The
+    bounds before it are below epsilon, so the tuple's worst bound is at
+    least that floor."""
     certs, worst = [], 0.0
     for cid, x in constraints:
         averaged = _averaged_element(x, hs)
-        if defer and _upper_bound_floor(averaged) >= epsilon:
-            return None
+        if defer and (floor := _upper_bound_floor(averaged)) >= epsilon:
+            return None, floor
         u = norm_upper_bound(averaged)
         certs.append((cid, u))
         worst = max(worst, u)

@@ -14,14 +14,13 @@ from stationarylab.boundary import (
     _compile_gathers,
     _harmonic_measure,
     _mass_recipe,
-    _seed_vector,
+    _uniform_vector,
     boundary_map,
     conditional_measure,
     fix_mass,
     require_stationary,
     solve_stationary,
     stationarity_residual,
-    total_variation,
     translate,
     uniform_boundary_measure,
 )
@@ -239,44 +238,9 @@ class TestStationarity:
         assert stationarity_residual(MU, bad) > 0.1
 
 
-def _skewed_seed(depth):
-    """A seed far from the uniform measure: 0.4, 0.2, 0.25, 0.15 on a, A, b, B,
-    each split uniformly below."""
-    table = {}
-    for w in ball(F2, depth):
-        if not len(w):
-            continue
-        base = {"a": 0.4, "A": 0.2, "b": 0.25, "B": 0.15}[str(w)[0]]
-        table[w] = base / 3 ** (len(w) - 1)
-    return CylinderMeasure(table, 2, depth)
-
-
 class TestSolveStationary:
-    def test_recovers_uniform_from_perturbed_seed(self):
-        # the simple walk takes the harmonic measure: the seed is not read,
-        # and no iteration runs
-        sol = solve_stationary(MU, depth=5, tol=1e-12, max_iter=200, seed_measure=_skewed_seed(5))
-        assert (sol.iterations, sol.residual, sol.hitting_agrees) == (0, None, True)
-        assert total_variation(sol.measure, uniform_boundary_measure(F2, 5), 5) < 1e-8
-
-    def test_operator_recovers_the_length2_measure_from_perturbed_seed(self):
-        plain = solve_stationary(LENGTH2, depth=4)
-        seeded = solve_stationary(LENGTH2, depth=4, seed_measure=_skewed_seed(5))
-        assert seeded.iterations > 0 and seeded.residual < 1e-12
-        assert seeded.hitting_agrees is None
-        assert total_variation(seeded.measure, plain.measure, 4) < 1e-8
-
-    def test_uniform_seeds_of_every_depth_match_the_default_seed(self):
-        # the default seed is the uniform measure split below its table, so a
-        # uniform seed of any depth gives the same solve bit for bit
-        plain = solve_stationary(LENGTH2, depth=4)
-        seeded = solve_stationary(LENGTH2, depth=4, seed_measure=uniform_boundary_measure(F2, 2))
-        assert seeded.iterations == plain.iterations
-        assert seeded.residual == plain.residual
-        assert seeded.measure.masses == plain.measure.masses
-
-    def test_residual_covers_the_certified_words(self):
-        # one step from the uniform seed, rebuilt from translates at the
+    def test_residual_covers_the_certified_words(self, monkeypatch):
+        # one step from the uniform measure, rebuilt from translates at the
         # working depth W = 5: the residual covers the words up to W - L = 3,
         # and for this law it peaks below the returned depth 1
         law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
@@ -285,14 +249,17 @@ class TestSolveStationary:
         step = CylinderMeasure(
             {w: sum(p * t.mass(w) for p, t in moved) for w in ball(F2, 5) if w}, 2, 5
         )
-        sol = solve_stationary(law, depth=1, tol=1.0, max_iter=1)
+        monkeypatch.setattr(boundary, "TRUNCATED_TOL", 1.0)
+        monkeypatch.setattr(boundary, "TRUNCATED_MAX_ITER", 1)
+        sol = solve_stationary(law, depth=1)
         assert sol.residual == pytest.approx(stationarity_residual(law, step), abs=1e-15)
         assert sol.residual > stationarity_residual(law, step, depth=1) + 0.01
 
-    def test_no_convergence_carries_the_last_residual(self):
+    def test_no_convergence_carries_the_last_residual(self, monkeypatch):
         law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
+        monkeypatch.setattr(boundary, "TRUNCATED_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match=r"last residual: 5\.813e-02") as info:
-            solve_stationary(law, depth=2, tol=1e-300, max_iter=1)
+            solve_stationary(law, depth=2)
         assert 0.0581 < info.value.last_residual < 0.0582
 
     def test_depth_below_one_rejected(self):
@@ -306,7 +273,7 @@ class TestSolveStationary:
             solve_stationary(lazy, depth=3)
 
     def test_output_satisfies_invariants(self):
-        sol = solve_stationary(MU, depth=3, tol=1e-10, max_iter=100)
+        sol = solve_stationary(MU, depth=3)
         meas = sol.measure
         for n in range(1, meas.depth + 1):
             assert abs(float(sum(m for _, m in level_items(meas, n))) - 1) < 1e-9
@@ -326,7 +293,7 @@ class TestSolveStationary:
         # u(A) = 1/3, so q(a) = 1 and q(A) = 0.  At the bracket's upper end
         # u(a) falls short of 1 by about 2^-64, and so q(A) exceeds 0
         mu = GroupMeasure({F1.word("a"): Fraction(3, 4), F1.word("A"): Fraction(1, 4)}, 1)
-        sol = solve_stationary(mu, depth=3, tol=1e-10, max_iter=10)
+        sol = solve_stationary(mu, depth=3)
         assert (sol.iterations, sol.residual, sol.hitting_agrees) == (0, None, True)
         masses = {str(w): m for w, m in sol.measure.cylinders()}
         assert [masses[w] for w in ("a", "aa", "aaa")] == [1.0] * 3
@@ -494,14 +461,11 @@ def _per_word_gathers(mu, W):
     return gathers
 
 
-def _per_word_seed(seed, W):
-    """The seed vector read one word at a time from the seed's table: a word
-    below it takes the mass of its prefix of the table's depth d, divided by
-    (2k - 1)^(|w| - d)."""
-    q, d = 2 * seed.rank - 1, seed.depth
-    words = [w for w in ball_letters(seed.rank, W) if w]
-    return np.array([float(seed.masses[w[:d]] / q ** max(len(w) - d, 0)) for w in words],
-                    dtype=np.float64)
+def _per_word_uniform(rank, W):
+    """The uniform measure's masses on the nonempty words of the ball of
+    radius W, read one word at a time off its closed form."""
+    nu = uniform_boundary_measure(FreeGroupContext(rank), 1)
+    return np.array([float(nu._mass(w)) for w in ball_letters(rank, W) if w], dtype=np.float64)
 
 
 def _assert_same_gathers(mu, W):
@@ -557,24 +521,9 @@ class TestLevelCompile:
         _assert_same_gathers(*law_and_radius)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_uniform_seeds(self, rank, depth):
-        seed = uniform_boundary_measure(FreeGroupContext(rank), depth)
-        for W in range(1, {1: 9, 2: 7, 3: 5}[rank]):
-            assert _seed_vector(seed, W).tobytes() == _per_word_seed(seed, W).tobytes()
-
-    def test_seed_deeper_than_the_ball(self):
-        assert _seed_vector(NU, 4).tobytes() == _per_word_seed(NU, 4).tobytes()
-
-    def test_seed_with_float_masses(self):
-        table = {}
-        for w in ball(F2, 3):
-            if len(w):
-                base = {"a": 0.4, "A": 0.2, "b": 0.25, "B": 0.15}[str(w)[0]]
-                table[w] = base / 3 ** (len(w) - 1)
-        seed = CylinderMeasure(table, 2, 3)
-        for W in (2, 3, 6):
-            assert _seed_vector(seed, W).tobytes() == _per_word_seed(seed, W).tobytes()
+    def test_uniform_start(self, rank):
+        for W in range(1, {1: 12, 2: 9, 3: 6}[rank]):
+            assert _uniform_vector(rank, W).tobytes() == _per_word_uniform(rank, W).tobytes()
 
     def test_mass_recipe_runs_only_on_the_children_of_prefixes(self, monkeypatch):
         # each atom g reads the recipe on the children of its |g| + 1

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import shlex
 import tempfile
 import time
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stationarylab import cli, freegroup
+from stationarylab import boundary, cli, freegroup
 from stationarylab.algebra import AlgebraElement, _odd_moment, convolve
 from stationarylab.cli import EXPERIMENTS, ConfigError, config_hash, main, run, verify
 from stationarylab.errors import MalformedInputError, ResourceLimitError
@@ -26,6 +27,14 @@ from exact import exact
 from test_boundary import _oracle_masses
 
 F2 = FreeGroupContext(2)
+# the argv of every `stationary-lab` line in the README's code blocks
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```",
+                            (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+                            re.M | re.S)
+    for line in block.splitlines() if line.startswith("stationary-lab ")
+]
 
 
 class TestSerialization:
@@ -394,15 +403,26 @@ def _law(masses):
 LENGTH2_LAW = _law({w: "1/4" for w in ("a", "B", "ab", "bA")})
 
 
-def test_solve_that_does_not_converge_is_3(tmp_path, capsys):
+def test_solve_that_does_not_converge_is_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(boundary, "TRUNCATED_MAX_ITER", 1)
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"experiment": "boundary-solve", "depth": 2, "mu": LENGTH2_LAW,
-                               "max_iter": 1, "tol": 1e-300}))
+    cfg.write_text(json.dumps({"experiment": "boundary-solve", "depth": 2, "mu": LENGTH2_LAW}))
     rc, err = _main(["boundary-solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
                     capsys)
     assert rc == 3
     _assert_one_error_line(err, "no convergence within 1 iterations (last residual: 5.813e-02)")
     assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("key, value", [("tol", 1e-12), ("max_iter", 200)])
+def test_solve_takes_no_operator_knobs(tmp_path, capsys, key, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": "boundary-solve", "depth": 2, key: value}))
+    rc, err = _main(["boundary-solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
+                    capsys)
+    assert rc == 2
+    _assert_one_error_line(err, f"at /{key}: unknown key; the keys are rank, depth, mu")
+    assert not (tmp_path / "o").exists()
 
 
 def test_element_and_rep_read_from_files(tmp_path, monkeypatch, capsys):
@@ -532,6 +552,16 @@ class TestConfigSchema:
             "--" + k.replace("_", "-") for k in keys
         }
         assert listed == expected
+
+    def test_readme_commands_are_found(self):
+        assert len(README_COMMANDS) == 7
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a) for a in README_COMMANDS])
+    def test_readme_command_parses_and_validates(self, argv):
+        # up to the run itself: a flag or key that the CLI no longer takes fails here
+        args = cli._build_parser().parse_args(argv)
+        if args.command != "verify":
+            cli._validate(cli._config_from_args(args), EXPERIMENTS[args.command].keys)
 
     def test_flags_merge_into_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

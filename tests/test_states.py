@@ -101,6 +101,18 @@ class TestCesaroTest:
         assert [(r.upper, r.upper_method) for r in rep.rows] == [(1.0, "l1")] * 6
         assert rep.verdict == "not decaying over the last three checkpoints"
 
+    def test_decaying_generating_run_is_consistent_with_unique_stationarity(self):
+        # a biased generating law: the last three uppers fall, the last two
+        # from the subgroup-layers candidate
+        law = GroupMeasure({F2.word(w): Fraction(p, 10) for w, p in zip("aAbB", (4, 1, 3, 2))},
+                           2)
+        rep = cesaro_test(AlgebraElement.delta(F2.word("abAB")), law, n_max=7)
+        assert [(r.upper, r.upper_method) for r in rep.rows[-3:]] == [
+            (1.0, "l1"), (0.9544479060487384, "subgroup-layers"),
+            (0.9096364279090342, "subgroup-layers")]
+        assert rep.generating is True and not rep.partial
+        assert rep.verdict == "decaying; consistent with unique stationarity"
+
     def test_generating_flag_for_uniform(self):
         rep = cesaro_test(AlgebraElement.delta(F2.word("a")), MU, n_max=3)
         assert rep.generating is True
@@ -271,6 +283,23 @@ class TestScanDefersWhatCannotPass:
         hs, n, certs, worst = same_scan([(g, AlgebraElement.delta(x))], 0.75,
                                         _power_families(2, [x.letters], range(1, budget + 1)))
         assert worst >= 0.75 and hs
+
+    @pytest.mark.parametrize("g, eps, budget, calls", [
+        ("a", 0.75, 5, 46), ("a", 0.75, 3, 46), ("ab", 0.5, 6, 50), ("aab", 0.6, 8, 50)])
+    def test_deferred_tuples_stop_at_a_floor_past_the_best_bound(self, monkeypatch, g, eps,
+                                                                   budget, calls):
+        # every tuple is deferred, and the reference evaluates them all.  By
+        # rising floor the scan evaluates the tuples of the largest size
+        # alone: their floor is the least, and the next size's floor passes
+        # their worst bound
+        x = F2.word(g)
+        stream = list(_power_families(2, [x.letters], range(1, budget + 1)))
+        assert len(stream) == {"a": 46, "ab": 50, "aab": 50}[g] * budget
+        counted = []
+        monkeypatch.setattr(states, "norm_upper_bound",
+                            lambda y: counted.append(y) or norm_upper_bound(y))
+        hs, n, certs, worst = same_scan([(g, AlgebraElement.delta(x))], eps, stream)
+        assert worst >= eps and n == budget and len(counted) == calls
 
     @pytest.mark.parametrize("eps, budget, seed", [(0.9, 12, 5), (0.5, 8, 1), (0.3, 10, 2)])
     def test_random_scan(self, eps, budget, seed):
