@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .algebra import _SQRT_BITS, _float_up
 from .errors import (
@@ -41,7 +41,6 @@ from .walks import GroupMeasure, PathSample
 if TYPE_CHECKING:
     import numpy as np
 
-CONSISTENCY_TOL = 1e-9
 # solve_stationary's truncated operator stops at the first iteration that
 # changes no residual word by TRUNCATED_TOL or more, and gives up after
 # TRUNCATED_MAX_ITER; both are read at each call
@@ -53,52 +52,20 @@ class CylinderMeasure:
     """Mass table over cylinders of depth 1..depth; immutable and strict: a
     cylinder deeper than the table raises DepthUnderflowError.
 
-    `masses` maps the letters of each cylinder's base word to its mass; the
-    constructor checks a Word-keyed mapping of finite masses.
+    `masses` maps the letters of each cylinder's base word to its mass.  Only
+    the library builds tables: the uniform measure, `translate`, the harmonic
+    measure and `solve_stationary`; calling the class raises TypeError.
     """
 
     __slots__ = ("rank", "depth", "masses")
     # whether a cylinder of every depth can be read, past the table too
     every_depth = False
 
-    def __init__(self, masses: Mapping[Word, object], rank: int, depth: int):
-        if depth < 1:
-            raise MalformedInputError(f"depth must be >= 1, got {depth}")
-        table = {}
-        for w, m in masses.items():
-            if w.rank != rank:
-                raise ContextMismatchError(f"word rank {w.rank} in measure of rank {rank}")
-            if not 1 <= len(w) <= depth:
-                raise MalformedInputError(f"cylinder {w} outside depth range 1..{depth}")
-            table[w.letters] = m
-        _fill(self, table, rank, depth)
-        self._validate()
+    def __init__(self, *a, **k):
+        raise TypeError("cylinder tables are built by the library alone")
 
     def __setattr__(self, *a):
         raise AttributeError("CylinderMeasure is immutable")
-
-    def _validate(self):
-        # the checks read floats; a Fraction has none beyond the float range
-        try:
-            values = {w: float(m) for w, m in self.masses.items()}
-        except OverflowError:
-            raise MalformedInputError("a mass lies beyond the float range") from None
-        level1 = [s.letters for s in FreeGroupContext(self.rank).generators()]
-        s = sum(values.get(w, 0.0) for w in level1)
-        if abs(s - 1.0) > CONSISTENCY_TOL:
-            raise MalformedInputError(f"level-1 masses sum to {s}, not 1")
-        for w, m in values.items():
-            if not math.isfinite(m):
-                raise MalformedInputError(f"mass {m} at {_word(w, self.rank)} is not finite")
-            if m < -CONSISTENCY_TOL:
-                raise MalformedInputError(f"negative mass {m} at {_word(w, self.rank)}")
-            if len(w) < self.depth:
-                back = inverse_letters(w[-1:])
-                kids = sum(values.get(w + s_, 0.0) for s_ in level1 if s_ != back)
-                if abs(kids - m) > CONSISTENCY_TOL:
-                    raise MalformedInputError(
-                        f"consistency fails at {_word(w, self.rank)}: {m} vs children {kids}"
-                    )
 
     def mass(self, w: Word):
         """Mass of the cylinder [w]; the identity denotes the whole boundary."""
@@ -147,15 +114,11 @@ def _uniform_mass(rank: int, n: int) -> Fraction:
     return Fraction(1, _sphere_size(rank, n))
 
 
-def _fill(nu: CylinderMeasure, table: dict, rank: int, depth: int) -> None:
-    for name, value in zip(CylinderMeasure.__slots__, (rank, depth, table)):
-        object.__setattr__(nu, name, value)
-
-
 def _cylinders(table: dict, rank: int, depth: int, kind=CylinderMeasure) -> CylinderMeasure:
     """The measure of a letter table that a kernel built; unchecked."""
     nu = object.__new__(kind)
-    _fill(nu, table, rank, depth)
+    for name, value in zip(CylinderMeasure.__slots__, (rank, depth, table)):
+        object.__setattr__(nu, name, value)
     return nu
 
 

@@ -60,6 +60,7 @@ from .states import (
     powers_search,
 )
 from .subgroups import (
+    FREENESS_THRESHOLD,
     CyclicSubgroup,
     freeness_report,
     pdf_from_subgroup_sample,
@@ -457,7 +458,7 @@ EXPERIMENTS = {
         _run_fix_mass,
         "certified upper bounds on the boundary mass of axis endpoint pairs",
         (RANK, Key("depth", _int, low=1), Key("gens", _words, "ball2"), MU,
-         Key("threshold", _positive_float, 1e-3)),
+         Key("threshold", _positive_float, FREENESS_THRESHOLD)),
     ),
     "srs-escape": Experiment(
         _run_srs_escape,

@@ -5,9 +5,10 @@ generator i (1-based) is code 2(i - 1), its inverse is code 2(i - 1) + 1, and
 the inverse of any code c is c ^ 1.  Words are immutable, always freely
 reduced, and ordered length-first then lexicographically by code, which is
 a < a^-1 < b < b^-1 < ...  Words are reduced, multiplied and inverted only
-here.  Four kernels elsewhere compute with raw codes (c ^ 1 for an inverse,
-bytes((c,)) for a letter): `boundary._compile_gathers` and `_harmonic_measure`,
-`CylinderMeasure.top_mass` and `GroupMeasure.is_generating`.  The rest take
+here.  Six kernels elsewhere compute with raw codes (c ^ 1 for an inverse,
+c & 1 for the sign, bytes((c,)) for a letter): `boundary._compile_gathers` and
+`_harmonic_measure`, `CylinderMeasure.top_mass`, `GroupMeasure.is_generating`,
+`algebra._self_adjoint_on_generators` and `norm_upper_bound`.  The rest take
 single letters from FreeGroupContext.generators() and inverses from
 Word.inverse() or inverse_letters().
 

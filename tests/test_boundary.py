@@ -25,7 +25,6 @@ from stationarylab.boundary import (
     uniform_boundary_measure,
 )
 from stationarylab.errors import (
-    ContextMismatchError,
     ConvergenceError,
     DepthUnderflowError,
     MalformedInputError,
@@ -36,6 +35,7 @@ from stationarylab.errors import (
 from stationarylab.freegroup import (
     FreeGroupContext,
     Word,
+    _ball_size,
     _check_ball,
     ball,
     ball_letters,
@@ -99,65 +99,29 @@ class TestUniformMeasure:
                 assert nu.masses[w.letters] == closed
 
     def test_strict_measure_raises_beyond_depth(self):
-        strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
+        strict = translate(F2.identity, NU)
         with pytest.raises(DepthUnderflowError):
             strict.mass(F2.word("a" * 7))
 
 
-class TestConstructorChecks:
+class TestTables:
     def test_table_is_keyed_by_letters(self):
         assert NU.masses[F2.word("ab").letters] == Fraction(1, 12)
         assert all(isinstance(w, bytes) for w in NU.masses)
         assert dict(NU.cylinders()) == {w: NU.mass(w) for w in ball(F2, 6) if len(w)}
 
-    def test_round_trip_through_words(self):
-        copy = CylinderMeasure(dict(NU.cylinders()), 2, 6)
-        assert copy.masses == NU.masses
-
-    @pytest.mark.parametrize(
-        "edit, error",
-        [
-            (lambda t: t.update({FreeGroupContext(3).word("a"): 0.25}), ContextMismatchError),
-            (lambda t: t.update({F2.word("abab"): 0.0}), MalformedInputError),
-            (lambda t: t.update({F2.identity: 1.0}), MalformedInputError),
-            (lambda t: t.update({F2.word("a"): 0.3}), MalformedInputError),
-            # children of a still sum to nu[a]; only the sign is wrong
-            (lambda t: t.update({F2.word("ab"): -0.1, F2.word("aa"): 1 / 6 + 0.1}),
-             MalformedInputError),
-            (lambda t: t.update({F2.word("ab"): 0.2, F2.word("aa"): 0.0}), MalformedInputError),
-        ],
-        ids=["rank", "too-deep", "identity", "level-1-sum", "negative", "children"],
-    )
-    def test_bad_tables_rejected(self, edit, error):
-        table = {w: float(m) for w, m in NU.cylinders() if len(w) <= 2}
-        CylinderMeasure(table, 2, 2)
-        edit(table)
-        with pytest.raises(error):
-            CylinderMeasure(table, 2, 2)
-
-    def test_bad_depth_rejected(self):
-        with pytest.raises(MalformedInputError):
-            CylinderMeasure({}, 2, 0)
-
-    def test_non_finite_mass_rejected(self):
-        # every comparison with NaN is false, so the consistency checks alone
-        # would pass it
-        table = {w: float(m) for w, m in NU.cylinders() if len(w) <= 2}
-        table[F2.word("ab")] = math.nan
-        with pytest.raises(MalformedInputError, match="not finite"):
-            CylinderMeasure(table, 2, 2)
-
-    def test_mass_beyond_the_float_range_rejected(self):
-        table = {F2.word(w): 0 for w in "AbB"}
-        table[F2.word("a")] = Fraction(10**400)
-        with pytest.raises(MalformedInputError):
-            CylinderMeasure(table, 2, 1)
+    def test_only_the_library_builds_tables(self):
+        for args in [({}, 2, 1), ()]:
+            with pytest.raises(TypeError, match="built by the library"):
+                CylinderMeasure(*args)
 
 
 class TestTranslate:
     def test_identity_translate(self):
+        # the same Fractions, strict at the same depth: the strict copy below
         t = translate(F2.identity, NU)
         assert all(t.mass(w) == NU.mass(w) for w in ball(F2, 3))
+        assert t.masses == NU.masses and (t.depth, t.every_depth) == (6, False)
 
     def test_prefix_case(self):
         t = translate(F2.word("a"), NU)
@@ -195,7 +159,7 @@ class TestTranslate:
             t.mass(F2.word("abba"))
 
     def test_depth_bookkeeping(self):
-        strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
+        strict = translate(F2.identity, NU)
         t = translate(F2.word("ab"), strict)
         assert t.depth == 4
         with pytest.raises(DepthUnderflowError):
@@ -233,8 +197,8 @@ class TestStationarity:
             if not len(w):
                 continue
             base = (1 - 3 * eps) if str(w)[0] == "a" else eps
-            table[w] = base / 3 ** (len(w) - 1)
-        bad = CylinderMeasure(table, 2, 3)
+            table[w.letters] = base / 3 ** (len(w) - 1)
+        bad = boundary._cylinders(table, 2, 3)
         assert stationarity_residual(MU, bad) > 0.1
 
 
@@ -246,8 +210,8 @@ class TestSolveStationary:
         law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
         seed = uniform_boundary_measure(F2, 1)
         moved = [(float(p), translate(g, seed, out_depth=5)) for g, p in law.atoms()]
-        step = CylinderMeasure(
-            {w: sum(p * t.mass(w) for p, t in moved) for w in ball(F2, 5) if w}, 2, 5
+        step = boundary._cylinders(
+            {w.letters: sum(p * t.mass(w) for p, t in moved) for w in ball(F2, 5) if w}, 2, 5
         )
         monkeypatch.setattr(boundary, "TRUNCATED_TOL", 1.0)
         monkeypatch.setattr(boundary, "TRUNCATED_MAX_ITER", 1)
@@ -263,7 +227,6 @@ class TestSolveStationary:
         assert 0.0581 < info.value.last_residual < 0.0582
 
     def test_depth_below_one_rejected(self):
-        # a depth-0 table is one the public constructor refuses
         with pytest.raises(MalformedInputError):
             solve_stationary(MU, depth=0)
 
@@ -444,6 +407,45 @@ class TestFirstLetterHitting:
 # the law of the length-2 boundary-solve bench job, 1/4 on each word
 LENGTH2 = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
 
+SOLVE_LAWS = {
+    "simple2": MU,
+    "simple3": uniform_generator_measure(3),
+    "defect": _nearest_neighbour_law(2, ("2/5", "1/10", "3/10", "1/5")),
+    "lazy": _nearest_neighbour_law(2, ("2/5", "1/10", "1/5", "1/5"), "1/10"),
+    "length2": LENGTH2,
+}
+
+LIBRARY_TABLES = [
+    *(("uniform", rank) for rank in (1, 2, 3)),
+    *(("translate", g) for g in ("1", "a", "abA")),
+    *(("solve", law, depth) for law in SOLVE_LAWS for depth in (3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize("case", LIBRARY_TABLES, ids=lambda c: "-".join(map(str, c)))
+def test_every_library_table_is_consistent(case):
+    # masses >= 0, level-1 sum 1 and each mass the sum of its 2k - 1
+    # children: exactly on the Fraction tables, within 1e-15 by fsum on the
+    # float solves
+    kind, *args = case
+    if kind == "uniform":
+        nu = uniform_boundary_measure(FreeGroupContext(args[0]), 4)
+    elif kind == "translate":
+        nu = translate(F2.word(args[0]), NU)
+    else:
+        nu = solve_stationary(SOLVE_LAWS[args[0]], args[1]).measure
+    total, tol = (math.fsum, 1e-15) if kind == "solve" else (sum, 0)
+    masses = nu.masses
+    assert len(masses) == _ball_size(nu.rank, nu.depth) - 1
+    assert all(type(m) is (float if kind == "solve" else Fraction) for m in masses.values())
+    assert min(masses.values()) >= 0
+    assert abs(total(masses[bytes((c,))] for c in range(2 * nu.rank)) - 1) <= tol
+    for w, m in masses.items():
+        if len(w) < nu.depth:
+            kids = [masses[w + bytes((c,))] for c in range(2 * nu.rank) if c != w[-1] ^ 1]
+            assert len(kids) == 2 * nu.rank - 1
+            assert abs(total(kids) - m) <= tol
+
 
 def _per_word_gathers(mu, W):
     """The transfer operator compiled one word at a time: the reference for
@@ -598,7 +600,7 @@ class TestConditionalMeasures:
             assert abs(vals.mean() - float(NU.mass(w))) <= 3 * se + 1e-12
 
     def test_strict_depth_enforced(self):
-        strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
+        strict = translate(F2.identity, NU)
         om = sample_path(MU, 40, seed=9)
         if len(om.positions[40]) + 1 > 6:
             with pytest.raises(DepthUnderflowError):
@@ -607,7 +609,7 @@ class TestConditionalMeasures:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_reads_match_the_translate(self, depth):
         # a path of 3 steps stays within the 6 levels of the strict copy
-        strict = CylinderMeasure(dict(NU.cylinders()), 2, 6)
+        strict = translate(F2.identity, NU)
         for nu in (NU, strict):
             for seed in range(4):
                 om = sample_path(MU, 3, seed=seed)
@@ -619,7 +621,7 @@ class TestConditionalMeasures:
                     assert cm.measure is cm.measure
 
     def test_checks_run_at_the_call(self):
-        strict = CylinderMeasure(dict(uniform_boundary_measure(F2, 4).cylinders()), 2, 4)
+        strict = translate(F2.identity, uniform_boundary_measure(F2, 4))
         om = sample_path(MU, 5, seed=2)
         step = next(i for i, w in enumerate(om.positions) if len(w) == 2)
         # |w| + depth = 5 levels of a 4-level table

@@ -513,7 +513,6 @@ def test_resource_limit_errors_are_raised_by_the_two_cap_checks():
 # enclosing definition or module-level name: the tolerances that ROADMAP
 # State lists, so a new one is added, and an old one deleted, on purpose
 FLOAT_TOLERANCES = [
-    ("boundary.CONSISTENCY_TOL", 1e-9),
     ("boundary.TRUNCATED_TOL", 1e-12),
     ("subgroups.PSD_EIGENVALUE_TOL", 1e-9),
     ("walks.MASS_TOLERANCE", 1e-12),

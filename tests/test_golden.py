@@ -176,48 +176,127 @@ def _bench_workloads():
 
 
 # The sha256 of the JSON of each benchmark job's outputs table (file name to
-# file digest, keys sorted) on workload seed 1, "workload/job id" to digest.
+# file digest, keys sorted) on workload seeds 1 to 3: seed to "workload/job id"
+# to digest.
 BENCH_JOBS = {
-    "build/build-mu-L2": "4223188cd4c0a566335a8fcffb19d8fc354a9685e1cedfe78e4dcb209290b008",
-    "build/build-mu-L1-0": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
-    "build/build-mu-L1-1": "118698cfb4aec6a74e97be7bbbf0afad56c66c3ea1bfb12ee2140c264d57e985",
-    "build/build-mu-L1-2": "b1e225ebca21883b1d0a5ea5a1f7e48d27dfa4beff2dc99afe8b45f82f63025f",
-    "build/build-mu-L1-3": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
-    "build/powers-0": "e965f7b6da2b7219d5706b84a8658a60132f13be223ca86d184abb6f6a7cb1ee",
-    "build/powers-1": "239b4c2fcaa80d8e6ef4ce0c12158333c3e978a1ab700592c8846ddcbeb791be",
-    "build/powers-2": "f0f2c022f6ec560352fee02b922df572cf61b969e81829824e15aaee49fa2d7a",
-    "build/powers-3": "d779033f719f397fb2d796f79760544ca7320675fe444c7c2c8caa21d34c699a",
-    "build/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
-    "brackets/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
-    "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
-    "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
-    "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
-    "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
-    "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
-    "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
-    "brackets/norm-2": "16695475628f85f2c4a13217b5089d196ade47c63dfa16c12215e9feb85d0857",
-    "brackets/norm-3": "879aea100020b2f22b8b8fed03f86ba4330664dfdf99d53e8bc82fb4b4d3699c",
-    "brackets/norm-4": "355720a474bcb8f43ae4ce8d50d98881c6e7936ca8fc01906635b219d368afc3",
-    "brackets/norm-5": "db014b3c36eb21353495ccf202167d1e01f40679ab8150aed9421a318a3fc4c7",
-    "dynamics/srs-escape-0": "1bb99d2d54ff0e38842788febb539044be259a3ffee52ac16256aa57c082602f",
-    "dynamics/srs-escape-1": "664900279ddf009f8ef3faa8cf6092e8f8fed4fe69eba8154bbdad0b3fbc1986",
-    "dynamics/bnd-map": "5d52ef018f3ead70f3936f4e837a4decfd7a6803ddeecb3525f7a19afdbc8cb5",
-    "dynamics/conditional": "77f3602305146f3cc61c2d6ec780c6a07d539a058124f4d6f8a66cdaf7bd5aa3",
-    "dynamics/pdf-check": "6a8f2a77d334a3a83f02875ba9f765e685d517885d38e91aa2c413346dba2723",
-    "dynamics/boundary-solve-simple":
-        "43d4ab9f45ed88ca4fd46c7a127c8f324f8f8eeb483a4b140b399c51e71a4425",
-    "dynamics/boundary-solve-length2":
-        "82c41ed6638ddc92959b9f54012504b11e305fe4f907eaf54bd8bf37963cc1a0",
-    "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
-    "dynamics/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+    1: {
+        "build/build-mu-L2": "4223188cd4c0a566335a8fcffb19d8fc354a9685e1cedfe78e4dcb209290b008",
+        "build/build-mu-L1-0": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+        "build/build-mu-L1-1": "118698cfb4aec6a74e97be7bbbf0afad56c66c3ea1bfb12ee2140c264d57e985",
+        "build/build-mu-L1-2": "b1e225ebca21883b1d0a5ea5a1f7e48d27dfa4beff2dc99afe8b45f82f63025f",
+        "build/build-mu-L1-3": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+        "build/powers-0": "e965f7b6da2b7219d5706b84a8658a60132f13be223ca86d184abb6f6a7cb1ee",
+        "build/powers-1": "239b4c2fcaa80d8e6ef4ce0c12158333c3e978a1ab700592c8846ddcbeb791be",
+        "build/powers-2": "f0f2c022f6ec560352fee02b922df572cf61b969e81829824e15aaee49fa2d7a",
+        "build/powers-3": "d779033f719f397fb2d796f79760544ca7320675fe444c7c2c8caa21d34c699a",
+        "build/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "brackets/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
+        "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
+        "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
+        "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
+        "brackets/norm-2": "16695475628f85f2c4a13217b5089d196ade47c63dfa16c12215e9feb85d0857",
+        "brackets/norm-3": "879aea100020b2f22b8b8fed03f86ba4330664dfdf99d53e8bc82fb4b4d3699c",
+        "brackets/norm-4": "355720a474bcb8f43ae4ce8d50d98881c6e7936ca8fc01906635b219d368afc3",
+        "brackets/norm-5": "db014b3c36eb21353495ccf202167d1e01f40679ab8150aed9421a318a3fc4c7",
+        "dynamics/srs-escape-0":
+            "1bb99d2d54ff0e38842788febb539044be259a3ffee52ac16256aa57c082602f",
+        "dynamics/srs-escape-1":
+            "664900279ddf009f8ef3faa8cf6092e8f8fed4fe69eba8154bbdad0b3fbc1986",
+        "dynamics/bnd-map": "5d52ef018f3ead70f3936f4e837a4decfd7a6803ddeecb3525f7a19afdbc8cb5",
+        "dynamics/conditional": "77f3602305146f3cc61c2d6ec780c6a07d539a058124f4d6f8a66cdaf7bd5aa3",
+        "dynamics/pdf-check": "6a8f2a77d334a3a83f02875ba9f765e685d517885d38e91aa2c413346dba2723",
+        "dynamics/boundary-solve-simple":
+            "43d4ab9f45ed88ca4fd46c7a127c8f324f8f8eeb483a4b140b399c51e71a4425",
+        "dynamics/boundary-solve-length2":
+            "82c41ed6638ddc92959b9f54012504b11e305fe4f907eaf54bd8bf37963cc1a0",
+        "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
+        "dynamics/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+    },
+    2: {
+        "build/build-mu-L2": "4223188cd4c0a566335a8fcffb19d8fc354a9685e1cedfe78e4dcb209290b008",
+        "build/build-mu-L1-0": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+        "build/build-mu-L1-1": "118698cfb4aec6a74e97be7bbbf0afad56c66c3ea1bfb12ee2140c264d57e985",
+        "build/build-mu-L1-2": "b1e225ebca21883b1d0a5ea5a1f7e48d27dfa4beff2dc99afe8b45f82f63025f",
+        "build/build-mu-L1-3": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+        "build/powers-0": "e965f7b6da2b7219d5706b84a8658a60132f13be223ca86d184abb6f6a7cb1ee",
+        "build/powers-1": "239b4c2fcaa80d8e6ef4ce0c12158333c3e978a1ab700592c8846ddcbeb791be",
+        "build/powers-2": "0d82692e5a33c88733ed7a842585daf14f40b11b32704f91a98c6218abb4fd1d",
+        "build/powers-3": "46ba824e2edab03a2048df492e13fcaf93b1c58d1de45194a64dd8d63b8b415b",
+        "build/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "brackets/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
+        "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
+        "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
+        "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
+        "brackets/norm-2": "16695475628f85f2c4a13217b5089d196ade47c63dfa16c12215e9feb85d0857",
+        "brackets/norm-3": "879aea100020b2f22b8b8fed03f86ba4330664dfdf99d53e8bc82fb4b4d3699c",
+        "brackets/norm-4": "355720a474bcb8f43ae4ce8d50d98881c6e7936ca8fc01906635b219d368afc3",
+        "brackets/norm-5": "db014b3c36eb21353495ccf202167d1e01f40679ab8150aed9421a318a3fc4c7",
+        "dynamics/srs-escape-0":
+            "f5ce9448d6f55554c41a64c1ee718a78d73ea3cd72f25efb01057850b9398676",
+        "dynamics/srs-escape-1":
+            "58c78916bf59325d6dad7ad3b7f2db8ffb35bd266816e93ac11d9db4615e87ff",
+        "dynamics/bnd-map": "ac2acec633ca6637d8494814aeb2959009f85cd31405024c52326603e2209f53",
+        "dynamics/conditional": "d50cc9724578135bd9f1bc68a4fe3af02306997fa45015ef9046dd0f12027131",
+        "dynamics/pdf-check": "d25d321d62a9f8c8cca0e6a6c831172de06675d423e96d4b6d7bb76d0df5a4dc",
+        "dynamics/boundary-solve-simple":
+            "43d4ab9f45ed88ca4fd46c7a127c8f324f8f8eeb483a4b140b399c51e71a4425",
+        "dynamics/boundary-solve-length2":
+            "678ad20b5be7cc3da6845fd6ea083cbdff9230b42c9eb3f88cd4a7a720358d76",
+        "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
+        "dynamics/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+    },
+    3: {
+        "build/build-mu-L2": "4223188cd4c0a566335a8fcffb19d8fc354a9685e1cedfe78e4dcb209290b008",
+        "build/build-mu-L1-0": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+        "build/build-mu-L1-1": "118698cfb4aec6a74e97be7bbbf0afad56c66c3ea1bfb12ee2140c264d57e985",
+        "build/build-mu-L1-2": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+        "build/build-mu-L1-3": "6f7648a186f65b7822318f4d41bcc3fd0ac0abcaf83ed5d41d03f9b0eda700e5",
+        "build/powers-0": "a38864f93bf452a405602330b96d6923c572580575688e59ef71b001dd56ea7f",
+        "build/powers-1": "43ef5d135be3b2805e560a1442035fa9fcb6c38de2e25bb985bd097213a96cde",
+        "build/powers-2": "29093179981692dcf021f4f09f58394c7c6dbc5134ca8303cd4de0925c1dcd7a",
+        "build/powers-3": "b34423ac5ea4ca81bdb356b8dce64e864c698dcbbc915e4f00ce61789a509c7f",
+        "build/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "brackets/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
+        "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
+        "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
+        "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
+        "brackets/norm-2": "16695475628f85f2c4a13217b5089d196ade47c63dfa16c12215e9feb85d0857",
+        "brackets/norm-3": "879aea100020b2f22b8b8fed03f86ba4330664dfdf99d53e8bc82fb4b4d3699c",
+        "brackets/norm-4": "355720a474bcb8f43ae4ce8d50d98881c6e7936ca8fc01906635b219d368afc3",
+        "brackets/norm-5": "db014b3c36eb21353495ccf202167d1e01f40679ab8150aed9421a318a3fc4c7",
+        "dynamics/srs-escape-0":
+            "53cb399d825e6caf8000ffafc0bdadbd728de4b1a6ec2d42b8913e355f216f8b",
+        "dynamics/srs-escape-1":
+            "1f5c309dc114d2b53e25c675ccc957f00c4faefa2cb77e4684bc497d344c169b",
+        "dynamics/bnd-map": "bf1f33c4a26099844917d069893dfd88d6fdb68f592fffaac42558d813fba08c",
+        "dynamics/conditional": "df536c0be92693ed1ea5faab52e1fd801dca3e0823eda959c41e9107df61d03c",
+        "dynamics/pdf-check": "aeca53cb9328676155176347747c81e6822c9655858ab2e6fee1037fa5f7c946",
+        "dynamics/boundary-solve-simple":
+            "43d4ab9f45ed88ca4fd46c7a127c8f324f8f8eeb483a4b140b399c51e71a4425",
+        "dynamics/boundary-solve-length2":
+            "aaf77fdab0f255b6d649c7e5bdb6cb94de3834794ffc3302c71be3246964807e",
+        "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
+        "dynamics/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+    },
 }
 
 
+@pytest.mark.parametrize("seed", sorted(BENCH_JOBS))
 @pytest.mark.parametrize("workload", ["build", "brackets", "dynamics"])
-def test_benchmark_job_outputs_match_the_pinned_ones(workload, tmp_path):
+def test_benchmark_job_outputs_match_the_pinned_ones(workload, seed, tmp_path):
     digests = {}
-    for job in _bench_workloads().jobs_for(workload, 1):
+    for job in _bench_workloads().jobs_for(workload, seed):
         outputs = run(job.config, tmp_path / job.id).outputs
         digests[f"{workload}/{job.id}"] = hashlib.sha256(
             json.dumps(outputs, sort_keys=True).encode()).hexdigest()
-    assert digests == {k: v for k, v in BENCH_JOBS.items() if k.startswith(f"{workload}/")}
+    pinned = BENCH_JOBS[seed]
+    assert digests == {k: v for k, v in pinned.items() if k.startswith(f"{workload}/")}
