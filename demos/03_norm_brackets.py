@@ -2,7 +2,8 @@
 
 Reduced norms are not exactly computable, so every claim is an interval:
 trace moments of x*x certify from below (spectral radius seen through the
-faithful trace), and l1 / layer estimates and the exact Akemann-Ostrand
+faithful trace), or, when x*x is radial, its value at one point of the
+spectrum of the sphere sum; l1 / layer estimates and the exact Akemann-Ostrand
 norms of free families and nearest-neighbour elements certify from above.  Tests pass only on upper bounds and fail only on lower
 bounds.
 """
@@ -28,8 +29,8 @@ x = AlgebraElement.delta(F1.word("a")) + AlgebraElement.delta(F1.word("A"))
 for n in (4, 16, 64):
     nb = certify_norm(x, n)
     print(f"Z, {n:2d} moments: [{nb.lower:.6f}, {nb.upper:.1f}]")
-# the moments tau0((x*x)^m) are the central binomial coefficients, and the
-# successive-moment ratio closes the gap at rate O(1/m)
+# x*x = 2 + E_2 is radial in F_1 = Z: it is p(E_1) with p(t) = t^2, and E_1
+# has spectrum [-2, 2], so past one moment the lower bound is 2 at any count
 
 # --- the generator sum on F_2: target 2 sqrt(3) -------------------------------
 g4 = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
@@ -37,7 +38,8 @@ nb = certify_norm(g4, 64)
 print(f"\nF2 generator sum, 64 moments: [{nb.lower:.6f}, {nb.upper:.4f}]")
 print(f"  true reduced norm 2 sqrt(3) = {2 * math.sqrt(3):.6f}")
 print(f"  upper bound by {nb.upper_method}")
-# the sphere-sum recursion computes all 64 moments exactly: no support blowup
+# x*x = 4 + E_2 is radial too: the lower bound is the largest float below
+# 2 sqrt(3), read off the spectrum of E_1 at one point, with no moment formed
 
 # --- averaging conjugates: the engine behind simplicity certificates ----------
 a, b = F2.word("a"), F2.word("b")

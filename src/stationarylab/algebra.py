@@ -5,18 +5,20 @@ Every element is exact: integer tables over one positive denominator,
 x = (re + i im) / den.  Products, sums and moments are integer arithmetic,
 and a bound is rounded once, outward, to a float.
 
-Lower bounds come from trace moments of y = x*x, the moments of its
-spectral measure on [0, ||x||^2], so log tau0(y^m) is convex in m, 0 at m = 0,
-and half the slope of any chord is a lower bound for log ||x||.  The chord
-through the two highest orders computed is at least every root
-tau0(y^m)^(1/2m) (a chord from 0) and every ratio
-sqrt(tau0(y^(m+1))/tau0(y^m)) below them, so it alone is the bound: the
-largest float that the exact moments, integers over a power of den,
-certify.  Powers z of y come from repeated squaring; an odd moment
-tau0(y z z) reads z z only at the words of y and forms no table, so its cost
-is known, and checked against the support cap, before it starts.  At
-n_moments 1, where y is read only as two sums, it is summed piece by piece
-under the same cap, and never held whole.
+Lower bounds come from y = x*x.  Past n_moments 1, a radial y is a
+polynomial p in the sphere sum E_1, of spectrum |t| <= 2 sqrt(2k - 1)
+(Kesten 1959), so ||x||^2 = max p there: p at one rational point is the
+bound.  Any other y is read through the moments of its spectral measure on
+[0, ||x||^2]: log tau0(y^m) is convex in m, 0 at m = 0, and half the slope
+of any chord is a lower bound for log ||x||.  The chord through the two
+highest orders computed is at least every root tau0(y^m)^(1/2m) (a chord
+from 0) and every ratio sqrt(tau0(y^(m+1))/tau0(y^m)) below them, so it
+alone is the bound: the largest float that the exact moments, integers over
+a power of den, certify.  Powers z of y come from repeated squaring; an odd
+moment tau0(y z z) reads z z only at the words of y and forms no table, so
+its cost is known, and checked against the support cap, before it starts.
+At n_moments 1, where y is read only as two sums, it is summed piece by
+piece under the same cap, and never held whole.
 
 Upper bounds come from the l1 norm, the (n+1)-weighted layer inequality in
 word length (valid on every free group), the same inequality after rewriting
@@ -43,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, exp, gcd, inf, isqrt, lcm, ldexp, log, log2, nextafter, sqrt
 from sys import float_info
 from typing import Iterable, Iterator, Mapping
@@ -280,56 +283,56 @@ def _square_sum(a: tuple[dict, dict], b: tuple[dict, dict]) -> int:
 
 def _radial_profile(y: dict[bytes, int], rank: int) -> list[int] | None:
     """Per-length coefficient if the nonempty letter table y is constant on
-    full spheres, else None."""
+    full spheres (which then hold its len(y) words between them), else None."""
     prof: dict[int, int] = {}
-    sizes: dict[int, int] = {}
     for w, c in y.items():
         if prof.setdefault(len(w), c) != c:
             return None
-        sizes[len(w)] = sizes.get(len(w), 0) + 1
-    if any(size != _sphere_size(rank, n) for n, size in sizes.items()):
+    if sum(_sphere_size(rank, n) for n in prof) != len(y):
         return None
     return [prof.get(n, 0) for n in range(max(prof) + 1)]
 
 
-def _radial_moments(vals: list[int], k: int, n_moments: int) -> list[int]:
-    """tau0(y^m), m = 1..n_moments, for a radial y with the per-length profile vals.
-
-    Works in the sphere-sum basis E_l (the sum of all lambda_w with |w| = l):
-    E_1 E_l = E_{l+1} + (2k-1) E_{l-1} for l >= 2, E_1 E_1 = E_2 + 2k E_0, and
-    every radial element is a polynomial in E_1, so applying y to a radial
-    vector only needs the tridiagonal action of E_1.
-    """
-    q = 2 * k - 1
-
-    def apply_T(v):
-        out = [0] + v
-        for l in range(1, len(v)):
-            out[l - 1] += (2 * k if l == 1 else q) * v[l]
-        return out
-
-    def apply_y(v):
-        # y = sum_l vals[l] E_l with E_0 = 1, E_1 = X, E_2 = X E_1 - 2k E_0 and
-        # E_{l+1} = X E_l - (2k-1) E_{l-1} for l >= 2
-        acc = [vals[0] * t for t in v]
-        e_prev, e_cur = [], v
-        for l in range(1, len(vals)):
-            e_prev, e_cur = e_cur, _axpy(apply_T(e_cur), -(2 * k if l == 2 else q), e_prev)
-            acc = _axpy(acc, vals[l], e_cur)
-        return acc
-
-    v = [1]
-    moments = []
-    for _ in range(n_moments):
-        v = apply_y(v)
-        moments.append(v[0])
-    return moments
+def _sphere_polynomial(vals: list, k: int, t):
+    """sum_l vals[l] P_l(t), where E_l = P_l(E_1) for the sphere sums E_l of
+    F_k (the sum of the lambda_w with |w| = l): E_1 E_l = E_(l+1) + c E_(l-1),
+    c = 2k at l = 1 and 2k - 1 past it.  Exact for ints and a Fraction t."""
+    total, prev, cur = vals[0], 0, 1
+    for l in range(1, len(vals)):
+        prev, cur = cur, t * cur - (2 * k if l == 2 else 2 * k - 1) * prev
+        total += vals[l] * cur
+    return total
 
 
-def _axpy(a: list[int], c: int, b: list[int]) -> list[int]:
-    """a + c b, for lists of any lengths."""
-    a = a + [0] * (len(b) - len(a))
-    return [s + c * t for s, t in zip(a, b)] + a[len(b):]
+def _radial_bound(vals: list[int], k: int, den: int) -> float:
+    """The lower bound on ||x|| for a radial y = x*x = p(E_1) / den, p the
+    _sphere_polynomial of the profile vals: E_1 has spectrum [-2 sqrt(q),
+    2 sqrt(q)], q = 2k - 1 (Kesten 1959), so p(t) / den <= ||x||^2 there.
+    Floats choose the points t, on vals over their largest modulus (as
+    integers they can overflow).  A grid of n = max(2, d^2) cells each side
+    of 0 on [-T, T], for p of degree d, resolves the extrema of p (those of
+    Chebyshev's lie about 5 T / d^2 apart near the ends).  The last point of
+    each run that no neighbour beats is refined by ever finer grids across
+    the cells beside it.  p is compared exactly at every point so found,
+    clamped to [-T, T], and at -T and T, as floats tie or drift on flat p
+    (T = isqrt(4q 4^_SQRT_BITS) / 2^_SQRT_BITS <= 2 sqrt(q)); the largest
+    value is rounded down."""
+    top = Fraction(isqrt(4 * (2 * k - 1) << 2 * _SQRT_BITS), 1 << _SQRT_BITS)
+    scale = max(map(abs, vals))
+    floats = [v / scale for v in vals]
+    n, end = max(2, (len(vals) - 1) ** 2), float(top)
+    f = partial(_sphere_polynomial, floats, k)
+    grid = [j * end / n for j in range(-n, n + 1)]
+    values = [*map(f, grid), -inf]  # the -inf stands beside both ends
+    points = {-top, top}
+    for j, t in enumerate(grid):
+        if values[j - 1] <= values[j] > values[j + 1]:
+            step = end
+            while (step := step / n) > end * float_info.epsilon:
+                points.add(t)
+                t = max((min(end, max(-end, t + i * step / n)) for i in range(-n, n + 1)), key=f)
+    value = max(_sphere_polynomial(vals, k, min(top, max(-top, Fraction(t)))) for t in points)
+    return _bounds_from_moments({0: value.denominator, 1: value.numerator}, den)
 
 
 def _odd_moment(y: tuple[dict, dict], z: tuple[dict, dict], zz_trace: int) -> int:
@@ -375,41 +378,39 @@ def _odd_moment(y: tuple[dict, dict], z: tuple[dict, dict], zz_trace: int) -> in
         for i, sign, a, b in _partial_products(z, z))
 
 
-def _trace_moments(x: AlgebraElement, n_moments: int):
+def _adjoint(x: AlgebraElement) -> AlgebraElement:
+    """x*, with x*(w) the conjugate of x(w^-1)."""
+    return _element({inverse_letters(w): c for w, c in x.re.items()},
+                    {inverse_letters(w): -c for w, c in x.im.items()}, x.den, x.rank)
+
+
+def _trace_moments(x: AlgebraElement, n_moments: int, y: AlgebraElement | None = None):
     """The denominator D of y = x*x = Y / D and the exact moments
     {m: tau0(Y^m)}, so that tau0(y^m) = tau0(Y^m) / D^m.
 
     At n_moments 1, y is read only as tau0(Y) = sum |x(u)|^2 and
     tau0(Y^2) = sum |Y(g)|^2: the latter from _square_sum, piece by piece,
     and D is x.den^2, unreduced, which the chord does not see.  Past
-    n_moments 1, y comes from convolve, and the powers of Y, integer table
-    pairs (re, im), from letter_product.  A radial Y (constant on full spheres)
-    gets every order up to n_moments + 1 from the sphere-sum recursion.
-    Otherwise each power z = Y^m of repeated squaring gives tau0(Y^(2m)),
-    sum |z(w)|^2 as z is self-adjoint, and tau0(Y^(2m+1)) = tau0(Y z z) from
-    _odd_moment, which takes its identity term from tau0(Y^(2m)), reads z z
-    only at the other words of Y and forms no table.
-    No order passes n_moments + 1, which comes only beside n_moments, and z
-    is squared only while an order of the new power fits that rule.  The
-    moments stop there, at the first square that passes freegroup.SUPPORT_CAP,
-    or at the first odd moment whose lookups are predicted to pass it.
+    n_moments 1, y is the one given, else convolve(x*, x), and the powers of
+    Y, integer table pairs (re, im), from letter_product: each power z = Y^m
+    of repeated squaring gives tau0(Y^(2m)), sum |z(w)|^2 as z is
+    self-adjoint, and tau0(Y^(2m+1)) = tau0(Y z z) from _odd_moment, which
+    takes its identity term from tau0(Y^(2m)), reads z z only at the other
+    words of Y and forms no table.  No order passes n_moments + 1, which
+    comes only beside n_moments, and z is squared only while an order of the
+    new power fits that rule.  The moments stop there, at the first square
+    that passes freegroup.SUPPORT_CAP, or at the first odd moment whose
+    lookups are predicted to pass it.
     """
-    adjoint = ({inverse_letters(w): c for w, c in x.re.items()},
-               {inverse_letters(w): -c for w, c in x.im.items()})
     if n_moments == 1:
         # y is read only as two sums, over the unreduced denominator
+        adjoint = _adjoint(x)
         trace = sum(c * c for part in (x.re, x.im) for c in part.values())
-        return x.den**2, {1: trace, 2: _square_sum(adjoint, (x.re, x.im))}
-    y_element = convolve(_element(*adjoint, x.den, x.rank), x)
+        return x.den**2, {1: trace, 2: _square_sum((adjoint.re, adjoint.im), (x.re, x.im))}
+    y_element = convolve(_adjoint(x), x) if y is None else y
     y = (y_element.re, y_element.im)
-    # a radial table is symmetric under w -> w^-1, so a self-adjoint one is real
-    profile = None if y[1] else _radial_profile(y[0], x.rank)
-    if profile is not None:
-        return y_element.den, dict(enumerate(_radial_moments(profile, x.rank, n_moments + 1), 1))
-
     moments = {1: y[0].get(b"", 0)}
-    z = y
-    m_z = 1
+    z, m_z = y, 1
     try:
         while True:
             moments[2 * m_z] = sum(c * c for part in z for c in part.values())
@@ -452,50 +453,53 @@ def _bounds_from_moments(moments: dict[int, int], den: int) -> float:
 
 
 class _TaggedFloat(float):
-    """A float that carries one tag, in the slot named by the subclass's
-    `_tag`.  Arithmetic on it gives a plain float."""
+    """A float with one tag in each of its subclass's `__slots__`; arithmetic gives a float."""
 
     __slots__ = ()
-    _tag: str
 
-    def __new__(cls, value: float, tag):
+    def __new__(cls, value: float, *tags):
         self = super().__new__(cls, value)
-        setattr(self, cls._tag, tag)
+        for name, tag in zip(cls.__slots__, tags, strict=True):
+            setattr(self, name, tag)
         return self
 
     def __getnewargs__(self):
-        # pickle and copy rebuild through __new__, which needs the tag too
-        return float(self), getattr(self, self._tag)
+        # pickle and copy rebuild through __new__, which needs the tags too
+        return float(self), *(getattr(self, name) for name in self.__slots__)
 
 
 class MomentBound(_TaggedFloat):
-    """A trace-moment lower bound that carries `order`, the highest moment
-    order at most the requested one that was computed; its chord reads it."""
+    """A lower bound with its `order`, the highest moment order computed up to
+    the request (the request itself on the radial path), and its `method`."""
 
-    __slots__ = ("order",)
-    _tag = "order"
+    __slots__ = ("order", "method")
 
 
 def norm_lower_bound(x: AlgebraElement, n_moments: int) -> MomentBound:
-    """Certified lower bound for the reduced norm of x from trace moments.
+    """Certified lower bound for the reduced norm of x, a MomentBound.
 
-    The bound is the chord (tau0(y^b) / tau0(y^a))^(1/(2(b-a))) for y = x*x
-    through the two highest orders a < b computed, b <= n_moments + 1, which
-    no root or successive-moment ratio beats (see the module notes), rounded
-    down against the exact moments of _trace_moments.  A radial y gets every
-    order; otherwise the moments stop early if a square of a power of y, or
-    the lookups of an odd moment, would pass freegroup.SUPPORT_CAP, and the
-    result, a MomentBound, has its `order` below n_moments.
-    MalformedInputError if ||x||_1^2 passes the largest float.
+    Past n_moments 1, a radial y = x*x (constant on full spheres) takes
+    _radial_bound, whatever n_moments is ("radial-spectrum").  Otherwise the
+    bound is the chord (tau0(y^b) / tau0(y^a))^(1/(2(b-a))) through the two
+    highest orders a < b computed, b <= n_moments + 1, which no root or
+    successive-moment ratio beats (see the module notes), rounded down
+    against the exact moments of _trace_moments ("trace-moments").  The
+    moments stop early if a square of a power of y, or the lookups of an odd
+    moment, would pass freegroup.SUPPORT_CAP, and the `order` is below
+    n_moments.  MalformedInputError if ||x||_1^2 passes the largest float.
     """
     if n_moments < 1:
         raise MalformedInputError(f"n_moments must be >= 1, got {n_moments}")
     if not (x.re or x.im):
-        return MomentBound(0.0, n_moments)
+        return MomentBound(0.0, n_moments, "trace-moments")
     _checked_l1(x)
-    den, moments = _trace_moments(x, n_moments)
+    y = convolve(_adjoint(x), x) if n_moments > 1 else None
+    # a radial table is symmetric under w -> w^-1, so a self-adjoint one is real
+    if y is not None and not y.im and (profile := _radial_profile(y.re, x.rank)):
+        return MomentBound(_radial_bound(profile, x.rank, y.den), n_moments, "radial-spectrum")
+    den, moments = _trace_moments(x, n_moments, y)
     achieved = max(m for m in moments if m <= n_moments)
-    return MomentBound(_bounds_from_moments(moments, den), achieved)
+    return MomentBound(_bounds_from_moments(moments, den), achieved, "trace-moments")
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +715,6 @@ class UpperBound(_TaggedFloat):
     candidate that gave it."""
 
     __slots__ = ("method",)
-    _tag = "method"
 
 
 def _self_adjoint_on_generators(x: AlgebraElement) -> bool:
@@ -812,12 +815,13 @@ def _upper_bound_floor(x: AlgebraElement) -> Fraction:
 class NormBracket:
     """Certified two-sided bracket on the reduced norm of one element.
 
-    moments_used is the highest trace-moment order <= the requested one that
-    was computed, an end of the lower bound's chord.  It falls short of the
-    request when freegroup.SUPPORT_CAP binds: on the words a square of a power
-    z of y touches, or on the lookups of an odd moment tau0(y z z), (words
-    g <= g^-1 of y) x |supp z|.  At n_moments 1, y is summed piece by
-    piece, and the cap counts the same words as on the whole table.
+    moments_used is the highest trace-moment order <= the request that was
+    computed, an end of the lower bound's chord, or the request on the
+    "radial-spectrum" path.  It falls short of the request when
+    freegroup.SUPPORT_CAP binds: on the words a square of a power z of y
+    touches, or on the lookups of an odd moment tau0(y z z), (words
+    g <= g^-1 of y) x |supp z|.  At n_moments 1, y is summed piece by piece,
+    and the cap counts the same words as on the whole table.
     """
 
     lower: float
@@ -835,10 +839,5 @@ def certify_norm(x: AlgebraElement, n_moments: int = 8) -> NormBracket:
     upper = norm_upper_bound(x)
     if lower > upper:
         raise StationaryLabError(f"inverted bracket [{lower}, {upper}] on {x!r}")
-    return NormBracket(
-        lower=float(lower),
-        upper=float(upper),
-        moments_used=lower.order,
-        lower_method="trace-moments",
-        upper_method=upper.method,
-    )
+    return NormBracket(lower=float(lower), upper=float(upper), moments_used=lower.order,
+                       lower_method=lower.method, upper_method=upper.method)

@@ -249,9 +249,8 @@ def _harmonic_measure(mu: GroupMeasure, depth: int) -> CylinderMeasure | None:
     when p = p' on every pair and at most one pair has mass.  w is bisected
     in units of 1 / (den 2^_SQRT_BITS), and u and q read at the bracket's
     upper end with the roots rounded up: no u passes 1, no q is negative."""
-    atoms = dict(mu.atoms())
     letters = FreeGroupContext(mu.rank).generators()
-    n = {s: int(atoms.get(s, 0) * mu.den) for s in letters}
+    n = {s: mu.weights.get(s.letters, 0) for s in letters}
     if mu.max_support_length() > 1 or (all(n[s] == n[s.inverse()] for s in letters)
                                        and sum(map(bool, n.values())) <= 2):
         return None

@@ -50,7 +50,7 @@ class CyclicSubgroup:
     """<root> for a primitive root word; the empty root encodes the trivial subgroup.
 
     Roots are normalized to the length-lex smaller of root / root^-1, so equal
-    subgroups compare equal.
+    subgroups have equal roots.
     """
 
     __slots__ = ("root",)

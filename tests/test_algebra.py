@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stationarylab.algebra import (
     _SQRT_BITS,
     AlgebraElement,
+    NormBracket,
     _bounds_from_moments,
     _centered,
     _checked_l1,
@@ -195,17 +196,24 @@ class TestNormBounds:
         assert nb.lower == 0 and nb.upper == 0
 
     def test_z_bound_approaches_two(self):
-        x = AlgebraElement.delta(F1.word("a")) + AlgebraElement.delta(F1.word("A"))
+        # a + A in F_2 has y = 2 + aa + AA, not radial, so the moments give
+        # the ratio bound sqrt(C(130,65)/C(128,64)) = sqrt(2*129/65); in
+        # F_1 the same y is 2 + E_2, radial, and its spectrum gives 2 itself
+        x = AlgebraElement.delta(F2.word("a")) + AlgebraElement.delta(F2.word("A"))
         assert norm_upper_bound(x) == 2.0
         lo = norm_lower_bound(x, 64)
-        # ratio bound sqrt(C(130,65)/C(128,64)) = sqrt(2*129/65)
         assert abs(lo - math.sqrt(2 * 129 / 65)) < 1e-12
-        assert lo > 1.99
+        assert lo > 1.99 and lo.method == "trace-moments"
+        z = AlgebraElement.delta(F1.word("a")) + AlgebraElement.delta(F1.word("A"))
+        assert certify_norm(z, 64) == NormBracket(2.0, 2.0, 64, "radial-spectrum", "l1")
 
     def test_z_moments_against_central_binomials(self):
-        # package moment route must reproduce the comb() oracle through the bound
-        x = AlgebraElement.delta(F1.word("a")) + AlgebraElement.delta(F1.word("A"))
+        # the engine reproduces the comb() oracle through the bound, on a + A
+        # in F_2, whose y = x*x is off the radial path
+        x = AlgebraElement.delta(F2.word("a")) + AlgebraElement.delta(F2.word("A"))
         for n in (1, 2, 4, 8):
+            den, moments = _trace_moments(x, n)
+            assert moments == {m: z_moment_oracle(m) * den**m for m in moments}
             expected = max(
                 max(z_moment_oracle(m) ** (1 / (2 * m)) for m in range(1, n + 1)),
                 max(
@@ -216,15 +224,16 @@ class TestNormBounds:
             assert abs(norm_lower_bound(x, n) - expected) < 1e-12
 
     def test_f2_generator_sum_against_radial_oracle(self):
-        x = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
-        W = f2_moment_oracle(130)  # W[n-1] = tau0(x^n)
-        expected = max(
-            max(W[2 * m - 1] ** (1 / (2 * m)) for m in range(1, 65)),
-            max(math.sqrt(W[2 * m + 1] / W[2 * m - 1]) for m in range(1, 65)),
-        )
-        got = norm_lower_bound(x, 64)
-        assert abs(got - expected) < 1e-9
-        assert abs(got - 3.426032146718429) < 1e-12
+        # a conjugate of the generator sum has the same moments,
+        # tau0(y^m) = tau0(x^(2m)), closed walks, and a y off the radial path
+        g = F2.word("ab")
+        x = AlgebraElement({conjugate(w, g): 1.0 for w in ball(F2, 1) if len(w)}, 2)
+        W = f2_moment_oracle(18)  # W[n-1] = tau0(x^n)
+        for n in (1, 2, 3, 5, 8):
+            den, moments = _trace_moments(x, n)
+            assert sorted(moments) == list(ENGINE_ORDERS[n])
+            assert moments == {m: W[2 * m - 1] for m in moments} and den == 1
+            assert norm_lower_bound(x, n) == reference_chord(moments)
 
     def test_lower_bound_monotone_in_moments(self):
         x = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
@@ -260,12 +269,15 @@ class TestNormBounds:
                               1 if n <= 2 else Fraction(4 * (n - 1), n * n))
 
     def test_generic_path_matches_radial_path(self):
-        # conjugating breaks radiality but not the moments
+        # conjugating breaks radiality but not the moments: at n_moments 1
+        # both read the same two sums, and past it the spectral bound is at
+        # least the conjugate's chord
         x = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
         g = F2.word("ab")
         y = AlgebraElement({conjugate(w, g): 1.0 for w in ball(F2, 1) if len(w)}, 2)
-        for n in (1, 2, 4):
-            assert abs(norm_lower_bound(y, n) - norm_lower_bound(x, n)) < 1e-12
+        assert norm_lower_bound(y, 1) == norm_lower_bound(x, 1)
+        for n in (2, 4, 8):
+            assert norm_lower_bound(y, n) < norm_lower_bound(x, n) == 3.4641016151377544
 
     def test_squared_l1_overflow_is_malformed(self):
         a, b = F2.word("a"), F2.word("b")
@@ -290,6 +302,7 @@ def norm_squared_in(bracket, norm_squared):
 
 
 @given(st.integers(1, 4), st.integers(1, 64), st.integers(-3, 3))
+@example(2, 200_000_000, 0)  # the radial path's cost does not grow with n_moments
 def test_kesten_norm_is_in_the_bracket(k, n_moments, e):
     # the symmetric generator sum of F_k has norm 2 sqrt(2k - 1) (Kesten 1959);
     # its y = x*x is radial
@@ -300,6 +313,86 @@ def test_kesten_norm_is_in_the_bracket(k, n_moments, e):
     assert_few_ulps_below(_upper_bound_floor(x), Fraction(4) ** e * 4 * (2 * k - 1))
     # the nearest-neighbour candidate reaches it, rounded up
     assert bracket.upper == float_up_root(Fraction(4) ** e * 4 * (2 * k - 1))
+    # past n_moments 1 the spectrum of E_1 closes the bracket to one ulp
+    if n_moments > 1:
+        assert bracket.lower_method == "radial-spectrum"
+        assert bracket.upper <= math.nextafter(bracket.lower, math.inf)
+
+
+def radial_element(k, coeffs):
+    """sum_l coeffs[l] E_l in F_k, E_l the sum of the words of length l."""
+    ball_k = ball(FreeGroupContext(k), len(coeffs) - 1)
+    return AlgebraElement({w: coeffs[len(w)] for w in ball_k if coeffs[len(w)]}, k)
+
+
+def radial_norm(x, k, length):
+    """||x|| to 40 digits for x = sum_l c_l E_l, l <= length, in F_k: x is
+    q(E_1) for a real polynomial q, whose monomial coefficients are peeled
+    off x, top length first, against the powers of E_1 formed by convolve,
+    and E_1 has spectrum [-2 sqrt(2k - 1), 2 sqrt(2k - 1)] (Kesten 1959), so
+    ||x|| is the largest |q| at an end or at a real root of q' there."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = FreeGroupContext(k)
+    e1 = AlgebraElement({w: 1 for w in ball(ctx, 1) if len(w)}, k)
+    powers = [AlgebraElement({ctx.identity: 1}, k)]
+    for _ in range(length):
+        powers.append(convolve(powers[-1], e1))
+    rest = {w: re for w, (re, _) in exact(x).items()}
+    q = [Fraction(0)] * (length + 1)
+    for j in reversed(range(length + 1)):
+        q[j] = rest.get(ctx.word("a" * j), Fraction(0))
+        for w, (re, _) in exact(powers[j]).items():
+            rest[w] = rest.get(w, 0) - q[j] * re
+    assert not any(rest.values())
+    with mpmath.workdps(40):
+        end = 2 * mpmath.sqrt(2 * k - 1)
+        slope = [mpmath.mpf(j * c.numerator) / c.denominator for j, c in enumerate(q)][1:]
+        while slope and not slope[-1]:
+            slope.pop()
+        roots = mpmath.polyroots(slope[::-1], maxsteps=200, extraprec=200) if slope[1:] else []
+        points = [end, -end] + [mpmath.re(r) for r in roots
+                                if abs(mpmath.im(r)) < 1e-30 and abs(mpmath.re(r)) <= end]
+        return max(abs(mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
+                                       for c in q[::-1]], t)) for t in points)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([(1, 4), (2, 3), (3, 2)]).flatmap(lambda rank_length: st.tuples(
+    st.just(rank_length[0]),
+    st.lists(st.sampled_from([0, 1, -1, 2, -3, 0.5, 1.25]), min_size=2,
+             max_size=rank_length[1] + 1).filter(any))))
+def test_radial_bound_is_the_spectral_maximum(rank_coeffs):
+    # a radial y takes the norm rounded down, or one ulp below it, and at
+    # least the trace-moment chord of the same norm off the radial path: a
+    # conjugate (in rank 1, of the copy of x in F_2, which embeds
+    # isometrically)
+    k, coeffs = rank_coeffs
+    x = radial_element(k, coeffs)
+    norm = radial_norm(x, k, len(coeffs) - 1)
+    bracket = certify_norm(x, 8)
+    assert bracket.lower_method == "radial-spectrum"
+    assert bracket.lower <= norm <= bracket.upper
+    assert norm < math.nextafter(math.nextafter(bracket.lower, math.inf), math.inf)
+    g = F2.word("ab")
+    off = AlgebraElement({conjugate(Word(w.letters, max(k, 2)), Word(g.letters, max(k, 2))): c
+                          for w, (c, _) in exact(x).items()}, max(k, 2))
+    assert norm_lower_bound(off, 1) <= bracket.lower
+
+
+@pytest.mark.parametrize("k, coeffs, norm", [
+    (2, (1, 1e-300), 1.0), (2, (1, 1e-30), 1.0), (2, (-8, 0, 1), 12.0),
+    (1, (1, 1, -8), 17.03125), (1, (127 / 128, 1, -8), 17.0234375)])
+def test_radial_bound_hazards(k, coeffs, norm):
+    # floats on the integer profile of 1 + 1e-300 E_1 overflow (2,099
+    # bits); on 1 + 1e-30 E_1 they tie at every point, and the exact
+    # comparison finds the maximum at T, not -T; E_2 - 8 has zeros near +-T
+    # and its maximum at 0, a grid point, from which the refined point
+    # drifts.  In F_1, c + E_1 - 8 E_2 = c + 16 + t - 8 t^2 peaks at t = 1/16,
+    # between the grid points 0 and 1/8 (of 16 cells each side), and at
+    # t = -2: at c = 1 the three grid values tie, and at c = 127/128 the one
+    # at -2 is the largest, though the peak between 0 and 1/8 is higher
+    x = radial_element(k, coeffs)
+    assert norm_lower_bound(x, 8) == norm
 
 
 # free families (rank of F_k, words): distinct generators and families of
@@ -959,14 +1052,14 @@ class TestLetterTableMomentEngine:
                     bound = norm_lower_bound(x, n)
                     assert certified_by(bound, moments, n)
                     assert math.isclose(bound, best_candidate(moments, n), rel_tol=1e-14)
-        # the Kesten element: tau0(y^m) = tau0(x^(2m)) counts closed walks
+        # the Kesten element: y = 4 + E_2 = p(E_1) with p(t) = t^2, whose
+        # largest value at a candidate is at T = isqrt(12 2^128) / 2^64, just
+        # below 2 sqrt(3); the bound is the largest float at most T
         kesten = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
-        walks = f2_moment_oracle(130)
-        moments = {m: Fraction(walks[2 * m - 1]) for m in range(1, 66)}
         bound = norm_lower_bound(kesten, 64)
-        assert certified_by(bound, moments, 64)
-        old = 3.426032146718429
-        assert bound in (old, math.nextafter(old, 0), math.nextafter(old, 4))
+        top = Fraction(math.isqrt(12 << 2 * _SQRT_BITS), 1 << _SQRT_BITS)
+        assert Fraction(bound) <= top < Fraction(math.nextafter(bound, math.inf))
+        assert top**2 < 12
 
     def test_squares_only_for_read_orders(self, monkeypatch):
         # z = Y^m_z is squared only while an order of the new power is at most
@@ -1010,7 +1103,7 @@ class TestLetterTableMomentEngine:
         assert certify_norm(x, 8).moments_used == 4
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 10)
         assert certify_norm(x, 8).moments_used == 2
-        # a radial y gets every order exactly, whatever the cap
+        # a radial y reads no moment, so it reports the request whatever the cap
         radial = AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2)
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 20)
         assert certify_norm(radial, 64).moments_used == 64
@@ -1045,11 +1138,13 @@ class TestLetterTableMomentEngine:
         sphere2 = AlgebraElement({w: 1.0 for w in ball(F2, 2) if len(w) == 2}, 2)
         monkeypatch.setattr(freegroup, "SUPPORT_CAP", 200)
         lower, upper = norm_lower_bound(x, 8), norm_upper_bound(sphere2)
-        for bound, tag, value in ((lower, "order", 5), (upper, "method", "ambient-layers")):
+        for bound, tags in ((lower, {"order": 5, "method": "trace-moments"}),
+                            (upper, {"method": "ambient-layers"})):
             for twin in (copy.copy(bound), copy.deepcopy(bound),
                          pickle.loads(pickle.dumps(bound))):
                 assert type(twin) is type(bound)
-                assert (twin, getattr(twin, tag)) == (bound, value)
+                assert twin == bound
+                assert {tag: getattr(twin, tag) for tag in tags} == tags
             assert type(bound + 1.0) is float
 
 
@@ -1271,16 +1366,15 @@ class TestProductPieces:
                         elif n == 1:
                             assert norm_lower_bound(x, 1).order == 1
                             engine_checked[1] += 1
-                        elif (max(len(first), lookups) < touched
-                              and _radial_profile(y[0], x.rank) is None):
+                        elif max(len(first), lookups) < touched:
                             assert (4 in _trace_moments(x, 3)[1]) == (cap >= touched)
                             engine_checked[3] += 1
         assert engine_checked[1] == len(elements) and engine_checked[3] > 20
 
     def test_chord_equals_the_reference_on_summed_squares(self, references):
         # at n_moments 1 the top order is a summed product, and at 3 a
-        # square of _times; radial elements, which skip the radial path at
-        # n_moments 1, are covered too, with y = x*x checked to be radial
+        # square of _times; radial elements, which take the radial path only
+        # past n_moments 1, are covered at 1, with y = x*x checked to be radial
         F3 = FreeGroupContext(3)
         radial = [AlgebraElement({w: 1.0 for w in ball(F2, 1) if len(w)}, 2),
                   AlgebraElement({w: 1 for w in ball(F1, 1)}, 1),
@@ -1289,9 +1383,10 @@ class TestProductPieces:
         for x in radial:
             y = _times(adjoint_tables(x), (x.re, x.im))
             assert not y[1] and _radial_profile(y[0], x.rank) is not None
-        cases = list(references) + [(x, word_table_moment_engine(x)) for x in radial]
-        for x, reference in cases:
-            for n in (1, 3):
+        cases = [(x, reference, (1, 3)) for x, reference in references] + [
+            (x, word_table_moment_engine(x), (1,)) for x in radial]
+        for x, reference, orders in cases:
+            for n in orders:
                 moments = reference_moments(reference, n, 5000)
                 assert sorted(moments) == list(ENGINE_ORDERS[n])
                 assert norm_lower_bound(x, n) == reference_chord(moments)

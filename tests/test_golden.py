@@ -175,6 +175,9 @@ def _bench_workloads():
     return module
 
 
+# The Kesten job runs one config in every workload and seed, so one digest.
+KESTEN = "fda951a88828437c2bc8d797b72e00fac29f4feec63e83b2e3b339b9d0e25beb"
+
 # The sha256 of the JSON of each benchmark job's outputs table (file name to
 # file digest, keys sorted) on workload seeds 1 to 3: seed to "workload/job id"
 # to digest.
@@ -189,8 +192,8 @@ BENCH_JOBS = {
         "build/powers-1": "239b4c2fcaa80d8e6ef4ce0c12158333c3e978a1ab700592c8846ddcbeb791be",
         "build/powers-2": "f0f2c022f6ec560352fee02b922df572cf61b969e81829824e15aaee49fa2d7a",
         "build/powers-3": "d779033f719f397fb2d796f79760544ca7320675fe444c7c2c8caa21d34c699a",
-        "build/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
-        "brackets/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "build/kesten": KESTEN,
+        "brackets/kesten": KESTEN,
         "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
         "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
         "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
@@ -213,7 +216,7 @@ BENCH_JOBS = {
         "dynamics/boundary-solve-length2":
             "82c41ed6638ddc92959b9f54012504b11e305fe4f907eaf54bd8bf37963cc1a0",
         "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
-        "dynamics/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "dynamics/kesten": KESTEN,
     },
     2: {
         "build/build-mu-L2": "4223188cd4c0a566335a8fcffb19d8fc354a9685e1cedfe78e4dcb209290b008",
@@ -225,8 +228,8 @@ BENCH_JOBS = {
         "build/powers-1": "239b4c2fcaa80d8e6ef4ce0c12158333c3e978a1ab700592c8846ddcbeb791be",
         "build/powers-2": "0d82692e5a33c88733ed7a842585daf14f40b11b32704f91a98c6218abb4fd1d",
         "build/powers-3": "46ba824e2edab03a2048df492e13fcaf93b1c58d1de45194a64dd8d63b8b415b",
-        "build/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
-        "brackets/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "build/kesten": KESTEN,
+        "brackets/kesten": KESTEN,
         "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
         "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
         "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
@@ -249,7 +252,7 @@ BENCH_JOBS = {
         "dynamics/boundary-solve-length2":
             "678ad20b5be7cc3da6845fd6ea083cbdff9230b42c9eb3f88cd4a7a720358d76",
         "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
-        "dynamics/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "dynamics/kesten": KESTEN,
     },
     3: {
         "build/build-mu-L2": "4223188cd4c0a566335a8fcffb19d8fc354a9685e1cedfe78e4dcb209290b008",
@@ -261,8 +264,8 @@ BENCH_JOBS = {
         "build/powers-1": "43ef5d135be3b2805e560a1442035fa9fcb6c38de2e25bb985bd097213a96cde",
         "build/powers-2": "29093179981692dcf021f4f09f58394c7c6dbc5134ca8303cd4de0925c1dcd7a",
         "build/powers-3": "b34423ac5ea4ca81bdb356b8dce64e864c698dcbbc915e4f00ce61789a509c7f",
-        "build/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
-        "brackets/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "build/kesten": KESTEN,
+        "brackets/kesten": KESTEN,
         "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
         "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
         "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
@@ -285,7 +288,7 @@ BENCH_JOBS = {
         "dynamics/boundary-solve-length2":
             "aaf77fdab0f255b6d649c7e5bdb6cb94de3834794ffc3302c71be3246964807e",
         "dynamics/fix-mass": "869ca4edbdeb90354756a2c718d500818fbc7dca13a504fdd5b046c86167373e",
-        "dynamics/kesten": "489e1c064114801c069e16f23d78e5962bf1eb549c46b3f08bfb8e567e80c542",
+        "dynamics/kesten": KESTEN,
     },
 }
 
