@@ -3,9 +3,10 @@
 Reduced norms are not exactly computable, so every claim is an interval:
 trace moments of x*x certify from below (spectral radius seen through the
 faithful trace), or, when x*x is radial, its value at one point of the
-spectrum of the sphere sum; l1 / layer estimates and the exact Akemann-Ostrand
-norms of free families and nearest-neighbour elements certify from above.  Tests pass only on upper bounds and fail only on lower
-bounds.
+spectrum of the sphere sum; l1 / layer estimates, the exact Akemann-Ostrand
+norms of free families and nearest-neighbour elements, and sums of those norms
+over ping-pong families certify from above.  Tests pass only on upper bounds
+and fail only on lower bounds.
 """
 
 import math

@@ -21,12 +21,12 @@ At n_moments 1, where y is read only as two sums, it is summed piece by
 piece under the same cap, and never held whole.
 
 Upper bounds come from the l1 norm, the (n+1)-weighted layer inequality in
-word length (valid on every free group), the same inequality after rewriting
-the support over a free basis of the subgroup it generates, and the exact
-Akemann-Ostrand norms of free families and of self-adjoint nearest-neighbour
-elements, each a convex minimum over one variable, read at one point:
-integer sums whose square roots math.isqrt rounds up, the least of them
-rounded up to a float.
+word length (valid on every free group), and the exact Akemann-Ostrand norms
+of free families and of self-adjoint nearest-neighbour elements, each a
+convex minimum over one variable, read at one point; a support that is no
+free family is split into ping-pong families, and their norms summed
+(Powers, Duke Math. J. 42, 1975): integer sums whose square roots
+math.isqrt rounds up, the least of them rounded up to a float.
 
 Every upper candidate is at least the floor F(x) = |x(e)| + min over t >= 0
 of f(t) = sum_i sqrt(t^2 + |x(w_i)|^2) - (n - 2) t, over the n support
@@ -36,8 +36,11 @@ as sqrt(t^2 + w) <= t + w / 2t; the free-family candidate is f at one
 point, and the nearest-neighbour one f at one point after s = 2t.  min f is
 certified from below with no sign check: for any a_i in [0, 1] with
 sum a_i >= n - 2, Cauchy-Schwarz gives f(t) >= sum_i sqrt(1 - a_i^2) |x(w_i)|
-at every t >= 0, an integer sum whose roots math.isqrt rounds down.  A
-Powers scan compares F with epsilon before it runs the candidates.
+at every t >= 0, an integer sum whose roots math.isqrt rounds down.  The
+same a_i bound the partition: sum (1 - a_i) <= 2 over all words, so over
+the m words of each family too, whose f_G(t), with m - 2 in place of n - 2,
+is then at least its share of that sum.  A Powers scan compares F with
+epsilon before it runs the candidates.
 """
 
 from __future__ import annotations
@@ -686,9 +689,17 @@ def _disjoint_cylinders(words: list[bytes]) -> bool:
     prefix of its successor.  The two prefixes of one split never meet when
     both are free: at the middle split that would make t unreduced, and at
     any other the shorter one prefixes both middle-split ones, so the middle
-    split, which _splits tries first, was free too.
+    split, which _splits tries first, was free too.  So one word always fits
+    alone.
     """
     chosen: list[bytes] = []
+    return all(_ping_pong_insert(chosen, t) for t in words)
+
+
+def _ping_pong_insert(chosen: list[bytes], t: bytes) -> bool:
+    """Add to the sorted antichain `chosen` the two prefixes of the first
+    split of t, in _splits order, that meet none of it, and say whether
+    some split did; `chosen` is left as it was if none did."""
 
     def clashes(p: bytes) -> bool:
         i = bisect_left(chosen, p)
@@ -696,18 +707,35 @@ def _disjoint_cylinders(words: list[bytes]) -> bool:
             i > 0 and p.startswith(chosen[i - 1])
         )
 
-    for t in words:
-        m, t_inv = len(t), inverse_letters(t)
-        for j in _splits(m):
-            # (t_j..t_m)^-1 is the first m - j + 1 letters of t^-1
-            head, tail_inv = t[:j], t_inv[: m - j + 1]
-            if not clashes(head) and not clashes(tail_inv):
-                insort(chosen, head)
-                insort(chosen, tail_inv)
+    m, t_inv = len(t), inverse_letters(t)
+    for j in _splits(m):
+        # (t_j..t_m)^-1 is the first m - j + 1 letters of t^-1
+        head, tail_inv = t[:j], t_inv[: m - j + 1]
+        if not clashes(head) and not clashes(tail_inv):
+            insort(chosen, head)
+            insort(chosen, tail_inv)
+            return True
+    return False
+
+
+def _powers_partition(rest: list[tuple[bytes, int]]) -> int:
+    """den 2^_SQRT_BITS sum over G of ||y_G||, rounded up, for the parts
+    y_G of y = sum_i c_i lambda(w_i) on the families G of a first-fit
+    partition of the pairs (w_i, den^2 |c_i|^2), in their order, into
+    ping-pong families (_ping_pong_insert): each y_G takes its free-family
+    norm from _root_sum_min, which for two words or fewer is their l1 norm,
+    and ||y|| <= sum_G ||y_G||."""
+    families: list[tuple[list[bytes], list[int]]] = []
+    for w, s in rest:
+        for chosen, weights in families:
+            if _ping_pong_insert(chosen, w):
+                weights.append(s)
                 break
         else:
-            return False
-    return True
+            chosen = []
+            _ping_pong_insert(chosen, w)
+            families.append((chosen, [s]))
+    return sum(_root_sum_min(weights, len(weights) - 2) for _, weights in families)
 
 
 class UpperBound(_TaggedFloat):
@@ -745,15 +773,14 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
       (Akemann-Ostrand 1976; for n <= 2 it is ||y||_1), taken in the reduced
       algebra of that subgroup, which sits isometrically inside.  Freeness
       is certified by the ping-pong sets of _disjoint_cylinders or by the
-      fold, when the rank of the subgroup equals n; failing both, the layer
-      inequality after rewriting the support over a free basis of the
-      subgroup, the one candidate that reads word lengths off the folded
-      graph.
+      fold, when the rank of the subgroup equals n; failing both, the sum of
+      the free-family norms over a partition of the support into ping-pong
+      families (_powers_partition).
     The two minima are taken at one point each by _root_sum_min, which makes
     any point a true bound.  The candidates are compared exactly, and the
-    least is rounded up to the result, an UpperBound whose `method` names it
-    ("zero" for x = 0).  MalformedInputError if ||x||_1^2 passes the largest
-    float.
+    least, the first listed on ties, is rounded up to the result, an
+    UpperBound whose `method` names it ("zero" for x = 0).
+    MalformedInputError if ||x||_1^2 passes the largest float.
     """
     if not (x.re or x.im):
         return UpperBound(0.0, "zero")
@@ -773,20 +800,20 @@ def norm_upper_bound(x: AlgebraElement) -> UpperBound:
         # only then can a freeness test win: the free-family norm is ||y||_1
         # for two words or fewer, and for more it lies below the l1 norm (f
         # falls from t = 0, where it is ||y||_1) and below |x(e)| + 2 ||y||_2,
-        # the averaging estimate, which ambient-layers and subgroup-layers
-        # are at least (every layer weight n + 1 is at least 2)
+        # the averaging estimate, which ambient-layers is at least (every
+        # layer weight n + 1 is at least 2).  Both whole-support tests come
+        # before the partition, which costs more than either.
         words = [w for w, _ in rest]
         if _disjoint_cylinders(words):
             tag = "disjoint-cylinders"
-        else:
-            dec = free_basis_decomposition([_word(w, x.rank) for w in words])
+        elif free_basis_decomposition([_word(w, x.rank) for w in words]) == len(words):
             # the support freely generates when it is itself a free basis
-            tag = "free-support" if dec.rank == len(words) else None
-        if tag:
-            candidates.append((c_e + _root_sum_min([s for _, s in rest], len(rest) - 2), tag))
+            tag = "free-support"
         else:
-            sub = c_e + _layer_bound(zip(dec.rewritten_lengths, (s for _, s in rest)))
-            candidates.append((sub, "subgroup-layers"))
+            tag = "powers-partition"
+        value = (_powers_partition(rest) if tag == "powers-partition"
+                 else _root_sum_min([s for _, s in rest], len(rest) - 2))
+        candidates.append((c_e + value, tag))
     bound, tag = min(candidates, key=lambda p: p[0])
     return UpperBound(_float_up(Fraction(bound, x.den << _SQRT_BITS)), tag)
 

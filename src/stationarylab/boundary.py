@@ -190,14 +190,18 @@ def stationarity_residual(
     depth, by default the deepest at which every translate g nu, g in the
     support of mu, can be read: nu.depth - L for a strict table (L = max
     support length), nu.depth for a measure read at every depth.  A Fraction
-    when the masses of nu are exact, as those of mu always are."""
+    when the masses of nu are exact, as those of mu always are.
+    MalformedInputError for a depth below 1; DepthUnderflowError, which
+    names L + 1, for a strict table too shallow for the default."""
     if mu.rank != nu.rank:
         raise ContextMismatchError(f"measure rank {mu.rank} vs {nu.rank}")
     L = mu.max_support_length()
     if depth is None:
         depth = nu.depth if nu.every_depth else nu.depth - L
-    if depth < 1:
-        raise DepthUnderflowError(required_depth=L + 1, available_depth=nu.depth)
+        if depth < 1:
+            raise DepthUnderflowError(required_depth=L + 1, available_depth=nu.depth)
+    elif depth < 1:
+        raise MalformedInputError(f"depth must be >= 1, got {depth}")
     atoms = length_lex(mu.masses)
     worst = Fraction(0)
     for w in ball_letters(nu.rank, depth):
@@ -218,7 +222,8 @@ def require_stationary(mu: GroupMeasure, nu: CylinderMeasure) -> None:
     that only w[:L] sets."""
     L = mu.max_support_length()
     depth = L + 1 if nu.every_depth else nu.depth - L
-    residual = stationarity_residual(mu, nu, depth=depth)
+    # a strict table takes the default depth, which refuses one too shallow
+    residual = stationarity_residual(mu, nu, depth if nu.every_depth else None)
     if residual != 0:
         raise PreconditionError(
             f"nu is not stationary for the law: residual {residual} "

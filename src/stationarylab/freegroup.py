@@ -32,9 +32,8 @@ from __future__ import annotations
 import string
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, takewhile
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     ContextMismatchError,
@@ -518,77 +517,23 @@ class FiniteQuotient:
 
 
 # ---------------------------------------------------------------------------
-# free basis of a finitely generated subgroup (graph folding)
+# rank of a finitely generated subgroup (graph folding)
 # ---------------------------------------------------------------------------
 
 
-class FreeBasisDecomposition:
-    """The folded graph of the subgroup generated by `words`: its rank, and
-    the length of each word over a free basis, read off it on demand.
-
-    rank: E - V + 1 of the folded graph, the rank of the subgroup; set by
-          the fold, so it costs no readout.
-    rewritten_lengths: for each input word, its length over the free basis
-                       of non-tree edges; read off the graph on first access.
-    """
-
-    def __init__(self, words: list[Word], rank: int, adj: list[dict[int, int]],
-                 find: Callable[[int], int]):
-        self.rank = rank
-        self._words = words
-        self._adj = adj
-        self._find = find
-
-    @cached_property
-    def rewritten_lengths(self) -> list[int]:
-        """A spanning tree by BFS in letter order from the base, an order that
-        depends on the folded graph only; each word's length is the number of
-        non-tree edges its loop crosses.  No two crossings cancel: between
-        them the loop would walk a reduced path from a vertex back to it in
-        the tree, so the edge would be crossed and straight back, which a
-        reduced word in a folded graph never does."""
-        adj, find = self._adj, self._find
-        root = find(0)
-        tree = {root: None}  # vertex -> (parent vertex, label read)
-        order = [root]
-        for u in order:
-            adj[u] = {lab: find(t) for lab, t in sorted(adj[u].items())}
-            for lab, v in adj[u].items():
-                if v not in tree:
-                    tree[v] = (u, lab)
-                    order.append(v)
-        lengths = []
-        for w in self._words:
-            v, n = root, 0
-            for c in w.letters:
-                t = adj[v][c]
-                n += tree[t] != (v, c) and tree[v] != (t, c ^ 1)
-                v = t
-            lengths.append(n)
-        return lengths
-
-
-def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
-    """Fold the wedge of loops spelled by `words`; the result carries the
-    rank of the subgroup they generate and, when first asked, the length of
-    each word over a free basis of it.
-
-    Every input word is a loop at the base vertex of the folded graph, whose
-    rank E - V + 1 is the rank of the subgroup; so the words freely generate
-    exactly when the rank equals their number.  The non-tree edges of a
-    spanning tree form a free basis, and the length of a word over it is the
-    number of non-tree edges its loop crosses: that readout is made only when
-    `rewritten_lengths` is read.
+def free_basis_decomposition(words: Sequence[Word]) -> int:
+    """The rank of the subgroup that `words` generate: fold the wedge of
+    loops they spell, and read E - V + 1 off the folded graph, at whose base
+    vertex every input word is a loop.  So the words freely generate exactly
+    when the rank equals their number.
 
     The graph stays folded after each loop is added: a loop first follows
     existing edges from the base for its longest prefix and, backwards from
     the base, for its longest remaining suffix, so new vertices are made only
     for the middle, and any folds its closing edge forces are made at once.
-    Folding is confluent, so the graph, the rank and the lengths do not
-    depend on the order of the words.
+    Folding is confluent, so the rank does not depend on the order of the
+    words.
     """
-    words = list(words)
-
     # union-find over vertices; adj[v] maps a letter to the far end of the
     # edge leaving v with that label (a stale vertex id, resolved by find);
     # a merged vertex keeps an empty adj
@@ -666,4 +611,4 @@ def free_basis_decomposition(words: Sequence[Word]) -> FreeBasisDecomposition:
 
     # each edge is stored once from each end, and only live vertices hold any
     edges = sum(map(len, adj)) // 2
-    return FreeBasisDecomposition(words, edges - (len(parent) - merges) + 1, adj, find)
+    return edges - (len(parent) - merges) + 1

@@ -7,12 +7,9 @@ from stationarylab.freegroup import inverse_letters
 
 
 def reference_fold(words):
-    """Stallings fold of the whole wedge of loops at once, read off with a
-    spanning tree by BFS in letter order from the base.
-
-    Returns the basis size and the length of each word rewritten over the
-    non-tree edges.
-    """
+    """Stallings fold of the whole wedge of loops at once; returns the rank
+    E - V + 1 of the folded graph, the size of a free basis of the subgroup
+    the words generate, counted by BFS from the base."""
     parent, adj = [], []
 
     def new_vertex():
@@ -51,32 +48,14 @@ def reference_fold(words):
             adj[y] = {}
 
     root = find(base)
-    tree = {root: None}
+    seen = {root}
     queue = deque([root])
     n_edges = 0
     while queue:
         u = queue.popleft()
         n_edges += len(adj[u])
-        for c in sorted(adj[u]):
-            v = find(adj[u][c])
-            if v not in tree:
-                tree[v] = (u, c)
+        for v in map(find, adj[u].values()):
+            if v not in seen:
+                seen.add(v)
                 queue.append(v)
-    basis_size = n_edges // 2 - len(tree) + 1
-
-    lengths = []
-    for w in words:
-        v, out = root, []
-        for c in w.letters:
-            t = find(adj[v][c])
-            if tree[t] != (v, c) and tree[v] != (t, inv(c)):
-                # a non-tree edge, named by its orientation-free endpoints
-                edge = min((v, c, t), (t, inv(c), v))
-                step = (edge, edge == (v, c, t))
-                if out and out[-1] == (edge, not step[1]):
-                    out.pop()
-                else:
-                    out.append(step)
-            v = t
-        lengths.append(len(out))
-    return basis_size, lengths
+    return n_edges // 2 - len(seen) + 1

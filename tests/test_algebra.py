@@ -17,6 +17,7 @@ from stationarylab.algebra import (
     _centered,
     _checked_l1,
     _odd_moment,
+    _powers_partition,
     _radial_profile,
     _root_sum_min,
     _square_sum,
@@ -27,6 +28,7 @@ from stationarylab.algebra import (
     _layer_bound,
     _modulus,
     _sqrt_up,
+    _squares,
     _trace_moments,
     _upper_bound_floor,
     certify_norm,
@@ -417,7 +419,7 @@ def test_free_family_norm_is_in_the_bracket(family, n_moments, e, phases):
     # subgroup is implemented by a unitary
     rank, names = family
     words = [FreeGroupContext(rank).word(s) for s in names]
-    assert free_basis_decomposition(words).rank == len(words)
+    assert free_basis_decomposition(words) == len(words)
     x = AlgebraElement({w: 2.0**e * z for w, z in zip(words, phases)}, rank)
     bracket = certify_norm(x, n_moments)
     assert norm_squared_in(bracket, Fraction(4) ** e * 4 * (len(words) - 1))
@@ -443,7 +445,7 @@ def test_the_freeness_check_sees_a_relation():
     # {ab, bb, aBa} generates a subgroup of rank 2: it is not a free family,
     # and the check above refuses it as an Akemann-Ostrand case
     words = [F2.word(s) for s in ("ab", "bb", "aBa")]
-    assert free_basis_decomposition(words).rank == 2
+    assert free_basis_decomposition(words) == 2
 
 
 @given(*[st.integers(-50, 50)] * 4)
@@ -580,9 +582,10 @@ def add(a, b):
 
 def exact_candidates(x):
     """{tag: interval} of every upper-bound candidate, from Fraction
-    coefficients, with the reference fold always run.  A candidate that does
-    not apply is left out; "free-family" stands for both freeness
-    certificates, whose value is the Akemann-Ostrand minimum."""
+    coefficients, with the reference fold.  A candidate that does not apply
+    is left out; "free-family" stands for both freeness certificates, whose
+    value is the Akemann-Ostrand minimum, and the partition of the support
+    into ping-pong families is summed only when neither holds."""
     squares = {w: re * re + im * im for w, (re, im) in exact(x).items()}
     c_e = squares.get(F2.identity if x.rank == 2 else Word((), x.rank), 0)
     rest = sorted((w for w in squares if w), key=Word.sort_key)
@@ -598,15 +601,41 @@ def exact_candidates(x):
     gens = nearest_neighbour_weights(x)
     if rest and gens is not None:
         out["nearest-neighbour"] = add(root_sum([(1, c_e)]), root_sum_min(gens, len(gens) - 1))
+    elif rest and (reference_fold(rest) == len(rest)
+                   or _disjoint_cylinders([w.letters for w in rest])):
+        out["free-family"] = add(root_sum([(1, c_e)]),
+                                 root_sum_min([squares[w] for w in rest], len(rest) - 2))
     elif rest:
-        rank, lens = reference_fold(rest)
-        if rank == len(rest) or _disjoint_cylinders([w.letters for w in rest]):
-            out["free-family"] = add(root_sum([(1, c_e)]),
-                                     root_sum_min([squares[w] for w in rest], len(rest) - 2))
-        if rank < len(rest):
-            out["subgroup-layers"] = root_sum(
-                [(1, c_e)] + layers(zip(lens, (squares[w] for w in rest))))
+        out["powers-partition"] = root_sum([(1, c_e)])
+        for family in reference_partition(rest):
+            out["powers-partition"] = add(out["powers-partition"], root_sum_min(
+                [squares[w] for w in family], len(family) - 2))
     return out
+
+
+def reference_partition(words):
+    """The first-fit partition of the words, in their order, into families
+    that disjoint_cylinder_oracle accepts, each a list of Words."""
+    families = []
+    for w in words:
+        for family in families:
+            if disjoint_cylinder_oracle(family + [w]):
+                family.append(w)
+                break
+        else:
+            families.append([w])
+    return families
+
+
+def partition_candidate(x):
+    """The integer of the powers-partition candidate, in units of
+    1 / (den 2^_SQRT_BITS), from the reference partition and the module's
+    _root_sum_min, whatever the support."""
+    squares = _squares(x)
+    rest = [Word(w, x.rank) for w, _ in length_lex(squares) if w]
+    return _modulus(x, b"") + sum(
+        _root_sum_min([squares[w.letters] for w in family], len(family) - 2)
+        for family in reference_partition(rest))
 
 
 def assert_rounded_up(bound, interval):
@@ -657,16 +686,34 @@ def floor_elements(draw):
 @given(floor_elements())
 def test_the_floor_is_below_every_upper_candidate(x):
     # the least candidate's integer, from the reference fold, compared
-    # exactly with the floor
+    # exactly with the floor, and the partition's on every support, free or
+    # not: each family meets the floor's constraint on its own
     least, _ = upper_bound_oracle(x)
-    assert _upper_bound_floor(x) <= Fraction(least, x.den << _SQRT_BITS)
+    floor = _upper_bound_floor(x)
+    assert floor <= Fraction(least, x.den << _SQRT_BITS)
+    assert floor <= Fraction(partition_candidate(x), x.den << _SQRT_BITS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(floor_elements())
+def test_the_partition_is_a_certified_upper_bound(x):
+    # never below the certified lower bound; on a support that is one
+    # ping-pong family, the partition is that family, so its value is the
+    # disjoint-cylinders one
+    rest = [(w, s) for w, s in length_lex(_squares(x)) if w]
+    value = _modulus(x, b"") + _powers_partition(rest)
+    assert value == partition_candidate(x)
+    assert norm_lower_bound(x, 4) <= Fraction(value, x.den << _SQRT_BITS)
+    if _disjoint_cylinders([w for w, _ in rest]):
+        assert _powers_partition(rest) == _root_sum_min([s for _, s in rest], len(rest) - 2)
 
 
 def upper_bound_oracle(x):
     """(integer, tag) of the least upper-bound candidate, in units of
     1 / (den 2^_SQRT_BITS), from the module's own candidate helpers with the
-    reference fold always run; on ties the earlier tag, as norm_upper_bound
-    orders them."""
+    reference fold always run and the reference partition when the support
+    is no free family; on ties the earlier tag, as norm_upper_bound orders
+    them."""
     squares = {w: x.re.get(w, 0) ** 2 + x.im.get(w, 0) ** 2 for w in x.re.keys() | x.im.keys()}
     rest = [w for w, _ in length_lex(squares) if w]
     c_e = _modulus(x, b"")
@@ -679,12 +726,10 @@ def upper_bound_oracle(x):
         free_family = c_e + _root_sum_min([squares[w] for w in rest], len(rest) - 2)
         if _disjoint_cylinders(rest):
             candidates.append((free_family, "disjoint-cylinders"))
-        rank, lens = reference_fold([Word(w, x.rank) for w in rest])
-        if rank == len(rest):
+        if reference_fold([Word(w, x.rank) for w in rest]) == len(rest):
             candidates.append((free_family, "free-support"))
-        else:
-            candidates.append(
-                (c_e + _layer_bound(zip(lens, (squares[w] for w in rest))), "subgroup-layers"))
+        elif not _disjoint_cylinders(rest):
+            candidates.append((partition_candidate(x), "powers-partition"))
     return min(candidates, key=lambda p: p[0])
 
 
@@ -729,7 +774,7 @@ class TestUpperBoundFoldSkip:
             assert (bound, bound.method) == (_float_up(Fraction(least, x.den << _SQRT_BITS)), tag)
             candidates = exact_candidates(x)
             assert_rounded_up(bound, min(candidates.values(), key=lambda iv: iv[1]))
-            folds_needed += bound.method in ("free-support", "subgroup-layers")
+            folds_needed += bound.method in ("free-support", "powers-partition")
         # the family reaches the fold as well as the skip
         assert folds_needed > 0
 
@@ -759,7 +804,8 @@ class TestUpperBoundFoldSkip:
             assert type(bracket.upper) is float
             assert (bracket.upper, bracket.upper_method) == (bound, bound.method)
             methods.add(bound.method)
-        assert {"l1", "disjoint-cylinders", "nearest-neighbour"} <= methods
+        assert {"l1", "disjoint-cylinders", "free-support", "powers-partition",
+                "nearest-neighbour"} <= methods
         zero = norm_upper_bound(AlgebraElement({}, 2))
         assert (zero, zero.method) == (0.0, "zero")
 

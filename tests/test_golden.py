@@ -26,19 +26,20 @@ GOLDEN = {
     ),
     "cesaro": (
         {"experiment": "cesaro", "rank": 2, "element": "ab", "n_max": 3},
-        {"cesaro.csv": "53d4531117c0f2464611af151677d8268a3deb2f357e20458b1fecc5186b4f0b",
+        {"cesaro.csv": "289e7d4cb05b3b517247f9ee40eaa941da910981cd96c087581c2dc657161ec7",
          "cesaro_summary.json":
-             "3c8e8f15f490b61e055115fa383bfd1f4f467af11df5f2fa241d202f578f5208"},
+             "f0b3c7af2e4ed155cfd34d5b8a1e2bf140f5b021efdaa3d319a75fd608f5adc4"},
     ),
-    # a biased law: the n = 6 upper is subgroup-layers, 0.9544479060487384,
-    # read from the fold's rewritten lengths
+    # a biased law: from n = 3 the support is no free family, and the uppers
+    # are the partition's sums over ping-pong families, 0.5714376663542742 at
+    # n = 6
     "cesaro-biased-law": (
         {"experiment": "cesaro", "rank": 2, "element": "abAB", "n_max": 6,
          "mu": {"context": 2, "atoms": [{"word": w, "p": p} for w, p in (
              ("a", "2/5"), ("A", "1/10"), ("b", "3/10"), ("B", "1/5"))]}},
-        {"cesaro.csv": "c54b534caddffbaefd1dba4f964b80b595577649baa5c77d59725cb89b7f2c0c",
+        {"cesaro.csv": "04a5bd13ad48b6523ad20a9d9bea78ad99b75fccd7f0d577fd496e5e05df9c8b",
          "cesaro_summary.json":
-             "3c8e8f15f490b61e055115fa383bfd1f4f467af11df5f2fa241d202f578f5208"},
+             "f0b3c7af2e4ed155cfd34d5b8a1e2bf140f5b021efdaa3d319a75fd608f5adc4"},
     ),
     "powers": (
         {"experiment": "powers", "rank": 2, "g": "aab", "eps": 1.01,
@@ -194,10 +195,10 @@ BENCH_JOBS = {
         "build/powers-3": "d779033f719f397fb2d796f79760544ca7320675fe444c7c2c8caa21d34c699a",
         "build/kesten": KESTEN,
         "brackets/kesten": KESTEN,
-        "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
-        "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
-        "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
-        "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/cesaro-0": "9bd1ff051849ac99bca32052d2c04ef6cfd6fc889bbc8ad843c9f1b2602ce227",
+        "brackets/cesaro-1": "1e4def534fc14e8f3e5d84d9d9328b9c7577704252e37648457b59160d62dea2",
+        "brackets/cesaro-2": "226d17e9c4a7dd3e86bf5d1b8879ee24d4e9f335fbcb5ff5c2a7b14562c5615e",
+        "brackets/cesaro-3": "1e4def534fc14e8f3e5d84d9d9328b9c7577704252e37648457b59160d62dea2",
         "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
         "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
         "brackets/norm-2": "16695475628f85f2c4a13217b5089d196ade47c63dfa16c12215e9feb85d0857",
@@ -230,10 +231,10 @@ BENCH_JOBS = {
         "build/powers-3": "46ba824e2edab03a2048df492e13fcaf93b1c58d1de45194a64dd8d63b8b415b",
         "build/kesten": KESTEN,
         "brackets/kesten": KESTEN,
-        "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
-        "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
-        "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
-        "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/cesaro-0": "9bd1ff051849ac99bca32052d2c04ef6cfd6fc889bbc8ad843c9f1b2602ce227",
+        "brackets/cesaro-1": "1e4def534fc14e8f3e5d84d9d9328b9c7577704252e37648457b59160d62dea2",
+        "brackets/cesaro-2": "226d17e9c4a7dd3e86bf5d1b8879ee24d4e9f335fbcb5ff5c2a7b14562c5615e",
+        "brackets/cesaro-3": "1e4def534fc14e8f3e5d84d9d9328b9c7577704252e37648457b59160d62dea2",
         "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
         "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
         "brackets/norm-2": "16695475628f85f2c4a13217b5089d196ade47c63dfa16c12215e9feb85d0857",
@@ -266,10 +267,10 @@ BENCH_JOBS = {
         "build/powers-3": "b34423ac5ea4ca81bdb356b8dce64e864c698dcbbc915e4f00ce61789a509c7f",
         "build/kesten": KESTEN,
         "brackets/kesten": KESTEN,
-        "brackets/cesaro-0": "6ec8853f4fc33673bf409e77bb6fd6096f51bd0bae6ddab6607b05d564d4be41",
-        "brackets/cesaro-1": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
-        "brackets/cesaro-2": "25b787d518286bee58493a9c14299a67ac4acf57f7166905df6b00329266ea45",
-        "brackets/cesaro-3": "049362dee9ad951527f57f76f091aace580821b9e775950e75ca7d3708571568",
+        "brackets/cesaro-0": "9bd1ff051849ac99bca32052d2c04ef6cfd6fc889bbc8ad843c9f1b2602ce227",
+        "brackets/cesaro-1": "1e4def534fc14e8f3e5d84d9d9328b9c7577704252e37648457b59160d62dea2",
+        "brackets/cesaro-2": "226d17e9c4a7dd3e86bf5d1b8879ee24d4e9f335fbcb5ff5c2a7b14562c5615e",
+        "brackets/cesaro-3": "1e4def534fc14e8f3e5d84d9d9328b9c7577704252e37648457b59160d62dea2",
         "brackets/norm-0": "73aaf7d84e81f0f789492345d24eb5f4a13409d287d7664e9a84f9ce919d67a4",
         "brackets/norm-1": "44118f49a206ea25f384af8420565e0166e1a290e6f2b0fe64d0003fab08ee8f",
         "brackets/norm-2": "16695475628f85f2c4a13217b5089d196ade47c63dfa16c12215e9feb85d0857",

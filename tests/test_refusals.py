@@ -11,6 +11,7 @@ from stationarylab.algebra import AlgebraElement, UpperBound, certify_norm, norm
 from stationarylab.boundary import (
     conditional_measure,
     fix_mass,
+    require_stationary,
     stationarity_residual,
     translate,
     uniform_boundary_measure,
@@ -45,6 +46,7 @@ F2, F3 = FreeGroupContext(2), FreeGroupContext(3)
 A2, A3 = F2.word("a"), F3.word("a")
 MU2, MU3 = uniform_generator_measure(2), uniform_generator_measure(3)
 NU2 = uniform_boundary_measure(F2, 2)
+STRICT1 = translate(F2.identity, NU2, 1)
 SWAP = FiniteQuotient(2, [[1, 0], [0, 1]])
 
 REFUSALS = {
@@ -71,8 +73,13 @@ REFUSALS = {
     "measure_convolve_element rank": (
         lambda: measure_convolve_element(MU2, AlgebraElement.delta(A3)),
         ContextMismatchError, "rank mismatch: 2 vs 3"),
-    "residual depth 0": (lambda: stationarity_residual(MU2, NU2, 0), DepthUnderflowError,
-                         "operation requires cylinder depth 2"),
+    "residual depth 0": (lambda: stationarity_residual(MU2, NU2, 0), MalformedInputError,
+                         "depth must be >= 1, got 0"),
+    # a strict depth-1 table: the default depth 1 - L is below 1
+    "residual strict table": (lambda: stationarity_residual(MU2, STRICT1), DepthUnderflowError,
+                              "operation requires cylinder depth 2, measure stores depth 1"),
+    "stationary strict table": (lambda: require_stationary(MU2, STRICT1), DepthUnderflowError,
+                                "operation requires cylinder depth 2, measure stores depth 1"),
     "conditional step": (lambda: conditional_measure(NU2, sample_path(MU2, 3, seed=1), 4),
                          MalformedInputError, "step 4 outside the sampled path"),
     "fix_mass identity": (lambda: fix_mass(F2.identity, NU2, 1), UndefinedAxisError,

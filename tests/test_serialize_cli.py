@@ -152,14 +152,32 @@ class TestMainExitCodes:
         assert rc == 3
 
     def test_cesaro_exact_uppers_read_not_decaying(self, tmp_path):
-        # every b_n of lambda_ab under the simple walk has l1 norm exactly 1:
-        # a run of equal uppers is no decay
+        # under the law uniform on {a, A}, every b_n of lambda_a has norm and
+        # l1 norm exactly 1: a run of equal uppers is no decay
+        law = tmp_path / "mu.json"
+        law.write_text(json.dumps(_law({"a": "1/2", "A": "1/2"})))
+        out = tmp_path / "out"
+        rc = main(["cesaro", "--element", "a", "--n-max", "6", "--mu", str(law),
+                   "--out-dir", str(out)])
+        assert rc == 0
+        rows = (out / "cesaro.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[2:] for row in rows] == [["1.0", "l1"]] * 6
+        summary = json.loads((out / "cesaro_summary.json").read_text())
+        assert summary["verdict"] == "not decaying over the last three checkpoints"
+
+    def test_cesaro_uniform_uppers_of_ab_read_decaying(self, tmp_path):
+        # the l1 norms of b_n of lambda_ab stay at 1, while the partition's
+        # uppers fall from n = 2
         rc = main(["cesaro", "--element", "ab", "--n-max", "6", "--out-dir", str(tmp_path)])
         assert rc == 0
-        rows = (tmp_path / "cesaro.csv").read_text().splitlines()[2:]
-        assert [row.split(",")[2:] for row in rows] == [["1.0", "l1"]] * 6
+        rows = [row.split(",") for row in
+                (tmp_path / "cesaro.csv").read_text().splitlines()[2:]]
+        assert rows[0][2:] == ["1.0", "l1"]
+        assert [row[3] for row in rows[1:]] == ["powers-partition"] * 5
+        uppers = [float(row[2]) for row in rows]
+        assert uppers == sorted(uppers, reverse=True) and uppers[5] == 0.6983263150247097
         summary = json.loads((tmp_path / "cesaro_summary.json").read_text())
-        assert summary["verdict"] == "not decaying over the last three checkpoints"
+        assert summary["verdict"] == "decaying; consistent with unique stationarity"
 
     def test_boundary_solve_on_slowly_generating_laws(self, tmp_path, capsys):
         # each law generates F_2 only through products that leave the ball of
@@ -460,22 +478,24 @@ def test_cesaro_reports_null_when_the_generation_test_refuses(tmp_path, monkeypa
     assert len((tmp_path / "o" / "cesaro.csv").read_text().splitlines()) == 2 + 2
 
 
-def test_cesaro_under_a_biased_law_reads_subgroup_layers(tmp_path, capsys):
+def test_cesaro_under_a_biased_law_reads_powers_partition(tmp_path, capsys):
     # at n = 2 the support of b_2, abAB (mass 1/2) and its conjugates by the
     # four letters (half their law masses), freely generates, so the upper is
     # its Akemann-Ostrand norm, min over t of 2t + sum (sqrt(t^2 + c^2) - t)
-    # over those five masses c; from n = 6
-    # the support is no free family and the rewritten lengths give a bound
-    # below the l1 norm
+    # over those five masses c; from n = 3 the support is no free family,
+    # and the sum of the norms of its ping-pong families is below its l1
+    # norm, and at n = 6 below the 0.9544479060487384 that rewriting the
+    # support over a free basis of its subgroup gives
     (tmp_path / "mu.json").write_text(json.dumps(
         _law({"a": "2/5", "A": "1/10", "b": "3/10", "B": "1/5"})))
     rc, err = _main(["cesaro", "--element", "abAB", "--n-max", "6", "--mu",
                      str(tmp_path / "mu.json"), "--out-dir", str(tmp_path / "o")], capsys)
     assert rc == 0, err
     rows = [row.split(",") for row in (tmp_path / "o" / "cesaro.csv").read_text().splitlines()[2:]]
+    assert rows[0][2:] == ["1.0", "l1"]
     assert rows[1][2:] == ["0.8655671719807653", "free-support"]
-    assert [rows[n - 1][2:] for n in (1, 3, 4, 5)] == [["1.0", "l1"]] * 4
-    assert rows[5][0] == "6" and rows[5][2:] == ["0.9544479060487384", "subgroup-layers"]
+    assert [rows[n - 1][3] for n in (3, 4, 5, 6)] == ["powers-partition"] * 4
+    assert rows[5][0] == "6" and rows[5][2:] == ["0.5714376663542742", "powers-partition"]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

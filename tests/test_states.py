@@ -96,20 +96,36 @@ class TestCesaroTest:
         assert all(r.lower <= r.upper for r in rep.rows)
 
     def test_exact_l1_uppers_do_not_decay(self):
-        # every b_n of lambda_ab under the simple walk has l1 norm exactly 1
-        rep = cesaro_test(AlgebraElement.delta(F2.word("ab")), MU, n_max=6)
+        # under the law uniform on {a, A}, every b_n of lambda_a is a sum of
+        # positive multiples of powers of a, in the abelian <a>, so its norm
+        # is its l1 norm, exactly 1: a run of equal uppers is no decay
+        law = GroupMeasure({F2.word(w): Fraction(1, 2) for w in "aA"}, 2)
+        rep = cesaro_test(AlgebraElement.delta(F2.word("a")), law, n_max=6)
         assert [(r.upper, r.upper_method) for r in rep.rows] == [(1.0, "l1")] * 6
         assert rep.verdict == "not decaying over the last three checkpoints"
 
+    def test_uniform_uppers_of_ab_decay_from_the_partition(self):
+        # under the simple walk every b_n of lambda_ab has l1 norm 1, but
+        # from n = 2 its support splits into ping-pong families whose
+        # Akemann-Ostrand norms sum to less
+        rep = cesaro_test(AlgebraElement.delta(F2.word("ab")), MU, n_max=6)
+        assert [(r.upper, r.upper_method) for r in rep.rows] == [(1.0, "l1")] + [
+            (u, "powers-partition") for u in (0.9622557089021344, 0.8842384428572486,
+                                              0.8148385100514518, 0.75347236302272,
+                                              0.6983263150247097)]
+        assert all(r.lower <= r.upper for r in rep.rows)
+        assert rep.verdict == "decaying; consistent with unique stationarity"
+
     def test_decaying_generating_run_is_consistent_with_unique_stationarity(self):
-        # a biased generating law: the last three uppers fall, the last two
-        # from the subgroup-layers candidate
+        # a biased generating law: the last three uppers fall, from the
+        # powers-partition candidate, each below the subgroup-layers bound
+        # that an earlier, larger candidate gave (0.9544 and 0.9096 at n = 6, 7)
         law = GroupMeasure({F2.word(w): Fraction(p, 10) for w, p in zip("aAbB", (4, 1, 3, 2))},
                            2)
         rep = cesaro_test(AlgebraElement.delta(F2.word("abAB")), law, n_max=7)
         assert [(r.upper, r.upper_method) for r in rep.rows[-3:]] == [
-            (1.0, "l1"), (0.9544479060487384, "subgroup-layers"),
-            (0.9096364279090342, "subgroup-layers")]
+            (0.629874395705187, "powers-partition"), (0.5714376663542742, "powers-partition"),
+            (0.5214971454432106, "powers-partition")]
         assert rep.generating is True and not rep.partial
         assert rep.verdict == "decaying; consistent with unique stationarity"
 
