@@ -89,14 +89,27 @@ def _float_down(q: Fraction) -> float:
     return nextafter(f, -inf) if n * q.denominator > q.numerator * d else f
 
 
+def _exact(value, where: str) -> Fraction:
+    """The one reader of the numbers the program is given, laws and elements
+    alike: an int, a Fraction or a string ("1/3", "0.25") as written, a float
+    at its exact binary value.  MalformedInputError naming `where` on anything
+    else: a bool, None, inf, nan, a list."""
+    if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ArithmeticError):
+            pass
+    raise MalformedInputError(f"{where}: {value!r} is not finite or not a number")
+
+
 class AlgebraElement:
     """Finitely supported complex coefficient table over reduced words, exact.
 
     x = (re + i im) / den: `re` and `im` map the letters of support words to
     integers, exact zeros left out, and the positive integer `den` has no
     factor common to all of them.  The constructor takes a Word-keyed
-    mapping of numbers: an int or a Fraction is read as itself, a float at
-    its exact binary value and a complex as its two float parts.  Immutable.
+    mapping of numbers, each read by `_exact`, a complex as its two float
+    parts.  Immutable.
     """
 
     __slots__ = ("re", "im", "den", "rank")
@@ -107,13 +120,8 @@ class AlgebraElement:
         for w, c in coeffs.items():
             if w.rank != rank:
                 raise ContextMismatchError(f"word rank {w.rank} in element of rank {rank}")
-            try:
-                parts[w.letters] = tuple(
-                    map(Fraction, (c.real, c.imag) if isinstance(c, complex) else (c, 0)))
-            except (ValueError, TypeError, ArithmeticError) as exc:
-                raise MalformedInputError(
-                    f"coefficient {c!r} at {w} is not finite or not a number"
-                ) from exc
+            parts[w.letters] = tuple(_exact(part, f"coefficient at {w}") for part in
+                                     ((c.real, c.imag) if isinstance(c, complex) else (c, 0)))
         _fill(self, *_tables(parts), rank)
 
     def __setattr__(self, *a):

@@ -46,7 +46,7 @@ from .errors import (
     UnresolvedBoundaryError,
 )
 from .freegroup import MAX_STRING_RANK, FiniteQuotient, FreeGroupContext, _check_ball, ball
-from .freegroup import _check_support, word_from_str
+from .freegroup import _check_support, _is_int, word_from_str
 from .serialize import (
     cylinder_csv_rows,
     element_from_json,
@@ -103,7 +103,7 @@ EXIT_CODES = (
 
 
 def _int(value, rank: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
 

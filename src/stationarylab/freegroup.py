@@ -108,6 +108,11 @@ def reduce_letters(letters: Iterable[int]) -> bytes:
     return bytes(stack)
 
 
+def _is_int(value) -> bool:
+    """The integer rule for a value the program is given: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_rank(rank: int) -> None:
     if not 1 <= rank <= MAX_RANK:
         raise MalformedInputError(f"rank must be in 1..{MAX_RANK}, got {rank}")
@@ -460,7 +465,7 @@ class FiniteQuotient:
         m = len(perms[0]) if perms and isinstance(perms[0], (list, tuple)) else 0
         for i, p in enumerate(perms, 1):
             if not (m and isinstance(p, (list, tuple))
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in p)
+                    and all(map(_is_int, p))
                     and sorted(p) == list(range(m))):
                 want = f"range({m})" if m else "range(m) for an m >= 1"
                 raise MalformedInputError(f"generator {i} image {p!r} is not a permutation of {want}")

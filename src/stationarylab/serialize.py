@@ -1,13 +1,9 @@
 """JSON and CSV forms of the core objects.
 
 Words serialize as 'a'..'z' / uppercase inverses with "1" for the identity.
-Measures: {"context": k, "atoms": [{"word": "a", "p": "1/4"}, ...]}; a mass
-is read from a rational string, an integer or a decimal (at its exact binary
-value) and written as a rational string.  Algebra elements:
-{"context": k, "terms": [{"word": "abA", "re": 1.0, "im": 0.0}, ...]}, each
-part read at its exact binary value and the terms of one word added
-exactly; the parts must be finite, and the squared l1 norm below the top of
-the float range.
+Measures: {"context": k, "atoms": [{"word": "a", "p": "1/4"}, ...]}, masses
+written as rational strings; algebra elements: {"context": k, "terms":
+[{"word": "abA", "re": 1.0, "im": 0.0}, ...]}, each read by `_entries`.
 Cylinder measures: CSV rows word,depth,mass.
 """
 
@@ -15,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, _checked_l1, _element, _tables
+from .algebra import AlgebraElement, _checked_l1, _element, _exact, _tables
 from .boundary import CylinderMeasure
 from .errors import MalformedInputError
-from .freegroup import word_from_str
-from .walks import GroupMeasure
+from .freegroup import Word, _is_int, word_from_str
+from .walks import GroupMeasure, _mass
 
 
 def measure_to_json(mu: GroupMeasure) -> dict:
@@ -27,32 +23,36 @@ def measure_to_json(mu: GroupMeasure) -> dict:
 
 
 def measure_from_json(data: dict) -> GroupMeasure:
-    try:
-        rank = int(data["context"])
-        atoms = data["atoms"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedInputError(f"bad measure JSON: {exc}") from exc
-    return GroupMeasure({word_from_str(atom["word"], rank): atom["p"] for atom in atoms}, rank)
+    rank, sums = _entries(data, "measure", "atoms", {"p": None}, _mass)
+    return GroupMeasure({w: p for w, (p,) in sums.items()}, rank)
 
 
 def element_from_json(data: dict) -> AlgebraElement:
-    try:
-        rank = int(data["context"])
-        terms = data["terms"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedInputError(f"bad element JSON: {exc}") from exc
-    parts: dict[bytes, tuple[Fraction, Fraction]] = {}
-    for term in terms:
-        w = word_from_str(term["word"], rank)
-        try:
-            re, im = (Fraction(float(term.get(key, 0.0))) for key in ("re", "im"))
-        except (ValueError, OverflowError) as exc:
-            raise MalformedInputError(f"a coefficient of {w} is not finite") from exc
-        old_re, old_im = parts.get(w.letters, (0, 0))
-        parts[w.letters] = (old_re + re, old_im + im)
-    x = _element(*_tables(parts), rank)
+    rank, sums = _entries(data, "element", "terms", {"re": 0, "im": 0}, _exact)
+    x = _element(*_tables({w.letters: parts for w, parts in sums.items()}), rank)
     _checked_l1(x)
     return x
+
+
+def _entries(data: dict, kind: str, key: str, parts: dict, read) -> tuple[int, dict]:
+    """The integer context of a JSON `kind` and, by word, the exact sums of
+    the `parts` of its entries under `key`, each read by `read`, which reads
+    numbers by `algebra._exact`; a part whose default is None is required.
+    MalformedInputError "bad `kind` JSON: ..." on a missing key or a context
+    that is not an int."""
+    try:
+        rank = data["context"]
+        if not _is_int(rank):
+            raise TypeError(f"context {rank!r} is not an integer")
+        sums: dict[Word, tuple] = {}
+        for entry in data[key]:
+            w = word_from_str(entry["word"], rank)
+            new = [read(entry[k] if d is None else entry.get(k, d), f'"{k}" of {w}')
+                   for k, d in parts.items()]
+            sums[w] = tuple(a + b for a, b in zip(sums.get(w, (0,) * len(parts)), new))
+    except (KeyError, TypeError) as exc:
+        raise MalformedInputError(f"bad {kind} JSON: {exc}") from exc
+    return rank, sums
 
 
 def cylinder_csv_rows(nu: CylinderMeasure) -> list[tuple[str, int, str]]:

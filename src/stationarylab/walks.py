@@ -2,9 +2,7 @@
 sampling, Cesaro averages, and the convolution action on algebra elements.
 
 Every law is exact and stored as algebra elements are: integer weights over
-one denominator, their sum.  A float mass is taken at its exact binary value,
-so a law written in decimals and the same law written as "p/q" strings give
-the same results.
+one denominator, their sum, each mass read by `algebra._exact`.
 
 All randomness flows through numpy's Philox counter-based 64-bit generator:
 identical seeds give identical samples, run to run.  Increments are drawn by
@@ -24,7 +22,7 @@ from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .algebra import AlgebraElement, _conjugation_sum
+from .algebra import AlgebraElement, _conjugation_sum, _exact
 from .errors import (
     ContextMismatchError,
     MalformedInputError,
@@ -52,9 +50,8 @@ class GroupMeasure:
     `weights` maps the letters of each support word to a positive integer,
     and `den` is their sum: the mass of w is weights[w] / den, and `masses`
     is that Fraction view.  The constructor reads a Word-keyed mapping of
-    masses by `_exact_weights`: an int, a Fraction or a "p/q" string is read
-    as that rational, a float at its exact binary value.  Accessors speak
-    Words.  Immutable.  Weights are kept as built, not reduced.
+    masses by `_exact_weights`.  Accessors speak Words.  Immutable.  Weights
+    are kept as built, not reduced.
     """
 
     __slots__ = ("weights", "den", "rank")
@@ -163,18 +160,10 @@ class GroupMeasure:
 
 def _exact_weights(masses: Mapping) -> tuple[dict, int]:
     """The masses, keyed as given, as integer weights over one denominator,
-    and the weights' total.  GroupMeasure's rule: each mass is read exactly
-    and must be >= 0, and their total must be 1 within MASS_TOLERANCE.  The
-    law is the weights over their total, so normalising takes no division."""
-    table = {}
-    for k, p in masses.items():
-        try:
-            p = Fraction(p)
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            raise MalformedInputError(f"mass {p!r} at {k} is not finite or not a number") from exc
-        if p < 0:
-            raise MalformedInputError(f"negative mass {p} at {k}")
-        table[k] = p
+    and the weights' total.  GroupMeasure's rule: each mass is read by
+    `_mass`, and their total must be 1 within MASS_TOLERANCE.  The law is the
+    weights over their total, so normalising takes no division."""
+    table = {k: _mass(p, f"mass at {k}") for k, p in masses.items()}
     den = lcm(*[p.denominator for p in table.values()])
     weights = {k: p.numerator * (den // p.denominator) for k, p in table.items()}
     total = sum(weights.values())
@@ -182,6 +171,14 @@ def _exact_weights(masses: Mapping) -> tuple[dict, int]:
     if abs(Fraction(total, den) - 1) > MASS_TOLERANCE:
         raise MalformedInputError(f"masses do not sum to 1 within {MASS_TOLERANCE}")
     return weights, total
+
+
+def _mass(p, where: str) -> Fraction:
+    """A mass read by `_exact`; MalformedInputError naming `where` below 0."""
+    q = _exact(p, where)
+    if q < 0:
+        raise MalformedInputError(f"{where}: {q} is negative")
+    return q
 
 
 def _measure(weights: dict[bytes, int], den: int, rank: int) -> GroupMeasure:

@@ -91,7 +91,7 @@ def test_constructor_reads_floats_at_their_binary_values():
     assert exact(x) == {a: fractions_of(0.1 - 2.5j), b: (Fraction(1, 3), 0)}
     # one denominator with no factor common to every numerator
     assert x.den == 3 * 2**55 and x.im == {a.letters: -5 * 3 * 2**54}
-    for bad in (math.inf, complex(0, math.nan), "x"):
+    for bad in (math.inf, complex(0, math.nan), "x", True, None):
         with pytest.raises(MalformedInputError):
             AlgebraElement({a: bad}, 2)
 

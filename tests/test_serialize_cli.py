@@ -60,11 +60,48 @@ class TestSerialization:
                             F2.identity: (3, -2)}
 
     def test_non_finite_element_coefficient_rejected(self):
-        # a coefficient that is not finite, given or from a sum of terms
+        # a coefficient that is not finite, given or from a sum of terms, and
+        # a part that is no number, named with its word
         for terms in ([{"word": "a", "re": "inf"}], [{"word": "a", "im": "nan"}],
                       [{"word": "a", "re": 1e308}, {"word": "a", "re": 1e308}]):
             with pytest.raises(MalformedInputError):
                 element_from_json({"context": 2, "terms": terms})
+        for bad in (None, True):
+            with pytest.raises(MalformedInputError, match='"re" of ab: '):
+                element_from_json({"context": 2, "terms": [{"word": "ab", "re": bad}]})
+
+    @pytest.mark.parametrize("part, value", [
+        (9007199254740993, Fraction(9007199254740993)), ("1/3", Fraction(1, 3)),
+        ("0.1", Fraction(1, 10))], ids=["2^53+1", "1/3", "'0.1'"])
+    def test_element_parts_read_as_written(self, part, value):
+        # an integer or a string is read as written, as masses are
+        x = element_from_json({"context": 2, "terms": [{"word": "a", "re": part},
+                                                      {"word": "b", "im": part}]})
+        assert exact(x) == {F2.word("a"): (value, 0), F2.word("b"): (0, value)}
+
+    def test_repeated_atoms_add(self):
+        # listed total 3/2: refused, not read as its last a
+        with pytest.raises(MalformedInputError, match="masses do not sum to 1"):
+            measure_from_json(_law([("a", "1/2"), ("b", "1/2"), ("a", "1/2")]))
+        # listed total 1: the two atoms at a are one of mass 1/2
+        mu = measure_from_json(_law([("a", "1/4"), ("a", "1/4"), ("b", "1/2")]))
+        assert mu == measure_from_json(_law({"a": "1/2", "b": "1/2"}))
+        # a negative listed mass, though a repeat of its word lifts its sum to 1/4
+        with pytest.raises(MalformedInputError, match='"p" of a: -1/4 is negative'):
+            measure_from_json(_law([("a", "-1/4"), ("a", "1/2"), ("b", "3/4")]))
+
+    @pytest.mark.parametrize("context", [2.9, True, "2"])
+    def test_context_is_an_integer(self, context):
+        with pytest.raises(MalformedInputError, match="bad element JSON: context"):
+            element_from_json({"context": context, "terms": [{"word": "a", "re": 1}]})
+        with pytest.raises(MalformedInputError, match="bad measure JSON: context"):
+            measure_from_json({"context": context, "atoms": [{"word": "a", "p": 1}]})
+
+    def test_entry_without_a_word_is_malformed(self):
+        with pytest.raises(MalformedInputError, match="bad element JSON: 'word'"):
+            element_from_json({"context": 2, "terms": [{"re": 1}]})
+        with pytest.raises(MalformedInputError, match="bad measure JSON: 'word'"):
+            measure_from_json({"context": 2, "atoms": [{"p": 1}]})
 
 
 class TestRunAndVerify:
@@ -360,6 +397,10 @@ CLI_ERRORS = {
         "config error at /experiment: config disagrees with subcommand"),
     "element-without-terms": (["norm", "--element", "{d}/e.json"], {"e.json": {"context": 2}},
                               "config error at /element: bad element JSON: 'terms'"),
+    "law-whose-repeated-atoms-sum-past-1": (
+        ["boundary-solve", "--depth", "2", "--mu", "{d}/m.json"],
+        {"m.json": {"context": 2, "atoms": [{"word": w, "p": "1/2"} for w in ("a", "b", "a")]}},
+        "config error at /mu: masses do not sum to 1"),
     "too-few-generator-images": (
         ["fdstates", "--rep", "{d}/r.json"], {"r.json": {"perms": [[1, 0]]}},
         "config error at /rep: need 2 generator images, got 1"),
@@ -415,7 +456,10 @@ def test_conditional_reads_a_shallow_uniform_measure(tmp_path, capsys):
 
 
 def _law(masses):
-    return {"context": 2, "atoms": [{"word": w, "p": p} for w, p in masses.items()]}
+    """The measure JSON of a {word: mass} dict, or of (word, mass) pairs, which
+    may repeat a word."""
+    pairs = masses.items() if isinstance(masses, dict) else masses
+    return {"context": 2, "atoms": [{"word": w, "p": p} for w, p in pairs]}
 
 
 LENGTH2_LAW = _law({w: "1/4" for w in ("a", "B", "ab", "bA")})

@@ -56,8 +56,9 @@ class TestGroupMeasure:
 
     def test_non_finite_mass_rejected(self):
         # a NaN atom would otherwise drop out as "not positive", leaving the
-        # Dirac mass at b; a mass that is not a number raises the same error
-        for bad in (math.nan, math.inf, -math.inf, "x", "1/0", None, [0.5], 1j):
+        # Dirac mass at b; a mass that is not a number, a bool among them,
+        # raises the same error
+        for bad in (math.nan, math.inf, -math.inf, "x", "1/0", None, [0.5], 1j, True):
             with pytest.raises(MalformedInputError, match="not finite"):
                 GroupMeasure({F2.word("a"): bad, F2.word("b"): 1.0}, 2)
 
