@@ -54,7 +54,6 @@ from sys import float_info
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
-    ContextMismatchError,
     MalformedInputError,
     ResourceLimitError,
     StationaryLabError,
@@ -64,6 +63,7 @@ from .freegroup import (
     _check_rank,
     _check_support,
     _product_letters,
+    _same_rank,
     _sphere_size,
     _word,
     free_basis_decomposition,
@@ -118,8 +118,7 @@ class AlgebraElement:
         _check_rank(rank)
         parts = {}
         for w, c in coeffs.items():
-            if w.rank != rank:
-                raise ContextMismatchError(f"word rank {w.rank} in element of rank {rank}")
+            _same_rank(w.rank, rank)
             parts[w.letters] = tuple(_exact(part, f"coefficient at {w}") for part in
                                      ((c.real, c.imag) if isinstance(c, complex) else (c, 0)))
         _fill(self, *_tables(parts), rank)
@@ -142,7 +141,7 @@ class AlgebraElement:
                 for w in {**self.re, **self.im}}
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        _same_rank(self.rank, other.rank)
         d = lcm(self.den, other.den)
         s, t = d // self.den, d // other.den
         re = {w: s * c for w, c in self.re.items()}
@@ -151,10 +150,6 @@ class AlgebraElement:
             for w, c in part.items():
                 out[w] = out.get(w, 0) + t * c
         return _element(re, im, d, self.rank)
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.rank != other.rank:
-            raise ContextMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def __repr__(self) -> str:
         words = [w for w, _ in length_lex({**self.re, **self.im})]
@@ -224,7 +219,7 @@ def _conjugation_sum(x: AlgebraElement, weights: Iterable[tuple[bytes, int]],
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Ring product: the coefficient of w is the sum over u v = w of x(u) y(v).
     ResourceLimitError once the support passes freegroup.SUPPORT_CAP."""
-    x._check(y)
+    _same_rank(x.rank, y.rank)
     return _element(*_times((x.re, x.im), (y.re, y.im)), x.den * y.den, x.rank)
 
 

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 from .algebra import _SQRT_BITS, _float_up
 from .errors import (
-    ContextMismatchError,
     DepthUnderflowError,
     MalformedInputError,
     PreconditionError,
@@ -34,8 +33,8 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, _ball_size, _push_letters, _sphere_size, _word
-from .freegroup import _check_ball, axis_prefix, ball_letters, inverse_letters, length_lex
+from .freegroup import FreeGroupContext, Word, _ball_size, _push_letters, _same_rank, _sphere_size
+from .freegroup import _check_ball, _word, axis_prefix, ball_letters, inverse_letters, length_lex
 from .walks import GroupMeasure, PathSample
 
 if TYPE_CHECKING:
@@ -69,8 +68,7 @@ class CylinderMeasure:
 
     def mass(self, w: Word):
         """Mass of the cylinder [w]; the identity denotes the whole boundary."""
-        if w.rank != self.rank:
-            raise ContextMismatchError(f"word rank {w.rank} vs measure rank {self.rank}")
+        _same_rank(w.rank, self.rank)
         return self._mass(w.letters)
 
     def _mass(self, w: bytes):
@@ -162,8 +160,7 @@ def _translate_depth(g: Word, nu: CylinderMeasure, out_depth: int | None) -> int
     """The output depth of translate(g, nu, out_depth), checked: a strict
     table loses |g| levels, so the default is nu.depth - |g| and must be
     >= 1; a measure read at every depth takes any output depth >= 1."""
-    if g.rank != nu.rank:
-        raise ContextMismatchError(f"word rank {g.rank} vs measure rank {nu.rank}")
+    _same_rank(g.rank, nu.rank)
     deepest = nu.depth - len(g)
     if out_depth is None:
         out_depth = max(deepest, 1) if nu.every_depth else deepest
@@ -193,8 +190,7 @@ def stationarity_residual(
     when the masses of nu are exact, as those of mu always are.
     MalformedInputError for a depth below 1; DepthUnderflowError, which
     names L + 1, for a strict table too shallow for the default."""
-    if mu.rank != nu.rank:
-        raise ContextMismatchError(f"measure rank {mu.rank} vs {nu.rank}")
+    _same_rank(mu.rank, nu.rank)
     L = mu.max_support_length()
     if depth is None:
         depth = nu.depth if nu.every_depth else nu.depth - L

@@ -115,8 +115,7 @@ def _positive_float(value, rank: int) -> float:
 
 
 def _word(value, rank: int):
-    if not isinstance(value, str):
-        raise ValueError(f"expected a word string, got {value!r}")
+    """A word in the string form; --help takes the metavar WORD from this name."""
     return word_from_str(value, rank)
 
 

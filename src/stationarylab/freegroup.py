@@ -15,6 +15,10 @@ Word.inverse() or inverse_letters().
 String form (used by every CLI flag, JSON config, and CSV cell): generators are
 'a'..'z' by index, inverses the corresponding uppercase letters, and the
 identity is the one-character string "1"; e.g. "abAB" = a b a^-1 b^-1.
+word_from_str is its one reader.
+
+Operands of one computation live in one F_k: every check that two ranks
+match calls `_same_rank`, the one place ContextMismatchError is raised.
 
 A word's `letters` are the `bytes` of its codes, one byte a letter, so ranks
 go up to MAX_RANK = 128.  Algebra elements, group laws and cylinder measures
@@ -97,14 +101,12 @@ def _push_letters(stack: bytearray, letters: bytes) -> int:
 def reduce_letters(letters: Iterable[int]) -> bytes:
     """Freely reduce a letter sequence (cancel adjacent g g^-1 pairs).
     MalformedInputError for a code outside 0 .. 255."""
-    stack: list[int] = []
-    for c in letters:
+    codes = list(letters)
+    for c in codes:
         if not 0 <= c < 2 * MAX_RANK:
             raise MalformedInputError(f"letter code {c} is not a generator")
-        if stack and stack[-1] == c ^ 1:
-            stack.pop()
-        else:
-            stack.append(c)
+    stack = bytearray()
+    _push_letters(stack, codes)
     return bytes(stack)
 
 
@@ -116,6 +118,13 @@ def _is_int(value) -> bool:
 def _check_rank(rank: int) -> None:
     if not 1 <= rank <= MAX_RANK:
         raise MalformedInputError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+
+
+def _same_rank(rank: int, expected: int) -> None:
+    """The one rank-match rule, for operands that must live in one F_k:
+    ContextMismatchError "rank mismatch: {rank} vs {expected}" unless equal."""
+    if rank != expected:
+        raise ContextMismatchError(f"rank mismatch: {rank} vs {expected}")
 
 
 class Word:
@@ -157,10 +166,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        if self.rank != other.rank:
-            raise ContextMismatchError(
-                f"rank mismatch: {self.rank} vs {other.rank}"
-            )
+        _same_rank(self.rank, other.rank)
         return _word(_product_letters(self.letters, other.letters), self.rank)
 
     def inverse(self) -> "Word":
@@ -253,7 +259,11 @@ def _sphere_size(rank: int, radius: int) -> int:
 
 
 def word_from_str(s: str, rank: int) -> Word:
-    """Parse the serialization format: 'abA' etc., '1' for the identity."""
+    """Parse the serialization format: 'abA' etc., '1' for the identity.
+    The one reader of the string form: MalformedInputError for anything
+    that is not a str, a bad character or a rank outside 1..MAX_RANK."""
+    if not isinstance(s, str):
+        raise MalformedInputError(f"expected a word string, got {s!r}")
     if s == "1":
         _check_rank(rank)
         return _word(b"", rank)
@@ -376,8 +386,7 @@ def letter_product_pieces(
 
 def conjugate(g: Word, h: Word) -> Word:
     """h^-1 g h."""
-    if g.rank != h.rank:
-        raise ContextMismatchError(f"rank mismatch: {g.rank} vs {h.rank}")
+    _same_rank(g.rank, h.rank)
     hl = h.letters
     return _word(_product_letters(_product_letters(inverse_letters(hl), g.letters), hl), g.rank)
 
@@ -510,10 +519,7 @@ class FiniteQuotient:
         """Image of a word as a permutation: the letters' images composed as
         matrices multiply, so the last letter acts first; g^-1 maps to the
         inverse permutation."""
-        if w.rank != self.rank:
-            raise ContextMismatchError(
-                f"word rank {w.rank} does not match quotient rank {self.rank}"
-            )
+        _same_rank(w.rank, self.rank)
         out = tuple(range(self.dim))
         for c in w.letters:
             p = self._inverses[c >> 1] if c & 1 else self.perms[c >> 1]

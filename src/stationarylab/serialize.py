@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, _checked_l1, _element, _exact, _tables
 from .boundary import CylinderMeasure
 from .errors import MalformedInputError
-from .freegroup import Word, _is_int, word_from_str
+from .freegroup import Word, _check_rank, _is_int, word_from_str
 from .walks import GroupMeasure, _mass
 
 
@@ -39,11 +39,13 @@ def _entries(data: dict, kind: str, key: str, parts: dict, read) -> tuple[int, d
     the `parts` of its entries under `key`, each read by `read`, which reads
     numbers by `algebra._exact`; a part whose default is None is required.
     MalformedInputError "bad `kind` JSON: ..." on a missing key or a context
-    that is not an int."""
+    that is not an int; `_check_rank` refuses a context outside 1..MAX_RANK,
+    and `word_from_str` a word that is not a str."""
     try:
         rank = data["context"]
         if not _is_int(rank):
             raise TypeError(f"context {rank!r} is not an integer")
+        _check_rank(rank)
         sums: dict[Word, tuple] = {}
         for entry in data[key]:
             w = word_from_str(entry["word"], rank)

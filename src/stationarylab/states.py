@@ -33,14 +33,13 @@ from .algebra import (
 )
 from .errors import (
     ConstructionError,
-    ContextMismatchError,
     InconclusiveError,
     MalformedInputError,
     PreconditionError,
     ResourceLimitError,
 )
 from .freegroup import FiniteQuotient, FreeGroupContext, Word, _check_support, ball
-from .freegroup import _product_letters, _word
+from .freegroup import _product_letters, _same_rank, _word
 from .walks import (
     GroupMeasure,
     _measure,
@@ -77,9 +76,6 @@ class CesaroReport:
     partial: bool
     verdict: str
 
-    def uppers(self) -> list[float]:
-        return [r.upper for r in self.rows]
-
 
 def cesaro_test(
     a: AlgebraElement,
@@ -98,8 +94,7 @@ def cesaro_test(
     """
     if n_max < 1:
         raise MalformedInputError(f"n_max must be >= 1, got {n_max}")
-    if mu.rank != a.rank:
-        raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
+    _same_rank(mu.rank, a.rank)
     try:
         generating = mu.is_generating()
     except ResourceLimitError:
@@ -483,8 +478,7 @@ def finite_dim_stationary_states(rep: FiniteQuotient, mu: GroupMeasure) -> list[
     Raises ResourceLimitError when the m^2 index pairs pass
     freegroup.SUPPORT_CAP.
     """
-    if mu.rank != rep.rank:
-        raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {rep.rank}")
+    _same_rank(mu.rank, rep.rank)
     m = rep.dim
     _check_support(m * m, "fdstates: index pairs exceed the cap")
     label, orbits = _pair_orbits([rep.evaluate(g) for g, p in mu.atoms() if p], m)

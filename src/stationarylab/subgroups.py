@@ -16,13 +16,12 @@ from typing import Sequence
 from . import freegroup
 from .boundary import CylinderMeasure, fix_mass, require_stationary
 from .errors import (
-    ContextMismatchError,
     CoverageError,
     MalformedInputError,
     PreconditionError,
 )
 from .freegroup import FreeGroupContext, Word, _cyclic_split, _product_letters, _push_letters
-from .freegroup import _word, conjugate, inverse_letters, length_lex
+from .freegroup import _same_rank, _word, conjugate, inverse_letters, length_lex
 from .walks import GroupMeasure, _exact_weights, sample_increments
 
 PSD_EIGENVALUE_TOL = -1e-9
@@ -90,8 +89,7 @@ class SubgroupChain:
         that follows c c c ... or c^-1 c^-1 ..., whose letters only rotate c.
         A pop clamps m to the height, so m moves only at the top.  The final
         root is the one `conjugate` call, primitive as the start's root is."""
-        if start.rank != mu.rank:
-            raise ContextMismatchError(f"start rank {start.rank} vs law rank {mu.rank}")
+        _same_rank(start.rank, mu.rank)
         if steps < 0:
             raise MalformedInputError(f"steps must be >= 0, got {steps}")
         r = start.root.letters
@@ -137,8 +135,7 @@ class PositiveDefiniteFn:
         raise AttributeError("PositiveDefiniteFn is immutable")
 
     def __call__(self, g: Word) -> Fraction:
-        if g.rank != self.rank:
-            raise ContextMismatchError(f"word rank {g.rank} vs function rank {self.rank}")
+        _same_rank(g.rank, self.rank)
         if len(g) > self.radius:
             raise CoverageError([g])
         return self.values.get(g.letters, Fraction(0))
@@ -159,8 +156,7 @@ def pdf_from_subgroup_sample(
     rank = subgroups[0].rank
     counts = {b"": den}  # the weights sum to den, and every subgroup holds e
     for sub, weight in zip(subgroups, weights.values()):
-        if sub.rank != rank:
-            raise ContextMismatchError(f"subgroup rank {sub.rank} in a sample of rank {rank}")
+        _same_rank(sub.rank, rank)
         r = sub.root.letters
         i = _cyclic_split(r)
         v, c, v_inv = r[:i], r[i : len(r) - i], r[len(r) - i :]
@@ -205,8 +201,8 @@ def psd_check(phi: PositiveDefiniteFn, tuples: Sequence[Sequence[Word]]) -> PsdR
     for t, tup in enumerate(tuples):
         if not tup:
             raise MalformedInputError(f"tuple {t} is empty")
-        if any(g.rank != phi.rank for g in tup):
-            raise ContextMismatchError(f"a word of the tuple is not of rank {phi.rank}")
+        for g in tup:
+            _same_rank(g.rank, phi.rank)
         rows.append([index.setdefault(g.letters, len(index)) for g in tup])
         by_size.setdefault(len(tup), []).append(t)
     words = list(index)

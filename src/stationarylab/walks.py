@@ -24,12 +24,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import AlgebraElement, _conjugation_sum, _exact
 from .errors import (
-    ContextMismatchError,
     MalformedInputError,
     PreconditionError,
 )
 from .freegroup import FreeGroupContext, Word, _check_support, length_lex, letter_product
-from .freegroup import _product_letters, _word
+from .freegroup import _product_letters, _same_rank, _word
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,8 +57,7 @@ class GroupMeasure:
 
     def __init__(self, masses: Mapping[Word, object], rank: int):
         for w in masses:
-            if w.rank != rank:
-                raise ContextMismatchError(f"word rank {w.rank} in measure of rank {rank}")
+            _same_rank(w.rank, rank)
         weights, den = _exact_weights(masses)
         _fill(self, {w.letters: n for w, n in weights.items()}, den, rank)
 
@@ -86,13 +84,11 @@ class GroupMeasure:
         """(word, mass) pairs in length-lex word order."""
         return [(_word(w, self.rank), p) for w, p in length_lex(self.masses)]
 
-    def support(self) -> list[Word]:
-        return [w for w, _ in self.atoms()]
-
     def mass(self, w: Word):
-        if w.rank != self.rank:
-            raise ContextMismatchError(f"word rank {w.rank} vs measure rank {self.rank}")
-        return self.masses.get(w.letters, 0)
+        """The mass of w: a Fraction on the support, 0 off it."""
+        _same_rank(w.rank, self.rank)
+        n = self.weights.get(w.letters)
+        return 0 if n is None else Fraction(n, self.den)
 
     def max_support_length(self) -> int:
         return max((len(w) for w in self.weights), default=0)
@@ -208,8 +204,7 @@ def convolve_measures(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
     denominators, so the masses are the exact sums.  ResourceLimitError once
     the support passes freegroup.SUPPORT_CAP.
     """
-    if mu.rank != nu.rank:
-        raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {nu.rank}")
+    _same_rank(mu.rank, nu.rank)
     return _measure(letter_product(mu.weights, nu.weights), mu.den * nu.den, mu.rank)
 
 
@@ -280,8 +275,7 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     Exact: the law's integer weights act on a's integer tables, so the
     result is an integer table over mu.den times a's denominator.
     """
-    if mu.rank != a.rank:
-        raise ContextMismatchError(f"rank mismatch: {mu.rank} vs {a.rank}")
+    _same_rank(mu.rank, a.rank)
     return _conjugation_sum(a, mu.weights.items(), mu.den)
 
 

@@ -163,7 +163,7 @@ def test_criterion_7_finite_dimensional_states():
     t0 = time.perf_counter()
     states = finite_dim_stationary_states(rep, MU)
     # brute-force invariant oracle: the Hermitian commutant of supp mu, by SVD
-    oracle = hermitian_commutant(rep, MU.support())
+    oracle = hermitian_commutant(rep, [w for w, _ in MU.atoms()])
     dist = span_distance([dense(st) for st in states], oracle)
     elapsed = time.perf_counter() - t0
     report(

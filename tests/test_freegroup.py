@@ -478,15 +478,14 @@ class TestFoldAgainstReference:
             assert rank == reference_fold(words) == free_basis_decomposition(words[::-1])
 
 
-def test_resource_limit_errors_are_raised_by_the_two_cap_checks():
-    # every refusal past SUPPORT_CAP goes through _check_support, and every
-    # ball past MAX_BALL_LETTERS through _check_ball
-    raisers = set()
+def _builders(error: str) -> set[str]:
+    """Every function of the package that constructs `error`, as module.name."""
+    builders = set()
 
     def visit(node, function):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "ResourceLimitError"):
-            raisers.add(function)
+        if isinstance(node, ast.Call) and error in (getattr(node.func, "id", None),
+                                                    getattr(node.func, "attr", None)):
+            builders.add(function)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = f"{function}.{node.name}"
         for child in ast.iter_child_nodes(node):
@@ -494,7 +493,19 @@ def test_resource_limit_errors_are_raised_by_the_two_cap_checks():
 
     for path in sorted(Path(freegroup.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert raisers == {"freegroup._check_support", "freegroup._check_ball"}
+    return builders
+
+
+def test_resource_limit_errors_are_raised_by_the_two_cap_checks():
+    # every refusal past SUPPORT_CAP goes through _check_support, and every
+    # ball past MAX_BALL_LETTERS through _check_ball
+    assert _builders("ResourceLimitError") == {"freegroup._check_support",
+                                               "freegroup._check_ball"}
+
+
+def test_context_mismatch_errors_are_raised_by_the_one_rank_rule():
+    # every check that two operands live in one F_k goes through _same_rank
+    assert _builders("ContextMismatchError") == {"freegroup._same_rank"}
 
 
 # every float literal in the package with 0 < |v| < 1e-3, by module and

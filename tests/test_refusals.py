@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from stationarylab import algebra
-from stationarylab.algebra import AlgebraElement, UpperBound, certify_norm, norm_lower_bound
+from stationarylab.algebra import (
+    AlgebraElement,
+    UpperBound,
+    certify_norm,
+    convolve,
+    norm_lower_bound,
+)
 from stationarylab.boundary import (
     conditional_measure,
     fix_mass,
@@ -31,8 +37,15 @@ from stationarylab.states import (
     finite_dim_stationary_states,
     powers_search,
 )
-from stationarylab.subgroups import PositiveDefiniteFn, psd_check
+from stationarylab.subgroups import (
+    CyclicSubgroup,
+    PositiveDefiniteFn,
+    SubgroupChain,
+    pdf_from_subgroup_sample,
+    psd_check,
+)
 from stationarylab.walks import (
+    GroupMeasure,
     cesaro_measure,
     convolve_measures,
     decay_schedule,
@@ -54,20 +67,36 @@ REFUSALS = {
                     MalformedInputError, "n_moments must be >= 1"),
     "boundary depth 0": (lambda: uniform_boundary_measure(F2, 0),
                          MalformedInputError, "depth must be >= 1"),
-    "mass rank": (lambda: NU2.mass(A3), ContextMismatchError, "word rank 3 vs measure rank 2"),
-    "translate rank": (lambda: translate(A3, NU2), ContextMismatchError,
-                       "word rank 3 vs measure rank 2"),
+    # every rank match goes through freegroup._same_rank: one row a call site
+    "element rank": (lambda: AlgebraElement({A3: 1}, 2), ContextMismatchError,
+                     "rank mismatch: 3 vs 2"),
+    "element sum rank": (lambda: AlgebraElement.delta(A2) + AlgebraElement.delta(A3),
+                         ContextMismatchError, "rank mismatch: 2 vs 3"),
+    "convolve rank": (lambda: convolve(AlgebraElement.delta(A2), AlgebraElement.delta(A3)),
+                      ContextMismatchError, "rank mismatch: 2 vs 3"),
+    "mass rank": (lambda: NU2.mass(A3), ContextMismatchError, "rank mismatch: 3 vs 2"),
+    "translate rank": (lambda: translate(A3, NU2), ContextMismatchError, "rank mismatch: 3 vs 2"),
     "residual rank": (lambda: stationarity_residual(MU3, NU2), ContextMismatchError,
-                      "measure rank 3 vs 2"),
+                      "rank mismatch: 3 vs 2"),
+    "word product rank": (lambda: A2 * A3, ContextMismatchError, "rank mismatch: 2 vs 3"),
     "conjugate rank": (lambda: conjugate(A2, A3), ContextMismatchError, "rank mismatch: 2 vs 3"),
-    "evaluate rank": (lambda: SWAP.evaluate(A3), ContextMismatchError,
-                      "word rank 3 does not match quotient rank 2"),
+    "evaluate rank": (lambda: SWAP.evaluate(A3), ContextMismatchError, "rank mismatch: 3 vs 2"),
     "cesaro rank": (lambda: cesaro_test(AlgebraElement.delta(A3), MU2, 2),
                     ContextMismatchError, "rank mismatch: 2 vs 3"),
     "fdstates rank": (lambda: finite_dim_stationary_states(SWAP, MU3), ContextMismatchError,
                       "rank mismatch: 3 vs 2"),
-    "psd rank": (lambda: psd_check(PositiveDefiniteFn({b"": Fraction(1)}, 1, 2), [[A3]]),
-                 ContextMismatchError, "not of rank 2"),
+    "simulate rank": (lambda: SubgroupChain.simulate(MU3, CyclicSubgroup(A2), 1, seed=0),
+                      ContextMismatchError, "rank mismatch: 2 vs 3"),
+    "pdf rank": (lambda: PositiveDefiniteFn({b"": Fraction(1)}, 1, 2)(A3),
+                 ContextMismatchError, "rank mismatch: 3 vs 2"),
+    "pdf sample rank": (lambda: pdf_from_subgroup_sample([CyclicSubgroup(A2), CyclicSubgroup(A3)],
+                                                         [0.5, 0.5], 2),
+                        ContextMismatchError, "rank mismatch: 3 vs 2"),
+    "psd rank": (lambda: psd_check(PositiveDefiniteFn({b"": Fraction(1)}, 1, 2), [[A2, A3]]),
+                 ContextMismatchError, "rank mismatch: 3 vs 2"),
+    "measure rank": (lambda: GroupMeasure({A3: 1}, 2), ContextMismatchError,
+                     "rank mismatch: 3 vs 2"),
+    "measure mass rank": (lambda: MU2.mass(A3), ContextMismatchError, "rank mismatch: 3 vs 2"),
     "convolve_measures rank": (lambda: convolve_measures(MU2, MU3), ContextMismatchError,
                                "rank mismatch: 2 vs 3"),
     "measure_convolve_element rank": (

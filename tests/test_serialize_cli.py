@@ -97,6 +97,22 @@ class TestSerialization:
         with pytest.raises(MalformedInputError, match="bad measure JSON: context"):
             measure_from_json({"context": context, "atoms": [{"word": "a", "p": 1}]})
 
+    @pytest.mark.parametrize("context", [0, -5, 200])
+    def test_context_is_a_rank(self, context):
+        # with no entries no word is read, so the context is checked on its own
+        message = f"rank must be in 1..128, got {context}"
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            element_from_json({"context": context, "terms": []})
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            measure_from_json({"context": context, "atoms": []})
+
+    def test_word_is_a_string(self):
+        message = "expected a word string, got ['a', 'b']"
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            element_from_json({"context": 2, "terms": [{"word": ["a", "b"], "re": 1}]})
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            measure_from_json({"context": 2, "atoms": [{"word": ["a", "b"], "p": 1}]})
+
     def test_entry_without_a_word_is_malformed(self):
         with pytest.raises(MalformedInputError, match="bad element JSON: 'word'"):
             element_from_json({"context": 2, "terms": [{"re": 1}]})
@@ -397,6 +413,10 @@ CLI_ERRORS = {
         "config error at /experiment: config disagrees with subcommand"),
     "element-without-terms": (["norm", "--element", "{d}/e.json"], {"e.json": {"context": 2}},
                               "config error at /element: bad element JSON: 'terms'"),
+    "element-with-a-list-word": (
+        ["norm", "--element", "{d}/e.json"],
+        {"e.json": {"context": 2, "terms": [{"word": ["a", "b"], "re": 1}]}},
+        "config error at /element: expected a word string, got ['a', 'b']"),
     "law-whose-repeated-atoms-sum-past-1": (
         ["boundary-solve", "--depth", "2", "--mu", "{d}/m.json"],
         {"m.json": {"context": 2, "atoms": [{"word": w, "p": "1/2"} for w in ("a", "b", "a")]}},

@@ -77,7 +77,7 @@ class TestCesaroTest:
     def test_lazy_shift_decay(self):
         mu = GroupMeasure({F2.identity: Fraction(1, 2), F2.word("b"): Fraction(1, 2)}, 2)
         rep = cesaro_test(AlgebraElement.delta(F2.word("a")), mu, n_max=32)
-        ups = rep.uppers()
+        ups = [r.upper for r in rep.rows]
         assert rep.generating is False
         assert rep.verdict.startswith("decaying")
         # b_n = sum_j c_j lambda(b^-j a b^j), a free family, where c_j, the
@@ -420,7 +420,7 @@ class TestBuilder:
     def test_level_certificates_reverify(self):
         family = [AlgebraElement.delta(F2.word("a"))]
         build = build_c_star_simple_measure(family, 1)
-        hs = build.levels[0].support()
+        hs = [w for w, _ in build.levels[0].atoms()]
         x = AlgebraElement.delta(F2.word("a"))
         u = norm_upper_bound(_averaged_element(x, hs))
         stored = [
@@ -443,7 +443,7 @@ class TestBuilder:
                 nxt[f"mu[1]*{cid}"] = y
             elements.update(nxt)
             frontier = nxt
-        hs2 = build.levels[1].support()
+        hs2 = [w for w, _ in build.levels[1].atoms()]
         for cert in build.level_certificates:
             if cert.level != 2:
                 continue
@@ -520,7 +520,7 @@ class TestFiniteDimensionalStates:
     def test_states_are_exact_stationary_densities(self, name):
         rep, _ = FD_REPS[name]
         m = rep.dim
-        perms = [rep.evaluate(g) for g in MU.support()]
+        perms = [rep.evaluate(g) for g, _ in MU.atoms()]
         for st in finite_dim_stationary_states(rep, MU):
             assert st.trace == 1 and type(st.trace) is Fraction
             assert all(st.real[j, i] == v for (i, j), v in st.real.items())
@@ -546,7 +546,7 @@ class TestFiniteDimensionalStates:
     @pytest.mark.parametrize("name", ["trivial", "s3-regular", "two-swaps"])
     def test_span_is_the_brute_force_commutant(self, name):
         rep, count = FD_REPS[name]
-        oracle = hermitian_commutant(rep, MU.support())
+        oracle = hermitian_commutant(rep, [w for w, _ in MU.atoms()])
         states = finite_dim_stationary_states(rep, MU)
         assert len(oracle) == count
         assert span_distance([dense(st) for st in states], oracle) < 1e-8

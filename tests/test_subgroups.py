@@ -209,11 +209,11 @@ class TestChains:
         mu3 = uniform_generator_measure(3)
         for start in ("a", "1"):
             for steps in (0, 5):
-                with pytest.raises(ContextMismatchError, match="start rank 2 vs law rank 3"):
+                with pytest.raises(ContextMismatchError, match="rank mismatch: 2 vs 3"):
                     SubgroupChain.simulate(mu3, CyclicSubgroup(F2.word(start)), steps, seed=0)
             with pytest.raises(MalformedInputError, match="steps must be >= 0, got -1"):
                 SubgroupChain.simulate(MU, CyclicSubgroup(F2.word(start)), -1, seed=0)
-        with pytest.raises(ContextMismatchError, match="start rank 2 vs law rank 3"):
+        with pytest.raises(ContextMismatchError, match="rank mismatch: 2 vs 3"):
             srs_escape_experiment(mu3, CyclicSubgroup(F2.word("ab")), steps=4, trials=2)
 
 

@@ -224,8 +224,8 @@ class TestConvolution:
         mu2 = convolve_measures(MU, MU)
         pairs = [
             (u, v)
-            for u in MU.support()
-            for v in MU.support()
+            for u, _ in MU.atoms()
+            for v, _ in MU.atoms()
             if (u * v).is_identity()
         ]
         assert len(pairs) == 4
@@ -325,7 +325,7 @@ class TestSampling:
         counts = {}
         for g in draws:
             counts[g] = counts.get(g, 0) + 1
-        for g in MU.support():
+        for g, _ in MU.atoms():
             expected = n * 0.25
             sigma = math.sqrt(n * 0.25 * 0.75)
             assert abs(counts[g] - expected) <= 3 * sigma
