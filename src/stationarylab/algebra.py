@@ -60,6 +60,7 @@ from .errors import (
 )
 from .freegroup import (
     Word,
+    _Frozen,
     _check_rank,
     _check_support,
     _product_letters,
@@ -102,7 +103,7 @@ def _exact(value, where: str) -> Fraction:
     raise MalformedInputError(f"{where}: {value!r} is not finite or not a number")
 
 
-class AlgebraElement:
+class AlgebraElement(_Frozen):
     """Finitely supported complex coefficient table over reduced words, exact.
 
     x = (re + i im) / den: `re` and `im` map the letters of support words to
@@ -112,7 +113,7 @@ class AlgebraElement:
     parts.  Immutable.
     """
 
-    __slots__ = ("re", "im", "den", "rank")
+    __slots__ = _fields = ("re", "im", "den", "rank")
 
     def __init__(self, coeffs: Mapping[Word, object], rank: int):
         _check_rank(rank)
@@ -121,10 +122,7 @@ class AlgebraElement:
             _same_rank(w.rank, rank)
             parts[w.letters] = tuple(_exact(part, f"coefficient at {w}") for part in
                                      ((c.real, c.imag) if isinstance(c, complex) else (c, 0)))
-        _fill(self, *_tables(parts), rank)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebraElement is immutable")
+        self._set(*_reduced(*_tables(parts)), rank)
 
     @staticmethod
     def delta(w: Word, coeff: complex = 1.0) -> "AlgebraElement":
@@ -175,24 +173,23 @@ def _drop_zeros(table: dict) -> dict:
     return table
 
 
-def _fill(x: AlgebraElement, re: dict, im: dict, den: int, rank: int) -> None:
+def _reduced(re: dict, im: dict, den: int) -> tuple[dict, dict, int]:
+    """The tables less their exact zeros and the denominator, divided by
+    their common factor: the stored form of an element."""
     re, im = _drop_zeros(re), _drop_zeros(im)
     g = gcd(den, *re.values(), *im.values())
     if g > 1:
         re = {w: c // g for w, c in re.items()}
         im = {w: c // g for w, c in im.items()}
         den //= g
-    for name, value in (("re", re), ("im", im), ("den", den), ("rank", rank)):
-        object.__setattr__(x, name, value)
+    return re, im, den
 
 
 def _element(re: dict[bytes, int], im: dict[bytes, int], den: int, rank: int) -> AlgebraElement:
     """The element (re + i im) / den of two integer letter tables, unchecked.
     The element may take the tables themselves, less their zeros: the caller
     hands them over and changes them no more."""
-    x = object.__new__(AlgebraElement)
-    _fill(x, re, im, den, rank)
-    return x
+    return AlgebraElement._new(*_reduced(re, im, den), rank)
 
 
 def _centered(x: AlgebraElement) -> AlgebraElement:
@@ -458,27 +455,30 @@ def _bounds_from_moments(moments: dict[int, int], den: int) -> float:
     return best
 
 
-class _TaggedFloat(float):
-    """A float with one tag in each of its subclass's `__slots__`; arithmetic gives a float."""
+class _TaggedFloat(_Frozen, float):
+    """A float with one tag in each of its subclass's `_fields`; arithmetic gives a float."""
 
     __slots__ = ()
 
     def __new__(cls, value: float, *tags):
-        self = super().__new__(cls, value)
-        for name, tag in zip(cls.__slots__, tags, strict=True):
-            setattr(self, name, tag)
+        return cls._new(value, *tags)
+
+    @classmethod
+    def _new(cls, value: float, *tags):
+        # float.__new__: object.__new__, in _Frozen._new, cannot build a float
+        self = float.__new__(cls, value)
+        self._set(*tags)
         return self
 
-    def __getnewargs__(self):
-        # pickle and copy rebuild through __new__, which needs the tags too
-        return float(self), *(getattr(self, name) for name in self.__slots__)
+    def __reduce__(self):
+        return self._new, (float(self), *(getattr(self, name) for name in self._fields))
 
 
 class MomentBound(_TaggedFloat):
     """A lower bound with its `order`, the highest moment order computed up to
     the request (the request itself on the radial path), and its `method`."""
 
-    __slots__ = ("order", "method")
+    __slots__ = _fields = ("order", "method")
 
 
 def norm_lower_bound(x: AlgebraElement, n_moments: int) -> MomentBound:
@@ -745,7 +745,7 @@ class UpperBound(_TaggedFloat):
     """A certified upper bound that carries `method`, the tag of the
     candidate that gave it."""
 
-    __slots__ = ("method",)
+    __slots__ = _fields = ("method",)
 
 
 def _self_adjoint_on_generators(x: AlgebraElement) -> bool:

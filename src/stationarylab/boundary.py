@@ -33,8 +33,9 @@ from .errors import (
     UndefinedAxisError,
     UnresolvedBoundaryError,
 )
-from .freegroup import FreeGroupContext, Word, _ball_size, _push_letters, _same_rank, _sphere_size
-from .freegroup import _check_ball, _word, axis_prefix, ball_letters, inverse_letters, length_lex
+from .freegroup import FreeGroupContext, Word, _Frozen, _ball_size, _push_letters, _same_rank
+from .freegroup import _check_ball, _sphere_size, _word, axis_prefix, ball_letters, inverse_letters
+from .freegroup import length_lex
 from .walks import GroupMeasure, PathSample
 
 if TYPE_CHECKING:
@@ -47,24 +48,21 @@ TRUNCATED_TOL = 1e-12
 TRUNCATED_MAX_ITER = 200
 
 
-class CylinderMeasure:
+class CylinderMeasure(_Frozen):
     """Mass table over cylinders of depth 1..depth; immutable and strict: a
     cylinder deeper than the table raises DepthUnderflowError.
 
     `masses` maps the letters of each cylinder's base word to its mass.  Only
-    the library builds tables: the uniform measure, `translate`, the harmonic
-    measure and `solve_stationary`; calling the class raises TypeError.
+    the library builds tables, by `_new(rank, depth, masses)`: the uniform measure,
+    `translate`, the harmonic measure and `solve_stationary`; calling the class raises TypeError.
     """
 
-    __slots__ = ("rank", "depth", "masses")
+    __slots__ = _fields = ("rank", "depth", "masses")
     # whether a cylinder of every depth can be read, past the table too
     every_depth = False
 
     def __init__(self, *a, **k):
         raise TypeError("cylinder tables are built by the library alone")
-
-    def __setattr__(self, *a):
-        raise AttributeError("CylinderMeasure is immutable")
 
     def mass(self, w: Word):
         """Mass of the cylinder [w]; the identity denotes the whole boundary."""
@@ -112,14 +110,6 @@ def _uniform_mass(rank: int, n: int) -> Fraction:
     return Fraction(1, _sphere_size(rank, n))
 
 
-def _cylinders(table: dict, rank: int, depth: int, kind=CylinderMeasure) -> CylinderMeasure:
-    """The measure of a letter table that a kernel built; unchecked."""
-    nu = object.__new__(kind)
-    for name, value in zip(CylinderMeasure.__slots__, (rank, depth, table)):
-        object.__setattr__(nu, name, value)
-    return nu
-
-
 def uniform_boundary_measure(context: FreeGroupContext, depth: int) -> CylinderMeasure:
     """nu[w] = 1 / (2k (2k-1)^(|w|-1)), exact and read at every depth; the
     table holds the masses up to the given depth."""
@@ -127,7 +117,7 @@ def uniform_boundary_measure(context: FreeGroupContext, depth: int) -> CylinderM
         raise MalformedInputError(f"depth must be >= 1, got {depth}")
     k = context.rank
     table = {w: _uniform_mass(k, len(w)) for w in ball_letters(k, depth) if w}
-    return _cylinders(table, k, depth, _UniformMeasure)
+    return _UniformMeasure._new(k, depth, table)
 
 
 def _mass_recipe(g: bytes, w: bytes) -> tuple[bool, bytes]:
@@ -177,7 +167,7 @@ def translate(g: Word, nu: CylinderMeasure, out_depth: int | None = None) -> Cyl
     out_depth = _translate_depth(g, nu, out_depth)
     gl = g.letters
     table = {w: _translated_mass(gl, w, nu) for w in ball_letters(nu.rank, out_depth) if w}
-    return _cylinders(table, nu.rank, out_depth)
+    return CylinderMeasure._new(nu.rank, out_depth, table)
 
 
 def stationarity_residual(
@@ -275,7 +265,7 @@ def _harmonic_measure(mu: GroupMeasure, depth: int) -> CylinderMeasure | None:
         table[w] = num * qn[s] / (den := den * d[s])
         if len(w) < depth:
             pre[w] = num * un[s], den
-    return _cylinders(table, mu.rank, depth)
+    return CylinderMeasure._new(mu.rank, depth, table)
 
 
 def _compile_gathers(mu: GroupMeasure, W: int) -> list[tuple[float, np.ndarray, ...]]:
@@ -416,7 +406,7 @@ def solve_stationary(mu: GroupMeasure, depth: int) -> StationarySolution:
             f"no convergence within {TRUNCATED_MAX_ITER} iterations", last_residual=residual
         )
     words = (w for w in ball_letters(rank, depth) if w)
-    nu = _cylinders(dict(zip(words, vec[:n_out].tolist())), rank, depth)
+    nu = CylinderMeasure._new(rank, depth, dict(zip(words, vec[:n_out].tolist())))
     return StationarySolution(measure=nu, residual=residual, iterations=iterations)
 
 

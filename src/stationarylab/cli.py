@@ -46,7 +46,7 @@ from .errors import (
     UnresolvedBoundaryError,
 )
 from .freegroup import MAX_STRING_RANK, FiniteQuotient, FreeGroupContext, _check_ball, ball
-from .freegroup import _check_support, _is_int, word_from_str
+from .freegroup import _check_support, _is_int, _same_rank, word_from_str
 from .serialize import (
     cylinder_csv_rows,
     element_from_json,
@@ -136,8 +136,7 @@ def _read_json(path: str):
 
 
 def _of_rank(obj, rank: int):
-    if obj.rank != rank:
-        raise ValueError(f"context {obj.rank} does not match rank {rank}")
+    _same_rank(obj.rank, rank)
     return obj
 
 

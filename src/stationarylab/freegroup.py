@@ -127,28 +127,51 @@ def _same_rank(rank: int, expected: int) -> None:
         raise ContextMismatchError(f"rank mismatch: {rank} vs {expected}")
 
 
-class Word:
+class _Frozen:
+    """The one value rule of the library: assigning any attribute raises
+    AttributeError "<Type> is immutable".  A subclass names its slots in
+    `_fields`; its public constructor checks its input and ends in `_set`,
+    and `_new` is the one unchecked builder.  Copy, deepcopy and pickle
+    rebuild a value through `_new` from its fields alone, so nothing taken
+    from the process, such as a hash, is carried over."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _new(cls, *values):
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
+
+    def __reduce__(self):
+        return self._new, tuple(getattr(self, name) for name in self._fields)
+
+
+class Word(_Frozen):
     """A freely reduced word in F_rank. Immutable; the empty word is the identity."""
 
-    __slots__ = ("letters", "rank", "_hash")
+    __slots__ = _fields = ("letters", "rank")
 
     def __init__(self, letters: Iterable[int], rank: int):
         _check_rank(rank)
         lt = reduce_letters(letters)
         if lt and max(lt) >= 2 * rank:
             raise MalformedInputError(f"letter {max(lt)} out of range for rank {rank}")
-        _set_letters(self, lt)
-        _set_rank(self, rank)
-        _set_hash(self, hash((rank, lt)))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Word is immutable")
+        self._set(lt, rank)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.rank, self.letters))
 
     def __eq__(self, other) -> bool:
         return (
@@ -194,18 +217,17 @@ class Word:
         return f"Word('{self}', rank={self.rank})"
 
 
-# the slot setters bypass Word.__setattr__, which refuses every assignment
+# the slot setters bypass _Frozen.__setattr__, which refuses every assignment
 _set_letters = Word.letters.__set__
 _set_rank = Word.rank.__set__
-_set_hash = Word._hash.__set__
 
 
 def _word(letters: bytes, rank: int) -> Word:
-    """The Word of reduced letters with codes below 2 * rank, unchecked."""
+    """The Word of reduced letters with codes below 2 * rank, unchecked: the
+    hot builder, on the two slot setters rather than Word._new's loop."""
     w = object.__new__(Word)
     _set_letters(w, letters)
     _set_rank(w, rank)
-    _set_hash(w, hash((rank, letters)))
     return w
 
 
@@ -281,17 +303,20 @@ def length_lex(table: Mapping[bytes, T]) -> list[tuple[bytes, T]]:
     return [(w, table[w]) for w in keys]
 
 
-def _check_support(count: int, message: str = "convolution support exceeds the cap") -> None:
-    """ResourceLimitError(message, SUPPORT_CAP) if count passes SUPPORT_CAP.
+def _check_support(count: int, message: str = "convolution support exceeds the cap",
+                   cap: int | None = None) -> None:
+    """ResourceLimitError(message, cap) if count passes cap, by default SUPPORT_CAP.
 
-    The one place a count meets the cap: a product's words, the index pairs
+    The one place a count meets a cap: a product's words, the index pairs
     of a regular representation or of fdstates, odd-moment lookups, the
     generation test's saturation work, the Cesaro support and pdf-check's
-    Gram entries.  A product's words are checked as they grow; every other
-    count before its work starts.
+    Gram entries against SUPPORT_CAP, and a build-mu level's constraints
+    against states.MAX_CONSTRAINTS.  A product's words are checked as they
+    grow; every other count before its work starts.
     """
-    if count > SUPPORT_CAP:
-        raise ResourceLimitError(message, SUPPORT_CAP)
+    cap = SUPPORT_CAP if cap is None else cap
+    if count > cap:
+        raise ResourceLimitError(message, cap)
 
 
 def letter_product(x: Mapping[bytes, T], y: Mapping[bytes, T]) -> dict[bytes, T]:
@@ -457,15 +482,17 @@ def axis_prefix(g: Word, depth: int) -> Word:
 # ---------------------------------------------------------------------------
 
 
-class FiniteQuotient:
+class FiniteQuotient(_Frozen):
     """A homomorphism F_rank -> Sym(m) given by the images of the generators.
 
     `perms[i]` is the image of generator i + 1: a permutation p of range(m)
     that sends point j to p[j], so the generator's matrix U has U e_j = e_p[j].
     Raises MalformedInputError on a rank outside 1..MAX_RANK and, naming the
     generator, on an image that is not a list or tuple of ints forming a
-    permutation of one range(m), m >= 1.
+    permutation of one range(m), m >= 1.  Immutable.
     """
+
+    __slots__ = _fields = ("rank", "dim", "perms", "_inverses")
 
     def __init__(self, rank: int, perms: Sequence[Sequence[int]]):
         _check_rank(rank)
@@ -478,10 +505,8 @@ class FiniteQuotient:
                     and sorted(p) == list(range(m))):
                 want = f"range({m})" if m else "range(m) for an m >= 1"
                 raise MalformedInputError(f"generator {i} image {p!r} is not a permutation of {want}")
-        self.rank = rank
-        self.dim = m
-        self.perms = tuple(tuple(p) for p in perms)
-        self._inverses = tuple(tuple(sorted(range(m), key=p.__getitem__)) for p in self.perms)
+        perms = tuple(tuple(p) for p in perms)
+        self._set(rank, m, perms, tuple(tuple(sorted(range(m), key=p.__getitem__)) for p in perms))
 
     @staticmethod
     def regular_from_permutations(

@@ -50,7 +50,7 @@ from .walks import (
     rng_from_seed,
 )
 
-# the staged construction keeps at most this many constraints per level
+# the staged construction refuses a level of more constraints than this
 MAX_CONSTRAINTS = 512
 
 
@@ -319,8 +319,7 @@ def build_c_star_simple_measure(
     At level l a single conjugator tuple must drive every required element
     below eps_l = 2^-l: the centered family members themselves, plus every
     product mu_{k_r} * ... * mu_{k_1} * a_s with s, k_i < l and r < n_l (the
-    exponents n_l come from decay_schedule; the product set is truncated to a
-    deterministic prefix of MAX_CONSTRAINTS entries per level).  _scan seeks
+    exponents n_l come from decay_schedule).  _scan seeks
     it with n = 1, 2, 4, ... <= budget and bases commuting with no support
     word; a level none passes raises ConstructionError naming the closest
     tuple's base, its n and the element it stopped at, and a level with no
@@ -329,7 +328,10 @@ def build_c_star_simple_measure(
     the top level, and the final certified bounds
     ||mu^{n_j} * a - tau0(a) 1|| are rechecked for every family member at the
     scheduled exponents.  MalformedInputError if a member's squared l1 norm
-    is not a finite float; ResourceLimitError past freegroup.SUPPORT_CAP.
+    is not a finite float; ResourceLimitError past freegroup.SUPPORT_CAP, or,
+    before level 1 runs, at the first level whose F + min(l - 1, F) sum over
+    0 < r < n_l of (l - 1)^r constraints, for F family members, pass
+    MAX_CONSTRAINTS.  Level 1 holds the F members alone, and is never refused.
     """
     if not test_family:
         raise PreconditionError("the test family must be nonempty")
@@ -337,6 +339,9 @@ def build_c_star_simple_measure(
     family = [_l1_normalized(a) for a in test_family]
     e = _word(b"", rank)
     schedule = decay_schedule(levels)
+    for l, n_l in enumerate(schedule[1:], start=2):
+        count = len(family) + min(l - 1, len(family)) * sum((l - 1) ** r for r in range(1, n_l))
+        _check_support(count, f"level {l}: {count} constraints exceed the cap", MAX_CONSTRAINTS)
     level_measures: list[GroupMeasure] = []
     level_certs: list[LevelCertificate] = []
     for l in range(1, levels + 1):
@@ -350,14 +355,12 @@ def build_c_star_simple_measure(
             (f"a[{s}]", family[s]) for s in range(min(l - 1, len(family)))
         ]
         for r in range(1, n_l):
-            if len(constraints) >= MAX_CONSTRAINTS:
-                break
             nxt = []
             for cid, x in frontier:
                 for k in range(1, l):
                     y = measure_convolve_element(level_measures[k - 1], x)
                     nxt.append((f"mu[{k}]*{cid}", y))
-            constraints.extend(nxt[: MAX_CONSTRAINTS - len(constraints)])
+            constraints.extend(nxt)
             frontier = nxt
         centered = [(cid, _centered(x)) for cid, x in constraints]
         supports = {w for _, x in centered for part in (x.re, x.im) for w in part}

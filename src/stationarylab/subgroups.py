@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .freegroup import FreeGroupContext, Word, _cyclic_split, _product_letters, _push_letters
-from .freegroup import _same_rank, _word, conjugate, inverse_letters, length_lex
+from .freegroup import _Frozen, _same_rank, _word, conjugate, inverse_letters, length_lex
 from .walks import GroupMeasure, _exact_weights, sample_increments
 
 PSD_EIGENVALUE_TOL = -1e-9
@@ -45,22 +45,19 @@ def primitive_root(w: Word) -> Word:
     return w  # the identity
 
 
-class CyclicSubgroup:
+class CyclicSubgroup(_Frozen):
     """<root> for a primitive root word; the empty root encodes the trivial subgroup.
 
     Roots are normalized to the length-lex smaller of root / root^-1, so equal
     subgroups have equal roots.
     """
 
-    __slots__ = ("root",)
+    __slots__ = _fields = ("root",)
 
     def __init__(self, root: Word):
         root = primitive_root(root)
         inv = inverse_letters(root.letters)
-        object.__setattr__(self, "root", root if root.letters <= inv else _word(inv, root.rank))
-
-    def __setattr__(self, *a):
-        raise AttributeError("CyclicSubgroup is immutable")
+        self._set(root if root.letters <= inv else _word(inv, root.rank))
 
     @property
     def rank(self) -> int:
@@ -119,20 +116,15 @@ class SubgroupChain:
 # ---------------------------------------------------------------------------
 
 
-class PositiveDefiniteFn:
+class PositiveDefiniteFn(_Frozen):
     """phi(g) = the weight of the sampled subgroups that contain g, for |g| <=
     radius: `values` maps the letters of e and of the root powers to their
     exact sums, and phi is 0 elsewhere.  Every covered Gram matrix is PSD."""
 
-    __slots__ = ("values", "radius", "rank")
+    __slots__ = _fields = ("values", "radius", "rank")
 
     def __init__(self, values: dict[bytes, Fraction], radius: int, rank: int):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PositiveDefiniteFn is immutable")
+        self._set(values, radius, rank)
 
     def __call__(self, g: Word) -> Fraction:
         _same_rank(g.rank, self.rank)

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .freegroup import FreeGroupContext, Word, _check_support, length_lex, letter_product
-from .freegroup import _product_letters, _same_rank, _word
+from .freegroup import _Frozen, _product_letters, _same_rank, _word
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,7 +43,7 @@ def rng_from_seed(*seed_parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(seed_parts))))
 
 
-class GroupMeasure:
+class GroupMeasure(_Frozen):
     """A finitely supported probability measure on F_rank.
 
     `weights` maps the letters of each support word to a positive integer,
@@ -53,16 +53,13 @@ class GroupMeasure:
     are kept as built, not reduced.
     """
 
-    __slots__ = ("weights", "den", "rank")
+    __slots__ = _fields = ("weights", "den", "rank")
 
     def __init__(self, masses: Mapping[Word, object], rank: int):
         for w in masses:
             _same_rank(w.rank, rank)
         weights, den = _exact_weights(masses)
-        _fill(self, {w.letters: n for w, n in weights.items()}, den, rank)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupMeasure is immutable")
+        self._set({w.letters: n for w, n in weights.items() if n > 0}, den, rank)
 
     @staticmethod
     def uniform_on(words: Sequence[Word]) -> "GroupMeasure":
@@ -181,15 +178,7 @@ def _measure(weights: dict[bytes, int], den: int, rank: int) -> GroupMeasure:
     """The law of integer weights >= 0 over den, checked only for summing to den."""
     if sum(weights.values()) != den:
         raise MalformedInputError(f"law weights do not sum to their denominator {den}")
-    mu = object.__new__(GroupMeasure)
-    _fill(mu, weights, den, rank)
-    return mu
-
-
-def _fill(mu: GroupMeasure, weights: dict[bytes, int], den: int, rank: int) -> None:
-    object.__setattr__(mu, "weights", {w: n for w, n in weights.items() if n > 0})
-    object.__setattr__(mu, "den", den)
-    object.__setattr__(mu, "rank", rank)
+    return GroupMeasure._new({w: n for w, n in weights.items() if n > 0}, den, rank)
 
 
 def uniform_generator_measure(rank: int) -> GroupMeasure:

@@ -198,7 +198,7 @@ class TestStationarity:
                 continue
             base = (1 - 3 * eps) if str(w)[0] == "a" else eps
             table[w.letters] = base / 3 ** (len(w) - 1)
-        bad = boundary._cylinders(table, 2, 3)
+        bad = CylinderMeasure._new(2, 3, table)
         assert stationarity_residual(MU, bad) > 0.1
 
 
@@ -210,8 +210,8 @@ class TestSolveStationary:
         law = GroupMeasure.uniform_on([F2.word(w) for w in ("a", "B", "ab", "bA")])
         seed = uniform_boundary_measure(F2, 1)
         moved = [(float(p), translate(g, seed, out_depth=5)) for g, p in law.atoms()]
-        step = boundary._cylinders(
-            {w.letters: sum(p * t.mass(w) for p, t in moved) for w in ball(F2, 5) if w}, 2, 5
+        step = CylinderMeasure._new(
+            2, 5, {w.letters: sum(p * t.mass(w) for p, t in moved) for w in ball(F2, 5) if w}
         )
         monkeypatch.setattr(boundary, "TRUNCATED_TOL", 1.0)
         monkeypatch.setattr(boundary, "TRUNCATED_MAX_ITER", 1)

@@ -508,6 +508,27 @@ def test_context_mismatch_errors_are_raised_by_the_one_rank_rule():
     assert _builders("ContextMismatchError") == {"freegroup._same_rank"}
 
 
+def test_values_are_frozen_by_the_one_value_rule():
+    # only _Frozen refuses assignment, and only _Frozen._set assigns past it
+    defines, assigns = set(), set()
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
+            defines.add(where)
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__setattr__"
+                and getattr(node.func.value, "id", None) == "object"):
+            assigns.add(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(freegroup.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert defines == {"freegroup._Frozen"}
+    assert assigns == {"freegroup._Frozen._set"}
+
+
 # every float literal in the package with 0 < |v| < 1e-3, by module and
 # enclosing definition or module-level name: the tolerances that ROADMAP
 # State lists, so a new one is added, and an old one deleted, on purpose

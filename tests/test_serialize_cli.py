@@ -417,6 +417,15 @@ CLI_ERRORS = {
         ["norm", "--element", "{d}/e.json"],
         {"e.json": {"context": 2, "terms": [{"word": ["a", "b"], "re": 1}]}},
         "config error at /element: expected a word string, got ['a', 'b']"),
+    # the CLI reads every input at the config's rank, through freegroup._same_rank
+    "element-of-another-rank": (
+        ["norm", "--element", "{d}/e.json"],
+        {"e.json": {"context": 3, "terms": [{"word": "c", "re": 1}]}},
+        "config error at /element: rank mismatch: 3 vs 2"),
+    "law-of-another-rank": (
+        ["boundary-solve", "--depth", "2", "--mu", "{d}/m.json"],
+        {"m.json": {"context": 3, "atoms": [{"word": "c", "p": 1}]}},
+        "config error at /mu: rank mismatch: 3 vs 2"),
     "law-whose-repeated-atoms-sum-past-1": (
         ["boundary-solve", "--depth", "2", "--mu", "{d}/m.json"],
         {"m.json": {"context": 2, "atoms": [{"word": w, "p": "1/2"} for w in ("a", "b", "a")]}},

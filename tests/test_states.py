@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -382,6 +383,28 @@ class TestBuilder:
         huge = AlgebraElement({F2.word("a"): complex(1.7e308, 1.7e308)}, 2)
         with pytest.raises(MalformedInputError, match="squared l1 norm"):
             build_c_star_simple_measure([huge], 1)
+
+    @pytest.mark.parametrize("size, levels, count", [(1, 3, 65535), (509, 2, 513), (508, 2, 0)])
+    def test_a_level_past_max_constraints_is_refused_before_any_scan(self, size, levels, count,
+                                                                      monkeypatch):
+        # level l asks for F + min(l - 1, F) sum over 0 < r < n_l of (l - 1)^r
+        # constraints: F + 4 at level 2 (n_2 = 5), F + 2^16 - 2 at level 3
+        # (n_3 = 16) for F = 1; a level at most MAX_CONSTRAINTS = 512 is scanned
+        class Scanned(Exception):
+            pass
+
+        def scan(*args):
+            raise Scanned
+
+        monkeypatch.setattr(states, "_scan", scan)
+        family = [AlgebraElement.delta(w) for w in ball(F2, 6) if len(w) == 6][:size]
+        if not count:
+            with pytest.raises(Scanned):
+                build_c_star_simple_measure(family, levels)
+            return
+        message = f"level {levels}: {count} constraints exceed the cap (cap: 512)"
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
+            build_c_star_simple_measure(family, levels)
 
     def test_members_are_scaled_to_l1_norm_one(self):
         # 2 lambda_ab builds exactly what lambda_ab builds
