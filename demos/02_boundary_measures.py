@@ -52,8 +52,8 @@ print("\ntop cylinder mass of the translated measure along one path:")
 omega = sample_path(mu, 30, seed=5)
 for n in (0, 5, 10, 20, 30):
     cm = conditional_measure(nu, omega, n)
-    print(f"  n = {n:2d}: |position| = {len(cm.position):2d},"
-          f" top mass = {cm.top_mass:.4f}")
+    print(f"  n = {n:2d}: |position| = {len(omega.positions[n]):2d},"
+          f" top mass = {cm.top_mass():.4f}")
 
-point = boundary_map(omega)
-print("stable boundary prefix:", str(point.prefix)[:20], f"({point.resolved_depth} letters)")
+prefix = boundary_map(omega)
+print("stable boundary prefix:", str(prefix)[:20], f"({len(prefix)} letters)")

@@ -42,7 +42,7 @@ print("\nexponent schedule (1 - 2^-k)^(n_k) < 2^-k:", decay_schedule(4))
 family = [AlgebraElement.delta(w) for w in ball(F2, 1)]
 build = build_c_star_simple_measure(family, levels=2)
 print(f"built law with {len(build.measure.masses)} atoms,"
-      f" tail bound {build.tail_bound}")
+      f" tail bound {0.5 ** len(build.levels)}")
 worst = max(c.upper_bound / c.epsilon for c in build.level_certificates)
 print(f"level certificates: {len(build.level_certificates)},"
       f" worst ratio to epsilon {worst:.3f}")

@@ -43,8 +43,6 @@ from .walks import (
     uniform_generator_measure,
 )
 from .boundary import (
-    BoundaryPoint,
-    ConditionalMeasure,
     CylinderMeasure,
     StationarySolution,
     boundary_map,

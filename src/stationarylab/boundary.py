@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -149,11 +149,14 @@ def _translated_mass(g: bytes, w: bytes, nu: CylinderMeasure):
 def _translate_depth(g: Word, nu: CylinderMeasure, out_depth: int | None) -> int:
     """The output depth of translate(g, nu, out_depth), checked: a strict
     table loses |g| levels, so the default is nu.depth - |g| and must be
-    >= 1; a measure read at every depth takes any output depth >= 1."""
+    >= 1; a measure read at every depth takes any output depth >= 1.  An
+    explicit depth below 1 is malformed, whatever nu stores."""
     _same_rank(g.rank, nu.rank)
     deepest = nu.depth - len(g)
     if out_depth is None:
         out_depth = max(deepest, 1) if nu.every_depth else deepest
+    elif out_depth < 1:
+        raise MalformedInputError(f"out_depth must be >= 1, got {out_depth}")
     if out_depth < 1 or (not nu.every_depth and out_depth > deepest):
         raise DepthUnderflowError(
             required_depth=len(g) + max(out_depth, 1), available_depth=nu.depth
@@ -415,47 +418,20 @@ def solve_stationary(mu: GroupMeasure, depth: int) -> StationarySolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionalMeasure:
-    """The translate w_n nu along one path, with its Dirac diagnostic.
-
-    `top_mass`, the largest level-1 mass, comes from the depth-1 translate;
-    `measure`, the depth-`depth` table, is formed on first read.
-    """
-
-    nu: CylinderMeasure
-    position: Word
-    depth: int
-    top_mass: float
-
-    @cached_property
-    def measure(self) -> CylinderMeasure:
-        return translate(self.position, self.nu, out_depth=self.depth)
-
-
 def conditional_measure(
     nu: CylinderMeasure, omega: PathSample, n: int, depth: int = 1
-) -> ConditionalMeasure:
+) -> CylinderMeasure:
     """omega_n nu = translate(omega_n, nu) as a cylinder table of the given
-    depth; a strict nu must store depth |omega_n| + depth.  The checks of
-    that translate run here, though the table is formed only when read."""
+    depth; a strict nu must store depth |omega_n| + depth."""
     if n < 0 or n >= len(omega.positions):
         raise MalformedInputError(f"step {n} outside the sampled path")
-    g = omega.positions[n]
-    _check_ball(nu.rank, _translate_depth(g, nu, depth))
-    return ConditionalMeasure(nu, g, depth, translate(g, nu, out_depth=1).top_mass())
+    return translate(omega.positions[n], nu, out_depth=depth)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A boundary point resolved to finite precision: a stable reduced prefix."""
-
-    prefix: Word
-    resolved_depth: int
-
-
-def boundary_map(omega: PathSample) -> BoundaryPoint:
-    """Longest prefix shared by every position in the final third of the path.
+def boundary_map(omega: PathSample) -> Word:
+    """Longest prefix shared by every position in the final third of the
+    path: a boundary point resolved to finite precision, its length the
+    resolved depth.
 
     The position is a letter stack (`freegroup._push_letters`).  A reduced
     increment pops the letters it cancels and pushes the rest, so the
@@ -478,7 +454,7 @@ def boundary_map(omega: PathSample) -> BoundaryPoint:
         raise UnresolvedBoundaryError(
             "no stable prefix in the final third of the path", partial_prefix=prefix
         )
-    return BoundaryPoint(prefix=prefix, resolved_depth=lcp)
+    return prefix
 
 
 # ---------------------------------------------------------------------------

@@ -318,12 +318,15 @@ def _run_conditional(cfg: dict):
     nu = uniform_boundary_measure(FreeGroupContext(cfg["rank"]), cfg["nu_depth"])
     # the rows read nu as the law's stationary measure
     require_stationary(cfg["mu"], nu)
+    # the rows read the depth-1 translates: out_depth forms no table, so
+    # only its ball is checked, once
+    _check_ball(cfg["rank"], cfg["out_depth"])
     rows = []
     for i in range(cfg["paths"]):
         om = sample_path(cfg["mu"], n, seed=seed + i)
         for step in range(n + 1):
-            cm = conditional_measure(nu, om, step, depth=cfg["out_depth"])
-            rows.append([seed + i, step, len(cm.position), cm.top_mass])
+            top = conditional_measure(nu, om, step).top_mass()
+            rows.append([seed + i, step, len(om.positions[step]), top])
     yield "conditional.csv", ["path_seed", "n", "position_length", "top_mass"], rows
 
 
@@ -333,8 +336,8 @@ def _run_bnd_map(cfg: dict):
     for i in range(cfg["paths"]):
         om = sample_path(cfg["mu"], cfg["length"], seed=seed + i)
         try:
-            bp = boundary_map(om)
-            rows.append([seed + i, bp.resolved_depth, str(bp.prefix)])
+            prefix = boundary_map(om)
+            rows.append([seed + i, len(prefix), str(prefix)])
         except UnresolvedBoundaryError:
             rows.append([seed + i, 0, "1"])
     yield "bndmap.csv", ["path_seed", "resolved_depth", "prefix"], rows

@@ -3,7 +3,7 @@
 Letters are order codes 0 .. 2*rank - 1 in the order a, a^-1, b, b^-1, ...:
 generator i (1-based) is code 2(i - 1), its inverse is code 2(i - 1) + 1, and
 the inverse of any code c is c ^ 1.  Words are immutable, always freely
-reduced, and ordered length-first then lexicographically by code, which is
+reduced, and Word.sort_key orders them length-first, then by code, which is
 a < a^-1 < b < b^-1 < ...  Words are reduced, multiplied and inverted only
 here.  Six kernels elsewhere compute with raw codes (c ^ 1 for an inverse,
 c & 1 for the sign, bytes((c,)) for a letter): `boundary._compile_gathers` and
@@ -183,9 +183,6 @@ class Word(_Frozen):
     def sort_key(self):
         return (len(self.letters), self.letters)
 
-    def __lt__(self, other: "Word") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
@@ -259,10 +256,8 @@ class FreeGroupContext:
             out.append(self.generator(i, -1))
         return out
 
-    def word(self, spec: str | Iterable[int]) -> Word:
-        if isinstance(spec, str):
-            return word_from_str(spec, self.rank)
-        return Word(spec, self.rank)
+    def word(self, spec: str) -> Word:
+        return word_from_str(spec, self.rank)
 
     def ball_size(self, radius: int) -> int:
         return _ball_size(self.rank, radius)

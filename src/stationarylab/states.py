@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import inf, lcm
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -42,10 +43,10 @@ from .freegroup import FiniteQuotient, FreeGroupContext, Word, _check_support, b
 from .freegroup import _product_letters, _same_rank, _word
 from .walks import (
     GroupMeasure,
+    _decay_exponents,
     _measure,
     cesaro_measure,
     convolve_measures,
-    decay_schedule,
     measure_convolve_element,
     rng_from_seed,
 )
@@ -168,6 +169,8 @@ def powers_search(
         raise PreconditionError("the identity cannot be averaged away")
     if epsilon <= 0:
         raise PreconditionError(f"epsilon must be positive, got {epsilon}")
+    if budget < 1:
+        raise MalformedInputError(f"budget must be >= 1, got {budget}")
     if strategy == "geometric":
         tuples = _power_families(g.rank, [g.letters], range(1, budget + 1))
     elif strategy == "random":
@@ -300,7 +303,6 @@ class CStarSimpleMeasure:
     level_certificates: tuple[LevelCertificate, ...]
     schedule: tuple[int, ...]
     final_checks: tuple[FinalCheck, ...]
-    tail_bound: float
 
     @property
     def all_verified(self) -> bool:
@@ -319,7 +321,7 @@ def build_c_star_simple_measure(
     At level l a single conjugator tuple must drive every required element
     below eps_l = 2^-l: the centered family members themselves, plus every
     product mu_{k_r} * ... * mu_{k_1} * a_s with s, k_i < l and r < n_l (the
-    exponents n_l come from decay_schedule).  _scan seeks
+    exponents n_l come from walks._decay_exponents).  _scan seeks
     it with n = 1, 2, 4, ... <= budget and bases commuting with no support
     word; a level none passes raises ConstructionError naming the closest
     tuple's base, its n and the element it stopped at, and a level with no
@@ -328,20 +330,30 @@ def build_c_star_simple_measure(
     the top level, and the final certified bounds
     ||mu^{n_j} * a - tau0(a) 1|| are rechecked for every family member at the
     scheduled exponents.  MalformedInputError if a member's squared l1 norm
-    is not a finite float; ResourceLimitError past freegroup.SUPPORT_CAP, or,
-    before level 1 runs, at the first level whose F + min(l - 1, F) sum over
-    0 < r < n_l of (l - 1)^r constraints, for F family members, pass
-    MAX_CONSTRAINTS.  Level 1 holds the F members alone, and is never refused.
+    is not a finite float, and for `levels` or `budget` below 1;
+    ResourceLimitError past freegroup.SUPPORT_CAP, or, before level 1 runs,
+    at the first level whose F + min(l - 1, F) sum over 0 < r < n_l of
+    (l - 1)^r constraints, for F family members, pass MAX_CONSTRAINTS.  That
+    check runs as each n_l is computed, so no later exponent is.  Level 1
+    holds the F members alone, and is never refused.
     """
     if not test_family:
         raise PreconditionError("the test family must be nonempty")
+    if levels < 1:
+        raise MalformedInputError(f"levels must be >= 1, got {levels}")
+    if budget < 1:
+        raise MalformedInputError(f"budget must be >= 1, got {budget}")
     rank = test_family[0].rank
     family = [_l1_normalized(a) for a in test_family]
     e = _word(b"", rank)
-    schedule = decay_schedule(levels)
-    for l, n_l in enumerate(schedule[1:], start=2):
-        count = len(family) + min(l - 1, len(family)) * sum((l - 1) ** r for r in range(1, n_l))
-        _check_support(count, f"level {l}: {count} constraints exceed the cap", MAX_CONSTRAINTS)
+    schedule = []
+    for l, n_l in enumerate(islice(_decay_exponents(), levels), start=1):
+        if l > 1:
+            count = len(family) + (min(l - 1, len(family))
+                                   * sum((l - 1) ** r for r in range(1, n_l)))
+            _check_support(count, f"level {l}: {count} constraints exceed the cap",
+                           MAX_CONSTRAINTS)
+        schedule.append(n_l)
     level_measures: list[GroupMeasure] = []
     level_certs: list[LevelCertificate] = []
     for l in range(1, levels + 1):
@@ -408,7 +420,6 @@ def build_c_star_simple_measure(
         level_certificates=tuple(level_certs),
         schedule=tuple(schedule),
         final_checks=tuple(final_checks),
-        tail_bound=0.5**levels,
     )
 
 

@@ -319,10 +319,8 @@ class FreenessRow:
 @dataclass(frozen=True)
 class FreenessReport:
     rows: tuple[FreenessRow, ...]
-    depth: int
     threshold: float
     verdict: str
-    pdf_upper: dict[str, float]
 
     @property
     def essentially_free(self) -> bool:
@@ -340,30 +338,16 @@ def freeness_report(
 
     The bound for g is the mass of the two axis cylinders at the given depth.
     The verdict is "essentially free at depth d" when there is a non-identity
-    word and every bound is below the threshold; the bounds are also
-    assembled as an upper envelope of the fixed-point pdf g -> nu(Fix(g)),
-    which for an essentially free action is the indicator of the identity.
-    The stationarity precondition on nu is checked by require_stationary.
+    word and every bound is below the threshold.  The stationarity
+    precondition on nu is checked by require_stationary.
     """
     require_stationary(mu, nu)
-    rows = []
-    pdf_upper = {"1": 1.0}
-    for g in gens:
-        if g.is_identity():
-            continue
-        upper = fix_mass(g, nu, depth=depth)
-        rows.append(FreenessRow(word=str(g), upper_bound=upper, depth=depth))
-        pdf_upper[str(g)] = upper
+    rows = [FreenessRow(word=str(g), upper_bound=fix_mass(g, nu, depth=depth), depth=depth)
+            for g in gens if not g.is_identity()]
     if not rows:
         verdict = "inconclusive: no non-identity word to test"
     elif all(r.upper_bound < threshold for r in rows):
         verdict = f"essentially free at depth {depth} (all bounds < {threshold})"
     else:
         verdict = "inconclusive: some fixed-point bound exceeds the threshold"
-    return FreenessReport(
-        rows=tuple(rows),
-        depth=depth,
-        threshold=threshold,
-        verdict=verdict,
-        pdf_upper=pdf_upper,
-    )
+    return FreenessReport(rows=tuple(rows), threshold=threshold, verdict=verdict)

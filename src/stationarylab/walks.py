@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count, islice
 from math import lcm
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .algebra import AlgebraElement, _conjugation_sum, _exact
 from .errors import (
@@ -230,9 +231,6 @@ class PathSample:
             out.append(_word(w, self.rank))
         return tuple(out)
 
-    def __len__(self) -> int:
-        return len(self.increments)
-
 
 def sample_increments(mu: GroupMeasure, length: int, seed: int) -> tuple[Word, ...]:
     """Draw i.i.d. increments from mu by inverse-CDF over the support in
@@ -268,23 +266,25 @@ def measure_convolve_element(mu: GroupMeasure, a: AlgebraElement) -> AlgebraElem
     return _conjugation_sum(a, mu.weights.items(), mu.den)
 
 
-def decay_schedule(k_max: int) -> list[int]:
-    """Least increasing exponents n_k with (1 - 2^-k)^(n_k) < 2^-k.
-
-    Exact rational arithmetic; n_1 = 2, n_2 = 5, ...
-    """
-    if k_max < 1:
-        raise PreconditionError(f"k_max must be >= 1, got {k_max}")
-    out: list[int] = []
-    prev = 0
-    for k in range(1, k_max + 1):
+def _decay_exponents() -> Iterator[int]:
+    """The least increasing exponents n_k with (1 - 2^-k)^(n_k) < 2^-k, for
+    k = 1, 2, ... without end.  Exact rational arithmetic; n_1 = 2,
+    n_2 = 5, n_3 = 16, and each costs several times the one before it
+    (n_12 = 34,066 takes seconds), so a caller reads only the ones it needs."""
+    n = 0
+    for k in count(1):
         base = 1 - Fraction(1, 2**k)
         target = Fraction(1, 2**k)
-        n = prev + 1
+        n += 1
         power = base**n
         while power >= target:
             n += 1
             power *= base
-        out.append(n)
-        prev = n
-    return out
+        yield n
+
+
+def decay_schedule(k_max: int) -> list[int]:
+    """The first k_max exponents of _decay_exponents."""
+    if k_max < 1:
+        raise PreconditionError(f"k_max must be >= 1, got {k_max}")
+    return list(islice(_decay_exponents(), k_max))

@@ -98,7 +98,7 @@ def test_criterion_4_conditional_dirac_and_disintegration():
     hits = 0
     for s in range(100):
         om = sample_path(MU, 30, seed=1000 + s)
-        if conditional_measure(nu, om, 30).top_mass > 0.9:
+        if conditional_measure(nu, om, 30).top_mass() > 0.9:
             hits += 1
     n_paths = 10_000
     words = [w for w in ball(F2, 2) if len(w) == 2]
@@ -108,7 +108,7 @@ def test_criterion_4_conditional_dirac_and_disintegration():
         om = sample_path(MU, 30, seed=200_000 + s)
         cm = conditional_measure(nu, om, 30, depth=2)
         for w in words:
-            v = float(cm.measure.mass(w))
+            v = float(cm.mass(w))
             sums[w] += v
             sq_sums[w] += v * v
     elapsed = time.perf_counter() - t0

@@ -111,6 +111,14 @@ REFUSALS = {
                                 "operation requires cylinder depth 2, measure stores depth 1"),
     "conditional step": (lambda: conditional_measure(NU2, sample_path(MU2, 3, seed=1), 4),
                          MalformedInputError, "step 4 outside the sampled path"),
+    # an explicit output depth below 1 names itself, not a depth nu stores
+    "translate out_depth 0": (lambda: translate(A2, NU2, out_depth=0), MalformedInputError,
+                              "out_depth must be >= 1, got 0"),
+    "translate out_depth -3": (lambda: translate(A2, STRICT1, out_depth=-3),
+                               MalformedInputError, "out_depth must be >= 1, got -3"),
+    "conditional depth 0": (
+        lambda: conditional_measure(NU2, sample_path(MU2, 3, seed=1), 1, depth=0),
+        MalformedInputError, "out_depth must be >= 1, got 0"),
     "fix_mass identity": (lambda: fix_mass(F2.identity, NU2, 1), UndefinedAxisError,
                           "the identity fixes every point"),
     "generator index": (lambda: F2.generator(3), MalformedInputError,
@@ -125,8 +133,15 @@ REFUSALS = {
                          "epsilon must be positive, got 0"),
     "powers strategy": (lambda: powers_search(A2, 0.5, strategy="spiral"),
                         MalformedInputError, "unknown strategy 'spiral'"),
+    "powers budget 0": (lambda: powers_search(A2, 0.5, budget=0), MalformedInputError,
+                        "budget must be >= 1, got 0"),
     "empty family": (lambda: build_c_star_simple_measure([], 1), PreconditionError,
                      "the test family must be nonempty"),
+    "build levels 0": (lambda: build_c_star_simple_measure([AlgebraElement.delta(A2)], 0),
+                       MalformedInputError, "levels must be >= 1, got 0"),
+    "build budget 0": (
+        lambda: build_c_star_simple_measure([AlgebraElement.delta(A2)], 1, budget=0),
+        MalformedInputError, "budget must be >= 1, got 0"),
     "cesaro_measure 0": (lambda: cesaro_measure(MU2, 0), MalformedInputError,
                          "n must be >= 1, got 0"),
     "negative length": (lambda: sample_increments(MU2, -1, 0), MalformedInputError,

@@ -790,6 +790,9 @@ BALLS = {
                                 "--nu-depth", "25"],
     "conditional-out-depth-30": ["conditional", "--n", "2", "--paths", "1", "--seed", "0",
                                  "--out-depth", "30"],
+    # out_depth is checked once per run, with no path to run too
+    "conditional-out-depth-30-no-paths": ["conditional", "--n", "2", "--paths", "0",
+                                          "--seed", "0", "--out-depth", "30"],
     "pdf-check-radius-30": ["pdf-check", "--measures", "1", "--tuples", "1", "--seed", "0",
                             "--radius", "30"],
     # the tuple pool (radius 6) fits; the dump's ball of radius 12 does not

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stationarylab import cli, freegroup, states
+from stationarylab import cli, freegroup, states, walks
 from stationarylab.algebra import (
     AlgebraElement,
     _float_down,
@@ -405,6 +406,18 @@ class TestBuilder:
         message = f"level {levels}: {count} constraints exceed the cap (cap: 512)"
         with pytest.raises(ResourceLimitError, match=re.escape(message)):
             build_c_star_simple_measure(family, levels)
+
+    def test_a_refused_level_computes_no_later_exponent(self, monkeypatch):
+        # level 3 is refused (n_3 = 16, 65535 constraints for F = 1), and
+        # the exponents past it cost seconds by n_12: none may be computed
+        def first_three():
+            yield from itertools.islice(walks._decay_exponents(), 3)
+            raise AssertionError("an exponent past n_3 was computed")
+
+        monkeypatch.setattr(states, "_decay_exponents", first_three)
+        message = "level 3: 65535 constraints exceed the cap (cap: 512)"
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
+            build_c_star_simple_measure([AlgebraElement.delta(F2.word("ab"))], 12)
 
     def test_members_are_scaled_to_l1_norm_one(self):
         # 2 lambda_ab builds exactly what lambda_ab builds

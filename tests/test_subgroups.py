@@ -544,8 +544,9 @@ class TestFreenessReport:
             freeness_report(law, nu, [F2.word("a")], depth=4)
 
     def test_pdf_upper_is_near_identity_indicator(self):
+        # the bounds, with e -> 1, are an upper envelope of g -> nu(Fix(g))
         nu = uniform_boundary_measure(F2, 8)
         gens = [g for g in ball(F2, 2) if not g.is_identity()]
         rep = freeness_report(MU, nu, gens, depth=8)
-        assert rep.pdf_upper["1"] == 1.0
-        assert all(v < 1e-3 for k, v in rep.pdf_upper.items() if k != "1")
+        assert [r.word for r in rep.rows] == [str(g) for g in gens]
+        assert all(r.upper_bound < 1e-3 for r in rep.rows)
